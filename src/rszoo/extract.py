@@ -46,7 +46,7 @@ from .lang import (Abs, App, Const, ExistsSt, Forall, ForallSt, Formula,
                    show_type, stdterms, subst_f, substitute, subterms)
 from .lang.types import Arrow, FiniteType, Product
 from .normalform import monotone_in_witness, normalize_principle
-from .translate import NormalForm, nf_to_formula, show_nf
+from .translate import NormalForm, alpha_eq_nf, show_nf
 
 
 class ScriptError(Exception):
@@ -262,10 +262,6 @@ def formula_to_nf(f: Formula) -> NormalForm:
     if not is_internal(f):
         raise ScriptError(f"matrix is not internal: {show_formula(f)}")
     return NormalForm(tuple(universals), tuple(existentials), f)
-
-
-def alpha_eq_nf(a: NormalForm, b: NormalForm) -> bool:
-    return alpha_eq_f(nf_to_formula(a), nf_to_formula(b))
 
 
 def _instantiate(matrix: Formula, existentials: tuple[Var, ...],
@@ -572,36 +568,7 @@ def _tuple_term(existentials: tuple[Var, ...], row: Row) -> Term:
     return out
 
 
-def extract_terms(script: ProofScript, model=None,
-                  oracles: dict[str, Term] | None = None) -> Term:
-    """Closed realizing term ``\\xs. <seq of witness tuples>`` for the
-    final step.  Oracle obligations must be supplied as closed terms."""
-    report = check_script(script, model)
-    final = report.final
-    nf, rows = final.nf, final.rows
-    if not nf.existentials:
-        raise ScriptError("final step has no existentials to extract")
-    if not rows:
-        raise ScriptError("final step has no candidate tuples")
-
-    if oracles:
-        scope = script.param_types()
-        subst = {}
-        for name, t in oracles.items():
-            loose = {w.name for w in free_vars(t)} - set(scope)
-            if loose:
-                raise ScriptError(f"oracle term for {name!r} is open: "
-                                  f"unbound {sorted(loose)}")
-            subst[name] = t
-        rows = tuple(tuple(_expand_lets(r, list(subst.items())) for r in row)
-                     for row in rows)
-
-    tupty = _tuple_type(nf.existentials)
-    seq = empty_c(tupty)
-    for row in rows:
-        seq = app(append_c(tupty), seq, _tuple_term(nf.existentials, row))
-    t = lam(*nf.universals, seq)
-
+def _require_closed(t: Term, report: ScriptReport) -> Term:
     loose = sorted(v.name for v in free_vars(t))
     if loose:
         unmet = [o for o in report.obligations if o in loose]
@@ -612,29 +579,33 @@ def extract_terms(script: ProofScript, model=None,
     return t
 
 
-def extract_function(script: ProofScript, model=None,
-                     oracles: dict[str, Term] | None = None) -> Term:
+def extract_terms(report: ScriptReport) -> Term:
+    """Closed realizing term ``\\xs. <seq of witness tuples>`` for the
+    final step of a replayed script.  An oracle obligation left free in
+    the tuples makes the term open, which is an error."""
+    nf, rows = report.final.nf, report.final.rows
+    if not nf.existentials:
+        raise ScriptError("final step has no existentials to extract")
+    if not rows:
+        raise ScriptError("final step has no candidate tuples")
+    tupty = _tuple_type(nf.existentials)
+    seq = empty_c(tupty)
+    for row in rows:
+        seq = app(append_c(tupty), seq, _tuple_term(nf.existentials, row))
+    return _require_closed(lam(*nf.universals, seq), report)
+
+
+def extract_function(report: ScriptReport) -> Term:
     """Single-witness extraction: ``\\xs. witness`` instead of a
     candidate sequence.  Demands exactly one tuple with one slot."""
-    report = check_script(script, model)
     final = report.final
     if len(final.rows) != 1 or len(final.nf.existentials) != 1:
         raise ScriptError("function extraction needs exactly one candidate "
                           "and one witness slot; got "
                           f"{len(final.rows)} candidate(s) over "
                           f"{len(final.nf.existentials)} slot(s)")
-    body = final.rows[0][0]
-    if oracles:
-        body = _expand_lets(body, list(oracles.items()))
-    t = lam(*final.nf.universals, body)
-    loose = sorted(v.name for v in free_vars(t))
-    if loose:
-        unmet = [o for o in report.obligations if o in loose]
-        if unmet:
-            raise ScriptError("unrealized declared oracle (qf-ac) left "
-                              f"free: unmet obligations {unmet}")
-        raise ScriptError(f"extracted term is open: unbound {loose}")
-    return t
+    return _require_closed(lam(*final.nf.universals, final.rows[0][0]),
+                           report)
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +890,7 @@ def rs_run(entry) -> ExplicitImplication:
             flags.add("overflowed")
         if not oracle_env:
             t = _stage(eid, "extract-forward",
-                       lambda: extract_terms(entry.forward, model))
+                       lambda: extract_terms(rep))
             post = _stage(eid, "postprocess",
                           lambda: postprocess(t, final.nf, entry.witness))
             bound = post.bound
@@ -946,7 +917,7 @@ def rs_run(entry) -> ExplicitImplication:
         if cand.antecedent_vacuous:
             flags.add("backward-antecedent-vacuous")
         backward_term = _stage(eid, "extract-backward",
-                               lambda: extract_function(entry.backward, model))
+                               lambda: extract_function(rep))
 
     return ExplicitImplication(entry.source, entry.target,
                                forward_term, backward_term, bound_term=bound,

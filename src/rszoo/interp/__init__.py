@@ -8,17 +8,11 @@ from .model import (FnV, MiniModel, ModelError, ModelRefusal, PairV, SeqV,
                     eval_formula, eval_term, parse_model_config,
                     show_model_config, table_fn, tabulate, values_equal,
                     zero_value)
-from .constructions import (NoZero, SideConditionError, ads_witness,
-                            build_construction,
-                            bounds_pair, cads_bound_witness, cads_set_witness,
-                            coh_bound_witness, coh_set_witness,
-                            cohesive_Rprime, colouring_d0,
-                            extensionality_search, fs_pair_witness, lt0_order,
-                            meeh_g,
-                            mu_bruteforce, mu_op, ord_top_witness,
-                            point_at_infinity_Y0, prec_order,
-                            psi_theta, rt_pair_witness, sads_witness, theta,
-                            ts_witness, uads_selector,
+from .constructions import (NoZero, SideConditionError, bounds_pair,
+                            build_construction, cohesive_Rprime, colouring_d0,
+                            extensionality_search, lt0_order, meeh_g,
+                            mu_bruteforce, mu_op, point_at_infinity_Y0,
+                            prec_order, psi_theta, theta, uads_selector,
                             udnr_counterexample_D, xi_search)
 
 __all__ = [
@@ -28,16 +22,9 @@ __all__ = [
     "FnV", "MiniModel", "ModelError", "ModelRefusal", "PairV", "SeqV",
     "eval_formula", "eval_term", "parse_model_config", "show_model_config",
     "table_fn", "tabulate", "values_equal", "zero_value",
-    "NoZero", "SideConditionError", "ads_witness", "build_construction",
-    "bounds_pair",
-    "cads_bound_witness", "cads_set_witness", "coh_bound_witness",
-    "coh_set_witness",
-    "cohesive_Rprime", "colouring_d0", "extensionality_search",
-    "fs_pair_witness", "lt0_order",
-    "meeh_g", "mu_bruteforce", "mu_op", "ord_top_witness",
-    "point_at_infinity_Y0",
-    "prec_order",
-    "psi_theta", "rt_pair_witness", "sads_witness", "theta", "ts_witness",
-    "uads_selector", "udnr_counterexample_D",
+    "NoZero", "SideConditionError", "bounds_pair", "build_construction",
+    "cohesive_Rprime", "colouring_d0", "extensionality_search", "lt0_order",
+    "meeh_g", "mu_bruteforce", "mu_op", "point_at_infinity_Y0", "prec_order",
+    "psi_theta", "theta", "uads_selector", "udnr_counterexample_D",
     "xi_search",
 ]

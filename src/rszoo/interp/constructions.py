@@ -19,13 +19,10 @@ oracle tables in the shipped configurations keep their entries small.
 from __future__ import annotations
 
 import functools
-import weakref
 
-from ..lang.parser import parse_type
 from ..lang.types import Arrow, N, Product, pure
 from . import machine
-from .model import FnV, MiniModel, ModelError, PairV, table_fn, tabulate, \
-    zero_value
+from .model import FnV, MiniModel, ModelError, PairV, table_fn, tabulate
 
 
 class SideConditionError(ModelError):
@@ -341,188 +338,6 @@ def udnr_counterexample_D(model: MiniModel, h: FnV, e1: int,
 
 
 # ---------------------------------------------------------------------------
-# solution functionals for the order/colouring principles
-#
-# These are the values the corpus models declare for the uniform solver
-# slots.  Each is total: on inputs outside its side conditions it hands
-# back all-zero data rather than raising, since the solver appears
-# inside brackets that are then false or vacuous anyway.
-
-
-def _zero_seq() -> FnV:
-    return FnV(lambda n: 0)
-
-
-def _canon2(model: MiniModel, x: FnV) -> tuple:
-    """Extensional fingerprint of a binary numeric object.  Repeated
-    solver calls on the same table hit a memo instead of re-solving."""
-    rng = range(model.cap + 1)
-    return tuple(tuple(x.call(i).call(j) for j in rng) for i in rng)
-
-
-def _memo2(model: MiniModel, compute):
-    memo: dict = {}
-    by_obj: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-    def solve(x):
-        got = by_obj.get(x)
-        if got is not None:
-            return got
-        key = _canon2(model, x)
-        if key not in memo:
-            memo[key] = compute(x)
-        val = memo[key]
-        by_obj[x] = val
-        return val
-    return solve
-
-
-def ads_witness(model: MiniModel) -> FnV:
-    """Order solver: enumerate the universe monotonically in the given
-    order, the way the ascending/descending selector decides."""
-    def compute(x):
-        try:
-            _verdict, seq = uads_selector(model, x)
-        except SideConditionError:
-            return _zero_seq()
-        return FnV(lambda n, s=seq: s[n] if n < len(s) else s[-1])
-    return FnV(_memo2(model, compute), name="ads")
-
-
-def sads_witness(model: MiniModel) -> FnV:
-    """Stable-order solver: same enumeration, stability data ignored."""
-    inner = ads_witness(model)
-    return FnV(lambda x: FnV(lambda _b, x=x: inner.call(x)), name="sads")
-
-
-def ts_witness(model: MiniModel) -> FnV:
-    """Colouring solver: the largest top-seeded monochrome set, grown
-    greedily downward from cap."""
-    r = range(model.cap + 1)
-
-    def compute(c):
-        members = [model.cap]
-        colours: set = set()
-        for i in reversed(r[:-1]):
-            new = {c.call(i).call(a) for a in members}
-            new |= {c.call(a).call(i) for a in members}
-            if len(new | colours) <= 1:
-                members.append(i)
-                colours |= new
-        mem = set(members)
-        return FnV(lambda n, mem=mem: 1 if n in mem else 0)
-    return FnV(_memo2(model, compute), name="ts")
-
-
-def _coh_refine(model: MiniModel, fam: FnV) -> list[int]:
-    cs = list(range(model.cap + 1))
-    for i in range(model.cap + 1):
-        inside = [n for n in cs if fam.call(i).call(n) == 1]
-        cs = inside if inside else [n for n in cs if n not in inside]
-    return cs
-
-
-def coh_set_witness(model: MiniModel) -> FnV:
-    """Family solver, set half: iteratively refine the universe through
-    each row of the family, keeping whichever side is inhabited."""
-    def compute(fam):
-        mem = set(_coh_refine(model, fam))
-        return FnV(lambda n, mem=mem: 1 if n in mem else 0)
-    return FnV(_memo2(model, compute), name="cohC")
-
-
-def coh_bound_witness(model: MiniModel) -> FnV:
-    """Family solver, modulus half: for each row, the least stage past
-    which the refined set is on one side of that row."""
-    def compute(fam):
-        cs = _coh_refine(model, fam)
-        rows = [tuple(fam.call(i).call(n) for n in range(model.cap + 1))
-                for i in range(model.cap + 1)]
-
-        def bound(i, cs=cs, rows=rows):
-            for t in range(model.cap + 2):
-                tail = [n for n in cs if n >= t]
-                ins = [rows[i][n] == 1 for n in tail]
-                if all(ins) or not any(ins):
-                    return model.sat(t)
-            return model.cap  # pragma: no cover - singleton tail is monochrome
-        return FnV(bound)
-    return FnV(_memo2(model, compute), name="cohB")
-
-
-def cads_set_witness(model: MiniModel) -> FnV:
-    """Suborder solver, set half: the elements the order parks strictly
-    before zero.  Numerically that stretch is upward closed and reversed,
-    which is what the modulus half exploits."""
-    def compute(x):
-        mem = {v for v in range(1, model.cap + 1)
-               if x.call(v).call(0) == 1 and x.call(0).call(v) != 1}
-        return FnV(lambda n, mem=mem: 1 if n in mem else 0)
-    return FnV(_memo2(model, compute), name="cadsA")
-
-
-def cads_bound_witness(model: MiniModel) -> FnV:
-    """Suborder solver, modulus half: within the before-zero stretch the
-    order is numerically reversed, so each element bounds its own cone."""
-    return FnV(lambda _x: FnV(lambda u: u), name="cadsW")
-
-
-def _order_top(model: MiniModel, x: FnV) -> int:
-    if not order_axioms_hold(model, x):
-        return 0
-    top = 0
-    for i in range(model.cap + 1):
-        if x.call(top).call(i) != 0:
-            top = i
-    return top
-
-
-def ord_top_witness(model: MiniModel) -> FnV:
-    """Top element of a linear order (0 on non-orders)."""
-    return FnV(_memo2(model, lambda x: _order_top(model, x)), name="top")
-
-
-def rt_pair_witness(model: MiniModel) -> FnV:
-    """Least bound below which the given set holds a pair coloured
-    within {0,1}; 0 when there is none."""
-    def compute(c):
-        ctab = _canon2(model, c)
-
-        def at(x, ctab=ctab):
-            xtab = [x.call(n) for n in range(model.cap + 1)]
-            for l in range(model.cap + 1):
-                for b in range(l + 1):
-                    for a in range(b):
-                        if xtab[a] == 1 and xtab[b] == 1 \
-                                and ctab[a][b] <= 1:
-                            return l
-            return 0
-        return FnV(at)
-    return FnV(_memo2(model, compute), name="rtpair")
-
-
-def fs_pair_witness(model: MiniModel) -> FnV:
-    """Least bound below which the given set holds a pair whose
-    h-value is tame: an endpoint, outside the set, or below the bound."""
-    def compute(h):
-        htab = _canon2(model, h)
-
-        def at(x, htab=htab):
-            xtab = [x.call(n) for n in range(model.cap + 1)]
-            for l in range(model.cap + 1):
-                for b in range(l + 1):
-                    for a in range(b):
-                        if xtab[a] != 1 or xtab[b] != 1:
-                            continue
-                        v = htab[a][b]
-                        if v in (a, b) or xtab[v] == 0 or v <= l:
-                            return l
-            return 0
-        return FnV(at)
-    return FnV(_memo2(model, compute), name="fspair")
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 _T0 = N
@@ -543,11 +358,6 @@ def build_construction(name: str, args: list[str], model: MiniModel):
         if a in ("cut", "join"):
             return a
         return model.object(a)
-
-    if name == "const_zero":
-        # args spell a type, not object names
-        ty = parse_type(" ".join(args))
-        return ty, zero_value(model, ty)
 
     vals = [obj(a) for a in args]
     try:
@@ -575,26 +385,6 @@ def build_construction(name: str, args: list[str], model: MiniModel):
             return N, mu_bruteforce(model, *vals)
         if name == "mu_op":
             return Arrow(_T1, N), mu_op(model)
-        if name == "ads_witness":
-            return Arrow(_ORDER, _T1), ads_witness(model)
-        if name == "sads_witness":
-            return Arrow(_ORDER, Arrow(_T1, _T1)), sads_witness(model)
-        if name == "ts_witness":
-            return Arrow(_FAMILY, _T1), ts_witness(model)
-        if name == "coh_set_witness":
-            return Arrow(_FAMILY, _T1), coh_set_witness(model)
-        if name == "coh_bound_witness":
-            return Arrow(_FAMILY, _T1), coh_bound_witness(model)
-        if name == "cads_set_witness":
-            return Arrow(_ORDER, _T1), cads_set_witness(model)
-        if name == "cads_bound_witness":
-            return Arrow(_ORDER, _T1), cads_bound_witness(model)
-        if name == "ord_top_witness":
-            return Arrow(_ORDER, N), ord_top_witness(model)
-        if name == "rt_pair_witness":
-            return Arrow(_FAMILY, Arrow(_T1, N)), rt_pair_witness(model)
-        if name == "fs_pair_witness":
-            return Arrow(_FAMILY, Arrow(_T1, N)), fs_pair_witness(model)
     except TypeError as exc:
         raise ModelError(f"bad arguments for {name}: {exc}") from None
     raise ModelError(f"unknown construction {name!r}")

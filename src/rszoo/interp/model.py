@@ -559,7 +559,7 @@ def parse_model_config(text: str) -> MiniModel:
         if line.startswith("table ") or line.startswith("bind "):
             decls.append(line)
             continue
-        raise ModelError(f"cannot parse model config line: {raw!r}")
+        raise ModelError(f"unrecognized model config line: {raw!r}")
     if cap is None or omega is None:
         raise ModelError("model config needs cap= and omega=")
     model = MiniModel(cap, omega, budget=budget)

@@ -5,14 +5,14 @@ from .terms import (Abs, App, CONST_NAMES, Const, INITSEG, LangError, MUSCAN,
                     RUN, SEQMAX, SUCC, Term, TypeCheckError, Var, ZERO, alpha_eq,
                     app, append_c, empty_c, free_vars, fresh_name, fst_c, get_c,
                     infer_type, is_numeral, lam, len_c, num, pair_c, rec_c,
-                    seqapp_c, snd_c, spine, substitute, subterms, typecheck)
+                    seqapp_c, snd_c, spine, substitute, subterms)
 from .formulas import (And, ApproxEq, Atom, BExists, BForall, BQUANTS, Eq,
                        Exists, ExistsSt, FALSE, Forall, ForallSt, Formula,
                        FormulaTypeError, Implies, Not, Or, QUANTS, St, TRUE,
                        alpha_eq_f, canon, conj, desugar_approx, disj,
-                       foralls, formula_terms, free_vars_f, is_internal, neq,
+                       foralls, free_vars_f, is_internal, neq,
                        rename_bound, subformulas, subst_f, typecheck_f)
-from .parser import (Document, ParseError, parse, parse_document,
-                     parse_formula, parse_term, parse_type)
+from .parser import (Document, ParseError, parse_document, parse_formula,
+                     parse_term, parse_type)
 from .printer import show_formula, show_term
 from . import stdterms

@@ -170,19 +170,6 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         yield from subformulas(f.body)
 
 
-def formula_terms(f: Formula) -> Iterator[Term]:
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            yield from g.args
-        elif isinstance(g, (Eq, ApproxEq)):
-            yield g.left
-            yield g.right
-        elif isinstance(g, St):
-            yield g.arg
-        elif isinstance(g, BQUANTS):
-            yield g.bound
-
-
 def free_vars_f(f: Formula) -> frozenset[Var]:
     if isinstance(f, Atom):
         out: frozenset[Var] = frozenset()
@@ -338,13 +325,17 @@ def alpha_eq_f(a: Formula, b: Formula) -> bool:
 
 
 def canon(f: Formula) -> Formula:
-    """Rename all bound variables to v0, v1, ... in traversal order."""
+    """Rename all bound variables to v0, v1, ... in traversal order.  A
+    name free in f gets ``_`` suffixes, so no binder captures it."""
     counter = [0]
+    taken = {v.name for v in free_vars_f(f)}
 
     def fresh(ty: FiniteType) -> Var:
-        v = Var(f"v{counter[0]}", ty)
+        name = f"v{counter[0]}"
         counter[0] += 1
-        return v
+        while name in taken:
+            name += "_"
+        return Var(name, ty)
 
     def go(g: Formula) -> Formula:
         if isinstance(g, (Atom, Eq, ApproxEq, St)):

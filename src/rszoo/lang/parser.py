@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 
 from .formulas import (And, ApproxEq, Atom, BExists, BForall, Eq, Exists,
                        ExistsSt, FALSE, Forall, ForallSt, Formula, Implies,
-                       Not, Or, St, TRUE, free_vars_f, subst_f)
-from .terms import (Abs, App, CONST_NAMES, Const, INITSEG, MAX2, MONUS,
-                    MUSCAN, NPAIR, NUNL, NUNR, PLUS, RUN, SEQMAX, SUCC, Term,
-                    TypeCheckError, Var, app, append_c, empty_c, fresh_name,
-                    fst_c, get_c, infer_type, len_c, num, pair_c, rec_c,
-                    seqapp_c, snd_c)
+                       Not, Or, St, TRUE, subst_f)
+from .terms import (Abs, CONST_NAMES, INITSEG, MAX2, MONUS, MUSCAN, NPAIR,
+                    NUNL, NUNR, PLUS, RUN, SEQMAX, SUCC, Term, TypeCheckError,
+                    Var, app, append_c, empty_c, fst_c, get_c, infer_type,
+                    len_c, num, pair_c, rec_c, seqapp_c, snd_c)
 from .types import Arrow, FiniteType, N, Product, Seq, pure
 
 
@@ -631,16 +630,3 @@ def parse_document(src: str) -> Document:
         order.append(name)
     return Document(stanzas, order)
 
-
-def parse(src: str, kind: str = "formula",
-          params: dict[str, FiniteType] | None = None):
-    """Parse src as a 'formula', 'term', 'type', or 'document'."""
-    if kind == "formula":
-        return parse_formula(src, params)
-    if kind == "term":
-        return parse_term(src, params)
-    if kind == "type":
-        return parse_type(src)
-    if kind == "document":
-        return parse_document(src)
-    raise ValueError(f"unknown parse kind {kind!r}")

@@ -7,11 +7,10 @@ type index.
 """
 from __future__ import annotations
 
-from .formulas import (And, ApproxEq, Atom, BExists, BForall, BQUANTS, Eq,
-                       Exists, ExistsSt, Forall, ForallSt, Formula, Implies,
-                       Not, Or, QUANTS, St)
-from .terms import Abs, App, Const, Term, Var, is_numeral, spine
-from .types import Arrow, FiniteType, Product, Seq, show_type
+from .formulas import (And, ApproxEq, Atom, BForall, BQUANTS, Eq, ExistsSt,
+                       Forall, ForallSt, Formula, Implies, Not, Or, QUANTS, St)
+from .terms import Abs, Const, Term, Var, is_numeral, spine
+from .types import Arrow, Product, Seq, show_type
 
 
 def _const_str(c: Const) -> str:

@@ -7,8 +7,8 @@ second argument when the scrutinee is positive.
 """
 from __future__ import annotations
 
-from .terms import (Abs, App, SUCC, Term, Var, app, append_c, empty_c, get_c,
-                    lam, len_c, num, rec_c)
+from .terms import (App, SUCC, Term, Var, app, append_c, empty_c, get_c, lam,
+                    len_c, num, rec_c)
 from .types import Arrow, FiniteType, N, Seq
 
 
@@ -18,11 +18,6 @@ def _v(name: str, ty: FiniteType = N) -> Var:
 
 def _rec0(base: Term, stepfn: Term, n: Term) -> Term:
     return app(rec_c(N), base, stepfn, n)
-
-
-def plus_t() -> Term:
-    a, b, p, i = _v("a"), _v("b"), _v("p"), _v("i")
-    return lam(a, b, _rec0(a, lam(p, i, App(SUCC, p)), b))
 
 
 def pred_t() -> Term:
@@ -57,39 +52,6 @@ def leq_t() -> Term:
     return lam(a, b, App(iszero_t(), app(monus_t(), a, b)))
 
 
-def lt_t() -> Term:
-    a, b = _v("a"), _v("b")
-    return lam(a, b, app(leq_t(), App(SUCC, a), b))
-
-
-def eqnat_t() -> Term:
-    a, b = _v("a"), _v("b")
-    diff = app(plus_t(), app(monus_t(), a, b), app(monus_t(), b, a))
-    return lam(a, b, app(cond_t(), diff, num(1), num(0)))
-
-
-def max2_t() -> Term:
-    a, b = _v("a"), _v("b")
-    return lam(a, b, app(ifpos_t(), app(leq_t(), a, b), b, a))
-
-
-def min2_t() -> Term:
-    a, b = _v("a"), _v("b")
-    return lam(a, b, app(ifpos_t(), app(leq_t(), a, b), a, b))
-
-
-def tri_t() -> Term:
-    """Triangular number n(n+1)/2."""
-    n, p, i = _v("n"), _v("p"), _v("i")
-    return lam(n, _rec0(num(0), lam(p, i, app(plus_t(), p, App(SUCC, i))), n))
-
-
-def cpair_t() -> Term:
-    """Cantor pairing (a, b) |-> tri(a+b) + b."""
-    a, b = _v("a"), _v("b")
-    return lam(a, b, app(plus_t(), App(tri_t(), app(plus_t(), a, b)), b))
-
-
 def bmin_t() -> Term:
     """bmin f n = least i <= n with f(i) = 0, else n + 1."""
     f, n, p, i = _v("f", Arrow(N, N)), _v("n"), _v("p"), _v("i")
@@ -100,48 +62,6 @@ def bmin_t() -> Term:
     return lam(f, n, _rec0(base, step, n))
 
 
-def _unpair_w() -> Term:
-    # the diagonal index w = a + b of the Cantor code j
-    j, w = _v("j"), _v("w")
-    test = lam(w, app(leq_t(), App(tri_t(), App(SUCC, w)), j))
-    return lam(j, app(bmin_t(), test, j))
-
-
-def unpair2_t() -> Term:
-    j = _v("j")
-    return lam(j, app(monus_t(), j, App(tri_t(), App(_unpair_w(), j))))
-
-
-def unpair1_t() -> Term:
-    j = _v("j")
-    return lam(j, app(monus_t(), App(_unpair_w(), j), App(unpair2_t(), j)))
-
-
-def sing_t(ty: FiniteType) -> Term:
-    """One-element sequence."""
-    x = Var("x", ty)
-    return lam(x, app(append_c(ty), empty_c(ty), x))
-
-
-def seqcat_t(ty: FiniteType) -> Term:
-    a = Var("a", Seq(ty))
-    b = Var("b", Seq(ty))
-    acc = Var("acc", Seq(ty))
-    i = _v("i")
-    step = lam(acc, i, app(append_c(ty), acc, app(get_c(ty), b, i)))
-    return lam(a, b, app(rec_c(Seq(ty)), a, step, App(len_c(ty), b)))
-
-
-def concatmap_t(a: FiniteType, b: FiniteType) -> Term:
-    """concatmap g s: concatenation of g(x) over the entries x of s."""
-    g = Var("g", Arrow(a, Seq(b)))
-    s = Var("s", Seq(a))
-    acc = Var("acc", Seq(b))
-    i = _v("i")
-    step = lam(acc, i, app(seqcat_t(b), acc, App(g, app(get_c(a), s, i))))
-    return lam(g, s, app(rec_c(Seq(b)), empty_c(b), step, App(len_c(a), s)))
-
-
 def seqmap_t(a: FiniteType, b: FiniteType) -> Term:
     g = Var("g", Arrow(a, b))
     s = Var("s", Seq(a))
@@ -149,8 +69,3 @@ def seqmap_t(a: FiniteType, b: FiniteType) -> Term:
     i = _v("i")
     step = lam(acc, i, app(append_c(b), acc, App(g, app(get_c(a), s, i))))
     return lam(g, s, app(rec_c(Seq(b)), empty_c(b), step, App(len_c(a), s)))
-
-
-def const_fn_t(value: Term, dom: FiniteType = N) -> Term:
-    x = Var("_x", dom)
-    return Abs(x, value)

@@ -229,10 +229,6 @@ def infer_type(t: Term, env: dict[str, FiniteType] | None = None) -> FiniteType:
     raise TypeCheckError(f"not a term: {t!r}")
 
 
-def typecheck(t: Term) -> FiniteType:
-    return infer_type(t, {})
-
-
 def alpha_eq(a: Term, b: Term) -> bool:
     return _alpha(a, b, {}, {}, 0)
 

@@ -31,12 +31,12 @@ types are nonempty; tests check this by brute force at small caps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Eq,
                             Exists, ExistsSt, Forall, ForallSt, Formula,
-                            Implies, Not, Or, St, conj, free_vars_f,
-                            is_internal, subformulas, subst_f)
+                            Implies, Not, Or, St, conj, is_internal,
+                            subformulas, subst_f)
 from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num,
                          INITSEG, NUNL, NUNR)
 from .lang.types import Arrow, FiniteType, N, Product, Seq, arrows, show_type

@@ -52,9 +52,6 @@ class NormalForm:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate names in blocks: {names}")
 
-    def show(self) -> str:
-        return show_nf(self)
-
 
 class TranslateError(Exception):
     pass

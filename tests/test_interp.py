@@ -3,7 +3,7 @@ from rszoo.interp import (FnV, MiniModel, ModelError, ModelRefusal, PairV,
                           SeqV, eval_formula, eval_term, parse_model_config,
                           show_model_config, table_fn, tabulate,
                           values_equal, zero_value)
-from rszoo.lang import parse, parse_formula, parse_term, parse_type
+from rszoo.lang import parse_formula, parse_term, parse_type
 
 
 def ev(m, src, params=None, env=None):

@@ -3,10 +3,11 @@ import pytest
 from rszoo.lang import (Abs, App, Arrow, Atom, BForall, Eq, Forall, ForallSt,
                         N, Not, ParseError, Product, Seq, St, Var, alpha_eq,
                         alpha_eq_f, app, free_vars_f, infer_type, is_internal,
-                        lam, num, parse, parse_formula, parse_term,
-                        parse_type, pure, show_formula, show_term, show_type,
-                        subst_f, substitute, typecheck_f)
+                        lam, num, parse_formula, parse_term, parse_type,
+                        pure, show_formula, show_term, show_type, subst_f,
+                        substitute, typecheck_f)
 from rszoo.lang.parser import parse_document
+from rszoo.translate import NormalForm, alpha_eq_nf
 
 
 def test_pure_types_round_trip():
@@ -75,6 +76,19 @@ def test_formula_round_trip_and_alpha():
     assert show_formula(f) == src
     g = parse_formula("(forall u:0) (exists v:0) plus(u, v) = 3")
     assert alpha_eq_f(f, g)
+
+
+def test_alpha_eq_avoids_capturing_free_names():
+    x, y = Var("x", N), Var("y", N)
+    free = parse_formula("(forall x:0) x = v0", params={"v0": N})
+    bound = parse_formula("(forall y:0) y = y")
+    assert not alpha_eq_f(free, bound)
+    assert alpha_eq_f(free, parse_formula("(forall z:0) z = v0",
+                                          params={"v0": N}))
+    # the same pair as a matrix, and with the binder in a universal block
+    assert not alpha_eq_nf(NormalForm((), (), free), NormalForm((), (), bound))
+    assert not alpha_eq_nf(NormalForm((x,), (), free.body),
+                           NormalForm((y,), (), bound.body))
 
 
 def test_neq_display():
