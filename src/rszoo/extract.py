@@ -723,10 +723,6 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     base_env = dict(model.env())
     if env:
         base_env.update(env)
-    types = dict(model.types())
-    for v in nf.universals + nf.existentials:
-        types[v.name] = v.ty
-
     pools = []
     for v in nf.universals:
         plan = plans.get(v.name, "st")
@@ -739,6 +735,11 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
             raise ScriptError(
                 f"unknown sweep plan {plan!r} for {v.name}") from None
 
+    # An implication's antecedent is evaluated once per candidate, and
+    # its consequent only where the antecedent holds.
+    antecedent, consequent = ((nf.matrix.left, nf.matrix.right)
+                              if isinstance(nf.matrix, Implies)
+                              else (None, nf.matrix))
     was_overflowed, model.overflowed = model.overflowed, False
     checked, genuine = 0, 0
     failures: list[str] = []
@@ -752,12 +753,11 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
             env1 = dict(env0)
             for v, t in zip(nf.existentials, row):
                 env1[v.name] = eval_term(model, t, env1)
-            if eval_formula(model, nf.matrix, env=env1, types=types):
+            vacuous = (antecedent is not None
+                       and not eval_formula(model, antecedent, env=env1))
+            if vacuous or eval_formula(model, consequent, env=env1):
                 hit = True
-                if not (isinstance(nf.matrix, Implies) and not
-                        eval_formula(model, nf.matrix.left, env=env1,
-                                     types=types)):
-                    genuine += 1
+                genuine += not vacuous
                 break
         if not hit and len(failures) < 5:
             failures.append(", ".join(
@@ -847,11 +847,9 @@ def rs_run(entry) -> ExplicitImplication:
     stages: list[tuple[str, str]] = []
     flags: set[str] = set()
 
-    steps: list = []
     mode = getattr(entry, "mode", "direct")
     nf = _stage(eid, "normalize",
-                lambda: normalize_principle(entry.principle, steps=steps,
-                                            accept=mode))
+                lambda: normalize_principle(entry.principle, accept=mode))
     stages.append(("normalize", show_nf(nf)))
 
     if entry.expect is not None:
@@ -947,16 +945,13 @@ def discharge_obligations(model, report: ScriptReport) -> dict:
         if res.oracle is None or res.step.rule != "NF-AXIOM":
             continue
         w = res.nf.existentials[0]
-        types = dict(model.types())
-        for v in res.nf.universals + res.nf.existentials:
-            types[v.name] = v.ty
         found = None
         for cand in model.population(w.ty, standard=True):
             env = dict(model.env())
             env[w.name] = cand
             body = foralls(list(res.nf.universals), res.nf.matrix,
                            node=ForallSt)
-            if eval_formula(model, body, env=env, types=types):
+            if eval_formula(model, body, env=env):
                 found = cand
                 break
         if found is None:

@@ -35,11 +35,13 @@ import math
 from typing import Iterable, Iterator
 
 from ..lang.types import Arrow, FiniteType, N, Product, Seq, show_type
-from ..lang.terms import Abs, App, Const, Term, Var
+from ..lang.terms import Abs, App, Const, Term, Var, infer_type
 from ..lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Eq,
                              Exists, ExistsSt, Forall, ForallSt, Formula,
                              Implies, Not, Or, St, desugar_approx)
 from . import machine
+
+_TYPE1 = Arrow(N, N)
 
 
 class ModelError(Exception):
@@ -85,16 +87,13 @@ class FnV:
     enumeration of the domain; for domain type 0 that is just index
     order.  ``name`` is cosmetic.
     """
-    __slots__ = ("call", "table", "name", "_tab_cache", "__weakref__")
+    __slots__ = ("call", "table", "name", "_tab_cache")
 
     def __init__(self, call, table=None, name=None):
         self.call = call
         self.table = tuple(table) if table is not None else None
         self.name = name
         self._tab_cache = None
-
-    def __call__(self, v):
-        return self.call(v)
 
     def __repr__(self):
         if self.name:
@@ -256,6 +255,8 @@ class MiniModel:
                     self.canon_key(ty.right, v.right))
         if isinstance(ty, Seq):
             return tuple(self.canon_key(ty.elem, x) for x in v.items)
+        if ty == _TYPE1:
+            return tabulate(self, v)
         if isinstance(ty, Arrow):
             self.check_enumerable(ty.dom)
             return tuple(self.canon_key(ty.cod, v.call(d))
@@ -286,23 +287,8 @@ class MiniModel:
 
 
 def values_equal(model: MiniModel, ty: FiniteType, a, b) -> bool:
-    if ty == N:
-        return a == b
-    if isinstance(ty, Product):
-        return (values_equal(model, ty.left, a.left, b.left)
-                and values_equal(model, ty.right, a.right, b.right))
-    if isinstance(ty, Seq):
-        return (len(a.items) == len(b.items)
-                and all(values_equal(model, ty.elem, x, y)
-                        for x, y in zip(a.items, b.items)))
-    if isinstance(ty, Arrow):
-        if (isinstance(ty.dom, type(N)) and ty.dom == N
-                and a.table is not None and b.table is not None):
-            return a.table == b.table
-        model.check_enumerable(ty.dom)
-        return all(values_equal(model, ty.cod, a.call(d), b.call(d))
-                   for d in model.enum_values(ty.dom))
-    raise ModelError(f"cannot compare values at type {show_type(ty)}")
+    """Extensional equality at a type: equal fingerprints."""
+    return model.canon_key(ty, a) == model.canon_key(ty, b)
 
 
 def tabulate(model: MiniModel, fn: FnV) -> tuple:
@@ -437,21 +423,14 @@ def _const_value(model: MiniModel, c: Const):
 
 # -- formula evaluation --------------------------------------------------------
 
-def eval_formula(model: MiniModel, f: Formula, env: dict | None = None,
-                 types: dict[str, FiniteType] | None = None) -> bool:
-    """Truth of a formula in the model.  ``env``/``types`` give values
-    and types for free variables; declared objects are in scope by
-    default."""
-    if env is None:
-        env = model.env()
-        types = model.types()
-    elif types is None:
-        raise ModelError("eval_formula needs types alongside a custom env")
-    return _evf(model, f, env, dict(types))
+def eval_formula(model: MiniModel, f: Formula, env: dict | None = None) -> bool:
+    """Truth of a formula in the model.  ``env`` gives values for free
+    variables and defaults to the declared objects.  Types come from the
+    terms themselves: every variable and constant carries its own."""
+    return _evf(model, f, model.env() if env is None else env)
 
 
-def _evf(model: MiniModel, f: Formula, env: dict,
-         tyenv: dict[str, FiniteType]) -> bool:
+def _evf(model: MiniModel, f: Formula, env: dict) -> bool:
     if isinstance(f, Atom):
         if f.rel == "in":
             elem = _ev(model, f.args[0], env)
@@ -460,8 +439,7 @@ def _evf(model: MiniModel, f: Formula, env: dict,
         a = _ev(model, f.args[0], env)
         b = _ev(model, f.args[1], env)
         if f.rel == "=":
-            ty = _atom_type(model, f.args[0], f.args[1], tyenv)
-            return values_equal(model, ty, a, b)
+            return values_equal(model, infer_type(f.args[0]), a, b)
         if f.rel == "<=":
             return a <= b
         if f.rel == "<":
@@ -471,26 +449,22 @@ def _evf(model: MiniModel, f: Formula, env: dict,
         return values_equal(model, f.ty,
                             _ev(model, f.left, env), _ev(model, f.right, env))
     if isinstance(f, ApproxEq):
-        return _evf(model, desugar_approx(f), env, tyenv)
+        return _evf(model, desugar_approx(f), env)
     if isinstance(f, St):
-        ty = _term_type(model, f.arg, tyenv)
-        return model.is_standard(ty, _ev(model, f.arg, env))
+        return model.is_standard(infer_type(f.arg), _ev(model, f.arg, env))
     if isinstance(f, Not):
-        return not _evf(model, f.body, env, tyenv)
+        return not _evf(model, f.body, env)
     if isinstance(f, And):
-        return (_evf(model, f.left, env, tyenv)
-                and _evf(model, f.right, env, tyenv))
+        return _evf(model, f.left, env) and _evf(model, f.right, env)
     if isinstance(f, Or):
-        return (_evf(model, f.left, env, tyenv)
-                or _evf(model, f.right, env, tyenv))
+        return _evf(model, f.left, env) or _evf(model, f.right, env)
     if isinstance(f, Implies):
-        return ((not _evf(model, f.left, env, tyenv))
-                or _evf(model, f.right, env, tyenv))
+        return (not _evf(model, f.left, env)) or _evf(model, f.right, env)
     if isinstance(f, (Forall, Exists, ForallSt, ExistsSt)):
         standard = isinstance(f, (ForallSt, ExistsSt))
         universal = isinstance(f, (Forall, ForallSt))
         pop = model.population(f.var.ty, standard)
-        return _sweep(model, f, pop, universal, env, tyenv)
+        return _sweep(model, f, pop, universal, env)
     if isinstance(f, (BForall, BExists)):
         universal = isinstance(f, BForall)
         bound = _ev(model, f.bound, env)
@@ -502,35 +476,21 @@ def _evf(model: MiniModel, f: Formula, env: dict,
             pop = list(bound.items)
         else:
             raise ModelError(f"unknown bound kind {f.kind!r}")
-        return _sweep(model, f, pop, universal, env, tyenv)
+        return _sweep(model, f, pop, universal, env)
     raise ModelError(f"cannot evaluate formula node {type(f).__name__}")
 
 
-def _sweep(model, f, pop, universal, env, tyenv) -> bool:
-    name, ty = f.var.name, f.var.ty
-    inner_ty = dict(tyenv)
-    inner_ty[name] = ty
+def _sweep(model, f, pop, universal, env) -> bool:
+    name = f.var.name
     inner = dict(env)
     for v in pop:
         inner[name] = v
-        res = _evf(model, f.body, inner, inner_ty)
+        res = _evf(model, f.body, inner)
         if universal and not res:
             return False
         if not universal and res:
             return True
     return universal
-
-
-def _term_type(model, t: Term, tyenv) -> FiniteType:
-    from ..lang.terms import infer_type
-    return infer_type(t, tyenv)
-
-
-def _atom_type(model, a: Term, b: Term, tyenv) -> FiniteType:
-    try:
-        return _term_type(model, a, tyenv)
-    except Exception:
-        return _term_type(model, b, tyenv)
 
 
 # -- model configuration files -------------------------------------------------

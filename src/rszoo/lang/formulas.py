@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .terms import (App, Term, Var, app, free_vars as term_fvs, fresh_name,
-                    fst_c, num, snd_c, substitute as term_subst)
+from .terms import (Abs, App, Term, Var, app, free_vars as term_fvs,
+                    fresh_name, fst_c, num, snd_c, substitute as term_subst)
 from .types import Arrow, FiniteType, N, Product, Seq, show_type
 
 
 @dataclass(frozen=True)
 class Atom:
-    rel: str  # "=", "<=", "<" on type 0; "in" for set membership
+    rel: str  # "=" at any type; "<=", "<" on type 0; "in" for set membership
     args: tuple[Term, ...]
 
 
@@ -112,10 +112,6 @@ FALSE = Atom("<", (num(0), num(0)))
 
 QUANTS = (Forall, Exists, ForallSt, ExistsSt)
 BQUANTS = (BForall, BExists)
-
-
-def neq(a: Term, b: Term) -> Formula:
-    return Not(Atom("=", (a, b)))
 
 
 def conj(parts: list[Formula]) -> Formula:
@@ -225,25 +221,6 @@ def subst_f(f: Formula, var: Var, repl: Term) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def rename_bound(f: Formula, taken: set[str]) -> Formula:
-    """Rename bound variables (term and formula level) away from taken names."""
-    if isinstance(f, QUANTS):
-        if f.var.name in taken:
-            nv = Var(fresh_name(f.var.name, taken | {v.name for v in free_vars_f(f.body)}), f.var.ty)
-            return type(f)(nv, rename_bound(subst_f(f.body, f.var, nv), taken))
-        return type(f)(f.var, rename_bound(f.body, taken))
-    if isinstance(f, BQUANTS):
-        if f.var.name in taken:
-            nv = Var(fresh_name(f.var.name, taken | {v.name for v in free_vars_f(f.body)}), f.var.ty)
-            return type(f)(nv, f.kind, f.bound, rename_bound(subst_f(f.body, f.var, nv), taken))
-        return type(f)(f.var, f.kind, f.bound, rename_bound(f.body, taken))
-    if isinstance(f, Not):
-        return Not(rename_bound(f.body, taken))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(rename_bound(f.left, taken), rename_bound(f.right, taken))
-    return f
-
-
 # ---------------------------------------------------------------------------
 # typechecking
 
@@ -252,7 +229,8 @@ class FormulaTypeError(Exception):
 
 
 def typecheck_f(f: Formula, env: dict[str, FiniteType] | None = None) -> None:
-    """Check well-typedness: relation arguments at type 0, bounds matching."""
+    """Check well-typedness: both sides of = at one type, the arguments
+    of <= and < at type 0, bounds matching."""
     env = dict(env or {})
 
     def tty(t: Term) -> FiniteType:
@@ -263,7 +241,13 @@ def typecheck_f(f: Formula, env: dict[str, FiniteType] | None = None) -> None:
             raise FormulaTypeError(str(e)) from None
 
     if isinstance(f, Atom):
-        if f.rel in ("=", "<=", "<"):
+        if f.rel == "=":
+            lty, rty = (tty(t) for t in f.args)
+            if lty != rty:
+                raise FormulaTypeError(
+                    f"= needs equal types, got {show_type(lty)} "
+                    f"and {show_type(rty)}")
+        elif f.rel in ("<=", "<"):
             for t in f.args:
                 if tty(t) != N:
                     raise FormulaTypeError(
@@ -325,8 +309,9 @@ def alpha_eq_f(a: Formula, b: Formula) -> bool:
 
 
 def canon(f: Formula) -> Formula:
-    """Rename all bound variables to v0, v1, ... in traversal order.  A
-    name free in f gets ``_`` suffixes, so no binder captures it."""
+    """Rename all bound variables, of quantifiers and of lambdas, to v0,
+    v1, ... in traversal order.  A name free in f gets ``_`` suffixes, so
+    no binder captures it."""
     counter = [0]
     taken = {v.name for v in free_vars_f(f)}
 
@@ -337,22 +322,40 @@ def canon(f: Formula) -> Formula:
             name += "_"
         return Var(name, ty)
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, (Atom, Eq, ApproxEq, St)):
-            return g
+    # ren maps each binder in scope to its new variable; a new name is
+    # never free in f nor given twice, so renaming in one pass captures
+    # nothing
+    def term(t: Term, ren: dict) -> Term:
+        if isinstance(t, Var):
+            return ren.get(t, t)
+        if isinstance(t, Abs):
+            nv = fresh(t.var.ty)
+            return Abs(nv, term(t.body, {**ren, t.var: nv}))
+        if isinstance(t, App):
+            return App(term(t.fn, ren), term(t.arg, ren))
+        return t
+
+    def go(g: Formula, ren: dict) -> Formula:
+        if isinstance(g, Atom):
+            return Atom(g.rel, tuple(term(t, ren) for t in g.args))
+        if isinstance(g, (Eq, ApproxEq)):
+            return type(g)(g.ty, term(g.left, ren), term(g.right, ren))
+        if isinstance(g, St):
+            return St(term(g.arg, ren))
         if isinstance(g, Not):
-            return Not(go(g.body))
+            return Not(go(g.body, ren))
         if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
+            return type(g)(go(g.left, ren), go(g.right, ren))
         if isinstance(g, QUANTS):
             nv = fresh(g.var.ty)
-            return type(g)(nv, go(subst_f(g.body, g.var, nv)))
+            return type(g)(nv, go(g.body, {**ren, g.var: nv}))
         if isinstance(g, BQUANTS):
+            bound = term(g.bound, ren)
             nv = fresh(g.var.ty)
-            return type(g)(nv, g.kind, g.bound, go(subst_f(g.body, g.var, nv)))
+            return type(g)(nv, g.kind, bound, go(g.body, {**ren, g.var: nv}))
         raise TypeError(f"not a formula: {g!r}")
 
-    return go(f)
+    return go(f, {})
 
 
 # ---------------------------------------------------------------------------

@@ -496,16 +496,13 @@ def monotone_in_witness(model, nf: NormalForm, name: str) -> bool:
         raise NormalFormError(f"{name!r} is not a numeric existential")
     others = [v for v in nf.universals + nf.existentials if v.name != name]
     pops = [model.population(v.ty, standard=True) for v in others]
-    types = dict(model.types())
-    for v in nf.universals + nf.existentials:
-        types[v.name] = v.ty
     for combo in itertools.product(*pops):
         env = dict(model.env())
         env.update({v.name: val for v, val in zip(others, combo)})
         prev = None
         for w in range(model.cap + 1):
             env[wit.name] = w
-            cur = eval_formula(model, nf.matrix, env, types)
+            cur = eval_formula(model, nf.matrix, env)
             if prev is True and cur is False:
                 return False
             prev = cur

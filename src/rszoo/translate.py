@@ -180,67 +180,61 @@ def _all_names(f: Formula) -> set[str]:
 # ---------------------------------------------------------------------------
 # the translation
 
-def sst_translate(f: Formula, simplify_steps: bool = True,
-                  trace: list | None = None) -> NormalForm:
+def sst_translate(f: Formula, simplify_steps: bool = True) -> NormalForm:
     """Translate f into a NormalForm.
 
     With simplify_steps the intermediate result of every combining
     clause is normalized; the raw mode keeps every Herbrand functional
-    for audit.  If trace is a list, (subformula, normal form) pairs are
-    appended in evaluation order.
+    for audit.
 
     Internal formulas come back verbatim, with empty blocks.
     """
     if is_internal(f):
-        return _post(f, NormalForm((), (), f), False, trace)
+        return NormalForm((), (), f)
     f = desugar_approx(f)
     names = _Names(_all_names(f))
-    return _tr(f, simplify_steps, names, trace)
+    return _tr(f, simplify_steps, names)
 
 
-def _post(f: Formula, nf: NormalForm, simp: bool, trace) -> NormalForm:
-    if simp:
-        nf = simplify(nf)
-    if trace is not None:
-        trace.append((f, nf))
-    return nf
+def _post(nf: NormalForm, simp: bool) -> NormalForm:
+    return simplify(nf) if simp else nf
 
 
-def _tr(f: Formula, simp: bool, names: _Names, trace) -> NormalForm:
+def _tr(f: Formula, simp: bool, names: _Names) -> NormalForm:
     if is_internal(f):
-        return _post(f, NormalForm((), (), f), False, trace)
+        return NormalForm((), (), f)
     if isinstance(f, St):
         ty = infer_type(f.arg, {})
         w = names.fresh("w", ty)
         eq: Formula = Atom("=", (w, f.arg)) if ty == N else Eq(ty, w, f.arg)
-        return _post(f, NormalForm((), (w,), eq), False, trace)
+        return NormalForm((), (w,), eq)
     if isinstance(f, Not):
-        nf = _tr(f.body, simp, names, trace)
-        return _post(f, _negate(nf, names), simp, trace)
+        nf = _tr(f.body, simp, names)
+        return _post(_negate(nf, names), simp)
     if isinstance(f, Or):
-        a = _tr(f.left, simp, names, trace)
-        b = _tr(f.right, simp, names, trace)
-        return _post(f, _disjoin(a, b, names), simp, trace)
+        a = _tr(f.left, simp, names)
+        b = _tr(f.right, simp, names)
+        return _post(_disjoin(a, b, names), simp)
     if isinstance(f, Forall):
-        nf = _tr(f.body, simp, names, trace)
-        return _post(f, _univ(f.var, nf, names), simp, trace)
+        nf = _tr(f.body, simp, names)
+        return _post(_univ(f.var, nf, names), simp)
     # derived connectives
     if isinstance(f, And):
-        return _tr(Not(Or(Not(f.left), Not(f.right))), simp, names, trace)
+        return _tr(Not(Or(Not(f.left), Not(f.right))), simp, names)
     if isinstance(f, Implies):
-        return _tr(Or(Not(f.left), f.right), simp, names, trace)
+        return _tr(Or(Not(f.left), f.right), simp, names)
     if isinstance(f, Exists):
-        return _tr(Not(Forall(f.var, Not(f.body))), simp, names, trace)
+        return _tr(Not(Forall(f.var, Not(f.body))), simp, names)
     if isinstance(f, ForallSt):
-        return _tr(Forall(f.var, Or(Not(St(f.var)), f.body)), simp, names, trace)
+        return _tr(Forall(f.var, Or(Not(St(f.var)), f.body)), simp, names)
     if isinstance(f, ExistsSt):
         return _tr(Not(Forall(f.var, Or(Not(St(f.var)), Not(f.body)))),
-                   simp, names, trace)
+                   simp, names)
     if isinstance(f, BForall):
-        return _tr(Forall(f.var, Or(Not(_guard(f)), f.body)), simp, names, trace)
+        return _tr(Forall(f.var, Or(Not(_guard(f)), f.body)), simp, names)
     if isinstance(f, BExists):
         return _tr(Not(Forall(f.var, Or(Not(_guard(f)), Not(f.body)))),
-                   simp, names, trace)
+                   simp, names)
     raise TranslateError(f"cannot translate: {f!r}")
 
 

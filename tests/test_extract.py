@@ -4,11 +4,14 @@ from types import SimpleNamespace
 
 import pytest
 
+import rszoo.interp
 from rszoo import extract
-from rszoo.extract import (ScriptError, check_script, extract_function,
-                           extract_terms, parse_script, rs_run)
-from rszoo.interp import eval_term, parse_model_config, table_fn
-from rszoo.lang import parse_formula, subterms
+from rszoo.extract import (ScriptError, check_candidates, check_script,
+                           extract_function, extract_terms, parse_script,
+                           rs_run)
+from rszoo.interp import (MiniModel, eval_term, parse_model_config,
+                          table_fn)
+from rszoo.lang import N, Var, parse_formula, pure, subterms
 from rszoo.translate import parse_nf
 
 UDNR = Path(extract.__file__).parent / "corpus_data" / "udnr"
@@ -92,6 +95,47 @@ def test_rs_run_term_sizes(udnr_run):
     nodes = sum(1 for t in (verdict.forward_term, verdict.backward_term)
                 for _ in subterms(t))
     assert nodes == 1293
+
+
+def test_rs_run_sweeps_all_tables_twice(monkeypatch):
+    # one full type-1 sweep per candidate stage: the backward antecedent
+    # "(forall h:1) ..." is evaluated once per candidate, not twice
+    sweeps = []
+    population = MiniModel.population
+
+    def counted(model, ty, standard):
+        if ty == pure(1) and not standard:
+            sweeps.append(ty)
+        return population(model, ty, standard)
+
+    monkeypatch.setattr(MiniModel, "population", counted)
+    rs_run(udnr_entry())
+    assert len(sweeps) == 2
+
+
+@pytest.mark.parametrize("matrix, vacuous, evaluated", [
+    ("x < 0 -> y = x", True, ["x < 0"]),
+    ("x <= x -> y = x", False, ["x <= x", "y = x"]),
+    ("y = x", False, ["y = x"]),
+])
+def test_check_candidates_evaluates_antecedent_once(monkeypatch, matrix,
+                                                    vacuous, evaluated):
+    model = MiniModel(cap=3, omega=2)
+    nf = parse_nf(f"universals: x:0\nexistentials: y:0\nmatrix: {matrix}")
+    seen = []
+    eval_formula = rszoo.interp.eval_formula
+
+    def recorded(model, f, env=None):
+        seen.append(f)
+        return eval_formula(model, f, env)
+
+    monkeypatch.setattr(rszoo.interp, "eval_formula", recorded)
+    report = check_candidates(model, nf, ((Var("x", N),),))
+    assert report.ok and report.checked == 2
+    assert report.antecedent_vacuous is vacuous
+    params = {"x": N, "y": N}
+    want = [parse_formula(src, params=params) for src in evaluated]
+    assert seen == want * 2
 
 
 def test_extract_function_needs_one_candidate():

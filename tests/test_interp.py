@@ -21,7 +21,7 @@ def evf(m, src, params=None, env=None):
     f = parse_formula(src, params=ps)
     if env is None:
         return eval_formula(m, f)
-    return eval_formula(m, f, dict(m.env(), **env), ps)
+    return eval_formula(m, f, dict(m.env(), **env))
 
 
 # -- arithmetic and saturation ----------------------------------------------
@@ -220,6 +220,14 @@ def test_eq_at_higher_type_is_extensional():
     m.declare("f", parse_type("1"), table_fn([0, 1, 0, 0, 0], m), st=False)
     m.declare("g", parse_type("1"), FnV(lambda i: 1 if i == 1 else 0), st=False)
     assert evf(m, "eq[1](f, g)", params={"f": "1", "g": "1"})
+
+
+def test_eq_compares_function_valued_tables_extensionally():
+    # x and y come from two sweeps, so their tables hold distinct but
+    # extensionally equal type-1 values
+    m = MiniModel(cap=1, omega=1)
+    assert evf(m, "(forall x:0->0->0)(exists y:0->0->0) x = y")
+    assert not evf(m, "(exists x:0->0->0)(forall y:0->0->0) x = y")
 
 
 # -- model configuration ------------------------------------------------------

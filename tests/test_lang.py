@@ -1,13 +1,19 @@
+from pathlib import Path
+
 import pytest
 
+import rszoo
 from rszoo.lang import (Abs, App, Arrow, Atom, BForall, Eq, Forall, ForallSt,
-                        N, Not, ParseError, Product, Seq, St, Var, alpha_eq,
-                        alpha_eq_f, app, free_vars_f, infer_type, is_internal,
-                        lam, num, parse_formula, parse_term, parse_type,
-                        pure, show_formula, show_term, show_type, subst_f,
-                        substitute, typecheck_f)
+                        FormulaTypeError, N, Not, ParseError, Product, Seq,
+                        St, Var, alpha_eq, alpha_eq_f, app, free_vars_f,
+                        infer_type, is_internal, lam, num, parse_formula,
+                        parse_term, parse_type, pure, show_formula,
+                        show_term, show_type, subst_f, substitute,
+                        typecheck_f)
 from rszoo.lang.parser import parse_document
-from rszoo.translate import NormalForm, alpha_eq_nf
+from rszoo.translate import NormalForm, alpha_eq_nf, nf_to_formula, parse_nf
+
+UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
 
 
 def test_pure_types_round_trip():
@@ -91,6 +97,25 @@ def test_alpha_eq_avoids_capturing_free_names():
                            NormalForm((y,), (), bound.body))
 
 
+def test_alpha_eq_renames_lambda_binders():
+    x = Var("x", N)
+    a = parse_formula("(\\y:0. y)(x) = 0", params={"x": N})
+    b = parse_formula("(\\z:0. z)(x) = 0", params={"x": N})
+    assert alpha_eq_f(a, b)
+    assert alpha_eq_nf(NormalForm((x,), (), a), NormalForm((x,), (), b))
+    # a lambda binder does not capture a free name either
+    free = parse_formula("(\\y:0. v0)(x) = 0", params={"x": N, "v0": N})
+    bound = parse_formula("(\\y:0. y)(x) = 0", params={"x": N})
+    assert not alpha_eq_f(free, bound)
+    assert not alpha_eq_nf(NormalForm((), (), free), NormalForm((), (), bound))
+    # nor does a quantifier capture a name bound by a lambda inside it
+    nested = parse_formula("(forall v0:0) (\\y:0. y)(v0) = 0")
+    assert alpha_eq_f(nested,
+                      parse_formula("(forall w:0) (\\v0:0. v0)(w) = 0"))
+    assert not alpha_eq_f(nested,
+                          parse_formula("(forall w:0) (\\v0:0. w)(w) = 0"))
+
+
 def test_neq_display():
     f = parse_formula("x != 0", params={"x": N})
     assert f == Not(Atom("=", (Var("x", N), num(0))))
@@ -144,8 +169,17 @@ def test_grouped_binders_share_and_split_types():
 
 def test_typecheck_rejects_ill_typed_atoms():
     f = Atom("=", (Var("f", pure(1)), num(0)))
-    with pytest.raises(Exception):
+    with pytest.raises(FormulaTypeError, match="= needs equal types"):
         typecheck_f(f, {})
+    g = Var("g", pure(1))
+    with pytest.raises(FormulaTypeError, match="type-0 arguments"):
+        typecheck_f(Atom("<=", (g, g)), {})
+
+
+def test_typecheck_accepts_equality_at_sequence_type():
+    # the shipped udnr matrix compares initseg(..) = initseg(..) at 0*
+    text = (UDNR / "expect.nf").read_text()
+    typecheck_f(nf_to_formula(parse_nf(text)), {})
 
 
 def test_higher_type_equality_wrapper():
