@@ -697,11 +697,12 @@ class CandidateReport:
 
 
 def _value_label(model, ty, v) -> str:
+    from .interp import ModelError
     if ty == N:
         return str(v)
     try:
         return str(model.canon_key(ty, v))
-    except Exception:
+    except ModelError:
         return "<value>"
 
 
@@ -945,12 +946,12 @@ def discharge_obligations(model, report: ScriptReport) -> dict:
         if res.oracle is None or res.step.rule != "NF-AXIOM":
             continue
         w = res.nf.existentials[0]
+        body = foralls(list(res.nf.universals), res.nf.matrix,
+                       node=ForallSt)
         found = None
         for cand in model.population(w.ty, standard=True):
             env = dict(model.env())
             env[w.name] = cand
-            body = foralls(list(res.nf.universals), res.nf.matrix,
-                           node=ForallSt)
             if eval_formula(model, body, env=env):
                 found = cand
                 break

@@ -15,6 +15,24 @@ over the full finite table space when that space fits in the
 enumeration budget and otherwise refuses with a size estimate
 (:class:`ModelRefusal`) rather than guessing.
 
+Evaluation is compile-once: ``eval_formula`` and ``eval_term`` turn a
+formula or term into nested closures ``env -> value`` the first time the
+model sees that node object, cache them on the model keyed by the
+node's identity, and call them.  Compile time resolves what the node
+alone fixes: the comparison an ``=`` makes (``==`` at type 0, value
+tables at type 1, fingerprints above), each constant's implementation
+(a constant applied to all its arguments calls it directly), the
+expansion of ``approx``, the kind of a bound and the relation of an
+atom.  Everything that depends on the model's state or the environment
+is left to run time, when a node is reached: variable lookup (an
+unbound variable raises then), each quantifier's population (asked for
+on every visit, so later declarations are seen and an empty standard
+population is flagged only where it is reached), saturation (a numeral
+or constant above ``cap`` sets ``overflowed`` every time it is
+evaluated; function constants get a fresh :class:`FnV` per visit, so a
+cached table never hides it) and the relation's errors.  Closures read
+``cap`` when compiled, so a compiled node belongs to one model.
+
 Model configurations use a line-based text format::
 
     cap = 4
@@ -35,7 +53,7 @@ import math
 from typing import Iterable, Iterator
 
 from ..lang.types import Arrow, FiniteType, N, Product, Seq, show_type
-from ..lang.terms import Abs, App, Const, Term, Var, infer_type
+from ..lang.terms import Abs, App, Const, Term, Var, infer_type, spine
 from ..lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Eq,
                              Exists, ExistsSt, Forall, ForallSt, Formula,
                              Implies, Not, Or, St, desugar_approx)
@@ -123,13 +141,18 @@ def table_fn(table: Iterable[int], model: "MiniModel", name=None) -> FnV:
     if len(tab) != model.cap + 1:
         raise ModelError(f"table needs {model.cap + 1} entries, "
                          f"got {len(tab)}")
+    return FnV(_indexed(tab, 0), table=tab, name=name)
 
-    def call(i, tab=tab):
-        if isinstance(i, int) and 0 <= i < len(tab):
+
+def _indexed(tab: tuple, fallback):
+    """Lookup in a table over {0..len(tab)-1}, ``fallback`` past it."""
+    n = len(tab)
+
+    def call(i):
+        if isinstance(i, int) and 0 <= i < n:
             return tab[i]
-        return 0
-
-    return FnV(call, table=tab, name=name)
+        return fallback
+    return call
 
 
 class MiniModel:
@@ -150,6 +173,8 @@ class MiniModel:
         self.decl_lines: list[str] = []
         self.overflowed = False
         self.flags: set[str] = set()
+        # id(node) -> (node, closure); see eval_formula and eval_term
+        self._compiled: dict[int, tuple] = {}
         for name, ty, value, st in declared or []:
             self.declare(name, ty, value, st)
 
@@ -236,13 +261,16 @@ class MiniModel:
         if isinstance(ty, Arrow):
             dom = list(self.enum_values(ty.dom))
             cod = list(self.enum_values(ty.cod))
+            fallback = zero_value(self, ty.cod)
+            if ty.dom == N:
+                for outs in itertools.product(cod, repeat=len(dom)):
+                    yield FnV(_indexed(outs, fallback), table=outs)
+                return
             keys = [self.canon_key(ty.dom, d) for d in dom]
             for outs in itertools.product(cod, repeat=len(dom)):
                 lookup = dict(zip(keys, outs))
-                fallback = zero_value(self, ty.cod)
-                yield FnV(lambda v, lk=lookup, d=ty.dom, fb=fallback:
-                          lk.get(self.canon_key(d, v), fb),
-                          table=outs if ty.dom == N else None)
+                yield FnV(lambda v, lk=lookup, d=ty.dom:
+                          lk.get(self.canon_key(d, v), fallback))
             return
         raise ModelError(f"cannot enumerate type {show_type(ty)}")
 
@@ -300,7 +328,161 @@ def tabulate(model: MiniModel, fn: FnV) -> tuple:
     return fn._tab_cache
 
 
-# -- term evaluation ----------------------------------------------------------
+# -- compiled evaluation ------------------------------------------------------
+
+def eval_term(model: MiniModel, t: Term, env: dict | None = None):
+    """Call-by-value evaluation in the model.  ``env`` maps variable
+    names to values and defaults to the declared objects."""
+    return _compiled(model, t, _compile_term)(
+        model.env() if env is None else env)
+
+
+def eval_formula(model: MiniModel, f: Formula, env: dict | None = None) -> bool:
+    """Truth of a formula in the model.  ``env`` gives values for free
+    variables and defaults to the declared objects.  Types come from the
+    terms themselves: every variable and constant carries its own."""
+    return _compiled(model, f, _compile_formula)(
+        model.env() if env is None else env)
+
+
+def _compiled(model: MiniModel, node, compile_node):
+    """The closure compiled for ``node`` in this model, compiling it on
+    first use.  The cache holds the node itself, so its id stays unique
+    for as long as the entry lives."""
+    hit = model._compiled.get(id(node))
+    if hit is None:
+        hit = model._compiled[id(node)] = (node, compile_node(model, node))
+    return hit[1]
+
+
+def _fail(message: str):
+    """A closure that raises when it is reached, not when compiled."""
+    def fail(env):
+        raise ModelError(message)
+    return fail
+
+
+def _compile_term(model: MiniModel, t: Term):
+    if isinstance(t, Var):
+        name = t.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise ModelError(f"unbound variable {name!r} in "
+                                 "evaluation") from None
+        return var
+    if isinstance(t, Const):
+        return _compile_const(model, t)
+    if isinstance(t, Abs):
+        name, body = t.var.name, _compile_term(model, t.body)
+
+        def lam(env):
+            def call(v):
+                inner = dict(env)
+                inner[name] = v
+                return body(inner)
+            return FnV(call)
+        return lam
+    if isinstance(t, App):
+        head, args = spine(t)
+        prim = _primitive(model, head) if isinstance(head, Const) else None
+        if prim is not None:
+            return _compile_primitive_app(model, prim, args)
+        if isinstance(head, Abs):
+            return _compile_redex(model, head, args)
+        return _compile_apps(model, _compile_term(model, head), args)
+    return _fail(f"cannot evaluate term {t!r}")
+
+
+def _compile_apps(model: MiniModel, fn, args):
+    """Apply the value of ``fn`` to ``args`` one at a time."""
+    for a in args:
+        fn = _apply(fn, _compile_term(model, a))
+    return fn
+
+
+def _apply(fn, arg):
+    def apply(env):
+        f = fn(env)
+        a = arg(env)
+        if not isinstance(f, FnV):
+            raise ModelError(f"applying a non-function value {f!r}")
+        return f.call(a)
+    return apply
+
+
+def _compile_redex(model: MiniModel, head: Abs, args):
+    """``(\\x1 ... xk. body)(a1, ..., ak, ...)``: bind the arguments
+    in one copy of the environment instead of building a function
+    value per binder."""
+    names, body = [], head
+    while isinstance(body, Abs) and len(names) < len(args):
+        names.append(body.var.name)
+        body = body.body
+    values = [_compile_term(model, a) for a in args[:len(names)]]
+    inner_body = _compile_term(model, body)
+
+    def redex(env):
+        vals = [v(env) for v in values]
+        inner = dict(env)
+        inner.update(zip(names, vals))
+        return inner_body(inner)
+    return _compile_apps(model, redex, args[len(names):])
+
+
+def _compile_const(model: MiniModel, c: Const):
+    name = c.name
+    if name.isdigit():
+        n = int(name)
+        if n <= model.cap:
+            return lambda env: n
+        return lambda env: model.sat(n)
+    if name == "empty":
+        empty = SeqV(())
+        return lambda env: empty
+    prim = _primitive(model, c)
+    if prim is None:
+        return _fail(f"unknown constant {name!r}")
+    arity, impl = prim
+    # A fresh function value per visit: tabulate caches its table on the
+    # value, and a shared one would stop a saturating constant from
+    # setting ``model.overflowed`` when it is evaluated again.
+    return lambda env: _curried(impl, arity)
+
+
+def _compile_primitive_app(model: MiniModel, prim, args):
+    """A function constant applied to arguments: with all its arguments
+    it calls its implementation directly."""
+    arity, impl = prim
+    if len(args) < arity:
+        given = [_compile_term(model, a) for a in args]
+        return lambda env: _curried(impl, arity,
+                                    tuple(a(env) for a in given))
+    first = [_compile_term(model, a) for a in args[:arity]]
+    if arity == 1:
+        a0, = first
+        direct = lambda env: impl(a0(env))
+    elif arity == 2:
+        a0, a1 = first
+        direct = lambda env: impl(a0(env), a1(env))
+    else:
+        a0, a1, a2 = first
+        direct = lambda env: impl(a0(env), a1(env), a2(env))
+    return _compile_apps(model, direct, args[arity:])
+
+
+def _curried(impl, arity: int, given: tuple = ()) -> FnV:
+    """The function value of a constant with ``given`` supplied, taking
+    its remaining arguments one at a time."""
+    def call(v):
+        args = given + (v,)
+        if len(args) == arity:
+            return impl(*args)
+        return _curried(impl, arity, args)
+    return FnV(call)
+
 
 def _cantor(a: int, b: int) -> int:
     s = a + b
@@ -313,184 +495,170 @@ def _cantor_unpair(n: int) -> tuple[int, int]:
     return s - b, b
 
 
-def eval_term(model: MiniModel, t: Term, env: dict | None = None):
-    """Call-by-value evaluation in the model.  ``env`` maps variable
-    names to values."""
-    env = env if env is not None else model.env()
-    return _ev(model, t, env)
-
-
-def _ev(model: MiniModel, t: Term, env: dict):
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise ModelError(f"unbound variable {t.name!r} in evaluation")
-        return env[t.name]
-    if isinstance(t, Const):
-        return _const_value(model, t)
-    if isinstance(t, Abs):
-        def call(v, model=model, t=t, env=env):
-            inner = dict(env)
-            inner[t.var.name] = v
-            return _ev(model, t.body, inner)
-        return FnV(call)
-    if isinstance(t, App):
-        fn = _ev(model, t.fn, env)
-        arg = _ev(model, t.arg, env)
-        if not isinstance(fn, FnV):
-            raise ModelError(f"applying a non-function value {fn!r}")
-        return fn.call(arg)
-    raise ModelError(f"cannot evaluate term {t!r}")
-
-
-def _fn2(f) -> FnV:
-    return FnV(lambda a: FnV(lambda b, a=a: f(a, b)))
-
-
-def _fn3(f) -> FnV:
-    return FnV(lambda a: FnV(lambda b, a=a:
-                             FnV(lambda c, a=a, b=b: f(a, b, c))))
-
-
-def _const_value(model: MiniModel, c: Const):
-    name = c.name
-    if name.isdigit():
-        return model.sat(int(name))
+def _primitive(model: MiniModel, c: Const):
+    """(arity, implementation) of a function constant, or None for an
+    unknown name.  The implementation takes all its arguments at once."""
+    name, sat = c.name, model.sat
     if name == "succ":
-        return FnV(lambda n: model.sat(n + 1))
+        return 1, lambda n: sat(n + 1)
     if name == "plus":
-        return _fn2(lambda a, b: model.sat(a + b))
+        return 2, lambda a, b: sat(a + b)
     if name == "monus":
-        return _fn2(lambda a, b: max(a - b, 0))
+        return 2, lambda a, b: max(a - b, 0)
     if name == "max":
-        return _fn2(lambda a, b: max(a, b))
+        return 2, max
     if name == "npair":
-        return _fn2(lambda a, b: model.sat(_cantor(a, b)))
+        return 2, lambda a, b: sat(_cantor(a, b))
     if name == "nunl":
-        return FnV(lambda n: _cantor_unpair(n)[0])
+        return 1, lambda n: _cantor_unpair(n)[0]
     if name == "nunr":
-        return FnV(lambda n: _cantor_unpair(n)[1])
+        return 1, lambda n: _cantor_unpair(n)[1]
     if name == "seqmax":
-        return FnV(lambda s: max(s.items) if s.items else 0)
+        return 1, lambda s: max(s.items) if s.items else 0
     if name == "initseg":
-        return _fn2(lambda f, n: SeqV(f.call(i) for i in range(n)))
+        return 2, lambda f, n: SeqV(f.call(i) for i in range(n))
     if name == "run":
         def do_run(a, e, s):
             res = machine.phi(e, a.call, e, s,
                               oracle_key=tabulate(model, a))
             if isinstance(res, machine.HaltsWith):
-                return model.sat(res.output + 1)
+                return sat(res.output + 1)
             return 0
-        return _fn3(do_run)
+        return 3, do_run
     if name == "muscan":
         def scan(f):
             for i in range(model.cap + 1):
                 if f.call(i) == 0:
                     return i
             return 0
-        return FnV(scan)
+        return 1, scan
     if name == "pair":
-        return _fn2(PairV)
+        return 2, PairV
     if name == "fst":
-        return FnV(lambda p: p.left)
+        return 1, lambda p: p.left
     if name == "snd":
-        return FnV(lambda p: p.right)
-    if name == "empty":
-        return SeqV(())
+        return 1, lambda p: p.right
     if name == "append":
         def push(s, v):
             if len(s.items) >= model.seq_limit:
                 model.overflowed = True
                 return s
             return SeqV(s.items + (v,))
-        return _fn2(push)
+        return 2, push
     if name == "len":
-        return FnV(lambda s: model.sat(len(s.items)))
+        return 1, lambda s: sat(len(s.items))
     if name == "get":
         cod = c.ty.cod.cod if isinstance(c.ty.cod, Arrow) else N
-        return _fn2(lambda s, i: s.items[i] if i < len(s.items)
-                    else zero_value(model, cod))
+        return 2, lambda s, i: (s.items[i] if i < len(s.items)
+                                else zero_value(model, cod))
     if name == "seqapp":
-        return _fn2(lambda f, x: f.call(x))
+        return 2, lambda f, x: f.call(x)
     if name == "rec":
         def recur(base, step, n):
             acc = base
             for i in range(n):
                 acc = step.call(acc).call(i)
             return acc
-        return _fn3(recur)
-    raise ModelError(f"unknown constant {name!r}")
+        return 3, recur
+    return None
 
 
-# -- formula evaluation --------------------------------------------------------
-
-def eval_formula(model: MiniModel, f: Formula, env: dict | None = None) -> bool:
-    """Truth of a formula in the model.  ``env`` gives values for free
-    variables and defaults to the declared objects.  Types come from the
-    terms themselves: every variable and constant carries its own."""
-    return _evf(model, f, model.env() if env is None else env)
-
-
-def _evf(model: MiniModel, f: Formula, env: dict) -> bool:
+def _compile_formula(model: MiniModel, f: Formula):
     if isinstance(f, Atom):
         if f.rel == "in":
-            elem = _ev(model, f.args[0], env)
-            s = _ev(model, f.args[1], env)
-            return s.call(elem) != 0
-        a = _ev(model, f.args[0], env)
-        b = _ev(model, f.args[1], env)
+            elem, seq = (_compile_term(model, a) for a in f.args)
+
+            def member(env):
+                e = elem(env)
+                return seq(env).call(e) != 0
+            return member
+        a, b = (_compile_term(model, x) for x in f.args)
         if f.rel == "=":
-            return values_equal(model, infer_type(f.args[0]), a, b)
+            return _equality(model, infer_type(f.args[0]), a, b)
         if f.rel == "<=":
-            return a <= b
+            return lambda env: a(env) <= b(env)
         if f.rel == "<":
-            return a < b
-        raise ModelError(f"unknown relation {f.rel!r}")
+            return lambda env: a(env) < b(env)
+        return _fail(f"unknown relation {f.rel!r}")
     if isinstance(f, Eq):
-        return values_equal(model, f.ty,
-                            _ev(model, f.left, env), _ev(model, f.right, env))
+        return _equality(model, f.ty, _compile_term(model, f.left),
+                         _compile_term(model, f.right))
     if isinstance(f, ApproxEq):
-        return _evf(model, desugar_approx(f), env)
+        return _compile_formula(model, desugar_approx(f))
     if isinstance(f, St):
-        return model.is_standard(infer_type(f.arg), _ev(model, f.arg, env))
+        ty, arg = infer_type(f.arg), _compile_term(model, f.arg)
+        return lambda env: model.is_standard(ty, arg(env))
     if isinstance(f, Not):
-        return not _evf(model, f.body, env)
-    if isinstance(f, And):
-        return _evf(model, f.left, env) and _evf(model, f.right, env)
-    if isinstance(f, Or):
-        return _evf(model, f.left, env) or _evf(model, f.right, env)
-    if isinstance(f, Implies):
-        return (not _evf(model, f.left, env)) or _evf(model, f.right, env)
+        body = _compile_formula(model, f.body)
+        return lambda env: not body(env)
+    if isinstance(f, (And, Or, Implies)):
+        left = _compile_formula(model, f.left)
+        right = _compile_formula(model, f.right)
+        if isinstance(f, And):
+            return lambda env: left(env) and right(env)
+        if isinstance(f, Or):
+            return lambda env: left(env) or right(env)
+        return lambda env: (not left(env)) or right(env)
     if isinstance(f, (Forall, Exists, ForallSt, ExistsSt)):
+        ty = f.var.ty
         standard = isinstance(f, (ForallSt, ExistsSt))
-        universal = isinstance(f, (Forall, ForallSt))
-        pop = model.population(f.var.ty, standard)
-        return _sweep(model, f, pop, universal, env)
+        over = _quantifier(isinstance(f, (Forall, ForallSt)), f.var.name,
+                           _compile_formula(model, f.body))
+        # The population is asked for on every visit: standard objects
+        # may be declared between evaluations, and an empty standard
+        # population is flagged only where a quantifier is reached.
+        return lambda env: over(env, model.population(ty, standard))
     if isinstance(f, (BForall, BExists)):
-        universal = isinstance(f, BForall)
-        bound = _ev(model, f.bound, env)
+        over = _quantifier(isinstance(f, BForall), f.var.name,
+                           _compile_formula(model, f.body))
+        bound, cap = _compile_term(model, f.bound), model.cap
         if f.kind == "le":
-            pop = range(min(bound, model.cap) + 1)
-        elif f.kind == "lt":
-            pop = range(min(bound, model.cap + 1))
-        elif f.kind == "mem":
-            pop = list(bound.items)
-        else:
-            raise ModelError(f"unknown bound kind {f.kind!r}")
-        return _sweep(model, f, pop, universal, env)
-    raise ModelError(f"cannot evaluate formula node {type(f).__name__}")
+            return lambda env: over(env, range(min(bound(env), cap) + 1))
+        if f.kind == "lt":
+            return lambda env: over(env, range(min(bound(env), cap + 1)))
+        if f.kind == "mem":
+            return lambda env: over(env, bound(env).items)
+        return _fail(f"unknown bound kind {f.kind!r}")
+    return _fail(f"cannot evaluate formula node {type(f).__name__}")
 
 
-def _sweep(model, f, pop, universal, env) -> bool:
-    name = f.var.name
-    inner = dict(env)
-    for v in pop:
-        inner[name] = v
-        res = _evf(model, f.body, inner)
-        if universal and not res:
-            return False
-        if not universal and res:
+def _equality(model: MiniModel, ty: FiniteType, left, right):
+    """Extensional equality of two compiled terms of type ``ty``."""
+    if ty == N:
+        return lambda env: left(env) == right(env)
+    if ty == _TYPE1:
+        def eq1(env):
+            a, b = left(env), right(env)
+            return tabulate(model, a) == tabulate(model, b)
+        return eq1
+
+    def eq(env):
+        a, b = left(env), right(env)
+        return values_equal(model, ty, a, b)
+    return eq
+
+
+def _quantifier(universal: bool, name: str, body):
+    """``over(env, pop)``: the body under each value of ``name`` in
+    ``pop`` until one decides the quantifier."""
+    if universal:
+        def forall(env, pop):
+            inner = dict(env)
+            for v in pop:
+                inner[name] = v
+                if not body(inner):
+                    return False
             return True
-    return universal
+        return forall
+
+    def exists(env, pop):
+        inner = dict(env)
+        for v in pop:
+            inner[name] = v
+            if body(inner):
+                return True
+        return False
+    return exists
 
 
 # -- model configuration files -------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 import rszoo.interp
 from rszoo import extract
 from rszoo.extract import (ScriptError, check_candidates, check_script,
-                           extract_function, extract_terms, parse_script,
-                           rs_run)
-from rszoo.interp import (MiniModel, eval_term, parse_model_config,
+                           discharge_obligations, extract_function,
+                           extract_terms, parse_script, rs_run)
+from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
 from rszoo.lang import N, Var, parse_formula, pure, subterms
 from rszoo.translate import parse_nf
@@ -163,3 +163,39 @@ def test_extraction_rejects_unmet_obligation():
     for extractor in (extract_terms, extract_function):
         with pytest.raises(ScriptError, match=r"unmet obligations \['g'\]"):
             extractor(report)
+
+
+def test_discharge_obligations_builds_each_formula_once(monkeypatch):
+    # one closed formula per obligation, evaluated for every candidate
+    report = check_script(parse_script(
+        "script choice\n"
+        "step 1: NF-AXIOM qf-ac conclude (forall^st x:0) (exists^st g:1)"
+        " g(x) = x\n"))
+    model = parse_model_config("cap = 3\nomega = 2\n"
+                               "table zero: 0 0 0 0 [st]\n"
+                               "table ident: 0 1 2 3 [st]\n")
+    seen = []
+    eval_formula = rszoo.interp.eval_formula
+
+    def recorded(model, f, env=None):
+        seen.append(f)
+        return eval_formula(model, f, env)
+
+    monkeypatch.setattr(rszoo.interp, "eval_formula", recorded)
+    found = discharge_obligations(model, report)
+    assert found == {"g": model.object("ident")}
+    assert len(seen) == 2 and seen[0] is seen[1]
+
+
+def test_value_label_falls_back_only_on_model_errors():
+    model = MiniModel(cap=4, omega=2, budget=100)
+    # fingerprinting a type-2 value enumerates 3125 type-1 tables,
+    # more than the budget allows
+    assert extract._value_label(model, pure(2), FnV(lambda f: 0)) \
+        == "<value>"
+    assert extract._value_label(model, pure(1),
+                                table_fn([0, 1, 0, 0, 0], model)) \
+        == "(0, 1, 0, 0, 0)"
+    # a value of the wrong shape is a programming error, not a label
+    with pytest.raises(AttributeError):
+        extract._value_label(model, pure(1), 3)

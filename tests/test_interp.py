@@ -230,6 +230,68 @@ def test_eq_compares_function_valued_tables_extensionally():
     assert not evf(m, "(exists x:0->0->0)(forall y:0->0->0) x = y")
 
 
+# -- run-time semantics of a compiled formula ---------------------------------
+# Each formula object below is evaluated more than once: what is decided
+# when it is evaluated must not be decided once when it is compiled.
+
+def test_saturation_is_flagged_on_every_evaluation():
+    m = MiniModel(cap=4, omega=2)
+    numeral = parse_formula("7 = 4")
+    # succ(4) saturates, seen only when succ is tabulated under eq[1]
+    m.declare("f", parse_type("1"), table_fn([1, 2, 3, 4, 4], m), st=False)
+    tabled = parse_formula("eq[1](succ, f)", params=m.types())
+    for f in (numeral, tabled):
+        for _ in range(2):
+            m.overflowed = False
+            assert eval_formula(m, f)
+            assert m.overflowed
+
+
+def test_empty_standard_population_flagged_only_when_reached():
+    m = MiniModel(cap=4, omega=2)
+    quantifier = "(forall^st W:1) W(0) = 0"
+    assert not evf(m, f"0 = 1 /\\ ({quantifier})")
+    assert "st_empty_at_1" not in m.flags
+    assert evf(m, quantifier)
+    assert "st_empty_at_1" in m.flags
+
+
+def test_unbound_variable_raises_only_when_reached():
+    m = MiniModel(cap=4, omega=2)
+    assert not evf(m, "(exists x < 0) y = 0", params={"y": "0"})
+    with pytest.raises(ModelError, match="'y'"):
+        evf(m, "(exists x <= 0) y = 0", params={"y": "0"})
+
+
+def test_standard_object_declared_later_is_seen():
+    m = MiniModel(cap=4, omega=2)
+    f = parse_formula("(exists^st W:1) W(0) = 3")
+    assert not eval_formula(m, f)
+    m.declare("a", parse_type("1"), table_fn([3, 0, 0, 0, 0], m), st=True)
+    assert eval_formula(m, f)
+
+
+def test_compiled_formulas_and_terms_are_per_model():
+    f = parse_formula("(forall x:0) x <= 3")
+    assert eval_formula(MiniModel(cap=3, omega=2), f)
+    assert not eval_formula(MiniModel(cap=4, omega=2), f)
+    t = parse_term("7")
+    big, small = MiniModel(cap=9, omega=2), MiniModel(cap=4, omega=2)
+    assert eval_term(big, t) == 7
+    assert eval_term(small, t) == 4
+    assert not big.overflowed and small.overflowed
+
+
+def test_type_one_tables_read_zero_past_the_table():
+    m = MiniModel(cap=2, omega=1)
+    tables = m.population(parse_type("1"), standard=False)
+    assert [h.table for h in tables[:2]] == [(0, 0, 0), (0, 0, 1)]
+    assert len(tables) == 27
+    for h in tables:
+        assert [h.call(i) for i in range(3)] == list(h.table)
+        assert h.call(-1) == h.call(3) == h.call(99) == 0
+
+
 # -- model configuration ------------------------------------------------------
 
 GOOD_CFG = """
