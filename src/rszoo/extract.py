@@ -79,7 +79,6 @@ class ProofStep:
 class ProofScript:
     name: str
     params: tuple[Var, ...]
-    lets: tuple[tuple[str, Term], ...]
     steps: tuple[ProofStep, ...]
 
     def param_types(self) -> dict[str, FiniteType]:
@@ -148,22 +147,10 @@ def _paren_groups(text: str) -> list[list[str]]:
     return groups
 
 
-def _expand_lets(t: Term, lets) -> Term:
-    for name, body in lets:
-        t = substitute(t, Var(name, infer_type(body)), body)
-    return t
-
-
-def _expand_lets_f(f: Formula, lets) -> Formula:
-    for name, body in lets:
-        f = subst_f(f, Var(name, infer_type(body)), body)
-    return f
-
-
 def parse_script(text: str) -> ProofScript:
     name = "script"
     params: list[Var] = []
-    lets: list[tuple[str, Term]] = []
+    lets: dict[Var, Term] = {}    # expanded into every later term
     steps: list[ProofStep] = []
     env: dict[str, FiniteType] = {}
 
@@ -182,19 +169,21 @@ def parse_script(text: str) -> ProofScript:
             if ":=" not in rest:
                 raise ScriptError(f"let needs 'name := term': {stanza!r}")
             lname, tsrc = rest.split(":=", 1)
-            body = _expand_lets(parse_term(tsrc.strip(), dict(env)), lets)
-            lets.append((lname.strip(), body))
-            env[lname.strip()] = infer_type(body)
+            body = substitute(parse_term(tsrc.strip(), dict(env)), lets)
+            v = Var(lname.strip(), infer_type(body))
+            lets[v] = body
+            env[v.name] = v.ty
         elif head == "step":
             steps.append(_parse_step(rest, env, lets))
         else:  # pragma: no cover - _stanzas only yields directives
             raise ScriptError(f"unknown directive {head!r}")
     if not steps:
         raise ScriptError("script has no steps")
-    return ProofScript(name, tuple(params), tuple(lets), tuple(steps))
+    return ProofScript(name, tuple(params), tuple(steps))
 
 
-def _parse_step(rest: str, env: dict[str, FiniteType], lets) -> ProofStep:
+def _parse_step(rest: str, env: dict[str, FiniteType],
+                lets: dict[Var, Term]) -> ProofStep:
     if ":" not in rest:
         raise ScriptError(f"step needs 'step <n>: <rule> ...': {rest!r}")
     numsrc, body = rest.split(":", 1)
@@ -226,7 +215,7 @@ def _parse_step(rest: str, env: dict[str, FiniteType], lets) -> ProofStep:
         else:
             raise ScriptError(f"step {index}: unexpected token {w!r}")
 
-    concl = _expand_lets_f(parse_formula(concl_src.strip(), dict(env)), lets)
+    concl = subst_f(parse_formula(concl_src.strip(), dict(env)), lets)
 
     # witness terms may mention the conclusion's universals
     scope = dict(env)
@@ -238,9 +227,8 @@ def _parse_step(rest: str, env: dict[str, FiniteType], lets) -> ProofStep:
     groups: list[Row] = []
     if with_src is not None:
         for g in _paren_groups(with_src):
-            row = tuple(_expand_lets(parse_term(src, scope), lets)
-                        for src in g)
-            groups.append(row)
+            groups.append(tuple(substitute(parse_term(src, scope), lets)
+                                for src in g))
     return ProofStep(index, rule, kind, tuple(premises), varname,
                      tuple(groups), concl)
 
@@ -262,14 +250,6 @@ def formula_to_nf(f: Formula) -> NormalForm:
     if not is_internal(f):
         raise ScriptError(f"matrix is not internal: {show_formula(f)}")
     return NormalForm(tuple(universals), tuple(existentials), f)
-
-
-def _instantiate(matrix: Formula, existentials: tuple[Var, ...],
-                 row: Row) -> Formula:
-    out = matrix
-    for v, t in zip(existentials, row):
-        out = subst_f(out, v, t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +399,10 @@ def _rule_forall_elim(step, nf, prems, params, model):
                     f"{show_type(target.ty)}")
     rest = tuple(u for u in prem.nf.universals if u.name != step.name)
     want = NormalForm(rest, prem.nf.existentials,
-                      subst_f(prem.nf.matrix, target, t))
+                      subst_f(prem.nf.matrix, {target: t}))
     if not alpha_eq_nf(nf, want):
         _fail(step, f"conclusion must be {show_nf(want)}")
-    rows = tuple(tuple(substitute(r, target, t) for r in row)
+    rows = tuple(tuple(substitute(r, {target: t}) for r in row)
                  for row in prem.rows)
     return StepResult(step, nf, rows, oracle=prem.oracle)
 
@@ -444,7 +424,7 @@ def _rule_exists_witness(step, nf, prems, params, model):
     scope = dict(params)
     scope.update({u.name: u.ty for u in nf.universals})
     _check_rows(step, step.groups, nf.existentials, scope)
-    want = disj([_instantiate(nf.matrix, nf.existentials, row)
+    want = disj([subst_f(nf.matrix, dict(zip(nf.existentials, row)))
                  for row in step.groups])
     if not alpha_eq_f(prem.nf.matrix, want):
         _fail(step, "premise matrix is not the disjunction of the "
@@ -666,7 +646,7 @@ def postprocess(t: Term, nf: NormalForm, target: str) -> PostResult:
     if stray:
         raise ScriptError("consequent mentions witness slots other than "
                           f"the target: {sorted(stray)}")
-    cons = subst_f(cons, nf.existentials[idx], app(bound, *xs))
+    cons = subst_f(cons, {nf.existentials[idx]: app(bound, *xs)})
     body = Implies(foralls(rest, ant, node=Forall), cons) if ant else cons
     return PostResult(selector, bound, foralls(list(xs), body, node=Forall))
 

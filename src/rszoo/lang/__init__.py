@@ -9,8 +9,8 @@ from .terms import (Abs, App, CONST_NAMES, Const, INITSEG, LangError, MUSCAN,
 from .formulas import (And, ApproxEq, Atom, BExists, BForall, BQUANTS, Eq,
                        Exists, ExistsSt, FALSE, Forall, ForallSt, Formula,
                        FormulaTypeError, Implies, Not, Or, QUANTS, St, TRUE,
-                       alpha_eq_f, canon, conj, desugar_approx, disj,
-                       foralls, free_vars_f, is_internal, subformulas,
+                       all_names_f, alpha_eq_f, canon, conj, desugar_approx,
+                       disj, foralls, free_vars_f, is_internal, subformulas,
                        subst_f, typecheck_f)
 from .parser import (Document, ParseError, parse_document, parse_formula,
                      parse_term, parse_type)

@@ -9,10 +9,11 @@ type; ``ApproxEq`` is equality on standard arguments and is external.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Mapping, Union
 
-from .terms import (Abs, App, Term, Var, app, free_vars as term_fvs,
-                    fresh_name, fst_c, num, snd_c, substitute as term_subst)
+from .terms import (Abs, App, Prepared, Term, Var, all_names, app,
+                    enter_binder, free_vars as term_fvs, fresh_name, fst_c,
+                    num, prepare, snd_c, subst_prepared)
 from .types import Arrow, FiniteType, N, Product, Seq, show_type
 
 
@@ -187,37 +188,51 @@ def free_vars_f(f: Formula) -> frozenset[Var]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def subst_f(f: Formula, var: Var, repl: Term) -> Formula:
-    """Capture-avoiding substitution in a formula."""
+def all_names_f(f: Formula) -> set[str]:
+    """Every variable name in f, free or bound."""
     if isinstance(f, Atom):
-        return Atom(f.rel, tuple(term_subst(t, var, repl) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(f.ty, term_subst(f.left, var, repl), term_subst(f.right, var, repl))
-    if isinstance(f, ApproxEq):
-        return ApproxEq(f.ty, term_subst(f.left, var, repl), term_subst(f.right, var, repl))
+        return set().union(*map(all_names, f.args))
+    if isinstance(f, (Eq, ApproxEq)):
+        return all_names(f.left) | all_names(f.right)
     if isinstance(f, St):
-        return St(term_subst(f.arg, var, repl))
+        return all_names(f.arg)
     if isinstance(f, Not):
-        return Not(subst_f(f.body, var, repl))
+        return all_names_f(f.body)
     if isinstance(f, (And, Or, Implies)):
-        return type(f)(subst_f(f.left, var, repl), subst_f(f.right, var, repl))
+        return all_names_f(f.left) | all_names_f(f.right)
     if isinstance(f, QUANTS):
-        if f.var == var:
-            return f
-        if f.var in term_fvs(repl) and var in free_vars_f(f.body):
-            taken = {v.name for v in free_vars_f(f.body) | term_fvs(repl)}
-            nv = Var(fresh_name(f.var.name, taken), f.var.ty)
-            return type(f)(nv, subst_f(subst_f(f.body, f.var, nv), var, repl))
-        return type(f)(f.var, subst_f(f.body, var, repl))
+        return {f.var.name} | all_names_f(f.body)
     if isinstance(f, BQUANTS):
-        bound = term_subst(f.bound, var, repl)
-        if f.var == var:
-            return type(f)(f.var, f.kind, bound, f.body)
-        if f.var in term_fvs(repl) and var in free_vars_f(f.body):
-            taken = {v.name for v in free_vars_f(f.body) | term_fvs(repl)}
-            nv = Var(fresh_name(f.var.name, taken), f.var.ty)
-            return type(f)(nv, f.kind, bound, subst_f(subst_f(f.body, f.var, nv), var, repl))
-        return type(f)(f.var, f.kind, bound, subst_f(f.body, var, repl))
+        return {f.var.name} | all_names(f.bound) | all_names_f(f.body)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def subst_f(f: Formula, sub: Mapping[Var, Term]) -> Formula:
+    """Simultaneous capture-avoiding substitution in a formula."""
+    return _subst_f(f, prepare(sub))
+
+
+def _subst_f(f: Formula, sub: Prepared) -> Formula:
+    if not sub:
+        return f
+    if isinstance(f, Atom):
+        return Atom(f.rel, tuple(subst_prepared(t, sub) for t in f.args))
+    if isinstance(f, (Eq, ApproxEq)):
+        return type(f)(f.ty, subst_prepared(f.left, sub),
+                       subst_prepared(f.right, sub))
+    if isinstance(f, St):
+        return St(subst_prepared(f.arg, sub))
+    if isinstance(f, Not):
+        return Not(_subst_f(f.body, sub))
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(_subst_f(f.left, sub), _subst_f(f.right, sub))
+    if isinstance(f, QUANTS):
+        var, inner = enter_binder(f.var, sub, lambda: free_vars_f(f.body))
+        return type(f)(var, _subst_f(f.body, inner))
+    if isinstance(f, BQUANTS):
+        bound = subst_prepared(f.bound, sub)
+        var, inner = enter_binder(f.var, sub, lambda: free_vars_f(f.body))
+        return type(f)(var, f.kind, bound, _subst_f(f.body, inner))
     raise TypeError(f"not a formula: {f!r}")
 
 

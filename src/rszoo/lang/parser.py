@@ -513,14 +513,7 @@ class _P:
                 raise ParseError(
                     f"argument for {p.name} has type {aty}, expected {p.ty}",
                     tok.line, tok.col)
-        # simultaneous substitution via fresh intermediates
-        temps = [Var(f"%{i}", p.ty) for i, p in enumerate(params)]
-        out = body
-        for p, tmp in zip(params, temps):
-            out = subst_f(out, p, tmp)
-        for tmp, a in zip(temps, args):
-            out = subst_f(out, tmp, a)
-        return out
+        return subst_f(body, dict(zip(params, args)))
 
     def _f_relation(self) -> Formula:
         l = self.parse_term()

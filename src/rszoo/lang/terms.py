@@ -8,7 +8,7 @@ concrete syntax writes the type index in brackets, e.g. ``rec[0]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .types import Arrow, Base, FiniteType, N, Product, Seq, pure, show_type
 
@@ -168,31 +168,80 @@ def free_vars(t: Term) -> frozenset[Var]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def fresh_name(base: str, avoid: set[str]) -> str:
-    if base not in avoid:
-        return base
-    i = 1
-    while f"{base}{i}" in avoid:
+def fresh_name(base: str, taken: set[str]) -> str:
+    """A name not in taken, recorded there: base itself when it is free,
+    else base1, base2, ..."""
+    name, i = base, 0
+    while name in taken:
         i += 1
-    return f"{base}{i}"
+        name = f"{base}{i}"
+    taken.add(name)
+    return name
 
 
-def substitute(t: Term, var: Var, repl: Term) -> Term:
-    """Capture-avoiding substitution t[var := repl]."""
+def all_names(t: Term) -> set[str]:
+    """Every variable name in t, free or bound."""
     if isinstance(t, Var):
-        return repl if t == var else t
+        return {t.name}
+    if isinstance(t, App):
+        return all_names(t.fn) | all_names(t.arg)
+    if isinstance(t, Abs):
+        return {t.var.name} | all_names(t.body)
+    return set()
+
+
+#: a substitution with the names free in each replacement, computed once
+#: per call: var -> (replacement, free names of the replacement)
+Prepared = dict[Var, tuple[Term, frozenset[str]]]
+
+
+def prepare(sub: Mapping[Var, Term]) -> Prepared:
+    return {v: (r, frozenset(u.name for u in free_vars(r)))
+            for v, r in sub.items()}
+
+
+def enter_binder(var: Var, sub: Prepared, body_fvs: Callable[[], frozenset]
+                 ) -> tuple[Var, Prepared]:
+    """The binder and the substitution to carry into its body.
+
+    An entry of the binder's name is shadowed.  The binder is renamed
+    only when its name is free in the replacement of a variable free in
+    the body (``body_fvs`` is called only then); the new name avoids the
+    names free in the body and in those replacements.  Names, not
+    variables, are compared: the evaluator looks variables up by name.
+    """
+    name = var.name
+    if any(v.name == name for v in sub):
+        sub = {v: e for v, e in sub.items() if v.name != name}
+    if not any(name in names for _, names in sub.values()):
+        return var, sub
+    fvs = body_fvs()
+    live = [names for v, (_, names) in sub.items() if v in fvs]
+    if not any(name in names for names in live):
+        return var, sub
+    nv = Var(fresh_name(name, {v.name for v in fvs}.union(*live)), var.ty)
+    return nv, {**sub, var: (nv, frozenset([nv.name]))}
+
+
+def substitute(t: Term, sub: Mapping[Var, Term]) -> Term:
+    """Simultaneous capture-avoiding substitution: every free occurrence
+    of a key of sub becomes its replacement."""
+    return subst_prepared(t, prepare(sub))
+
+
+def subst_prepared(t: Term, sub: Prepared) -> Term:
+    if not sub:
+        return t
+    if isinstance(t, Var):
+        hit = sub.get(t)
+        return t if hit is None else hit[0]
     if isinstance(t, Const):
         return t
     if isinstance(t, App):
-        return App(substitute(t.fn, var, repl), substitute(t.arg, var, repl))
+        return App(subst_prepared(t.fn, sub), subst_prepared(t.arg, sub))
     if isinstance(t, Abs):
-        if t.var == var:
-            return t
-        if t.var in free_vars(repl) and var in free_vars(t.body):
-            taken = {v.name for v in free_vars(t.body) | free_vars(repl)}
-            nv = Var(fresh_name(t.var.name, taken), t.var.ty)
-            return Abs(nv, substitute(substitute(t.body, t.var, nv), var, repl))
-        return Abs(t.var, substitute(t.body, var, repl))
+        var, inner = enter_binder(t.var, sub, lambda: free_vars(t.body))
+        return Abs(var, subst_prepared(t.body, inner))
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -32,15 +32,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Eq,
                             Exists, ExistsSt, Forall, ForallSt, Formula,
-                            Implies, Not, Or, St, conj, is_internal,
-                            subformulas, subst_f)
+                            Implies, Not, Or, St, all_names_f, conj,
+                            is_internal, subformulas, subst_f)
 from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num,
                          INITSEG, NUNL, NUNR)
 from .lang.types import Arrow, FiniteType, N, Product, Seq, arrows, show_type
-from .translate import NormalForm, _all_names, nf_to_formula
+from .translate import NormalForm, nf_to_formula
 
 
 class NormalFormError(Exception):
@@ -63,10 +64,16 @@ class TransferInstance:
     normal: NormalForm
     equivalence_checked: bool = False
 
+    @cached_property
+    def normal_formula(self) -> Formula:
+        """The normal shape as one formula, built once so that a model
+        compiles it once."""
+        return nf_to_formula(self.normal)
+
     def check_equivalence(self, model) -> bool:
         from .interp import eval_formula
         a = eval_formula(model, self.transfer)
-        b = eval_formula(model, nf_to_formula(self.normal))
+        b = eval_formula(model, self.normal_formula)
         self.equivalence_checked = (a == b)
         return self.equivalence_checked
 
@@ -129,17 +136,10 @@ def uniformize(base: Formula) -> UniformPrinciple:
             strong = ForallSt(v, strong)
         return UniformPrinciple(base, uniform, strong)
 
-    taken = _all_names(base)
-    fns: list[Var] = []
-    for i, y in enumerate(ys):
-        base_name = "Psi" if i == 0 else f"Psi{i + 1}"
-        name = fresh_name(base_name, taken)
-        taken.add(name)
-        fns.append(Var(name, arrows([x.ty for x in xs], y.ty)))
-
-    inner = matrix
-    for y, fn in zip(ys, fns):
-        inner = subst_f(inner, y, app(fn, *[x for x in xs]))
+    taken = all_names_f(base)
+    fns = [Var(fresh_name("Psi" if i == 0 else f"Psi{i + 1}", taken),
+               arrows([x.ty for x in xs], y.ty)) for i, y in enumerate(ys)]
+    inner = subst_f(matrix, {y: app(fn, *xs) for y, fn in zip(ys, fns)})
 
     uniform = inner
     for x in reversed(xs):
@@ -163,12 +163,8 @@ def _extensionality(fn: Var, arg_tys: list[FiniteType],
     per argument position."""
     cs, ds = [], []
     for ty in arg_tys:
-        c = Var(fresh_name("X", taken), ty)
-        taken.add(c.name)
-        d = Var(fresh_name("Y", taken), ty)
-        taken.add(d.name)
-        cs.append(c)
-        ds.append(d)
+        cs.append(Var(fresh_name("X", taken), ty))
+        ds.append(Var(fresh_name("Y", taken), ty))
     out_ty = fn.ty
     for _ in arg_tys:
         out_ty = out_ty.cod
@@ -213,11 +209,10 @@ def contrapose_accept(base: Formula) -> UniformPrinciple:
             strong = ForallSt(v, strong)
         return UniformPrinciple(base, base, strong)
 
-    taken = _all_names(base)
+    taken = all_names_f(base)
     fn = Var(fresh_name("Psi", taken), arrows([x.ty for x in xs], y.ty))
-    taken.add(fn.name)
     wit = app(fn, *[x for x in xs]) if xs else fn
-    got = subst_f(inner, y, wit)
+    got = subst_f(inner, {y: wit})
     if bound is not None:
         got = And(Atom("<=", (wit, bound)), got)
     body = Implies(hyp, got)
@@ -317,7 +312,7 @@ def resolve_approx(f: Formula) -> Formula:
     Approx-atoms anywhere else are rejected: the grammar covers exactly
     the extensionality conjuncts that uniformize builds.
     """
-    taken = _all_names(f)
+    taken = all_names_f(f)
 
     def go(g: Formula) -> Formula:
         if isinstance(g, Implies):
@@ -342,9 +337,7 @@ def resolve_approx(f: Formula) -> Formula:
 
     def rewrite(prem: list[ApproxEq], ccl: list[ApproxEq]) -> Formula:
         nv = Var(fresh_name("N", taken), N)
-        taken.add(nv.name)
         kv = Var(fresh_name("k", taken), N)
-        taken.add(kv.name)
         ps, pused = [], False
         for a in prem:
             g, used = _prefix_eq(a.ty, a.left, a.right, nv, taken)
@@ -386,7 +379,7 @@ def herbrandize_choice(f: Formula, steps: list | None = None) -> Formula:
     kept.  Conjunctions and the standard-existential context are
     traversed; anything already functional is left alone.
     """
-    taken = _all_names(f)
+    taken = all_names_f(f)
 
     def go(g: Formula) -> Formula:
         if isinstance(g, ExistsSt):
@@ -409,7 +402,6 @@ def _try_choice(g: Formula, taken: set[str],
         return None
     seq_ty = arrows([x.ty for x in xs], Seq(y.ty))
     w = Var(fresh_name("W", taken), seq_ty)
-    taken.add(w.name)
     seq_form: Formula = BExists(y, "mem", app(w, *[x for x in xs]), matrix)
     for x in reversed(xs):
         seq_form = ForallSt(x, seq_form)
@@ -419,8 +411,7 @@ def _try_choice(g: Formula, taken: set[str],
     if y.ty != N:
         return seq_form
     xi = Var(fresh_name("Xi", taken), arrows([x.ty for x in xs], N))
-    taken.add(xi.name)
-    out: Formula = subst_f(matrix, y, app(xi, *[x for x in xs]))
+    out: Formula = subst_f(matrix, {y: app(xi, *xs)})
     for x in reversed(xs):
         out = ForallSt(x, out)
     return ExistsSt(xi, out)
@@ -437,7 +428,7 @@ def prenex_to_normal(f: Formula) -> NormalForm:
     A standard quantifier (or st-atom) under a plain quantifier blocks
     the algorithm and is reported.
     """
-    taken = _all_names(f)
+    taken = all_names_f(f)
     blocks: set[str] = set()
     univ: list[Var] = []
     exis: list[Var] = []
@@ -445,8 +436,7 @@ def prenex_to_normal(f: Formula) -> NormalForm:
     def bind(v: Var, body: Formula) -> tuple[Var, Formula]:
         if v.name in blocks:
             nv = Var(fresh_name(v.name, taken), v.ty)
-            taken.add(nv.name)
-            body = subst_f(body, v, nv)
+            body = subst_f(body, {v: nv})
             v = nv
         blocks.add(v.name)
         return v, body

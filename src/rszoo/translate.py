@@ -31,12 +31,12 @@ from dataclasses import dataclass
 from .lang.formulas import (And, ApproxEq, Atom, BExists, BForall, BQUANTS,
                             Eq, Exists, ExistsSt, FALSE, Forall, ForallSt,
                             Formula, Implies, Not, Or, QUANTS, St, TRUE,
-                            canon, desugar_approx, free_vars_f, is_internal,
-                            subst_f)
+                            all_names_f, canon, desugar_approx, free_vars_f,
+                            is_internal, subst_f)
 from .lang.parser import parse_formula, parse_type
 from .lang.printer import show_formula
-from .lang.terms import (App, Const, Term, Var, app, free_vars, get_c,
-                         infer_type, len_c, seqapp_c, spine)
+from .lang.terms import (App, Const, Term, Var, app, free_vars, fresh_name,
+                         get_c, infer_type, len_c, seqapp_c, spine)
 from .lang.types import Arrow, FiniteType, N, Seq, arrows, show_type
 
 
@@ -95,13 +95,7 @@ def canon_nf(nf: NormalForm) -> NormalForm:
         while nv.name in taken:
             nv = Var(nv.name + "_", v.ty)
         newe.append(nv)
-    # two-phase rename to avoid collisions between old and new names
-    temps = [Var(f"%t{i}", v.ty)
-             for i, v in enumerate(nf.universals + nf.existentials)]
-    for old, tmp in zip(nf.universals + nf.existentials, temps):
-        m = subst_f(m, old, tmp)
-    for tmp, new in zip(temps, tuple(newu) + tuple(newe)):
-        m = subst_f(m, tmp, new)
+    m = subst_f(m, dict(zip(nf.universals + nf.existentials, newu + newe)))
     return NormalForm(tuple(newu), tuple(newe), canon(m))
 
 
@@ -121,63 +115,6 @@ def nf_signature(nf: NormalForm) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# fresh-name supply
-
-class _Names:
-    def __init__(self, forbidden: set[str]):
-        self.used = set(forbidden)
-
-    def fresh(self, base: str, ty: FiniteType) -> Var:
-        if base not in self.used:
-            self.used.add(base)
-            return Var(base, ty)
-        i = 1
-        while f"{base}{i}" in self.used:
-            i += 1
-        self.used.add(f"{base}{i}")
-        return Var(f"{base}{i}", ty)
-
-
-def _all_names(f: Formula) -> set[str]:
-    out: set[str] = set()
-
-    def go_t(t: Term):
-        if isinstance(t, Var):
-            out.add(t.name)
-        elif isinstance(t, App):
-            go_t(t.fn)
-            go_t(t.arg)
-        elif hasattr(t, "var"):  # Abs
-            out.add(t.var.name)
-            go_t(t.body)
-
-    def go(g: Formula):
-        if isinstance(g, Atom):
-            for t in g.args:
-                go_t(t)
-        elif isinstance(g, (Eq, ApproxEq)):
-            go_t(g.left)
-            go_t(g.right)
-        elif isinstance(g, St):
-            go_t(g.arg)
-        elif isinstance(g, Not):
-            go(g.body)
-        elif isinstance(g, (And, Or, Implies)):
-            go(g.left)
-            go(g.right)
-        elif isinstance(g, QUANTS):
-            out.add(g.var.name)
-            go(g.body)
-        elif isinstance(g, BQUANTS):
-            out.add(g.var.name)
-            go_t(g.bound)
-            go(g.body)
-
-    go(f)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the translation
 
 def sst_translate(f: Formula, simplify_steps: bool = True) -> NormalForm:
@@ -192,20 +129,19 @@ def sst_translate(f: Formula, simplify_steps: bool = True) -> NormalForm:
     if is_internal(f):
         return NormalForm((), (), f)
     f = desugar_approx(f)
-    names = _Names(_all_names(f))
-    return _tr(f, simplify_steps, names)
+    return _tr(f, simplify_steps, all_names_f(f))
 
 
 def _post(nf: NormalForm, simp: bool) -> NormalForm:
     return simplify(nf) if simp else nf
 
 
-def _tr(f: Formula, simp: bool, names: _Names) -> NormalForm:
+def _tr(f: Formula, simp: bool, names: set[str]) -> NormalForm:
     if is_internal(f):
         return NormalForm((), (), f)
     if isinstance(f, St):
         ty = infer_type(f.arg, {})
-        w = names.fresh("w", ty)
+        w = Var(fresh_name("w", names), ty)
         eq: Formula = Atom("=", (w, f.arg)) if ty == N else Eq(ty, w, f.arg)
         return NormalForm((), (w,), eq)
     if isinstance(f, Not):
@@ -251,15 +187,15 @@ def _guard(f) -> Formula:
     return BExists(i, "lt", App(len_c(f.var.ty), f.bound), eq)
 
 
-def _negate(nf: NormalForm, names: _Names) -> NormalForm:
+def _negate(nf: NormalForm, names: set[str]) -> NormalForm:
     """Clause (iii): Herbrandize the existential block."""
     xs, ys, m = nf.universals, nf.existentials, nf.matrix
     fns: list[Var] = []
     body: Formula = Not(m)
     for y in reversed(ys):
         fty = arrows([x.ty for x in xs], Seq(y.ty))
-        Y = names.fresh(y.name.upper() if y.name.upper() != y.name else "W",
-                        fty)
+        base = y.name.upper() if y.name.upper() != y.name else "W"
+        Y = Var(fresh_name(base, names), fty)
         fns.insert(0, Y)
         bound: Term = Y
         for x in xs:
@@ -270,32 +206,26 @@ def _negate(nf: NormalForm, names: _Names) -> NormalForm:
     return NormalForm(tuple(fns), xs, body)
 
 
-def _disjoin(a: NormalForm, b: NormalForm, names: _Names) -> NormalForm:
+def _disjoin(a: NormalForm, b: NormalForm, names: set[str]) -> NormalForm:
     """Clause (iv): concatenate blocks, disjoin matrices."""
     clash = ({v.name for v in a.universals + a.existentials}
              | {v.name for v in free_vars_f(a.matrix)})
-    bu, be, bm = list(b.universals), list(b.existentials), b.matrix
-    for i, v in enumerate(bu):
-        if v.name in clash:
-            nv = names.fresh(v.name, v.ty)
-            bm = subst_f(bm, v, nv)
-            bu[i] = nv
-    for i, v in enumerate(be):
-        if v.name in clash:
-            nv = names.fresh(v.name, v.ty)
-            bm = subst_f(bm, v, nv)
-            be[i] = nv
-    return NormalForm(a.universals + tuple(bu), a.existentials + tuple(be),
-                      Or(a.matrix, bm))
+    ren = {v: Var(fresh_name(v.name, names), v.ty)
+           for v in b.universals + b.existentials if v.name in clash}
+    bu = tuple(ren.get(v, v) for v in b.universals)
+    be = tuple(ren.get(v, v) for v in b.existentials)
+    return NormalForm(a.universals + bu, a.existentials + be,
+                      Or(a.matrix, subst_f(b.matrix, ren)))
 
 
-def _univ(z: Var, nf: NormalForm, names: _Names) -> NormalForm:
+def _univ(z: Var, nf: NormalForm, names: set[str]) -> NormalForm:
     """Clause (v): candidates for each existential, z universal inside."""
     if z in nf.universals + nf.existentials:
         raise TranslateError(f"shadowed quantifier variable {z.name}")
     if not nf.existentials:
         return NormalForm(nf.universals, (), Forall(z, nf.matrix))
-    lifts = [names.fresh(y.name + "s", Seq(y.ty)) for y in nf.existentials]
+    lifts = [Var(fresh_name(y.name + "s", names), Seq(y.ty))
+             for y in nf.existentials]
     body = nf.matrix
     for y, ys in zip(reversed(nf.existentials), reversed(lifts)):
         body = BExists(y, "mem", ys, body)
@@ -478,7 +408,7 @@ def _rw_here(f: Formula) -> Formula | None:
     if isinstance(f, BQUANTS) and f.kind == "mem":
         t = _singleton_entry(f.bound)
         if t is not None:
-            return subst_f(f.body, f.var, t)
+            return subst_f(f.body, {f.var: t})
     # equality-guard instantiation
     if isinstance(f, Exists):
         out = _guard_exists(f)
@@ -622,7 +552,7 @@ def _guard_exists(f: Exists) -> Formula | None:
             _, new_core = _drop_leaf(core, g, And)
             if new_core is None:
                 new_core = TRUE
-            return subst_f(_rebuild_prefix(prefix, new_core), x, t)
+            return subst_f(_rebuild_prefix(prefix, new_core), {x: t})
     return None
 
 
@@ -641,7 +571,7 @@ def _guard_forall(f: Forall) -> Formula | None:
             _, new_core = _drop_leaf(core, g, Or)
             if new_core is None:
                 new_core = FALSE
-            return subst_f(_rebuild_prefix(prefix, new_core), x, t)
+            return subst_f(_rebuild_prefix(prefix, new_core), {x: t})
     return None
 
 
@@ -778,8 +708,8 @@ def golden_chain_check() -> list[dict]:
     #    excluded-point form; the full simplifier goes one step further
     #    and instantiates the guard.
     f4 = parse_formula("(forall y:0) (~st(y) \\/ ~(P(y) = 0))", params=P1)
-    supply4 = _Names(_all_names(f4)
-                     | {v.name for v in nf3.universals + nf3.existentials})
+    supply4 = (all_names_f(f4)
+               | {v.name for v in nf3.universals + nf3.existentials})
     raw4 = _univ(Var("y", N), nf3, supply4)
     check("forall-mid", raw4,
           nf("w:0", "", "(forall y:0) (w != y \\/ P(y) != 0)", P1),
@@ -791,7 +721,7 @@ def golden_chain_check() -> list[dict]:
     #    blocks, and pushing the negation inward exposes an equality
     #    guard that instantiation then removes
     f5 = parse_formula("(exists^st y:0) P(y) = 0", params=P1)
-    neg5 = _negate(raw4, _Names({"y", "w", "P"}))
+    neg5 = _negate(raw4, {"y", "w", "P"})
     mid5 = NormalForm(neg5.universals, neg5.existentials,
                       push_neg(neg5.matrix))
     check("exists-st-mid", mid5,
@@ -814,8 +744,8 @@ def golden_chain_check() -> list[dict]:
     f7 = parse_formula(
         "(forall x:0) (~st(x) \\/ ((exists^st y:0) Q(x, y) = 0))",
         params=P2)
-    supply = _Names(_all_names(f7)
-                    | {v.name for v in nf6.universals + nf6.existentials})
+    supply = (all_names_f(f7)
+              | {v.name for v in nf6.universals + nf6.existentials})
     raw7 = _univ(Var("x", N), nf6, supply)
     check("close-raw", raw7,
           nf("v:0", "ws:0*",

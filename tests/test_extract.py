@@ -11,10 +11,11 @@ from rszoo.extract import (ScriptError, check_candidates, check_script,
                            extract_terms, parse_script, rs_run)
 from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
-from rszoo.lang import N, Var, parse_formula, pure, subterms
+from rszoo.lang import N, Var, parse_formula, pure, show_term, subterms
 from rszoo.translate import parse_nf
 
 UDNR = Path(extract.__file__).parent / "corpus_data" / "udnr"
+GOLDEN_CAP3 = Path(__file__).parent / "golden" / "udnr_cap3.txt"
 
 # The shipped udnr model at cap 3: tables cut to 4 cells, [st] kept.
 MODEL_CAP3 = """\
@@ -88,6 +89,21 @@ def test_rs_run_forward_term_is_least_zero(udnr_run):
         assert at_table.call(table_fn(table, model)) == table.index(0), table
         checked += 1
     assert checked == n ** n - (n - 1) ** n
+
+
+def udnr_transcript(verdict) -> str:
+    """Stage lines, flags and the printed forward, backward and bound
+    terms of an rs_run verdict."""
+    lines = verdict.stage_lines()
+    lines.append("flags: " + " ".join(verdict.flags))
+    for tag in ("forward", "backward", "bound"):
+        lines.append(f"{tag}: " + show_term(getattr(verdict, f"{tag}_term")))
+    return "\n".join(lines) + "\n"
+
+
+def test_rs_run_matches_golden_transcript(udnr_run):
+    _entry, verdict, _replays = udnr_run
+    assert udnr_transcript(verdict) == GOLDEN_CAP3.read_text()
 
 
 def test_rs_run_term_sizes(udnr_run):

@@ -1,16 +1,20 @@
+import itertools
 from pathlib import Path
 
 import pytest
 
+import gen
 import rszoo
+from rszoo.interp import MiniModel, eval_formula, eval_term
 from rszoo.lang import (Abs, App, Arrow, Atom, BForall, Eq, Forall, ForallSt,
                         FormulaTypeError, N, Not, ParseError, Product, Seq,
-                        St, Var, alpha_eq, alpha_eq_f, app, free_vars_f,
-                        infer_type, is_internal, lam, num, parse_formula,
-                        parse_term, parse_type, pure, show_formula,
-                        show_term, show_type, subst_f, substitute,
-                        typecheck_f)
+                        St, Var, all_names_f, alpha_eq, alpha_eq_f, app,
+                        free_vars_f, infer_type, is_internal, lam, num,
+                        parse_formula, parse_term, parse_type, pure,
+                        show_formula, show_term, show_type, subst_f,
+                        substitute, typecheck_f)
 from rszoo.lang.parser import parse_document
+from rszoo.lang.terms import PLUS, all_names
 from rszoo.translate import NormalForm, alpha_eq_nf, nf_to_formula, parse_nf
 
 UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
@@ -63,7 +67,7 @@ def test_candidate_application_brackets():
 def test_substitution_avoids_capture():
     # (\y:0. plus(x, y))[x := y] must rename the binder
     t = parse_term("\\y:0. plus(x, y)", params={"x": N})
-    s = substitute(t, Var("x", N), Var("y", N))
+    s = substitute(t, {Var("x", N): Var("y", N)})
     assert alpha_eq(s, parse_term("\\z:0. plus(y, z)", params={"y": N}))
     assert not alpha_eq(s, parse_term("\\y:0. plus(y, y)"))
 
@@ -206,6 +210,20 @@ def test_document_stanzas_expand():
         "(forall^st f:1) ((forall n:0) f(n) = 0) -> st(f(0))")
 
 
+def test_document_reference_substitutes_simultaneously():
+    doc = parse_document(
+        """
+        lt(x:0, y:0) := x < y
+        above(x:0) := (exists y:0) x < y
+        swapped := (forall x:0) (forall y:0) lt(y, x)
+        captured := (forall y:0) above(y)
+        """)
+    assert doc.formula("swapped") == parse_formula(
+        "(forall x:0) (forall y:0) y < x")
+    assert alpha_eq_f(doc.formula("captured"),
+                      parse_formula("(forall y:0) (exists z:0) y < z"))
+
+
 def test_document_rejects_duplicates():
     with pytest.raises(ParseError):
         parse_document("a := 0 = 0\na := 1 = 1")
@@ -213,9 +231,58 @@ def test_document_rejects_duplicates():
 
 def test_subst_f_capture_avoiding():
     f = parse_formula("(exists y:0) y = x", params={"x": N})
-    g = subst_f(f, Var("x", N), Var("y", N))
+    g = subst_f(f, {Var("x", N): Var("y", N)})
     assert alpha_eq_f(g, parse_formula("(exists z:0) z = y",
                                        params={"y": N}))
+
+
+def test_substitution_compares_binder_names_across_types():
+    # y:1 and y:0 are one variable to the evaluator, which looks names up
+    x, y0 = Var("x", N), Var("y", N)
+    f = parse_formula("(exists y:1) x = 0", params={"x": N})
+    g = subst_f(f, {x: y0})
+    assert g.var.name != "y" and g.body.args[0] == y0
+    assert eval_formula(MiniModel(cap=2, omega=2), g, {"y": 0}) is True
+    t = substitute(parse_term("\\y:1. x", params={"x": N}), {x: y0})
+    assert t.var.name != "y" and t.body == y0
+
+
+def test_simultaneous_substitution_swaps():
+    x, y = Var("x", N), Var("y", N)
+    f = parse_formula("x < y", params={"x": N, "y": N})
+    assert subst_f(f, {x: y, y: x}) == parse_formula(
+        "y < x", params={"x": N, "y": N})
+
+
+def test_substitution_agrees_with_the_evaluator():
+    # f[sub] holds at env iff f holds where each substituted variable
+    # takes its replacement's value.  Replacements may mention q and i,
+    # the names the generator gives to quantified variables, so binders
+    # of f get renamed, also across types.
+    g = gen.generator(gen.SEED + 5)
+    model = MiniModel(cap=2, omega=2)
+    outer = {"x": N, "y": N, "P": pure(1)}
+    scope = {**outer, "q": N, "i": N}
+    x, y, q, i = (Var(name, N) for name in "xyqi")
+    tables = model.population(pure(1), standard=False)
+    renamed = 0
+    for trial in range(300):
+        f = g.internal_formula(outer, depth=3)
+        t, u = g.term(N, scope, 2), g.term(N, scope, 2)
+        for sub in ({x: t}, {x: y, y: x},
+                    {x: app(PLUS, q, t), y: app(PLUS, i, u)}):
+            got = subst_f(f, sub)
+            mentioned = set().union(*map(all_names, sub.values()))
+            renamed += bool(all_names_f(got) - all_names_f(f) - mentioned)
+            for vals in itertools.islice(
+                    itertools.product(range(3), repeat=4), trial % 7, None, 9):
+                env = dict(zip(("x", "y", "q", "i"), vals),
+                           P=tables[trial % len(tables)])
+                moved = {**env, **{v.name: eval_term(model, r, env)
+                                   for v, r in sub.items()}}
+                assert eval_formula(model, got, env) \
+                    == eval_formula(model, f, moved), (show_formula(f), sub)
+    assert renamed >= 50
 
 
 def test_free_vars_of_formula():

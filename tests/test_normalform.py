@@ -233,6 +233,16 @@ def test_transfer_equivalence_holds_in_models():
     assert ti.equivalence_checked
 
 
+def test_transfer_equivalence_compiles_each_shape_once():
+    ti = trans_instance()
+    model = small_model()
+    ti.check_equivalence(model)
+    cached = len(model._compiled)
+    for _ in range(3):
+        assert ti.check_equivalence(model) is True
+    assert len(model._compiled) == cached
+
+
 # -- monotonicity guard --------------------------------------------------------------
 
 def test_monotone_guard_accepts_bounded_search_matrix():
