@@ -697,6 +697,12 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     a forall^st), or the name of a declared object to pin the universal
     to that one value.  ``env`` supplies values for oracle names left
     free in the rows.
+
+    When the matrix is an implication, its consequent is evaluated only
+    where the antecedent holds.  An antecedent that mentions an
+    existential is evaluated once per candidate; one that mentions none
+    is evaluated once per assignment of the universals it mentions and
+    reused for every candidate and for the other universals.
     """
     from .interp import ModelError, eval_formula, eval_term
 
@@ -716,16 +722,35 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
             raise ScriptError(
                 f"unknown sweep plan {plan!r} for {v.name}") from None
 
-    # An implication's antecedent is evaluated once per candidate, and
-    # its consequent only where the antecedent holds.
     antecedent, consequent = ((nf.matrix.left, nf.matrix.right)
                               if isinstance(nf.matrix, Implies)
                               else (None, nf.matrix))
+    # A hoisted antecedent is keyed on pool indices: a key on the values
+    # would tabulate them, at type 2 a full sweep.  Skipping a
+    # re-evaluation loses nothing: ``overflowed`` stays set for the
+    # whole call and ``model.flags`` is a set.
+    memo, key_at = None, ()
+    if antecedent is not None:
+        names = {v.name for v in free_vars_f(antecedent)}
+        if not names & {v.name for v in nf.existentials}:
+            memo = {}
+            key_at = [i for i, v in enumerate(nf.universals)
+                      if v.name in names]
+
+    def holds(env1, at):
+        if memo is None:
+            return eval_formula(model, antecedent, env=env1)
+        key = tuple(at[i] for i in key_at)
+        if key not in memo:
+            memo[key] = eval_formula(model, antecedent, env=env1)
+        return memo[key]
+
     was_overflowed, model.overflowed = model.overflowed, False
     checked, genuine = 0, 0
     failures: list[str] = []
-    for combo in itertools.product(*pools):
+    for at in itertools.product(*(range(len(p)) for p in pools)):
         checked += 1
+        combo = [pool[i] for pool, i in zip(pools, at)]
         env0 = dict(base_env)
         for v, val in zip(nf.universals, combo):
             env0[v.name] = val
@@ -734,8 +759,7 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
             env1 = dict(env0)
             for v, t in zip(nf.existentials, row):
                 env1[v.name] = eval_term(model, t, env1)
-            vacuous = (antecedent is not None
-                       and not eval_formula(model, antecedent, env=env1))
+            vacuous = antecedent is not None and not holds(env1, at)
             if vacuous or eval_formula(model, consequent, env=env1):
                 hit = True
                 genuine += not vacuous

@@ -13,7 +13,11 @@ declared so in the model configuration.  ``(forall^st x)`` and
 quantifier at type 0 ranges over {0..cap}; at higher types it ranges
 over the full finite table space when that space fits in the
 enumeration budget and otherwise refuses with a size estimate
-(:class:`ModelRefusal`) rather than guessing.
+(:class:`ModelRefusal`) rather than guessing.  Over ``0 -> 0`` the
+tables are not listed: the body is evaluated once per prefix of cells
+it reads, each evaluation deciding every table that extends the prefix
+(Berger's fan functional, Escardó's exhaustive search), in the order
+and with the effects of a table-by-table sweep (see ``_table_sweep``).
 
 Evaluation is compile-once: ``eval_formula`` and ``eval_term`` turn a
 formula or term into nested closures ``env -> value`` the first time the
@@ -22,12 +26,13 @@ node's identity, and call them.  Compile time resolves what the node
 alone fixes: the comparison an ``=`` makes (``==`` at type 0, value
 tables at type 1, fingerprints above), each constant's implementation
 (a constant applied to all its arguments calls it directly), the
-expansion of ``approx``, the kind of a bound and the relation of an
-atom.  Everything that depends on the model's state or the environment
-is left to run time, when a node is reached: variable lookup (an
-unbound variable raises then), each quantifier's population (asked for
-on every visit, so later declarations are seen and an empty standard
-population is flagged only where it is reached), saturation (a numeral
+expansion of ``approx``, the kind of a bound, the relation of an atom
+and the range of a type-0 quantifier.  Everything that depends on the
+model's state or the environment is left to run time, when a node is
+reached: variable lookup (an unbound variable raises then), the
+population of a quantifier above type 0 (asked for on every visit, so
+later declarations are seen and an empty standard population is
+flagged only where it is reached), saturation (a numeral
 or constant above ``cap`` sets ``overflowed`` every time it is
 evaluated; function constants get a fresh :class:`FnV` per visit, so a
 cached table never hides it) and the relation's errors.  Closures read
@@ -602,11 +607,18 @@ def _compile_formula(model: MiniModel, f: Formula):
     if isinstance(f, (Forall, Exists, ForallSt, ExistsSt)):
         ty = f.var.ty
         standard = isinstance(f, (ForallSt, ExistsSt))
-        over = _quantifier(isinstance(f, (Forall, ForallSt)), f.var.name,
-                           _compile_formula(model, f.body))
-        # The population is asked for on every visit: standard objects
-        # may be declared between evaluations, and an empty standard
-        # population is flagged only where a quantifier is reached.
+        universal = isinstance(f, (Forall, ForallSt))
+        body = _compile_formula(model, f.body)
+        if ty == _TYPE1 and not standard:
+            return _table_sweep(model, universal, f.var.name, body)
+        over = _quantifier(universal, f.var.name, body)
+        if ty == N:
+            pop = range(model.omega if standard else model.cap + 1)
+            return lambda env: over(env, pop)
+        # A population above type 0 is asked for on every visit:
+        # standard objects may be declared between evaluations, and an
+        # empty standard population is flagged only where a quantifier
+        # is reached.
         return lambda env: over(env, model.population(ty, standard))
     if isinstance(f, (BForall, BExists)):
         over = _quantifier(isinstance(f, BForall), f.var.name,
@@ -659,6 +671,51 @@ def _quantifier(universal: bool, name: str, body):
                 return True
         return False
     return exists
+
+
+def _table_sweep(model: MiniModel, universal: bool, name: str, body):
+    """A plain quantifier over the ``0 -> 0`` tables, swept by prefix.
+
+    The body is evaluated on a table-less probe that serves cells from
+    a prefix: reading cell ``i`` zero-extends the prefix up to ``i``,
+    and a read past ``cap`` or of a non-int returns 0, as a table does.
+    One evaluation therefore decides every table that extends the cells
+    it read.  The next prefix drops trailing ``cap`` cells and bumps the
+    last one (an odometer), so the prefixes cover ``enum_values``' order
+    in contiguous blocks and the sweep stops in the block holding the
+    first deciding table: same answer, error, ``overflowed`` and flags
+    as evaluating each table.  A full read (``tabulate``, ``=`` at type
+    1, ``canon_key``, ``run``'s oracle key) reads every cell, so its
+    block is one table.  The budget check is the eager sweep's.
+    """
+    cap = model.cap
+
+    def sweep(env):
+        model.check_enumerable(_TYPE1)
+        inner = dict(env)
+        cells: list[int] = []
+        while True:
+            inner[name] = FnV(_prefix_reader(cells, cap))
+            if bool(body(inner)) is not universal:
+                return not universal
+            last = len(cells) - 1
+            while last >= 0 and cells[last] == cap:
+                last -= 1
+            if last < 0:
+                return universal
+            cells = cells[:last] + [cells[last] + 1]
+    return sweep
+
+
+def _prefix_reader(cells: list, cap: int):
+    """Cell lookup that zero-extends ``cells`` up to the cell read."""
+    def call(i):
+        if not isinstance(i, int) or not 0 <= i <= cap:
+            return 0
+        if i >= len(cells):
+            cells.extend([0] * (i + 1 - len(cells)))
+        return cells[i]
+    return call
 
 
 # -- model configuration files -------------------------------------------------

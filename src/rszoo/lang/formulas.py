@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from .terms import (Abs, App, Prepared, Term, Var, all_names, app,
-                    enter_binder, free_vars as term_fvs, fresh_name, fst_c,
-                    num, prepare, snd_c, subst_prepared)
+                    drop_name, enter_binder, free_vars as term_fvs,
+                    fresh_name, fst_c, num, prepare, snd_c, subst_prepared)
 from .types import Arrow, FiniteType, N, Product, Seq, show_type
 
 
@@ -168,6 +168,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 def free_vars_f(f: Formula) -> frozenset[Var]:
+    """Variables free in f; a binder removes its name (see free_vars)."""
     if isinstance(f, Atom):
         out: frozenset[Var] = frozenset()
         for t in f.args:
@@ -182,9 +183,9 @@ def free_vars_f(f: Formula) -> frozenset[Var]:
     if isinstance(f, (And, Or, Implies)):
         return free_vars_f(f.left) | free_vars_f(f.right)
     if isinstance(f, QUANTS):
-        return free_vars_f(f.body) - {f.var}
+        return drop_name(free_vars_f(f.body), f.var.name)
     if isinstance(f, BQUANTS):
-        return term_fvs(f.bound) | (free_vars_f(f.body) - {f.var})
+        return term_fvs(f.bound) | drop_name(free_vars_f(f.body), f.var.name)
     raise TypeError(f"not a formula: {f!r}")
 
 

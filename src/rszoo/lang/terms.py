@@ -157,6 +157,8 @@ def subterms(t: Term) -> Iterator[Term]:
 
 
 def free_vars(t: Term) -> frozenset[Var]:
+    """Variables free in t.  A binder removes every variable of its
+    name, whatever its type: the evaluator looks variables up by name."""
     if isinstance(t, Var):
         return frozenset([t])
     if isinstance(t, Const):
@@ -164,8 +166,13 @@ def free_vars(t: Term) -> frozenset[Var]:
     if isinstance(t, App):
         return free_vars(t.fn) | free_vars(t.arg)
     if isinstance(t, Abs):
-        return free_vars(t.body) - {t.var}
+        return drop_name(free_vars(t.body), t.var.name)
     raise TypeError(f"not a term: {t!r}")
+
+
+def drop_name(vs: frozenset[Var], name: str) -> frozenset[Var]:
+    """``vs`` without its variables called ``name``."""
+    return frozenset(v for v in vs if v.name != name)
 
 
 def fresh_name(base: str, taken: set[str]) -> str:

@@ -11,7 +11,8 @@ from rszoo.extract import (ScriptError, check_candidates, check_script,
                            extract_terms, parse_script, rs_run)
 from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
-from rszoo.lang import N, Var, parse_formula, pure, show_term, subterms
+from rszoo.lang import (SUCC, Forall, N, Var, app, parse_formula, pure,
+                        show_formula, show_term, subterms)
 from rszoo.translate import parse_nf
 
 UDNR = Path(extract.__file__).parent / "corpus_data" / "udnr"
@@ -113,20 +114,58 @@ def test_rs_run_term_sizes(udnr_run):
     assert nodes == 1293
 
 
-def test_rs_run_sweeps_all_tables_twice(monkeypatch):
-    # one full type-1 sweep per candidate stage: the backward antecedent
-    # "(forall h:1) ..." is evaluated once per candidate, not twice
-    sweeps = []
-    population = MiniModel.population
+def test_rs_run_again_compiles_nothing_new():
+    # the model caches compiled closures by node; a second and third run
+    # on the same entry reuse the first run's nodes instead of adding more
+    entry = udnr_entry()
+    sizes = []
+    for _ in range(3):
+        rs_run(entry)
+        sizes.append(len(entry.model._compiled))
+    assert sizes == [sizes[0]] * 3 and sizes[0] > 0
 
-    def counted(model, ty, standard):
-        if ty == pure(1) and not standard:
-            sweeps.append(ty)
+
+def record_formulas(monkeypatch) -> list:
+    seen, eval_formula = [], rszoo.interp.eval_formula
+
+    def recorded(model, f, env=None):
+        seen.append(f)
+        return eval_formula(model, f, env)
+
+    monkeypatch.setattr(rszoo.interp, "eval_formula", recorded)
+    return seen
+
+
+def test_rs_run_evaluates_backward_antecedent_once(monkeypatch):
+    # The backward antecedent "(forall h:1) ..." mentions only mu, so it
+    # is evaluated once across the two (mu0, Z) assignments.  Its sweep
+    # reads table cells instead of listing the tables: mu0 is applied
+    # once per prefix read, 66 times in all (376 with two eager sweeps).
+    entry = udnr_entry()
+    mu0 = entry.model.object("mu0")
+    applied, apply = [], mu0.call
+
+    def counted_apply(h):
+        applied.append(h)
+        return apply(h)
+
+    populations, population = [], MiniModel.population
+
+    def counted_population(model, ty, standard):
+        populations.append((ty, standard))
         return population(model, ty, standard)
 
-    monkeypatch.setattr(MiniModel, "population", counted)
-    rs_run(udnr_entry())
-    assert len(sweeps) == 2
+    monkeypatch.setattr(mu0, "call", counted_apply)
+    monkeypatch.setattr(MiniModel, "population", counted_population)
+    seen = record_formulas(monkeypatch)
+    verdict = rs_run(entry)
+    assert dict(verdict.stages)["candidates-backward"].startswith(
+        "candidates ok over 2 assignment(s)")
+    sweeps = [f for f in seen if isinstance(f, Forall)
+              and f.var.ty == pure(1)]
+    assert len(sweeps) == 1 and "mu" in show_formula(sweeps[0])
+    assert (pure(1), False) not in populations
+    assert len(applied) == 66
 
 
 @pytest.mark.parametrize("matrix, vacuous, evaluated", [
@@ -138,20 +177,47 @@ def test_check_candidates_evaluates_antecedent_once(monkeypatch, matrix,
                                                     vacuous, evaluated):
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf(f"universals: x:0\nexistentials: y:0\nmatrix: {matrix}")
-    seen = []
-    eval_formula = rszoo.interp.eval_formula
-
-    def recorded(model, f, env=None):
-        seen.append(f)
-        return eval_formula(model, f, env)
-
-    monkeypatch.setattr(rszoo.interp, "eval_formula", recorded)
+    seen = record_formulas(monkeypatch)
     report = check_candidates(model, nf, ((Var("x", N),),))
     assert report.ok and report.checked == 2
     assert report.antecedent_vacuous is vacuous
     params = {"x": N, "y": N}
     want = [parse_formula(src, params=params) for src in evaluated]
     assert seen == want * 2
+
+
+def test_check_candidates_hoists_antecedent_over_unmentioned_universals(
+        monkeypatch):
+    # the antecedent mentions x but neither z nor an existential: one
+    # evaluation per value of x serves both values of z
+    model = MiniModel(cap=3, omega=2)
+    nf = parse_nf("universals: x:0, z:0\nexistentials: y:0\n"
+                  "matrix: x <= x -> y = x")
+    seen = record_formulas(monkeypatch)
+    report = check_candidates(model, nf, ((Var("x", N),),))
+    assert report.ok and report.checked == 4
+    params = {"x": N, "y": N}
+    ante, cons = (parse_formula(src, params=params)
+                  for src in ("x <= x", "y = x"))
+    assert seen == [ante, cons, cons, ante, cons, cons]
+
+
+def test_check_candidates_evaluates_existential_antecedent_per_candidate(
+        monkeypatch):
+    # the antecedent mentions y, which each candidate sets: the first
+    # candidate's consequent fails, so the second candidate's antecedent
+    # is evaluated too (and is false)
+    model = MiniModel(cap=3, omega=2)
+    nf = parse_nf("universals: x:0\nexistentials: y:0\n"
+                  "matrix: x < y -> y = x")
+    x = Var("x", N)
+    seen = record_formulas(monkeypatch)
+    report = check_candidates(model, nf, ((app(SUCC, x),), (x,)))
+    assert report.ok and report.checked == 2
+    params = {"x": N, "y": N}
+    ante, cons = (parse_formula(src, params=params)
+                  for src in ("x < y", "y = x"))
+    assert seen == [ante, cons, ante] * 2
 
 
 def test_extract_function_needs_one_candidate():

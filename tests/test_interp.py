@@ -1,9 +1,12 @@
 import pytest
+
+import gen
 from rszoo.interp import (FnV, MiniModel, ModelError, ModelRefusal, PairV,
-                          SeqV, eval_formula, eval_term, parse_model_config,
-                          show_model_config, table_fn, tabulate,
-                          values_equal, zero_value)
-from rszoo.lang import parse_formula, parse_term, parse_type
+                          SeqV, eval_formula, eval_term, model as model_mod,
+                          parse_model_config, show_model_config, table_fn,
+                          tabulate, values_equal, zero_value)
+from rszoo.lang import (Exists, Forall, N, Var, parse_formula, parse_term,
+                        parse_type, pure, subformulas)
 
 
 def ev(m, src, params=None, env=None):
@@ -290,6 +293,71 @@ def test_type_one_tables_read_zero_past_the_table():
     for h in tables:
         assert [h.call(i) for i in range(3)] == list(h.table)
         assert h.call(-1) == h.call(3) == h.call(99) == 0
+
+
+def test_table_sweep_at_cap_six_is_refused():
+    # 7^7 tables exceed the default budget; the sweep would read one
+    # cell per prefix, but the refusal is the eager sweep's
+    m = MiniModel(cap=6, omega=2)
+    assert m.budget == 200_000
+    with pytest.raises(ModelRefusal, match="823543"):
+        evf(m, "(forall h:1) h(0) <= 6")
+
+
+def eager_sweep(m, f, visited: list):
+    """``f``, a plain quantifier over type 1, decided table by table in
+    ``enum_values`` order; each table tried is appended to ``visited``."""
+    universal = isinstance(f, Forall)
+    for h in m.enum_values(pure(1)):
+        visited.append(h)
+        if bool(eval_formula(m, f.body, {f.var.name: h})) is not universal:
+            return not universal
+    return universal
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type and message it raises."""
+    try:
+        return run()
+    except ModelError as e:
+        return type(e), str(e)
+
+
+def test_table_sweep_agrees_with_eager_enumeration(monkeypatch):
+    probes = []
+    reader = model_mod._prefix_reader
+
+    def counted(cells, cap):
+        probes.append(cells)
+        return reader(cells, cap)
+
+    monkeypatch.setattr(model_mod, "_prefix_reader", counted)
+    g = gen.generator(gen.SEED + 11)
+    cases = early = fewer = 0
+    for cap in (1, 2, 3):
+        for _ in range(150):
+            body = g.internal_formula({"h": pure(1)}, depth=3)
+            f = g.rng.choice([Forall, Exists])(Var("h", pure(1)), body)
+            omega = g.rng.randrange(1, cap + 1)
+            lazy, eager = MiniModel(cap, omega), MiniModel(cap, omega)
+            del probes[:]
+            visited = []
+            got = outcome(lambda: eval_formula(lazy, f, {}))
+            want = outcome(lambda: eager_sweep(eager, f, visited))
+            assert got == want, f
+            assert lazy.overflowed == eager.overflowed, f
+            assert lazy.flags == eager.flags, f
+            if any(isinstance(s, (Forall, Exists)) and s.var.ty == pure(1)
+                   for s in subformulas(body)):
+                continue  # nested sweeps make probes of their own
+            # one evaluation per block of tables sharing the cells read
+            assert len(probes) <= len(visited), f
+            cases += 1
+            early += len(visited) < (cap + 1) ** (cap + 1)
+            fewer += len(probes) < len(visited)
+    # 417, 252 and 195 with this seed
+    assert cases >= 350 and early >= 200 and fewer >= 150, \
+        (cases, early, fewer)
 
 
 # -- model configuration ------------------------------------------------------

@@ -6,13 +6,13 @@ import pytest
 import gen
 import rszoo
 from rszoo.interp import MiniModel, eval_formula, eval_term
-from rszoo.lang import (Abs, App, Arrow, Atom, BForall, Eq, Forall, ForallSt,
-                        FormulaTypeError, N, Not, ParseError, Product, Seq,
-                        St, Var, all_names_f, alpha_eq, alpha_eq_f, app,
-                        free_vars_f, infer_type, is_internal, lam, num,
-                        parse_formula, parse_term, parse_type, pure,
-                        show_formula, show_term, show_type, subst_f,
-                        substitute, typecheck_f)
+from rszoo.lang import (Abs, App, Arrow, Atom, BForall, Eq, Exists, Forall,
+                        ForallSt, FormulaTypeError, N, Not, ParseError,
+                        Product, Seq, St, Var, all_names_f, alpha_eq,
+                        alpha_eq_f, app, free_vars, free_vars_f, infer_type,
+                        is_internal, lam, num, parse_formula, parse_term,
+                        parse_type, pure, show_formula, show_term, show_type,
+                        subst_f, substitute, typecheck_f)
 from rszoo.lang.parser import parse_document
 from rszoo.lang.terms import PLUS, all_names
 from rszoo.translate import NormalForm, alpha_eq_nf, nf_to_formula, parse_nf
@@ -289,3 +289,17 @@ def test_free_vars_of_formula():
     f = parse_formula("(forall x:0) P(x) = y", params={"P": pure(1),
                                                        "y": N})
     assert free_vars_f(f) == {Var("P", pure(1)), Var("y", N)}
+
+
+def test_binders_remove_free_variables_by_name():
+    # y:0 under a y:1 binder reads the bound y, as the evaluator does:
+    # the formula is closed, and false since no table equals 0
+    f = Exists(Var("y", pure(1)), Atom("=", (Var("y", N), num(0))))
+    assert free_vars_f(f) == frozenset()
+    assert eval_formula(MiniModel(cap=2, omega=1), f, {}) is False
+    t = Abs(Var("y", pure(1)), Var("y", N))
+    assert free_vars(t) == frozenset()
+    # a bound lies outside its binder's scope
+    g = BForall(Var("y", N), "le", Var("y", N),
+                Atom("=", (Var("y", pure(1)), num(0))))
+    assert free_vars_f(g) == {Var("y", N)}
