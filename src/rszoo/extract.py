@@ -603,14 +603,13 @@ def leastz_t() -> Term:
 
 @dataclass(frozen=True)
 class PostResult:
-    selector: Term   # \xs. seq of the target slot of each candidate
-    bound: Term      # \xs. max entry of the selector sequence
-    formula: Formula  # re-internalized implication using the bound
+    bound: Term      # \xs. max of the target slot over the candidates
 
 
 def postprocess(t: Term, nf: NormalForm, target: str) -> PostResult:
     """Collapse the target slot of an extracted candidate term to a
-    single max bound, and state the resulting internal implication."""
+    single max bound.  The consequent of the matrix may mention no other
+    witness slot, since the bound stands in for the target alone."""
     names = [v.name for v in nf.existentials]
     if target not in names:
         raise ScriptError(f"{target!r} is not a witness slot of the "
@@ -619,6 +618,11 @@ def postprocess(t: Term, nf: NormalForm, target: str) -> PostResult:
     if nf.existentials[idx].ty != N:
         raise ScriptError(f"non-numeric target slot {target!r}: "
                           f"{show_type(nf.existentials[idx].ty)}")
+    cons = nf.matrix.right if isinstance(nf.matrix, Implies) else nf.matrix
+    stray = {v.name for v in free_vars_f(cons)} & (set(names) - {target})
+    if stray:
+        raise ScriptError("consequent mentions witness slots other than "
+                          f"the target: {sorted(stray)}")
 
     tupty = _tuple_type(nf.existentials)
     tup = Var("tup", tupty)
@@ -633,22 +637,7 @@ def postprocess(t: Term, nf: NormalForm, target: str) -> PostResult:
 
     xs = nf.universals
     picked = app(stdterms.seqmap_t(tupty, N), proj, app(t, *xs))
-    selector = lam(*xs, picked)
-    bound = lam(*xs, App(SEQMAX, picked))
-
-    matrix = nf.matrix
-    rest = [v for v in nf.existentials if v.name != target]
-    if isinstance(matrix, Implies):
-        ant, cons = matrix.left, matrix.right
-    else:
-        ant, cons = None, matrix
-    stray = {v.name for v in free_vars_f(cons)} & {v.name for v in rest}
-    if stray:
-        raise ScriptError("consequent mentions witness slots other than "
-                          f"the target: {sorted(stray)}")
-    cons = subst_f(cons, {nf.existentials[idx]: app(bound, *xs)})
-    body = Implies(foralls(rest, ant, node=Forall), cons) if ant else cons
-    return PostResult(selector, bound, foralls(list(xs), body, node=Forall))
+    return PostResult(lam(*xs, App(SEQMAX, picked)))
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +688,25 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     free in the rows.
 
     When the matrix is an implication, its consequent is evaluated only
-    where the antecedent holds.  An antecedent that mentions an
-    existential is evaluated once per candidate; one that mentions none
-    is evaluated once per assignment of the universals it mentions and
-    reused for every candidate and for the other universals.
+    where the antecedent holds.
+
+    One memo serves the call, under one rule: a value is computed once
+    per assignment of the universals it reads, and its key holds their
+    pool indices (a key on the values would tabulate them, at type 2 a
+    full sweep).  A slot term gets an integer id, and its key is the id
+    plus the indices of the universals it mentions; rows that share a
+    term share its value, and a closed term is evaluated once per call.
+    The antecedent's key is the ids of the slot terms of the
+    existentials it mentions plus the indices of every universal it
+    reads, directly or through those slot terms; with no existential
+    mentioned, it is evaluated once per assignment of its own
+    universals.  A slot term that mentions an existential is evaluated
+    per candidate, in order, and so is an antecedent that reads one.
+
+    Skipping a re-evaluation loses nothing from the report:
+    ``overflowed`` is tracked for the whole call and ``model.flags`` is
+    a set.  Attributing saturation to a row or subterm would have to
+    store each memo entry's overflow bit with its value.
     """
     from .interp import ModelError, eval_formula, eval_term
 
@@ -725,24 +729,47 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     antecedent, consequent = ((nf.matrix.left, nf.matrix.right)
                               if isinstance(nf.matrix, Implies)
                               else (None, nf.matrix))
-    # A hoisted antecedent is keyed on pool indices: a key on the values
-    # would tabulate them, at type 2 a full sweep.  Skipping a
-    # re-evaluation loses nothing: ``overflowed`` stays set for the
-    # whole call and ``model.flags`` is a set.
-    memo, key_at = None, ()
+    existential_names = {v.name for v in nf.existentials}
+    position = {v.name: i for i, v in enumerate(nf.universals)}
+
+    def reads(names) -> tuple[int, ...] | None:
+        """Pool positions of the universals named, or None when an
+        existential is named: such a value is not memoized."""
+        if names & existential_names:
+            return None
+        return tuple(sorted({position[n] for n in names if n in position}))
+
+    # Slot terms by id, assigned once: hashing a large term per lookup
+    # would cost more than the memo saves.
+    ids: dict[Term, int] = {}
+    slot_reads: list[tuple[int, ...] | None] = []
+    row_ids = []
+    for row in rows:
+        for t in row:
+            if t not in ids:
+                ids[t] = len(slot_reads)
+                slot_reads.append(reads({w.name for w in free_vars(t)}))
+        row_ids.append(tuple(ids[t] for t in row))
+
+    # Per row, the antecedent's key parts (slot ids, positions), or None
+    # when it is evaluated per candidate.
+    antecedent_keys: list = [None] * len(rows)
     if antecedent is not None:
         names = {v.name for v in free_vars_f(antecedent)}
-        if not names & {v.name for v in nf.existentials}:
-            memo = {}
-            key_at = [i for i, v in enumerate(nf.universals)
-                      if v.name in names]
+        direct = reads(names - existential_names)
+        for r, sids in enumerate(row_ids):
+            mentioned = tuple(s for v, s in zip(nf.existentials, sids)
+                              if v.name in names)
+            through = [slot_reads[s] for s in mentioned]
+            if None not in through:
+                antecedent_keys[r] = (mentioned,
+                                      sorted(set(direct).union(*through)))
 
-    def holds(env1, at):
-        if memo is None:
-            return eval_formula(model, antecedent, env=env1)
-        key = tuple(at[i] for i in key_at)
+    memo: dict = {}    # (slot id or antecedent slot ids, indices) -> value
+
+    def memoized(key, compute):
         if key not in memo:
-            memo[key] = eval_formula(model, antecedent, env=env1)
+            memo[key] = compute()
         return memo[key]
 
     was_overflowed, model.overflowed = model.overflowed, False
@@ -755,11 +782,23 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
         for v, val in zip(nf.universals, combo):
             env0[v.name] = val
         hit = False
-        for row in rows:
+        for row, sids, ante_key in zip(rows, row_ids, antecedent_keys):
             env1 = dict(env0)
-            for v, t in zip(nf.existentials, row):
-                env1[v.name] = eval_term(model, t, env1)
-            vacuous = antecedent is not None and not holds(env1, at)
+            for v, t, s in zip(nf.existentials, row, sids):
+                if slot_reads[s] is None:
+                    env1[v.name] = eval_term(model, t, env1)
+                else:
+                    env1[v.name] = memoized(
+                        (s, tuple(at[i] for i in slot_reads[s])),
+                        lambda: eval_term(model, t, env0))
+            if antecedent is None:
+                vacuous = False
+            elif ante_key is None:
+                vacuous = not eval_formula(model, antecedent, env=env1)
+            else:
+                vacuous = not memoized(
+                    (ante_key[0], tuple(at[i] for i in ante_key[1])),
+                    lambda: eval_formula(model, antecedent, env=env1))
             if vacuous or eval_formula(model, consequent, env=env1):
                 hit = True
                 genuine += not vacuous

@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import re
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,10 +11,10 @@ import rszoo.interp
 from rszoo import extract
 from rszoo.extract import (ScriptError, check_candidates, check_script,
                            discharge_obligations, extract_function,
-                           extract_terms, parse_script, rs_run)
+                           extract_terms, parse_script, postprocess, rs_run)
 from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
-from rszoo.lang import (SUCC, Forall, N, Var, app, parse_formula, pure,
+from rszoo.lang import (SUCC, Forall, N, Var, app, num, parse_formula, pure,
                         show_formula, show_term, subterms)
 from rszoo.translate import parse_nf
 
@@ -136,6 +139,17 @@ def record_formulas(monkeypatch) -> list:
     return seen
 
 
+def record_terms(monkeypatch) -> list:
+    seen, eval_term = [], rszoo.interp.eval_term
+
+    def recorded(model, t, env=None):
+        seen.append((t, env))
+        return eval_term(model, t, env)
+
+    monkeypatch.setattr(rszoo.interp, "eval_term", recorded)
+    return seen
+
+
 def test_rs_run_evaluates_backward_antecedent_once(monkeypatch):
     # The backward antecedent "(forall h:1) ..." mentions only mu, so it
     # is evaluated once across the two (mu0, Z) assignments.  Its sweep
@@ -218,6 +232,195 @@ def test_check_candidates_evaluates_existential_antecedent_per_candidate(
     ante, cons = (parse_formula(src, params=params)
                   for src in ("x < y", "y = x"))
     assert seen == [ante, cons, ante] * 2
+
+
+def test_check_candidates_keys_antecedent_on_universals_read_through_slots(
+        monkeypatch):
+    # the antecedent reads x only through the slot term of y: a key
+    # without x would reuse "y = 0" from x = 0 at x = 1 and fail there
+    model = MiniModel(cap=3, omega=2)
+    nf = parse_nf("universals: x:0\nexistentials: y:0\n"
+                  "matrix: y = 0 -> x = 0")
+    seen = record_formulas(monkeypatch)
+    report = check_candidates(model, nf, ((Var("x", N),),))
+    assert report.ok and report.checked == 2
+    ante = parse_formula("y = 0", params={"y": N})
+    assert seen.count(ante) == 2
+
+
+def test_check_candidates_shares_a_slot_term_across_rows(monkeypatch):
+    # succ(x) fills both slots of the first row and y of the second; it
+    # is evaluated once per value of x, as is x
+    model = MiniModel(cap=3, omega=2)
+    nf = parse_nf("universals: x:0\nexistentials: y:0, z:0\n"
+                  "matrix: z = x")
+    x = Var("x", N)
+    sx = app(SUCC, x)
+    seen = record_terms(monkeypatch)
+    report = check_candidates(model, nf, ((sx, sx), (sx, x)))
+    assert report.ok and report.checked == 2
+    assert [t for t, _env in seen] == [sx, x, sx, x]
+
+
+def test_check_candidates_evaluates_closed_slot_term_once(monkeypatch):
+    model = MiniModel(cap=3, omega=2)
+    nf = parse_nf("universals: x:0\nexistentials: y:0\nmatrix: y <= x")
+    seen = record_terms(monkeypatch)
+    report = check_candidates(model, nf, ((num(0),),))
+    assert report.ok and report.checked == 2
+    assert [t for t, _env in seen] == [num(0)]
+
+
+def test_check_candidates_evaluates_udnr_slot_terms_once_per_table(
+        monkeypatch):
+    # udnr's forward rows over all 256 tables f at cap 3: the two slot
+    # terms that read f are evaluated once per table, and the closed
+    # ones once in all
+    entry = udnr_entry()
+    model = entry.model
+    final = check_script(entry.forward, model).final
+    seen = record_terms(monkeypatch)
+    report = check_candidates(model, final.nf, final.rows,
+                              {"f": "all", "Psi": "st", "Xi": "st"})
+    assert report.ok and report.checked == 256
+    per_table = Counter((t, model.canon_key(pure(1), env["f"]))
+                        for t, env in seen)
+    assert max(per_table.values()) == 1
+    per_term = Counter(t for t, _env in seen)
+    assert sorted(per_term.values(), reverse=True)[:2] == [256, 256]
+    assert set(per_term.values()) == {1, 256}
+
+
+def test_check_candidates_evaluates_slot_naming_an_existential_per_candidate(
+        monkeypatch):
+    # the second slot reads the first existential, so it is evaluated in
+    # each candidate's environment, after the first slot
+    model = MiniModel(cap=3, omega=2)
+    nf = parse_nf("universals: x:0\nexistentials: y:0, z:0\n"
+                  "matrix: z = x")
+    x, y = Var("x", N), Var("y", N)
+    seen = record_terms(monkeypatch)
+    report = check_candidates(model, nf, ((app(SUCC, x), y), (x, y)))
+    assert report.ok and report.checked == 2
+    assert [t for t, _env in seen].count(y) == 4
+    assert [env["y"] for t, env in seen if t == y] == [1, 0, 2, 1]
+
+
+# ---------------------------------------------------------------------------
+# rules EXISTS-WITNESS and WEAKEN, and postprocess
+
+
+AXIOM = ("step 1: NF-AXIOM internal conclude (forall^st x:0) "
+         "x = x \\/ succ(x) = x")
+ONE_SLOT = "(forall^st x:0) (exists^st y:0) y = x"
+WITNESS = f"step 2: EXISTS-WITNESS 1 with (x) (succ(x)) conclude {ONE_SLOT}"
+
+
+def replay(*steps: str, groups=None):
+    """Replay the axiom above followed by ``steps``; ``groups``, when
+    given, replaces the witness tuples of the last step."""
+    script = parse_script("\n".join(("script rules", AXIOM) + steps))
+    if groups is not None:
+        last = dataclasses.replace(script.steps[-1], groups=groups)
+        script = dataclasses.replace(script,
+                                     steps=script.steps[:-1] + (last,))
+    return check_script(script)
+
+
+def test_exists_witness_introduces_rows():
+    final = replay(WITNESS).final
+    x = Var("x", N)
+    assert final.rows == ((x,), (app(SUCC, x),))
+    assert final.nf.existentials == (Var("y", N),)
+
+
+def test_weaken_appends_rows():
+    final = replay(WITNESS,
+                   f"step 3: WEAKEN 2 with (0) (x) conclude {ONE_SLOT}").final
+    x = Var("x", N)
+    assert final.rows == ((x,), (app(SUCC, x),), (num(0),), (x,))
+
+
+EW = "step 2 (EXISTS-WITNESS): "
+WK = "step 3 (WEAKEN): "
+
+
+@pytest.mark.parametrize("steps, message", [
+    ((f"step 2: EXISTS-WITNESS with (x) (succ(x)) conclude {ONE_SLOT}",),
+     EW + "needs exactly one premise"),
+    ((WITNESS, "step 3: EXISTS-WITNESS 2 with (x; x) conclude "
+               "(forall^st x:0) (exists^st y:0, z:0) y = x /\\ z = x"),
+     "step 3 (EXISTS-WITNESS): premise must be existential-free"),
+    (("step 2: EXISTS-WITNESS 1 with (x) conclude (forall^st x:0) x = x",),
+     EW + "conclusion introduces no existentials"),
+    (("step 2: EXISTS-WITNESS 1 with (z) (succ(z)) conclude "
+      "(forall^st z:0) (exists^st y:0) y = z",),
+     EW + "universal block must match the premise"),
+    ((f"step 2: EXISTS-WITNESS 1 conclude {ONE_SLOT}",),
+     EW + "needs at least one witness tuple"),
+    ((f"step 2: EXISTS-WITNESS 1 with (x; x) conclude {ONE_SLOT}",),
+     EW + "witness tuple has 2 slots, conclusion has 1 existentials"),
+    ((f"step 2: EXISTS-WITNESS 1 with (\\n:0. n) conclude {ONE_SLOT}",),
+     EW + "witness for y has type 1, expected 0"),
+    ((f"step 2: EXISTS-WITNESS 1 with (muscan(\\n:0. x)) "
+      f"conclude {ONE_SLOT}",),
+     EW + "muscan is not permitted in witness terms"),
+    ((f"step 2: EXISTS-WITNESS 1 with (x) conclude {ONE_SLOT}",),
+     EW + "premise matrix is not the disjunction of the instantiated "
+          "conclusion matrix"),
+    ((WITNESS, f"step 3: WEAKEN with (0) conclude {ONE_SLOT}"),
+     WK + "needs exactly one premise"),
+    ((WITNESS, "step 3: WEAKEN 2 with (0) conclude "
+               "(forall^st x:0) (exists^st y:0) x = y"),
+     WK + "conclusion must repeat the premise normal form"),
+    ((WITNESS, f"step 3: WEAKEN 2 conclude {ONE_SLOT}"),
+     WK + "needs at least one tuple to add"),
+    ((WITNESS, f"step 3: WEAKEN 2 with (0; 0) conclude {ONE_SLOT}"),
+     WK + "witness tuple has 2 slots, conclusion has 1 existentials"),
+    ((WITNESS, f"step 3: WEAKEN 2 with (\\n:0. n) conclude {ONE_SLOT}"),
+     WK + "witness for y has type 1, expected 0"),
+    ((WITNESS, f"step 3: WEAKEN 2 with (muscan(\\n:0. x)) "
+               f"conclude {ONE_SLOT}"),
+     WK + "muscan is not permitted in witness terms"),
+])
+def test_witness_rules_reject(steps, message):
+    with pytest.raises(ScriptError, match=re.escape(message)):
+        replay(*steps)
+
+
+@pytest.mark.parametrize("steps", [
+    (WITNESS,),
+    (WITNESS, f"step 3: WEAKEN 2 with (0) conclude {ONE_SLOT}"),
+])
+def test_witness_rules_reject_open_terms(steps):
+    # the parser already refuses unbound names, so the term is put into
+    # the parsed step directly
+    with pytest.raises(ScriptError, match=re.escape(
+            "open witness term for y: unbound ['z']")):
+        replay(*steps, groups=((Var("z", N),),))
+
+
+def test_postprocess_bounds_the_target_slot():
+    report = replay(WITNESS)
+    nf = report.final.nf
+    bound = postprocess(extract_terms(report), nf, "y").bound
+    model = MiniModel(cap=5, omega=2)
+    value = eval_term(model, bound, model.env())
+    assert [value.call(n) for n in range(4)] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("matrix, target, message", [
+    ("g(x) = 0 -> y = x", "w", "'w' is not a witness slot of the normal form"),
+    ("g(x) = 0 -> y = x", "g", "non-numeric target slot 'g': 1"),
+    ("y = x -> g(y) = 0", "y",
+     "consequent mentions witness slots other than the target: ['g']"),
+])
+def test_postprocess_rejects(matrix, target, message):
+    nf = parse_nf("universals: x:0\nexistentials: y:0, g:1\n"
+                  f"matrix: {matrix}")
+    t = Var("t", pure(0))   # never inspected: the checks come first
+    with pytest.raises(ScriptError, match=re.escape(message)):
+        postprocess(t, nf, target)
 
 
 def test_extract_function_needs_one_candidate():
