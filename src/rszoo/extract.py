@@ -8,24 +8,13 @@ sound when the premise guarantees that, for every assignment of the
 universals, at least one candidate tuple satisfies the matrix.  The
 rules:
 
-  NF-AXIOM      trusted starting point.  Kinds ``internal`` and
-                ``ideal`` may not introduce existentials; kinds ``hac``
-                and ``qf-ac`` introduce exactly one functional
-                existential, recorded as an oracle obligation.
-  FORALL-INTRO  generalize a script parameter.
-  FORALL-ELIM   instantiate a universal with a term that is closed up
-                to script parameters.
+  NF-AXIOM      trusted starting point of kind ``internal``; it takes no
+                premises and may not introduce existentials.
   EXISTS-WITNESS  introduce existentials; the premise matrix must be
                 exactly the disjunction of the instantiated conclusion
                 matrix, one disjunct per tuple.
   WEAKEN        append candidate tuples (always sound: the implicit
                 disjunction only grows).
-  TUPLE-MERGE   combine two derivations of the same normal form.
-  MONOTONE-MP   push candidates through a pointwise implication proved
-                under plain universals.
-  LEAST-WITNESS replace a numeric witness slot by a tighter term; the
-                matrix must be upward monotone in that slot, which a
-                model certifies by brute force.
 
 Extraction then reads the final candidate list back as one closed term
 ``\\xs. <seq of tuples>`` and, for a numeric target slot, collapses it
@@ -38,14 +27,14 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .lang import (Abs, App, Const, ExistsSt, Forall, ForallSt, Formula,
-                   Implies, N, SEQMAX, Term, Var, alpha_eq_f, app, append_c,
-                   disj, empty_c, foralls, free_vars, free_vars_f,
-                   infer_type, is_internal, lam, num, pair_c, parse_formula,
-                   parse_term, parse_type, pure, show_formula, show_term,
-                   show_type, stdterms, subst_f, substitute, subterms)
+from .lang import (Abs, App, Const, ExistsSt, ForallSt, Formula, Implies, N,
+                   ParseError, SEQMAX, Term, Var, alpha_eq_f, app, append_c,
+                   disj, empty_c, free_vars, free_vars_f, infer_type,
+                   is_internal, lam, num, pair_c, parse_formula, parse_term,
+                   parse_type, pure, show_formula, show_term, show_type,
+                   stdterms, subst_f, substitute, subterms)
 from .lang.types import Arrow, FiniteType, Product
-from .normalform import monotone_in_witness, normalize_principle
+from .normalform import normalize_principle
 from .translate import NormalForm, alpha_eq_nf, show_nf
 
 
@@ -53,9 +42,8 @@ class ScriptError(Exception):
     pass
 
 
-RULES = ("NF-AXIOM", "FORALL-INTRO", "FORALL-ELIM", "EXISTS-WITNESS",
-         "WEAKEN", "TUPLE-MERGE", "MONOTONE-MP", "LEAST-WITNESS")
-AXIOM_KINDS = ("internal", "ideal", "hac", "qf-ac")
+RULES = ("NF-AXIOM", "EXISTS-WITNESS", "WEAKEN")
+AXIOM_KINDS = ("internal",)
 
 Row = tuple[Term, ...]
 
@@ -70,7 +58,6 @@ class ProofStep:
     rule: str
     kind: str | None          # NF-AXIOM flavour
     premises: tuple[int, ...]
-    name: str | None          # variable argument of INTRO/ELIM/LEAST-WITNESS
     groups: tuple[Row, ...]   # term tuples following ``with``
     conclusion: Formula
 
@@ -119,15 +106,17 @@ def _split_token(text: str, token: str) -> tuple[str, str | None]:
     return text, None
 
 
-def _paren_groups(text: str) -> list[list[str]]:
-    """Parse ``(a; b) (c; d)`` into groups of raw term strings."""
+def _paren_groups(text: str, index: int) -> list[list[str]]:
+    """Parse step ``index``'s ``(a; b) (c; d)`` into groups of raw term
+    strings."""
     groups, i, n = [], 0, len(text)
     while i < n:
         if text[i].isspace():
             i += 1
             continue
         if text[i] != "(":
-            raise ScriptError(f"expected '(' in witness groups near {text[i:]!r}")
+            raise ScriptError(f"step {index}: expected '(' in witness "
+                              f"groups near {text[i:]!r}")
         depth, j, cuts = 0, i, [i]
         while j < n:
             if text[j] == "(":
@@ -140,11 +129,23 @@ def _paren_groups(text: str) -> list[list[str]]:
                 cuts.append(j)
             j += 1
         if depth != 0:
-            raise ScriptError("unbalanced parentheses in witness groups")
+            raise ScriptError(f"step {index}: unbalanced parentheses in "
+                              "witness groups")
         cuts.append(j)
         groups.append([text[a + 1:b].strip() for a, b in zip(cuts, cuts[1:])])
         i = j + 1
     return groups
+
+
+def _parsed(part: str, parse, *args):
+    """``parse(*args)`` on one part of a stanza.  A ParseError becomes a
+    ScriptError naming the part, since its position counts from the
+    start of that part, not of the script."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        raise ScriptError(f"{part}: {exc.msg} (at {exc.line}:{exc.col} "
+                          "of that part)") from None
 
 
 def parse_script(text: str) -> ProofScript:
@@ -161,16 +162,17 @@ def parse_script(text: str) -> ProofScript:
         elif head == "param":
             if ":" not in rest:
                 raise ScriptError(f"param needs 'name : type': {stanza!r}")
-            pname, tysrc = rest.split(":", 1)
-            v = Var(pname.strip(), parse_type(tysrc.strip()))
+            pname, tysrc = (p.strip() for p in rest.split(":", 1))
+            v = Var(pname, _parsed(f"param {pname}", parse_type, tysrc))
             params.append(v)
             env[v.name] = v.ty
         elif head == "let":
             if ":=" not in rest:
                 raise ScriptError(f"let needs 'name := term': {stanza!r}")
-            lname, tsrc = rest.split(":=", 1)
-            body = substitute(parse_term(tsrc.strip(), dict(env)), lets)
-            v = Var(lname.strip(), infer_type(body))
+            lname, tsrc = (p.strip() for p in rest.split(":=", 1))
+            body = substitute(_parsed(f"let {lname}", parse_term, tsrc,
+                                      dict(env)), lets)
+            v = Var(lname, infer_type(body))
             lets[v] = body
             env[v.name] = v.ty
         elif head == "step":
@@ -204,18 +206,16 @@ def _parse_step(rest: str, env: dict[str, FiniteType],
         raise ScriptError(f"step {index}: unknown rule {rule!r}")
     kind = None
     premises: list[int] = []
-    varname = None
     for w in args:
         if w in AXIOM_KINDS:
             kind = w
         elif w.isdigit():
             premises.append(int(w))
-        elif varname is None:
-            varname = w
         else:
             raise ScriptError(f"step {index}: unexpected token {w!r}")
 
-    concl = subst_f(parse_formula(concl_src.strip(), dict(env)), lets)
+    concl = subst_f(_parsed(f"step {index}: conclusion", parse_formula,
+                            concl_src.strip(), dict(env)), lets)
 
     # witness terms may mention the conclusion's universals
     scope = dict(env)
@@ -226,11 +226,13 @@ def _parse_step(rest: str, env: dict[str, FiniteType],
 
     groups: list[Row] = []
     if with_src is not None:
-        for g in _paren_groups(with_src):
-            groups.append(tuple(substitute(parse_term(src, scope), lets)
-                                for src in g))
-    return ProofStep(index, rule, kind, tuple(premises), varname,
-                     tuple(groups), concl)
+        for g, srcs in enumerate(_paren_groups(with_src, index), 1):
+            groups.append(tuple(
+                substitute(_parsed(f"step {index}: witness group {g}, "
+                                   f"slot {k}", parse_term, src, scope), lets)
+                for k, src in enumerate(srcs, 1)))
+    return ProofStep(index, rule, kind, tuple(premises), tuple(groups),
+                     concl)
 
 
 # ---------------------------------------------------------------------------
@@ -261,40 +263,27 @@ class StepResult:
     step: ProofStep
     nf: NormalForm
     rows: tuple[Row, ...]
-    oracle: str | None = None
 
     def line(self) -> str:
-        extra = f", oracle {self.oracle}" if self.oracle else ""
         return (f"step {self.step.index}: {self.step.rule} ok "
-                f"({len(self.rows)} candidate(s){extra})")
+                f"({len(self.rows)} candidate(s))")
 
 
 @dataclass
 class ScriptReport:
     script: ProofScript
     results: tuple[StepResult, ...]
-    obligations: tuple[str, ...]
-    model_checked: bool
 
     @property
     def final(self) -> StepResult:
         return self.results[-1]
 
     def lines(self) -> list[str]:
-        out = [r.line() for r in self.results]
-        if self.obligations:
-            out.append("obligations: " + ", ".join(self.obligations))
-        return out
+        return [r.line() for r in self.results]
 
 
 def _fail(step: ProofStep, msg: str):
     raise ScriptError(f"step {step.index} ({step.rule}): {msg}")
-
-
-def _no_muscan(step: ProofStep, t: Term):
-    if any(isinstance(s, Const) and s.name == "muscan" for s in subterms(t)):
-        _fail(step, "muscan is not permitted in witness terms; "
-                    "search must be spelled out as a bounded recursion")
 
 
 def _check_rows(step: ProofStep, rows: tuple[Row, ...],
@@ -306,7 +295,11 @@ def _check_rows(step: ProofStep, rows: tuple[Row, ...],
             _fail(step, f"witness tuple has {len(row)} slots, "
                         f"conclusion has {len(existentials)} existentials")
         for v, t in zip(existentials, row):
-            _no_muscan(step, t)
+            if any(isinstance(s, Const) and s.name == "muscan"
+                   for s in subterms(t)):
+                _fail(step, "muscan is not permitted in witness terms; "
+                            "search must be spelled out as a bounded "
+                            "recursion")
             loose = {w.name for w in free_vars(t)} - set(scope)
             if loose:
                 _fail(step, f"open witness term for {v.name}: "
@@ -317,13 +310,12 @@ def _check_rows(step: ProofStep, rows: tuple[Row, ...],
                             f"expected {show_type(v.ty)}")
 
 
-def check_script(script: ProofScript, model=None) -> ScriptReport:
+def check_script(script: ProofScript) -> ScriptReport:
     """Replay a script, rule by rule.  Raises ScriptError naming the
     step and the violated side condition; returns a report with the
     per-step normal forms and candidate tuples."""
     params = script.param_types()
     results: dict[int, StepResult] = {}
-    obligations: list[str] = []
 
     for step in script.steps:
         if step.index in results:
@@ -337,84 +329,28 @@ def check_script(script: ProofScript, model=None) -> ScriptReport:
             if p not in results:
                 _fail(step, f"premise {p} not yet derived")
             prems.append(results[p])
-        handler = _RULE_HANDLERS[step.rule]
-        res = handler(step, nf, prems, params, model)
-        results[step.index] = res
-        if res.oracle:
-            obligations.append(res.oracle)
+        results[step.index] = _RULE_HANDLERS[step.rule](step, nf, prems,
+                                                        params)
 
-    ordered = tuple(results[i] for i in sorted(results))
-    return ScriptReport(script, ordered, tuple(obligations), model is not None)
+    return ScriptReport(script, tuple(results[i] for i in sorted(results)))
 
 
-def _rule_nf_axiom(step, nf, prems, params, model):
+def _rule_nf_axiom(step, nf, prems, params):
     if prems:
         _fail(step, "axioms take no premises")
     if step.kind is None:
         _fail(step, f"axiom needs a kind among {AXIOM_KINDS}")
-    if step.kind in ("internal", "ideal"):
-        if nf.existentials:
-            _fail(step, f"{step.kind} axiom cannot introduce existentials")
-        return StepResult(step, nf, ((),))
-    # hac / qf-ac: one functional existential, left as an obligation
-    if len(nf.existentials) != 1 or not isinstance(nf.existentials[0].ty, Arrow):
-        _fail(step, "choice axiom must introduce exactly one functional "
-                    "existential")
-    w = nf.existentials[0]
-    return StepResult(step, nf, ((Var(w.name, w.ty),),), oracle=w.name)
+    if nf.existentials:
+        _fail(step, f"{step.kind} axiom cannot introduce existentials")
+    return StepResult(step, nf, ((),))
 
 
-def _rule_forall_intro(step, nf, prems, params, model):
-    if len(prems) != 1:
-        _fail(step, "needs exactly one premise")
-    prem = prems[0]
-    if step.name is None or step.name not in params:
-        _fail(step, "can only generalize a declared script parameter")
-    v = Var(step.name, params[step.name])
-    want = NormalForm(prem.nf.universals + (v,), prem.nf.existentials,
-                      prem.nf.matrix)
-    if not alpha_eq_nf(nf, want):
-        _fail(step, f"conclusion must be {show_nf(want)}")
-    return StepResult(step, nf, prem.rows, oracle=prem.oracle)
-
-
-def _rule_forall_elim(step, nf, prems, params, model):
-    if len(prems) != 1:
-        _fail(step, "needs exactly one premise")
-    prem = prems[0]
-    if len(step.groups) != 1 or len(step.groups[0]) != 1:
-        _fail(step, "needs exactly one instantiation term")
-    t = step.groups[0][0]
-    _no_muscan(step, t)
-    loose = {w.name for w in free_vars(t)} - set(params)
-    if loose:
-        _fail(step, f"instantiation term must be closed up to script "
-                    f"parameters; unbound {sorted(loose)}")
-    target = next((u for u in prem.nf.universals if u.name == step.name), None)
-    if target is None:
-        _fail(step, f"{step.name!r} is not a universal of the premise")
-    ty = infer_type(t, dict(params))
-    if ty != target.ty:
-        _fail(step, f"instantiation has type {show_type(ty)}, expected "
-                    f"{show_type(target.ty)}")
-    rest = tuple(u for u in prem.nf.universals if u.name != step.name)
-    want = NormalForm(rest, prem.nf.existentials,
-                      subst_f(prem.nf.matrix, {target: t}))
-    if not alpha_eq_nf(nf, want):
-        _fail(step, f"conclusion must be {show_nf(want)}")
-    rows = tuple(tuple(substitute(r, {target: t}) for r in row)
-                 for row in prem.rows)
-    return StepResult(step, nf, rows, oracle=prem.oracle)
-
-
-def _rule_exists_witness(step, nf, prems, params, model):
+def _rule_exists_witness(step, nf, prems, params):
     if len(prems) != 1:
         _fail(step, "needs exactly one premise")
     prem = prems[0]
     if prem.nf.existentials:
         _fail(step, "premise must be existential-free")
-    if prem.oracle:
-        _fail(step, "premise carries an oracle obligation")
     if not nf.existentials:
         _fail(step, "conclusion introduces no existentials")
     if nf.universals != prem.nf.universals:
@@ -433,7 +369,7 @@ def _rule_exists_witness(step, nf, prems, params, model):
     return StepResult(step, nf, step.groups)
 
 
-def _rule_weaken(step, nf, prems, params, model):
+def _rule_weaken(step, nf, prems, params):
     if len(prems) != 1:
         _fail(step, "needs exactly one premise")
     prem = prems[0]
@@ -444,86 +380,13 @@ def _rule_weaken(step, nf, prems, params, model):
     scope = dict(params)
     scope.update({u.name: u.ty for u in nf.universals})
     _check_rows(step, step.groups, nf.existentials, scope)
-    return StepResult(step, nf, prem.rows + step.groups, oracle=prem.oracle)
-
-
-def _rule_tuple_merge(step, nf, prems, params, model):
-    if len(prems) != 2:
-        _fail(step, "needs exactly two premises")
-    a, b = prems
-    if not (alpha_eq_nf(nf, a.nf) and alpha_eq_nf(nf, b.nf)):
-        _fail(step, "both premises must share the conclusion normal form")
-    oracle = a.oracle or b.oracle
-    if a.oracle and b.oracle:
-        _fail(step, "cannot merge two oracle obligations")
-    return StepResult(step, nf, a.rows + b.rows, oracle=oracle)
-
-
-def _rule_monotone_mp(step, nf, prems, params, model):
-    if len(prems) != 2:
-        _fail(step, "needs exactly two premises")
-    main, impl = prems
-    if impl.nf.existentials:
-        _fail(step, "second premise must be existential-free")
-    if nf.universals != main.nf.universals or \
-            nf.existentials != main.nf.existentials:
-        _fail(step, "conclusion blocks must match the first premise")
-    if impl.nf.universals != main.nf.universals:
-        _fail(step, "second premise must share the universal block")
-    want = foralls(list(nf.existentials),
-                   Implies(main.nf.matrix, nf.matrix), node=Forall)
-    if not alpha_eq_f(impl.nf.matrix, want):
-        _fail(step, "second premise must be the pointwise implication "
-                    "under plain universals: " + show_formula(want))
-    return StepResult(step, nf, main.rows, oracle=main.oracle)
-
-
-def _rule_least_witness(step, nf, prems, params, model):
-    if len(prems) != 1:
-        _fail(step, "needs exactly one premise")
-    prem = prems[0]
-    if model is None:
-        _fail(step, "needs a model to certify monotonicity in the witness")
-    if not alpha_eq_nf(nf, prem.nf):
-        _fail(step, "conclusion must repeat the premise normal form")
-    names = [v.name for v in nf.existentials]
-    if step.name not in names:
-        _fail(step, f"{step.name!r} is not an existential")
-    idx = names.index(step.name)
-    if nf.existentials[idx].ty != N:
-        _fail(step, f"{step.name!r} is not a numeric witness slot")
-    if not monotone_in_witness(model, prem.nf, step.name):
-        _fail(step, f"matrix is not upward monotone in {step.name!r}")
-    if len(step.groups) not in (1, len(prem.rows)):
-        _fail(step, "needs one replacement term, or one per candidate")
-    terms = [g[0] for g in step.groups]
-    if any(len(g) != 1 for g in step.groups):
-        _fail(step, "replacement groups must be single terms")
-    scope = dict(params)
-    scope.update({u.name: u.ty for u in nf.universals})
-    for t in terms:
-        _no_muscan(step, t)
-        loose = {w.name for w in free_vars(t)} - set(scope)
-        if loose:
-            _fail(step, f"open replacement term: unbound {sorted(loose)}")
-        if infer_type(t, dict(scope)) != N:
-            _fail(step, "replacement term must be numeric")
-    if len(terms) == 1:
-        terms = terms * len(prem.rows)
-    rows = tuple(row[:idx] + (t,) + row[idx + 1:]
-                 for row, t in zip(prem.rows, terms))
-    return StepResult(step, nf, rows, oracle=prem.oracle)
+    return StepResult(step, nf, prem.rows + step.groups)
 
 
 _RULE_HANDLERS = {
     "NF-AXIOM": _rule_nf_axiom,
-    "FORALL-INTRO": _rule_forall_intro,
-    "FORALL-ELIM": _rule_forall_elim,
     "EXISTS-WITNESS": _rule_exists_witness,
     "WEAKEN": _rule_weaken,
-    "TUPLE-MERGE": _rule_tuple_merge,
-    "MONOTONE-MP": _rule_monotone_mp,
-    "LEAST-WITNESS": _rule_least_witness,
 }
 
 
@@ -548,21 +411,16 @@ def _tuple_term(existentials: tuple[Var, ...], row: Row) -> Term:
     return out
 
 
-def _require_closed(t: Term, report: ScriptReport) -> Term:
+def _require_closed(t: Term) -> Term:
     loose = sorted(v.name for v in free_vars(t))
     if loose:
-        unmet = [o for o in report.obligations if o in loose]
-        if unmet:
-            raise ScriptError("unrealized declared oracle (qf-ac) left "
-                              f"free: unmet obligations {unmet}")
         raise ScriptError(f"extracted term is open: unbound {loose}")
     return t
 
 
 def extract_terms(report: ScriptReport) -> Term:
     """Closed realizing term ``\\xs. <seq of witness tuples>`` for the
-    final step of a replayed script.  An oracle obligation left free in
-    the tuples makes the term open, which is an error."""
+    final step of a replayed script."""
     nf, rows = report.final.nf, report.final.rows
     if not nf.existentials:
         raise ScriptError("final step has no existentials to extract")
@@ -572,7 +430,7 @@ def extract_terms(report: ScriptReport) -> Term:
     seq = empty_c(tupty)
     for row in rows:
         seq = app(append_c(tupty), seq, _tuple_term(nf.existentials, row))
-    return _require_closed(lam(*nf.universals, seq), report)
+    return _require_closed(lam(*nf.universals, seq))
 
 
 def extract_function(report: ScriptReport) -> Term:
@@ -584,8 +442,7 @@ def extract_function(report: ScriptReport) -> Term:
                           "and one witness slot; got "
                           f"{len(final.rows)} candidate(s) over "
                           f"{len(final.nf.existentials)} slot(s)")
-    return _require_closed(lam(*final.nf.universals, final.rows[0][0]),
-                           report)
+    return _require_closed(lam(*final.nf.universals, final.rows[0][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -676,16 +533,14 @@ def _value_label(model, ty, v) -> str:
 
 
 def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
-                     plans: dict[str, str] | None = None,
-                     env: dict | None = None) -> CandidateReport:
+                     plans: dict[str, str] | None = None) -> CandidateReport:
     """Sweep the universals and test that some candidate tuple satisfies
     the matrix at every assignment.
 
     ``plans`` maps a universal name to ``"all"`` (full enumeration),
     ``"st"`` (declared/standard population, the default — the block is
     a forall^st), or the name of a declared object to pin the universal
-    to that one value.  ``env`` supplies values for oracle names left
-    free in the rows.
+    to that one value.
 
     When the matrix is an implication, its consequent is evaluated only
     where the antecedent holds.
@@ -711,9 +566,7 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     from .interp import ModelError, eval_formula, eval_term
 
     plans = plans or {}
-    base_env = dict(model.env())
-    if env:
-        base_env.update(env)
+    base_env = model.env()
     pools = []
     for v in nf.universals:
         plan = plans.get(v.name, "st")
@@ -834,43 +687,6 @@ class ExplicitImplication:
         return [f"{tag}: {line}" for tag, line in self.stages]
 
 
-def compose_explicit(ab: ExplicitImplication,
-                     bc: ExplicitImplication) -> ExplicitImplication:
-    """Compose A => B with B => C.  Terms compose as functions on their
-    first argument; currying carries any remaining arguments."""
-    if ab.target != bc.source:
-        raise ScriptError(f"signature mismatch: {ab.source}=>{ab.target} "
-                          f"cannot feed {bc.source}=>{bc.target}")
-    forward = None
-    if ab.forward_term is not None and bc.forward_term is not None:
-        dom = infer_type(ab.forward_term)
-        mid = infer_type(bc.forward_term)
-        if not (isinstance(dom, Arrow) and isinstance(mid, Arrow)
-                and dom.cod == mid.dom):
-            raise ScriptError(
-                "signature mismatch: forward terms do not chain "
-                f"({show_type(dom)} then {show_type(mid)})")
-        v = Var("v0", dom.dom)
-        forward = lam(v, App(bc.forward_term, App(ab.forward_term, v)))
-    backward = None
-    flags = tuple(sorted(set(ab.flags) | set(bc.flags)))
-    if ab.backward_term is not None and bc.backward_term is not None:
-        dom = infer_type(bc.backward_term)
-        mid = infer_type(ab.backward_term)
-        if not (isinstance(dom, Arrow) and isinstance(mid, Arrow)
-                and dom.cod == mid.dom):
-            raise ScriptError(
-                "signature mismatch: backward terms do not chain "
-                f"({show_type(dom)} then {show_type(mid)})")
-        w = Var("w0", dom.dom)
-        backward = lam(w, App(ab.backward_term, App(bc.backward_term, w)))
-    else:
-        flags = tuple(sorted(set(flags) | {"backward-missing"}))
-    return ExplicitImplication(ab.source, bc.target, forward, backward,
-                               flags=flags,
-                               stages=ab.stages + bc.stages)
-
-
 def _stage(entry_id: str, tag: str, fn):
     try:
         return fn()
@@ -891,9 +707,8 @@ def rs_run(entry) -> ExplicitImplication:
     stages: list[tuple[str, str]] = []
     flags: set[str] = set()
 
-    mode = getattr(entry, "mode", "direct")
     nf = _stage(eid, "normalize",
-                lambda: normalize_principle(entry.principle, accept=mode))
+                lambda: normalize_principle(entry.principle))
     stages.append(("normalize", show_nf(nf)))
 
     if entry.expect is not None:
@@ -906,23 +721,17 @@ def rs_run(entry) -> ExplicitImplication:
     forward_term = bound = None
     if entry.forward is not None:
         rep = _stage(eid, "check-forward",
-                     lambda: check_script(entry.forward, model))
+                     lambda: check_script(entry.forward))
         stages.extend(("check-forward", l) for l in rep.lines())
         if not alpha_eq_nf(rep.final.nf, nf):
             raise ScriptError(f"{eid}/align: forward script concludes "
                               f"{show_nf(rep.final.nf)}, but the principle "
                               f"normalizes to {show_nf(nf)}")
         stages.append(("align", "script conclusion matches the normal form"))
-        oracle_env = _stage(eid, "oracles",
-                            lambda: discharge_obligations(model, rep))
-        if oracle_env:
-            stages.append(("oracles", "discharged: "
-                           + ", ".join(sorted(oracle_env))))
-            flags.add("oracle-discharged-in-model")
         final = rep.final
         cand = _stage(eid, "candidates-forward",
                       lambda: check_candidates(model, final.nf, final.rows,
-                                               entry.plans, env=oracle_env))
+                                               entry.plans))
         stages.append(("candidates-forward", cand.line()))
         if not cand.ok:
             raise ScriptError(f"{eid}/candidates-forward: {cand.line()}")
@@ -930,24 +739,19 @@ def rs_run(entry) -> ExplicitImplication:
             flags.add("antecedent-vacuous")
         if cand.overflowed:
             flags.add("overflowed")
-        if not oracle_env:
-            t = _stage(eid, "extract-forward",
-                       lambda: extract_terms(rep))
-            post = _stage(eid, "postprocess",
-                          lambda: postprocess(t, final.nf, entry.witness))
-            bound = post.bound
-            stages.append(("postprocess",
-                           f"bound {show_term_brief(post.bound)}"))
-            forward_term = _stage(eid, "collapse",
-                                  lambda: _mu_collapse(final.nf, post.bound))
-            stages.append(("collapse", show_term_brief(forward_term)))
-        else:
-            flags.add("forward-term-withheld")
+        t = _stage(eid, "extract-forward", lambda: extract_terms(rep))
+        post = _stage(eid, "postprocess",
+                      lambda: postprocess(t, final.nf, entry.witness))
+        bound = post.bound
+        stages.append(("postprocess", f"bound {show_term_brief(post.bound)}"))
+        forward_term = _stage(eid, "collapse",
+                              lambda: _mu_collapse(final.nf, post.bound))
+        stages.append(("collapse", show_term_brief(forward_term)))
 
     backward_term = None
     if entry.backward is not None:
         rep = _stage(eid, "check-backward",
-                     lambda: check_script(entry.backward, model))
+                     lambda: check_script(entry.backward))
         stages.extend(("check-backward", l) for l in rep.lines())
         final = rep.final
         cand = _stage(eid, "candidates-backward",
@@ -977,32 +781,6 @@ def _mu_collapse(nf: NormalForm, bound: Term) -> Term:
     others = [v for v in nf.universals if v.name != fvar.name]
     body = app(leastz_t(), fvar, app(bound, *nf.universals))
     return lam(*others, fvar, body)
-
-
-def discharge_obligations(model, report: ScriptReport) -> dict:
-    """Resolve qf-ac oracle obligations by exhaustive search over the
-    declared population of the oracle's type.  Returns name -> value."""
-    from .interp import eval_formula
-
-    out: dict = {}
-    for res in report.results:
-        if res.oracle is None or res.step.rule != "NF-AXIOM":
-            continue
-        w = res.nf.existentials[0]
-        body = foralls(list(res.nf.universals), res.nf.matrix,
-                       node=ForallSt)
-        found = None
-        for cand in model.population(w.ty, standard=True):
-            env = dict(model.env())
-            env[w.name] = cand
-            if eval_formula(model, body, env=env):
-                found = cand
-                break
-        if found is None:
-            raise ScriptError(f"obligation {w.name!r}: no declared witness "
-                              "satisfies the choice axiom in the model")
-        out[w.name] = found
-    return out
 
 
 def show_term_brief(t: Term, limit: int = 120) -> str:

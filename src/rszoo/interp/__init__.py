@@ -8,12 +8,8 @@ from .model import (FnV, MiniModel, ModelError, ModelRefusal, PairV, SeqV,
                     eval_formula, eval_term, parse_model_config,
                     show_model_config, table_fn, tabulate, values_equal,
                     zero_value)
-from .constructions import (NoZero, SideConditionError, bounds_pair,
-                            build_construction, cohesive_Rprime, colouring_d0,
-                            extensionality_search, lt0_order, meeh_g,
-                            mu_bruteforce, mu_op, point_at_infinity_Y0,
-                            prec_order, psi_theta, theta, uads_selector,
-                            udnr_counterexample_D, xi_search)
+from .constructions import (build_construction, extensionality_search,
+                            mu_op, psi_theta, theta, xi_search)
 
 __all__ = [
     "DidNotHalt", "HaltsWith", "MachineError", "Program", "decode_program",
@@ -22,9 +18,6 @@ __all__ = [
     "FnV", "MiniModel", "ModelError", "ModelRefusal", "PairV", "SeqV",
     "eval_formula", "eval_term", "parse_model_config", "show_model_config",
     "table_fn", "tabulate", "values_equal", "zero_value",
-    "NoZero", "SideConditionError", "bounds_pair", "build_construction",
-    "cohesive_Rprime", "colouring_d0", "extensionality_search", "lt0_order",
-    "meeh_g", "mu_bruteforce", "mu_op", "point_at_infinity_Y0", "prec_order",
-    "psi_theta", "theta", "uads_selector", "udnr_counterexample_D",
-    "xi_search",
+    "build_construction", "extensionality_search", "mu_op", "psi_theta",
+    "theta", "xi_search",
 ]

@@ -1,6 +1,6 @@
 """Finite-type language: types, terms, formulas, parsing, printing."""
 from .types import (Arrow, Base, FiniteType, N, Product, Seq, arrows, pure,
-                    pure_degree, show_type)
+                    show_type)
 from .terms import (Abs, App, CONST_NAMES, Const, INITSEG, LangError, MUSCAN,
                     RUN, SEQMAX, SUCC, Term, TypeCheckError, Var, ZERO, alpha_eq,
                     app, append_c, empty_c, free_vars, fresh_name, fst_c, get_c,

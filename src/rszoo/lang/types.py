@@ -60,7 +60,7 @@ def pure(n: int) -> FiniteType:
     return ty
 
 
-def pure_degree(ty: FiniteType) -> Optional[int]:
+def _pure_degree(ty: FiniteType) -> Optional[int]:
     """Inverse of pure(): the numeral for ty, or None if ty is not pure."""
     n = 0
     while isinstance(ty, Arrow):
@@ -81,19 +81,19 @@ def arrows(doms: list[FiniteType] | tuple[FiniteType, ...], cod: FiniteType) -> 
 
 def _show_atom(ty: FiniteType) -> str:
     s = show_type(ty)
-    if isinstance(ty, Base) or pure_degree(ty) is not None:
+    if isinstance(ty, Base) or _pure_degree(ty) is not None:
         return s
     return f"({s})"
 
 
 def show_type(ty: FiniteType) -> str:
-    deg = pure_degree(ty)
+    deg = _pure_degree(ty)
     if deg is not None:
         return str(deg)
     if isinstance(ty, Arrow):
         # -> is right-associative; parenthesize non-pure arrow domains
         dom = show_type(ty.dom)
-        if isinstance(ty.dom, Arrow) and pure_degree(ty.dom) is None:
+        if isinstance(ty.dom, Arrow) and _pure_degree(ty.dom) is None:
             dom = f"({dom})"
         return f"{dom} -> {show_type(ty.cod)}"
     if isinstance(ty, Product):
@@ -102,7 +102,7 @@ def show_type(ty: FiniteType) -> str:
         return f"{l} x {r}"
     if isinstance(ty, Seq):
         inner = show_type(ty.elem)
-        if isinstance(ty.elem, (Arrow, Product)) and pure_degree(ty.elem) is None:
+        if isinstance(ty.elem, (Arrow, Product)) and _pure_degree(ty.elem) is None:
             inner = f"({inner})"
         return f"{inner}*"
     raise TypeError(f"not a finite type: {ty!r}")

@@ -19,9 +19,8 @@ and the extractor work with:
                           implication to the front, flipping those in
                           negative position, consequent first.
 
-The pipeline refuses anything outside this grammar; implication-shaped
-statements (hypothesis to bounded conclusion) enter through
-``contrapose_accept`` instead.
+The pipeline refuses anything outside this grammar, implication-shaped
+statements (hypothesis to bounded conclusion) included.
 
 The quantifier exchanges in step 4 are classical equivalences over
 nonempty finite ranges, so the output stays truth-equivalent to its
@@ -30,7 +29,6 @@ types are nonempty; tests check this by brute force at small caps.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,8 +119,7 @@ def uniformize(base: Formula) -> UniformPrinciple:
     if not xs:
         raise NormalFormError(
             "expected a statement opening with plain universal "
-            "quantifiers; implication-shaped statements go through "
-            "contrapose_accept")
+            "quantifiers")
     if not is_internal(matrix):
         bad = next(g for g in subformulas(matrix)
                    if isinstance(g, (St, ForallSt, ExistsSt)))
@@ -174,61 +171,6 @@ def _extensionality(fn: Var, arg_tys: list[FiniteType],
     for v in reversed(cs + ds):
         body = ForallSt(v, body)
     return body
-
-
-# ---------------------------------------------------------------------------
-# alternative entrance: implication-shaped statements
-
-def contrapose_accept(base: Formula) -> UniformPrinciple:
-    """Accept a hypothesis-to-conclusion statement directly.
-
-    Grammar: optional plain universal parameters, then an implication
-    of internal formulas.  When the conclusion opens with an existential
-    (plain or bounded) that witness is what the solution functional
-    returns; a bound becomes an explicit conjunct.  Everything else is
-    left in place.
-    """
-    xs, rest = _strip(base, Forall)
-    if not isinstance(rest, Implies):
-        raise NormalFormError("contrapose_accept needs an implication "
-                              "after the parameters")
-    hyp, ccl = rest.left, rest.right
-    if not is_internal(hyp) or not is_internal(ccl):
-        raise NormalFormError("both sides of the implication must be "
-                              "internal")
-
-    y = None
-    bound = None
-    if isinstance(ccl, Exists):
-        y, inner = ccl.var, ccl.body
-    elif isinstance(ccl, BExists) and ccl.kind == "le":
-        y, bound, inner = ccl.var, ccl.bound, ccl.body
-    if y is None:
-        strong = Implies(hyp, ccl)
-        for v in reversed(xs):
-            strong = ForallSt(v, strong)
-        return UniformPrinciple(base, base, strong)
-
-    taken = all_names_f(base)
-    fn = Var(fresh_name("Psi", taken), arrows([x.ty for x in xs], y.ty))
-    wit = app(fn, *[x for x in xs]) if xs else fn
-    got = subst_f(inner, {y: wit})
-    if bound is not None:
-        got = And(Atom("<=", (wit, bound)), got)
-    body = Implies(hyp, got)
-
-    uniform = body
-    for x in reversed(xs):
-        uniform = Forall(x, uniform)
-    uniform = Exists(fn, uniform)
-
-    core = body
-    for x in reversed(xs):
-        core = ForallSt(x, core)
-    ext = _extensionality(fn, [x.ty for x in xs], taken) if xs else None
-    strong = And(core, ext) if ext is not None else core
-    strong = ExistsSt(fn, strong)
-    return UniformPrinciple(base, uniform, strong, (fn,))
 
 
 # ---------------------------------------------------------------------------
@@ -474,49 +416,15 @@ def prenex_to_normal(f: Formula) -> NormalForm:
 
 
 # ---------------------------------------------------------------------------
-# monotonicity guard (for witness collapses and least-witness rewrites)
-
-def monotone_in_witness(model, nf: NormalForm, name: str) -> bool:
-    """Brute-force check that the matrix never flips from true to false
-    as the named existential witness grows, over the model's standard
-    populations for the other block variables."""
-    from .interp import eval_formula
-    wit = next((v for v in nf.existentials if v.name == name), None)
-    if wit is None or wit.ty != N:
-        raise NormalFormError(f"{name!r} is not a numeric existential")
-    others = [v for v in nf.universals + nf.existentials if v.name != name]
-    pops = [model.population(v.ty, standard=True) for v in others]
-    for combo in itertools.product(*pops):
-        env = dict(model.env())
-        env.update({v.name: val for v, val in zip(others, combo)})
-        prev = None
-        for w in range(model.cap + 1):
-            env[wit.name] = w
-            cur = eval_formula(model, nf.matrix, env)
-            if prev is True and cur is False:
-                return False
-            prev = cur
-    return True
-
-
-# ---------------------------------------------------------------------------
 # the composed pipeline
 
 def normalize_principle(base: Formula,
-                        steps: list | None = None,
-                        accept: str = "direct") -> NormalForm:
+                        steps: list | None = None) -> NormalForm:
     """Full pipeline: problem statement to the two-block implication
-    normal form against the bounded-zero transfer target.
-
-    ``accept`` picks the uniformization reading: ``direct`` for
-    solver-shaped statements, ``contrapose`` for implications whose
-    conclusion's lead witness is to be uniformized.
-    """
-    if accept not in ("direct", "contrapose"):
-        raise NormalFormError(f"unknown acceptance mode {accept!r}")
+    normal form against the bounded-zero transfer target."""
     if steps is not None:
         steps.append(("input", base))
-    up = contrapose_accept(base) if accept == "contrapose" else uniformize(base)
+    up = uniformize(base)
     if steps is not None:
         steps.append(("uniform", up.uniform))
         steps.append(("strong", up.strong))

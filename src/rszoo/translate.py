@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lang.formulas import (And, ApproxEq, Atom, BExists, BForall, BQUANTS,
+from .lang.formulas import (And, Atom, BExists, BForall, BQUANTS,
                             Eq, Exists, ExistsSt, FALSE, Forall, ForallSt,
                             Formula, Implies, Not, Or, QUANTS, St, TRUE,
                             all_names_f, canon, desugar_approx, free_vars_f,
@@ -641,132 +641,3 @@ def show_nf_file(nf: NormalForm) -> str:
             f"{v.name}:{show_type(v.ty)}" for v in nf.existentials))
     lines.append("matrix: " + show_formula(nf.matrix))
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# the worked chain
-
-def golden_chain_check() -> list[dict]:
-    """Trace the translation through a fixed ladder of formulas about a
-    unary predicate P(.) = 0 and check every stage against a frozen
-    expectation.
-
-    Stages marked ``raw`` apply a single translation clause without
-    simplification, stages marked ``mid`` apply one named simplifier
-    rule, and unmarked stages are the fully simplified output; the
-    ladder ends by checking that the closed two-block form is a
-    fixpoint of the whole translation.  Returns one record per stage
-    with the computed and expected forms and an ``ok`` flag."""
-    P1 = {"P": parse_type("1")}
-    P2 = {"Q": parse_type("0 -> 0 -> 0")}
-    y0 = {"y": N}
-    x0 = {"x": N}
-
-    def nf(us: str, es: str, m: str, params: dict) -> NormalForm:
-        text = ""
-        if us:
-            text += f"universals: {us}\n"
-        if es:
-            text += f"existentials: {es}\n"
-        text += f"matrix: {m}\n"
-        return parse_nf(text, params)
-
-    records: list[dict] = []
-
-    def check(name: str, got: NormalForm, expected: NormalForm,
-              shown: str) -> None:
-        records.append({
-            "name": name,
-            "source": shown,
-            "got": show_nf(got),
-            "expected": show_nf(expected),
-            "ok": alpha_eq_nf(got, expected),
-        })
-
-    # 1. a bare standardness assertion
-    f1 = parse_formula("st(y)", params=y0)
-    check("st", sst_translate(f1), nf("", "w:0", "w = y", y0),
-          show_formula(f1))
-
-    # 2. its negation: the raw form quantifies over candidate
-    #    sequences, the simplified form collapses the sequence to a
-    #    single excluded point
-    f2 = parse_formula("~st(y)", params=y0)
-    check("not-st-raw", sst_translate(f2, simplify_steps=False),
-          nf("W:0*", "", "(forall w in W) w != y", y0), show_formula(f2))
-    check("not-st", sst_translate(f2), nf("w:0", "", "w != y", y0),
-          show_formula(f2))
-
-    # 3. disjunction with an internal side
-    f3 = parse_formula("~st(y) \\/ ~(P(y) = 0)", params={**y0, **P1})
-    nf3 = sst_translate(f3)
-    check("or", nf3, nf("w:0", "", "w != y \\/ P(y) != 0", {**y0, **P1}),
-          show_formula(f3))
-
-    # 4. a plain universal over the disjunction.  There is no witness
-    #    block to lift, so the clause output is already the readable
-    #    excluded-point form; the full simplifier goes one step further
-    #    and instantiates the guard.
-    f4 = parse_formula("(forall y:0) (~st(y) \\/ ~(P(y) = 0))", params=P1)
-    supply4 = (all_names_f(f4)
-               | {v.name for v in nf3.universals + nf3.existentials})
-    raw4 = _univ(Var("y", N), nf3, supply4)
-    check("forall-mid", raw4,
-          nf("w:0", "", "(forall y:0) (w != y \\/ P(y) != 0)", P1),
-          show_formula(f4))
-    check("forall", sst_translate(f4), nf("w:0", "", "P(w) != 0", P1),
-          show_formula(f4))
-
-    # 5. a relativized existential: negating stage forall-mid swaps the
-    #    blocks, and pushing the negation inward exposes an equality
-    #    guard that instantiation then removes
-    f5 = parse_formula("(exists^st y:0) P(y) = 0", params=P1)
-    neg5 = _negate(raw4, {"y", "w", "P"})
-    mid5 = NormalForm(neg5.universals, neg5.existentials,
-                      push_neg(neg5.matrix))
-    check("exists-st-mid", mid5,
-          nf("", "w:0", "(exists y:0) (w = y /\\ P(y) = 0)", P1),
-          show_formula(f5))
-    check("exists-st", sst_translate(f5), nf("", "w:0", "P(w) = 0", P1),
-          show_formula(f5))
-
-    # 6. the body of a relativized universal
-    f6 = parse_formula("~st(x) \\/ ((exists^st y:0) Q(x, y) = 0)",
-                       params={**x0, **P2})
-    nf6 = sst_translate(f6)
-    check("body", nf6,
-          nf("v:0", "w:0", "v != x \\/ Q(x, w) = 0", {**x0, **P2}),
-          show_formula(f6))
-
-    # 7. closing the universal: raw lift, one guard instantiation
-    #    (take x equal to the excluded point), and the final sequence
-    #    collapse, which lands back on the shape we started from
-    f7 = parse_formula(
-        "(forall x:0) (~st(x) \\/ ((exists^st y:0) Q(x, y) = 0))",
-        params=P2)
-    supply = (all_names_f(f7)
-              | {v.name for v in nf6.universals + nf6.existentials})
-    raw7 = _univ(Var("x", N), nf6, supply)
-    check("close-raw", raw7,
-          nf("v:0", "ws:0*",
-             "(forall x:0) (exists w in ws) (v != x \\/ Q(x, w) = 0)",
-             P2),
-          show_formula(f7))
-    mid_m = _rewrite_first(push_neg(raw7.matrix))
-    assert mid_m is not None
-    mid7 = NormalForm(raw7.universals, raw7.existentials, mid_m)
-    check("close-mid", mid7,
-          nf("v:0", "ws:0*", "(exists w in ws) Q(v, w) = 0", P2),
-          show_formula(f7))
-    final7 = simplify(mid7)
-    check("close", final7, nf("v:0", "w:0", "Q(v, w) = 0", P2),
-          show_formula(f7))
-    check("close-direct", sst_translate(f7), final7, show_formula(f7))
-
-    # the closed form is a fixpoint: translating it again changes
-    # nothing
-    back = sst_translate(nf_to_formula(final7))
-    check("fixpoint", back, final7, show_nf(final7))
-
-    return records
-

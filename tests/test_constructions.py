@@ -1,14 +1,8 @@
 import pytest
-from rszoo.interp import (FnV, MiniModel, ModelError, NoZero, PairV,
-                          SideConditionError, bounds_pair, build_construction,
-                          cohesive_Rprime, colouring_d0,
-                          extensionality_search, lt0_order, meeh_g,
-                          mu_bruteforce, point_at_infinity_Y0, prec_order,
-                          psi_theta, table_fn, tabulate, theta, uads_selector,
-                          udnr_counterexample_D, xi_search)
-from rszoo.interp.constructions import order_axioms_hold
-from rszoo.interp.machine import (SCAN_INDEX, SCAN_PROGRAM, DidNotHalt,
-                                  HaltsWith, run_program, scan_budget)
+from rszoo.interp import (FnV, MiniModel, ModelError, build_construction,
+                          extensionality_search, psi_theta, table_fn,
+                          tabulate, theta, xi_search)
+from rszoo.interp.machine import SCAN_INDEX, HaltsWith
 from rszoo.lang import parse_type
 
 
@@ -112,174 +106,30 @@ def test_xi_search_wraps_and_flags():
     assert "xi_incomplete" in m.flags
 
 
-# -- searches ------------------------------------------------------------------
-
-def test_mu_bruteforce():
-    m = m4()
-    assert mu_bruteforce(m, table_fn([3, 2, 0, 1, 0], m)) == 2
-    with pytest.raises(NoZero):
-        mu_bruteforce(m, table_fn([1, 1, 1, 1, 1], m))
-
-
-def test_bounds_pair():
-    m = m4()
-    p = bounds_pair(m, table_fn([1, 0, 1, 0, 1], m))
-    assert (p.left, p.right) == (1, 3)
-    q = bounds_pair(m, table_fn([1, 1, 1, 1, 1], m))
-    assert (q.left, q.right) == (0, 0)
-
-
-# -- linear orders --------------------------------------------------------------
-
-def test_lt0_is_a_linear_order_matching_le():
-    m = MiniModel(cap=12, omega=6)
-    lt = lt0_order(m)
-    assert order_axioms_hold(m, lt)
-    assert all((lt.call(i).call(j) != 0) == (i <= j)
-               for i in range(13) for j in range(13))
-
-
-def test_prec_order_axioms_for_every_marker():
-    m = MiniModel(cap=12, omega=6)
-    for marker in range(13):
-        assert order_axioms_hold(m, prec_order(m, meeh_g(m, marker)))
-
-
-def test_prec_with_zero_table_is_plain_order():
-    m = m4()
-    z = table_fn([0] * 5, m)
-    p = prec_order(m, z)
-    lt = lt0_order(m)
-    assert all(p.call(i).call(j) == lt.call(i).call(j)
-               for i in range(5) for j in range(5))
-
-
-def test_prec_descends_through_the_tail():
-    m = MiniModel(cap=12, omega=6)
-    p = prec_order(m, meeh_g(m, 6))
-    # tail elements sit below the head and reverse numeric order
-    assert p.call(12).call(7) == 1
-    assert p.call(7).call(12) == 0
-    assert p.call(9).call(0) == 1
-    assert p.call(0).call(9) == 0
-    # head keeps numeric order
-    assert p.call(2).call(6) == 1
-
-
-def test_selector_splits_orders_that_agree_below_omega():
-    m = MiniModel(cap=12, omega=6)
-    lt = lt0_order(m)
-    pg = prec_order(m, meeh_g(m, 6))
-    assert all(lt.call(i).call(j) == pg.call(i).call(j)
-               for i in range(6) for j in range(6))
-    v1, chain1 = uads_selector(m, lt)
-    v2, chain2 = uads_selector(m, pg)
-    assert v1 == "ASC" and chain1 == tuple(range(13))
-    assert v2 == "DESC"
-    assert chain2 == (6, 5, 4, 3, 2, 1, 0, 7, 8, 9, 10, 11, 12)
-
-
-def test_selector_rejects_non_orders():
-    m = m4()
-    never = FnV(lambda i: FnV(lambda j: 0))
-    with pytest.raises(SideConditionError):
-        uads_selector(m, never)
-
-
-def test_meeh_marker_bounds():
-    m = m4()
-    assert tabulate(m, meeh_g(m, 2)) == (0, 0, 1, 0, 0)
-    with pytest.raises(SideConditionError):
-        meeh_g(m, 9)
-
-
-# -- families, colourings, markers ----------------------------------------------
-
-def test_cohesive_cut_restricts_to_tails():
-    m = m4()
-    r = FnV(lambda i: FnV(lambda x, i=i: 1 if (x + i) % 2 == 0 else 0))
-    fam = cohesive_Rprime(m, r, table_fn([0] * 5, m), "cut")
-    assert fam.call(2).call(1) == 0      # below the tail start
-    assert fam.call(2).call(2) == 1
-    assert fam.call(2).call(3) == 0      # wrong parity
-    assert fam.call(2).call(4) == 1
-
-
-def test_cohesive_join_reindexes():
-    m = m4()
-    r = FnV(lambda i: FnV(lambda x, i=i: 1 if x == i else 0))
-    h = table_fn([3, 3, 3, 3, 3], m)
-    fam = cohesive_Rprime(m, r, h, "join")
-    assert all(fam.call(i).call(3) == 1 for i in range(5))
-    with pytest.raises(SideConditionError):
-        cohesive_Rprime(m, r, h, "meet")
-
-
-def test_point_at_infinity_side_conditions():
-    m = MiniModel(cap=12, omega=6)
-    y0 = point_at_infinity_Y0(m, 8)
-    assert tabulate(m, y0) == (8,) * 13
-    with pytest.raises(SideConditionError):
-        point_at_infinity_Y0(m, 3)
-    with pytest.raises(SideConditionError):
-        point_at_infinity_Y0(m, 13)
-
-
-def test_colouring_d0_is_cut_homogeneous():
-    m = MiniModel(cap=12, omega=6)
-    d = colouring_d0(m, 7)
-    assert all(d.call(i).call(j) == 1 for i in range(6) for j in range(6))
-    assert d.call(3).call(9) == 0
-    assert d.call(9).call(11) == 1
-
-
-def test_udnr_marker_table_and_scan():
-    m = MiniModel(cap=12, omega=6)
-    h = meeh_g(m, 6)
-    m.declare("h0", parse_type("1"), h, st=True)
-    d = udnr_counterexample_D(m, h, 2, 3)
-    assert tabulate(m, d) == (0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0)
-    # the scanner started at 2 walks 6 cells up and returns payload - 1,
-    # but only once the budget passes 4*6 + 4
-    assert run_program(SCAN_PROGRAM, d.call, 2, scan_budget(6)) \
-        == HaltsWith(2, 28)
-    assert run_program(SCAN_PROGRAM, d.call, 2, 27) == DidNotHalt(27)
-
-
-def test_udnr_marker_side_conditions():
-    m = MiniModel(cap=12, omega=6)
-    h = meeh_g(m, 6)
-    with pytest.raises(SideConditionError):   # not declared standard
-        udnr_counterexample_D(m, h, 2, 3)
-    m.declare("h0", parse_type("1"), h, st=True)
-    low = meeh_g(m, 3)
-    m.declare("hlow", parse_type("1"), low, st=True)
-    with pytest.raises(SideConditionError):   # marker stage is standard
-        udnr_counterexample_D(m, low, 2, 3)
-    with pytest.raises(SideConditionError):   # empty steering table
-        udnr_counterexample_D(m, table_fn([0] * 13, m), 2, 3)
-    with pytest.raises(SideConditionError):   # payload must be positive
-        udnr_counterexample_D(m, h, 2, 0)
-
-
-def test_udnr_marker_truncates_past_cap():
-    m = MiniModel(cap=12, omega=6)
-    h = meeh_g(m, 6)
-    m.declare("h0", parse_type("1"), h, st=True)
-    d = udnr_counterexample_D(m, h, 10, 3)
-    assert d.call(12) == 3
-    assert "marker_truncated" in m.flags
-
-
 # -- registry --------------------------------------------------------------------
 
 def test_build_construction_resolves_names_and_literals():
-    m = MiniModel(cap=12, omega=6)
-    ty, g = build_construction("meeh_g", ["6"], m)
-    m.declare("g0", ty, g, st=True)
-    ty2, p = build_construction("prec_order", ["g0"], m)
-    assert order_axioms_hold(m, p)
-    with pytest.raises(ModelError):
+    m = m4()
+    ty, p = build_construction("psi_theta", ["3"], m)
+    assert ty == parse_type("1 -> 1")
+    z = table_fn([0, 1, 0, 2, 0], m)
+    # the literal is the step budget: with none, only the empty program
+    # (index 0) halts
+    assert tabulate(m, p.call(z)) == (1, 2, 1, 1, 2)
+    _ty, p0 = build_construction("psi_theta", ["0"], m)
+    assert tabulate(m, p0.call(z)) == (1, 0, 0, 0, 0)
+    m.declare("P0", ty, p, st=True)
+    ty2, xi = build_construction("xi_search", ["P0"], m)
+    assert ty2 == parse_type("1 -> 1 -> 0 -> 0")
+    assert xi.call(z).call(table_fn([0] * 5, m)).call(1) == 2
+    ty3, mu = build_construction("mu_op", [], m)
+    assert ty3 == parse_type("2")
+    assert mu.call(table_fn([3, 2, 0, 1, 0], m)) == 2
+    with pytest.raises(ModelError, match="unknown construction"):
         build_construction("no_such_thing", [], m)
-    with pytest.raises(ModelError):
-        build_construction("meeh_g", [], m)
+    with pytest.raises(ModelError, match="undeclared object 'Q0'"):
+        build_construction("xi_search", ["Q0"], m)
+    with pytest.raises(ModelError, match="bad arguments for xi_search"):
+        build_construction("xi_search", [], m)
+    with pytest.raises(ModelError, match="bad arguments for mu_op"):
+        build_construction("mu_op", ["3"], m)

@@ -10,8 +10,8 @@ import pytest
 import rszoo.interp
 from rszoo import extract
 from rszoo.extract import (ScriptError, check_candidates, check_script,
-                           discharge_obligations, extract_function,
-                           extract_terms, parse_script, postprocess, rs_run)
+                           extract_function, extract_terms, parse_script,
+                           postprocess, rs_run)
 from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
 from rszoo.lang import (SUCC, Forall, N, Var, app, num, parse_formula, pure,
@@ -39,7 +39,6 @@ def udnr_entry():
         return (UDNR / name).read_text()
     return SimpleNamespace(
         ident="udnr", source="UDNR", target="BZT", witness="y",
-        mode="direct",
         principle=parse_formula(read("principle.fml")),
         expect=parse_nf(read("expect.nf")),
         forward=parse_script(read("forward.prf")),
@@ -56,9 +55,9 @@ def udnr_run():
     entry = udnr_entry()
     replays = []
 
-    def counted(script, model=None):
+    def counted(script):
         replays.append(script.name)
-        return check_script(script, model)
+        return check_script(script)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extract, "check_script", counted)
@@ -278,7 +277,7 @@ def test_check_candidates_evaluates_udnr_slot_terms_once_per_table(
     # ones once in all
     entry = udnr_entry()
     model = entry.model
-    final = check_script(entry.forward, model).final
+    final = check_script(entry.forward).final
     seen = record_terms(monkeypatch)
     report = check_candidates(model, final.nf, final.rows,
                               {"f": "all", "Psi": "st", "Xi": "st"})
@@ -307,7 +306,7 @@ def test_check_candidates_evaluates_slot_naming_an_existential_per_candidate(
 
 
 # ---------------------------------------------------------------------------
-# rules EXISTS-WITNESS and WEAKEN, and postprocess
+# rules EXISTS-WITNESS and WEAKEN
 
 
 AXIOM = ("step 1: NF-AXIOM internal conclude (forall^st x:0) "
@@ -400,6 +399,152 @@ def test_witness_rules_reject_open_terms(steps):
         replay(*steps, groups=((Var("z", N),),))
 
 
+# ---------------------------------------------------------------------------
+# rule NF-AXIOM, formula_to_nf and the replay order
+
+
+def test_nf_axiom_starts_with_one_empty_row():
+    final = replay().final
+    assert final.rows == ((),)
+    assert final.nf.existentials == ()
+    assert [v.name for v in final.nf.universals] == ["x"]
+
+
+AX = "step 2 (NF-AXIOM): "
+
+
+@pytest.mark.parametrize("steps, message", [
+    (("step 2: NF-AXIOM internal 1 conclude (forall^st x:0) x = x",),
+     AX + "axioms take no premises"),
+    (("step 2: NF-AXIOM conclude (forall^st x:0) x = x",),
+     AX + "axiom needs a kind among ('internal',)"),
+    ((f"step 2: NF-AXIOM internal conclude {ONE_SLOT}",),
+     AX + "internal axiom cannot introduce existentials"),
+    (("step 2: NF-AXIOM internal conclude (forall^st x:0) st(x)",),
+     AX + "matrix is not internal: st(x)"),
+    ((f"step 1: WEAKEN 1 with (0) conclude {ONE_SLOT}",),
+     "duplicate step index 1"),
+    ((f"step 2: WEAKEN 3 with (0) conclude {ONE_SLOT}",
+      WITNESS.replace("step 2:", "step 3:")),
+     "step 2 (WEAKEN): premise 3 not yet derived"),
+])
+def test_replay_rejects(steps, message):
+    with pytest.raises(ScriptError, match=re.escape(message)):
+        replay(*steps)
+
+
+def test_formula_to_nf_splits_the_blocks():
+    nf = extract.formula_to_nf(parse_formula(
+        "(forall^st x:0) (exists^st y:0, g:1) g(y) = x"))
+    assert [v.name for v in nf.universals] == ["x"]
+    assert [v.name for v in nf.existentials] == ["y", "g"]
+    assert show_formula(nf.matrix) == "g(y) = x"
+
+
+@pytest.mark.parametrize("src", [
+    "(forall^st x:0) (exists^st y:0) (st(y) -> x = y)",
+    # a standard quantifier after the existential block is not peeled
+    "(exists^st y:0) (forall^st x:0) x = y",
+])
+def test_formula_to_nf_rejects_external_matrices(src):
+    with pytest.raises(ScriptError, match="matrix is not internal"):
+        extract.formula_to_nf(parse_formula(src))
+
+
+# ---------------------------------------------------------------------------
+# script syntax
+
+
+def test_parse_script_reads_params_lets_and_steps():
+    script = parse_script(
+        "script demo  # a comment\n"
+        "param p : 1\n"
+        "let two := succ(succ(0))\n"
+        "step 1: NF-AXIOM internal conclude (forall^st x:0)\n"
+        "  p(x) = two \\/ p(x) = x\n"
+        "step 2: EXISTS-WITNESS 1 with (two) (x)\n"
+        "  conclude (forall^st x:0) (exists^st y:0) p(x) = y\n")
+    assert script.name == "demo"
+    assert script.param_types() == {"p": pure(1)}
+    two = app(SUCC, app(SUCC, num(0)))
+    first, second = script.steps
+    assert (first.index, first.rule, first.kind, first.premises) \
+        == (1, "NF-AXIOM", "internal", ())
+    assert show_formula(first.conclusion) == \
+        "(forall^st x:0) p(x) = succ(succ(0)) \\/ p(x) = x"
+    assert (second.rule, second.premises) == ("EXISTS-WITNESS", (1,))
+    assert second.groups == ((two,), (Var("x", N),))
+    final = check_script(script).final
+    assert final.rows == ((two,), (Var("x", N),))
+
+
+STEP1 = AXIOM.replace("step 1: ", "")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("  x = x\nscript s\n" + AXIOM, "stray line outside any stanza: '  x = x'"),
+    ("script s\nparam p 0\n" + AXIOM, "param needs 'name : type'"),
+    ("script s\nlet q z\n" + AXIOM, "let needs 'name := term'"),
+    ("script s\n", "script has no steps"),
+    ("script s\nstep 1 NF-AXIOM internal",
+     "step needs 'step <n>: <rule> ...'"),
+    ("script s\nstep one: " + STEP1, "bad step number 'one'"),
+    ("script s\nstep 1: NF-AXIOM internal (forall^st x:0) x = x",
+     "step 1 has no conclusion"),
+    ("script s\nstep 1: conclude (forall^st x:0) x = x",
+     "step 1 names no rule"),
+    ("script s\nstep 1: NF-AXIM internal conclude (forall^st x:0) x = x",
+     "step 1: unknown rule 'NF-AXIM'"),
+    ("script s\nstep 1: NF-AXIOM internal x conclude (forall^st x:0) x = x",
+     "step 1: unexpected token 'x'"),
+    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with x conclude "
+     f"{ONE_SLOT}", "step 2: expected '(' in witness groups near 'x'"),
+    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x] conclude "
+     f"{ONE_SLOT}", "step 2: unbalanced parentheses in witness groups"),
+])
+def test_parse_script_rejects(text, message):
+    with pytest.raises(ScriptError, match=re.escape(message)):
+        parse_script(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("script s\nparam p : 0 ->\n" + AXIOM,
+     "param p: expected a type, found '' (at 1:5 of that part)"),
+    ("script s\nlet q := succ(z)\n" + AXIOM,
+     "let q: unbound variable 'z' (at 1:6 of that part)"),
+    ("script s\nstep 1: NF-AXIOM internal conclude (forall^st x:0) x = z",
+     "step 1: conclusion: unbound variable 'z' (at 1:21 of that part)"),
+    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (z) conclude "
+     f"{ONE_SLOT}",
+     "step 2: witness group 1, slot 1: unbound variable 'z' "
+     "(at 1:1 of that part)"),
+    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x) (succ(x); z) "
+     f"conclude {ONE_SLOT}",
+     "step 2: witness group 2, slot 2: unbound variable 'z'"),
+])
+def test_parse_errors_name_the_step_and_part(text, message):
+    with pytest.raises(ScriptError, match=re.escape(message)):
+        parse_script(text)
+
+
+def test_every_rule_and_axiom_kind_is_used_by_a_shipped_script():
+    # a rule that no corpus script reaches is dead code: delete it, or
+    # ship the entry that needs it
+    rules, kinds = set(), set()
+    scripts = sorted(UDNR.parent.glob("*/*.prf"))
+    assert scripts
+    for path in scripts:
+        for step in parse_script(path.read_text()).steps:
+            rules.add(step.rule)
+            kinds.add(step.kind)
+    assert set(extract.RULES) <= rules
+    assert set(extract.AXIOM_KINDS) <= kinds
+
+
+# ---------------------------------------------------------------------------
+# postprocess and extraction
+
+
 def test_postprocess_bounds_the_target_slot():
     report = replay(WITNESS)
     nf = report.final.nf
@@ -425,7 +570,7 @@ def test_postprocess_rejects(matrix, target, message):
 
 def test_extract_function_needs_one_candidate():
     entry = udnr_entry()
-    report = check_script(entry.forward, entry.model)
+    report = check_script(entry.forward)
     assert len(report.final.rows) == 3
     with pytest.raises(ScriptError, match="exactly one candidate"):
         extract_function(report)
@@ -437,39 +582,6 @@ def test_extract_terms_needs_existentials():
         "step 1: NF-AXIOM internal conclude (forall^st x:0) x = x\n"))
     with pytest.raises(ScriptError, match="no existentials"):
         extract_terms(report)
-
-
-def test_extraction_rejects_unmet_obligation():
-    report = check_script(parse_script(
-        "script choice\n"
-        "step 1: NF-AXIOM qf-ac conclude (forall^st x:0) (exists^st g:1)"
-        " g(x) = x\n"))
-    assert report.obligations == ("g",)
-    for extractor in (extract_terms, extract_function):
-        with pytest.raises(ScriptError, match=r"unmet obligations \['g'\]"):
-            extractor(report)
-
-
-def test_discharge_obligations_builds_each_formula_once(monkeypatch):
-    # one closed formula per obligation, evaluated for every candidate
-    report = check_script(parse_script(
-        "script choice\n"
-        "step 1: NF-AXIOM qf-ac conclude (forall^st x:0) (exists^st g:1)"
-        " g(x) = x\n"))
-    model = parse_model_config("cap = 3\nomega = 2\n"
-                               "table zero: 0 0 0 0 [st]\n"
-                               "table ident: 0 1 2 3 [st]\n")
-    seen = []
-    eval_formula = rszoo.interp.eval_formula
-
-    def recorded(model, f, env=None):
-        seen.append(f)
-        return eval_formula(model, f, env)
-
-    monkeypatch.setattr(rszoo.interp, "eval_formula", recorded)
-    found = discharge_obligations(model, report)
-    assert found == {"g": model.object("ident")}
-    assert len(seen) == 2 and seen[0] is seen[1]
 
 
 def test_value_label_falls_back_only_on_model_errors():

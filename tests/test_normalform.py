@@ -1,8 +1,7 @@
 import pytest
 from rszoo.interp import eval_formula, parse_model_config
 from rszoo.lang import parse_formula, parse_type, show_formula
-from rszoo.normalform import (NormalFormError, contrapose_accept,
-                              herbrandize_choice, monotone_in_witness,
+from rszoo.normalform import (NormalFormError, herbrandize_choice,
                               normalize_principle, prenex_to_normal,
                               resolve_approx, trans_instance, uniformize)
 from rszoo.translate import NormalForm, nf_signature, nf_to_formula, show_nf
@@ -45,24 +44,15 @@ def test_uniformize_without_existential_degenerates():
 
 
 def test_uniformize_rejects_other_shapes():
-    with pytest.raises(NormalFormError, match="contrapose_accept"):
+    with pytest.raises(NormalFormError,
+                       match="opening with plain universal quantifiers"):
         uniformize(parse_formula("(exists y:0) y = 0"))
+    with pytest.raises(NormalFormError,
+                       match="opening with plain universal quantifiers"):
+        uniformize(parse_formula(
+            "((forall n:0) n <= 1) -> (exists y:0) y = 0"))
     with pytest.raises(NormalFormError, match="internal"):
         uniformize(parse_formula("(forall X:1)(exists d:1) st(d(0))"))
-
-
-def test_contrapose_accepts_implication_statements():
-    up = contrapose_accept(parse_formula(
-        "(forall g:1)(((forall n:0) g(n) <= 1) -> "
-        "(exists y <= g(0)) g(y) = 0)"))
-    assert show_formula(up.uniform) == (
-        "(exists Psi:2) (forall g:1) ((forall n:0) g(n) <= 1) -> "
-        "Psi(g) <= g(0) /\\ g(Psi(g)) = 0")
-    up2 = contrapose_accept(parse_formula(
-        "(forall g:1)(((forall n:0) g(n) <= 1) -> g(0) <= 1)"))
-    assert up2.functionals == ()
-    with pytest.raises(NormalFormError, match="implication"):
-        contrapose_accept(parse_formula("(forall g:1)(exists y:0) g(y) = 0"))
 
 
 # -- resolve_approx -----------------------------------------------------------
@@ -241,23 +231,3 @@ def test_transfer_equivalence_compiles_each_shape_once():
     for _ in range(3):
         assert ti.check_equivalence(model) is True
     assert len(model._compiled) == cached
-
-
-# -- monotonicity guard --------------------------------------------------------------
-
-def test_monotone_guard_accepts_bounded_search_matrix():
-    ti = trans_instance()
-    assert monotone_in_witness(small_model(), ti.normal, "y") is True
-
-
-def test_monotone_guard_rejects_exact_matrix():
-    f = parse_formula("(exists^st y:0) y = 1")
-    nf = prenex_to_normal(f)
-    assert monotone_in_witness(small_model(), nf, "y") is False
-
-
-def test_monotone_guard_needs_numeric_witness():
-    f = parse_formula("(exists^st g:1) g(0) = 0")
-    nf = prenex_to_normal(f)
-    with pytest.raises(NormalFormError):
-        monotone_in_witness(small_model(), nf, "g")
