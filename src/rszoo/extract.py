@@ -29,10 +29,11 @@ from dataclasses import dataclass
 
 from .lang import (Abs, App, Const, ExistsSt, ForallSt, Formula, Implies, N,
                    ParseError, SEQMAX, Term, Var, alpha_eq_f, app, append_c,
-                   disj, empty_c, free_vars, free_vars_f, infer_type,
-                   is_internal, lam, num, pair_c, parse_formula, parse_term,
-                   parse_type, pure, show_formula, show_term, show_type,
-                   stdterms, subst_f, substitute, subterms)
+                   disj, distinct_subterms, empty_c, free_vars, free_vars_f,
+                   infer_type, is_internal, lam, num, pair_c, parse_formula,
+                   parse_term, parse_type, pure, show_formula, show_type,
+                   stdterms, subst_f, substitute)
+from .lang.printer import show_term_prefix
 from .lang.types import Arrow, FiniteType, Product
 from .normalform import normalize_principle
 from .translate import NormalForm, alpha_eq_nf, show_nf
@@ -208,6 +209,12 @@ def _parse_step(rest: str, env: dict[str, FiniteType],
     premises: list[int] = []
     for w in args:
         if w in AXIOM_KINDS:
+            if rule != "NF-AXIOM":
+                raise ScriptError(f"step {index}: {rule} takes no axiom "
+                                  f"kind, got {w!r}")
+            if kind is not None:
+                raise ScriptError(f"step {index}: second axiom kind {w!r} "
+                                  f"after {kind!r}")
             kind = w
         elif w.isdigit():
             premises.append(int(w))
@@ -296,7 +303,7 @@ def _check_rows(step: ProofStep, rows: tuple[Row, ...],
                         f"conclusion has {len(existentials)} existentials")
         for v, t in zip(existentials, row):
             if any(isinstance(s, Const) and s.name == "muscan"
-                   for s in subterms(t)):
+                   for s in distinct_subterms(t)):
                 _fail(step, "muscan is not permitted in witness terms; "
                             "search must be spelled out as a bounded "
                             "recursion")
@@ -592,8 +599,8 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
             return None
         return tuple(sorted({position[n] for n in names if n in position}))
 
-    # Slot terms by id, assigned once: hashing a large term per lookup
-    # would cost more than the memo saves.
+    # Slot terms by id, assigned once, so that a memo key holds a small
+    # integer rather than the term.
     ids: dict[Term, int] = {}
     slot_reads: list[tuple[int, ...] | None] = []
     row_ids = []
@@ -784,5 +791,5 @@ def _mu_collapse(nf: NormalForm, bound: Term) -> Term:
 
 
 def show_term_brief(t: Term, limit: int = 120) -> str:
-    s = show_term(t)
+    s = show_term_prefix(t, limit + 1)
     return s if len(s) <= limit else s[:limit - 3] + "..."

@@ -3,9 +3,10 @@ from .types import (Arrow, Base, FiniteType, N, Product, Seq, arrows, pure,
                     show_type)
 from .terms import (Abs, App, CONST_NAMES, Const, INITSEG, LangError, MUSCAN,
                     RUN, SEQMAX, SUCC, Term, TypeCheckError, Var, ZERO, alpha_eq,
-                    app, append_c, empty_c, free_vars, fresh_name, fst_c, get_c,
-                    infer_type, is_numeral, lam, len_c, num, pair_c, rec_c,
-                    seqapp_c, snd_c, spine, substitute, subterms)
+                    app, append_c, distinct_subterms, empty_c, free_vars,
+                    fresh_name, fst_c, get_c, infer_type, is_numeral, lam,
+                    len_c, num, pair_c, rec_c, seqapp_c, snd_c, spine,
+                    substitute, subterms)
 from .formulas import (And, ApproxEq, Atom, BExists, BForall, BQUANTS, Eq,
                        Exists, ExistsSt, FALSE, Forall, ForallSt, Formula,
                        FormulaTypeError, Implies, Not, Or, QUANTS, St, TRUE,

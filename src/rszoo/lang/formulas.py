@@ -5,91 +5,96 @@ anywhere) from external ones.  Quantifiers come in four flavours:
 plain, standard-relativized (``forall^st``), and bounded (by <=, <, or
 membership in a sequence value).  ``Eq`` is extensional equality at a
 type; ``ApproxEq`` is equality on standard arguments and is external.
+
+Like term nodes, formula nodes are immutable and keep their hash and
+free variables once computed (see ``terms``), and ``alpha_eq_f`` is the
+same single walk as ``terms.alpha_eq``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
-from .terms import (Abs, App, Prepared, Term, Var, all_names, app,
-                    drop_name, enter_binder, free_vars as term_fvs,
-                    fresh_name, fst_c, num, prepare, snd_c, subst_prepared)
+from .terms import (NO_VARS, Abs, App, Prepared, Scope, Term, Var,
+                    all_names, alpha_binder, alpha_walk, app, drop_name,
+                    enter_binder, free_vars as term_fvs, fresh_name, fst_c,
+                    num, prepare, same_scope, snd_c, subst_prepared,
+                    syntax_node, union)
 from .types import Arrow, FiniteType, N, Product, Seq, show_type
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Atom:
     rel: str  # "=" at any type; "<=", "<" on type 0; "in" for set membership
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Eq:
     ty: FiniteType
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@syntax_node
 class ApproxEq:
     ty: FiniteType
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@syntax_node
 class St:
     arg: Term
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@syntax_node
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Forall:
     var: Var
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Exists:
     var: Var
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@syntax_node
 class ForallSt:
     var: Var
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@syntax_node
 class ExistsSt:
     var: Var
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@syntax_node
 class BForall:
     var: Var
     kind: str  # "le" | "lt" | "mem"
@@ -97,7 +102,7 @@ class BForall:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@syntax_node
 class BExists:
     var: Var
     kind: str
@@ -168,24 +173,34 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 def free_vars_f(f: Formula) -> frozenset[Var]:
-    """Variables free in f; a binder removes its name (see free_vars)."""
+    """Variables free in f; a binder removes its name (see free_vars).
+    Computed once per node and kept on it."""
+    fvs = f._fvs
+    if fvs is None:
+        fvs = _free_vars_f(f)
+        object.__setattr__(f, "_fvs", fvs)
+    return fvs
+
+
+def _free_vars_f(f: Formula) -> frozenset[Var]:
     if isinstance(f, Atom):
-        out: frozenset[Var] = frozenset()
+        out = NO_VARS
         for t in f.args:
-            out |= term_fvs(t)
+            out = union(out, term_fvs(t))
         return out
     if isinstance(f, (Eq, ApproxEq)):
-        return term_fvs(f.left) | term_fvs(f.right)
+        return union(term_fvs(f.left), term_fvs(f.right))
     if isinstance(f, St):
         return term_fvs(f.arg)
     if isinstance(f, Not):
         return free_vars_f(f.body)
     if isinstance(f, (And, Or, Implies)):
-        return free_vars_f(f.left) | free_vars_f(f.right)
+        return union(free_vars_f(f.left), free_vars_f(f.right))
     if isinstance(f, QUANTS):
         return drop_name(free_vars_f(f.body), f.var.name)
     if isinstance(f, BQUANTS):
-        return term_fvs(f.bound) | drop_name(free_vars_f(f.body), f.var.name)
+        return union(term_fvs(f.bound),
+                     drop_name(free_vars_f(f.body), f.var.name))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -321,37 +336,76 @@ def typecheck_f(f: Formula, env: dict[str, FiniteType] | None = None) -> None:
 # alpha-equality and canonical renaming
 
 def alpha_eq_f(a: Formula, b: Formula) -> bool:
-    return canon(a) == canon(b)
+    """Equality up to the names of bound variables, of quantifiers and
+    of lambdas; see ``alpha_walk``."""
+    return alpha_walk_f(a, b, {}, {}, 0)
+
+
+def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
+                 depth: int) -> bool:
+    """``terms.alpha_walk`` on formulas: one walk, binders matched by
+    name, scopes updated in place and restored."""
+    if a is b and same_scope(free_vars_f(a), ma, mb):
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is Atom:
+        if a.rel != b.rel or len(a.args) != len(b.args):
+            return False
+        for s, t in zip(a.args, b.args):
+            if not alpha_walk(s, t, ma, mb, depth):
+                return False
+        return True
+    if kind is Eq or kind is ApproxEq:
+        return (a.ty == b.ty and alpha_walk(a.left, b.left, ma, mb, depth)
+                and alpha_walk(a.right, b.right, ma, mb, depth))
+    if kind is St:
+        return alpha_walk(a.arg, b.arg, ma, mb, depth)
+    if kind is Not:
+        return alpha_walk_f(a.body, b.body, ma, mb, depth)
+    if kind is And or kind is Or or kind is Implies:
+        return (alpha_walk_f(a.left, b.left, ma, mb, depth)
+                and alpha_walk_f(a.right, b.right, ma, mb, depth))
+    if kind in BQUANTS and not (
+            a.kind == b.kind and alpha_walk(a.bound, b.bound, ma, mb, depth)):
+        return False
+    return alpha_binder(a.var, b.var, alpha_walk_f, a.body, b.body,
+                        ma, mb, depth)
 
 
 def canon(f: Formula) -> Formula:
     """Rename all bound variables, of quantifiers and of lambdas, to v0,
-    v1, ... in traversal order.  A name free in f gets ``_`` suffixes, so
-    no binder captures it."""
+    v1, ... in traversal order, for display.  A binder renames every
+    occurrence of its name, whatever its type (as ``alpha_eq_f``
+    matches them); a name free in f gets ``_`` suffixes, so no binder
+    captures it.  Two formulas are alpha-equal iff their canonical
+    forms are equal."""
     counter = [0]
     taken = {v.name for v in free_vars_f(f)}
 
-    def fresh(ty: FiniteType) -> Var:
+    def fresh() -> str:
         name = f"v{counter[0]}"
         counter[0] += 1
         while name in taken:
             name += "_"
-        return Var(name, ty)
+        return name
 
-    # ren maps each binder in scope to its new variable; a new name is
+    # ren maps each name bound in scope to its new name; a new name is
     # never free in f nor given twice, so renaming in one pass captures
     # nothing
-    def term(t: Term, ren: dict) -> Term:
+    def term(t: Term, ren: dict[str, str]) -> Term:
         if isinstance(t, Var):
-            return ren.get(t, t)
+            new = ren.get(t.name)
+            return t if new is None else Var(new, t.ty)
         if isinstance(t, Abs):
-            nv = fresh(t.var.ty)
-            return Abs(nv, term(t.body, {**ren, t.var: nv}))
+            nv = Var(fresh(), t.var.ty)
+            return Abs(nv, term(t.body, {**ren, t.var.name: nv.name}))
         if isinstance(t, App):
             return App(term(t.fn, ren), term(t.arg, ren))
         return t
 
-    def go(g: Formula, ren: dict) -> Formula:
+    def go(g: Formula, ren: dict[str, str]) -> Formula:
         if isinstance(g, Atom):
             return Atom(g.rel, tuple(term(t, ren) for t in g.args))
         if isinstance(g, (Eq, ApproxEq)):
@@ -363,12 +417,13 @@ def canon(f: Formula) -> Formula:
         if isinstance(g, (And, Or, Implies)):
             return type(g)(go(g.left, ren), go(g.right, ren))
         if isinstance(g, QUANTS):
-            nv = fresh(g.var.ty)
-            return type(g)(nv, go(g.body, {**ren, g.var: nv}))
+            nv = Var(fresh(), g.var.ty)
+            return type(g)(nv, go(g.body, {**ren, g.var.name: nv.name}))
         if isinstance(g, BQUANTS):
             bound = term(g.bound, ren)
-            nv = fresh(g.var.ty)
-            return type(g)(nv, g.kind, bound, go(g.body, {**ren, g.var: nv}))
+            nv = Var(fresh(), g.var.ty)
+            return type(g)(nv, g.kind, bound,
+                           go(g.body, {**ren, g.var.name: nv.name}))
         raise TypeError(f"not a formula: {g!r}")
 
     return go(f, {})

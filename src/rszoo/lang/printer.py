@@ -7,9 +7,11 @@ type index.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 from .formulas import (And, ApproxEq, Atom, BForall, BQUANTS, Eq, ExistsSt,
                        Forall, ForallSt, Formula, Implies, Not, Or, QUANTS, St)
-from .terms import Abs, Const, Term, Var, is_numeral, spine
+from .terms import Abs, App, Const, Term, Var, is_numeral, spine
 from .types import Arrow, Product, Seq, show_type
 
 
@@ -48,7 +50,53 @@ def show_term(t: Term) -> str:
     if isinstance(t, Const):
         return _const_str(t)
     if isinstance(t, Abs):
-        return f"\\{t.var.name}:{show_type(t.var.ty)}. {show_term(t.body)}"
+        return _binder(t) + show_term(t.body)
+    head, args, (opening, closing) = _application(t)
+    return (f"{_show_head(head)}{opening}"
+            f"{', '.join(show_term(a) for a in args)}{closing}")
+
+
+def show_term_prefix(t: Term, n: int) -> str:
+    """``show_term(t)[:n]``, printing only as far as the first n
+    characters: the cost is bounded by n, not by the size of t."""
+    out, size = [], 0
+    for piece in _pieces(t):
+        out.append(piece)
+        size += len(piece)
+        if size >= n:
+            break
+    return "".join(out)[:n]
+
+
+def _pieces(t: Term) -> Iterator[str]:
+    """``show_term(t)``, piece by piece."""
+    if isinstance(t, Abs):
+        yield _binder(t)
+        yield from _pieces(t.body)
+    elif isinstance(t, App):
+        head, args, (opening, closing) = _application(t)
+        if isinstance(head, Abs):
+            yield "("
+            yield from _pieces(head)
+            yield ")"
+        else:
+            yield from _pieces(head)
+        yield opening
+        for i, a in enumerate(args):
+            if i:
+                yield ", "
+            yield from _pieces(a)
+        yield closing
+    else:
+        yield show_term(t)
+
+
+def _binder(t: Abs) -> str:
+    return f"\\{t.var.name}:{show_type(t.var.ty)}. "
+
+
+def _application(t: App) -> tuple[Term, list[Term], str]:
+    """Head, arguments and brackets of an application."""
     head, args = spine(t)
     # candidate application: seqapp chains display as Y[x1,...,xn]
     if _is_seqapp(head) and len(args) == 2:
@@ -60,8 +108,8 @@ def show_term(t: Term) -> str:
             idx.append(inner_args[1])
             inner_head, inner_args = spine(fn)
         idx.reverse()
-        return f"{_show_head(fn)}[{', '.join(show_term(a) for a in idx)}]"
-    return f"{_show_head(head)}({', '.join(show_term(a) for a in args)})"
+        return fn, idx, "[]"
+    return head, args, "()"
 
 
 def _show_head(t: Term) -> str:

@@ -4,34 +4,50 @@ Four node kinds only: variables, constants, application, abstraction.
 Numerals are constants whose name is the decimal digits; polymorphic
 constants (rec, pair, ...) carry their instantiated type, and the
 concrete syntax writes the type index in brackets, e.g. ``rec[0]``.
+
+Nodes are immutable and often shared: expanding a ``let`` puts one
+subterm object at many places, so a term is a DAG that prints as a far
+larger tree.  Each node therefore keeps what is computed from it alone,
+its hash and its free variables, the first time they are asked for
+(which is sound only because nodes never change); hashing and
+``free_vars`` then cost once per distinct node, not once per
+occurrence, and ``alpha_eq`` does not look inside a node that both
+sides share.  Equality stays the dataclass equality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Union
 
-from .types import Arrow, Base, FiniteType, N, Product, Seq, pure, show_type
+from .types import (Arrow, Base, FiniteType, N, Product, Seq, node, pure,
+                    show_type)
 
 
-@dataclass(frozen=True)
+def syntax_node(cls):
+    """A ``node`` that also keeps its free variables (see ``free_vars``);
+    the node kinds of terms and of formulas are declared with it."""
+    cls._fvs = None
+    return node(cls)
+
+
+@syntax_node
 class Var:
     name: str
     ty: FiniteType
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Const:
     name: str
     ty: FiniteType
 
 
-@dataclass(frozen=True)
+@syntax_node
 class App:
     fn: "Term"
     arg: "Term"
 
 
-@dataclass(frozen=True)
+@syntax_node
 class Abs:
     var: Var
     body: "Term"
@@ -148,6 +164,7 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 
 
 def subterms(t: Term) -> Iterator[Term]:
+    """Every position of t, in preorder: a shared node once per place."""
     yield t
     if isinstance(t, App):
         yield from subterms(t.fn)
@@ -156,22 +173,58 @@ def subterms(t: Term) -> Iterator[Term]:
         yield from subterms(t.body)
 
 
+def distinct_subterms(t: Term) -> Iterator[Term]:
+    """Every node object of t once, however often it is shared."""
+    seen: set[int] = set()
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if id(s) in seen:
+            continue
+        seen.add(id(s))
+        yield s
+        if isinstance(s, App):
+            todo += (s.arg, s.fn)
+        elif isinstance(s, Abs):
+            todo.append(s.body)
+
+
+NO_VARS: frozenset[Var] = frozenset()
+
+
 def free_vars(t: Term) -> frozenset[Var]:
     """Variables free in t.  A binder removes every variable of its
-    name, whatever its type: the evaluator looks variables up by name."""
-    if isinstance(t, Var):
-        return frozenset([t])
-    if isinstance(t, Const):
-        return frozenset()
-    if isinstance(t, App):
-        return free_vars(t.fn) | free_vars(t.arg)
-    if isinstance(t, Abs):
-        return drop_name(free_vars(t.body), t.var.name)
-    raise TypeError(f"not a term: {t!r}")
+    name, whatever its type: the evaluator looks variables up by name.
+    Computed once per node and kept on it."""
+    if not isinstance(t, (Var, Const, App, Abs)):
+        raise TypeError(f"not a term: {t!r}")
+    fvs = t._fvs
+    if fvs is None:
+        if isinstance(t, Var):
+            fvs = frozenset([t])
+        elif isinstance(t, Const):
+            fvs = NO_VARS
+        elif isinstance(t, App):
+            fvs = union(free_vars(t.fn), free_vars(t.arg))
+        else:
+            fvs = drop_name(free_vars(t.body), t.var.name)
+        object.__setattr__(t, "_fvs", fvs)
+    return fvs
+
+
+def union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, reusing a or b when it already holds the other: kept
+    free-variable sets are then shared rather than copied per node."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
 
 
 def drop_name(vs: frozenset[Var], name: str) -> frozenset[Var]:
-    """``vs`` without its variables called ``name``."""
+    """``vs`` without its variables called ``name`` (``vs`` itself when
+    it has none)."""
+    if all(v.name != name for v in vs):
+        return vs
     return frozenset(v for v in vs if v.name != name)
 
 
@@ -286,21 +339,69 @@ def infer_type(t: Term, env: dict[str, FiniteType] | None = None) -> FiniteType:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    return _alpha(a, b, {}, {}, 0)
+    """Equality up to the names of bound variables."""
+    return alpha_walk(a, b, {}, {}, 0)
 
 
-def _alpha(a: Term, b: Term, ma: dict[str, str], mb: dict[str, str], depth: int) -> bool:
-    if isinstance(a, Var) and isinstance(b, Var):
-        return a.ty == b.ty and ma.get(a.name, a.name) == mb.get(b.name, b.name)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return a == b
-    if isinstance(a, App) and isinstance(b, App):
-        return _alpha(a.fn, b.fn, ma, mb, depth) and _alpha(a.arg, b.arg, ma, mb, depth)
-    if isinstance(a, Abs) and isinstance(b, Abs):
-        if a.var.ty != b.var.ty:
+#: scope of an alpha-equality walk: each name bound around one side,
+#: mapped to the depth of its innermost binder
+Scope = dict[str, int]
+
+
+def same_scope(fvs: frozenset[Var], ma: Scope, mb: Scope) -> bool:
+    """True when every name in fvs is free on both sides or bound at one
+    depth on both: a node then equals itself in that pair of scopes."""
+    for v in fvs:
+        if ma.get(v.name) != mb.get(v.name):
             return False
-        tag = f"!{depth}"
-        ma2 = dict(ma); ma2[a.var.name] = tag
-        mb2 = dict(mb); mb2[b.var.name] = tag
-        return _alpha(a.body, b.body, ma2, mb2, depth + 1)
-    return False
+    return True
+
+
+def alpha_binder(a: Var, b: Var, walk, body_a, body_b, ma: Scope,
+                 mb: Scope, depth: int) -> bool:
+    """``walk`` the two bodies with a bound around one and b around the
+    other, both at depth; the scopes are restored before returning."""
+    if a.ty != b.ty:
+        return False
+    olda, oldb = ma.get(a.name), mb.get(b.name)
+    ma[a.name] = mb[b.name] = depth
+    same = walk(body_a, body_b, ma, mb, depth + 1)
+    if olda is None:
+        del ma[a.name]
+    else:
+        ma[a.name] = olda
+    if oldb is None:
+        del mb[b.name]
+    else:
+        mb[b.name] = oldb
+    return same
+
+
+def alpha_walk(a: Term, b: Term, ma: Scope, mb: Scope, depth: int) -> bool:
+    """The alpha-equality walk, on terms (``formulas.alpha_walk_f`` is
+    the same walk on formulas).
+
+    Binders are matched by name, as ``free_vars`` and the evaluator
+    do: an occurrence belongs to the innermost binder of its name,
+    whatever its type, and two occurrences agree when both are free
+    with one name or both are bound at one depth.  ``depth`` counts the
+    binders entered on each side.  The scopes are updated in place and
+    restored on the way out, so the walk allocates nothing; a node met
+    on both sides in agreeing scopes is equal without a look inside.
+    """
+    if a is b and same_scope(free_vars(a), ma, mb):
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is Var:
+        da = ma.get(a.name)
+        return (da == mb.get(b.name) and (da is not None or a.name == b.name)
+                and a.ty == b.ty)
+    if kind is App:
+        return (alpha_walk(a.fn, b.fn, ma, mb, depth)
+                and alpha_walk(a.arg, b.arg, ma, mb, depth))
+    if kind is Abs:
+        return alpha_binder(a.var, b.var, alpha_walk, a.body, b.body,
+                            ma, mb, depth)
+    return a == b

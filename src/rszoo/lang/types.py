@@ -4,6 +4,9 @@ The hierarchy is generated by the base type 0 (naturals), function
 arrows, binary products, and finite-sequence types written ``sigma*``.
 Pure types are abbreviated by numerals in the concrete syntax:
 ``1 = 0 -> 0``, ``2 = 1 -> 0``, and so on.
+
+Types, like terms and formulas, are immutable ``node`` dataclasses:
+each node computes its hash once and keeps it.
 """
 from __future__ import annotations
 
@@ -11,7 +14,33 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 
-@dataclass(frozen=True)
+def node(cls):
+    """``@dataclass(frozen=True)``, with the hash kept on the node.
+
+    The dataclass hash of a node hashes its fields, and so rehashes
+    every subtree on every call.  Here a node computes that same value
+    once, from its fields' kept hashes, and stores it on itself, so
+    hashing costs once per distinct node however often a subtree is
+    shared.  This relies on nodes being immutable, and a kept hash is
+    valid only in the process that computed it (string hashes are
+    salted per process), so nodes are not to be pickled as they are.
+    """
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
+@node
 class Base:
     """The type of natural numbers, written ``0``."""
 
@@ -19,7 +48,7 @@ class Base:
         return "0"
 
 
-@dataclass(frozen=True)
+@node
 class Arrow:
     dom: "FiniteType"
     cod: "FiniteType"
@@ -28,7 +57,7 @@ class Arrow:
         return show_type(self)
 
 
-@dataclass(frozen=True)
+@node
 class Product:
     left: "FiniteType"
     right: "FiniteType"
@@ -37,7 +66,7 @@ class Product:
         return show_type(self)
 
 
-@dataclass(frozen=True)
+@node
 class Seq:
     elem: "FiniteType"
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from .lang.formulas import (And, Atom, BExists, BForall, BQUANTS,
                             Eq, Exists, ExistsSt, FALSE, Forall, ForallSt,
                             Formula, Implies, Not, Or, QUANTS, St, TRUE,
-                            all_names_f, canon, desugar_approx, free_vars_f,
-                            is_internal, subst_f)
+                            all_names_f, alpha_walk_f, canon, desugar_approx,
+                            free_vars_f, is_internal, subst_f)
 from .lang.parser import parse_formula, parse_type
 from .lang.printer import show_formula
 from .lang.terms import (App, Const, Term, Var, app, free_vars, fresh_name,
@@ -79,32 +79,41 @@ def show_nf(nf: NormalForm) -> str:
 
 
 def canon_nf(nf: NormalForm) -> NormalForm:
-    """Canonical variable naming: universals x0.., existentials y0..,
-    then canonical bound names inside the matrix."""
+    """Canonical variable naming, for display: universals x0..,
+    existentials y0.., then canonical bound names inside the matrix.
+    Like every binder, a block renames its names at every type."""
     m = nf.matrix
-    newu, newe = [], []
     blocks = {v.name for v in nf.universals + nf.existentials}
     taken = {v.name for v in free_vars_f(m)} - blocks
-    for i, v in enumerate(nf.universals):
-        nv = Var(f"x{i}", v.ty)
-        while nv.name in taken:
-            nv = Var(nv.name + "_", v.ty)
-        newu.append(nv)
-    for i, v in enumerate(nf.existentials):
-        nv = Var(f"y{i}", v.ty)
-        while nv.name in taken:
-            nv = Var(nv.name + "_", v.ty)
-        newe.append(nv)
-    m = subst_f(m, dict(zip(nf.universals + nf.existentials, newu + newe)))
-    return NormalForm(tuple(newu), tuple(newe), canon(m))
+    new: dict[str, str] = {}
+    for prefix, block in (("x", nf.universals), ("y", nf.existentials)):
+        for i, v in enumerate(block):
+            name = f"{prefix}{i}"
+            while name in taken:
+                name += "_"
+            new[v.name] = name
+    m = subst_f(m, {v: Var(new[v.name], v.ty) for v in free_vars_f(m)
+                    if v.name in new})
+    return NormalForm(tuple(Var(new[v.name], v.ty) for v in nf.universals),
+                      tuple(Var(new[v.name], v.ty) for v in nf.existentials),
+                      canon(m))
 
 
 def alpha_eq_nf(a: NormalForm, b: NormalForm) -> bool:
-    """Structural equality modulo canonical renaming (order-sensitive)."""
-    ca, cb = canon_nf(a), canon_nf(b)
-    return (ca.universals == cb.universals
-            and ca.existentials == cb.existentials
-            and ca.matrix == cb.matrix)
+    """Equality up to the names of bound variables (order-sensitive):
+    the blocks pairwise by type, then the matrices by ``alpha_walk_f``
+    with each block name bound."""
+    if (len(a.universals) != len(b.universals)
+            or len(a.existentials) != len(b.existentials)):
+        return False
+    ma: dict[str, int] = {}
+    mb: dict[str, int] = {}
+    for depth, (u, v) in enumerate(zip(a.universals + a.existentials,
+                                       b.universals + b.existentials)):
+        if u.ty != v.ty:
+            return False
+        ma[u.name] = mb[v.name] = depth
+    return alpha_walk_f(a.matrix, b.matrix, ma, mb, len(ma))
 
 
 def nf_signature(nf: NormalForm) -> tuple[tuple[str, ...], tuple[str, ...]]:

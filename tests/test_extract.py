@@ -497,6 +497,12 @@ STEP1 = AXIOM.replace("step 1: ", "")
      "step 1: unknown rule 'NF-AXIM'"),
     ("script s\nstep 1: NF-AXIOM internal x conclude (forall^st x:0) x = x",
      "step 1: unexpected token 'x'"),
+    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS internal 1 with (x) "
+     f"conclude {ONE_SLOT}",
+     "step 2: EXISTS-WITNESS takes no axiom kind, got 'internal'"),
+    ("script s\nstep 1: NF-AXIOM internal internal conclude "
+     "(forall^st x:0) x = x",
+     "step 1: second axiom kind 'internal' after 'internal'"),
     (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with x conclude "
      f"{ONE_SLOT}", "step 2: expected '(' in witness groups near 'x'"),
     (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x] conclude "

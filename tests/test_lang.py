@@ -9,13 +9,14 @@ from rszoo.interp import MiniModel, eval_formula, eval_term
 from rszoo.lang import (Abs, App, Arrow, Atom, BForall, Eq, Exists, Forall,
                         ForallSt, FormulaTypeError, N, Not, ParseError,
                         Product, Seq, St, Var, all_names_f, alpha_eq,
-                        alpha_eq_f, app, free_vars, free_vars_f, infer_type,
+                        alpha_eq_f, app, canon, free_vars, free_vars_f, infer_type,
                         is_internal, lam, num, parse_formula, parse_term,
                         parse_type, pure, show_formula, show_term, show_type,
                         subst_f, substitute, typecheck_f)
 from rszoo.lang.parser import parse_document
 from rszoo.lang.terms import PLUS, all_names
-from rszoo.translate import NormalForm, alpha_eq_nf, nf_to_formula, parse_nf
+from rszoo.translate import (NormalForm, alpha_eq_nf, canon_nf,
+                             nf_to_formula, parse_nf)
 
 UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
 
@@ -303,3 +304,30 @@ def test_binders_remove_free_variables_by_name():
     g = BForall(Var("y", N), "le", Var("y", N),
                 Atom("=", (Var("y", pure(1)), num(0))))
     assert free_vars_f(g) == {Var("y", N)}
+
+
+def test_alpha_eq_binds_names_across_types():
+    # y:0 under a y:1 binder is bound (see above), under a z:1 binder
+    # free: the first formula is closed and false, the second true at y=0
+    y1, z1, y0 = Var("y", pure(1)), Var("z", pure(1)), Var("y", N)
+    matrix = Atom("=", (y0, num(0)))
+    closed, open_ = Exists(y1, matrix), Exists(z1, matrix)
+    model = MiniModel(cap=2, omega=1)
+    assert eval_formula(model, closed, {}) is False
+    assert eval_formula(model, open_, {"y": 0}) is True
+    assert not alpha_eq_f(closed, open_)
+    assert canon(closed) != canon(open_)
+    bare = NormalForm((), (), closed), NormalForm((), (), open_)
+    assert not alpha_eq_nf(*bare)
+    assert canon_nf(bare[0]) != canon_nf(bare[1])
+    # the same binders as a universal block, and as lambdas
+    blocks = NormalForm((y1,), (), matrix), NormalForm((z1,), (), matrix)
+    assert not alpha_eq_nf(*blocks)
+    assert canon_nf(blocks[0]) != canon_nf(blocks[1])
+    assert not alpha_eq(Abs(y1, y0), Abs(z1, y0))
+    # binding across types on both sides is alpha-equal
+    renamed = Exists(z1, Atom("=", (Var("z", N), num(0))))
+    assert alpha_eq_f(closed, renamed)
+    assert canon(closed) == canon(renamed)
+    assert alpha_eq_nf(blocks[0],
+                       NormalForm((z1,), (), renamed.body))
