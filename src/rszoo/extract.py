@@ -34,7 +34,7 @@ from .lang import (Abs, App, Const, ExistsSt, ForallSt, Formula, Implies, N,
                    parse_term, parse_type, pure, show_formula, show_type,
                    stdterms, subst_f, substitute)
 from .lang.printer import show_term_prefix
-from .lang.types import Arrow, FiniteType, Product
+from .lang.types import Arrow, FiniteType, Node, Product, node, record
 from .normalform import normalize_principle
 from .translate import NormalForm, alpha_eq_nf, show_nf
 
@@ -265,7 +265,7 @@ def formula_to_nf(f: Formula) -> NormalForm:
 # checking
 
 
-@dataclass
+@record
 class StepResult:
     step: ProofStep
     nf: NormalForm
@@ -276,7 +276,7 @@ class StepResult:
                 f"({len(self.rows)} candidate(s))")
 
 
-@dataclass
+@record
 class ScriptReport:
     script: ProofScript
     results: tuple[StepResult, ...]
@@ -307,11 +307,11 @@ def _check_rows(step: ProofStep, rows: tuple[Row, ...],
                 _fail(step, "muscan is not permitted in witness terms; "
                             "search must be spelled out as a bounded "
                             "recursion")
-            loose = {w.name for w in free_vars(t)} - set(scope)
+            loose = {w.name for w in free_vars(t) if w.name not in scope}
             if loose:
                 _fail(step, f"open witness term for {v.name}: "
                             f"unbound {sorted(loose)}")
-            ty = infer_type(t, dict(scope))
+            ty = infer_type(t, scope)
             if ty != v.ty:
                 _fail(step, f"witness for {v.name} has type {show_type(ty)}, "
                             f"expected {show_type(v.ty)}")
@@ -465,8 +465,8 @@ def leastz_t() -> Term:
                          app(stdterms.leq_t(), r, y), r, num(0)))
 
 
-@dataclass(frozen=True)
-class PostResult:
+@node
+class PostResult(Node):
     bound: Term      # \xs. max of the target slot over the candidates
 
 
@@ -508,7 +508,7 @@ def postprocess(t: Term, nf: NormalForm, target: str) -> PostResult:
 # candidate checking in a model
 
 
-@dataclass
+@record
 class CandidateReport:
     ok: bool
     checked: int
@@ -669,26 +669,24 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
                 for v, val in zip(nf.universals, combo)))
     overflowed = model.overflowed
     model.overflowed = was_overflowed or overflowed
-    return CandidateReport(ok=not failures, checked=checked,
-                           failures=tuple(failures),
-                           antecedent_vacuous=(genuine == 0 and not failures),
-                           overflowed=overflowed)
+    return CandidateReport(not failures, checked, tuple(failures),
+                           genuine == 0 and not failures, overflowed)
 
 
 # ---------------------------------------------------------------------------
 # explicit implications
 
 
-@dataclass
+@record
 class ExplicitImplication:
     """A proved implication together with its explicit term content."""
     source: str
     target: str
     forward_term: Term | None
     backward_term: Term | None
-    bound_term: Term | None = None
-    flags: tuple[str, ...] = ()
-    stages: tuple[tuple[str, str], ...] = ()
+    bound_term: Term | None
+    flags: tuple[str, ...]
+    stages: tuple[tuple[str, str], ...]
 
     def stage_lines(self) -> list[str]:
         return [f"{tag}: {line}" for tag, line in self.stages]
@@ -772,10 +770,9 @@ def rs_run(entry) -> ExplicitImplication:
         backward_term = _stage(eid, "extract-backward",
                                lambda: extract_function(rep))
 
-    return ExplicitImplication(entry.source, entry.target,
-                               forward_term, backward_term, bound_term=bound,
-                               flags=tuple(sorted(flags)),
-                               stages=tuple(stages))
+    return ExplicitImplication(entry.source, entry.target, forward_term,
+                               backward_term, bound, tuple(sorted(flags)),
+                               tuple(stages))
 
 
 def _mu_collapse(nf: NormalForm, bound: Term) -> Term:

@@ -23,8 +23,9 @@ its order is: qry, halt, inc R0, inc R1, dec R0, dec R1, brz R0 to
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
+
+from ..lang.types import Node, node
 
 Instruction = tuple
 Program = tuple
@@ -34,14 +35,14 @@ class MachineError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class HaltsWith:
+@node
+class HaltsWith(Node):
     output: int
     steps: int
 
 
-@dataclass(frozen=True)
-class DidNotHalt:
+@node
+class DidNotHalt(Node):
     budget: int
 
 

@@ -6,104 +6,105 @@ plain, standard-relativized (``forall^st``), and bounded (by <=, <, or
 membership in a sequence value).  ``Eq`` is extensional equality at a
 type; ``ApproxEq`` is equality on standard arguments and is external.
 
-Like term nodes, formula nodes are immutable and keep their hash and
-free variables once computed (see ``terms``), and ``alpha_eq_f`` is the
-same single walk as ``terms.alpha_eq``.
+Formula nodes, like term nodes, derive from ``terms.SyntaxNode``: they
+are immutable, hold only slots, and keep their hash and free variables
+once computed (see ``terms``).  ``alpha_eq_f`` is the same single walk
+as ``terms.alpha_eq``.
 """
 from __future__ import annotations
 
 from typing import Iterator, Mapping, Union
 
 from .terms import (NO_VARS, Abs, App, Prepared, Scope, Term, Var,
-                    all_names, alpha_binder, alpha_walk, app, drop_name,
-                    enter_binder, free_vars as term_fvs, fresh_name, fst_c,
-                    num, prepare, same_scope, snd_c, subst_prepared,
-                    syntax_node, union)
-from .types import Arrow, FiniteType, N, Product, Seq, show_type
+                    SyntaxNode, all_names, alpha_binder, alpha_walk, app,
+                    drop_name, enter_binder, free_vars as term_fvs,
+                    fresh_name, fst_c, keep_fvs, num, prepare, same_scope,
+                    snd_c, subst_prepared, union)
+from .types import Arrow, FiniteType, N, Product, Seq, node, show_type
 
 
-@syntax_node
-class Atom:
+@node
+class Atom(SyntaxNode):
     rel: str  # "=" at any type; "<=", "<" on type 0; "in" for set membership
     args: tuple[Term, ...]
 
 
-@syntax_node
-class Eq:
+@node
+class Eq(SyntaxNode):
     ty: FiniteType
     left: Term
     right: Term
 
 
-@syntax_node
-class ApproxEq:
+@node
+class ApproxEq(SyntaxNode):
     ty: FiniteType
     left: Term
     right: Term
 
 
-@syntax_node
-class St:
+@node
+class St(SyntaxNode):
     arg: Term
 
 
-@syntax_node
-class Not:
+@node
+class Not(SyntaxNode):
     body: "Formula"
 
 
-@syntax_node
-class And:
+@node
+class And(SyntaxNode):
     left: "Formula"
     right: "Formula"
 
 
-@syntax_node
-class Or:
+@node
+class Or(SyntaxNode):
     left: "Formula"
     right: "Formula"
 
 
-@syntax_node
-class Implies:
+@node
+class Implies(SyntaxNode):
     left: "Formula"
     right: "Formula"
 
 
-@syntax_node
-class Forall:
+@node
+class Forall(SyntaxNode):
     var: Var
     body: "Formula"
 
 
-@syntax_node
-class Exists:
+@node
+class Exists(SyntaxNode):
     var: Var
     body: "Formula"
 
 
-@syntax_node
-class ForallSt:
+@node
+class ForallSt(SyntaxNode):
     var: Var
     body: "Formula"
 
 
-@syntax_node
-class ExistsSt:
+@node
+class ExistsSt(SyntaxNode):
     var: Var
     body: "Formula"
 
 
-@syntax_node
-class BForall:
+@node
+class BForall(SyntaxNode):
     var: Var
     kind: str  # "le" | "lt" | "mem"
     bound: Term
     body: "Formula"
 
 
-@syntax_node
-class BExists:
+@node
+class BExists(SyntaxNode):
     var: Var
     kind: str
     bound: Term
@@ -175,10 +176,12 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 def free_vars_f(f: Formula) -> frozenset[Var]:
     """Variables free in f; a binder removes its name (see free_vars).
     Computed once per node and kept on it."""
-    fvs = f._fvs
-    if fvs is None:
-        fvs = _free_vars_f(f)
-        object.__setattr__(f, "_fvs", fvs)
+    try:
+        return f._fvs
+    except AttributeError:
+        pass
+    fvs = _free_vars_f(f)
+    keep_fvs(f, fvs)
     return fvs
 
 

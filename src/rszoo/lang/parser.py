@@ -21,7 +21,7 @@ formula``; later stanzas may reference earlier ones by name.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
 
 from .formulas import (And, ApproxEq, Atom, BExists, BForall, Eq, Exists,
                        ExistsSt, FALSE, Forall, ForallSt, Formula, Implies,
@@ -30,7 +30,7 @@ from .terms import (Abs, CONST_NAMES, INITSEG, MAX2, MONUS, MUSCAN, NPAIR,
                     NUNL, NUNR, PLUS, RUN, SEQMAX, SUCC, Term, TypeCheckError,
                     Var, app, append_c, empty_c, fst_c, get_c, infer_type,
                     len_c, num, pair_c, rec_c, seqapp_c, snd_c)
-from .types import Arrow, FiniteType, N, Product, Seq, pure
+from .types import Arrow, FiniteType, N, Product, Seq, pure, record
 
 
 class ParseError(Exception):
@@ -47,72 +47,95 @@ KEYWORDS = frozenset(["forall", "exists", "st", "in", "eq", "approx",
 _SYMBOLS = ["->", "/\\", "\\/", "!=", "<=", ":=", "^st",
             "(", ")", "[", "]", ",", ":", ".", "*", "~", "<", "=", "\\"]
 
+# Blanks, then one token, a newline, a comment, a character that starts
+# none of them ("bad"), or the end of the input (no group).  Symbols are
+# tried in the order above, longest first.  A number is a run of digits;
+# a name starts with a letter or "_" and goes on with letters, digits,
+# "_" and "'", where letters and digits are those of ``str.isalpha`` and
+# ``str.isdigit``.  The regex classes agree with those on ASCII; on
+# other characters ``_word`` decides.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>#[^\n]*)"
+    r"|(?P<num>\d+)|(?P<ident>[^\W\d][\w']*)"
+    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")|(?P<bad>.)|\Z)")
 
-@dataclass
+
 class Token:
-    kind: str  # "num" | "ident" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "num" | "ident" | "sym" | "eof"
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(src: str) -> list[Token]:
+    """The tokens of src, ending in an "eof" token.  Lines and columns
+    count from 1; a comment runs to the end of its line and takes no
+    column, so input ending in a comment ends at the comment's column."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
+    line, start = 1, 0      # start: position of the line's first character
+    pos = 0
+    eof = n = len(src)
+    ascii_only = src.isascii()
+    match = _TOKEN.match
+    while pos < n:
+        m = match(src, pos)
+        kind = m.lastgroup
+        if kind is None:
+            break
+        at, pos = m.start(kind), m.end()
+        if (kind == "num" or kind == "ident") and not ascii_only:
+            kind, pos = _word(src, at)
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("num", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            toks.append(Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+            start = pos
+        elif kind == "comment":
+            if pos == n:
+                eof = at
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {src[at]!r}", line,
+                             at - start + 1)
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            toks.append(Token(kind, src[at:pos], line, at - start + 1))
+    toks.append(Token("eof", "", line, eof - start + 1))
     return toks
 
 
-@dataclass
+def _word(src: str, i: int) -> tuple[str, int]:
+    """Kind and end of the number or name at i, by ``str.isdigit`` and
+    ``str.isalpha``, which the regex classes do not match outside ASCII:
+    "²" is a digit but not a ``\\d``, "½" is a ``\\w`` but neither a
+    digit nor a letter; kind "bad" when the character starts no token."""
+    n, j = len(src), i
+    if src[i].isdigit():
+        while j < n and src[j].isdigit():
+            j += 1
+        return "num", j
+    if src[i].isalpha() or src[i] == "_":
+        while j < n and (src[j].isalnum() or src[j] in "_'"):
+            j += 1
+        return "ident", j
+    return "bad", i
+
+
+@record
 class _P:
+    """The parser: a cursor over the tokens, and the variables and
+    formula definitions in scope."""
     toks: list[Token]
-    pos: int = 0
-    env: dict[str, Var] = field(default_factory=dict)
-    defs: dict[str, tuple[list[Var], Formula]] = field(default_factory=dict)
+    pos: int
+    env: dict[str, Var]
+    defs: dict[str, tuple[list[Var], Formula]]
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        """The token ``ahead`` places on; the "eof" token past the end
+        (``next`` never moves past it)."""
+        if ahead:
+            toks = self.toks
+            return toks[min(self.pos + ahead, len(toks) - 1)]
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -120,13 +143,13 @@ class _P:
             self.pos += 1
         return t
 
-    def at_sym(self, s: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == "sym" and t.text == s
+    def at_sym(self, s: str) -> bool:
+        t = self.toks[self.pos]
+        return t.text == s and t.kind == "sym"
 
     def at_kw(self, w: str, ahead: int = 0) -> bool:
         t = self.peek(ahead)
-        return t.kind == "ident" and t.text == w
+        return t.text == w and t.kind == "ident"
 
     def expect_sym(self, s: str) -> Token:
         t = self.peek()
@@ -176,9 +199,6 @@ class _P:
 
     # -- terms --------------------------------------------------------------
 
-    def _type_env(self) -> dict[str, FiniteType]:
-        return {name: v.ty for name, v in self.env.items()}
-
     def parse_term(self) -> Term:
         if self.at_sym("\\"):
             self.next()
@@ -224,10 +244,14 @@ class _P:
             else:
                 return t
 
+    # A term parsed here takes each free variable from ``env`` as it is
+    # now, so ``env`` agrees with it and its type is ``infer_type`` of
+    # the term alone.
+
     def _mk_seqapp(self, fn: Term, arg: Term, tok: Token) -> Term:
         try:
-            fty = infer_type(fn, self._type_env())
-            aty = infer_type(arg, self._type_env())
+            fty = infer_type(fn)
+            aty = infer_type(arg)
         except TypeCheckError as e:
             raise ParseError(str(e), tok.line, tok.col) from None
         if not isinstance(fty, Arrow) or fty.dom != aty:
@@ -390,7 +414,7 @@ class _P:
                     self.next()
                     bound = self.parse_term()
                     try:
-                        bty = infer_type(bound, self._type_env())
+                        bty = infer_type(bound)
                     except TypeCheckError as e:
                         raise ParseError(str(e), vt.line, vt.col) from None
                     if not isinstance(bty, Seq):
@@ -503,10 +527,9 @@ class _P:
             raise ParseError(
                 f"{tok.text} takes {len(params)} argument(s), got {len(args)}",
                 tok.line, tok.col)
-        tenv = self._type_env()
         for p, a in zip(params, args):
             try:
-                aty = infer_type(a, tenv)
+                aty = infer_type(a)
             except TypeCheckError as e:
                 raise ParseError(str(e), tok.line, tok.col) from None
             if aty != p.ty:
@@ -546,7 +569,7 @@ def _params_env(params: dict[str, FiniteType] | None) -> dict[str, Var]:
 
 
 def parse_type(src: str) -> FiniteType:
-    p = _P(tokenize(src))
+    p = _P(tokenize(src), 0, {}, {})
     ty = p.parse_type()
     if p.peek().kind != "eof":
         p.fail("trailing input after type")
@@ -554,7 +577,7 @@ def parse_type(src: str) -> FiniteType:
 
 
 def parse_term(src: str, params: dict[str, FiniteType] | None = None) -> Term:
-    p = _P(tokenize(src), env=_params_env(params))
+    p = _P(tokenize(src), 0, _params_env(params), {})
     t = p.parse_term()
     if p.peek().kind != "eof":
         p.fail("trailing input after term")
@@ -563,14 +586,14 @@ def parse_term(src: str, params: dict[str, FiniteType] | None = None) -> Term:
 
 def parse_formula(src: str, params: dict[str, FiniteType] | None = None,
                   defs: dict[str, tuple[list[Var], Formula]] | None = None) -> Formula:
-    p = _P(tokenize(src), env=_params_env(params), defs=dict(defs or {}))
+    p = _P(tokenize(src), 0, _params_env(params), dict(defs or {}))
     f = p.parse_formula(True)
     if p.peek().kind != "eof":
         p.fail("trailing input after formula")
     return f
 
 
-@dataclass
+@record
 class Document:
     """Named formula stanzas, in definition order."""
     stanzas: dict[str, tuple[list[Var], Formula]]
@@ -587,7 +610,7 @@ class Document:
 
 
 def parse_document(src: str) -> Document:
-    p = _P(tokenize(src))
+    p = _P(tokenize(src), 0, {}, {})
     stanzas: dict[str, tuple[list[Var], Formula]] = {}
     order: list[str] = []
     while p.peek().kind != "eof":

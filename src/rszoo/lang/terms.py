@@ -8,47 +8,57 @@ concrete syntax writes the type index in brackets, e.g. ``rec[0]``.
 Nodes are immutable and often shared: expanding a ``let`` puts one
 subterm object at many places, so a term is a DAG that prints as a far
 larger tree.  Each node therefore keeps what is computed from it alone,
-its hash and its free variables, the first time they are asked for
-(which is sound only because nodes never change); hashing and
-``free_vars`` then cost once per distinct node, not once per
-occurrence, and ``alpha_eq`` does not look inside a node that both
-sides share.  Equality stays the dataclass equality.
+its hash, its free variables and its type, in slots of its own the
+first time they are asked for (which is sound only because nodes never
+change); hashing, ``free_vars`` and ``infer_type`` then cost once per
+distinct node, not once per occurrence, and ``alpha_eq`` does not look
+inside a node that both sides share.  Equality is by class and fields
+(see ``types.Node``).
 """
 from __future__ import annotations
 
 from typing import Callable, Iterator, Mapping, Union
 
-from .types import (Arrow, Base, FiniteType, N, Product, Seq, node, pure,
-                    show_type)
+from .types import (Arrow, Base, FiniteType, N, Node, Product, Seq, node,
+                    pure, show_type)
 
 
-def syntax_node(cls):
-    """A ``node`` that also keeps its free variables (see ``free_vars``);
-    the node kinds of terms and of formulas are declared with it."""
-    cls._fvs = None
-    return node(cls)
+class SyntaxNode(Node):
+    """A node that also keeps its free variables (see ``free_vars``) in
+    the ``_fvs`` slot: the base of the node kinds of formulas."""
+    __slots__ = ("_fvs",)
 
 
-@syntax_node
-class Var:
+class TermNode(SyntaxNode):
+    """A syntax node that also keeps its type (see ``infer_type``) in
+    the ``_ty`` slot: the base of the four term kinds."""
+    __slots__ = ("_ty",)
+
+
+keep_fvs = SyntaxNode.__dict__["_fvs"].__set__
+keep_ty = TermNode.__dict__["_ty"].__set__
+
+
+@node
+class Var(TermNode):
     name: str
     ty: FiniteType
 
 
-@syntax_node
-class Const:
+@node
+class Const(TermNode):
     name: str
     ty: FiniteType
 
 
-@syntax_node
-class App:
+@node
+class App(TermNode):
     fn: "Term"
     arg: "Term"
 
 
-@syntax_node
-class Abs:
+@node
+class Abs(TermNode):
     var: Var
     body: "Term"
 
@@ -196,19 +206,21 @@ def free_vars(t: Term) -> frozenset[Var]:
     """Variables free in t.  A binder removes every variable of its
     name, whatever its type: the evaluator looks variables up by name.
     Computed once per node and kept on it."""
-    if not isinstance(t, (Var, Const, App, Abs)):
+    if not isinstance(t, TermNode):
         raise TypeError(f"not a term: {t!r}")
-    fvs = t._fvs
-    if fvs is None:
-        if isinstance(t, Var):
-            fvs = frozenset([t])
-        elif isinstance(t, Const):
-            fvs = NO_VARS
-        elif isinstance(t, App):
-            fvs = union(free_vars(t.fn), free_vars(t.arg))
-        else:
-            fvs = drop_name(free_vars(t.body), t.var.name)
-        object.__setattr__(t, "_fvs", fvs)
+    try:
+        return t._fvs
+    except AttributeError:
+        pass
+    if isinstance(t, Var):
+        fvs = frozenset([t])
+    elif isinstance(t, Const):
+        fvs = NO_VARS
+    elif isinstance(t, App):
+        fvs = union(free_vars(t.fn), free_vars(t.arg))
+    else:
+        fvs = drop_name(free_vars(t.body), t.var.name)
+    keep_fvs(t, fvs)
     return fvs
 
 
@@ -309,9 +321,56 @@ def infer_type(t: Term, env: dict[str, FiniteType] | None = None) -> FiniteType:
     """Type of t; raises TypeCheckError on ill-formed applications.
 
     Variables carry their own types; env, when given, is checked for
-    consistency with them.
+    consistency with them.  The type without env is kept on each node
+    (see ``kept_type``), and env then only has to agree with the
+    variables free in t.  When it does not, or t has no kept type, the
+    walk ``infer_walk`` runs and raises the error.
     """
-    env = env or {}
+    ty = kept_type(t)
+    if ty is not None and env:
+        for v in free_vars(t):
+            declared = env.get(v.name)
+            if declared is not None and declared != v.ty:
+                ty = None
+                break
+    return infer_walk(t, env or {}) if ty is None else ty
+
+
+def kept_type(t: Term) -> FiniteType | None:
+    """Type of t without an environment, computed once per node and kept
+    on it; None when t is ill-typed or is no term.
+
+    Its type in an environment is the same whenever the environment
+    agrees with every variable free in t, since a variable's type is
+    its own and a binder only checks the variables of its name."""
+    kind = type(t)
+    if kind is Var or kind is Const:
+        return t.ty
+    try:
+        return t._ty
+    except AttributeError:
+        pass
+    if kind is App:
+        fty = kept_type(t.fn)
+        if not isinstance(fty, Arrow) or fty.dom != kept_type(t.arg):
+            return None
+        ty = fty.cod
+    elif kind is Abs:
+        body = kept_type(t.body)
+        v = t.var
+        if body is None or any(w.name == v.name and w.ty != v.ty
+                               for w in free_vars(t.body)):
+            return None
+        ty = Arrow(v.ty, body)
+    else:
+        return None
+    keep_ty(t, ty)
+    return ty
+
+
+def infer_walk(t: Term, env: dict[str, FiniteType]) -> FiniteType:
+    """``infer_type`` by a walk of every position of t, checking each
+    variable against env and the binders around it."""
     if isinstance(t, Var):
         declared = env.get(t.name)
         if declared is not None and declared != t.ty:
@@ -322,8 +381,8 @@ def infer_type(t: Term, env: dict[str, FiniteType] | None = None) -> FiniteType:
     if isinstance(t, Const):
         return t.ty
     if isinstance(t, App):
-        fty = infer_type(t.fn, env)
-        aty = infer_type(t.arg, env)
+        fty = infer_walk(t.fn, env)
+        aty = infer_walk(t.arg, env)
         if not isinstance(fty, Arrow):
             raise TypeCheckError(f"applied non-function of type {show_type(fty)}")
         if fty.dom != aty:
@@ -334,7 +393,7 @@ def infer_type(t: Term, env: dict[str, FiniteType] | None = None) -> FiniteType:
     if isinstance(t, Abs):
         inner = dict(env)
         inner[t.var.name] = t.var.ty
-        return Arrow(t.var.ty, infer_type(t.body, inner))
+        return Arrow(t.var.ty, infer_walk(t.body, inner))
     raise TypeCheckError(f"not a term: {t!r}")
 
 

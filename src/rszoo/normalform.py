@@ -29,16 +29,14 @@ types are nonempty; tests check this by brute force at small caps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Eq,
                             Exists, ExistsSt, Forall, ForallSt, Formula,
                             Implies, Not, Or, St, all_names_f, conj,
                             is_internal, subformulas, subst_f)
 from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num,
                          INITSEG, NUNL, NUNR)
-from .lang.types import Arrow, FiniteType, N, Product, Seq, arrows, show_type
+from .lang.types import (Arrow, FiniteType, N, Product, Seq, arrows, record,
+                         show_type)
 from .translate import NormalForm, nf_to_formula
 
 
@@ -49,10 +47,11 @@ class NormalFormError(Exception):
 # ---------------------------------------------------------------------------
 # the fixed target: bounded-zero transfer
 
-@dataclass
+@record
 class TransferInstance:
     """The transfer statement for zeros of a standard table, in its raw
-    implication shape and its two-block normal shape.
+    implication shape and its two-block normal shape, the latter also
+    as one formula (built once, so that a model compiles it once).
 
     The two are classically equivalent; ``check_equivalence`` confirms
     the equivalence at finite scale by evaluating both in a model and
@@ -60,13 +59,8 @@ class TransferInstance:
     """
     transfer: Formula
     normal: NormalForm
-    equivalence_checked: bool = False
-
-    @cached_property
-    def normal_formula(self) -> Formula:
-        """The normal shape as one formula, built once so that a model
-        compiles it once."""
-        return nf_to_formula(self.normal)
+    normal_formula: Formula
+    equivalence_checked: bool
 
     def check_equivalence(self, model) -> bool:
         from .interp import eval_formula
@@ -85,13 +79,14 @@ def trans_instance() -> TransferInstance:
         ForallSt(x, Not(fx0)),
         Forall(x, Not(fx0))))
     matrix = Implies(Exists(x, fx0), BExists(z, "le", y, fz0))
-    return TransferInstance(transfer, NormalForm((f,), (y,), matrix))
+    normal = NormalForm((f,), (y,), matrix)
+    return TransferInstance(transfer, normal, nf_to_formula(normal), False)
 
 
 # ---------------------------------------------------------------------------
 # step 1: uniformize
 
-@dataclass
+@record
 class UniformPrinciple:
     """A problem statement with its functional and relativized variants.
 
@@ -100,7 +95,7 @@ class UniformPrinciple:
     base: Formula
     uniform: Formula
     strong: Formula
-    functionals: tuple[Var, ...] = ()
+    functionals: tuple[Var, ...]
 
 
 def _strip(f: Formula, node) -> tuple[list[Var], Formula]:
@@ -131,7 +126,7 @@ def uniformize(base: Formula) -> UniformPrinciple:
         strong = matrix
         for v in reversed(xs):
             strong = ForallSt(v, strong)
-        return UniformPrinciple(base, uniform, strong)
+        return UniformPrinciple(base, uniform, strong, ())
 
     taken = all_names_f(base)
     fns = [Var(fresh_name("Psi" if i == 0 else f"Psi{i + 1}", taken),
@@ -434,7 +429,7 @@ def normalize_principle(base: Formula,
     herb = herbrandize_choice(resolved, steps=steps)
     if steps is not None:
         steps.append(("choice-collapsed", herb))
-    target = nf_to_formula(trans_instance().normal)
+    target = trans_instance().normal_formula
     imp = Implies(herb, target)
     if steps is not None:
         steps.append(("implication", imp))

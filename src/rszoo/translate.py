@@ -26,8 +26,6 @@ simplification terminates and is idempotent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lang.formulas import (And, Atom, BExists, BForall, BQUANTS,
                             Eq, Exists, ExistsSt, FALSE, Forall, ForallSt,
                             Formula, Implies, Not, Or, QUANTS, St, TRUE,
@@ -37,20 +35,22 @@ from .lang.parser import parse_formula, parse_type
 from .lang.printer import show_formula
 from .lang.terms import (App, Const, Term, Var, app, free_vars, fresh_name,
                          get_c, infer_type, len_c, seqapp_c, spine)
-from .lang.types import Arrow, FiniteType, N, Seq, arrows, show_type
+from .lang.types import (Arrow, FiniteType, N, Node, Seq, arrows, node,
+                         show_type)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+@node
+class NormalForm(Node):
     """(forall^st universals)(exists^st existentials) matrix."""
     universals: tuple[Var, ...]
     existentials: tuple[Var, ...]
     matrix: Formula
 
-    def __post_init__(self):
-        names = [v.name for v in self.universals + self.existentials]
+    def __new__(cls, universals, existentials, matrix):
+        names = [v.name for v in universals + existentials]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate names in blocks: {names}")
+        return object.__new__(cls)
 
 
 class TranslateError(Exception):

@@ -34,7 +34,12 @@ bind mu0: mu_op [st]
 """
 
 
-def udnr_entry():
+# The same model at cap 5: tables padded with zeros to 6 cells.
+MODEL_CAP5 = MODEL_CAP3.replace("cap = 3", "cap = 5").replace(
+    "0 0 [st]", "0 0 0 0 [st]")
+
+
+def udnr_entry(model: str = MODEL_CAP3, f_plan: str = "st"):
     def read(name):
         return (UDNR / name).read_text()
     return SimpleNamespace(
@@ -43,8 +48,8 @@ def udnr_entry():
         expect=parse_nf(read("expect.nf")),
         forward=parse_script(read("forward.prf")),
         backward=parse_script(read("backward.prf")),
-        model=parse_model_config(MODEL_CAP3),
-        plans={"f": "st", "Psi": "st", "Xi": "st"},
+        model=parse_model_config(model),
+        plans={"f": f_plan, "Psi": "st", "Xi": "st"},
         plans_backward={"mu": "st", "Z": "st"},
     )
 
@@ -107,6 +112,21 @@ def udnr_transcript(verdict) -> str:
 def test_rs_run_matches_golden_transcript(udnr_run):
     _entry, verdict, _replays = udnr_run
     assert udnr_transcript(verdict) == GOLDEN_CAP3.read_text()
+
+
+@pytest.mark.parametrize("golden, model, f_plan", [
+    ("udnr_cap5.txt", MODEL_CAP5, "st"),
+    ("udnr_cap3_fall.txt", MODEL_CAP3, "all"),
+])
+def test_rs_run_matches_golden_transcript_on_other_paths(golden, model,
+                                                         f_plan):
+    # the other two benchmarked paths: cap 5 (the table-1 sweep of the
+    # backward antecedent) and a forward sweep over every table at cap 3
+    entry = udnr_entry(model, f_plan)
+    verdict = rs_run(entry)
+    transcript = (udnr_transcript(verdict) + "model flags: "
+                  + " ".join(sorted(entry.model.flags)) + "\n")
+    assert transcript == (GOLDEN_CAP3.parent / golden).read_text()
 
 
 def test_rs_run_term_sizes(udnr_run):

@@ -8,11 +8,12 @@ import rszoo
 from rszoo.interp import MiniModel, eval_formula, eval_term
 from rszoo.lang import (Abs, App, Arrow, Atom, BForall, Eq, Exists, Forall,
                         ForallSt, FormulaTypeError, N, Not, ParseError,
-                        Product, Seq, St, Var, all_names_f, alpha_eq,
-                        alpha_eq_f, app, canon, free_vars, free_vars_f, infer_type,
-                        is_internal, lam, num, parse_formula, parse_term,
-                        parse_type, pure, show_formula, show_term, show_type,
-                        subst_f, substitute, typecheck_f)
+                        Product, Seq, St, TypeCheckError, Var, all_names_f,
+                        alpha_eq, alpha_eq_f, app, canon, free_vars,
+                        free_vars_f, infer_type, is_internal, lam, num,
+                        parse_formula, parse_term, parse_type, pure,
+                        show_formula, show_term, show_type, subst_f,
+                        substitute, typecheck_f)
 from rszoo.lang.parser import parse_document
 from rszoo.lang.terms import PLUS, all_names
 from rszoo.translate import (NormalForm, alpha_eq_nf, canon_nf,
@@ -55,6 +56,33 @@ def test_lambda_round_trip():
     t = parse_term(src)
     assert show_term(t) == src
     assert infer_type(t, {}) == parse_type("0 -> 0")
+
+
+def test_infer_type_checks_free_variables_against_the_env():
+    # the type kept on the node is the type in any env that agrees with
+    # the free variables; a disagreeing env or an ill-typed term raises
+    # the error of the full walk
+    x0, x1, f = Var("x", N), Var("x", pure(1)), Var("f", pure(1))
+    t = Abs(Var("y", N), App(f, x0))
+    assert infer_type(t) == pure(1)
+    assert infer_type(t, {"x": N, "f": pure(1), "z": N}) == pure(1)
+    assert infer_type(Abs(x1, App(x1, num(0))), {"x": N}) == pure(2)
+    with pytest.raises(TypeCheckError,
+                       match="^variable x used at type 0 but declared at 1$"):
+        infer_type(t, {"x": pure(1)})
+    with pytest.raises(TypeCheckError,
+                       match="^variable x used at type 1 but declared at 0$"):
+        infer_type(Abs(x0, App(f, App(x1, num(0)))))
+    with pytest.raises(TypeCheckError,
+                       match="^argument type mismatch: expected 0, got 1$"):
+        infer_type(App(f, f))
+    with pytest.raises(TypeCheckError,
+                       match="^applied non-function of type 0$"):
+        infer_type(App(x0, x0))
+    # the walk meets the variable before the application
+    with pytest.raises(TypeCheckError,
+                       match="^variable x used at type 0 but declared at 1$"):
+        infer_type(App(x0, x0), {"x": pure(1)})
 
 
 def test_candidate_application_brackets():

@@ -1,7 +1,6 @@
 """Syntax nodes are shared, so the language layer must pay per distinct
 node: hashes and free variables are kept on the node, and alpha-equality
 is one walk that stops at a node shared by both sides."""
-import dataclasses
 import time
 
 import gen
@@ -11,6 +10,7 @@ from rszoo.lang import (Abs, And, App, Arrow, Atom, BQUANTS, Base, Const,
                         alpha_eq, alpha_eq_f, app, canon, free_vars,
                         free_vars_f, pure, subst_f)
 from rszoo.lang.terms import PLUS
+from rszoo.lang.types import Node
 from rszoo.translate import NormalForm, alpha_eq_nf, canon_nf
 
 
@@ -54,10 +54,10 @@ def test_shared_dag_costs_per_distinct_node():
 def nodes(x):
     """Every node position of a term or formula, with repeats."""
     yield x
-    for fl in dataclasses.fields(x):
-        v = getattr(x, fl.name) if fl.init else None
+    for name in x._fields:
+        v = getattr(x, name)
         for part in (v if isinstance(v, tuple) else (v,)):
-            if dataclasses.is_dataclass(part) and \
+            if isinstance(part, Node) and \
                     not isinstance(part, (Base, Arrow, Product, Seq)):
                 yield from nodes(part)
 
@@ -66,10 +66,9 @@ def rebuild(x):
     """A separately built equal copy: no node object is reused."""
     if isinstance(x, tuple):
         return tuple(rebuild(p) for p in x)
-    if not dataclasses.is_dataclass(x):
+    if not isinstance(x, Node):
         return x
-    return type(x)(*(rebuild(getattr(x, fl.name))
-                     for fl in dataclasses.fields(x) if fl.init))
+    return type(x)(*(rebuild(getattr(x, name)) for name in x._fields))
 
 
 def rename(f, pick):
