@@ -1,9 +1,9 @@
 """rszoo: a symbolic workbench for uniform arithmetic principles.
 
 The package mechanizes a proof-transformation pipeline over a
-finite-type language with a standardness predicate: translating
-formulas into two-block normal forms, checking realizer-carrying proof
-scripts, extracting explicit witnessing terms, and validating
-everything against small exhaustive models.
+finite-type language with a standardness predicate: normalizing a
+uniform principle into a two-block normal form, checking
+candidate-carrying proof scripts, extracting explicit witnessing terms,
+and validating everything against small exhaustive models.
 """
 __version__ = "0.1.0"

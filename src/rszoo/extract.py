@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 from .lang import (Abs, App, Const, ExistsSt, ForallSt, Formula, Implies, N,
                    ParseError, SEQMAX, Term, Var, alpha_eq_f, app, append_c,
@@ -53,7 +52,7 @@ Row = tuple[Term, ...]
 # script surface syntax
 
 
-@dataclass(frozen=True)
+@record
 class ProofStep:
     index: int
     rule: str
@@ -63,7 +62,7 @@ class ProofStep:
     conclusion: Formula
 
 
-@dataclass(frozen=True)
+@record
 class ProofScript:
     name: str
     params: tuple[Var, ...]

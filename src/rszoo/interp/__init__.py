@@ -5,9 +5,8 @@ from .machine import (DidNotHalt, HaltsWith, MachineError, Program,
                       decode_program, enumeration_alphabet, encode_program,
                       phi, program_count, run_program)
 from .model import (FnV, MiniModel, ModelError, ModelRefusal, PairV, SeqV,
-                    eval_formula, eval_term, parse_model_config,
-                    show_model_config, table_fn, tabulate, values_equal,
-                    zero_value)
+                    eval_formula, eval_term, parse_model_config, table_fn,
+                    tabulate, values_equal, zero_value)
 from .constructions import (build_construction, extensionality_search,
                             mu_op, psi_theta, theta, xi_search)
 
@@ -16,8 +15,8 @@ __all__ = [
     "enumeration_alphabet", "encode_program", "phi", "program_count",
     "run_program",
     "FnV", "MiniModel", "ModelError", "ModelRefusal", "PairV", "SeqV",
-    "eval_formula", "eval_term", "parse_model_config", "show_model_config",
-    "table_fn", "tabulate", "values_equal", "zero_value",
+    "eval_formula", "eval_term", "parse_model_config", "table_fn",
+    "tabulate", "values_equal", "zero_value",
     "build_construction", "extensionality_search", "mu_op", "psi_theta",
     "theta", "xi_search",
 ]

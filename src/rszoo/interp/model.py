@@ -175,7 +175,6 @@ class MiniModel:
         self.budget = budget
         self.seq_limit = 4 * (cap + 1)
         self.declared: dict[str, tuple[FiniteType, object, bool]] = {}
-        self.decl_lines: list[str] = []
         self.overflowed = False
         self.flags: set[str] = set()
         # id(node) -> (node, closure); see eval_formula and eval_term
@@ -185,13 +184,10 @@ class MiniModel:
 
     # -- declarations -------------------------------------------------------
 
-    def declare(self, name: str, ty: FiniteType, value, st: bool,
-                line: str | None = None) -> None:
+    def declare(self, name: str, ty: FiniteType, value, st: bool) -> None:
         if name in self.declared:
             raise ModelError(f"duplicate declaration {name!r}")
         self.declared[name] = (ty, value, st)
-        if line is not None:
-            self.decl_lines.append(line)
 
     def object(self, name: str):
         if name not in self.declared:
@@ -773,12 +769,5 @@ def parse_model_config(text: str) -> MiniModel:
             ty, value = build_construction(cname, args, model)
             if isinstance(value, FnV) and value.name is None:
                 value.name = name
-        model.declare(name, ty, value, st, line=line)
+        model.declare(name, ty, value, st)
     return model
-
-
-def show_model_config(model: MiniModel) -> str:
-    lines = [f"cap = {model.cap}", f"omega = {model.omega}",
-             f"budget = {model.budget}"]
-    lines.extend(model.decl_lines)
-    return "\n".join(lines) + "\n"

@@ -2,18 +2,16 @@
 from .types import (Arrow, Base, FiniteType, N, Product, Seq, arrows, pure,
                     show_type)
 from .terms import (Abs, App, CONST_NAMES, Const, INITSEG, LangError, MUSCAN,
-                    RUN, SEQMAX, SUCC, Term, TypeCheckError, Var, ZERO, alpha_eq,
+                    RUN, SEQMAX, SUCC, Term, TypeCheckError, Var, alpha_eq,
                     app, append_c, distinct_subterms, empty_c, free_vars,
                     fresh_name, fst_c, get_c, infer_type, is_numeral, lam,
                     len_c, num, pair_c, rec_c, seqapp_c, snd_c, spine,
                     substitute, subterms)
 from .formulas import (And, ApproxEq, Atom, BExists, BForall, BQUANTS, Eq,
                        Exists, ExistsSt, FALSE, Forall, ForallSt, Formula,
-                       FormulaTypeError, Implies, Not, Or, QUANTS, St, TRUE,
-                       all_names_f, alpha_eq_f, canon, conj, desugar_approx,
-                       disj, foralls, free_vars_f, is_internal, subformulas,
-                       subst_f, typecheck_f)
-from .parser import (Document, ParseError, parse_document, parse_formula,
-                     parse_term, parse_type)
+                       Implies, Not, Or, QUANTS, St, TRUE, all_names_f,
+                       alpha_eq_f, conj, desugar_approx, disj, free_vars_f,
+                       is_internal, subformulas, subst_f)
+from .parser import ParseError, parse_formula, parse_term, parse_type
 from .printer import show_formula, show_term
 from . import stdterms

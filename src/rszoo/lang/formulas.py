@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Union
 
-from .terms import (NO_VARS, Abs, App, Prepared, Scope, Term, Var,
+from .terms import (NO_VARS, App, Prepared, Scope, Term, Var,
                     SyntaxNode, all_names, alpha_binder, alpha_walk, app,
                     drop_name, enter_binder, free_vars as term_fvs,
                     fresh_name, fst_c, keep_fvs, num, prepare, same_scope,
                     snd_c, subst_prepared, union)
-from .types import Arrow, FiniteType, N, Product, Seq, node, show_type
+from .types import Arrow, FiniteType, N, Product, Seq, node
 
 
 @node
@@ -139,12 +139,6 @@ def disj(parts: list[Formula]) -> Formula:
     return out
 
 
-def foralls(vars_: list[Var], body: Formula, node=Forall) -> Formula:
-    for v in reversed(vars_):
-        body = node(v, body)
-    return body
-
-
 def is_internal(f: Formula) -> bool:
     """True iff f mentions no standardness: no st, forall^st/exists^st, approx."""
     if isinstance(f, (St, ForallSt, ExistsSt, ApproxEq)):
@@ -256,87 +250,7 @@ def _subst_f(f: Formula, sub: Prepared) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# typechecking
-
-class FormulaTypeError(Exception):
-    pass
-
-
-def typecheck_f(f: Formula, env: dict[str, FiniteType] | None = None) -> None:
-    """Check well-typedness: both sides of = at one type, the arguments
-    of <= and < at type 0, bounds matching."""
-    env = dict(env or {})
-
-    def tty(t: Term) -> FiniteType:
-        from .terms import infer_type, TypeCheckError
-        try:
-            return infer_type(t, env)
-        except TypeCheckError as e:
-            raise FormulaTypeError(str(e)) from None
-
-    if isinstance(f, Atom):
-        if f.rel == "=":
-            lty, rty = (tty(t) for t in f.args)
-            if lty != rty:
-                raise FormulaTypeError(
-                    f"= needs equal types, got {show_type(lty)} "
-                    f"and {show_type(rty)}")
-        elif f.rel in ("<=", "<"):
-            for t in f.args:
-                if tty(t) != N:
-                    raise FormulaTypeError(
-                        f"relation {f.rel} needs type-0 arguments")
-        elif f.rel == "in":
-            elem, s = f.args
-            ety, sty = tty(elem), tty(s)
-            if ety != N or sty != Arrow(N, N):
-                raise FormulaTypeError("membership needs a number and a type-1 set")
-        else:
-            raise FormulaTypeError(f"unknown relation {f.rel}")
-        return
-    if isinstance(f, (Eq, ApproxEq)):
-        for side in (f.left, f.right):
-            got = tty(side)
-            if got != f.ty:
-                raise FormulaTypeError(
-                    f"equality at {show_type(f.ty)} applied to {show_type(got)}")
-        return
-    if isinstance(f, St):
-        tty(f.arg)
-        return
-    if isinstance(f, Not):
-        typecheck_f(f.body, env)
-        return
-    if isinstance(f, (And, Or, Implies)):
-        typecheck_f(f.left, env)
-        typecheck_f(f.right, env)
-        return
-    if isinstance(f, QUANTS):
-        env2 = dict(env)
-        env2[f.var.name] = f.var.ty
-        typecheck_f(f.body, env2)
-        return
-    if isinstance(f, BQUANTS):
-        bty = tty(f.bound)
-        if f.kind in ("le", "lt"):
-            if f.var.ty != N or bty != N:
-                raise FormulaTypeError("<=-bounded quantifier needs type 0")
-        elif f.kind == "mem":
-            if bty != Seq(f.var.ty):
-                raise FormulaTypeError(
-                    f"membership bound of type {show_type(bty)} does not match "
-                    f"variable of type {show_type(f.var.ty)}")
-        else:
-            raise FormulaTypeError(f"unknown bound kind {f.kind}")
-        env2 = dict(env)
-        env2[f.var.name] = f.var.ty
-        typecheck_f(f.body, env2)
-        return
-    raise FormulaTypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# alpha-equality and canonical renaming
+# alpha-equality
 
 def alpha_eq_f(a: Formula, b: Formula) -> bool:
     """Equality up to the names of bound variables, of quantifiers and
@@ -375,61 +289,6 @@ def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
         return False
     return alpha_binder(a.var, b.var, alpha_walk_f, a.body, b.body,
                         ma, mb, depth)
-
-
-def canon(f: Formula) -> Formula:
-    """Rename all bound variables, of quantifiers and of lambdas, to v0,
-    v1, ... in traversal order, for display.  A binder renames every
-    occurrence of its name, whatever its type (as ``alpha_eq_f``
-    matches them); a name free in f gets ``_`` suffixes, so no binder
-    captures it.  Two formulas are alpha-equal iff their canonical
-    forms are equal."""
-    counter = [0]
-    taken = {v.name for v in free_vars_f(f)}
-
-    def fresh() -> str:
-        name = f"v{counter[0]}"
-        counter[0] += 1
-        while name in taken:
-            name += "_"
-        return name
-
-    # ren maps each name bound in scope to its new name; a new name is
-    # never free in f nor given twice, so renaming in one pass captures
-    # nothing
-    def term(t: Term, ren: dict[str, str]) -> Term:
-        if isinstance(t, Var):
-            new = ren.get(t.name)
-            return t if new is None else Var(new, t.ty)
-        if isinstance(t, Abs):
-            nv = Var(fresh(), t.var.ty)
-            return Abs(nv, term(t.body, {**ren, t.var.name: nv.name}))
-        if isinstance(t, App):
-            return App(term(t.fn, ren), term(t.arg, ren))
-        return t
-
-    def go(g: Formula, ren: dict[str, str]) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.rel, tuple(term(t, ren) for t in g.args))
-        if isinstance(g, (Eq, ApproxEq)):
-            return type(g)(g.ty, term(g.left, ren), term(g.right, ren))
-        if isinstance(g, St):
-            return St(term(g.arg, ren))
-        if isinstance(g, Not):
-            return Not(go(g.body, ren))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left, ren), go(g.right, ren))
-        if isinstance(g, QUANTS):
-            nv = Var(fresh(), g.var.ty)
-            return type(g)(nv, go(g.body, {**ren, g.var.name: nv.name}))
-        if isinstance(g, BQUANTS):
-            bound = term(g.bound, ren)
-            nv = Var(fresh(), g.var.ty)
-            return type(g)(nv, g.kind, bound,
-                           go(g.body, {**ren, g.var.name: nv.name}))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f, {})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Concrete syntax for types, terms, formulas, and formula documents.
+"""Concrete syntax for types, terms and formulas.
 
 Grammar sketch (precedence low to high):
 
@@ -7,7 +7,7 @@ Grammar sketch (precedence low to high):
     and      :=  unary ('/\\' unary)*
     unary    :=  '~' unary | quantified | atom
     atom     :=  st(t) | eq[T](s,t) | approx[T](s,t) | true | false
-               | term REL term | '(' formula ')' | name(args)  (reference)
+               | term REL term | '(' formula ')'
     REL      :=  '=' | '!=' | '<=' | '<' | 'in'
 
 Quantifier prefixes are parenthesized: ``(forall x:1)``, ``(exists^st
@@ -16,8 +16,10 @@ extends as far right as possible; to keep that readable, a quantifier
 is rejected directly under ``~`` or as the right operand of ``/\\`` or
 ``\\/`` — wrap it in parentheses instead.
 
-Documents are stanzas ``name := formula`` or ``name(x:T, ...) :=
-formula``; later stanzas may reference earlier ones by name.
+Formulas are typed as they are parsed: both sides of ``=`` at one type,
+the arguments of ``<=`` and ``<`` and the ``<=``/``<`` bounds at type 0,
+``in`` between a number and a type-1 set, the sides of ``eq[T]`` and
+``approx[T]`` at T, and the term under ``st`` well-typed.
 """
 from __future__ import annotations
 
@@ -25,12 +27,12 @@ import re
 
 from .formulas import (And, ApproxEq, Atom, BExists, BForall, Eq, Exists,
                        ExistsSt, FALSE, Forall, ForallSt, Formula, Implies,
-                       Not, Or, St, TRUE, subst_f)
+                       Not, Or, St, TRUE)
 from .terms import (Abs, CONST_NAMES, INITSEG, MAX2, MONUS, MUSCAN, NPAIR,
                     NUNL, NUNR, PLUS, RUN, SEQMAX, SUCC, Term, TypeCheckError,
                     Var, app, append_c, empty_c, fst_c, get_c, infer_type,
                     len_c, num, pair_c, rec_c, seqapp_c, snd_c)
-from .types import Arrow, FiniteType, N, Product, Seq, pure, record
+from .types import Arrow, FiniteType, N, Product, Seq, pure, record, show_type
 
 
 class ParseError(Exception):
@@ -122,12 +124,11 @@ def _word(src: str, i: int) -> tuple[str, int]:
 
 @record
 class _P:
-    """The parser: a cursor over the tokens, and the variables and
-    formula definitions in scope."""
+    """The parser: a cursor over the tokens, and the variables in
+    scope."""
     toks: list[Token]
     pos: int
     env: dict[str, Var]
-    defs: dict[str, tuple[list[Var], Formula]]
 
     def peek(self, ahead: int = 0) -> Token:
         """The token ``ahead`` places on; the "eof" token past the end
@@ -424,7 +425,10 @@ class _P:
                 else:
                     kind = "le" if self.at_sym("<=") else "lt"
                     self.next()
-                    bound = self.parse_term()
+                    bound, bty, btok = self._typed_term()
+                    if bty != N:
+                        raise ParseError("<=-bounded quantifier needs type 0",
+                                         btok.line, btok.col)
                     binders.append((Var(vt.text, N), kind, bound))
                 break  # one bounded binder per prefix
             if self.at_sym(","):
@@ -475,7 +479,7 @@ class _P:
         if self.at_kw("st"):
             self.next()
             self.expect_sym("(")
-            t = self.parse_term()
+            t, _, _ = self._typed_term()
             self.expect_sym(")")
             return St(t)
         if self.at_kw("eq") or self.at_kw("approx"):
@@ -485,80 +489,85 @@ class _P:
             ty = self.parse_type()
             self.expect_sym("]")
             self.expect_sym("(")
-            l = self.parse_term()
+            sides = [self._typed_term()]
             self.expect_sym(",")
-            r = self.parse_term()
+            sides.append(self._typed_term())
             self.expect_sym(")")
-            return node(ty, l, r)
-        # formula reference name(args...)
-        if (tok.kind == "ident" and tok.text in self.defs
-                and tok.text not in self.env):
-            return self._f_ref()
-        # try a relation; fall back to a parenthesized formula
-        save = self.pos
-        env_save = dict(self.env)
-        rel_err: ParseError | None = None
-        try:
-            return self._f_relation()
-        except ParseError as e:
-            rel_err = e
-            self.pos = save
-            self.env = env_save
-        if self.at_sym("("):
+            for _, got, at in sides:
+                if got != ty:
+                    raise ParseError(f"equality at {show_type(ty)} applied "
+                                     f"to {show_type(got)}", at.line, at.col)
+            return node(ty, sides[0][0], sides[1][0])
+        if self.at_sym("(") and not self._opens_term():
             self.next()
             f = self.parse_formula(True)
             self.expect_sym(")")
             return f
-        raise rel_err
+        return self._f_relation()
 
-    def _f_ref(self) -> Formula:
-        tok = self.next()
-        params, body = self.defs[tok.text]
-        args: list[Term] = []
-        if self.at_sym("("):
-            self.next()
-            if not self.at_sym(")"):
-                args.append(self.parse_term())
-                while self.at_sym(","):
-                    self.next()
-                    args.append(self.parse_term())
-            self.expect_sym(")")
-        if len(args) != len(params):
-            raise ParseError(
-                f"{tok.text} takes {len(params)} argument(s), got {len(args)}",
-                tok.line, tok.col)
-        for p, a in zip(params, args):
-            try:
-                aty = infer_type(a)
-            except TypeCheckError as e:
-                raise ParseError(str(e), tok.line, tok.col) from None
-            if aty != p.ty:
-                raise ParseError(
-                    f"argument for {p.name} has type {aty}, expected {p.ty}",
-                    tok.line, tok.col)
-        return subst_f(body, dict(zip(params, args)))
+    def _opens_term(self) -> bool:
+        """Whether the '(' at the cursor opens a term, not a formula:
+        the token after its matching ')' is a relation or goes on with
+        a term (an argument list or a candidate application)."""
+        toks, i, depth = self.toks, self.pos, 0
+        while True:
+            t = toks[i]
+            if t.kind == "sym":
+                if t.text == "(":
+                    depth += 1
+                elif t.text == ")":
+                    depth -= 1
+                    if depth == 0:
+                        break
+            elif t.kind == "eof":
+                return False
+            i += 1
+        after = toks[i + 1]
+        return (after.text in _AFTER_TERM and after.kind == "sym"
+                or after.text == "in" and after.kind == "ident")
+
+    def _typed_term(self) -> tuple[Term, FiniteType, Token]:
+        """A term, its type, and the token it starts at; an ill-typed
+        term fails there."""
+        tok = self.peek()
+        t = self.parse_term()
+        try:
+            return t, infer_type(t), tok
+        except TypeCheckError as e:
+            raise ParseError(str(e), tok.line, tok.col) from None
 
     def _f_relation(self) -> Formula:
-        l = self.parse_term()
+        l, lty, ltok = self._typed_term()
         tok = self.peek()
-        if self.at_sym("="):
-            self.next()
-            return Atom("=", (l, self.parse_term()))
-        if self.at_sym("!="):
-            self.next()
-            return Not(Atom("=", (l, self.parse_term())))
-        if self.at_sym("<="):
-            self.next()
-            return Atom("<=", (l, self.parse_term()))
-        if self.at_sym("<"):
-            self.next()
-            return Atom("<", (l, self.parse_term()))
-        if self.at_kw("in"):
-            self.next()
-            return Atom("in", (l, self.parse_term()))
-        raise ParseError(
-            f"expected a relation, found {tok.text or 'end of input'!r}",
-            tok.line, tok.col)
+        rel = tok.text
+        if not (rel in _RELATIONS and tok.kind == "sym" or self.at_kw("in")):
+            raise ParseError(
+                f"expected a relation, found {rel or 'end of input'!r}",
+                tok.line, tok.col)
+        self.next()
+        r, rty, rtok = self._typed_term()
+        if rel == "=" or rel == "!=":
+            if lty != rty:
+                raise ParseError(f"{rel} needs equal types, got "
+                                 f"{show_type(lty)} and {show_type(rty)}",
+                                 tok.line, tok.col)
+            eq = Atom("=", (l, r))
+            return eq if rel == "=" else Not(eq)
+        if rel == "in":
+            if lty != N or rty != Arrow(N, N):
+                raise ParseError("membership needs a number and a type-1 "
+                                 "set", tok.line, tok.col)
+        else:
+            for ty, at in ((lty, ltok), (rty, rtok)):
+                if ty != N:
+                    raise ParseError(f"relation {rel} needs type-0 "
+                                     "arguments", at.line, at.col)
+        return Atom(rel, (l, r))
+
+
+_RELATIONS = frozenset(["=", "!=", "<=", "<"])
+# what may follow a parenthesized term in an atom
+_AFTER_TERM = _RELATIONS | {"(", "["}
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +578,7 @@ def _params_env(params: dict[str, FiniteType] | None) -> dict[str, Var]:
 
 
 def parse_type(src: str) -> FiniteType:
-    p = _P(tokenize(src), 0, {}, {})
+    p = _P(tokenize(src), 0, {})
     ty = p.parse_type()
     if p.peek().kind != "eof":
         p.fail("trailing input after type")
@@ -577,72 +586,17 @@ def parse_type(src: str) -> FiniteType:
 
 
 def parse_term(src: str, params: dict[str, FiniteType] | None = None) -> Term:
-    p = _P(tokenize(src), 0, _params_env(params), {})
+    p = _P(tokenize(src), 0, _params_env(params))
     t = p.parse_term()
     if p.peek().kind != "eof":
         p.fail("trailing input after term")
     return t
 
 
-def parse_formula(src: str, params: dict[str, FiniteType] | None = None,
-                  defs: dict[str, tuple[list[Var], Formula]] | None = None) -> Formula:
-    p = _P(tokenize(src), 0, _params_env(params), dict(defs or {}))
+def parse_formula(src: str, params: dict[str, FiniteType] | None = None
+                  ) -> Formula:
+    p = _P(tokenize(src), 0, _params_env(params))
     f = p.parse_formula(True)
     if p.peek().kind != "eof":
         p.fail("trailing input after formula")
     return f
-
-
-@record
-class Document:
-    """Named formula stanzas, in definition order."""
-    stanzas: dict[str, tuple[list[Var], Formula]]
-    order: list[str]
-
-    def formula(self, name: str) -> Formula:
-        params, body = self.stanzas[name]
-        if params:
-            raise KeyError(f"stanza {name} takes parameters")
-        return body
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.stanzas
-
-
-def parse_document(src: str) -> Document:
-    p = _P(tokenize(src), 0, {}, {})
-    stanzas: dict[str, tuple[list[Var], Formula]] = {}
-    order: list[str] = []
-    while p.peek().kind != "eof":
-        tok = p.peek()
-        if tok.kind != "ident":
-            p.fail("expected a stanza name")
-        name = tok.text
-        p.next()
-        params: list[Var] = []
-        if p.at_sym("("):
-            p.next()
-            while True:
-                vt = p.peek()
-                if vt.kind != "ident":
-                    p.fail("expected a parameter name")
-                p.next()
-                p.expect_sym(":")
-                ty = p.parse_type()
-                params.append(Var(vt.text, ty))
-                if p.at_sym(","):
-                    p.next()
-                    continue
-                break
-            p.expect_sym(")")
-        p.expect_sym(":=")
-        if name in stanzas:
-            raise ParseError(f"duplicate stanza {name}", tok.line, tok.col)
-        p.env = {v.name: v for v in params}
-        p.defs = stanzas
-        body = p.parse_formula(True)
-        p.env = {}
-        stanzas[name] = (params, body)
-        order.append(name)
-    return Document(stanzas, order)
-

@@ -83,7 +83,6 @@ def num(n: int) -> Const:
     return Const(str(n), N)
 
 
-ZERO = num(0)
 SUCC = Const("succ", Arrow(N, N))
 PLUS = Const("plus", Arrow(N, Arrow(N, N)))
 MONUS = Const("monus", Arrow(N, Arrow(N, N)))

@@ -33,8 +33,8 @@ from .lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Eq,
                             Exists, ExistsSt, Forall, ForallSt, Formula,
                             Implies, Not, Or, St, all_names_f, conj,
                             is_internal, subformulas, subst_f)
-from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num,
-                         INITSEG, NUNL, NUNR)
+from .lang.terms import (Abs, App, Term, Var, app, fresh_name, fst_c, num,
+                         snd_c, INITSEG, NUNL, NUNR)
 from .lang.types import (Arrow, FiniteType, N, Product, Seq, arrows, record,
                          show_type)
 from .translate import NormalForm, nf_to_formula
@@ -52,22 +52,10 @@ class TransferInstance:
     """The transfer statement for zeros of a standard table, in its raw
     implication shape and its two-block normal shape, the latter also
     as one formula (built once, so that a model compiles it once).
-
-    The two are classically equivalent; ``check_equivalence`` confirms
-    the equivalence at finite scale by evaluating both in a model and
-    records the outcome.
-    """
+    The two are classically equivalent."""
     transfer: Formula
     normal: NormalForm
     normal_formula: Formula
-    equivalence_checked: bool
-
-    def check_equivalence(self, model) -> bool:
-        from .interp import eval_formula
-        a = eval_formula(model, self.transfer)
-        b = eval_formula(model, self.normal_formula)
-        self.equivalence_checked = (a == b)
-        return self.equivalence_checked
 
 
 def trans_instance() -> TransferInstance:
@@ -80,7 +68,7 @@ def trans_instance() -> TransferInstance:
         Forall(x, Not(fx0))))
     matrix = Implies(Exists(x, fx0), BExists(z, "le", y, fz0))
     normal = NormalForm((f,), (y,), matrix)
-    return TransferInstance(transfer, normal, nf_to_formula(normal), False)
+    return TransferInstance(transfer, normal, nf_to_formula(normal))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +194,9 @@ def _prefix_eq(ty: FiniteType, l: Term, r: Term, n: Var,
     if isinstance(ty, Seq):
         return Eq(ty, l, r), False
     if isinstance(ty, Product):
-        fl, ul = _prefix_eq(ty.left, app_fst(ty, l), app_fst(ty, r), n, taken)
-        fr, ur = _prefix_eq(ty.right, app_snd(ty, l), app_snd(ty, r), n, taken)
+        fst, snd = fst_c(ty.left, ty.right), snd_c(ty.left, ty.right)
+        fl, ul = _prefix_eq(ty.left, App(fst, l), App(fst, r), n, taken)
+        fr, ur = _prefix_eq(ty.right, App(snd, l), App(snd, r), n, taken)
         return And(fl, fr), ul or ur
     k = _numeric_arity(ty)
     if k is None:
@@ -215,16 +204,6 @@ def _prefix_eq(ty: FiniteType, l: Term, r: Term, n: Var,
             f"no prefix encoding at type {show_type(ty)}")
     dl, dr = _diag(l, k, taken), _diag(r, k, taken)
     return Atom("=", (app(INITSEG, dl, n), app(INITSEG, dr, n))), True
-
-
-def app_fst(ty: Product, t: Term) -> Term:
-    from .lang.terms import fst_c
-    return App(fst_c(ty.left, ty.right), t)
-
-
-def app_snd(ty: Product, t: Term) -> Term:
-    from .lang.terms import snd_c
-    return App(snd_c(ty.left, ty.right), t)
 
 
 def _approx_leaves(f: Formula) -> list[ApproxEq] | None:

@@ -13,7 +13,6 @@ from rszoo.lang import (Abs, And, Atom, BExists, BForall, Eq, Exists, Forall,
                         pair_c, fst_c, snd_c)
 from rszoo.lang import Arrow, FiniteType, N, Product, Seq, pure
 from rszoo.lang.terms import MAX2, MONUS, PLUS, SUCC
-from rszoo.translate import NormalForm
 
 SEED = 20260815
 
@@ -148,23 +147,6 @@ class Gen:
         if ty == N:
             return Atom("=", (self.term(N, env, 2), self.term(N, env, 2)))
         return Eq(ty, self.term(ty, env, 1), self.term(ty, env, 1))
-
-    # -- normal forms ----------------------------------------------------------
-
-    def normal_form(self, params: dict[str, FiniteType] | None = None
-                    ) -> NormalForm:
-        env = dict(params or {})
-        us, es = [], []
-        for _ in range(self.rng.randrange(0, 3)):
-            v = Var(self.name("x"), self.small_type())
-            us.append(v)
-            env[v.name] = v.ty
-        for _ in range(self.rng.randrange(0, 3)):
-            v = Var(self.name("y"), self.small_type())
-            es.append(v)
-            env[v.name] = v.ty
-        matrix = self.internal_formula(env, depth=4)
-        return NormalForm(tuple(us), tuple(es), matrix)
 
 
 def generator(seed: int = SEED) -> Gen:

@@ -1,6 +1,7 @@
-import dataclasses
 import itertools
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,9 +10,9 @@ import pytest
 
 import rszoo.interp
 from rszoo import extract
-from rszoo.extract import (ScriptError, check_candidates, check_script,
-                           extract_function, extract_terms, parse_script,
-                           postprocess, rs_run)
+from rszoo.extract import (ProofScript, ProofStep, ScriptError,
+                           check_candidates, check_script, extract_function,
+                           extract_terms, parse_script, postprocess, rs_run)
 from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
 from rszoo.lang import (SUCC, Forall, N, Var, app, num, parse_formula, pure,
@@ -340,10 +341,23 @@ def replay(*steps: str, groups=None):
     given, replaces the witness tuples of the last step."""
     script = parse_script("\n".join(("script rules", AXIOM) + steps))
     if groups is not None:
-        last = dataclasses.replace(script.steps[-1], groups=groups)
-        script = dataclasses.replace(script,
-                                     steps=script.steps[:-1] + (last,))
+        last = script.steps[-1]
+        last = ProofStep(last.index, last.rule, last.kind, last.premises,
+                         groups, last.conclusion)
+        script = ProofScript(script.name, script.params,
+                             script.steps[:-1] + (last,))
     return check_script(script)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the script records are slots classes: importing the pipeline
+    # generates no dataclass
+    src = str(Path(extract.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import rszoo.extract; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_exists_witness_introduces_rows():

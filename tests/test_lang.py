@@ -5,19 +5,19 @@ import pytest
 
 import gen
 import rszoo
+from canon import canon, canon_nf
+from rszoo.extract import parse_script
 from rszoo.interp import MiniModel, eval_formula, eval_term
-from rszoo.lang import (Abs, App, Arrow, Atom, BForall, Eq, Exists, Forall,
-                        ForallSt, FormulaTypeError, N, Not, ParseError,
-                        Product, Seq, St, TypeCheckError, Var, all_names_f,
-                        alpha_eq, alpha_eq_f, app, canon, free_vars,
+from rszoo.lang import (Abs, And, App, Arrow, Atom, BForall, Eq, Exists, Forall,
+                        N, Not, ParseError, Seq, TypeCheckError, Var,
+                        all_names_f, alpha_eq, alpha_eq_f, app, free_vars,
                         free_vars_f, infer_type, is_internal, lam, num,
                         parse_formula, parse_term, parse_type, pure,
                         show_formula, show_term, show_type, subst_f,
-                        substitute, typecheck_f)
-from rszoo.lang.parser import parse_document
+                        substitute)
+from rszoo.lang.parser import _P
 from rszoo.lang.terms import PLUS, all_names
-from rszoo.translate import (NormalForm, alpha_eq_nf, canon_nf,
-                             nf_to_formula, parse_nf)
+from rszoo.translate import NormalForm, alpha_eq_nf, parse_nf
 
 UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
 
@@ -174,7 +174,6 @@ def test_bounded_quantifier_kinds():
 def test_membership_bound_takes_type_from_sequence():
     f = parse_formula("(exists v in s) v = 0", params={"s": Seq(N)})
     assert show_formula(f) == "(exists v in s) v = 0"
-    typecheck_f(f, {})
 
 
 def test_quantifier_scope_is_maximal():
@@ -201,18 +200,73 @@ def test_grouped_binders_share_and_split_types():
 
 
 def test_typecheck_rejects_ill_typed_atoms():
-    f = Atom("=", (Var("f", pure(1)), num(0)))
-    with pytest.raises(FormulaTypeError, match="= needs equal types"):
-        typecheck_f(f, {})
-    g = Var("g", pure(1))
-    with pytest.raises(FormulaTypeError, match="type-0 arguments"):
-        typecheck_f(Atom("<=", (g, g)), {})
+    # each error names the rule broken, at the token that breaks it
+    params = {"f": pure(1), "g": pure(1), "h": parse_type("0 -> 1"), "x": N}
+    for src, at, msg in [
+            ("f = 0", 3, "= needs equal types, got 1 and 0"),
+            ("x != f", 3, "!= needs equal types, got 0 and 1"),
+            ("f <= f", 1, "relation <= needs type-0 arguments"),
+            ("x < f", 5, "relation < needs type-0 arguments"),
+            ("f(g) = 0", 1, "argument type mismatch: expected 0, got 1"),
+            ("(f)(g) = 0", 1, "argument type mismatch: expected 0, got 1"),
+            ("x in x", 3, "membership needs a number and a type-1 set"),
+            ("x = 0 /\\ (f = 0)", 13, "= needs equal types, got 1 and 0"),
+            ("eq[1](f, x)", 10, "equality at 1 applied to 0"),
+            ("approx[0](x, f)", 14, "equality at 0 applied to 1"),
+            ("st(f(g))", 4, "argument type mismatch: expected 0, got 1"),
+            ("(forall n <= f) n = n", 14,
+             "<=-bounded quantifier needs type 0"),
+            ("(exists n < h(x)) n = n", 13,
+             "<=-bounded quantifier needs type 0")]:
+        with pytest.raises(ParseError) as e:
+            parse_formula(src, params=params)
+        assert (e.value.msg, e.value.line, e.value.col) == (msg, 1, at), src
 
 
 def test_typecheck_accepts_equality_at_sequence_type():
     # the shipped udnr matrix compares initseg(..) = initseg(..) at 0*
-    text = (UDNR / "expect.nf").read_text()
-    typecheck_f(nf_to_formula(parse_nf(text)), {})
+    nf = parse_nf((UDNR / "expect.nf").read_text())
+    assert "initseg(X, Xi(X, Y, k)) = initseg(Y, Xi(X, Y, k))" in \
+        show_formula(nf.matrix)
+    s = Var("s", Seq(N))
+    assert parse_formula("s = s", params={"s": s.ty}) == Atom("=", (s, s))
+
+
+def test_parenthesized_terms_and_formulas_parse_in_one_pass(monkeypatch):
+    # the token after the matching ')' tells a parenthesized term from a
+    # parenthesized formula, so no relation is attempted and given up
+    x, f = Var("x", N), Var("f", pure(1))
+    ps = {"x": N, "f": pure(1), "s": pure(1)}
+    cases = {
+        "(x) = 0": Atom("=", (x, num(0))),
+        "((x)) <= x": Atom("<=", (x, x)),
+        "(f)(x) != 0": Not(Atom("=", (App(f, x), num(0)))),
+        "(x) in s": Atom("in", (x, Var("s", pure(1)))),
+        "((x = 0))": Atom("=", (x, num(0))),
+        "((x) = 0) /\\ ((\\y:0. y)(x) < 1)": And(
+            Atom("=", (x, num(0))),
+            Atom("<", (App(Abs(Var("y", N), Var("y", N)), x), num(1)))),
+    }
+    failed = []
+    relation = _P._f_relation
+
+    def counted(self):
+        try:
+            return relation(self)
+        except ParseError:
+            failed.append(self.pos)
+            raise
+
+    monkeypatch.setattr(_P, "_f_relation", counted)
+    for src, want in cases.items():
+        assert parse_formula(src, params=ps) == want, src
+    parse_formula((UDNR / "principle.fml").read_text())
+    parse_nf((UDNR / "expect.nf").read_text())
+    for name in ("forward.prf", "backward.prf"):
+        parse_script((UDNR / name).read_text())
+    assert failed == []
+    with pytest.raises(ParseError, match="expected '\\)', found 'end of "):
+        parse_formula("(x = 0", params=ps)
 
 
 def test_higher_type_equality_wrapper():
@@ -226,36 +280,6 @@ def test_unbound_variable_is_an_error():
     with pytest.raises(ParseError) as e:
         parse_formula("zz = 0")
     assert "zz" in str(e.value)
-
-
-def test_document_stanzas_expand():
-    doc = parse_document(
-        """
-        zero(f:1) := (forall n:0) f(n) = 0
-        main := (forall^st f:1) (zero(f) -> st(f(0)))
-        """)
-    f = doc.formula("main")
-    assert show_formula(f) == (
-        "(forall^st f:1) ((forall n:0) f(n) = 0) -> st(f(0))")
-
-
-def test_document_reference_substitutes_simultaneously():
-    doc = parse_document(
-        """
-        lt(x:0, y:0) := x < y
-        above(x:0) := (exists y:0) x < y
-        swapped := (forall x:0) (forall y:0) lt(y, x)
-        captured := (forall y:0) above(y)
-        """)
-    assert doc.formula("swapped") == parse_formula(
-        "(forall x:0) (forall y:0) y < x")
-    assert alpha_eq_f(doc.formula("captured"),
-                      parse_formula("(forall y:0) (exists z:0) y < z"))
-
-
-def test_document_rejects_duplicates():
-    with pytest.raises(ParseError):
-        parse_document("a := 0 = 0\na := 1 = 1")
 
 
 def test_subst_f_capture_avoiding():

@@ -1,10 +1,10 @@
 import pytest
 from rszoo.interp import eval_formula, parse_model_config
-from rszoo.lang import parse_formula, parse_type, show_formula
+from rszoo.lang import parse_formula, parse_type, show_formula, show_type
 from rszoo.normalform import (NormalFormError, herbrandize_choice,
                               normalize_principle, prenex_to_normal,
                               resolve_approx, trans_instance, uniformize)
-from rszoo.translate import NormalForm, nf_signature, nf_to_formula, show_nf
+from rszoo.translate import nf_to_formula, show_nf
 
 DNR_BASE = ("(forall Z:1)(exists d:1)(forall e:0)(forall s:0)"
             "(run(Z, e, s) = 0 \\/ ~(succ(d(e)) = run(Z, e, s)))")
@@ -132,9 +132,10 @@ def test_prenex_consequent_first_order():
     nf = normalize_principle(base)
     assert [v.name for v in nf.universals] == ["f", "Psi", "Xi"]
     assert [v.name for v in nf.existentials] == ["y", "Z", "X", "Y", "k"]
-    assert nf_signature(nf) == (
-        ("1", "1 -> 1", "1 -> 1 -> 1"),
-        ("0", "0", "1", "1", "1"))
+    assert [show_type(v.ty) for v in nf.universals] == [
+        "1", "1 -> 1", "1 -> 1 -> 1"]
+    assert [show_type(v.ty) for v in nf.existentials] == [
+        "0", "1", "1", "1", "0"]
 
 
 def test_prenex_renames_clashes():
@@ -215,19 +216,24 @@ def test_transfer_normal_shape():
         "(forall x:0) f(x) != 0")
 
 
+def both_shapes(ti, model) -> tuple[bool, bool]:
+    return (eval_formula(model, ti.transfer),
+            eval_formula(model, ti.normal_formula))
+
+
 def test_transfer_equivalence_holds_in_models():
     ti = trans_instance()
-    assert ti.check_equivalence(small_model()) is True
+    assert both_shapes(ti, small_model()) == (True, True)
     # still agree when both shapes go false
-    assert ti.check_equivalence(small_model("table f0: 1 1 1 0 [st]\n"))
-    assert ti.equivalence_checked
+    assert both_shapes(ti, small_model("table f0: 1 1 1 0 [st]\n")) == (
+        False, False)
 
 
 def test_transfer_equivalence_compiles_each_shape_once():
     ti = trans_instance()
     model = small_model()
-    ti.check_equivalence(model)
+    both_shapes(ti, model)
     cached = len(model._compiled)
     for _ in range(3):
-        assert ti.check_equivalence(model) is True
+        assert both_shapes(ti, model) == (True, True)
     assert len(model._compiled) == cached

@@ -4,14 +4,15 @@ is one walk that stops at a node shared by both sides."""
 import time
 
 import gen
+from canon import canon, canon_nf
 from rszoo.extract import show_term_brief
 from rszoo.lang import (Abs, And, App, Arrow, Atom, BQUANTS, Base, Const,
                         Eq, Forall, Implies, N, Not, Or, Product, QUANTS, Seq, Var,
-                        alpha_eq, alpha_eq_f, app, canon, free_vars,
-                        free_vars_f, pure, subst_f)
+                        alpha_eq, alpha_eq_f, app, free_vars, free_vars_f,
+                        pure, subst_f)
 from rszoo.lang.terms import PLUS
 from rszoo.lang.types import Node
-from rszoo.translate import NormalForm, alpha_eq_nf, canon_nf
+from rszoo.translate import NormalForm, alpha_eq_nf
 
 
 def doubled(times: int = 20):
