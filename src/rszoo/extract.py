@@ -8,8 +8,8 @@ sound when the premise guarantees that, for every assignment of the
 universals, at least one candidate tuple satisfies the matrix.  The
 rules:
 
-  NF-AXIOM      trusted starting point of kind ``internal``; it takes no
-                premises and may not introduce existentials.
+  NF-AXIOM      trusted starting point with an internal matrix; it takes
+                no premises and may not introduce existentials.
   EXISTS-WITNESS  introduce existentials; the premise matrix must be
                 exactly the disjunction of the instantiated conclusion
                 matrix, one disjunct per tuple.
@@ -30,8 +30,11 @@ from .lang import (Abs, App, Const, ExistsSt, ForallSt, Formula, Implies, N,
                    ParseError, SEQMAX, Term, Var, alpha_eq_f, app, append_c,
                    disj, distinct_subterms, empty_c, free_vars, free_vars_f,
                    infer_type, is_internal, lam, num, pair_c, parse_formula,
-                   parse_term, parse_type, pure, show_formula, show_type,
-                   stdterms, subst_f, substitute)
+                   parse_term, pure, show_formula, show_type, stdterms,
+                   subst_f, substitute)
+# Unused here, but kept as a module attribute: perfbench traces the
+# parser at every attribute it is looked up through.
+from .lang import parse_type  # noqa: F401
 from .lang.printer import show_term_prefix
 from .lang.types import Arrow, FiniteType, Node, Product, node, record
 from .normalform import normalize_principle
@@ -43,7 +46,6 @@ class ScriptError(Exception):
 
 
 RULES = ("NF-AXIOM", "EXISTS-WITNESS", "WEAKEN")
-AXIOM_KINDS = ("internal",)
 
 Row = tuple[Term, ...]
 
@@ -56,7 +58,6 @@ Row = tuple[Term, ...]
 class ProofStep:
     index: int
     rule: str
-    kind: str | None          # NF-AXIOM flavour
     premises: tuple[int, ...]
     groups: tuple[Row, ...]   # term tuples following ``with``
     conclusion: Formula
@@ -65,14 +66,10 @@ class ProofStep:
 @record
 class ProofScript:
     name: str
-    params: tuple[Var, ...]
     steps: tuple[ProofStep, ...]
 
-    def param_types(self) -> dict[str, FiniteType]:
-        return {v.name: v.ty for v in self.params}
 
-
-_DIRECTIVE = re.compile(r"^(script|param|let|step)\b")
+_DIRECTIVE = re.compile(r"^(script|let|step)\b")
 
 
 def _stanzas(text: str):
@@ -150,7 +147,6 @@ def _parsed(part: str, parse, *args):
 
 def parse_script(text: str) -> ProofScript:
     name = "script"
-    params: list[Var] = []
     lets: dict[Var, Term] = {}    # expanded into every later term
     steps: list[ProofStep] = []
     env: dict[str, FiniteType] = {}
@@ -158,14 +154,9 @@ def parse_script(text: str) -> ProofScript:
     for stanza in _stanzas(text):
         head, rest = stanza.split(" ", 1) if " " in stanza else (stanza, "")
         if head == "script":
+            if len(rest.split()) != 1:
+                raise ScriptError(f"script needs one name: {stanza!r}")
             name = rest.strip()
-        elif head == "param":
-            if ":" not in rest:
-                raise ScriptError(f"param needs 'name : type': {stanza!r}")
-            pname, tysrc = (p.strip() for p in rest.split(":", 1))
-            v = Var(pname, _parsed(f"param {pname}", parse_type, tysrc))
-            params.append(v)
-            env[v.name] = v.ty
         elif head == "let":
             if ":=" not in rest:
                 raise ScriptError(f"let needs 'name := term': {stanza!r}")
@@ -181,7 +172,7 @@ def parse_script(text: str) -> ProofScript:
             raise ScriptError(f"unknown directive {head!r}")
     if not steps:
         raise ScriptError("script has no steps")
-    return ProofScript(name, tuple(params), tuple(steps))
+    return ProofScript(name, tuple(steps))
 
 
 def _parse_step(rest: str, env: dict[str, FiniteType],
@@ -204,21 +195,11 @@ def _parse_step(rest: str, env: dict[str, FiniteType],
     rule, args = words[0], words[1:]
     if rule not in RULES:
         raise ScriptError(f"step {index}: unknown rule {rule!r}")
-    kind = None
     premises: list[int] = []
     for w in args:
-        if w in AXIOM_KINDS:
-            if rule != "NF-AXIOM":
-                raise ScriptError(f"step {index}: {rule} takes no axiom "
-                                  f"kind, got {w!r}")
-            if kind is not None:
-                raise ScriptError(f"step {index}: second axiom kind {w!r} "
-                                  f"after {kind!r}")
-            kind = w
-        elif w.isdigit():
-            premises.append(int(w))
-        else:
+        if not w.isdigit():
             raise ScriptError(f"step {index}: unexpected token {w!r}")
+        premises.append(int(w))
 
     concl = subst_f(_parsed(f"step {index}: conclusion", parse_formula,
                             concl_src.strip(), dict(env)), lets)
@@ -237,8 +218,7 @@ def _parse_step(rest: str, env: dict[str, FiniteType],
                 substitute(_parsed(f"step {index}: witness group {g}, "
                                    f"slot {k}", parse_term, src, scope), lets)
                 for k, src in enumerate(srcs, 1)))
-    return ProofStep(index, rule, kind, tuple(premises), tuple(groups),
-                     concl)
+    return ProofStep(index, rule, tuple(premises), tuple(groups), concl)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +300,6 @@ def check_script(script: ProofScript) -> ScriptReport:
     """Replay a script, rule by rule.  Raises ScriptError naming the
     step and the violated side condition; returns a report with the
     per-step normal forms and candidate tuples."""
-    params = script.param_types()
     results: dict[int, StepResult] = {}
 
     for step in script.steps:
@@ -335,23 +314,20 @@ def check_script(script: ProofScript) -> ScriptReport:
             if p not in results:
                 _fail(step, f"premise {p} not yet derived")
             prems.append(results[p])
-        results[step.index] = _RULE_HANDLERS[step.rule](step, nf, prems,
-                                                        params)
+        results[step.index] = _RULE_HANDLERS[step.rule](step, nf, prems)
 
     return ScriptReport(script, tuple(results[i] for i in sorted(results)))
 
 
-def _rule_nf_axiom(step, nf, prems, params):
+def _rule_nf_axiom(step, nf, prems):
     if prems:
         _fail(step, "axioms take no premises")
-    if step.kind is None:
-        _fail(step, f"axiom needs a kind among {AXIOM_KINDS}")
     if nf.existentials:
-        _fail(step, f"{step.kind} axiom cannot introduce existentials")
+        _fail(step, "internal axiom cannot introduce existentials")
     return StepResult(step, nf, ((),))
 
 
-def _rule_exists_witness(step, nf, prems, params):
+def _rule_exists_witness(step, nf, prems):
     if len(prems) != 1:
         _fail(step, "needs exactly one premise")
     prem = prems[0]
@@ -363,8 +339,7 @@ def _rule_exists_witness(step, nf, prems, params):
         _fail(step, "universal block must match the premise")
     if not step.groups:
         _fail(step, "needs at least one witness tuple")
-    scope = dict(params)
-    scope.update({u.name: u.ty for u in nf.universals})
+    scope = {u.name: u.ty for u in nf.universals}
     _check_rows(step, step.groups, nf.existentials, scope)
     want = disj([subst_f(nf.matrix, dict(zip(nf.existentials, row)))
                  for row in step.groups])
@@ -375,7 +350,7 @@ def _rule_exists_witness(step, nf, prems, params):
     return StepResult(step, nf, step.groups)
 
 
-def _rule_weaken(step, nf, prems, params):
+def _rule_weaken(step, nf, prems):
     if len(prems) != 1:
         _fail(step, "needs exactly one premise")
     prem = prems[0]
@@ -383,8 +358,7 @@ def _rule_weaken(step, nf, prems, params):
         _fail(step, "conclusion must repeat the premise normal form")
     if not step.groups:
         _fail(step, "needs at least one tuple to add")
-    scope = dict(params)
-    scope.update({u.name: u.ty for u in nf.universals})
+    scope = {u.name: u.ty for u in nf.universals}
     _check_rows(step, step.groups, nf.existentials, scope)
     return StepResult(step, nf, prem.rows + step.groups)
 
@@ -529,9 +503,14 @@ class CandidateReport:
 
 
 def _value_label(model, ty, v) -> str:
+    """A swept value as a failure shows it: a number, the name of the
+    declared object it is, or else its fingerprint."""
     from .interp import ModelError
     if ty == N:
         return str(v)
+    for name, (_ty, value, _st) in model.declared.items():
+        if value is v:
+            return name
     try:
         return str(model.canon_key(ty, v))
     except ModelError:
@@ -543,10 +522,9 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     """Sweep the universals and test that some candidate tuple satisfies
     the matrix at every assignment.
 
-    ``plans`` maps a universal name to ``"all"`` (full enumeration),
+    ``plans`` maps a universal name to ``"all"`` (full enumeration) or
     ``"st"`` (declared/standard population, the default — the block is
-    a forall^st), or the name of a declared object to pin the universal
-    to that one value.
+    a forall^st); any other plan is a ScriptError.
 
     When the matrix is an implication, its consequent is evaluated only
     where the antecedent holds.
@@ -569,21 +547,16 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     a set.  Attributing saturation to a row or subterm would have to
     store each memo entry's overflow bit with its value.
     """
-    from .interp import ModelError, eval_formula, eval_term
+    from .interp import eval_formula, eval_term
 
     plans = plans or {}
     base_env = model.env()
     pools = []
     for v in nf.universals:
         plan = plans.get(v.name, "st")
-        if plan in ("st", "all"):
-            pools.append(model.population(v.ty, standard=(plan == "st")))
-            continue
-        try:
-            pools.append([model.object(plan)])
-        except ModelError:
-            raise ScriptError(
-                f"unknown sweep plan {plan!r} for {v.name}") from None
+        if plan not in ("st", "all"):
+            raise ScriptError(f"unknown sweep plan {plan!r} for {v.name}")
+        pools.append(model.population(v.ty, standard=(plan == "st")))
 
     antecedent, consequent = ((nf.matrix.left, nf.matrix.right)
                               if isinstance(nf.matrix, Implies)
@@ -681,9 +654,9 @@ class ExplicitImplication:
     """A proved implication together with its explicit term content."""
     source: str
     target: str
-    forward_term: Term | None
-    backward_term: Term | None
-    bound_term: Term | None
+    forward_term: Term
+    backward_term: Term
+    bound_term: Term
     flags: tuple[str, ...]
     stages: tuple[tuple[str, str], ...]
 
@@ -705,7 +678,12 @@ def rs_run(entry) -> ExplicitImplication:
     """Drive one corpus entry end to end: normalize the principle,
     compare against the stored expectation, replay both scripts, check
     the candidates in the entry's model, and assemble the explicit
-    implication terms.  Errors carry the failing stage tag."""
+    implication terms.  Errors carry the failing stage tag.
+
+    The entry fields read are ``ident``, ``source``, ``target``,
+    ``witness``, ``principle``, ``expect``, ``forward``, ``backward``,
+    ``model`` and ``plans`` (the forward sweep plans); the backward
+    sweep ranges over the standard objects."""
     eid = entry.ident
     model = entry.model
     stages: list[tuple[str, str]] = []
@@ -715,63 +693,54 @@ def rs_run(entry) -> ExplicitImplication:
                 lambda: normalize_principle(entry.principle))
     stages.append(("normalize", show_nf(nf)))
 
-    if entry.expect is not None:
-        if nf != entry.expect:
-            raise ScriptError(f"{eid}/expect: normal form differs from the "
-                              f"stored expectation:\n  got  {show_nf(nf)}\n"
-                              f"  want {show_nf(entry.expect)}")
-        stages.append(("expect", "normal form matches stored expectation"))
+    if nf != entry.expect:
+        raise ScriptError(f"{eid}/expect: normal form differs from the "
+                          f"stored expectation:\n  got  {show_nf(nf)}\n"
+                          f"  want {show_nf(entry.expect)}")
+    stages.append(("expect", "normal form matches stored expectation"))
 
-    forward_term = bound = None
-    if entry.forward is not None:
-        rep = _stage(eid, "check-forward",
-                     lambda: check_script(entry.forward))
-        stages.extend(("check-forward", l) for l in rep.lines())
-        if not alpha_eq_nf(rep.final.nf, nf):
-            raise ScriptError(f"{eid}/align: forward script concludes "
-                              f"{show_nf(rep.final.nf)}, but the principle "
-                              f"normalizes to {show_nf(nf)}")
-        stages.append(("align", "script conclusion matches the normal form"))
-        final = rep.final
-        cand = _stage(eid, "candidates-forward",
-                      lambda: check_candidates(model, final.nf, final.rows,
-                                               entry.plans))
-        stages.append(("candidates-forward", cand.line()))
-        if not cand.ok:
-            raise ScriptError(f"{eid}/candidates-forward: {cand.line()}")
-        if cand.antecedent_vacuous:
-            flags.add("antecedent-vacuous")
-        if cand.overflowed:
-            flags.add("overflowed")
-        t = _stage(eid, "extract-forward", lambda: extract_terms(rep))
-        post = _stage(eid, "postprocess",
-                      lambda: postprocess(t, final.nf, entry.witness))
-        bound = post.bound
-        stages.append(("postprocess", f"bound {show_term_brief(post.bound)}"))
-        forward_term = _stage(eid, "collapse",
-                              lambda: _mu_collapse(final.nf, post.bound))
-        stages.append(("collapse", show_term_brief(forward_term)))
+    rep = _stage(eid, "check-forward", lambda: check_script(entry.forward))
+    stages.extend(("check-forward", l) for l in rep.lines())
+    if not alpha_eq_nf(rep.final.nf, nf):
+        raise ScriptError(f"{eid}/align: forward script concludes "
+                          f"{show_nf(rep.final.nf)}, but the principle "
+                          f"normalizes to {show_nf(nf)}")
+    stages.append(("align", "script conclusion matches the normal form"))
+    final = rep.final
+    cand = _stage(eid, "candidates-forward",
+                  lambda: check_candidates(model, final.nf, final.rows,
+                                           entry.plans))
+    stages.append(("candidates-forward", cand.line()))
+    if not cand.ok:
+        raise ScriptError(f"{eid}/candidates-forward: {cand.line()}")
+    if cand.antecedent_vacuous:
+        flags.add("antecedent-vacuous")
+    if cand.overflowed:
+        flags.add("overflowed")
+    t = _stage(eid, "extract-forward", lambda: extract_terms(rep))
+    post = _stage(eid, "postprocess",
+                  lambda: postprocess(t, final.nf, entry.witness))
+    stages.append(("postprocess", f"bound {show_term_brief(post.bound)}"))
+    forward_term = _stage(eid, "collapse",
+                          lambda: _mu_collapse(final.nf, post.bound))
+    stages.append(("collapse", show_term_brief(forward_term)))
 
-    backward_term = None
-    if entry.backward is not None:
-        rep = _stage(eid, "check-backward",
-                     lambda: check_script(entry.backward))
-        stages.extend(("check-backward", l) for l in rep.lines())
-        final = rep.final
-        cand = _stage(eid, "candidates-backward",
-                      lambda: check_candidates(model, final.nf, final.rows,
-                                               entry.plans_backward))
-        stages.append(("candidates-backward", cand.line()))
-        if not cand.ok:
-            raise ScriptError(f"{eid}/candidates-backward: {cand.line()}")
-        if cand.antecedent_vacuous:
-            flags.add("backward-antecedent-vacuous")
-        backward_term = _stage(eid, "extract-backward",
-                               lambda: extract_function(rep))
+    rep = _stage(eid, "check-backward", lambda: check_script(entry.backward))
+    stages.extend(("check-backward", l) for l in rep.lines())
+    final = rep.final
+    cand = _stage(eid, "candidates-backward",
+                  lambda: check_candidates(model, final.nf, final.rows))
+    stages.append(("candidates-backward", cand.line()))
+    if not cand.ok:
+        raise ScriptError(f"{eid}/candidates-backward: {cand.line()}")
+    if cand.antecedent_vacuous:
+        flags.add("backward-antecedent-vacuous")
+    backward_term = _stage(eid, "extract-backward",
+                           lambda: extract_function(rep))
 
     return ExplicitImplication(entry.source, entry.target, forward_term,
-                               backward_term, bound, tuple(sorted(flags)),
-                               tuple(stages))
+                               backward_term, post.bound,
+                               tuple(sorted(flags)), tuple(stages))
 
 
 def _mu_collapse(nf: NormalForm, bound: Term) -> Term:
@@ -786,6 +755,7 @@ def _mu_collapse(nf: NormalForm, bound: Term) -> Term:
     return lam(*others, fvar, body)
 
 
-def show_term_brief(t: Term, limit: int = 120) -> str:
-    s = show_term_prefix(t, limit + 1)
-    return s if len(s) <= limit else s[:limit - 3] + "..."
+def show_term_brief(t: Term) -> str:
+    """The term's text, cut to 120 characters."""
+    s = show_term_prefix(t, 121)
+    return s if len(s) <= 120 else s[:117] + "..."

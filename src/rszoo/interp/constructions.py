@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from ..lang.types import Arrow, N, pure
 from . import machine
-from .model import FnV, MiniModel, ModelError, table_fn, tabulate
+from .model import (FnV, MiniModel, ModelError, least_zero, table_fn,
+                    tabulate)
 
 
 # ---------------------------------------------------------------------------
@@ -41,20 +42,19 @@ def theta(oracle, budget: int, e: int) -> int:
     return 0
 
 
-def psi_theta(model: MiniModel, budget: int | None = None) -> FnV:
+def psi_theta(model: MiniModel) -> FnV:
     """The dodge functional as a model object of type 1 -> 1.
 
     For each oracle table Z it returns the table
-    ``e |-> sat(theta(Z, budget, e))``; the default budget is the cap,
+    ``e |-> sat(theta(Z, cap, e))``: the step budget is the cap,
     matching the step bounds a plain quantifier can reach.
     """
-    budget = model.cap if budget is None else budget
     memo: dict[tuple, FnV] = {}
 
     def outer(z):
         key = tabulate(model, z)
         if key not in memo:
-            tab = tuple(model.sat(theta(z, budget, e))
+            tab = tuple(model.sat(theta(z, model.cap, e))
                         for e in range(model.cap + 1))
             memo[key] = table_fn(tab, model)
         return memo[key]
@@ -112,12 +112,7 @@ def xi_search(model: MiniModel, psi: FnV) -> FnV:
 def mu_op(model: MiniModel) -> FnV:
     """The least-zero search as a declared type-2 functional: maps a
     table to its least zero, 0 when there is none."""
-    def mu(f):
-        for x in range(model.cap + 1):
-            if f.call(x) == 0:
-                return x
-        return 0
-    return FnV(mu)
+    return FnV(lambda f: least_zero(model, f))
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +124,9 @@ _T1 = pure(1)
 def build_construction(name: str, args: list[str], model: MiniModel):
     """Resolve a ``bind`` line: returns (type, value).
 
-    Arguments are integer literals or names of previously declared
-    objects.
+    Arguments are names of previously declared objects.
     """
-    def obj(a):
-        return int(a) if a.isdigit() else model.object(a)
-
-    vals = [obj(a) for a in args]
+    vals = [model.object(a) for a in args]
     try:
         if name == "psi_theta":
             return Arrow(_T1, _T1), psi_theta(model, *vals)

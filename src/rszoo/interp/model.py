@@ -48,8 +48,9 @@ Model configurations use a line-based text format::
 
 ``table`` declares a type-1 object by its value table; ``bind`` builds
 an object through the construction registry (see ``constructions``),
-passing previously declared names or integer literals as arguments.  A
-trailing ``[st]`` marks the object standard.
+passing previously declared names as arguments.  A trailing ``[st]``
+marks the object standard.  ``budget`` may be omitted (see
+:class:`MiniModel`).
 """
 from __future__ import annotations
 
@@ -163,9 +164,7 @@ def _indexed(tab: tuple, fallback):
 class MiniModel:
     """Finite model with universe {0..cap} and standardness cut omega."""
 
-    def __init__(self, cap: int, omega: int, budget: int = 200_000,
-                 declared: list[tuple[str, FiniteType, object, bool]] | None
-                 = None):
+    def __init__(self, cap: int, omega: int, budget: int = 200_000):
         if cap < 1:
             raise ModelError("cap must be at least 1")
         if not (0 < omega <= cap):
@@ -179,8 +178,6 @@ class MiniModel:
         self.flags: set[str] = set()
         # id(node) -> (node, closure); see eval_formula and eval_term
         self._compiled: dict[int, tuple] = {}
-        for name, ty, value, st in declared or []:
-            self.declare(name, ty, value, st)
 
     # -- declarations -------------------------------------------------------
 
@@ -318,6 +315,15 @@ class MiniModel:
 def values_equal(model: MiniModel, ty: FiniteType, a, b) -> bool:
     """Extensional equality at a type: equal fingerprints."""
     return model.canon_key(ty, a) == model.canon_key(ty, b)
+
+
+def least_zero(model: MiniModel, f: FnV) -> int:
+    """The least i <= cap with f(i) = 0, else 0: the model's least-zero
+    search, behind both ``muscan`` and the ``mu_op`` construction."""
+    for i in range(model.cap + 1):
+        if f.call(i) == 0:
+            return i
+    return 0
 
 
 def tabulate(model: MiniModel, fn: FnV) -> tuple:
@@ -527,12 +533,7 @@ def _primitive(model: MiniModel, c: Const):
             return 0
         return 3, do_run
     if name == "muscan":
-        def scan(f):
-            for i in range(model.cap + 1):
-                if f.call(i) == 0:
-                    return i
-            return 0
-        return 1, scan
+        return 1, lambda f: least_zero(model, f)
     if name == "pair":
         return 2, PairV
     if name == "fst":
@@ -718,32 +719,27 @@ def _prefix_reader(cells: list, cap: int):
 
 def parse_model_config(text: str) -> MiniModel:
     """Build a MiniModel from the line-based config format."""
-    cap = omega = None
-    budget = 200_000
-    decls: list[tuple[str, str]] = []  # (kind-line, raw)
+    settings: dict[str, int] = {}    # MiniModel's keyword arguments
+    decls: list[str] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" in line and ":" not in line:
             key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key == "cap":
-                cap = int(val)
-            elif key == "omega":
-                omega = int(val)
-            elif key == "budget":
-                budget = int(val)
-            else:
+            key = key.strip()
+            if key not in ("cap", "omega", "budget"):
                 raise ModelError(f"unknown setting {key!r}")
+            settings[key] = int(val)
             continue
         if line.startswith("table ") or line.startswith("bind "):
             decls.append(line)
             continue
         raise ModelError(f"unrecognized model config line: {raw!r}")
-    if cap is None or omega is None:
+    if "cap" not in settings or "omega" not in settings:
         raise ModelError("model config needs cap= and omega=")
-    model = MiniModel(cap, omega, budget=budget)
+    model = MiniModel(**settings)
+    cap = model.cap
     from .constructions import build_construction
     for line in decls:
         st = False

@@ -14,7 +14,7 @@ from .lang.formulas import (ExistsSt, ForallSt, Formula, alpha_walk_f,
 from .lang.parser import parse_formula, parse_type
 from .lang.printer import show_formula
 from .lang.terms import Var
-from .lang.types import FiniteType, Node, node, show_type
+from .lang.types import Node, node, show_type
 
 
 @node
@@ -76,16 +76,18 @@ def alpha_eq_nf(a: NormalForm, b: NormalForm) -> bool:
 # ---------------------------------------------------------------------------
 # .nf files
 
-def parse_nf(text: str, params: dict[str, FiniteType] | None = None
-             ) -> NormalForm:
+def parse_nf(text: str) -> NormalForm:
     """Parse the three-line normal-form format:
 
         universals: f:1, Psi:1 -> 1
         existentials: y:0
         matrix: <formula>
 
-    Block lines may be omitted when empty; '#' starts a comment."""
+    Block lines may be omitted when empty, each line may continue on the
+    lines below it, and '#' starts a comment.  The matrix mentions only
+    the block variables."""
     keys = {"universals": [], "existentials": [], "matrix": None}
+    seen: set[str] = set()
     current = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].rstrip()
@@ -94,6 +96,9 @@ def parse_nf(text: str, params: dict[str, FiniteType] | None = None
         head, _, rest = line.partition(":")
         if head.strip() in keys and _ == ":":
             current = head.strip()
+            if current in seen:
+                raise TranslateError(f"repeated {current} line: {raw!r}")
+            seen.add(current)
             if current == "matrix":
                 keys["matrix"] = rest.strip()
             else:
@@ -121,10 +126,11 @@ def parse_nf(text: str, params: dict[str, FiniteType] | None = None
 
     us = decls(keys["universals"])
     es = decls(keys["existentials"])
-    env = dict(params or {})
-    env.update({v.name: v.ty for v in us + es})
-    m = parse_formula(keys["matrix"], params=env)
+    m = parse_formula(keys["matrix"], params={v.name: v.ty for v in us + es})
     if not is_internal(m):
         raise TranslateError("normal-form matrix must be internal")
-    return NormalForm(us, es, m)
+    try:
+        return NormalForm(us, es, m)
+    except ValueError as exc:
+        raise TranslateError(str(exc)) from None
 

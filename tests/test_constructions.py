@@ -110,14 +110,13 @@ def test_xi_search_wraps_and_flags():
 
 def test_build_construction_resolves_names_and_literals():
     m = m4()
-    ty, p = build_construction("psi_theta", ["3"], m)
+    ty, p = build_construction("psi_theta", [], m)
     assert ty == parse_type("1 -> 1")
     z = table_fn([0, 1, 0, 2, 0], m)
-    # the literal is the step budget: with none, only the empty program
-    # (index 0) halts
     assert tabulate(m, p.call(z)) == (1, 2, 1, 1, 2)
-    _ty, p0 = build_construction("psi_theta", ["0"], m)
-    assert tabulate(m, p0.call(z)) == (1, 0, 0, 0, 0)
+    # a literal is read as a name like any other argument
+    with pytest.raises(ModelError, match="undeclared object '0'"):
+        build_construction("psi_theta", ["0"], m)
     m.declare("P0", ty, p, st=True)
     ty2, xi = build_construction("xi_search", ["P0"], m)
     assert ty2 == parse_type("1 -> 1 -> 0 -> 0")
@@ -132,4 +131,4 @@ def test_build_construction_resolves_names_and_literals():
     with pytest.raises(ModelError, match="bad arguments for xi_search"):
         build_construction("xi_search", [], m)
     with pytest.raises(ModelError, match="bad arguments for mu_op"):
-        build_construction("mu_op", ["3"], m)
+        build_construction("mu_op", ["P0"], m)

@@ -1,22 +1,39 @@
-"""Every name that ``rszoo.lang``, ``rszoo.translate`` and ``rszoo.interp``
-export is used: library code that nothing reaches does not stay."""
+"""Every name that ``rszoo.lang`` and ``rszoo.interp`` export, and every
+public name that ``rszoo.translate``, ``rszoo.normalform`` and
+``rszoo.extract`` define, is used: library code that nothing reaches
+does not stay."""
 import ast
 import inspect
 from pathlib import Path
 
+import rszoo.extract
 import rszoo.interp
 import rszoo.lang
+import rszoo.normalform
 import rszoo.translate
 
 ROOT = Path(__file__).parents[1]
+
+
+def defined(module) -> set[str]:
+    """The public names a module defines at its top level: functions,
+    classes and assigned names, not the names it imports."""
+    names = set()
+    for stmt in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names.update(t.id for t in stmt.targets
+                         if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
 
 
 def exported() -> set[str]:
     names = set(rszoo.interp.__all__)
     names |= {name for name, obj in vars(rszoo.lang).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}
-    names |= {name for name, obj in vars(rszoo.translate).items()
-              if getattr(obj, "__module__", None) == "rszoo.translate"}
+    for module in (rszoo.translate, rszoo.normalform, rszoo.extract):
+        names |= defined(module)
     return names
 
 

@@ -51,7 +51,6 @@ def udnr_entry(model: str = MODEL_CAP3, f_plan: str = "st"):
         backward=parse_script(read("backward.prf")),
         model=parse_model_config(model),
         plans={"f": f_plan, "Psi": "st", "Xi": "st"},
-        plans_backward={"mu": "st", "Z": "st"},
     )
 
 
@@ -146,6 +145,50 @@ def test_rs_run_again_compiles_nothing_new():
         rs_run(entry)
         sizes.append(len(entry.model._compiled))
     assert sizes == [sizes[0]] * 3 and sizes[0] > 0
+
+
+def rs_run_fails_at(entry, stage: str) -> str:
+    """The message of the ScriptError that rs_run raises at ``stage``."""
+    with pytest.raises(ScriptError) as info:
+        rs_run(entry)
+    message = str(info.value)
+    assert message.startswith(f"udnr/{stage}: "), message
+    return message
+
+
+def test_rs_run_fails_at_expect_on_another_normal_form():
+    entry = udnr_entry()
+    text = (UDNR / "expect.nf").read_text()
+    assert "(exists z <= y)" in text
+    entry.expect = parse_nf(text.replace("(exists z <= y)", "(exists z < y)"))
+    rs_run_fails_at(entry, "expect")
+
+
+def test_rs_run_fails_at_align_on_a_forward_script_for_another_form():
+    entry = udnr_entry()
+    entry.forward = entry.backward
+    rs_run_fails_at(entry, "align")
+
+
+def test_rs_run_fails_at_candidates_backward_naming_declared_objects():
+    # a backward witness that ignores the oracle dodges neither standard
+    # table; the failing assignments print by their declared names, not
+    # by mu0's fingerprint over every type-1 table
+    entry = udnr_entry()
+    witness = r"\e:0. run(Z, e, mu(\s:0. iszero(run(Z, e, s))))"
+    text = (UDNR / "backward.prf").read_text()
+    assert text.count(witness) == 2
+    entry.backward = parse_script(text.replace(witness, r"\e:0. 0"))
+    assert rs_run_fails_at(entry, "candidates-backward") == (
+        "udnr/candidates-backward: candidates FAIL over 2 assignment(s) "
+        "mu=mu0, Z=Z0; mu=mu0, Z=E0")
+
+
+def test_rs_run_rejects_a_sweep_plan_naming_an_object():
+    entry = udnr_entry()
+    entry.plans["f"] = "Z0"
+    assert rs_run_fails_at(entry, "candidates-forward") == (
+        "udnr/candidates-forward: unknown sweep plan 'Z0' for f")
 
 
 def record_formulas(monkeypatch) -> list:
@@ -330,7 +373,7 @@ def test_check_candidates_evaluates_slot_naming_an_existential_per_candidate(
 # rules EXISTS-WITNESS and WEAKEN
 
 
-AXIOM = ("step 1: NF-AXIOM internal conclude (forall^st x:0) "
+AXIOM = ("step 1: NF-AXIOM conclude (forall^st x:0) "
          "x = x \\/ succ(x) = x")
 ONE_SLOT = "(forall^st x:0) (exists^st y:0) y = x"
 WITNESS = f"step 2: EXISTS-WITNESS 1 with (x) (succ(x)) conclude {ONE_SLOT}"
@@ -342,10 +385,9 @@ def replay(*steps: str, groups=None):
     script = parse_script("\n".join(("script rules", AXIOM) + steps))
     if groups is not None:
         last = script.steps[-1]
-        last = ProofStep(last.index, last.rule, last.kind, last.premises,
-                         groups, last.conclusion)
-        script = ProofScript(script.name, script.params,
-                             script.steps[:-1] + (last,))
+        last = ProofStep(last.index, last.rule, last.premises, groups,
+                         last.conclusion)
+        script = ProofScript(script.name, script.steps[:-1] + (last,))
     return check_script(script)
 
 
@@ -448,13 +490,15 @@ AX = "step 2 (NF-AXIOM): "
 
 
 @pytest.mark.parametrize("steps, message", [
-    (("step 2: NF-AXIOM internal 1 conclude (forall^st x:0) x = x",),
+    (("step 2: NF-AXIOM 1 conclude (forall^st x:0) x = x",),
      AX + "axioms take no premises"),
-    (("step 2: NF-AXIOM conclude (forall^st x:0) x = x",),
-     AX + "axiom needs a kind among ('internal',)"),
-    ((f"step 2: NF-AXIOM internal conclude {ONE_SLOT}",),
+    # the block shape is checked before the rule: a standard universal
+    # after the existential block stays in the matrix
+    (("step 2: NF-AXIOM conclude (exists^st y:0) (forall^st x:0) x = y",),
+     AX + "matrix is not internal: (forall^st x:0) x = y"),
+    ((f"step 2: NF-AXIOM conclude {ONE_SLOT}",),
      AX + "internal axiom cannot introduce existentials"),
-    (("step 2: NF-AXIOM internal conclude (forall^st x:0) st(x)",),
+    (("step 2: NF-AXIOM conclude (forall^st x:0) st(x)",),
      AX + "matrix is not internal: st(x)"),
     ((f"step 1: WEAKEN 1 with (0) conclude {ONE_SLOT}",),
      "duplicate step index 1"),
@@ -489,23 +533,20 @@ def test_formula_to_nf_rejects_external_matrices(src):
 # script syntax
 
 
-def test_parse_script_reads_params_lets_and_steps():
+def test_parse_script_reads_lets_and_steps():
     script = parse_script(
         "script demo  # a comment\n"
-        "param p : 1\n"
         "let two := succ(succ(0))\n"
-        "step 1: NF-AXIOM internal conclude (forall^st x:0)\n"
-        "  p(x) = two \\/ p(x) = x\n"
+        "step 1: NF-AXIOM conclude (forall^st x:0)\n"
+        "  x = two \\/ x = x\n"
         "step 2: EXISTS-WITNESS 1 with (two) (x)\n"
-        "  conclude (forall^st x:0) (exists^st y:0) p(x) = y\n")
+        "  conclude (forall^st x:0) (exists^st y:0) x = y\n")
     assert script.name == "demo"
-    assert script.param_types() == {"p": pure(1)}
     two = app(SUCC, app(SUCC, num(0)))
     first, second = script.steps
-    assert (first.index, first.rule, first.kind, first.premises) \
-        == (1, "NF-AXIOM", "internal", ())
+    assert (first.index, first.rule, first.premises) == (1, "NF-AXIOM", ())
     assert show_formula(first.conclusion) == \
-        "(forall^st x:0) p(x) = succ(succ(0)) \\/ p(x) = x"
+        "(forall^st x:0) x = succ(succ(0)) \\/ x = x"
     assert (second.rule, second.premises) == ("EXISTS-WITNESS", (1,))
     assert second.groups == ((two,), (Var("x", N),))
     final = check_script(script).final
@@ -517,26 +558,25 @@ STEP1 = AXIOM.replace("step 1: ", "")
 
 @pytest.mark.parametrize("text, message", [
     ("  x = x\nscript s\n" + AXIOM, "stray line outside any stanza: '  x = x'"),
-    ("script s\nparam p 0\n" + AXIOM, "param needs 'name : type'"),
+    # ``param`` is no directive: the line continues the script name
+    ("script s\nparam p : 1\n" + AXIOM,
+     "script needs one name: 'script s param p : 1'"),
     ("script s\nlet q z\n" + AXIOM, "let needs 'name := term'"),
     ("script s\n", "script has no steps"),
-    ("script s\nstep 1 NF-AXIOM internal",
+    ("script s\nstep 1 NF-AXIOM",
      "step needs 'step <n>: <rule> ...'"),
     ("script s\nstep one: " + STEP1, "bad step number 'one'"),
-    ("script s\nstep 1: NF-AXIOM internal (forall^st x:0) x = x",
+    ("script s\nstep 1: NF-AXIOM (forall^st x:0) x = x",
      "step 1 has no conclusion"),
     ("script s\nstep 1: conclude (forall^st x:0) x = x",
      "step 1 names no rule"),
-    ("script s\nstep 1: NF-AXIM internal conclude (forall^st x:0) x = x",
+    ("script s\nstep 1: NF-AXIM conclude (forall^st x:0) x = x",
      "step 1: unknown rule 'NF-AXIM'"),
-    ("script s\nstep 1: NF-AXIOM internal x conclude (forall^st x:0) x = x",
+    ("script s\nstep 1: NF-AXIOM x conclude (forall^st x:0) x = x",
      "step 1: unexpected token 'x'"),
-    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS internal 1 with (x) "
-     f"conclude {ONE_SLOT}",
-     "step 2: EXISTS-WITNESS takes no axiom kind, got 'internal'"),
-    ("script s\nstep 1: NF-AXIOM internal internal conclude "
-     "(forall^st x:0) x = x",
-     "step 1: second axiom kind 'internal' after 'internal'"),
+    # the axiom takes no kind word
+    ("script s\nstep 1: NF-AXIOM internal conclude (forall^st x:0) x = x",
+     "step 1: unexpected token 'internal'"),
     (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with x conclude "
      f"{ONE_SLOT}", "step 2: expected '(' in witness groups near 'x'"),
     (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x] conclude "
@@ -548,11 +588,9 @@ def test_parse_script_rejects(text, message):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("script s\nparam p : 0 ->\n" + AXIOM,
-     "param p: expected a type, found '' (at 1:5 of that part)"),
     ("script s\nlet q := succ(z)\n" + AXIOM,
      "let q: unbound variable 'z' (at 1:6 of that part)"),
-    ("script s\nstep 1: NF-AXIOM internal conclude (forall^st x:0) x = z",
+    ("script s\nstep 1: NF-AXIOM conclude (forall^st x:0) x = z",
      "step 1: conclusion: unbound variable 'z' (at 1:21 of that part)"),
     (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (z) conclude "
      f"{ONE_SLOT}",
@@ -567,18 +605,16 @@ def test_parse_errors_name_the_step_and_part(text, message):
         parse_script(text)
 
 
-def test_every_rule_and_axiom_kind_is_used_by_a_shipped_script():
+def test_every_rule_is_used_by_a_shipped_script():
     # a rule that no corpus script reaches is dead code: delete it, or
     # ship the entry that needs it
-    rules, kinds = set(), set()
+    rules = set()
     scripts = sorted(UDNR.parent.glob("*/*.prf"))
     assert scripts
     for path in scripts:
         for step in parse_script(path.read_text()).steps:
             rules.add(step.rule)
-            kinds.add(step.kind)
     assert set(extract.RULES) <= rules
-    assert set(extract.AXIOM_KINDS) <= kinds
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +655,7 @@ def test_extract_function_needs_one_candidate():
 def test_extract_terms_needs_existentials():
     report = check_script(parse_script(
         "script plain\n"
-        "step 1: NF-AXIOM internal conclude (forall^st x:0) x = x\n"))
+        "step 1: NF-AXIOM conclude (forall^st x:0) x = x\n"))
     with pytest.raises(ScriptError, match="no existentials"):
         extract_terms(report)
 
@@ -636,3 +672,14 @@ def test_value_label_falls_back_only_on_model_errors():
     # a value of the wrong shape is a programming error, not a label
     with pytest.raises(AttributeError):
         extract._value_label(model, pure(1), 3)
+
+
+def test_value_label_names_declared_objects():
+    model = MiniModel(cap=4, omega=2)
+    z0 = table_fn([0, 1, 0, 0, 0], model)
+    model.declare("Z0", pure(1), z0, st=True)
+    assert extract._value_label(model, pure(1), z0) == "Z0"
+    # the same table under another object is not the declared one
+    assert extract._value_label(model, pure(1),
+                                table_fn([0, 1, 0, 0, 0], model)) \
+        == "(0, 1, 0, 0, 0)"

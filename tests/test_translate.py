@@ -50,13 +50,23 @@ def test_nf_file_round_trip():
     assert text == ("universals: f:1, Psi:1 -> 1\n"
                     "matrix: Psi(f, 0) = 0 -> (exists z <= 3) f(z) = 0\n")
     assert alpha_eq_nf(parse_nf(text), nf)
-    nf = parse_nf("existentials: y:0\nmatrix: P(y) = 0", {"P": pure(1)})
-    assert nf.universals == () and nf.existentials == (Var("y", N),)
-    assert alpha_eq_nf(parse_nf(nf_file(nf), {"P": pure(1)}), nf)
+    nf = parse_nf("existentials: y:0, P:1\nmatrix: P(y) = 0")
+    assert nf.universals == ()
+    assert nf.existentials == (Var("y", N), Var("P", pure(1)))
+    assert alpha_eq_nf(parse_nf(nf_file(nf)), nf)
     for text, msg in [
             ("f:1\nmatrix: 0 = 0", "^unexpected line in normal form: 'f:1'$"),
             ("universals: f:1\n", "^normal form needs a matrix: line$"),
             ("universals: f\nmatrix: 0 = 0", "^expected name:type, got 'f'$"),
-            ("matrix: st(0)", "^normal-form matrix must be internal$")]:
+            ("matrix: st(0)", "^normal-form matrix must be internal$"),
+            # a repeated line does not replace or extend the first one
+            ("universals: x:0\nmatrix: x = 0\nmatrix: 1 = 1",
+             "^repeated matrix line: 'matrix: 1 = 1'$"),
+            ("universals: x:0\n  # more\nuniversals: y:0\nmatrix: x = y",
+             "^repeated universals line: 'universals: y:0'$"),
+            ("universals: x:0, x:0\nmatrix: x = 0",
+             r"^duplicate names in blocks: \['x', 'x'\]$"),
+            ("universals: x:0\nexistentials: x:0\nmatrix: x = 0",
+             r"^duplicate names in blocks: \['x', 'x'\]$")]:
         with pytest.raises(TranslateError, match=msg):
             parse_nf(text)
