@@ -16,6 +16,23 @@ rules:
   WEAKEN        append candidate tuples (always sound: the implicit
                 disjunction only grows).
 
+A script is read with the language's tokenizer and ``Parser``, so
+blanks, newlines and ``#`` comments only separate tokens and a directive
+may run over lines until the next one starts:
+
+  script    :=  ('script' NAME | 'let' NAME ':=' term | step)*
+  step      :=  'step' NUM ':' RULE NUM* ('with' group+)? 'conclude' formula
+  group     :=  '(' term (';' term)* ')'
+
+A NAME (and a RULE) may join its parts with '-', no blanks around it:
+``script udnr-backward``, ``step 1: NF-AXIOM``.  A group is one
+candidate tuple, its slots separated by ';'.  A ``let`` term may use
+the lets above it, and every later term has them expanded.  The
+``with`` groups come before the conclusion but are scoped by it: their
+terms may name its ``forall^st`` universals, so the conclusion is read
+first.  An error gives its line:col in the script and names the let or
+the step (and the conclusion or the group and slot) it is in.
+
 Extraction then reads the final candidate list back as one closed term
 ``\\xs. <seq of tuples>`` and, for a numeric target slot, collapses it
 to a max bound whose least-zero refinement is the explicit content of
@@ -24,17 +41,17 @@ the implication.
 from __future__ import annotations
 
 import itertools
-import re
 
 from .lang import (Abs, App, Const, ExistsSt, ForallSt, Formula, Implies, N,
                    ParseError, SEQMAX, Term, Var, alpha_eq_f, app, append_c,
                    disj, distinct_subterms, empty_c, free_vars, free_vars_f,
-                   infer_type, is_internal, lam, num, pair_c, parse_formula,
-                   parse_term, pure, show_formula, show_type, stdterms,
-                   subst_f, substitute)
-# Unused here, but kept as a module attribute: perfbench traces the
-# parser at every attribute it is looked up through.
-from .lang import parse_type  # noqa: F401
+                   infer_type, is_internal, lam, num, pair_c, pure,
+                   show_formula, show_type, stdterms, subst_f, substitute)
+# Unused here since scripts are read with the Parser, but kept as
+# module attributes: perfbench looks the parser up, to trace it, at
+# every attribute it was reached through.
+from .lang import parse_formula, parse_term, parse_type  # noqa: F401
+from .lang.parser import Parser, tokenize
 from .lang.printer import show_term_prefix
 from .lang.types import Arrow, FiniteType, Node, Product, node, record
 from .normalform import normalize_principle
@@ -69,156 +86,115 @@ class ProofScript:
     steps: tuple[ProofStep, ...]
 
 
-_DIRECTIVE = re.compile(r"^(script|let|step)\b")
-
-
-def _stanzas(text: str):
-    """Group the source into directive stanzas; continuation lines attach
-    to the previous directive."""
-    current: list[str] | None = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if _DIRECTIVE.match(line.strip()):
-            if current:
-                yield " ".join(current)
-            current = [line.strip()]
-        else:
-            if current is None:
-                raise ScriptError(f"stray line outside any stanza: {raw!r}")
-            current.append(line.strip())
-    if current:
-        yield " ".join(current)
-
-
-def _split_token(text: str, token: str) -> tuple[str, str | None]:
-    """Split on the first occurrence of a bare token at bracket depth 0."""
-    depth = 0
-    words = text.split(" ")
-    for i, w in enumerate(words):
-        depth += w.count("(") + w.count("[") - w.count(")") - w.count("]")
-        if w == token and depth == 0:
-            return " ".join(words[:i]), " ".join(words[i + 1:])
-    return text, None
-
-
-def _paren_groups(text: str, index: int) -> list[list[str]]:
-    """Parse step ``index``'s ``(a; b) (c; d)`` into groups of raw term
-    strings."""
-    groups, i, n = [], 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        if text[i] != "(":
-            raise ScriptError(f"step {index}: expected '(' in witness "
-                              f"groups near {text[i:]!r}")
-        depth, j, cuts = 0, i, [i]
-        while j < n:
-            if text[j] == "(":
-                depth += 1
-            elif text[j] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            elif text[j] == ";" and depth == 1:
-                cuts.append(j)
-            j += 1
-        if depth != 0:
-            raise ScriptError(f"step {index}: unbalanced parentheses in "
-                              "witness groups")
-        cuts.append(j)
-        groups.append([text[a + 1:b].strip() for a, b in zip(cuts, cuts[1:])])
-        i = j + 1
-    return groups
-
-
-def _parsed(part: str, parse, *args):
-    """``parse(*args)`` on one part of a stanza.  A ParseError becomes a
-    ScriptError naming the part, since its position counts from the
-    start of that part, not of the script."""
-    try:
-        return parse(*args)
-    except ParseError as exc:
-        raise ScriptError(f"{part}: {exc.msg} (at {exc.line}:{exc.col} "
-                          "of that part)") from None
-
-
 def parse_script(text: str) -> ProofScript:
+    """Read a script (grammar in the module docstring).  A ParseError
+    becomes a ScriptError that gives its line:col in the text and names
+    the let or step it is in."""
     name = "script"
     lets: dict[Var, Term] = {}    # expanded into every later term
     steps: list[ProofStep] = []
-    env: dict[str, FiniteType] = {}
-
-    for stanza in _stanzas(text):
-        head, rest = stanza.split(" ", 1) if " " in stanza else (stanza, "")
-        if head == "script":
-            if len(rest.split()) != 1:
-                raise ScriptError(f"script needs one name: {stanza!r}")
-            name = rest.strip()
-        elif head == "let":
-            if ":=" not in rest:
-                raise ScriptError(f"let needs 'name := term': {stanza!r}")
-            lname, tsrc = (p.strip() for p in rest.split(":=", 1))
-            body = substitute(_parsed(f"let {lname}", parse_term, tsrc,
-                                      dict(env)), lets)
-            v = Var(lname, infer_type(body))
-            lets[v] = body
-            env[v.name] = v.ty
-        elif head == "step":
-            steps.append(_parse_step(rest, env, lets))
-        else:  # pragma: no cover - _stanzas only yields directives
-            raise ScriptError(f"unknown directive {head!r}")
+    where = ""                    # the let being read, for errors
+    try:
+        p = Parser(tokenize(text), 0, {})
+        while p.peek().kind != "eof":
+            where = ""
+            if p.take("script"):
+                name = _name(p)
+            elif p.take("let"):
+                lname = _name(p)
+                where = f"let {lname}: "
+                p.expect_sym(":=")
+                body, ty, _ = p.typed_term()
+                v = Var(lname, ty)
+                lets[v] = substitute(body, lets)
+                p.env[lname] = v
+            elif p.take("step"):
+                steps.append(_parse_step(p, lets))
+            else:
+                p.expected("'script', 'let' or 'step'")
+    except ParseError as exc:
+        raise _script_error(where, exc) from None
     if not steps:
         raise ScriptError("script has no steps")
     return ProofScript(name, tuple(steps))
 
 
-def _parse_step(rest: str, env: dict[str, FiniteType],
-                lets: dict[Var, Term]) -> ProofStep:
-    if ":" not in rest:
-        raise ScriptError(f"step needs 'step <n>: <rule> ...': {rest!r}")
-    numsrc, body = rest.split(":", 1)
+def _script_error(where: str, exc: ParseError) -> ScriptError:
+    return ScriptError(f"{where}{exc.msg} (at {exc.line}:{exc.col})")
+
+
+def _name(p: Parser) -> str:
+    """A name whose parts may be joined by '-' with no blanks around
+    it: ``udnr-forward``, ``NF-AXIOM``."""
+    tok = p.peek()
+    if tok.kind != "ident":
+        p.expected("a name")
+    p.next()
+    text, end = tok.text, tok.col + len(tok.text)
+    while p.at_sym("-"):
+        dash, part = p.peek(), p.peek(1)
+        if not (dash.line == part.line == tok.line and dash.col == end
+                and part.col == end + 1 and part.kind in ("ident", "num")):
+            break
+        p.pos += 2
+        text += "-" + part.text
+        end = part.col + len(part.text)
+    return text
+
+
+def _parse_step(p: Parser, lets: dict[Var, Term]) -> ProofStep:
+    """A step, the cursor past its ``step`` keyword."""
+    where = "step needs 'step <n>: <rule> ...': "
     try:
-        index = int(numsrc.strip())
-    except ValueError:
-        raise ScriptError(f"bad step number {numsrc.strip()!r}") from None
-    body, concl_src = _split_token(body.strip(), "conclude")
-    if concl_src is None:
-        raise ScriptError(f"step {index} has no conclusion")
-    body, with_src = _split_token(body, "with")
+        index = p.number()
+        p.expect_sym(":")
+        where = f"step {index}: "
+        tok = p.peek()
+        if tok.kind != "ident" or tok.text in ("with", "conclude"):
+            p.expected("a rule")
+        rule = _name(p)
+        if rule not in RULES:
+            raise ParseError(f"unknown rule {rule!r}", tok.line, tok.col)
+        premises: list[int] = []
+        while p.peek().kind == "num":
+            premises.append(p.number())
+        groups_at = p.pos
+        if p.take("with"):
+            groups_at = p.pos
+            if not p.at_sym("("):
+                p.expected("'(' opening a witness group")
+            while p.at_sym("("):    # read once the conclusion is
+                p.pos = p.closing(p.pos)
+                if p.next().kind == "eof":
+                    p.fail("witness group is not closed")
+        if not p.take("conclude"):
+            p.expected("a premise, 'with' or 'conclude'")
+        where = f"step {index}: conclusion: "
+        conclusion = p.parse_formula()
+        end = p.pos
 
-    words = body.split()
-    if not words:
-        raise ScriptError(f"step {index} names no rule")
-    rule, args = words[0], words[1:]
-    if rule not in RULES:
-        raise ScriptError(f"step {index}: unknown rule {rule!r}")
-    premises: list[int] = []
-    for w in args:
-        if not w.isdigit():
-            raise ScriptError(f"step {index}: unexpected token {w!r}")
-        premises.append(int(w))
-
-    concl = subst_f(_parsed(f"step {index}: conclusion", parse_formula,
-                            concl_src.strip(), dict(env)), lets)
-
-    # witness terms may mention the conclusion's universals
-    scope = dict(env)
-    walk = concl
-    while isinstance(walk, ForallSt):
-        scope[walk.var.name] = walk.var.ty
-        walk = walk.body
-
-    groups: list[Row] = []
-    if with_src is not None:
-        for g, srcs in enumerate(_paren_groups(with_src, index), 1):
-            groups.append(tuple(
-                substitute(_parsed(f"step {index}: witness group {g}, "
-                                   f"slot {k}", parse_term, src, scope), lets)
-                for k, src in enumerate(srcs, 1)))
-    return ProofStep(index, rule, tuple(premises), tuple(groups), concl)
+        # witness terms may mention the conclusion's universals
+        scope = p.env
+        p.env = dict(scope)
+        walk = conclusion
+        while isinstance(walk, ForallSt):
+            p.env[walk.var.name] = walk.var
+            walk = walk.body
+        p.pos = groups_at
+        groups: list[Row] = []
+        while p.take("("):
+            row: list[Term] = []
+            while not row or p.take(";"):
+                where = (f"step {index}: witness group {len(groups) + 1}, "
+                         f"slot {len(row) + 1}: ")
+                row.append(substitute(p.parse_term(), lets))
+            p.expect_sym(")")
+            groups.append(tuple(row))
+        p.env, p.pos = scope, end
+    except ParseError as exc:
+        raise _script_error(where, exc) from None
+    return ProofStep(index, rule, tuple(premises), tuple(groups),
+                     subst_f(conclusion, lets))
 
 
 # ---------------------------------------------------------------------------

@@ -718,10 +718,11 @@ def _prefix_reader(cells: list, cap: int):
 # -- model configuration files -------------------------------------------------
 
 def parse_model_config(text: str) -> MiniModel:
-    """Build a MiniModel from the line-based config format."""
+    """Build a MiniModel from the line-based config format.  A faulty
+    line is a ModelError that names it (and the declared object)."""
     settings: dict[str, int] = {}    # MiniModel's keyword arguments
-    decls: list[str] = []
-    for raw in text.splitlines():
+    decls: list[tuple[str, str]] = []    # (line label, declaration)
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -729,19 +730,26 @@ def parse_model_config(text: str) -> MiniModel:
             key, _, val = line.partition("=")
             key = key.strip()
             if key not in ("cap", "omega", "budget"):
-                raise ModelError(f"unknown setting {key!r}")
-            settings[key] = int(val)
+                raise ModelError(f"line {n}: unknown setting {key!r}")
+            if key in settings:
+                raise ModelError(f"line {n}: repeated setting {key!r}")
+            try:
+                settings[key] = int(val)
+            except ValueError:
+                raise ModelError(f"line {n}: {key} needs a number, got "
+                                 f"{val.strip()!r}") from None
             continue
         if line.startswith("table ") or line.startswith("bind "):
-            decls.append(line)
+            decls.append((f"line {n}", line))
             continue
-        raise ModelError(f"unrecognized model config line: {raw!r}")
+        raise ModelError(f"line {n}: unrecognized model config line: "
+                         f"{raw!r}")
     if "cap" not in settings or "omega" not in settings:
         raise ModelError("model config needs cap= and omega=")
     model = MiniModel(**settings)
     cap = model.cap
     from .constructions import build_construction
-    for line in decls:
+    for at, line in decls:
         st = False
         body = line
         if body.endswith("[st]"):
@@ -751,19 +759,26 @@ def parse_model_config(text: str) -> MiniModel:
         kind, _, name = head.strip().partition(" ")
         name = name.strip()
         if not name or not rest.strip():
-            raise ModelError(f"malformed declaration: {line!r}")
-        if kind == "table":
-            entries = [int(x) for x in rest.split()]
-            if any(e > cap or e < 0 for e in entries):
-                raise ModelError(f"table {name!r} has entries outside "
-                                 f"0..{cap}")
-            value = table_fn(entries, model, name=name)
-            ty = Arrow(N, N)
-        else:
-            parts = rest.split()
-            cname, args = parts[0], parts[1:]
-            ty, value = build_construction(cname, args, model)
-            if isinstance(value, FnV) and value.name is None:
-                value.name = name
-        model.declare(name, ty, value, st)
+            raise ModelError(f"{at}: malformed declaration: {line!r}")
+        at = f"{at}: {kind} {name!r}"
+        try:
+            if kind == "table":
+                try:
+                    entries = [int(x) for x in rest.split()]
+                except ValueError:
+                    raise ModelError("entries must be numbers: "
+                                     f"{rest.strip()!r}") from None
+                if any(e > cap or e < 0 for e in entries):
+                    raise ModelError(f"entries outside 0..{cap}")
+                value = table_fn(entries, model, name=name)
+                ty = Arrow(N, N)
+            else:
+                parts = rest.split()
+                cname, args = parts[0], parts[1:]
+                ty, value = build_construction(cname, args, model)
+                if isinstance(value, FnV) and value.name is None:
+                    value.name = name
+            model.declare(name, ty, value, st)
+        except ModelError as exc:
+            raise ModelError(f"{at}: {exc}") from None
     return model

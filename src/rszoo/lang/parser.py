@@ -9,17 +9,25 @@ Grammar sketch (precedence low to high):
     atom     :=  st(t) | eq[T](s,t) | approx[T](s,t) | true | false
                | term REL term | '(' formula ')'
     REL      :=  '=' | '!=' | '<=' | '<' | 'in'
+    binders  :=  NAME (',' NAME)* ':' type (',' binders)?
 
 Quantifier prefixes are parenthesized: ``(forall x:1)``, ``(exists^st
-y:0)``, ``(forall n <= t)``, ``(exists v in s)``.  A quantifier's body
-extends as far right as possible; to keep that readable, a quantifier
-is rejected directly under ``~`` or as the right operand of ``/\\`` or
-``\\/`` — wrap it in parentheses instead.
+y:0)``, ``(forall x, y:0, f:1)``, ``(forall n <= t)``, ``(exists v in
+s)``; in a binder list, names before a ``:`` share its type.  A
+quantifier's body extends as far right as possible; to keep that
+readable, a quantifier is rejected directly under ``~`` or as the right
+operand of ``/\\`` or ``\\/`` — wrap it in parentheses instead.
 
 Formulas are typed as they are parsed: both sides of ``=`` at one type,
 the arguments of ``<=`` and ``<`` and the ``<=``/``<`` bounds at type 0,
 ``in`` between a number and a type-1 set, the sides of ``eq[T]`` and
 ``approx[T]`` at T, and the term under ``st`` well-typed.
+
+The same tokens and ``Parser`` read the files that embed this syntax:
+proof scripts (``extract.parse_script``, which also uses the symbols
+``-`` and ``;``) and normal forms (``translate.parse_nf``, whose blocks
+are binder lists).  Blanks, newlines and ``#`` comments separate tokens
+and carry no other meaning, so a formula or term may run over lines.
 """
 from __future__ import annotations
 
@@ -47,7 +55,8 @@ KEYWORDS = frozenset(["forall", "exists", "st", "in", "eq", "approx",
                       "true", "false"])
 
 _SYMBOLS = ["->", "/\\", "\\/", "!=", "<=", ":=", "^st",
-            "(", ")", "[", "]", ",", ":", ".", "*", "~", "<", "=", "\\"]
+            "(", ")", "[", "]", ",", ":", ".", "*", "~", "<", "=", "\\",
+            "-", ";"]
 
 # Blanks, then one token, a newline, a comment, a character that starts
 # none of them ("bad"), or the end of the input (no group).  Symbols are
@@ -123,9 +132,10 @@ def _word(src: str, i: int) -> tuple[str, int]:
 
 
 @record
-class _P:
+class Parser:
     """The parser: a cursor over the tokens, and the variables in
-    scope."""
+    scope.  ``pos`` is a plain index, so a reader may look ahead and
+    come back."""
     toks: list[Token]
     pos: int
     env: dict[str, Var]
@@ -153,56 +163,108 @@ class _P:
         return t.text == w and t.kind == "ident"
 
     def expect_sym(self, s: str) -> Token:
-        t = self.peek()
         if not self.at_sym(s):
-            raise ParseError(f"expected {s!r}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
+            self.expected(repr(s))
         return self.next()
+
+    def take(self, text: str) -> bool:
+        """Step over the symbol or keyword ``text`` if it is at the
+        cursor.  (Texts tell the kinds apart: no symbol is a name, and
+        no keyword is a number.)"""
+        if self.toks[self.pos].text == text:
+            self.pos += 1
+            return True
+        return False
 
     def fail(self, msg: str):
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
 
+    def expected(self, what: str):
+        self.fail(f"expected {what}, found "
+                  f"{self.peek().text or 'end of input'!r}")
+
+    def number(self) -> int:
+        t = self.peek()
+        if t.kind != "num":
+            self.expected("a number")
+        try:
+            value = int(t.text)
+        except ValueError:  # a digit that is no decimal digit, like "²"
+            self.fail(f"bad number {t.text!r}")
+        self.next()
+        return value
+
+    def closing(self, i: int) -> int:
+        """The index of the token that closes the '(' or '[' at token i,
+        or of the "eof" token if none does."""
+        toks, depth = self.toks, 0
+        while True:
+            t = toks[i].text
+            if t == "(" or t == "[":
+                depth += 1
+            elif t == ")" or t == "]":
+                depth -= 1
+                if depth == 0:
+                    return i
+            elif not t:     # the "eof" token
+                return i
+            i += 1
+
+    def binders(self) -> list[Var]:
+        """A binder list ``x:T, y, z:U``: names before a ':' share its
+        type."""
+        out: list[Var] = []
+        pending: list[str] = []
+        while True:
+            t = self.peek()
+            if t.kind != "ident":
+                self.expected("a variable")
+            self.next()
+            pending.append(t.text)
+            if self.take(","):  # more names share the coming type
+                continue
+            self.expect_sym(":")
+            ty = self.parse_type()
+            out.extend(Var(name, ty) for name in pending)
+            pending = []
+            if not self.take(","):
+                return out
+
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> FiniteType:
         left = self._type_prod()
-        if self.at_sym("->"):
-            self.next()
+        if self.take("->"):
             return Arrow(left, self.parse_type())
         return left
 
     def _type_prod(self) -> FiniteType:
         left = self._type_post()
-        while self.at_kw("x"):
-            self.next()
+        while self.take("x"):
             left = Product(left, self._type_post())
         return left
 
     def _type_post(self) -> FiniteType:
         t = self._type_atom()
-        while self.at_sym("*"):
-            self.next()
+        while self.take("*"):
             t = Seq(t)
         return t
 
     def _type_atom(self) -> FiniteType:
         tok = self.peek()
         if tok.kind == "num":
-            self.next()
-            return pure(int(tok.text))
-        if self.at_sym("("):
-            self.next()
+            return pure(self.number())
+        if self.take("("):
             ty = self.parse_type()
             self.expect_sym(")")
             return ty
-        self.fail(f"expected a type, found {tok.text!r}")
+        self.expected("a type")
 
     # -- terms --------------------------------------------------------------
 
     def parse_term(self) -> Term:
-        if self.at_sym("\\"):
-            self.next()
+        if self.take("\\"):
             tok = self.peek()
             if tok.kind != "ident":
                 self.fail("expected a variable after '\\'")
@@ -224,11 +286,9 @@ class _P:
     def _term_app(self) -> Term:
         t = self._term_primary()
         while True:
-            if self.at_sym("("):
-                self.next()
+            if self.take("("):
                 args = [self.parse_term()]
-                while self.at_sym(","):
-                    self.next()
+                while self.take(","):
                     args.append(self.parse_term())
                 self.expect_sym(")")
                 t = app(t, *args)
@@ -236,8 +296,7 @@ class _P:
                 open_tok = self.peek()
                 self.next()
                 args = [self.parse_term()]
-                while self.at_sym(","):
-                    self.next()
+                while self.take(","):
                     args.append(self.parse_term())
                 self.expect_sym("]")
                 for a in args:
@@ -264,8 +323,7 @@ class _P:
         def tyargs(k: int) -> list[FiniteType]:
             self.expect_sym("[")
             out = [self.parse_type()]
-            while self.at_sym(","):
-                self.next()
+            while self.take(","):
                 out.append(self.parse_type())
             self.expect_sym("]")
             if len(out) != k:
@@ -318,8 +376,7 @@ class _P:
     def _term_primary(self) -> Term:
         tok = self.peek()
         if tok.kind == "num":
-            self.next()
-            return num(int(tok.text))
+            return num(self.number())
         if tok.kind == "ident":
             name = tok.text
             if name in CONST_NAMES:
@@ -331,36 +388,32 @@ class _P:
             if name in KEYWORDS:
                 self.fail(f"keyword {name!r} is not a term")
             self.fail(f"unbound variable {name!r}")
-        if self.at_sym("("):
-            self.next()
+        if self.take("("):
             t = self.parse_term()
             self.expect_sym(")")
             return t
         if self.at_sym("\\"):
             return self.parse_term()
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+        self.expected("a term")
 
     # -- formulas -----------------------------------------------------------
 
     def parse_formula(self, allow_quant: bool = True) -> Formula:
         left = self._f_or(allow_quant)
-        if self.at_sym("->"):
-            self.next()
+        if self.take("->"):
             return Implies(left, self.parse_formula(True))
         return left
 
     def _f_or(self, aq: bool) -> Formula:
         left = self._f_and(aq)
-        while self.at_sym("\\/"):
-            self.next()
+        while self.take("\\/"):
             self._reject_bare_quant("\\/")
             left = Or(left, self._f_and(False))
         return left
 
     def _f_and(self, aq: bool) -> Formula:
         left = self._f_unary(aq)
-        while self.at_sym("/\\"):
-            self.next()
+        while self.take("/\\"):
             self._reject_bare_quant("/\\")
             left = And(left, self._f_unary(False))
         return left
@@ -394,57 +447,34 @@ class _P:
         self.expect_sym("(")
         kw = self.next()  # forall | exists
         is_forall = kw.text == "forall"
-        is_st = False
-        if self.at_sym("^st"):
-            self.next()
-            is_st = True
+        is_st = self.take("^st")
 
-        binders: list[tuple[Var, str | None, Term | None]] = []
-        pending: list[str] = []
-        while True:
-            vt = self.peek()
-            if vt.kind != "ident":
-                self.fail("expected a variable in quantifier")
+        vt = self.peek()
+        kind = _BOUNDS.get(self.peek(1).text) if vt.kind == "ident" else None
+        if kind is None:
+            binders = [(v, None, None) for v in self.binders()]
+        else:  # one bounded binder per prefix
+            if is_st:
+                raise ParseError("bounded quantifiers cannot carry ^st",
+                                 vt.line, vt.col)
             self.next()
-            if not pending and not binders and (
-                    self.at_sym("<=") or self.at_sym("<") or self.at_kw("in")):
-                if is_st:
-                    raise ParseError("bounded quantifiers cannot carry ^st",
+            self.next()
+            if kind == "mem":
+                bound = self.parse_term()
+                try:
+                    bty = infer_type(bound)
+                except TypeCheckError as e:
+                    raise ParseError(str(e), vt.line, vt.col) from None
+                if not isinstance(bty, Seq):
+                    raise ParseError("'in' bound must be a sequence",
                                      vt.line, vt.col)
-                if self.at_kw("in"):
-                    self.next()
-                    bound = self.parse_term()
-                    try:
-                        bty = infer_type(bound)
-                    except TypeCheckError as e:
-                        raise ParseError(str(e), vt.line, vt.col) from None
-                    if not isinstance(bty, Seq):
-                        raise ParseError("'in' bound must be a sequence",
-                                         vt.line, vt.col)
-                    binders.append((Var(vt.text, bty.elem), "mem", bound))
-                else:
-                    kind = "le" if self.at_sym("<=") else "lt"
-                    self.next()
-                    bound, bty, btok = self._typed_term()
-                    if bty != N:
-                        raise ParseError("<=-bounded quantifier needs type 0",
-                                         btok.line, btok.col)
-                    binders.append((Var(vt.text, N), kind, bound))
-                break  # one bounded binder per prefix
-            if self.at_sym(","):
-                self.next()
-                pending.append(vt.text)  # more names share the coming type
-                continue
-            self.expect_sym(":")
-            ty = self.parse_type()
-            for name in pending:
-                binders.append((Var(name, ty), None, None))
-            pending = []
-            binders.append((Var(vt.text, ty), None, None))
-            if self.at_sym(","):
-                self.next()
-                continue
-            break
+                binders = [(Var(vt.text, bty.elem), kind, bound)]
+            else:
+                bound, bty, btok = self.typed_term()
+                if bty != N:
+                    raise ParseError("<=-bounded quantifier needs type 0",
+                                     btok.line, btok.col)
+                binders = [(Var(vt.text, N), kind, bound)]
         self.expect_sym(")")
 
         old: dict[str, Var | None] = {}
@@ -470,16 +500,13 @@ class _P:
 
     def _f_atom(self) -> Formula:
         tok = self.peek()
-        if self.at_kw("true"):
-            self.next()
+        if self.take("true"):
             return TRUE
-        if self.at_kw("false"):
-            self.next()
+        if self.take("false"):
             return FALSE
-        if self.at_kw("st"):
-            self.next()
+        if self.take("st"):
             self.expect_sym("(")
-            t, _, _ = self._typed_term()
+            t, _, _ = self.typed_term()
             self.expect_sym(")")
             return St(t)
         if self.at_kw("eq") or self.at_kw("approx"):
@@ -489,9 +516,9 @@ class _P:
             ty = self.parse_type()
             self.expect_sym("]")
             self.expect_sym("(")
-            sides = [self._typed_term()]
+            sides = [self.typed_term()]
             self.expect_sym(",")
-            sides.append(self._typed_term())
+            sides.append(self.typed_term())
             self.expect_sym(")")
             for _, got, at in sides:
                 if got != ty:
@@ -509,24 +536,13 @@ class _P:
         """Whether the '(' at the cursor opens a term, not a formula:
         the token after its matching ')' is a relation or goes on with
         a term (an argument list or a candidate application)."""
-        toks, i, depth = self.toks, self.pos, 0
-        while True:
-            t = toks[i]
-            if t.kind == "sym":
-                if t.text == "(":
-                    depth += 1
-                elif t.text == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-            elif t.kind == "eof":
-                return False
-            i += 1
-        after = toks[i + 1]
-        return (after.text in _AFTER_TERM and after.kind == "sym"
-                or after.text == "in" and after.kind == "ident")
+        i = self.closing(self.pos)
+        if self.toks[i].kind == "eof":
+            return False
+        after = self.toks[i + 1]
+        return after.text in _AFTER_TERM
 
-    def _typed_term(self) -> tuple[Term, FiniteType, Token]:
+    def typed_term(self) -> tuple[Term, FiniteType, Token]:
         """A term, its type, and the token it starts at; an ill-typed
         term fails there."""
         tok = self.peek()
@@ -537,15 +553,13 @@ class _P:
             raise ParseError(str(e), tok.line, tok.col) from None
 
     def _f_relation(self) -> Formula:
-        l, lty, ltok = self._typed_term()
+        l, lty, ltok = self.typed_term()
         tok = self.peek()
         rel = tok.text
-        if not (rel in _RELATIONS and tok.kind == "sym" or self.at_kw("in")):
-            raise ParseError(
-                f"expected a relation, found {rel or 'end of input'!r}",
-                tok.line, tok.col)
+        if rel not in _RELATIONS:
+            self.expected("a relation")
         self.next()
-        r, rty, rtok = self._typed_term()
+        r, rty, rtok = self.typed_term()
         if rel == "=" or rel == "!=":
             if lty != rty:
                 raise ParseError(f"{rel} needs equal types, got "
@@ -565,7 +579,9 @@ class _P:
         return Atom(rel, (l, r))
 
 
-_RELATIONS = frozenset(["=", "!=", "<=", "<"])
+_RELATIONS = frozenset(["=", "!=", "<=", "<", "in"])
+# the bound kinds of a quantifier, by the token after its variable
+_BOUNDS = {"<=": "le", "<": "lt", "in": "mem"}
 # what may follow a parenthesized term in an atom
 _AFTER_TERM = _RELATIONS | {"(", "["}
 
@@ -573,30 +589,24 @@ _AFTER_TERM = _RELATIONS | {"(", "["}
 # ---------------------------------------------------------------------------
 # public entry points
 
-def _params_env(params: dict[str, FiniteType] | None) -> dict[str, Var]:
-    return {name: Var(name, ty) for name, ty in (params or {}).items()}
-
-
 def parse_type(src: str) -> FiniteType:
-    p = _P(tokenize(src), 0, {})
-    ty = p.parse_type()
-    if p.peek().kind != "eof":
-        p.fail("trailing input after type")
-    return ty
+    return _read_all(src, None, Parser.parse_type, "type")
 
 
 def parse_term(src: str, params: dict[str, FiniteType] | None = None) -> Term:
-    p = _P(tokenize(src), 0, _params_env(params))
-    t = p.parse_term()
-    if p.peek().kind != "eof":
-        p.fail("trailing input after term")
-    return t
+    return _read_all(src, params, Parser.parse_term, "term")
 
 
 def parse_formula(src: str, params: dict[str, FiniteType] | None = None
                   ) -> Formula:
-    p = _P(tokenize(src), 0, _params_env(params))
-    f = p.parse_formula(True)
+    return _read_all(src, params, Parser.parse_formula, "formula")
+
+
+def _read_all(src: str, params: dict[str, FiniteType] | None, read, what):
+    """``read`` over all of src, with ``params`` as its free variables."""
+    env = {name: Var(name, ty) for name, ty in (params or {}).items()}
+    p = Parser(tokenize(src), 0, env)
+    out = read(p)
     if p.peek().kind != "eof":
-        p.fail("trailing input after formula")
-    return f
+        p.fail(f"trailing input after {what}")
+    return out

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from .lang.formulas import (ExistsSt, ForallSt, Formula, alpha_walk_f,
                             is_internal)
-from .lang.parser import parse_formula, parse_type
+# parse_formula and parse_type are unused here since .nf files are read
+# with the Parser, but kept as module attributes: perfbench looks the
+# parser up, to trace it, at every attribute it was reached through.
+from .lang.parser import (ParseError, Parser, parse_formula,  # noqa: F401
+                          parse_type, tokenize)
 from .lang.printer import show_formula
 from .lang.terms import Var
 from .lang.types import Node, node, show_type
@@ -77,60 +81,49 @@ def alpha_eq_nf(a: NormalForm, b: NormalForm) -> bool:
 # .nf files
 
 def parse_nf(text: str) -> NormalForm:
-    """Parse the three-line normal-form format:
+    """Parse the normal-form format, three blocks in this order:
 
         universals: f:1, Psi:1 -> 1
         existentials: y:0
         matrix: <formula>
 
-    Block lines may be omitted when empty, each line may continue on the
-    lines below it, and '#' starts a comment.  The matrix mentions only
-    the block variables."""
-    keys = {"universals": [], "existentials": [], "matrix": None}
-    seen: set[str] = set()
-    current = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        head, _, rest = line.partition(":")
-        if head.strip() in keys and _ == ":":
-            current = head.strip()
-            if current in seen:
-                raise TranslateError(f"repeated {current} line: {raw!r}")
-            seen.add(current)
-            if current == "matrix":
-                keys["matrix"] = rest.strip()
-            else:
-                keys[current].extend(
-                    p.strip() for p in rest.split(",") if p.strip())
-            continue
-        if current == "matrix":
-            keys["matrix"] = (keys["matrix"] + " " + line.strip()).strip()
-        elif current is not None:
-            keys[current].extend(p.strip() for p in line.split(",")
-                                 if p.strip())
-        else:
-            raise TranslateError(f"unexpected line in normal form: {raw!r}")
-    if keys["matrix"] is None:
-        raise TranslateError("normal form needs a matrix: line")
-
-    def decls(items: list[str]) -> tuple[Var, ...]:
-        out = []
-        for it in items:
-            name, sep, ty = it.partition(":")
-            if not sep:
-                raise TranslateError(f"expected name:type, got {it!r}")
-            out.append(Var(name.strip(), parse_type(ty.strip())))
-        return tuple(out)
-
-    us = decls(keys["universals"])
-    es = decls(keys["existentials"])
-    m = parse_formula(keys["matrix"], params={v.name: v.ty for v in us + es})
+    A block's binders are a quantifier's binder list (``x, y:0, f:1``);
+    an empty block is left out.  The file is read with the language's
+    tokenizer, so blanks, newlines and '#' comments only separate
+    tokens and a block may run over lines.  The matrix is internal and
+    mentions only the block variables.  Any fault is a TranslateError,
+    with its line:col when it has one."""
+    blocks: dict[str, tuple[Var, ...]] = {"universals": (),
+                                          "existentials": ()}
+    m = None
+    try:
+        p = Parser(tokenize(text), 0, {})
+        for key in _BLOCKS:
+            if p.take(key):
+                p.expect_sym(":")
+                if key != "matrix":
+                    blocks[key] = tuple(p.binders())
+                    continue
+                p.env = {v.name: v for vs in blocks.values() for v in vs}
+                m = p.parse_formula()
+        tok = p.peek()
+        if tok.text in _BLOCKS:
+            p.fail(f"{tok.text} block repeated or out of order")
+        if m is None and tok.kind == "eof":
+            p.fail("normal form needs a matrix block")
+        if m is None:
+            p.expected("a universals, existentials or matrix block")
+        if tok.kind != "eof":
+            p.fail("trailing input after matrix")
+    except ParseError as exc:
+        raise TranslateError(f"{exc.msg} (at {exc.line}:{exc.col})") \
+            from None
     if not is_internal(m):
         raise TranslateError("normal-form matrix must be internal")
     try:
-        return NormalForm(us, es, m)
+        return NormalForm(blocks["universals"], blocks["existentials"], m)
     except ValueError as exc:
         raise TranslateError(str(exc)) from None
 
+
+_BLOCKS = ("universals", "existentials", "matrix")

@@ -535,13 +535,13 @@ def test_formula_to_nf_rejects_external_matrices(src):
 
 def test_parse_script_reads_lets_and_steps():
     script = parse_script(
-        "script demo  # a comment\n"
+        "script udnr-demo-2  # a comment\n"
         "let two := succ(succ(0))\n"
         "step 1: NF-AXIOM conclude (forall^st x:0)\n"
         "  x = two \\/ x = x\n"
         "step 2: EXISTS-WITNESS 1 with (two) (x)\n"
         "  conclude (forall^st x:0) (exists^st y:0) x = y\n")
-    assert script.name == "demo"
+    assert script.name == "udnr-demo-2"
     two = app(SUCC, app(SUCC, num(0)))
     first, second = script.steps
     assert (first.index, first.rule, first.premises) == (1, "NF-AXIOM", ())
@@ -557,30 +557,45 @@ STEP1 = AXIOM.replace("step 1: ", "")
 
 
 @pytest.mark.parametrize("text, message", [
-    ("  x = x\nscript s\n" + AXIOM, "stray line outside any stanza: '  x = x'"),
-    # ``param`` is no directive: the line continues the script name
+    ("  x = x\nscript s\n" + AXIOM,
+     "expected 'script', 'let' or 'step', found 'x' (at 1:3)"),
+    # ``param`` is no directive
     ("script s\nparam p : 1\n" + AXIOM,
-     "script needs one name: 'script s param p : 1'"),
-    ("script s\nlet q z\n" + AXIOM, "let needs 'name := term'"),
+     "expected 'script', 'let' or 'step', found 'param' (at 2:1)"),
+    ("script s\nlet q z\n" + AXIOM,
+     "let q: expected ':=', found 'z' (at 2:7)"),
     ("script s\n", "script has no steps"),
+    # a directive runs up to the next one, so a stray line after a step
+    # is named where it stands, not glued onto the step
+    ("script s\nstep 1: NF-AXIOM conclude (forall^st x:0) x = x\n"
+     "param p : 1",
+     "expected 'script', 'let' or 'step', found 'param' (at 3:1)"),
     ("script s\nstep 1 NF-AXIOM",
-     "step needs 'step <n>: <rule> ...'"),
-    ("script s\nstep one: " + STEP1, "bad step number 'one'"),
+     "step needs 'step <n>: <rule> ...': expected ':', found 'NF' (at 2:8)"),
+    ("script s\nstep one: " + STEP1,
+     "step needs 'step <n>: <rule> ...': expected a number, found 'one' "
+     "(at 2:6)"),
     ("script s\nstep 1: NF-AXIOM (forall^st x:0) x = x",
-     "step 1 has no conclusion"),
+     "step 1: expected a premise, 'with' or 'conclude', found '(' (at 2:18)"),
     ("script s\nstep 1: conclude (forall^st x:0) x = x",
-     "step 1 names no rule"),
+     "step 1: expected a rule, found 'conclude' (at 2:9)"),
     ("script s\nstep 1: NF-AXIM conclude (forall^st x:0) x = x",
-     "step 1: unknown rule 'NF-AXIM'"),
+     "step 1: unknown rule 'NF-AXIM' (at 2:9)"),
+    # blanks around '-' end a name
+    ("script s\nstep 1: NF -AXIOM conclude (forall^st x:0) x = x",
+     "step 1: unknown rule 'NF' (at 2:9)"),
     ("script s\nstep 1: NF-AXIOM x conclude (forall^st x:0) x = x",
-     "step 1: unexpected token 'x'"),
+     "step 1: expected a premise, 'with' or 'conclude', found 'x' (at 2:18)"),
     # the axiom takes no kind word
     ("script s\nstep 1: NF-AXIOM internal conclude (forall^st x:0) x = x",
-     "step 1: unexpected token 'internal'"),
+     "step 1: expected a premise, 'with' or 'conclude', found 'internal' "
+     "(at 2:18)"),
     (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with x conclude "
-     f"{ONE_SLOT}", "step 2: expected '(' in witness groups near 'x'"),
+     f"{ONE_SLOT}",
+     "step 2: expected '(' opening a witness group, found 'x' (at 3:31)"),
     (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x] conclude "
-     f"{ONE_SLOT}", "step 2: unbalanced parentheses in witness groups"),
+     f"{ONE_SLOT}",
+     "step 2: witness group 1, slot 1: expected ')', found ']' (at 3:33)"),
 ])
 def test_parse_script_rejects(text, message):
     with pytest.raises(ScriptError, match=re.escape(message)):
@@ -589,16 +604,20 @@ def test_parse_script_rejects(text, message):
 
 @pytest.mark.parametrize("text, message", [
     ("script s\nlet q := succ(z)\n" + AXIOM,
-     "let q: unbound variable 'z' (at 1:6 of that part)"),
+     "let q: unbound variable 'z' (at 2:15)"),
     ("script s\nstep 1: NF-AXIOM conclude (forall^st x:0) x = z",
-     "step 1: conclusion: unbound variable 'z' (at 1:21 of that part)"),
+     "step 1: conclusion: unbound variable 'z' (at 2:47)"),
     (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (z) conclude "
      f"{ONE_SLOT}",
-     "step 2: witness group 1, slot 1: unbound variable 'z' "
-     "(at 1:1 of that part)"),
+     "step 2: witness group 1, slot 1: unbound variable 'z' (at 3:32)"),
     (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x) (succ(x); z) "
      f"conclude {ONE_SLOT}",
-     "step 2: witness group 2, slot 2: unbound variable 'z'"),
+     "step 2: witness group 2, slot 2: unbound variable 'z' (at 3:45)"),
+    # groups and the conclusion may run over lines
+    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with\n"
+     "  (x)  # the first candidate\n  (succ(x);\n   z)\n"
+     f"  conclude {ONE_SLOT}\n",
+     "step 2: witness group 2, slot 2: unbound variable 'z' (at 6:4)"),
 ])
 def test_parse_errors_name_the_step_and_part(text, message):
     with pytest.raises(ScriptError, match=re.escape(message)):

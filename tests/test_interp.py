@@ -406,6 +406,21 @@ def test_config_rejects_duplicates_and_unknowns():
         parse_model_config("cap = 4\nomega = 2\nwibble = 3\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("cap = four\nomega = 2\n", "line 1: cap needs a number, got 'four'"),
+    ("cap = 3\nomega = 2\ntable h: 0 x 0 0\n",
+     "line 3: table 'h': entries must be numbers: '0 x 0 0'"),
+    # a repeated setting does not replace the first one
+    ("cap = 3\ncap = 4\nomega = 2\n", "line 2: repeated setting 'cap'"),
+    ("cap = 3\nomega = 2\n# tables\ntable h: 0 0 [st]\n",
+     "line 4: table 'h': table needs 4 entries, got 2"),
+])
+def test_config_errors_name_the_line(text, message):
+    with pytest.raises(ModelError) as info:
+        parse_model_config(text)
+    assert str(info.value) == message
+
+
 def test_omega_must_sit_inside_universe():
     with pytest.raises(ModelError):
         MiniModel(cap=4, omega=5)

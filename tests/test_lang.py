@@ -15,7 +15,7 @@ from rszoo.lang import (Abs, And, App, Arrow, Atom, BForall, Eq, Exists, Forall,
                         parse_formula, parse_term, parse_type, pure,
                         show_formula, show_term, show_type, subst_f,
                         substitute)
-from rszoo.lang.parser import _P
+from rszoo.lang.parser import Parser
 from rszoo.lang.terms import PLUS, all_names
 from rszoo.translate import NormalForm, alpha_eq_nf, parse_nf
 
@@ -42,6 +42,15 @@ def test_type_parse_errors_carry_position():
     with pytest.raises(ParseError) as e:
         parse_type("0 -> ")
     assert "1:" in str(e.value)
+
+
+def test_a_digit_that_is_no_decimal_digit_is_a_parse_error():
+    # "²" tokenizes as a number (str.isdigit), but int() rejects it
+    for parse in (parse_term, parse_type):
+        with pytest.raises(ParseError) as e:
+            parse("²")
+        assert (e.value.msg, e.value.line, e.value.col) == \
+            ("bad number '²'", 1, 1)
 
 
 def test_term_application_display():
@@ -248,7 +257,7 @@ def test_parenthesized_terms_and_formulas_parse_in_one_pass(monkeypatch):
             Atom("<", (App(Abs(Var("y", N), Var("y", N)), x), num(1)))),
     }
     failed = []
-    relation = _P._f_relation
+    relation = Parser._f_relation
 
     def counted(self):
         try:
@@ -257,7 +266,7 @@ def test_parenthesized_terms_and_formulas_parse_in_one_pass(monkeypatch):
             failed.append(self.pos)
             raise
 
-    monkeypatch.setattr(_P, "_f_relation", counted)
+    monkeypatch.setattr(Parser, "_f_relation", counted)
     for src, want in cases.items():
         assert parse_formula(src, params=ps) == want, src
     parse_formula((UDNR / "principle.fml").read_text())

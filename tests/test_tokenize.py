@@ -11,7 +11,8 @@ from rszoo.lang import ParseError
 from rszoo.lang.parser import tokenize
 
 SYMBOLS = ["->", "/\\", "\\/", "!=", "<=", ":=", "^st",
-           "(", ")", "[", "]", ",", ":", ".", "*", "~", "<", "=", "\\"]
+           "(", ")", "[", "]", ",", ":", ".", "*", "~", "<", "=", "\\",
+           "-", ";"]
 
 
 def reference_tokenize(src: str) -> list[tuple[str, str, int, int]]:
@@ -87,6 +88,20 @@ def test_tokens_of_the_corpus_and_the_test_sources():
         # the input
         for line in src.splitlines():
             assert_same(line)
+
+
+def test_every_corpus_file_tokenizes():
+    # the script and normal-form readers take a whole file through the
+    # tokenizer, so a character it does not know (a '-' in a name, a ';'
+    # between witness slots) would stop the entry
+    corpus = Path(extract.__file__).parent / "corpus_data"
+    files = sorted(corpus.rglob("*.*"))
+    assert len(files) >= 5
+    for path in files:
+        try:
+            tokenize(path.read_text(encoding="utf-8"))
+        except ParseError as exc:
+            raise AssertionError(f"{path.name}: {exc}") from None
 
 
 ALPHABET = (SYMBOLS + list("abxyzXZ_'0123456789 \t\r\n#^-/!$;{}")

@@ -55,18 +55,32 @@ def test_nf_file_round_trip():
     assert nf.existentials == (Var("y", N), Var("P", pure(1)))
     assert alpha_eq_nf(parse_nf(nf_file(nf)), nf)
     for text, msg in [
-            ("f:1\nmatrix: 0 = 0", "^unexpected line in normal form: 'f:1'$"),
-            ("universals: f:1\n", "^normal form needs a matrix: line$"),
-            ("universals: f\nmatrix: 0 = 0", "^expected name:type, got 'f'$"),
+            ("f:1\nmatrix: 0 = 0", "^expected a universals, existentials "
+             r"or matrix block, found 'f' \(at 1:1\)$"),
+            ("universals: f:1\n",
+             r"^normal form needs a matrix block \(at 2:1\)$"),
+            ("universals: f\nmatrix: 0 = 0",
+             r"^expected ':', found 'matrix' \(at 2:1\)$"),
             ("matrix: st(0)", "^normal-form matrix must be internal$"),
-            # a repeated line does not replace or extend the first one
+            # a repeated block does not replace or extend the first one
             ("universals: x:0\nmatrix: x = 0\nmatrix: 1 = 1",
-             "^repeated matrix line: 'matrix: 1 = 1'$"),
+             r"^matrix block repeated or out of order \(at 3:1\)$"),
             ("universals: x:0\n  # more\nuniversals: y:0\nmatrix: x = y",
-             "^repeated universals line: 'universals: y:0'$"),
+             r"^universals block repeated or out of order \(at 3:1\)$"),
             ("universals: x:0, x:0\nmatrix: x = 0",
              r"^duplicate names in blocks: \['x', 'x'\]$"),
             ("universals: x:0\nexistentials: x:0\nmatrix: x = 0",
-             r"^duplicate names in blocks: \['x', 'x'\]$")]:
+             r"^duplicate names in blocks: \['x', 'x'\]$"),
+            # the blocks come in the order universals, existentials,
+            # matrix, and a type or a matrix that does not parse is a
+            # TranslateError with its position
+            ("existentials: y:0\nuniversals: x:0\nmatrix: x = y",
+             r"^universals block repeated or out of order \(at 2:1\)$"),
+            ("universals: x:0\nmatrix: x = 0 x",
+             r"^trailing input after matrix \(at 2:15\)$"),
+            ("universals: x:q\nmatrix: x = 0",
+             r"^expected a type, found 'q' \(at 1:15\)$"),
+            ("universals: x:0\nmatrix:\n  x = z",
+             r"^unbound variable 'z' \(at 3:7\)$")]:
         with pytest.raises(TranslateError, match=msg):
             parse_nf(text)
