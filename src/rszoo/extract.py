@@ -33,19 +33,22 @@ terms may name its ``forall^st`` universals, so the conclusion is read
 first.  An error gives its line:col in the script and names the let or
 the step (and the conclusion or the group and slot) it is in.
 
-Extraction then reads the final candidate list back as one closed term
-``\\xs. <seq of tuples>`` and, for a numeric target slot, collapses it
-to a max bound whose least-zero refinement is the explicit content of
-the implication.
+Extraction reads the final candidate rows back as closed terms.
+``extract_terms`` gives ``\\xs. <seq of tuples>``.  For a numeric
+target slot ``y``, ``postprocess`` gives the bound
+``\\xs. max(r1[y], max(r2[y], ...))`` straight from the rows, and the
+explicit content of the implication applies the least-zero search
+``stdterms.leastz_t`` to that bound.  The terms are built small, from
+the primitives, with no rewriting pass afterwards.
 """
 from __future__ import annotations
 
 import itertools
 
-from .lang import (Abs, App, Const, ExistsSt, ForallSt, Formula, Implies, N,
-                   ParseError, SEQMAX, Term, Var, alpha_eq_f, app, append_c,
+from .lang import (Const, ExistsSt, ForallSt, Formula, Implies, N,
+                   ParseError, Term, Var, alpha_eq_f, app, append_c,
                    disj, distinct_subterms, empty_c, free_vars, free_vars_f,
-                   infer_type, is_internal, lam, num, pair_c, pure,
+                   infer_type, is_internal, lam, pair_c, pure,
                    show_formula, show_type, stdterms, subst_f, substitute)
 # Unused here since scripts are read with the Parser, but kept as
 # module attributes: perfbench looks the parser up, to trace it, at
@@ -53,7 +56,8 @@ from .lang import (Abs, App, Const, ExistsSt, ForallSt, Formula, Implies, N,
 from .lang import parse_formula, parse_term, parse_type  # noqa: F401
 from .lang.parser import Parser, tokenize
 from .lang.printer import show_term_prefix
-from .lang.types import Arrow, FiniteType, Node, Product, node, record
+from .lang.terms import MAX2
+from .lang.types import FiniteType, Node, Product, node, record
 from .normalform import normalize_principle
 from .translate import NormalForm, alpha_eq_nf, show_nf
 
@@ -402,16 +406,7 @@ def extract_function(report: ScriptReport) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# post-processing: project, collapse, re-internalize
-
-
-def leastz_t() -> Term:
-    """leastz f y = least i <= y with f(i) = 0, else 0.  The honest
-    counterpart of the model's scanner: a bounded recursion."""
-    f, y = Var("f", pure(1)), Var("y", N)
-    r = app(stdterms.bmin_t(), f, y)
-    return lam(f, y, app(stdterms.ifpos_t(),
-                         app(stdterms.leq_t(), r, y), r, num(0)))
+# post-processing: the bound over the candidates' target slot
 
 
 @node
@@ -419,10 +414,12 @@ class PostResult(Node):
     bound: Term      # \xs. max of the target slot over the candidates
 
 
-def postprocess(t: Term, nf: NormalForm, target: str) -> PostResult:
-    """Collapse the target slot of an extracted candidate term to a
-    single max bound.  The consequent of the matrix may mention no other
-    witness slot, since the bound stands in for the target alone."""
+def postprocess(rows: tuple[Row, ...], nf: NormalForm,
+                target: str) -> PostResult:
+    """The bound ``\\xs. max(r1[y], max(r2[y], ...))`` over the target
+    slot ``y`` of the candidate rows, with the ``max`` primitive.  The
+    consequent of the matrix may mention no other witness slot, since
+    the bound stands in for the target alone."""
     names = [v.name for v in nf.existentials]
     if target not in names:
         raise ScriptError(f"{target!r} is not a witness slot of the "
@@ -436,21 +433,13 @@ def postprocess(t: Term, nf: NormalForm, target: str) -> PostResult:
     if stray:
         raise ScriptError("consequent mentions witness slots other than "
                           f"the target: {sorted(stray)}")
+    if not rows:
+        raise ScriptError("no candidate tuples to bound")
 
-    tupty = _tuple_type(nf.existentials)
-    tup = Var("tup", tupty)
-    proj_body: Term = tup
-    ty = tupty
-    for _ in range(idx):
-        proj_body = App(Const("snd", Arrow(ty, ty.right)), proj_body)
-        ty = ty.right
-    if isinstance(ty, Product):
-        proj_body = App(Const("fst", Arrow(ty, ty.left)), proj_body)
-    proj = Abs(tup, proj_body)
-
-    xs = nf.universals
-    picked = app(stdterms.seqmap_t(tupty, N), proj, app(t, *xs))
-    return PostResult(lam(*xs, App(SEQMAX, picked)))
+    body = rows[-1][idx]
+    for row in reversed(rows[:-1]):
+        body = app(MAX2, row[idx], body)
+    return PostResult(_require_closed(lam(*nf.universals, body)))
 
 
 # ---------------------------------------------------------------------------
@@ -693,9 +682,8 @@ def rs_run(entry) -> ExplicitImplication:
         flags.add("antecedent-vacuous")
     if cand.overflowed:
         flags.add("overflowed")
-    t = _stage(eid, "extract-forward", lambda: extract_terms(rep))
     post = _stage(eid, "postprocess",
-                  lambda: postprocess(t, final.nf, entry.witness))
+                  lambda: postprocess(final.rows, final.nf, entry.witness))
     stages.append(("postprocess", f"bound {show_term_brief(post.bound)}"))
     forward_term = _stage(eid, "collapse",
                           lambda: _mu_collapse(final.nf, post.bound))
@@ -720,15 +708,17 @@ def rs_run(entry) -> ExplicitImplication:
 
 
 def _mu_collapse(nf: NormalForm, bound: Term) -> Term:
-    """Reshape the collapsed bound as (other universals) -> table -> least
-    zero, the explicit forward content against the zero-transfer target."""
+    """Reshape the bound ``\\xs. b`` as (other universals) -> table ->
+    ``leastz(f, b)``, the explicit forward content against the
+    zero-transfer target."""
     fvar = next((v for v in nf.universals if v.ty == pure(1)
                  and v.name == "f"), None)
     if fvar is None:
         raise ScriptError("no table universal 'f' to collapse against")
     others = [v for v in nf.universals if v.name != fvar.name]
-    body = app(leastz_t(), fvar, app(bound, *nf.universals))
-    return lam(*others, fvar, body)
+    for _ in nf.universals:     # the bound's binders are the universals
+        bound = bound.body
+    return lam(*others, fvar, app(stdterms.leastz_t(), fvar, bound))
 
 
 def show_term_brief(t: Term) -> str:

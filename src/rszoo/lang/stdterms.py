@@ -1,71 +1,36 @@
 """Closed library terms built from the primitive constants.
 
-Everything here reduces to rec/succ/cond-style primitive recursion, so
-the evaluator core only has to know the primitive constants.  Naming:
-COND selects its second argument when the scrutinee is 0, IFPOS its
-second argument when the scrutinee is positive.
+The terms are written with the primitives directly: a conditional is
+one ``rec`` step and a comparison is a ``monus``, so that a term is
+small to print and cheap to evaluate.
 """
 from __future__ import annotations
 
-from .terms import (App, SUCC, Term, Var, app, append_c, empty_c, get_c, lam,
-                    len_c, num, rec_c)
-from .types import Arrow, FiniteType, N, Seq
+from .terms import MONUS, SUCC, App, Term, Var, app, lam, num, rec_c
+from .types import N, pure
 
 
-def _v(name: str, ty: FiniteType = N) -> Var:
-    return Var(name, ty)
+def _cond(c: Term, a: Term, b: Term) -> Term:
+    """``a`` when ``c`` is 0, else ``b``: ``rec[0](a, \\q j. b, c)``.
+    ``b`` must not mention ``q`` or ``j``, which the step binds."""
+    return app(rec_c(N), a, lam(Var("q", N), Var("j", N), b), c)
 
 
-def _rec0(base: Term, stepfn: Term, n: Term) -> Term:
-    return app(rec_c(N), base, stepfn, n)
+def leastz_t() -> Term:
+    """leastz f y = the least i <= y with f(i) = 0, else 0: the explicit
+    counterpart of the model's least-zero scanner.
 
-
-def pred_t() -> Term:
-    n, p, i = _v("n"), _v("p"), _v("i")
-    return lam(n, _rec0(num(0), lam(p, i, i), n))
-
-
-def monus_t() -> Term:
-    a, b, p, i = _v("a"), _v("b"), _v("p"), _v("i")
-    return lam(a, b, _rec0(a, lam(p, i, App(pred_t(), p)), b))
-
-
-def cond_t() -> Term:
-    """cond c a b = a if c = 0 else b."""
-    c, a, b, p, i = _v("c"), _v("a"), _v("b"), _v("p"), _v("i")
-    return lam(c, a, b, _rec0(a, lam(p, i, b), c))
-
-
-def ifpos_t() -> Term:
-    """ifpos c x y = x if c > 0 else y."""
-    c, x, y = _v("c"), _v("x"), _v("y")
-    return lam(c, x, y, app(cond_t(), c, y, x))
-
-
-def iszero_t() -> Term:
-    n = _v("n")
-    return lam(n, app(cond_t(), n, num(1), num(0)))
-
-
-def leq_t() -> Term:
-    a, b = _v("a"), _v("b")
-    return lam(a, b, App(iszero_t(), app(monus_t(), a, b)))
-
-
-def bmin_t() -> Term:
-    """bmin f n = least i <= n with f(i) = 0, else n + 1."""
-    f, n, p, i = _v("f", Arrow(N, N)), _v("n"), _v("p"), _v("i")
-    base = app(ifpos_t(), App(iszero_t(), App(f, num(0))), num(0), num(1))
-    found = app(ifpos_t(), App(iszero_t(), App(f, App(SUCC, i))),
-                App(SUCC, i), App(SUCC, App(SUCC, i)))
-    step = lam(p, i, app(ifpos_t(), app(leq_t(), p, i), p, found))
-    return lam(f, n, _rec0(base, step, n))
-
-
-def seqmap_t(a: FiniteType, b: FiniteType) -> Term:
-    g = Var("g", Arrow(a, b))
-    s = Var("s", Seq(a))
-    acc = Var("acc", Seq(b))
-    i = _v("i")
-    step = lam(acc, i, app(append_c(b), acc, App(g, app(get_c(a), s, i))))
-    return lam(g, s, app(rec_c(Seq(b)), empty_c(b), step, App(len_c(a), s)))
+    One bounded recursion ``r`` finds the least zero at or below ``y``,
+    else ``y + 1``, and is bound once.  Where ``y`` is the model's cap,
+    ``y + 1`` saturates to ``y``, so the result is ``r`` only when
+    ``r <= y`` and ``f(r) = 0``, and 0 otherwise.
+    """
+    f, y, r = Var("f", pure(1)), Var("y", N), Var("r", N)
+    p, i = Var("p", N), Var("i", N)
+    si = App(SUCC, i)
+    # step p i, with p the least zero up to i, else i + 1
+    step = lam(p, i, _cond(app(MONUS, p, i), p,
+                           _cond(App(f, si), si, App(SUCC, si))))
+    search = app(rec_c(N), _cond(App(f, num(0)), num(0), num(1)), step, y)
+    pick = _cond(app(MONUS, r, y), _cond(App(f, r), r, num(0)), num(0))
+    return lam(f, y, App(lam(r, pick), search))

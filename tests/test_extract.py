@@ -16,7 +16,7 @@ from rszoo.extract import (ProofScript, ProofStep, ScriptError,
 from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
 from rszoo.lang import (SUCC, Forall, N, Var, app, num, parse_formula, pure,
-                        show_formula, show_term, subterms)
+                        show_formula, show_term, stdterms, subterms)
 from rszoo.translate import parse_nf
 
 UDNR = Path(extract.__file__).parent / "corpus_data" / "udnr"
@@ -85,18 +85,26 @@ def test_rs_run_replays_each_script_once(udnr_run):
 
 
 def test_rs_run_forward_term_is_least_zero(udnr_run):
+    # every table at cap 3 (256) and at the shipped cap 4 (3,125): the
+    # least zero where there is one, else 0
+    cap4 = udnr_entry((UDNR / "model.cfg").read_text())
+    assert cap4.model.cap == 4
+    for entry, verdict in (udnr_run[:2], (cap4, rs_run(cap4))):
+        model = entry.model
+        term = eval_term(model, verdict.forward_term, model.env())
+        at_table = term.call(model.object("Psi0")).call(model.object("Xi0"))
+        n = model.cap + 1
+        for table in itertools.product(range(n), repeat=n):
+            want = table.index(0) if 0 in table else 0
+            assert at_table.call(table_fn(table, model)) == want, table
+
+
+def test_rs_run_bound_is_a_max_over_the_target_slot(udnr_run):
     entry, verdict, _replays = udnr_run
-    model = entry.model
-    term = eval_term(model, verdict.forward_term, model.env())
-    at_table = term.call(model.object("Psi0")).call(model.object("Xi0"))
-    n = model.cap + 1
-    checked = 0
-    for table in itertools.product(range(n), repeat=n):
-        if 0 not in table:
-            continue
-        assert at_table.call(table_fn(table, model)) == table.index(0), table
-        checked += 1
-    assert checked == n ** n - (n - 1) ** n
+    dmark = show_term(check_script(entry.forward).final.rows[0][1])
+    assert show_term(verdict.bound_term) == (
+        "\\f:1. \\Psi:1 -> 1. \\Xi:1 -> 1 -> 1. "
+        f"max(Xi(\\n:0. 0, {dmark}, 4718457), max(0, 4718456))")
 
 
 def udnr_transcript(verdict) -> str:
@@ -133,7 +141,7 @@ def test_rs_run_term_sizes(udnr_run):
     _entry, verdict, _replays = udnr_run
     nodes = sum(1 for t in (verdict.forward_term, verdict.backward_term)
                 for _ in subterms(t))
-    assert nodes == 1293
+    assert nodes == 261
 
 
 def test_rs_run_again_compiles_nothing_new():
@@ -643,10 +651,22 @@ def test_every_rule_is_used_by_a_shipped_script():
 def test_postprocess_bounds_the_target_slot():
     report = replay(WITNESS)
     nf = report.final.nf
-    bound = postprocess(extract_terms(report), nf, "y").bound
+    bound = postprocess(report.final.rows, nf, "y").bound
     model = MiniModel(cap=5, omega=2)
     value = eval_term(model, bound, model.env())
     assert [value.call(n) for n in range(4)] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("cap", [3, 4])
+def test_leastz_is_the_least_zero_up_to_y_else_zero(cap):
+    # y = cap included: there the search's "y + 1" saturates to y
+    model = MiniModel(cap=cap, omega=2)
+    leastz = eval_term(model, stdterms.leastz_t())
+    for table in itertools.product(range(cap + 1), repeat=cap + 1):
+        at_table = leastz.call(table_fn(table, model))
+        for y in range(cap + 1):
+            want = table.index(0) if 0 in table[:y + 1] else 0
+            assert at_table.call(y) == want, (table, y)
 
 
 @pytest.mark.parametrize("matrix, target, message", [
