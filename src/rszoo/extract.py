@@ -49,7 +49,8 @@ from .lang import (Const, ExistsSt, ForallSt, Formula, Implies, N,
                    ParseError, Term, Var, alpha_eq_f, app, append_c,
                    disj, distinct_subterms, empty_c, free_vars, free_vars_f,
                    infer_type, is_internal, lam, pair_c, pure,
-                   show_formula, show_type, stdterms, subst_f, substitute)
+                   show_formula, show_type, stdterms, strip, subst_f,
+                   substitute)
 # Unused here since scripts are read with the Parser, but kept as
 # module attributes: perfbench looks the parser up, to trace it, at
 # every attribute it was reached through.
@@ -57,7 +58,7 @@ from .lang import parse_formula, parse_term, parse_type  # noqa: F401
 from .lang.parser import Parser, tokenize
 from .lang.printer import show_term_prefix
 from .lang.terms import MAX2
-from .lang.types import FiniteType, Node, Product, node, record
+from .lang.types import FiniteType, Product, record
 from .normalform import normalize_principle
 from .translate import NormalForm, alpha_eq_nf, show_nf
 
@@ -179,11 +180,8 @@ def _parse_step(p: Parser, lets: dict[Var, Term]) -> ProofStep:
 
         # witness terms may mention the conclusion's universals
         scope = p.env
-        p.env = dict(scope)
-        walk = conclusion
-        while isinstance(walk, ForallSt):
-            p.env[walk.var.name] = walk.var
-            walk = walk.body
+        universals, _ = strip(conclusion, ForallSt)
+        p.env = {**scope, **{v.name: v for v in universals}}
         p.pos = groups_at
         groups: list[Row] = []
         while p.take("("):
@@ -207,17 +205,11 @@ def _parse_step(p: Parser, lets: dict[Var, Term]) -> ProofStep:
 
 def formula_to_nf(f: Formula) -> NormalForm:
     """Peel (forall^st)* (exists^st)* and require an internal matrix."""
-    universals: list[Var] = []
-    existentials: list[Var] = []
-    while isinstance(f, ForallSt):
-        universals.append(f.var)
-        f = f.body
-    while isinstance(f, ExistsSt):
-        existentials.append(f.var)
-        f = f.body
-    if not is_internal(f):
-        raise ScriptError(f"matrix is not internal: {show_formula(f)}")
-    return NormalForm(tuple(universals), tuple(existentials), f)
+    universals, rest = strip(f, ForallSt)
+    existentials, matrix = strip(rest, ExistsSt)
+    if not is_internal(matrix):
+        raise ScriptError(f"matrix is not internal: {show_formula(matrix)}")
+    return NormalForm(tuple(universals), tuple(existentials), matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +401,11 @@ def extract_function(report: ScriptReport) -> Term:
 # post-processing: the bound over the candidates' target slot
 
 
-@node
-class PostResult(Node):
-    bound: Term      # \xs. max of the target slot over the candidates
-
-
-def postprocess(rows: tuple[Row, ...], nf: NormalForm,
-                target: str) -> PostResult:
-    """The bound ``\\xs. max(r1[y], max(r2[y], ...))`` over the target
-    slot ``y`` of the candidate rows, with the ``max`` primitive.  The
-    consequent of the matrix may mention no other witness slot, since
-    the bound stands in for the target alone."""
+def postprocess(rows: tuple[Row, ...], nf: NormalForm, target: str) -> Term:
+    """The closed bound term ``\\xs. max(r1[y], max(r2[y], ...))`` over
+    the target slot ``y`` of the candidate rows, with the ``max``
+    primitive.  The consequent of the matrix may mention no other
+    witness slot, since the bound stands in for the target alone."""
     names = [v.name for v in nf.existentials]
     if target not in names:
         raise ScriptError(f"{target!r} is not a witness slot of the "
@@ -439,7 +425,7 @@ def postprocess(rows: tuple[Row, ...], nf: NormalForm,
     body = rows[-1][idx]
     for row in reversed(rows[:-1]):
         body = app(MAX2, row[idx], body)
-    return PostResult(_require_closed(lam(*nf.universals, body)))
+    return _require_closed(lam(*nf.universals, body))
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +480,9 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     When the matrix is an implication, its consequent is evaluated only
     where the antecedent holds.
 
+    A slot term may name no variable but the universals (a script's
+    witness terms are closed up to them); any other is a ScriptError.
+
     One memo serves the call, under one rule: a value is computed once
     per assignment of the universals it reads, and its key holds their
     pool indices (a key on the values would tabulate them, at type 2 a
@@ -504,8 +493,7 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     existentials it mentions plus the indices of every universal it
     reads, directly or through those slot terms; with no existential
     mentioned, it is evaluated once per assignment of its own
-    universals.  A slot term that mentions an existential is evaluated
-    per candidate, in order, and so is an antecedent that reads one.
+    universals.
 
     Skipping a re-evaluation loses nothing from the report:
     ``overflowed`` is tracked for the whole call and ``model.flags`` is
@@ -526,41 +514,39 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     antecedent, consequent = ((nf.matrix.left, nf.matrix.right)
                               if isinstance(nf.matrix, Implies)
                               else (None, nf.matrix))
-    existential_names = {v.name for v in nf.existentials}
     position = {v.name: i for i, v in enumerate(nf.universals)}
 
-    def reads(names) -> tuple[int, ...] | None:
-        """Pool positions of the universals named, or None when an
-        existential is named: such a value is not memoized."""
-        if names & existential_names:
-            return None
+    def reads(names) -> tuple[int, ...]:
+        """Pool positions of the universals named."""
         return tuple(sorted({position[n] for n in names if n in position}))
 
     # Slot terms by id, assigned once, so that a memo key holds a small
     # integer rather than the term.
     ids: dict[Term, int] = {}
-    slot_reads: list[tuple[int, ...] | None] = []
+    slot_reads: list[tuple[int, ...]] = []
     row_ids = []
     for row in rows:
         for t in row:
             if t not in ids:
+                names = {w.name for w in free_vars(t)}
+                stray = names.difference(position)
+                if stray:
+                    raise ScriptError("slot term names more than the "
+                                      f"universals: {sorted(stray)}")
                 ids[t] = len(slot_reads)
-                slot_reads.append(reads({w.name for w in free_vars(t)}))
+                slot_reads.append(reads(names))
         row_ids.append(tuple(ids[t] for t in row))
 
-    # Per row, the antecedent's key parts (slot ids, positions), or None
-    # when it is evaluated per candidate.
+    # Per row, the antecedent's key parts (slot ids, positions).
     antecedent_keys: list = [None] * len(rows)
     if antecedent is not None:
         names = {v.name for v in free_vars_f(antecedent)}
-        direct = reads(names - existential_names)
+        direct = reads(names)
         for r, sids in enumerate(row_ids):
             mentioned = tuple(s for v, s in zip(nf.existentials, sids)
                               if v.name in names)
-            through = [slot_reads[s] for s in mentioned]
-            if None not in through:
-                antecedent_keys[r] = (mentioned,
-                                      sorted(set(direct).union(*through)))
+            antecedent_keys[r] = (mentioned, sorted(set(direct).union(
+                *(slot_reads[s] for s in mentioned))))
 
     memo: dict = {}    # (slot id or antecedent slot ids, indices) -> value
 
@@ -582,20 +568,12 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
         for row, sids, ante_key in zip(rows, row_ids, antecedent_keys):
             env1 = dict(env0)
             for v, t, s in zip(nf.existentials, row, sids):
-                if slot_reads[s] is None:
-                    env1[v.name] = eval_term(model, t, env1)
-                else:
-                    env1[v.name] = memoized(
-                        (s, tuple(at[i] for i in slot_reads[s])),
-                        lambda: eval_term(model, t, env0))
-            if antecedent is None:
-                vacuous = False
-            elif ante_key is None:
-                vacuous = not eval_formula(model, antecedent, env=env1)
-            else:
-                vacuous = not memoized(
-                    (ante_key[0], tuple(at[i] for i in ante_key[1])),
-                    lambda: eval_formula(model, antecedent, env=env1))
+                env1[v.name] = memoized(
+                    (s, tuple(at[i] for i in slot_reads[s])),
+                    lambda: eval_term(model, t, env0))
+            vacuous = antecedent is not None and not memoized(
+                (ante_key[0], tuple(at[i] for i in ante_key[1])),
+                lambda: eval_formula(model, antecedent, env=env1))
             if vacuous or eval_formula(model, consequent, env=env1):
                 hit = True
                 genuine += not vacuous
@@ -682,11 +660,11 @@ def rs_run(entry) -> ExplicitImplication:
         flags.add("antecedent-vacuous")
     if cand.overflowed:
         flags.add("overflowed")
-    post = _stage(eid, "postprocess",
-                  lambda: postprocess(final.rows, final.nf, entry.witness))
-    stages.append(("postprocess", f"bound {show_term_brief(post.bound)}"))
+    bound = _stage(eid, "postprocess",
+                   lambda: postprocess(final.rows, final.nf, entry.witness))
+    stages.append(("postprocess", f"bound {show_term_brief(bound)}"))
     forward_term = _stage(eid, "collapse",
-                          lambda: _mu_collapse(final.nf, post.bound))
+                          lambda: _mu_collapse(final.nf, bound))
     stages.append(("collapse", show_term_brief(forward_term)))
 
     rep = _stage(eid, "check-backward", lambda: check_script(entry.backward))
@@ -699,11 +677,13 @@ def rs_run(entry) -> ExplicitImplication:
         raise ScriptError(f"{eid}/candidates-backward: {cand.line()}")
     if cand.antecedent_vacuous:
         flags.add("backward-antecedent-vacuous")
+    if cand.overflowed:
+        flags.add("backward-overflowed")
     backward_term = _stage(eid, "extract-backward",
                            lambda: extract_function(rep))
 
     return ExplicitImplication(entry.source, entry.target, forward_term,
-                               backward_term, post.bound,
+                               backward_term, bound,
                                tuple(sorted(flags)), tuple(stages))
 
 

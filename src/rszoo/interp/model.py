@@ -60,9 +60,9 @@ from typing import Iterable, Iterator
 
 from ..lang.types import Arrow, FiniteType, N, Product, Seq, show_type
 from ..lang.terms import Abs, App, Const, Term, Var, infer_type, spine
-from ..lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Eq,
-                             Exists, ExistsSt, Forall, ForallSt, Formula,
-                             Implies, Not, Or, St, desugar_approx)
+from ..lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Exists,
+                             ExistsSt, Forall, ForallSt, Formula, Implies,
+                             Not, Or, St, desugar_approx)
 from . import machine
 
 _TYPE1 = Arrow(N, N)
@@ -582,9 +582,6 @@ def _compile_formula(model: MiniModel, f: Formula):
         if f.rel == "<":
             return lambda env: a(env) < b(env)
         return _fail(f"unknown relation {f.rel!r}")
-    if isinstance(f, Eq):
-        return _equality(model, f.ty, _compile_term(model, f.left),
-                         _compile_term(model, f.right))
     if isinstance(f, ApproxEq):
         return _compile_formula(model, desugar_approx(f))
     if isinstance(f, St):

@@ -3,8 +3,9 @@
 The language distinguishes internal formulas (no standardness predicate
 anywhere) from external ones.  Quantifiers come in four flavours:
 plain, standard-relativized (``forall^st``), and bounded (by <=, <, or
-membership in a sequence value).  ``Eq`` is extensional equality at a
-type; ``ApproxEq`` is equality on standard arguments and is external.
+membership in a sequence value).  Equality is one atom, ``=``, at every
+type, extensional above type 0; ``ApproxEq`` is equality on standard
+arguments and is external.
 
 Formula nodes, like term nodes, derive from ``terms.SyntaxNode``: they
 are immutable, hold only slots, and keep their hash and free variables
@@ -27,13 +28,6 @@ from .types import Arrow, FiniteType, N, Product, Seq, node
 class Atom(SyntaxNode):
     rel: str  # "=" at any type; "<=", "<" on type 0; "in" for set membership
     args: tuple[Term, ...]
-
-
-@node
-class Eq(SyntaxNode):
-    ty: FiniteType
-    left: Term
-    right: Term
 
 
 @node
@@ -111,7 +105,7 @@ class BExists(SyntaxNode):
     body: "Formula"
 
 
-Formula = Union[Atom, Eq, ApproxEq, St, Not, And, Or, Implies,
+Formula = Union[Atom, ApproxEq, St, Not, And, Or, Implies,
                 Forall, Exists, ForallSt, ExistsSt, BForall, BExists]
 
 TRUE = Atom("=", (num(0), num(0)))
@@ -143,7 +137,7 @@ def is_internal(f: Formula) -> bool:
     """True iff f mentions no standardness: no st, forall^st/exists^st, approx."""
     if isinstance(f, (St, ForallSt, ExistsSt, ApproxEq)):
         return False
-    if isinstance(f, (Atom, Eq)):
+    if isinstance(f, Atom):
         return True
     if isinstance(f, Not):
         return is_internal(f.body)
@@ -154,6 +148,16 @@ def is_internal(f: Formula) -> bool:
     if isinstance(f, BQUANTS):
         return is_internal(f.body)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def strip(f: Formula, kind) -> tuple[list[Var], Formula]:
+    """The variables of the ``kind`` quantifiers that open f, outermost
+    first, and the formula under them."""
+    out: list[Var] = []
+    while isinstance(f, kind):
+        out.append(f.var)
+        f = f.body
+    return out, f
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -185,7 +189,7 @@ def _free_vars_f(f: Formula) -> frozenset[Var]:
         for t in f.args:
             out = union(out, term_fvs(t))
         return out
-    if isinstance(f, (Eq, ApproxEq)):
+    if isinstance(f, ApproxEq):
         return union(term_fvs(f.left), term_fvs(f.right))
     if isinstance(f, St):
         return term_fvs(f.arg)
@@ -205,7 +209,7 @@ def all_names_f(f: Formula) -> set[str]:
     """Every variable name in f, free or bound."""
     if isinstance(f, Atom):
         return set().union(*map(all_names, f.args))
-    if isinstance(f, (Eq, ApproxEq)):
+    if isinstance(f, ApproxEq):
         return all_names(f.left) | all_names(f.right)
     if isinstance(f, St):
         return all_names(f.arg)
@@ -230,9 +234,9 @@ def _subst_f(f: Formula, sub: Prepared) -> Formula:
         return f
     if isinstance(f, Atom):
         return Atom(f.rel, tuple(subst_prepared(t, sub) for t in f.args))
-    if isinstance(f, (Eq, ApproxEq)):
-        return type(f)(f.ty, subst_prepared(f.left, sub),
-                       subst_prepared(f.right, sub))
+    if isinstance(f, ApproxEq):
+        return ApproxEq(f.ty, subst_prepared(f.left, sub),
+                        subst_prepared(f.right, sub))
     if isinstance(f, St):
         return St(subst_prepared(f.arg, sub))
     if isinstance(f, Not):
@@ -274,7 +278,7 @@ def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
             if not alpha_walk(s, t, ma, mb, depth):
                 return False
         return True
-    if kind is Eq or kind is ApproxEq:
+    if kind is ApproxEq:
         return (a.ty == b.ty and alpha_walk(a.left, b.left, ma, mb, depth)
                 and alpha_walk(a.right, b.right, ma, mb, depth))
     if kind is St:
@@ -298,7 +302,7 @@ def desugar_approx(f: Formula) -> Formula:
     """Expand ApproxEq into its standard-quantifier form, recursively."""
     if isinstance(f, ApproxEq):
         return _approx_at(f.ty, f.left, f.right)
-    if isinstance(f, (Atom, Eq, St)):
+    if isinstance(f, (Atom, St)):
         return f
     if isinstance(f, Not):
         return Not(desugar_approx(f.body))
@@ -312,7 +316,7 @@ def desugar_approx(f: Formula) -> Formula:
 
 
 def _approx_at(ty: FiniteType, l: Term, r: Term) -> Formula:
-    if ty == N:
+    if ty == N or isinstance(ty, Seq):
         return Atom("=", (l, r))
     if isinstance(ty, Arrow):
         taken = {v.name for v in term_fvs(l) | term_fvs(r)}
@@ -323,6 +327,4 @@ def _approx_at(ty: FiniteType, l: Term, r: Term) -> Formula:
                               app(fst_c(ty.left, ty.right), r)),
                    _approx_at(ty.right, app(snd_c(ty.left, ty.right), l),
                               app(snd_c(ty.left, ty.right), r)))
-    if isinstance(ty, Seq):
-        return Eq(ty, l, r)
     raise TypeError(f"not a finite type: {ty!r}")

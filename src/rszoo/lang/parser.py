@@ -6,7 +6,7 @@ Grammar sketch (precedence low to high):
     or       :=  and ('\\/' and)*
     and      :=  unary ('/\\' unary)*
     unary    :=  '~' unary | quantified | atom
-    atom     :=  st(t) | eq[T](s,t) | approx[T](s,t) | true | false
+    atom     :=  st(t) | approx[T](s,t) | true | false
                | term REL term | '(' formula ')'
     REL      :=  '=' | '!=' | '<=' | '<' | 'in'
     binders  :=  NAME (',' NAME)* ':' type (',' binders)?
@@ -18,10 +18,15 @@ quantifier's body extends as far right as possible; to keep that
 readable, a quantifier is rejected directly under ``~`` or as the right
 operand of ``/\\`` or ``\\/`` — wrap it in parentheses instead.
 
-Formulas are typed as they are parsed: both sides of ``=`` at one type,
-the arguments of ``<=`` and ``<`` and the ``<=``/``<`` bounds at type 0,
-``in`` between a number and a type-1 set, the sides of ``eq[T]`` and
-``approx[T]`` at T, and the term under ``st`` well-typed.
+Formulas are typed as they are parsed: both sides of ``=`` and ``!=``
+at one type, any type (above type 0 equality is extensional); the
+arguments of ``<=`` and ``<`` and the ``<=``/``<`` bounds at type 0,
+``in`` between a number and a type-1 set, the sides of ``approx[T]`` at
+T, and the term under ``st`` well-typed.
+
+A constant's name is reserved.  A polymorphic constant writes its type
+arguments in brackets (``rec[0]``, ``pair[0,1]``); ``terms.POLYMORPHIC``
+says how many it takes.
 
 The same tokens and ``Parser`` read the files that embed this syntax:
 proof scripts (``extract.parse_script``, which also uses the symbols
@@ -33,13 +38,11 @@ from __future__ import annotations
 
 import re
 
-from .formulas import (And, ApproxEq, Atom, BExists, BForall, Eq, Exists,
+from .formulas import (And, ApproxEq, Atom, BExists, BForall, Exists,
                        ExistsSt, FALSE, Forall, ForallSt, Formula, Implies,
                        Not, Or, St, TRUE)
-from .terms import (Abs, CONST_NAMES, INITSEG, MAX2, MONUS, MUSCAN, NPAIR,
-                    NUNL, NUNR, PLUS, RUN, SEQMAX, SUCC, Term, TypeCheckError,
-                    Var, app, append_c, empty_c, fst_c, get_c, infer_type,
-                    len_c, num, pair_c, rec_c, seqapp_c, snd_c)
+from .terms import (Abs, CONST_NAMES, MONOMORPHIC, POLYMORPHIC, Term,
+                    TypeCheckError, Var, app, infer_type, num, seqapp_c)
 from .types import Arrow, FiniteType, N, Product, Seq, pure, record, show_type
 
 
@@ -51,8 +54,8 @@ class ParseError(Exception):
         self.col = col
 
 
-KEYWORDS = frozenset(["forall", "exists", "st", "in", "eq", "approx",
-                      "true", "false"])
+KEYWORDS = frozenset(["forall", "exists", "st", "in", "approx", "true",
+                      "false"])
 
 _SYMBOLS = ["->", "/\\", "\\/", "!=", "<=", ":=", "^st",
             "(", ")", "[", "]", ",", ":", ".", "*", "~", "<", "=", "\\",
@@ -319,59 +322,23 @@ class Parser:
                              "matching the argument type", tok.line, tok.col)
         return app(seqapp_c(fty.dom, fty.cod), fn, arg)
 
-    def _const_type_args(self, name: str, tok: Token) -> Term:
-        def tyargs(k: int) -> list[FiniteType]:
-            self.expect_sym("[")
-            out = [self.parse_type()]
-            while self.take(","):
-                out.append(self.parse_type())
-            self.expect_sym("]")
-            if len(out) != k:
-                raise ParseError(f"{name} takes {k} type argument(s)",
-                                 tok.line, tok.col)
-            return out
-
-        if name == "succ":
-            return SUCC
-        if name == "plus":
-            return PLUS
-        if name == "monus":
-            return MONUS
-        if name == "max":
-            return MAX2
-        if name == "npair":
-            return NPAIR
-        if name == "nunl":
-            return NUNL
-        if name == "nunr":
-            return NUNR
-        if name == "seqmax":
-            return SEQMAX
-        if name == "initseg":
-            return INITSEG
-        if name == "run":
-            return RUN
-        if name == "muscan":
-            return MUSCAN
-        if name == "rec":
-            return rec_c(*tyargs(1))
-        if name == "empty":
-            return empty_c(*tyargs(1))
-        if name == "append":
-            return append_c(*tyargs(1))
-        if name == "len":
-            return len_c(*tyargs(1))
-        if name == "get":
-            return get_c(*tyargs(1))
-        if name == "pair":
-            return pair_c(*tyargs(2))
-        if name == "fst":
-            return fst_c(*tyargs(2))
-        if name == "snd":
-            return snd_c(*tyargs(2))
-        if name == "seqapp":
-            return seqapp_c(*tyargs(2))
-        raise ParseError(f"unknown constant {name}", tok.line, tok.col)
+    def _constant(self, name: str, tok: Token) -> Term:
+        """The constant ``name``, the cursor past it; a polymorphic one
+        reads its type arguments, ``name[T, ...]``, as the table in
+        ``terms`` says."""
+        c = MONOMORPHIC.get(name)
+        if c is not None:
+            return c
+        make, arity, _ = POLYMORPHIC[name]
+        self.expect_sym("[")
+        args = [self.parse_type()]
+        while self.take(","):
+            args.append(self.parse_type())
+        self.expect_sym("]")
+        if len(args) != arity:
+            raise ParseError(f"{name} takes {arity} type argument(s)",
+                             tok.line, tok.col)
+        return make(*args)
 
     def _term_primary(self) -> Term:
         tok = self.peek()
@@ -381,7 +348,7 @@ class Parser:
             name = tok.text
             if name in CONST_NAMES:
                 self.next()
-                return self._const_type_args(name, tok)
+                return self._constant(name, tok)
             if name in self.env:
                 self.next()
                 return self.env[name]
@@ -499,7 +466,6 @@ class Parser:
         return body
 
     def _f_atom(self) -> Formula:
-        tok = self.peek()
         if self.take("true"):
             return TRUE
         if self.take("false"):
@@ -509,9 +475,7 @@ class Parser:
             t, _, _ = self.typed_term()
             self.expect_sym(")")
             return St(t)
-        if self.at_kw("eq") or self.at_kw("approx"):
-            node = Eq if tok.text == "eq" else ApproxEq
-            self.next()
+        if self.take("approx"):
             self.expect_sym("[")
             ty = self.parse_type()
             self.expect_sym("]")
@@ -524,7 +488,7 @@ class Parser:
                 if got != ty:
                     raise ParseError(f"equality at {show_type(ty)} applied "
                                      f"to {show_type(got)}", at.line, at.col)
-            return node(ty, sides[0][0], sides[1][0])
+            return ApproxEq(ty, sides[0][0], sides[1][0])
         if self.at_sym("(") and not self._opens_term():
             self.next()
             f = self.parse_formula(True)

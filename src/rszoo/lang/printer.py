@@ -9,35 +9,18 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .formulas import (And, ApproxEq, Atom, BForall, BQUANTS, Eq, ExistsSt,
-                       Forall, ForallSt, Formula, Implies, Not, Or, QUANTS, St)
-from .terms import Abs, App, Const, Term, Var, is_numeral, spine
-from .types import Arrow, Product, Seq, show_type
+from .formulas import (And, ApproxEq, Atom, BForall, BQUANTS, ExistsSt,
+                       Forall, ForallSt, Formula, Implies, Not, Or, QUANTS, St,
+                       strip)
+from .terms import POLYMORPHIC, Abs, App, Const, Term, Var, spine
+from .types import show_type
 
 
 def _const_str(c: Const) -> str:
-    if is_numeral(c) or c.name in ("succ", "seqmax", "initseg", "run", "muscan"):
+    if c.name not in POLYMORPHIC:
         return c.name
-    ty = c.ty
-    if c.name == "rec":
-        assert isinstance(ty, Arrow)
-        return f"rec[{show_type(ty.dom)}]"
-    if c.name == "empty":
-        assert isinstance(ty, Seq)
-        return f"empty[{show_type(ty.elem)}]"
-    if c.name in ("append", "len", "get"):
-        assert isinstance(ty, Arrow) and isinstance(ty.dom, Seq)
-        return f"{c.name}[{show_type(ty.dom.elem)}]"
-    if c.name == "pair":
-        assert isinstance(ty, Arrow) and isinstance(ty.cod, Arrow)
-        return f"pair[{show_type(ty.dom)},{show_type(ty.cod.dom)}]"
-    if c.name in ("fst", "snd"):
-        assert isinstance(ty, Arrow) and isinstance(ty.dom, Product)
-        return f"{c.name}[{show_type(ty.dom.left)},{show_type(ty.dom.right)}]"
-    if c.name == "seqapp":
-        assert isinstance(ty, Arrow) and isinstance(ty.dom, Arrow)
-        return f"seqapp[{show_type(ty.dom.dom)},{show_type(ty.dom.cod)}]"
-    return c.name
+    *_, type_args = POLYMORPHIC[c.name]
+    return f"{c.name}[{','.join(map(show_type, type_args(c.ty)))}]"
 
 
 def _is_seqapp(t: Term) -> bool:
@@ -133,8 +116,6 @@ def _show_f(f: Formula, level: int) -> str:
     if isinstance(f, Not) and isinstance(f.body, Atom) and f.body.rel == "=":
         a, b = f.body.args
         return f"{show_term(a)} != {show_term(b)}"
-    if isinstance(f, Eq):
-        return f"eq[{show_type(f.ty)}]({show_term(f.left)}, {show_term(f.right)})"
     if isinstance(f, ApproxEq):
         return f"approx[{show_type(f.ty)}]({show_term(f.left)}, {show_term(f.right)})"
     if isinstance(f, St):
@@ -155,12 +136,8 @@ def _show_f(f: Formula, level: int) -> str:
     if isinstance(f, QUANTS):
         kw = "forall" if isinstance(f, (Forall, ForallSt)) else "exists"
         st = "^st" if isinstance(f, (ForallSt, ExistsSt)) else ""
-        groups = [(f.var, kw, st)]
-        body = f.body
-        while isinstance(body, QUANTS) and _quant_tag(body) == (kw, st):
-            groups.append((body.var, kw, st))
-            body = body.body
-        names = ", ".join(f"{v.name}:{show_type(v.ty)}" for v, _, _ in groups)
+        vs, body = strip(f, type(f))
+        names = ", ".join(f"{v.name}:{show_type(v.ty)}" for v in vs)
         s = f"({kw}{st} {names}) {_show_f(body, 0)}"
         return f"({s})" if level > 0 else s
     if isinstance(f, BQUANTS):
@@ -171,8 +148,3 @@ def _show_f(f: Formula, level: int) -> str:
         return f"({s})" if level > 0 else s
     raise TypeError(f"not a formula: {f!r}")
 
-
-def _quant_tag(f: Formula) -> tuple[str, str]:
-    kw = "forall" if isinstance(f, (Forall, ForallSt, BForall)) else "exists"
-    st = "^st" if isinstance(f, (ForallSt, ExistsSt)) else ""
-    return (kw, st)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Mapping, Union
 
-from .types import (Arrow, Base, FiniteType, N, Node, Product, Seq, node,
-                    pure, show_type)
+from .types import (Arrow, FiniteType, N, Node, Product, Seq, node, pure,
+                    show_type)
 
 
 class SyntaxNode(Node):
@@ -133,16 +133,27 @@ def seqapp_c(a: FiniteType, b: FiniteType) -> Const:
     return Const("seqapp", Arrow(Arrow(a, b), Arrow(a, b)))
 
 
+#: the constants of one type, by name
+MONOMORPHIC = {c.name: c for c in (SUCC, PLUS, MONUS, MAX2, NPAIR, NUNL, NUNR,
+                                   SEQMAX, INITSEG, RUN, MUSCAN)}
+
+#: the polymorphic constants, by name: the constructor, the number of
+#: its type arguments, and those arguments read back from the type of an
+#: instance (the concrete syntax writes them in brackets, ``pair[0,1]``)
+POLYMORPHIC = {
+    "rec": (rec_c, 1, lambda ty: (ty.dom,)),
+    "pair": (pair_c, 2, lambda ty: (ty.dom, ty.cod.dom)),
+    "fst": (fst_c, 2, lambda ty: (ty.dom.left, ty.dom.right)),
+    "snd": (snd_c, 2, lambda ty: (ty.dom.left, ty.dom.right)),
+    "empty": (empty_c, 1, lambda ty: (ty.elem,)),
+    "append": (append_c, 1, lambda ty: (ty.dom.elem,)),
+    "len": (len_c, 1, lambda ty: (ty.dom.elem,)),
+    "get": (get_c, 1, lambda ty: (ty.dom.elem,)),
+    "seqapp": (seqapp_c, 2, lambda ty: (ty.dom.dom, ty.dom.cod)),
+}
+
 #: constant names reserved by the concrete syntax
-CONST_NAMES = frozenset(
-    ["succ", "plus", "monus", "max", "npair", "nunl", "nunr",
-     "rec", "pair", "fst", "snd", "empty", "append", "len", "get",
-     "seqapp", "seqmax", "initseg", "run", "muscan"]
-)
-
-
-def is_numeral(t: Term) -> bool:
-    return isinstance(t, Const) and t.name.isdigit()
+CONST_NAMES = frozenset(MONOMORPHIC) | frozenset(POLYMORPHIC)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ types are nonempty; tests check this by brute force at small caps.
 """
 from __future__ import annotations
 
-from .lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Eq,
-                            Exists, ExistsSt, Forall, ForallSt, Formula,
-                            Implies, Not, Or, St, all_names_f, conj,
-                            is_internal, subformulas, subst_f)
+from .lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Exists,
+                            ExistsSt, Forall, ForallSt, Formula, Implies, Not,
+                            Or, St, all_names_f, conj, is_internal, strip,
+                            subformulas, subst_f)
 from .lang.terms import (Abs, App, Term, Var, app, fresh_name, fst_c, num,
                          snd_c, INITSEG, NUNL, NUNR)
 from .lang.types import (Arrow, FiniteType, N, Product, Seq, arrows, record,
@@ -86,19 +86,11 @@ class UniformPrinciple:
     functionals: tuple[Var, ...]
 
 
-def _strip(f: Formula, node) -> tuple[list[Var], Formula]:
-    out: list[Var] = []
-    while isinstance(f, node):
-        out.append(f.var)
-        f = f.body
-    return out, f
-
-
 def uniformize(base: Formula) -> UniformPrinciple:
     """Build the functional and relativized-strong variants of a
     (forall X..)(exists Y..) phi problem statement."""
-    xs, rest = _strip(base, Forall)
-    ys, matrix = _strip(rest, Exists)
+    xs, rest = strip(base, Forall)
+    ys, matrix = strip(rest, Exists)
     if not xs:
         raise NormalFormError(
             "expected a statement opening with plain universal "
@@ -189,10 +181,8 @@ def _prefix_eq(ty: FiniteType, l: Term, r: Term, n: Var,
                taken: set[str]) -> tuple[Formula, bool]:
     """Compare l and r of the given type up to prefix length n; the
     second component says whether n was actually used."""
-    if ty == N:
+    if ty == N or isinstance(ty, Seq):
         return Atom("=", (l, r)), False
-    if isinstance(ty, Seq):
-        return Eq(ty, l, r), False
     if isinstance(ty, Product):
         fst, snd = fst_c(ty.left, ty.right), snd_c(ty.left, ty.right)
         fl, ul = _prefix_eq(ty.left, App(fst, l), App(fst, r), n, taken)
@@ -239,7 +229,7 @@ def resolve_approx(f: Formula) -> Formula:
         if isinstance(g, ApproxEq):
             raise NormalFormError(
                 "approx atom outside an extensionality implication")
-        if isinstance(g, (Atom, Eq, St)):
+        if isinstance(g, (Atom, St)):
             return g
         if isinstance(g, Not):
             return Not(go(g.body))
@@ -310,7 +300,7 @@ def herbrandize_choice(f: Formula, steps: list | None = None) -> Formula:
 
 def _try_choice(g: Formula, taken: set[str],
                 steps: list | None) -> Formula | None:
-    xs, rest = _strip(g, ForallSt)
+    xs, rest = strip(g, ForallSt)
     if not xs or not isinstance(rest, ExistsSt):
         return None
     y, matrix = rest.var, rest.body

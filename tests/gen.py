@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from rszoo.lang import (Abs, And, Atom, BExists, BForall, Eq, Exists, Forall,
+from rszoo.lang import (Abs, And, Atom, BExists, BForall, Exists, Forall,
                         Formula, Implies, Not, Or, Term, Var, app, append_c,
                         empty_c, fresh_name, free_vars_f, get_c, len_c, num,
                         pair_c, fst_c, snd_c)
@@ -146,7 +146,7 @@ class Gen:
         ty = self.small_type()
         if ty == N:
             return Atom("=", (self.term(N, env, 2), self.term(N, env, 2)))
-        return Eq(ty, self.term(ty, env, 1), self.term(ty, env, 1))
+        return Atom("=", (self.term(ty, env, 1), self.term(ty, env, 1)))
 
 
 def generator(seed: int = SEED) -> Gen:

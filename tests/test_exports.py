@@ -1,7 +1,7 @@
 """Every name that ``rszoo.lang`` and ``rszoo.interp`` export, and every
 public name that ``rszoo.translate``, ``rszoo.normalform`` and
 ``rszoo.extract`` define, is used: library code that nothing reaches
-does not stay."""
+does not stay.  And no module imports a name it never reads."""
 import ast
 import inspect
 from pathlib import Path
@@ -82,3 +82,33 @@ def test_every_exported_name_is_referenced():
         for path in sorted((ROOT / tree).rglob("*.py")):
             uses.visit(ast.parse(path.read_text(), str(path)))
     assert sorted(exported() - uses.used) == []
+
+
+def unread_imports(path: Path) -> list[str]:
+    """The names that the module at ``path`` imports and never reads.
+    An import whose lines carry ``# noqa: F401`` is kept on purpose (a
+    module attribute that something looks up) and is not counted."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text, str(path))
+    imported = set()
+    for stmt in ast.walk(tree):
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(stmt, "module", None) == "__future__" or any(
+                "# noqa: F401" in line
+                for line in lines[stmt.lineno - 1:stmt.end_lineno]):
+            continue
+        imported.update((alias.asname or alias.name).split(".")[0]
+                        for alias in stmt.names)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # package __init__ modules import to re-export, so they are not asked
+    unread = {str(path.relative_to(ROOT)): unread_imports(path)
+              for path in sorted((ROOT / "src").rglob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unread.items() if names} == {}

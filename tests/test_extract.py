@@ -192,6 +192,21 @@ def test_rs_run_fails_at_candidates_backward_naming_declared_objects():
         "mu=mu0, Z=Z0; mu=mu0, Z=E0")
 
 
+def test_rs_run_flags_a_saturated_backward_sweep():
+    # max(.., monus(9, 9)) keeps the witness's value, but the numeral 9
+    # saturates at cap 3 on every evaluation of the backward slot term
+    entry = udnr_entry()
+    witness = r"run(Z, e, mu(\s:0. iszero(run(Z, e, s))))"
+    text = (UDNR / "backward.prf").read_text()
+    assert text.count(witness) == 2
+    entry.backward = parse_script(
+        text.replace(witness, f"max({witness}, monus(9, 9))"))
+    verdict = rs_run(entry)
+    assert dict(verdict.stages)["candidates-backward"] == (
+        "candidates ok over 2 assignment(s) [overflow]")
+    assert verdict.flags == ("backward-overflowed", "overflowed")
+
+
 def test_rs_run_rejects_a_sweep_plan_naming_an_object():
     entry = udnr_entry()
     entry.plans["f"] = "Z0"
@@ -362,19 +377,21 @@ def test_check_candidates_evaluates_udnr_slot_terms_once_per_table(
     assert set(per_term.values()) == {1, 256}
 
 
-def test_check_candidates_evaluates_slot_naming_an_existential_per_candidate(
+def test_check_candidates_rejects_a_slot_naming_more_than_the_universals(
         monkeypatch):
-    # the second slot reads the first existential, so it is evaluated in
-    # each candidate's environment, after the first slot
-    model = MiniModel(cap=3, omega=2)
+    # the second slot reads the first existential, and a third names a
+    # declared object: rows no script makes, refused before any sweep
+    model = parse_model_config("cap = 3\nomega = 2\ntable Z0: 0 1 0 0 [st]")
     nf = parse_nf("universals: x:0\nexistentials: y:0, z:0\n"
                   "matrix: z = x")
     x, y = Var("x", N), Var("y", N)
     seen = record_terms(monkeypatch)
-    report = check_candidates(model, nf, ((app(SUCC, x), y), (x, y)))
-    assert report.ok and report.checked == 2
-    assert [t for t, _env in seen].count(y) == 4
-    assert [env["y"] for t, env in seen if t == y] == [1, 0, 2, 1]
+    for row, stray in (((app(SUCC, x), y), "['y']"),
+                       ((x, app(Var("Z0", pure(1)), x)), "['Z0']")):
+        with pytest.raises(ScriptError, match=re.escape(
+                f"slot term names more than the universals: {stray}")):
+            check_candidates(model, nf, ((x, x), row))
+    assert seen == []
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +668,7 @@ def test_every_rule_is_used_by_a_shipped_script():
 def test_postprocess_bounds_the_target_slot():
     report = replay(WITNESS)
     nf = report.final.nf
-    bound = postprocess(report.final.rows, nf, "y").bound
+    bound = postprocess(report.final.rows, nf, "y")
     model = MiniModel(cap=5, omega=2)
     value = eval_term(model, bound, model.env())
     assert [value.call(n) for n in range(4)] == [1, 2, 3, 4]

@@ -222,7 +222,7 @@ def test_eq_at_higher_type_is_extensional():
     m = MiniModel(cap=4, omega=2)
     m.declare("f", parse_type("1"), table_fn([0, 1, 0, 0, 0], m), st=False)
     m.declare("g", parse_type("1"), FnV(lambda i: 1 if i == 1 else 0), st=False)
-    assert evf(m, "eq[1](f, g)", params={"f": "1", "g": "1"})
+    assert evf(m, "f = g", params={"f": "1", "g": "1"})
 
 
 def test_eq_compares_function_valued_tables_extensionally():
@@ -240,9 +240,9 @@ def test_eq_compares_function_valued_tables_extensionally():
 def test_saturation_is_flagged_on_every_evaluation():
     m = MiniModel(cap=4, omega=2)
     numeral = parse_formula("7 = 4")
-    # succ(4) saturates, seen only when succ is tabulated under eq[1]
+    # succ(4) saturates, seen only when succ is tabulated under = at 1
     m.declare("f", parse_type("1"), table_fn([1, 2, 3, 4, 4], m), st=False)
-    tabled = parse_formula("eq[1](succ, f)", params=m.types())
+    tabled = parse_formula("succ = f", params=m.types())
     for f in (numeral, tabled):
         for _ in range(2):
             m.overflowed = False

@@ -8,15 +8,15 @@ import rszoo
 from canon import canon, canon_nf
 from rszoo.extract import parse_script
 from rszoo.interp import MiniModel, eval_formula, eval_term
-from rszoo.lang import (Abs, And, App, Arrow, Atom, BForall, Eq, Exists, Forall,
-                        N, Not, ParseError, Seq, TypeCheckError, Var,
-                        all_names_f, alpha_eq, alpha_eq_f, app, free_vars,
-                        free_vars_f, infer_type, is_internal, lam, num,
-                        parse_formula, parse_term, parse_type, pure,
-                        show_formula, show_term, show_type, subst_f,
-                        substitute)
+from rszoo.lang import (Abs, And, App, Arrow, Atom, BForall, CONST_NAMES,
+                        Exists, Forall, N, Not, ParseError, Product, Seq,
+                        TypeCheckError, Var, all_names_f, alpha_eq,
+                        alpha_eq_f, app, free_vars, free_vars_f, infer_type,
+                        is_internal, lam, num, pair_c, parse_formula,
+                        parse_term, parse_type, pure, show_formula,
+                        show_term, show_type, subst_f, substitute)
 from rszoo.lang.parser import Parser
-from rszoo.lang.terms import PLUS, all_names
+from rszoo.lang.terms import MONOMORPHIC, PLUS, POLYMORPHIC, all_names
 from rszoo.translate import NormalForm, alpha_eq_nf, parse_nf
 
 UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
@@ -220,7 +220,6 @@ def test_typecheck_rejects_ill_typed_atoms():
             ("(f)(g) = 0", 1, "argument type mismatch: expected 0, got 1"),
             ("x in x", 3, "membership needs a number and a type-1 set"),
             ("x = 0 /\\ (f = 0)", 13, "= needs equal types, got 1 and 0"),
-            ("eq[1](f, x)", 10, "equality at 1 applied to 0"),
             ("approx[0](x, f)", 14, "equality at 0 applied to 1"),
             ("st(f(g))", 4, "argument type mismatch: expected 0, got 1"),
             ("(forall n <= f) n = n", 14,
@@ -278,11 +277,25 @@ def test_parenthesized_terms_and_formulas_parse_in_one_pass(monkeypatch):
         parse_formula("(x = 0", params=ps)
 
 
-def test_higher_type_equality_wrapper():
-    f = parse_formula("eq[1](f, g)", params={"f": pure(1), "g": pure(1)})
-    assert isinstance(f, Eq)
-    assert f.ty == pure(1)
-    assert show_formula(f) == "eq[1](f, g)"
+
+def test_every_constant_prints_and_reparses_at_nontrivial_indices():
+    # the printer writes a polymorphic constant's type index and the
+    # parser reads it back, both through the table in terms
+    indices = (pure(1), Seq(N), Product(N, pure(1)))
+    for name in sorted(CONST_NAMES):
+        if name in MONOMORPHIC:
+            consts = [MONOMORPHIC[name]]
+        else:
+            make, arity, args_of = POLYMORPHIC[name]
+            consts = []
+            for args in itertools.product(indices, repeat=arity):
+                c = make(*args)
+                assert args_of(c.ty) == args, (name, args)
+                consts.append(c)
+        for c in consts:
+            text = show_term(c)
+            assert parse_term(text) == c, text
+    assert show_term(pair_c(Product(N, pure(1)), Seq(N))) == "pair[0 x 1,0*]"
 
 
 def test_unbound_variable_is_an_error():

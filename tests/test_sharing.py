@@ -7,7 +7,7 @@ import gen
 from canon import canon, canon_nf
 from rszoo.extract import show_term_brief
 from rszoo.lang import (Abs, And, App, Arrow, Atom, BQUANTS, Base, Const,
-                        Eq, Forall, Implies, N, Not, Or, Product, QUANTS, Seq, Var,
+                        Forall, Implies, N, Not, Or, Product, QUANTS, Seq, Var,
                         alpha_eq, alpha_eq_f, app, free_vars, free_vars_f,
                         pure, subst_f)
 from rszoo.lang.terms import PLUS
@@ -90,8 +90,6 @@ def rename(f, pick):
     def go(g, ren):
         if isinstance(g, Atom):
             return Atom(g.rel, tuple(term(t, ren) for t in g.args))
-        if isinstance(g, Eq):
-            return Eq(g.ty, term(g.left, ren), term(g.right, ren))
         if isinstance(g, Not):
             return Not(go(g.body, ren))
         if isinstance(g, (And, Or, Implies)):
