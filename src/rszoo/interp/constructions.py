@@ -6,41 +6,26 @@ those lines resolve against.  It holds the three constructions the
 shipped corpus binds: the dodge functional ``psi_theta``, its
 extensionality modulus ``xi_search`` and the least-zero search ``mu_op``.
 
-The central pair is :func:`theta` / :func:`psi_theta`: the functional
-that runs program ``e`` against an oracle on input ``e`` and returns
-one more than the output (0 when the run does not halt).  Adding one
-is what makes the result *diagonally non-recursive relative to the
-oracle*: whenever the run halts, the functional's value differs from
-the run's value.  ``psi_theta`` embeds this into a model as a type-1 →
-type-1 object, saturating values at the cap; the dodge property then
-holds as long as outputs stay below the cap, which is why standard
-oracle tables in the shipped configurations keep their entries small.
+The dodge functional ``psi_theta`` embeds :func:`machine.theta` into
+a model as a type-1 → type-1 object: for each oracle table it tabulates
+the bounded diagonal run (program ``e`` on input ``e``, one more than
+the output, 0 when the run does not halt), saturating values at the
+cap.  Adding one is what makes the result *diagonally non-recursive
+relative to the oracle*: whenever the run halts, the functional's value
+differs from the run's value.  The dodge property holds as long as
+outputs stay below the cap, which is why standard oracle tables in the
+shipped configurations keep their entries small.
 """
 from __future__ import annotations
 
 from ..lang.types import Arrow, N, pure
-from . import machine
+from .machine import theta
 from .model import (FnV, MiniModel, ModelError, least_zero, table_fn,
                     tabulate)
 
 
 # ---------------------------------------------------------------------------
 # the dodging functional
-
-def theta(oracle, budget: int, e: int) -> int:
-    """Run program ``e`` on input ``e`` against ``oracle`` for at most
-    ``budget`` steps; return output+1 on halt and 0 otherwise.
-
-    Works over unbounded integers — saturation happens only when the
-    value is embedded into a model table.
-    """
-    call = oracle.call if isinstance(oracle, FnV) else oracle
-    key = oracle.table if isinstance(oracle, FnV) else None
-    res = machine.phi(e, call, e, budget, oracle_key=key)
-    if isinstance(res, machine.HaltsWith):
-        return res.output + 1
-    return 0
-
 
 def psi_theta(model: MiniModel) -> FnV:
     """The dodge functional as a model object of type 1 -> 1.
@@ -54,7 +39,7 @@ def psi_theta(model: MiniModel) -> FnV:
     def outer(z):
         key = tabulate(model, z)
         if key not in memo:
-            tab = tuple(model.sat(theta(z, model.cap, e))
+            tab = tuple(model.sat(theta(key, model.cap, e))
                         for e in range(model.cap + 1))
             memo[key] = table_fn(tab, model)
         return memo[key]

@@ -141,28 +141,43 @@ def run_program(prog: Sequence[Instruction], oracle: Callable[[int], int],
 _phi_cache: dict[tuple, HaltsWith | DidNotHalt] = {}
 
 
-def phi(e: int, oracle: Callable[[int], int], x: int, budget: int,
-        oracle_key: tuple | None = None) -> HaltsWith | DidNotHalt:
-    """Bounded oracle computation: program e on input x within the budget.
+def phi(e: int, table: tuple, x: int, budget: int) -> HaltsWith | DidNotHalt:
+    """Bounded oracle computation: program e on input x within the budget,
+    against the oracle with value table ``table``.
 
-    Passing ``oracle_key`` (a hashable fingerprint of the oracle, e.g. a
-    value table) enables memoisation across calls.
+    A cell past the end of the table reads 0, as a model's ``table_fn``
+    reads it.  The run is a function of ``(e, table, x, budget)``, so it
+    is memoised on ``(e, table, x)`` for every caller: a cached halt
+    answers any budget at least its step count, a cached non-halt any
+    budget at most its own, and a halt is never overwritten.
     """
-    if oracle_key is not None:
-        key = (e, oracle_key, x)
-        hit = _phi_cache.get(key)
-        if hit is not None:
-            if isinstance(hit, HaltsWith) and hit.steps <= budget:
-                return hit
-            if isinstance(hit, DidNotHalt) and hit.budget >= budget:
-                return DidNotHalt(budget)
-        res = run_program(decode_program(e), oracle, x, budget)
-        old = _phi_cache.get(key)
-        if (old is None or isinstance(old, DidNotHalt)
-                or isinstance(res, HaltsWith)):
-            _phi_cache[key] = res
-        return res
-    return run_program(decode_program(e), oracle, x, budget)
+    key = (e, table, x)
+    hit = _phi_cache.get(key)
+    if isinstance(hit, HaltsWith):
+        if hit.steps <= budget:
+            return hit
+    elif hit is not None and hit.budget >= budget:
+        return DidNotHalt(budget)
+    n = len(table)
+    res = run_program(decode_program(e),
+                      lambda i: table[i] if i < n else 0, x, budget)
+    if not isinstance(hit, HaltsWith):
+        _phi_cache[key] = res
+    return res
+
+
+def theta(table: tuple, budget: int, e: int) -> int:
+    """The bounded diagonal run: program ``e`` on input ``e`` against
+    the oracle ``table`` for at most ``budget`` steps; output+1 on halt
+    and 0 otherwise.
+
+    Adding one makes the value differ from the run's output whenever it
+    halts.  The value is an unbounded integer; a model saturates it.
+    """
+    res = phi(e, table, e, budget)
+    if isinstance(res, HaltsWith):
+        return res.output + 1
+    return 0
 
 
 # The member-scan program: starting from the input, look for the first
@@ -178,8 +193,3 @@ SCAN_PROGRAM: Program = (
 )
 
 SCAN_INDEX = encode_program(SCAN_PROGRAM)
-
-# Steps for the scan to output from a marker k cells above the start:
-# four steps per skipped cell (qry, brz, inc, brz), four for the hit.
-def scan_budget(offset: int) -> int:
-    return 4 * offset + 4

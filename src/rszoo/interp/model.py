@@ -3,7 +3,7 @@
 A :class:`MiniModel` interprets the language over the finite universe
 {0..cap}.  Type-0 values are plain ints; products are :class:`PairV`;
 sequences are :class:`SeqV`; functions are :class:`FnV` (a callable plus
-an optional table).  Arithmetic saturates at ``cap`` and records the
+its table once known).  Arithmetic saturates at ``cap`` and records the
 fact in ``model.overflowed`` — values are never silently wrapped.
 
 Standardness is a *flag*, not a derived notion: a number is standard
@@ -105,19 +105,20 @@ class SeqV:
 
 
 class FnV:
-    """A function value: a callable, optionally backed by a table.
+    """A function value: a callable and its table, once known.
 
-    ``table`` (when present) lists outputs against the model's canonical
-    enumeration of the domain; for domain type 0 that is just index
-    order.  ``name`` is cosmetic.
+    ``table`` lists outputs against the model's canonical enumeration of
+    the domain; for domain type 0 that is just index order.  It is given
+    at construction or filled by the first ``tabulate``; a type-1 value
+    is that table as far as equality and the oracle machine are
+    concerned.  ``name`` is cosmetic.
     """
-    __slots__ = ("call", "table", "name", "_tab_cache")
+    __slots__ = ("call", "table", "name")
 
     def __init__(self, call, table=None, name=None):
         self.call = call
         self.table = tuple(table) if table is not None else None
         self.name = name
-        self._tab_cache = None
 
     def __repr__(self):
         if self.name:
@@ -142,7 +143,7 @@ def zero_value(model: "MiniModel", ty: FiniteType):
 
 def table_fn(table: Iterable[int], model: "MiniModel", name=None) -> FnV:
     """Type-1 object from a value table over {0..cap}; reads beyond the
-    table return 0 (the oracle machine may look past the horizon)."""
+    table return 0, as the oracle machine reads them."""
     tab = tuple(table)
     if len(tab) != model.cap + 1:
         raise ModelError(f"table needs {model.cap + 1} entries, "
@@ -169,6 +170,8 @@ class MiniModel:
             raise ModelError("cap must be at least 1")
         if not (0 < omega <= cap):
             raise ModelError("omega must satisfy 0 < omega <= cap")
+        if budget < 1:
+            raise ModelError("budget must be at least 1")
         self.cap = cap
         self.omega = omega
         self.budget = budget
@@ -193,9 +196,6 @@ class MiniModel:
 
     def env(self) -> dict:
         return {name: v for name, (_t, v, _s) in self.declared.items()}
-
-    def types(self) -> dict[str, FiniteType]:
-        return {name: t for name, (t, _v, _s) in self.declared.items()}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -327,12 +327,12 @@ def least_zero(model: MiniModel, f: FnV) -> int:
 
 
 def tabulate(model: MiniModel, fn: FnV) -> tuple:
-    """Value table of a type-1-style function over {0..cap} (cached)."""
-    if fn.table is not None:
-        return fn.table
-    if fn._tab_cache is None:
-        fn._tab_cache = tuple(fn.call(i) for i in range(model.cap + 1))
-    return fn._tab_cache
+    """Value table of a type-1-style function over {0..cap}, kept on the
+    value.  It is what the oracle machine reads: a run that should see
+    cells past the cap needs a longer table from here."""
+    if fn.table is None:
+        fn.table = tuple(fn.call(i) for i in range(model.cap + 1))
+    return fn.table
 
 
 # -- compiled evaluation ------------------------------------------------------
@@ -453,7 +453,7 @@ def _compile_const(model: MiniModel, c: Const):
     if prim is None:
         return _fail(f"unknown constant {name!r}")
     arity, impl = prim
-    # A fresh function value per visit: tabulate caches its table on the
+    # A fresh function value per visit: tabulate keeps its table on the
     # value, and a shared one would stop a saturating constant from
     # setting ``model.overflowed`` when it is evaluated again.
     return lambda env: _curried(impl, arity)
@@ -525,13 +525,7 @@ def _primitive(model: MiniModel, c: Const):
     if name == "initseg":
         return 2, lambda f, n: SeqV(f.call(i) for i in range(n))
     if name == "run":
-        def do_run(a, e, s):
-            res = machine.phi(e, a.call, e, s,
-                              oracle_key=tabulate(model, a))
-            if isinstance(res, machine.HaltsWith):
-                return sat(res.output + 1)
-            return 0
-        return 3, do_run
+        return 3, lambda a, e, s: sat(machine.theta(tabulate(model, a), s, e))
     if name == "muscan":
         return 1, lambda f: least_zero(model, f)
     if name == "pair":
@@ -679,7 +673,7 @@ def _table_sweep(model: MiniModel, universal: bool, name: str, body):
     in contiguous blocks and the sweep stops in the block holding the
     first deciding table: same answer, error, ``overflowed`` and flags
     as evaluating each table.  A full read (``tabulate``, ``=`` at type
-    1, ``canon_key``, ``run``'s oracle key) reads every cell, so its
+    1, ``canon_key``, ``run``'s table) reads every cell, so its
     block is one table.  The budget check is the eager sweep's.
     """
     cap = model.cap

@@ -28,15 +28,7 @@ def _is_seqapp(t: Term) -> bool:
 
 
 def show_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return _const_str(t)
-    if isinstance(t, Abs):
-        return _binder(t) + show_term(t.body)
-    head, args, (opening, closing) = _application(t)
-    return (f"{_show_head(head)}{opening}"
-            f"{', '.join(show_term(a) for a in args)}{closing}")
+    return "".join(_pieces(t))
 
 
 def show_term_prefix(t: Term, n: int) -> str:
@@ -53,10 +45,14 @@ def show_term_prefix(t: Term, n: int) -> str:
 
 def _pieces(t: Term) -> Iterator[str]:
     """``show_term(t)``, piece by piece."""
-    if isinstance(t, Abs):
+    if isinstance(t, Var):
+        yield t.name
+    elif isinstance(t, Const):
+        yield _const_str(t)
+    elif isinstance(t, Abs):
         yield _binder(t)
         yield from _pieces(t.body)
-    elif isinstance(t, App):
+    else:
         head, args, (opening, closing) = _application(t)
         if isinstance(head, Abs):
             yield "("
@@ -70,8 +66,6 @@ def _pieces(t: Term) -> Iterator[str]:
                 yield ", "
             yield from _pieces(a)
         yield closing
-    else:
-        yield show_term(t)
 
 
 def _binder(t: Abs) -> str:
@@ -93,12 +87,6 @@ def _application(t: App) -> tuple[Term, list[Term], str]:
         idx.reverse()
         return fn, idx, "[]"
     return head, args, "()"
-
-
-def _show_head(t: Term) -> str:
-    # only abstraction heads need parentheses: (\x:T. b)(a)
-    s = show_term(t)
-    return f"({s})" if isinstance(t, Abs) else s
 
 
 _REL = {"=": "=", "<=": "<=", "<": "<", "in": "in"}

@@ -13,11 +13,11 @@ def m4():
 # -- theta / psi_theta --------------------------------------------------------
 
 def test_theta_values_at_small_indices():
-    z = lambda i: 0
+    z = (0,) * 5
     # index 0: empty program, output 0, so theta = 1
     assert theta(z, 4, 0) == 1
     # index 1: one oracle read; theta = oracle(1) + 1
-    assert theta(lambda i: 1 if i == 1 else 0, 4, 1) == 2
+    assert theta((0, 1, 0, 0, 0), 4, 1) == 2
     # a non-halting run gives 0
     assert theta(z, 4, SCAN_INDEX) == 0
 
@@ -45,7 +45,7 @@ def dodge_holds(m, p, z):
     from rszoo.interp.machine import phi
     for e in range(m.cap + 1):
         for s in range(m.cap + 1):
-            r = phi(e, z.call, e, s, oracle_key=z.table)
+            r = phi(e, z.table, e, s)
             run = m.sat(r.output + 1) if isinstance(r, HaltsWith) else 0
             if run != 0 and m.sat(p.call(z).call(e) + 1) == run:
                 return False

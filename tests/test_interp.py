@@ -5,12 +5,18 @@ from rszoo.interp import (FnV, MiniModel, ModelError, ModelRefusal, PairV,
                           SeqV, eval_formula, eval_term, model as model_mod,
                           parse_model_config, table_fn,
                           tabulate, values_equal, zero_value)
+from rszoo.interp.machine import SCAN_INDEX
 from rszoo.lang import (Exists, Forall, N, Var, parse_formula, parse_term,
                         parse_type, pure, subformulas)
 
 
+def types(m):
+    """The declared objects' types, by name."""
+    return {name: ty for name, (ty, _v, _st) in m.declared.items()}
+
+
 def ev(m, src, params=None, env=None):
-    ps = dict(m.types())
+    ps = types(m)
     ps.update({k: parse_type(v) for k, v in (params or {}).items()})
     t = parse_term(src, params=ps)
     if env is None:
@@ -19,7 +25,7 @@ def ev(m, src, params=None, env=None):
 
 
 def evf(m, src, params=None, env=None):
-    ps = dict(m.types())
+    ps = types(m)
     ps.update({k: parse_type(v) for k, v in (params or {}).items()})
     f = parse_formula(src, params=ps)
     if env is None:
@@ -122,6 +128,28 @@ def test_run_is_machine_call_plus_one():
     assert ev(m, "run(Z, 1, 1)") == 1
     # program 0 = empty program: halts at once with output 0
     assert ev(m, "run(Z, 0, 0)") == 1
+
+
+def test_run_respects_type_one_equality():
+    # a table-backed oracle and a callable with the same table over
+    # 0..cap are one type-1 object, so every run gives one value; the
+    # callable's nonzero cells past the cap are never read
+    m = MiniModel(cap=4, omega=2)
+    tab = [0, 1, 0, 2, 0]
+    m.declare("T", parse_type("1"), table_fn(tab, m), st=False)
+    m.declare("L", parse_type("1"),
+              FnV(lambda i: tab[i] if i < len(tab) else 3), st=False)
+    run = parse_term("run(A, e, s)",
+                     params={"A": parse_type("1"), "e": N, "s": N})
+    for e in range(m.cap + 1):
+        for s in range(m.cap + 1):
+            at = dict(m.env(), e=e, s=s)
+            assert (eval_term(m, run, dict(at, A=m.object("T")))
+                    == eval_term(m, run, dict(at, A=m.object("L"))))
+    # the scan program started past the cap reads only cells past it
+    past = dict(m.env(), e=SCAN_INDEX, s=200)
+    assert eval_term(m, run, dict(past, A=m.object("L"))) == 0
+    assert eval_term(m, run, dict(past, A=m.object("T"))) == 0
 
 
 # -- values ------------------------------------------------------------------
@@ -242,7 +270,7 @@ def test_saturation_is_flagged_on_every_evaluation():
     numeral = parse_formula("7 = 4")
     # succ(4) saturates, seen only when succ is tabulated under = at 1
     m.declare("f", parse_type("1"), table_fn([1, 2, 3, 4, 4], m), st=False)
-    tabled = parse_formula("succ = f", params=m.types())
+    tabled = parse_formula("succ = f", params=types(m))
     for f in (numeral, tabled):
         for _ in range(2):
             m.overflowed = False
@@ -426,3 +454,9 @@ def test_omega_must_sit_inside_universe():
         MiniModel(cap=4, omega=5)
     with pytest.raises(ModelError):
         MiniModel(cap=4, omega=0)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_must_be_positive(budget):
+    with pytest.raises(ModelError, match="budget must be at least 1"):
+        parse_model_config(f"cap = 2\nomega = 1\nbudget = {budget}\n")

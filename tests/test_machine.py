@@ -2,8 +2,7 @@ import pytest
 from rszoo.interp.machine import (SCAN_INDEX, SCAN_PROGRAM, DidNotHalt,
                                   HaltsWith, MachineError, decode_program,
                                   encode_program, enumeration_alphabet,
-                                  phi, program_count, run_program,
-                                  scan_budget)
+                                  phi, program_count, run_program)
 
 
 def zeros(_i):
@@ -91,7 +90,6 @@ def test_scan_finds_marker_at_exact_budget():
     # marker 4 cells above the start, payload 5: the loop spends 4 steps
     # per empty cell and 4 more to read, test, decrement and halt
     oracle = table([0, 0, 0, 0, 0, 0, 0, 5])
-    assert scan_budget(4) == 20
     assert run_program(SCAN_PROGRAM, oracle, 3, 20) == HaltsWith(4, 20)
     assert run_program(SCAN_PROGRAM, oracle, 3, 19) == DidNotHalt(19)
 
@@ -101,16 +99,23 @@ def test_scan_without_marker_never_halts():
 
 
 def test_phi_cache_is_budget_monotone():
-    key = ("cache-demo",)
     e = encode_program((("inc", 1), ("inc", 1)))
-    assert phi(e, zeros, 0, 0, oracle_key=key) == DidNotHalt(0)
-    assert phi(e, zeros, 0, 5, oracle_key=key) == HaltsWith(2, 2)
+    assert phi(e, (), 0, 0) == DidNotHalt(0)
+    assert phi(e, (), 0, 5) == HaltsWith(2, 2)
     # a halt seen at 2 steps answers any later budget >= 2
-    assert phi(e, zeros, 0, 2, oracle_key=key) == HaltsWith(2, 2)
-    assert phi(e, zeros, 0, 100, oracle_key=key) == HaltsWith(2, 2)
+    assert phi(e, (), 0, 2) == HaltsWith(2, 2)
+    assert phi(e, (), 0, 100) == HaltsWith(2, 2)
 
 
-def test_phi_without_key_does_not_cache():
-    e = encode_program((("qry",),))
-    assert phi(e, table([0, 4]), 1, 3) == HaltsWith(4, 1)
-    assert phi(e, table([0, 9]), 1, 3) == HaltsWith(9, 1)
+def test_phi_memo_tells_tables_apart_past_a_shared_prefix():
+    # the two oracles agree on cells 0..4 and only the second has a
+    # payload (2, output 1) at cell 5; past its end a table reads 0.
+    # The scan spends 4 steps per skipped cell and 4 on the hit.  Each
+    # order runs from its own start, so neither sees the other's memo
+    # entries.
+    zeros5, marked = (0,) * 5, (0,) * 5 + (2,)
+    for x, tables in ((0, (zeros5, marked)), (1, (marked, zeros5))):
+        want = {zeros5: DidNotHalt(200),
+                marked: HaltsWith(1, 4 * (5 - x) + 4)}
+        for tab in tables:
+            assert phi(SCAN_INDEX, tab, x, 200) == want[tab]
