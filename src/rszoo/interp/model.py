@@ -20,19 +20,25 @@ it reads, each evaluation deciding every table that extends the prefix
 and with the effects of a table-by-table sweep (see ``_table_sweep``).
 
 Evaluation is compile-once: ``eval_formula`` and ``eval_term`` turn a
-formula or term into nested closures ``env -> value`` the first time the
-model sees that node object, cache them on the model keyed by the
-node's identity, and call them.  Compile time resolves what the node
-alone fixes: the comparison an ``=`` makes (``==`` at type 0, value
-tables at type 1, fingerprints above), each constant's implementation
-(a constant applied to all its arguments calls it directly), the
-expansion of ``approx``, the kind of a bound, the relation of an atom
-and the range of a type-0 quantifier.  Everything that depends on the
-model's state or the environment is left to run time, when a node is
-reached: variable lookup (an unbound variable raises then), the
-population of a quantifier above type 0 (asked for on every visit, so
-later declarations are seen and an empty standard population is
-flagged only where it is reached), saturation (a numeral
+formula or term into nested closures ``frame -> value`` the first time
+the model sees that node object, cache them on the model keyed by the
+node's identity, and call them.  A frame is a tuple, and compile time
+resolves every variable to a slot of it: the node's free names, sorted,
+take the first slots, and each binder (a lambda, a redex, a quantifier,
+a literal ``rec`` step) runs its body on the frame extended by its
+values, so the innermost binder of a name wins and a closure keeps the
+frame it was made in.  ``env`` is read once, on entry, for the free
+names; a name it lacks gets a placeholder slot, and its variable raises
+when it is reached, not before.  Compile time also resolves what the
+node alone fixes: the comparison an ``=`` makes (``==`` at type 0,
+value tables at type 1, fingerprints above), each constant's
+implementation (a constant applied to all its arguments calls it
+directly), the expansion of ``approx``, the kind of a bound, the
+relation of an atom and the range of a type-0 quantifier.  Everything
+that depends on the model's state is left to run time, when a node is
+reached: the population of a quantifier above type 0 (asked for on
+every visit, so later declarations are seen and an empty standard
+population is flagged only where it is reached), saturation (a numeral
 or constant above ``cap`` sets ``overflowed`` every time it is
 evaluated; function constants get a fresh :class:`FnV` per visit, so a
 cached table never hides it) and the relation's errors.  Closures read
@@ -56,13 +62,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from ..lang.types import Arrow, FiniteType, N, Product, Seq, show_type
-from ..lang.terms import Abs, App, Const, Term, Var, infer_type, spine
+from ..lang.terms import (Abs, App, Const, Term, Var, free_vars, infer_type,
+                          spine)
 from ..lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Exists,
                              ExistsSt, Forall, ForallSt, Formula, Implies,
-                             Not, Or, St, desugar_approx)
+                             Not, Or, St, desugar_approx, free_vars_f)
 from . import machine
 
 _TYPE1 = Arrow(N, N)
@@ -179,7 +187,7 @@ class MiniModel:
         self.declared: dict[str, tuple[FiniteType, object, bool]] = {}
         self.overflowed = False
         self.flags: set[str] = set()
-        # id(node) -> (node, closure); see eval_formula and eval_term
+        # id(node) -> (node, free names, closure); see _run
         self._compiled: dict[int, tuple] = {}
 
     # -- declarations -------------------------------------------------------
@@ -337,106 +345,147 @@ def tabulate(model: MiniModel, fn: FnV) -> tuple:
 
 # -- compiled evaluation ------------------------------------------------------
 
+_UNBOUND = object()    # the frame slot of a name the caller's env lacks
+
+
 def eval_term(model: MiniModel, t: Term, env: dict | None = None):
     """Call-by-value evaluation in the model.  ``env`` maps variable
     names to values and defaults to the declared objects."""
-    return _compiled(model, t, _compile_term)(
-        model.env() if env is None else env)
+    return _run(model, t, env, free_vars, _compile_term)
 
 
 def eval_formula(model: MiniModel, f: Formula, env: dict | None = None) -> bool:
     """Truth of a formula in the model.  ``env`` gives values for free
     variables and defaults to the declared objects.  Types come from the
     terms themselves: every variable and constant carries its own."""
-    return _compiled(model, f, _compile_formula)(
-        model.env() if env is None else env)
+    return _run(model, f, env, free_vars_f, _compile_formula)
 
 
-def _compiled(model: MiniModel, node, compile_node):
-    """The closure compiled for ``node`` in this model, compiling it on
-    first use.  The cache holds the node itself, so its id stays unique
-    for as long as the entry lives."""
+def _run(model: MiniModel, node, env: dict | None, free, compile_node):
+    """Call the closure compiled for ``node`` in this model, compiling it
+    on first use, on the values in ``env`` of the node's free names,
+    sorted; a name ``env`` lacks gets ``_UNBOUND``.  The cache holds the
+    node itself, so its id stays unique for as long as the entry lives."""
     hit = model._compiled.get(id(node))
     if hit is None:
-        hit = model._compiled[id(node)] = (node, compile_node(model, node))
-    return hit[1]
+        names = tuple(sorted({v.name for v in free(node)}))
+        run = compile_node(model, node, _Scope(names, len(names)))
+        hit = model._compiled[id(node)] = (node, names, run)
+    _node, names, run = hit
+    if env is None:
+        env = model.env()
+    return run(tuple([env.get(name, _UNBOUND) for name in names]))
 
 
 def _fail(message: str):
     """A closure that raises when it is reached, not when compiled."""
-    def fail(env):
+    def fail(frame):
         raise ModelError(message)
     return fail
 
 
-def _compile_term(model: MiniModel, t: Term):
-    if isinstance(t, Var):
-        name = t.name
+class _Scope:
+    """The names of a frame's slots at compile time: the evaluated
+    node's free names (``entry`` slots, which may hold ``_UNBOUND``),
+    then one per binder entered."""
+    __slots__ = ("names", "entry")
 
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
+    def __init__(self, names: tuple, entry: int):
+        self.names, self.entry = names, entry
+
+    def enter(self, *names: str) -> "_Scope":
+        return _Scope(self.names + names, self.entry)
+
+    def read(self, name: str):
+        """A closure reading the rightmost slot of ``name``, the
+        innermost binder's; a binder's slot needs no check."""
+        i = len(self.names) - 1 - self.names[::-1].index(name)
+        if i >= self.entry:
+            return itemgetter(i)
+
+        def var(frame):
+            if frame[i] is _UNBOUND:
                 raise ModelError(f"unbound variable {name!r} in "
-                                 "evaluation") from None
+                                 "evaluation")
+            return frame[i]
         return var
+
+
+def _compile_term(model: MiniModel, t: Term, scope: _Scope):
+    """A closure ``frame -> value`` over the slots ``scope`` names."""
+    if isinstance(t, Var):
+        return scope.read(t.name)
     if isinstance(t, Const):
         return _compile_const(model, t)
     if isinstance(t, Abs):
-        name, body = t.var.name, _compile_term(model, t.body)
-
-        def lam(env):
-            def call(v):
-                inner = dict(env)
-                inner[name] = v
-                return body(inner)
-            return FnV(call)
-        return lam
+        body = _compile_term(model, t.body, scope.enter(t.var.name))
+        return lambda frame: FnV(lambda v: body(frame + (v,)))
     if isinstance(t, App):
         head, args = spine(t)
-        prim = _primitive(model, head) if isinstance(head, Const) else None
-        if prim is not None:
-            return _compile_primitive_app(model, prim, args)
+        if isinstance(head, Const):
+            if (head.name == "rec" and len(args) >= 3
+                    and isinstance(args[1], Abs)
+                    and isinstance(args[1].body, Abs)):
+                return _compile_apps(model, _compile_rec(model, args, scope),
+                                     args[3:], scope)
+            prim = _primitive(model, head)
+            if prim is not None:
+                return _compile_primitive_app(model, prim, args, scope)
         if isinstance(head, Abs):
-            return _compile_redex(model, head, args)
-        return _compile_apps(model, _compile_term(model, head), args)
+            return _compile_redex(model, head, args, scope)
+        return _compile_apps(model, _compile_term(model, head, scope), args,
+                             scope)
     return _fail(f"cannot evaluate term {t!r}")
 
 
-def _compile_apps(model: MiniModel, fn, args):
+def _compile_apps(model: MiniModel, fn, args, scope: _Scope):
     """Apply the value of ``fn`` to ``args`` one at a time."""
     for a in args:
-        fn = _apply(fn, _compile_term(model, a))
+        fn = _apply(fn, _compile_term(model, a, scope))
     return fn
 
 
 def _apply(fn, arg):
-    def apply(env):
-        f = fn(env)
-        a = arg(env)
+    def apply(frame):
+        f = fn(frame)
+        a = arg(frame)
         if not isinstance(f, FnV):
             raise ModelError(f"applying a non-function value {f!r}")
         return f.call(a)
     return apply
 
 
-def _compile_redex(model: MiniModel, head: Abs, args):
-    """``(\\x1 ... xk. body)(a1, ..., ak, ...)``: bind the arguments
-    in one copy of the environment instead of building a function
-    value per binder."""
-    names, body = [], head
+def _compile_redex(model: MiniModel, head: Abs, args, scope: _Scope):
+    """``(\\x1 ... xk. body)(a1, ..., ak, ...)``: the body runs on the
+    frame extended by the arguments' values, with no function value
+    per binder."""
+    names, body = (), head
     while isinstance(body, Abs) and len(names) < len(args):
-        names.append(body.var.name)
+        names += (body.var.name,)
         body = body.body
-    values = [_compile_term(model, a) for a in args[:len(names)]]
-    inner_body = _compile_term(model, body)
+    values = [_compile_term(model, a, scope) for a in args[:len(names)]]
+    inner = _compile_term(model, body, scope.enter(*names))
+    redex = lambda frame: inner(frame + tuple([v(frame) for v in values]))
+    return _compile_apps(model, redex, args[len(names):], scope)
 
-    def redex(env):
-        vals = [v(env) for v in values]
-        inner = dict(env)
-        inner.update(zip(names, vals))
-        return inner_body(inner)
-    return _compile_apps(model, redex, args[len(names):])
+
+def _compile_rec(model: MiniModel, args, scope: _Scope):
+    """``rec(b, \\p. \\i. body, n)`` with a literal two-binder step: each
+    stage runs ``body`` on the frame extended by the accumulator and the
+    stage number, with no function value per stage.  A step given any
+    other way goes through ``rec``'s implementation in ``_primitive``."""
+    step = args[1]
+    base = _compile_term(model, args[0], scope)
+    body = _compile_term(model, step.body.body,
+                         scope.enter(step.var.name, step.body.var.name))
+    stages = _compile_term(model, args[2], scope)
+
+    def rec(frame):
+        acc = base(frame)
+        for i in range(stages(frame)):
+            acc = body(frame + (acc, i))
+        return acc
+    return rec
 
 
 def _compile_const(model: MiniModel, c: Const):
@@ -444,11 +493,11 @@ def _compile_const(model: MiniModel, c: Const):
     if name.isdigit():
         n = int(name)
         if n <= model.cap:
-            return lambda env: n
-        return lambda env: model.sat(n)
+            return lambda frame: n
+        return lambda frame: model.sat(n)
     if name == "empty":
         empty = SeqV(())
-        return lambda env: empty
+        return lambda frame: empty
     prim = _primitive(model, c)
     if prim is None:
         return _fail(f"unknown constant {name!r}")
@@ -456,28 +505,28 @@ def _compile_const(model: MiniModel, c: Const):
     # A fresh function value per visit: tabulate keeps its table on the
     # value, and a shared one would stop a saturating constant from
     # setting ``model.overflowed`` when it is evaluated again.
-    return lambda env: _curried(impl, arity)
+    return lambda frame: _curried(impl, arity)
 
 
-def _compile_primitive_app(model: MiniModel, prim, args):
+def _compile_primitive_app(model: MiniModel, prim, args, scope: _Scope):
     """A function constant applied to arguments: with all its arguments
     it calls its implementation directly."""
     arity, impl = prim
     if len(args) < arity:
-        given = [_compile_term(model, a) for a in args]
-        return lambda env: _curried(impl, arity,
-                                    tuple(a(env) for a in given))
-    first = [_compile_term(model, a) for a in args[:arity]]
+        given = [_compile_term(model, a, scope) for a in args]
+        return lambda frame: _curried(impl, arity,
+                                      tuple(a(frame) for a in given))
+    first = [_compile_term(model, a, scope) for a in args[:arity]]
     if arity == 1:
         a0, = first
-        direct = lambda env: impl(a0(env))
+        direct = lambda frame: impl(a0(frame))
     elif arity == 2:
         a0, a1 = first
-        direct = lambda env: impl(a0(env), a1(env))
+        direct = lambda frame: impl(a0(frame), a1(frame))
     else:
         a0, a1, a2 = first
-        direct = lambda env: impl(a0(env), a1(env), a2(env))
-    return _compile_apps(model, direct, args[arity:])
+        direct = lambda frame: impl(a0(frame), a1(frame), a2(frame))
+    return _compile_apps(model, direct, args[arity:], scope)
 
 
 def _curried(impl, arity: int, given: tuple = ()) -> FnV:
@@ -559,65 +608,69 @@ def _primitive(model: MiniModel, c: Const):
     return None
 
 
-def _compile_formula(model: MiniModel, f: Formula):
+def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
+    """A closure ``frame -> bool`` over the slots ``scope`` names."""
     if isinstance(f, Atom):
         if f.rel == "in":
-            elem, seq = (_compile_term(model, a) for a in f.args)
+            elem, seq = (_compile_term(model, a, scope) for a in f.args)
 
-            def member(env):
-                e = elem(env)
-                return seq(env).call(e) != 0
+            def member(frame):
+                e = elem(frame)
+                return seq(frame).call(e) != 0
             return member
-        a, b = (_compile_term(model, x) for x in f.args)
+        a, b = (_compile_term(model, x, scope) for x in f.args)
         if f.rel == "=":
             return _equality(model, infer_type(f.args[0]), a, b)
         if f.rel == "<=":
-            return lambda env: a(env) <= b(env)
+            return lambda frame: a(frame) <= b(frame)
         if f.rel == "<":
-            return lambda env: a(env) < b(env)
+            return lambda frame: a(frame) < b(frame)
         return _fail(f"unknown relation {f.rel!r}")
     if isinstance(f, ApproxEq):
-        return _compile_formula(model, desugar_approx(f))
+        return _compile_formula(model, desugar_approx(f), scope)
     if isinstance(f, St):
-        ty, arg = infer_type(f.arg), _compile_term(model, f.arg)
-        return lambda env: model.is_standard(ty, arg(env))
+        ty, arg = infer_type(f.arg), _compile_term(model, f.arg, scope)
+        return lambda frame: model.is_standard(ty, arg(frame))
     if isinstance(f, Not):
-        body = _compile_formula(model, f.body)
-        return lambda env: not body(env)
+        body = _compile_formula(model, f.body, scope)
+        return lambda frame: not body(frame)
     if isinstance(f, (And, Or, Implies)):
-        left = _compile_formula(model, f.left)
-        right = _compile_formula(model, f.right)
+        left = _compile_formula(model, f.left, scope)
+        right = _compile_formula(model, f.right, scope)
         if isinstance(f, And):
-            return lambda env: left(env) and right(env)
+            return lambda frame: left(frame) and right(frame)
         if isinstance(f, Or):
-            return lambda env: left(env) or right(env)
-        return lambda env: (not left(env)) or right(env)
+            return lambda frame: left(frame) or right(frame)
+        return lambda frame: (not left(frame)) or right(frame)
     if isinstance(f, (Forall, Exists, ForallSt, ExistsSt)):
         ty = f.var.ty
         standard = isinstance(f, (ForallSt, ExistsSt))
         universal = isinstance(f, (Forall, ForallSt))
-        body = _compile_formula(model, f.body)
+        body = _compile_formula(model, f.body, scope.enter(f.var.name))
         if ty == _TYPE1 and not standard:
-            return _table_sweep(model, universal, f.var.name, body)
-        over = _quantifier(universal, f.var.name, body)
+            return _table_sweep(model, universal, body)
+        over = _quantifier(universal, body)
         if ty == N:
             pop = range(model.omega if standard else model.cap + 1)
-            return lambda env: over(env, pop)
+            return lambda frame: over(frame, pop)
         # A population above type 0 is asked for on every visit:
         # standard objects may be declared between evaluations, and an
         # empty standard population is flagged only where a quantifier
         # is reached.
-        return lambda env: over(env, model.population(ty, standard))
+        return lambda frame: over(frame, model.population(ty, standard))
     if isinstance(f, (BForall, BExists)):
-        over = _quantifier(isinstance(f, BForall), f.var.name,
-                           _compile_formula(model, f.body))
-        bound, cap = _compile_term(model, f.bound), model.cap
+        over = _quantifier(isinstance(f, BForall),
+                           _compile_formula(model, f.body,
+                                            scope.enter(f.var.name)))
+        bound, cap = _compile_term(model, f.bound, scope), model.cap
         if f.kind == "le":
-            return lambda env: over(env, range(min(bound(env), cap) + 1))
+            return lambda frame: over(frame,
+                                      range(min(bound(frame), cap) + 1))
         if f.kind == "lt":
-            return lambda env: over(env, range(min(bound(env), cap + 1)))
+            return lambda frame: over(frame,
+                                      range(min(bound(frame), cap + 1)))
         if f.kind == "mem":
-            return lambda env: over(env, bound(env).items)
+            return lambda frame: over(frame, bound(frame).items)
         return _fail(f"unknown bound kind {f.kind!r}")
     return _fail(f"cannot evaluate formula node {type(f).__name__}")
 
@@ -625,66 +678,62 @@ def _compile_formula(model: MiniModel, f: Formula):
 def _equality(model: MiniModel, ty: FiniteType, left, right):
     """Extensional equality of two compiled terms of type ``ty``."""
     if ty == N:
-        return lambda env: left(env) == right(env)
+        return lambda frame: left(frame) == right(frame)
     if ty == _TYPE1:
-        def eq1(env):
-            a, b = left(env), right(env)
+        def eq1(frame):
+            a, b = left(frame), right(frame)
             return tabulate(model, a) == tabulate(model, b)
         return eq1
 
-    def eq(env):
-        a, b = left(env), right(env)
+    def eq(frame):
+        a, b = left(frame), right(frame)
         return values_equal(model, ty, a, b)
     return eq
 
 
-def _quantifier(universal: bool, name: str, body):
-    """``over(env, pop)``: the body under each value of ``name`` in
-    ``pop`` until one decides the quantifier."""
+def _quantifier(universal: bool, body):
+    """``over(frame, pop)``: the body, on the frame extended by each
+    value in ``pop``, until one decides the quantifier."""
     if universal:
-        def forall(env, pop):
-            inner = dict(env)
+        def forall(frame, pop):
             for v in pop:
-                inner[name] = v
-                if not body(inner):
+                if not body(frame + (v,)):
                     return False
             return True
         return forall
 
-    def exists(env, pop):
-        inner = dict(env)
+    def exists(frame, pop):
         for v in pop:
-            inner[name] = v
-            if body(inner):
+            if body(frame + (v,)):
                 return True
         return False
     return exists
 
 
-def _table_sweep(model: MiniModel, universal: bool, name: str, body):
+def _table_sweep(model: MiniModel, universal: bool, body):
     """A plain quantifier over the ``0 -> 0`` tables, swept by prefix.
 
-    The body is evaluated on a table-less probe that serves cells from
-    a prefix: reading cell ``i`` zero-extends the prefix up to ``i``,
-    and a read past ``cap`` or of a non-int returns 0, as a table does.
-    One evaluation therefore decides every table that extends the cells
-    it read.  The next prefix drops trailing ``cap`` cells and bumps the
-    last one (an odometer), so the prefixes cover ``enum_values``' order
-    in contiguous blocks and the sweep stops in the block holding the
-    first deciding table: same answer, error, ``overflowed`` and flags
-    as evaluating each table.  A full read (``tabulate``, ``=`` at type
-    1, ``canon_key``, ``run``'s table) reads every cell, so its
-    block is one table.  The budget check is the eager sweep's.
+    The body is evaluated on the frame extended by a table-less probe
+    that serves cells from a prefix: reading cell ``i`` zero-extends the
+    prefix up to ``i``, and a read past ``cap`` or of a non-int returns
+    0, as a table does.  One evaluation therefore decides every table
+    that extends the cells it read.  The next prefix drops trailing
+    ``cap`` cells and bumps the last one (an odometer), so the prefixes
+    cover ``enum_values``' order in contiguous blocks and the sweep
+    stops in the block holding the first deciding table: same answer,
+    error, ``overflowed`` and flags as evaluating each table.  A full
+    read (``tabulate``, ``=`` at type 1, ``canon_key``, ``run``'s table)
+    reads every cell, so its block is one table.  The budget check is
+    the eager sweep's.
     """
     cap = model.cap
 
-    def sweep(env):
+    def sweep(frame):
         model.check_enumerable(_TYPE1)
-        inner = dict(env)
         cells: list[int] = []
         while True:
-            inner[name] = FnV(_prefix_reader(cells, cap))
-            if bool(body(inner)) is not universal:
+            probe = FnV(_prefix_reader(cells, cap))
+            if bool(body(frame + (probe,))) is not universal:
                 return not universal
             last = len(cells) - 1
             while last >= 0 and cells[last] == cap:

@@ -313,6 +313,79 @@ def test_compiled_formulas_and_terms_are_per_model():
     assert not big.overflowed and small.overflowed
 
 
+# -- frames: bound variables in slots, literal rec steps inline --------------
+# The generated terms have no shadowing and no rec, so these are written
+# out.
+
+def test_inner_binder_shadows_outer_one():
+    m = MiniModel(cap=9, omega=2)
+    assert ev(m, "(\\x:0. (\\x:0. x)(succ(x)))(2)") == 3
+    assert ev(m, "\\x:0. (\\x:0. x)(succ(x))").call(5) == 6
+    # a quantifier rebinds the outer x only inside its scope
+    f = "((exists x:0) x = 3) /\\ x = 1"
+    assert evf(m, f, params={"x": "0"}, env={"x": 1})
+    assert not evf(m, "(forall x:0) x = 1", params={"x": "0"},
+                   env={"x": 1})
+
+
+def test_inner_n_of_the_bound_shadows_the_outer_n():
+    # the shape of the golden bound: \h v n. ... (\n:0. iszero)(h(v)) ...
+    m = MiniModel(cap=9, omega=2)
+    term = ("(\\h:1. \\v:0. \\n:0. plus(n, "
+            "(\\n:0. rec[0](1, \\p:0. \\i:0. 0, n))(h(v))))(f, 1, 2)")
+    for cells, want in (([0] * 10, 3), ([0, 5] + [0] * 8, 2)):
+        assert ev(m, term, params={"f": "1"},
+                  env={"f": table_fn(cells, m)}) == want
+
+
+def test_literal_rec_step_reads_outer_bound_and_free_variables():
+    m = MiniModel(cap=20, omega=2)
+    term = "(\\a:0. rec[0](0, \\p:0. \\i:0. plus(p, plus(a, b)), 3))(2)"
+    assert ev(m, term, params={"b": "0"}, env={"b": 1}) == 9
+
+
+def test_rec_step_results_keep_their_own_stage():
+    # each stage returns a lambda closing over that stage's p and i
+    m = MiniModel(cap=20, omega=2)
+    step = "\\p:1. \\i:0. \\x:0. plus(p(x), i)"
+    for n, want in ((0, 5), (1, 5), (2, 6), (3, 8), (4, 11)):
+        assert ev(m, f"rec[1](\\x:0. x, {step}, {n})").call(5) == want, n
+
+
+def test_rec_with_a_variable_step_takes_the_general_path(monkeypatch):
+    inline = []
+    compile_rec = model_mod._compile_rec
+
+    def counted(model, args, scope):
+        inline.append(args)
+        return compile_rec(model, args, scope)
+
+    monkeypatch.setattr(model_mod, "_compile_rec", counted)
+    m = MiniModel(cap=20, omega=2)
+    step = "\\p:0. \\i:0. plus(p, i)"
+    assert ev(m, f"(\\s:0 -> 0 -> 0. rec[0](1, s, 4))({step})") == 7
+    assert inline == []
+    assert ev(m, f"rec[0](1, {step}, 4)") == 7
+    assert len(inline) == 1
+
+
+def test_unbound_variable_in_a_rec_step_raises_only_when_run():
+    m = MiniModel(cap=4, omega=2)
+    t = parse_term("rec[0](3, \\p:0. \\i:0. y, n)", params={"y": N, "n": N})
+    assert eval_term(m, t, {"n": 0}) == 3
+    with pytest.raises(ModelError, match="'y'"):
+        eval_term(m, t, {"n": 1})
+
+
+def test_saturation_inside_a_rec_step_is_flagged():
+    m = MiniModel(cap=4, omega=2)
+    t = parse_term("rec[0](0, \\p:0. \\i:0. plus(p, 3), n)", params={"n": N})
+    assert eval_term(m, t, {"n": 1}) == 3
+    assert not m.overflowed
+    assert eval_term(m, t, {"n": 2}) == 4
+    assert m.overflowed
+
+
 def test_type_one_tables_read_zero_past_the_table():
     m = MiniModel(cap=2, omega=1)
     tables = m.population(parse_type("1"), standard=False)
