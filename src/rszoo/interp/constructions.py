@@ -32,17 +32,22 @@ def psi_theta(model: MiniModel) -> FnV:
 
     For each oracle table Z it returns the table
     ``e |-> sat(theta(Z, cap, e))``: the step budget is the cap,
-    matching the step bounds a plain quantifier can reach.
+    matching the step bounds a plain quantifier can reach.  The memo
+    keeps, with each table, whether building it saturated, so every
+    call on that oracle sets ``model.overflowed``, not only the first.
     """
-    memo: dict[tuple, FnV] = {}
+    memo: dict[tuple, tuple[FnV, bool]] = {}
 
     def outer(z):
         key = tabulate(model, z)
         if key not in memo:
-            tab = tuple(model.sat(theta(key, model.cap, e))
-                        for e in range(model.cap + 1))
-            memo[key] = table_fn(tab, model)
-        return memo[key]
+            runs = [theta(key, model.cap, e) for e in range(model.cap + 1)]
+            memo[key] = (table_fn([min(r, model.cap) for r in runs], model),
+                         max(runs) > model.cap)
+        value, saturated = memo[key]
+        if saturated:
+            model.overflowed = True
+        return value
 
     return FnV(outer, name="psi_theta")
 

@@ -27,7 +27,13 @@ resolves every variable to a slot of it: the node's free names, sorted,
 take the first slots, and each binder (a lambda, a redex, a quantifier,
 a literal ``rec`` step) runs its body on the frame extended by its
 values, so the innermost binder of a name wins and a closure keeps the
-frame it was made in.  ``env`` is read once, on entry, for the free
+frame it was made in.  A literal ``rec`` step whose body reads neither
+of its binders (``rec(y, \\p. \\i. x, c)``) runs that body at most
+once, on the outer frame: every stage would run the same closure on
+frames that differ only in slots it never reads, and its only
+observable effects, setting ``overflowed`` and adding to ``flags``, are
+idempotent, so one run gives the last stage's value, the same effects
+and the same first error.  ``env`` is read once, on entry, for the free
 names; a name it lacks gets a placeholder slot, and its variable raises
 when it is reached, not before.  Compile time also resolves what the
 node alone fixes: the comparison an ``=`` makes (``==`` at type 0,
@@ -339,7 +345,7 @@ def tabulate(model: MiniModel, fn: FnV) -> tuple:
     value.  It is what the oracle machine reads: a run that should see
     cells past the cap needs a longer table from here."""
     if fn.table is None:
-        fn.table = tuple(fn.call(i) for i in range(model.cap + 1))
+        fn.table = tuple(map(fn.call, range(model.cap + 1)))
     return fn.table
 
 
@@ -458,27 +464,52 @@ def _apply(fn, arg):
 def _compile_redex(model: MiniModel, head: Abs, args, scope: _Scope):
     """``(\\x1 ... xk. body)(a1, ..., ak, ...)``: the body runs on the
     frame extended by the arguments' values, with no function value
-    per binder."""
+    per binder; for one to three arguments the extension is a tuple
+    display, with no list built per call."""
     names, body = (), head
     while isinstance(body, Abs) and len(names) < len(args):
         names += (body.var.name,)
         body = body.body
     values = [_compile_term(model, a, scope) for a in args[:len(names)]]
     inner = _compile_term(model, body, scope.enter(*names))
-    redex = lambda frame: inner(frame + tuple([v(frame) for v in values]))
+    if len(values) == 1:
+        v0, = values
+        redex = lambda frame: inner(frame + (v0(frame),))
+    elif len(values) == 2:
+        v0, v1 = values
+        redex = lambda frame: inner(frame + (v0(frame), v1(frame)))
+    elif len(values) == 3:
+        v0, v1, v2 = values
+        redex = lambda frame: inner(frame + (v0(frame), v1(frame),
+                                             v2(frame)))
+    else:
+        redex = lambda frame: inner(frame + tuple([v(frame)
+                                                   for v in values]))
     return _compile_apps(model, redex, args[len(names):], scope)
 
 
 def _compile_rec(model: MiniModel, args, scope: _Scope):
     """``rec(b, \\p. \\i. body, n)`` with a literal two-binder step: each
     stage runs ``body`` on the frame extended by the accumulator and the
-    stage number, with no function value per stage.  A step given any
-    other way goes through ``rec``'s implementation in ``_primitive``."""
+    stage number, with no function value per stage.  A body that reads
+    neither ``p`` nor ``i`` is compiled in the outer scope and runs once
+    when ``n > 0`` (see the module docstring); ``b`` and ``n`` are
+    evaluated first either way.  A step given any other way goes
+    through ``rec``'s implementation in ``_primitive``."""
     step = args[1]
+    binders = (step.var.name, step.body.var.name)
     base = _compile_term(model, args[0], scope)
-    body = _compile_term(model, step.body.body,
-                         scope.enter(step.var.name, step.body.var.name))
     stages = _compile_term(model, args[2], scope)
+    if not any(v.name in binders for v in free_vars(step.body.body)):
+        once = _compile_term(model, step.body.body, scope)
+
+        def rec_constant(frame):
+            acc = base(frame)
+            if stages(frame) > 0:
+                return once(frame)
+            return acc
+        return rec_constant
+    body = _compile_term(model, step.body.body, scope.enter(*binders))
 
     def rec(frame):
         acc = base(frame)
@@ -494,7 +525,12 @@ def _compile_const(model: MiniModel, c: Const):
         n = int(name)
         if n <= model.cap:
             return lambda frame: n
-        return lambda frame: model.sat(n)
+        cap = model.cap
+
+        def saturated(frame):
+            model.overflowed = True
+            return cap
+        return saturated
     if name == "empty":
         empty = SeqV(())
         return lambda frame: empty
@@ -560,7 +596,7 @@ def _primitive(model: MiniModel, c: Const):
     if name == "plus":
         return 2, lambda a, b: sat(a + b)
     if name == "monus":
-        return 2, lambda a, b: max(a - b, 0)
+        return 2, lambda a, b: a - b if a > b else 0
     if name == "max":
         return 2, max
     if name == "npair":

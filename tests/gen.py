@@ -10,7 +10,7 @@ import random
 from rszoo.lang import (Abs, And, Atom, BExists, BForall, Exists, Forall,
                         Formula, Implies, Not, Or, Term, Var, app, append_c,
                         empty_c, fresh_name, free_vars_f, get_c, len_c, num,
-                        pair_c, fst_c, snd_c)
+                        pair_c, fst_c, rec_c, snd_c)
 from rszoo.lang import Arrow, FiniteType, N, Product, Seq, pure
 from rszoo.lang.terms import MAX2, MONUS, PLUS, SUCC
 
@@ -111,6 +111,69 @@ class Gen:
                     return app(get_c(N), Var(n, t),
                                self.term(N, env, depth - 1))
         return num(self.rng.randrange(0, 4))
+
+    def rec_term(self, ty: FiniteType, env: dict[str, FiniteType],
+                 depth: int = 2, reads: tuple | None = None) -> Term:
+        """``rec[ty](base, \\p. \\i. body, stages)`` at type 0 or 1,
+        with a literal step whose body reads the binders in ``reads``
+        (``"p"``, ``"i"``; drawn when None) and, often, names of ``env``.
+        A binder may be named like a name of ``env``, which it shadows
+        in the body; the body may bind ``p``'s name again in a redex of
+        one to four arguments; ``stages`` is often 0.  No other
+        generator calls this, so their seeded draws do not move."""
+        rng = self.rng
+        if reads is None:
+            reads = rng.choice([(), (), ("p",), ("i",), ("p", "i")])
+        p = rng.choice([*env]) if env and rng.random() < 0.3 else "p"
+        others = [n for n in env if n != p]
+        i = rng.choice(others) if others and rng.random() < 0.3 else "i"
+        outer = {n: t for n, t in env.items() if n not in (p, i)}
+        fns = [n for n, t in outer.items() if t == pure(1)]
+        if ty == N:
+            x, p_read = None, Var(p, N)
+        else:
+            x = fresh_name("x", {*env, p, i})
+            outer[x] = N
+            p_read = app(Var(p, ty), Var(x, N))
+        if fns and rng.random() < 0.5:
+            parts = [app(Var(rng.choice(fns), pure(1)),
+                         self.term(N, outer, depth - 1))]
+        else:
+            parts = [self.term(N, outer, depth)]
+        if "p" in reads:
+            parts.append(p_read)
+        if "i" in reads:
+            parts.append(Var(i, N))
+        rng.shuffle(parts)
+        body = parts[0]
+        for part in parts[1:]:
+            body = app(rng.choice([PLUS, MONUS, MAX2]), body, part)
+        if rng.random() < 0.3:
+            body = app(SUCC, body)
+        if rng.random() < 0.3:
+            body = self._rebind(p, body, outer, depth)
+        if x is not None:
+            body = Abs(Var(x, N), body)
+        step = Abs(Var(p, ty), Abs(Var(i, N), body))
+        stages = (num(0) if rng.random() < 0.3
+                  else self.term(N, env, depth - 1))
+        return app(rec_c(ty), self.term(ty, env, depth - 1), step, stages)
+
+    def _rebind(self, name: str, arg: Term, env: dict[str, FiniteType],
+                depth: int) -> Term:
+        """``(\\name. \\y2 ... yk. e)(arg, a2, ..., ak)`` for k in 1..4,
+        where ``e`` reads the new ``name`` and the ``y``s."""
+        ys = [Var(name, N)]
+        taken = {*env, name}
+        for _ in range(self.rng.randrange(4)):
+            ys.append(Var(fresh_name("y", taken), N))
+        e = self.term(N, env, depth - 1)
+        for y in ys:
+            e = app(self.rng.choice([PLUS, MONUS, MAX2]), y, e)
+        fn = e
+        for y in reversed(ys):
+            fn = Abs(y, fn)
+        return app(fn, arg, *(self.term(N, env, depth - 1) for _ in ys[1:]))
 
     # -- internal formulas ---------------------------------------------------
 

@@ -1,8 +1,9 @@
 """A second statement of the model's semantics: a plain tree walker.
 
 ``rszoo.interp.model`` compiles each node once into closures over a
-tuple frame, iterates literal ``rec`` steps inline, sweeps type-1
-quantifiers by cell prefix, and keeps tables and runs in caches.  This
+tuple frame, iterates literal ``rec`` steps inline (once, for a step
+that reads neither binder), sweeps type-1 quantifiers by cell prefix,
+and keeps tables and runs in caches.  This
 module states the same semantics again, as directly as it can:
 
 - terms and formulas are evaluated by recursion on the node, in a dict

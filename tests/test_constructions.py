@@ -41,6 +41,20 @@ def test_psi_theta_memoises_by_table():
     assert p.call(a) is p.call(b)
 
 
+def test_psi_theta_flags_saturation_on_every_call():
+    # at cap 3, e = 1 reads Z(1) = 3 and returns 4: the table saturates
+    m = MiniModel(cap=3, omega=2)
+    p = psi_theta(m)
+    z = table_fn([0, 3, 0, 0], m)
+    for _call in range(2):
+        m.overflowed = False
+        assert tabulate(m, p.call(z)) == (1, 3, 1, 1)
+        assert m.overflowed
+    m.overflowed = False
+    p.call(table_fn([0, 1, 0, 0], m))
+    assert not m.overflowed
+
+
 def dodge_holds(m, p, z):
     from rszoo.interp.machine import phi
     for e in range(m.cap + 1):

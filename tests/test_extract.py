@@ -99,6 +99,36 @@ def test_rs_run_forward_term_is_least_zero(udnr_run):
             assert at_table.call(table_fn(table, model)) == want, table
 
 
+def test_forward_term_makes_at_most_240_python_calls_per_table(udnr_run):
+    # A deterministic guard on the evaluator's cost: Python-level calls
+    # in a warm pass (every cache filled by a first pass) of the forward
+    # term at (Psi0, Xi0) over the 175 cap-3 tables with a zero.  The
+    # evaluator made 292.9 a table before it ran constant rec steps once
+    # and built small redex frames without a list, 222.6 after.
+    entry, verdict, _replays = udnr_run
+    model = entry.model
+    term = eval_term(model, verdict.forward_term, model.env())
+    at_table = term.call(model.object("Psi0")).call(model.object("Xi0"))
+    tables = [table_fn(t, model)
+              for t in itertools.product(range(4), repeat=4) if 0 in t]
+    for h in tables:
+        at_table.call(h)
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        for h in tables:
+            at_table.call(h)
+    finally:
+        sys.setprofile(None)
+    assert len(tables) == 175
+    assert calls / len(tables) <= 240, calls / len(tables)
+
+
 def test_rs_run_bound_is_a_max_over_the_target_slot(udnr_run):
     entry, verdict, _replays = udnr_run
     dmark = show_term(check_script(entry.forward).final.rows[0][1])

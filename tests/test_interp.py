@@ -314,8 +314,8 @@ def test_compiled_formulas_and_terms_are_per_model():
 
 
 # -- frames: bound variables in slots, literal rec steps inline --------------
-# The generated terms have no shadowing and no rec, so these are written
-# out.
+# `Gen.term` builds no shadowing and no rec, so these are written out;
+# `Gen.rec_term` draws both for tests/test_refeval.py.
 
 def test_inner_binder_shadows_outer_one():
     m = MiniModel(cap=9, omega=2)

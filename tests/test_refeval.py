@@ -4,6 +4,7 @@ Each case is evaluated twice, in two fresh models built alike: once by
 ``eval_term``/``eval_formula`` and once by the reference.  The value
 (compared by its fingerprint in its own model, or the error raised),
 ``model.overflowed`` and ``model.flags`` must agree."""
+import collections
 import itertools
 
 import pytest
@@ -14,8 +15,10 @@ from test_extract import MODEL_CAP3, udnr_entry
 from rszoo.extract import rs_run
 from rszoo.interp import (MiniModel, ModelError, SeqV, eval_formula,
                           eval_term, parse_model_config, table_fn)
-from rszoo.lang import (Arrow, Exists, ExistsSt, Forall, ForallSt, N, Seq,
-                        Var, pure, subformulas)
+from rszoo.lang import (Abs, Arrow, Atom, Exists, ExistsSt, Forall,
+                        ForallSt, N, Seq, Var, app, append_c, empty_c,
+                        free_vars, len_c, num, pure, spine, subformulas,
+                        subterms)
 
 FREE = {"n": N, "h": pure(1), "s": Seq(N)}
 
@@ -126,6 +129,80 @@ def test_generated_formulas_agree_with_the_reference():
     assert (sweeps >= 100 and standard >= 100 and flagged >= 30
             and saturated >= 80 and 100 <= true <= 350), \
         (cases, sweeps, standard, flagged, saturated, true)
+
+
+def rec_kinds(t):
+    """The floors that the generated ``rec`` term ``t`` counts toward."""
+    _head, (_base, step, stages) = spine(t)
+    p, i, body = step.var.name, step.body.var.name, step.body.body
+    read = {v.name for v in free_vars(body)}
+    kinds = {"p" if p in read else "i_only" if i in read
+             else "const0" if stages == num(0) else "const+"}
+    if {p, i} & set(FREE):
+        kinds.add("shadow")
+    if any(isinstance(u, Abs) and u.var.name == p for u in subterms(body)):
+        kinds.add("rebind")
+    if step.var.ty != N:
+        kinds.add("rec1")
+    if "h" in read:
+        kinds.add("reads_h")
+    return kinds
+
+
+def test_generated_recs_agree_with_the_reference():
+    g = gen.generator(gen.SEED + 31)
+    counts = collections.Counter()
+    for cap in (1, 2, 3):
+        for case in range(200):
+            if case % 4 == 0:
+                # a sweep over h whose matrix holds a rec with a constant
+                # step, which often reads h
+                env = {"n": N, "h": pure(1)}
+                t = g.rec_term(N, env, reads=())
+                node, ty = Forall(Var("h", pure(1)), Atom(
+                    g.rng.choice(["=", "<="]), (t, g.term(N, env, 2)))), N
+                compiled_eval, reference_eval = eval_formula, refeval.formula
+            else:
+                ty = g.rng.choice([N, N, pure(1)])
+                node = t = g.rec_term(ty, FREE)
+                compiled_eval, reference_eval = eval_term, refeval.term
+            compiled, reference = twin_models(g.rng, cap)
+            data = draw(g.rng, cap)
+            got = observe(compiled, ty, lambda: compiled_eval(
+                compiled, node, bind(compiled, data)))
+            want = observe(reference, ty, lambda: reference_eval(
+                reference, node, bind(reference, data)))
+            assert got == want, node
+            kinds = rec_kinds(t)
+            counts.update(kinds)
+            counts["saturated"] += got[1]
+            counts["sweep_h"] += node is not t and "reads_h" in kinds
+    # 114, 226, 168, 92, 295, 184, 188, 157 and 66 with this seed
+    floors = {"const0": 80, "const+": 150, "p": 120, "i_only": 60,
+              "shadow": 200, "rebind": 120, "saturated": 120, "rec1": 100,
+              "sweep_h": 40}
+    assert all(counts[k] >= floors[k] for k in floors), counts
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_appends_up_to_and_past_seq_limit_agree_with_the_reference(cap):
+    limit = MiniModel(cap, 1).seq_limit
+    for k in range(limit - 1, limit + 3):
+        seq = empty_c(N)
+        for j in range(k):
+            seq = app(append_c(N), seq, num(j % (cap + 1)))
+        shown = []
+        for t, ty in ((seq, Seq(N)), (app(len_c(N), seq), N)):
+            compiled, reference = MiniModel(cap, 1), MiniModel(cap, 1)
+            got = observe(compiled, ty, lambda: eval_term(compiled, t, {}))
+            want = observe(reference, ty,
+                           lambda: refeval.term(reference, t, {}))
+            assert got == want, (k, t)
+            shown.append(got)
+        # the sequence stops at seq_limit items, and only past it is the
+        # append flagged
+        (overflowed, items), _seen, _flags = shown[0]
+        assert (len(items), overflowed) == (min(k, limit), k > limit), k
 
 
 @pytest.fixture(scope="module")
