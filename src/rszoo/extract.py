@@ -475,25 +475,24 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
 
     ``plans`` maps a universal name to ``"all"`` (full enumeration) or
     ``"st"`` (declared/standard population, the default — the block is
-    a forall^st); any other plan is a ScriptError.
+    a forall^st); any other plan, or a key that names no universal, is
+    a ScriptError.  A slot term may name no variable but the universals
+    (a script's witness terms are closed up to them); any other is a
+    ScriptError.  The matrix names only the two blocks' variables, whose
+    names differ (see ``NormalForm``), so an assignment's environment
+    holds the universals and each row sets its existentials there.
 
     When the matrix is an implication, its consequent is evaluated only
     where the antecedent holds.
 
-    A slot term may name no variable but the universals (a script's
-    witness terms are closed up to them); any other is a ScriptError.
-
-    One memo serves the call, under one rule: a value is computed once
-    per assignment of the universals it reads, and its key holds their
-    pool indices (a key on the values would tabulate them, at type 2 a
-    full sweep).  A slot term gets an integer id, and its key is the id
-    plus the indices of the universals it mentions; rows that share a
-    term share its value, and a closed term is evaluated once per call.
-    The antecedent's key is the ids of the slot terms of the
-    existentials it mentions plus the indices of every universal it
-    reads, directly or through those slot terms; with no existential
-    mentioned, it is evaluated once per assignment of its own
-    universals.
+    One memo serves the call, under one rule: a slot term, or the
+    antecedent, is evaluated once per tuple of values of the names free
+    in it, a function value counting by identity.  So rows that share a
+    term share its value, a closed term is evaluated once per call, and
+    an antecedent that names no existential is evaluated once per
+    assignment of the universals it reads.  Equal slot terms are first
+    made one object, so that a key compares them by identity and lists
+    their values in one order.
 
     Skipping a re-evaluation loses nothing from the report:
     ``overflowed`` is tracked for the whole call and ``model.flags`` is
@@ -503,78 +502,49 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     from .interp import eval_formula, eval_term
 
     plans = plans or {}
-    base_env = model.env()
+    names = {v.name for v in nf.universals}
+    stray = sorted(plans.keys() - names)
+    if stray:
+        raise ScriptError(f"sweep plan names no universal: {stray}")
     pools = []
     for v in nf.universals:
         plan = plans.get(v.name, "st")
         if plan not in ("st", "all"):
             raise ScriptError(f"unknown sweep plan {plan!r} for {v.name}")
         pools.append(model.population(v.ty, standard=(plan == "st")))
+    terms: dict[Term, Term] = {}
+    rows = [tuple(terms.setdefault(t, t) for t in row) for row in rows]
+    for t in terms:
+        stray = {w.name for w in free_vars(t)} - names
+        if stray:
+            raise ScriptError("slot term names more than the "
+                              f"universals: {sorted(stray)}")
 
     antecedent, consequent = ((nf.matrix.left, nf.matrix.right)
                               if isinstance(nf.matrix, Implies)
                               else (None, nf.matrix))
-    position = {v.name: i for i, v in enumerate(nf.universals)}
+    memo: dict = {}
 
-    def reads(names) -> tuple[int, ...]:
-        """Pool positions of the universals named."""
-        return tuple(sorted({position[n] for n in names if n in position}))
-
-    # Slot terms by id, assigned once, so that a memo key holds a small
-    # integer rather than the term.
-    ids: dict[Term, int] = {}
-    slot_reads: list[tuple[int, ...]] = []
-    row_ids = []
-    for row in rows:
-        for t in row:
-            if t not in ids:
-                names = {w.name for w in free_vars(t)}
-                stray = names.difference(position)
-                if stray:
-                    raise ScriptError("slot term names more than the "
-                                      f"universals: {sorted(stray)}")
-                ids[t] = len(slot_reads)
-                slot_reads.append(reads(names))
-        row_ids.append(tuple(ids[t] for t in row))
-
-    # Per row, the antecedent's key parts (slot ids, positions).
-    antecedent_keys: list = [None] * len(rows)
-    if antecedent is not None:
-        names = {v.name for v in free_vars_f(antecedent)}
-        direct = reads(names)
-        for r, sids in enumerate(row_ids):
-            mentioned = tuple(s for v, s in zip(nf.existentials, sids)
-                              if v.name in names)
-            antecedent_keys[r] = (mentioned, sorted(set(direct).union(
-                *(slot_reads[s] for s in mentioned))))
-
-    memo: dict = {}    # (slot id or antecedent slot ids, indices) -> value
-
-    def memoized(key, compute):
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+    def once(evaluate, node, free, env):
+        key = (node, *[env[v.name] for v in free(node)])
+        value = memo.get(key, memo)     # the memo itself marks a miss
+        if value is memo:
+            value = memo[key] = evaluate(model, node, env)
+        return value
 
     was_overflowed, model.overflowed = model.overflowed, False
     checked, genuine = 0, 0
     failures: list[str] = []
-    for at in itertools.product(*(range(len(p)) for p in pools)):
+    for combo in itertools.product(*pools):
         checked += 1
-        combo = [pool[i] for pool, i in zip(pools, at)]
-        env0 = dict(base_env)
-        for v, val in zip(nf.universals, combo):
-            env0[v.name] = val
+        env = {v.name: val for v, val in zip(nf.universals, combo)}
         hit = False
-        for row, sids, ante_key in zip(rows, row_ids, antecedent_keys):
-            env1 = dict(env0)
-            for v, t, s in zip(nf.existentials, row, sids):
-                env1[v.name] = memoized(
-                    (s, tuple(at[i] for i in slot_reads[s])),
-                    lambda: eval_term(model, t, env0))
-            vacuous = antecedent is not None and not memoized(
-                (ante_key[0], tuple(at[i] for i in ante_key[1])),
-                lambda: eval_formula(model, antecedent, env=env1))
-            if vacuous or eval_formula(model, consequent, env=env1):
+        for row in rows:
+            for v, t in zip(nf.existentials, row):
+                env[v.name] = once(eval_term, t, free_vars, env)
+            vacuous = antecedent is not None and not once(
+                eval_formula, antecedent, free_vars_f, env)
+            if vacuous or eval_formula(model, consequent, env):
                 hit = True
                 genuine += not vacuous
                 break
@@ -628,9 +598,21 @@ def rs_run(entry) -> ExplicitImplication:
     ``model`` and ``plans`` (the forward sweep plans); the backward
     sweep ranges over the standard objects."""
     eid = entry.ident
-    model = entry.model
     stages: list[tuple[str, str]] = []
     flags: set[str] = set()
+
+    def candidates(tag: str, prefix: str, final: StepResult, plans):
+        """Check a script's final rows in the model; a failure raises,
+        and a vacuous antecedent or saturation sets a flag."""
+        cand = _stage(eid, tag, lambda: check_candidates(
+            entry.model, final.nf, final.rows, plans))
+        stages.append((tag, cand.line()))
+        if not cand.ok:
+            raise ScriptError(f"{eid}/{tag}: {cand.line()}")
+        if cand.antecedent_vacuous:
+            flags.add(prefix + "antecedent-vacuous")
+        if cand.overflowed:
+            flags.add(prefix + "overflowed")
 
     nf = _stage(eid, "normalize",
                 lambda: normalize_principle(entry.principle))
@@ -650,16 +632,7 @@ def rs_run(entry) -> ExplicitImplication:
                           f"normalizes to {show_nf(nf)}")
     stages.append(("align", "script conclusion matches the normal form"))
     final = rep.final
-    cand = _stage(eid, "candidates-forward",
-                  lambda: check_candidates(model, final.nf, final.rows,
-                                           entry.plans))
-    stages.append(("candidates-forward", cand.line()))
-    if not cand.ok:
-        raise ScriptError(f"{eid}/candidates-forward: {cand.line()}")
-    if cand.antecedent_vacuous:
-        flags.add("antecedent-vacuous")
-    if cand.overflowed:
-        flags.add("overflowed")
+    candidates("candidates-forward", "", final, entry.plans)
     bound = _stage(eid, "postprocess",
                    lambda: postprocess(final.rows, final.nf, entry.witness))
     stages.append(("postprocess", f"bound {show_term_brief(bound)}"))
@@ -669,16 +642,7 @@ def rs_run(entry) -> ExplicitImplication:
 
     rep = _stage(eid, "check-backward", lambda: check_script(entry.backward))
     stages.extend(("check-backward", l) for l in rep.lines())
-    final = rep.final
-    cand = _stage(eid, "candidates-backward",
-                  lambda: check_candidates(model, final.nf, final.rows))
-    stages.append(("candidates-backward", cand.line()))
-    if not cand.ok:
-        raise ScriptError(f"{eid}/candidates-backward: {cand.line()}")
-    if cand.antecedent_vacuous:
-        flags.add("backward-antecedent-vacuous")
-    if cand.overflowed:
-        flags.add("backward-overflowed")
+    candidates("candidates-backward", "backward-", rep.final, None)
     backward_term = _stage(eid, "extract-backward",
                            lambda: extract_function(rep))
 

@@ -37,7 +37,7 @@ and the same first error.  ``env`` is read once, on entry, for the free
 names; a name it lacks gets a placeholder slot, and its variable raises
 when it is reached, not before.  Compile time also resolves what the
 node alone fixes: the comparison an ``=`` makes (``==`` at type 0,
-value tables at type 1, fingerprints above), each constant's
+fingerprints above, which at type 1 are value tables), each constant's
 implementation (a constant applied to all its arguments calls it
 directly), the expansion of ``approx``, the kind of a bound, the
 relation of an atom and the range of a type-0 quantifier.  Everything
@@ -715,11 +715,6 @@ def _equality(model: MiniModel, ty: FiniteType, left, right):
     """Extensional equality of two compiled terms of type ``ty``."""
     if ty == N:
         return lambda frame: left(frame) == right(frame)
-    if ty == _TYPE1:
-        def eq1(frame):
-            a, b = left(frame), right(frame)
-            return tabulate(model, a) == tabulate(model, b)
-        return eq1
 
     def eq(frame):
         a, b = left(frame), right(frame)

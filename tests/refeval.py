@@ -19,11 +19,16 @@ fingerprints (``canon_key``), populations and declared objects; the
 primitives are restated here.  ``tests/test_refeval.py`` runs both
 evaluators on the same inputs in two fresh models and compares the
 values, ``overflowed`` and ``flags``.
+
+``candidates`` states ``extract.check_candidates`` again on top of the
+walker: the same sweep with no memo.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
+from rszoo.extract import _value_label
 from rszoo.interp import FnV, ModelError, PairV, SeqV, zero_value
 from rszoo.interp.machine import HaltsWith, decode_program, run_program
 from rszoo.lang import (Abs, And, App, ApproxEq, Atom, BExists, BForall,
@@ -184,3 +189,34 @@ def over(model, f, env: dict, pop, universal: bool) -> bool:
     that decides it."""
     truths = (formula(model, f.body, {**env, f.var.name: v}) for v in pop)
     return all(truths) if universal else any(truths)
+
+
+def candidates(model, nf, rows, plans=None) -> tuple:
+    """The fields of the ``CandidateReport`` that ``check_candidates``
+    gives, found with no memo: at each assignment of the universals (in
+    the order of ``itertools.product``), each row's slot terms and then
+    the matrix are evaluated afresh, row by row, until one holds.  A row
+    holds vacuously where the matrix is an implication whose antecedent
+    is false."""
+    plans = plans or {}
+    pools = [model.population(v.ty, plans.get(v.name, "st") == "st")
+             for v in nf.universals]
+    model.overflowed = False
+    checked, genuine, failures = 0, 0, []
+    for combo in itertools.product(*pools):
+        checked += 1
+        env = {v.name: value for v, value in zip(nf.universals, combo)}
+        for row in rows:
+            row_env = {**env, **{v.name: term(model, t, env)
+                                 for v, t in zip(nf.existentials, row)}}
+            if formula(model, nf.matrix, row_env):
+                vacuous = (isinstance(nf.matrix, Implies)
+                           and not formula(model, nf.matrix.left, row_env))
+                genuine += not vacuous
+                break
+        else:
+            failures.append(", ".join(
+                f"{v.name}={_value_label(model, v.ty, value)}"
+                for v, value in zip(nf.universals, combo)))
+    return (not failures, checked, tuple(failures[:5]),
+            genuine == 0 and not failures, model.overflowed)

@@ -244,6 +244,15 @@ def test_rs_run_rejects_a_sweep_plan_naming_an_object():
         "udnr/candidates-forward: unknown sweep plan 'Z0' for f")
 
 
+def test_rs_run_rejects_a_sweep_plan_for_no_universal():
+    # "F" is no universal: the plan would sweep nothing, and the forward
+    # check would read ok over the two standard tables of "f"
+    entry = udnr_entry()
+    entry.plans = {"F": "all", "Psi": "st", "Xi": "st"}
+    assert rs_run_fails_at(entry, "candidates-forward") == (
+        "udnr/candidates-forward: sweep plan names no universal: ['F']")
+
+
 def record_formulas(monkeypatch) -> list:
     seen, eval_formula = [], rszoo.interp.eval_formula
 

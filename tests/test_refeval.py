@@ -12,13 +12,14 @@ import pytest
 import gen
 import refeval
 from test_extract import MODEL_CAP3, udnr_entry
-from rszoo.extract import rs_run
+from rszoo.extract import check_candidates, check_script, rs_run
 from rszoo.interp import (MiniModel, ModelError, SeqV, eval_formula,
                           eval_term, parse_model_config, table_fn)
 from rszoo.lang import (Abs, Arrow, Atom, Exists, ExistsSt, Forall,
                         ForallSt, N, Seq, Var, app, append_c, empty_c,
-                        free_vars, len_c, num, pure, spine, subformulas,
-                        subterms)
+                        free_vars, len_c, num, parse_term, pure, spine,
+                        subformulas, subterms)
+from rszoo.translate import parse_nf
 
 FREE = {"n": N, "h": pure(1), "s": Seq(N)}
 
@@ -248,3 +249,52 @@ def test_udnr_backward_term_agrees_with_the_reference_at_mu0(udnr_terms, z):
     got = observe(compiled, pure(1), lambda: at(compiled, eval_term))
     want = observe(reference, pure(1), lambda: at(reference, refeval.term))
     assert got == want
+
+
+def fields(report) -> tuple:
+    """What ``refeval.candidates`` gives for a ``CandidateReport``."""
+    return (report.ok, report.checked, report.failures,
+            report.antecedent_vacuous, report.overflowed)
+
+
+@pytest.mark.parametrize("script, plan, keep, ok", [
+    ("forward", "st", None, True),
+    ("forward", "all", None, True),
+    ("backward", None, None, True),
+    # without the fallback row, a table whose first zero is not cell 0
+    # fails (ROADMAP item 3)
+    ("forward", "all", 2, False),
+])
+def test_check_candidates_agrees_with_a_sweep_without_memo(script, plan,
+                                                           keep, ok):
+    # two fresh entries at cap 3: check_candidates with its memo and the
+    # compiled evaluator, and the reference sweep over the walker
+    compiled, reference = udnr_entry(), udnr_entry()
+    final = check_script(getattr(compiled, script)).final
+    rows = final.rows[:keep]
+    plans = None
+    if plan is not None:
+        plans = dict(compiled.plans, f=plan)
+    report = check_candidates(compiled.model, final.nf, rows, plans)
+    want = refeval.candidates(reference.model, final.nf, rows, plans)
+    assert fields(report) == want
+    assert sorted(compiled.model.flags) == sorted(reference.model.flags)
+    assert report.ok is ok
+    assert report.checked == {"st": 2, "all": 256, None: 2}[plan]
+
+
+def test_check_candidates_agrees_with_a_sweep_without_memo_where_keys_matter():
+    # udnr's verdicts barely depend on the memo (its fallback row carries
+    # them), so here each part of a key decides a row: the slot terms
+    # read the swept table, the second row's g is the table itself, and
+    # the antecedent reads only the existentials, which the two rows set
+    # apart; the second row holds vacuously unless f(0) saturates succ
+    nf = parse_nf("universals: f:1\nexistentials: y:0, g:1\n"
+                  "matrix: g(0) = y -> f(y) = 0")
+    params = {"f": pure(1)}
+    rows = tuple(tuple(parse_term(src, params) for src in row) for row in (
+        ("f(0)", "\\x:0. f(x)"), ("succ(f(0))", "f")))
+    report = check_candidates(MiniModel(3, 2), nf, rows, {"f": "all"})
+    want = refeval.candidates(MiniModel(3, 2), nf, rows, {"f": "all"})
+    assert fields(report) == want
+    assert not report.ok and report.checked == 256
