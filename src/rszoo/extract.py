@@ -26,38 +26,51 @@ may run over lines until the next one starts:
 
 A NAME (and a RULE) may join its parts with '-', no blanks around it:
 ``script udnr-backward``, ``step 1: NF-AXIOM``.  A group is one
-candidate tuple, its slots separated by ';'.  A ``let`` term may use
-the lets above it, and every later term has them expanded.  The
-``with`` groups come before the conclusion but are scoped by it: their
-terms may name its ``forall^st`` universals, so the conclusion is read
-first.  An error gives its line:col in the script and names the let or
-the step (and the conclusion or the group and slot) it is in.
+candidate tuple, its slots separated by ';'.  The ``with`` groups come
+before the conclusion but are scoped by it: their terms may name its
+``forall^st`` universals, which shadow the lets, so the conclusion is
+read first.  An error gives its line:col in the script and names the let
+or the step (and the conclusion or the group and slot) it is in.
+
+A ``let`` term may use the lets above it.  Each let is expanded in every
+later term as it is read, in one walk (``_Lets``) that also reduces each
+application of a let lambda, ``(\\x1 ... xk. b)(a1, ..., an)``: a binder
+``xi`` takes its argument ``ai`` when ``ai`` is a variable, when ``ai``
+is a lambda and ``b`` reads ``xi`` at most once, or when ``b`` reads
+``xi`` exactly once in a strict position, one evaluated once whenever
+``b`` is (not under a lambda, so not in a ``rec`` step's body, and not
+in a partial application).  Any other binder stays a one-binder redex
+``(\\xi. ...)(ai)``, so under call-by-value the values, ``overflowed``
+and the flags are those of the substituted term.  A lambda argument
+that lands in head position is reduced in turn; a redex written in the
+script is left as written.
 
 Extraction reads the final candidate rows back as closed terms.
 ``extract_terms`` gives ``\\xs. <seq of tuples>``.  For a numeric
 target slot ``y``, ``postprocess`` gives the bound
 ``\\xs. max(r1[y], max(r2[y], ...))`` straight from the rows, and the
 explicit content of the implication applies the least-zero search
-``stdterms.leastz_t`` to that bound.  The terms are built small, from
-the primitives, with no rewriting pass afterwards.
+``stdterms.leastz_t`` to that bound, by the same rule.  The terms are
+built small, from the primitives and the reduced lets, with no rewriting
+pass afterwards.
 """
 from __future__ import annotations
 
 import itertools
 
-from .lang import (Const, ExistsSt, ForallSt, Formula, Implies, N,
+from .lang import (Abs, App, Const, ExistsSt, ForallSt, Formula, Implies, N,
                    ParseError, Term, Var, alpha_eq_f, app, append_c,
                    disj, distinct_subterms, empty_c, free_vars, free_vars_f,
-                   infer_type, is_internal, lam, pair_c, pure,
-                   show_formula, show_type, stdterms, strip, subst_f,
-                   substitute)
+                   fresh_name, infer_type, is_internal, lam, pair_c, pure,
+                   show_formula, show_type, spine, stdterms, strip, subst_f)
 # Unused here since scripts are read with the Parser, but kept as
 # module attributes: perfbench looks the parser up, to trace it, at
 # every attribute it was reached through.
 from .lang import parse_formula, parse_term, parse_type  # noqa: F401
+from .lang.formulas import subst_f_prepared
 from .lang.parser import Parser, tokenize
 from .lang.printer import show_term_prefix
-from .lang.terms import MAX2
+from .lang.terms import MAX2, Prepared, all_names, enter_binder, prepare
 from .lang.types import FiniteType, Product, record
 from .normalform import normalize_principle
 from .translate import NormalForm, alpha_eq_nf, show_nf
@@ -96,7 +109,7 @@ def parse_script(text: str) -> ProofScript:
     becomes a ScriptError that gives its line:col in the text and names
     the let or step it is in."""
     name = "script"
-    lets: dict[Var, Term] = {}    # expanded into every later term
+    lets = _Lets()
     steps: list[ProofStep] = []
     where = ""                    # the let being read, for errors
     try:
@@ -111,7 +124,7 @@ def parse_script(text: str) -> ProofScript:
                 p.expect_sym(":=")
                 body, ty, _ = p.typed_term()
                 v = Var(lname, ty)
-                lets[v] = substitute(body, lets)
+                lets.define(v, body)
                 p.env[lname] = v
             elif p.take("step"):
                 steps.append(_parse_step(p, lets))
@@ -122,6 +135,118 @@ def parse_script(text: str) -> ProofScript:
     if not steps:
         raise ScriptError("script has no steps")
     return ProofScript(name, tuple(steps))
+
+
+class _Lets:
+    """The lets of one script and the walk that expands them, by the rule
+    of the module docstring.  ``sub`` maps each let's variable to its
+    value, which is closed.  One memo serves the script: keyed on node
+    value, it makes equal let applications one reduced object, so the
+    expanded terms stay a DAG.  It holds for ``sub`` alone, not under a
+    binder or universals that shadow a let, nor inside a reduction.
+    What each let lambda's body reads of its binders (``_profile``) is
+    worked out once, when the let is defined."""
+    __slots__ = ("sub", "memo", "profiles")
+
+    def __init__(self):
+        self.sub: Prepared = {}
+        self.memo: dict[Term, Term] = {}
+        self.profiles: dict[int, tuple] = {}    # id(value): value, profile
+
+    def define(self, v: Var, body: Term) -> None:
+        value = self.term(body, self.sub)
+        if type(value) is Abs:
+            self.profiles[id(value)] = value, _profile(value)
+        self.sub = {**self.sub, v: (value, frozenset())}
+        self.memo.clear()   # v may be free in a term read under a binder
+
+    def scope(self, names) -> Prepared:
+        """``sub`` without the lets that ``names`` shadow."""
+        sub = {v: e for v, e in self.sub.items() if v.name not in names}
+        return self.sub if len(sub) == len(self.sub) else sub
+
+    def term(self, t: Term, sub: Prepared) -> Term:
+        """t with each variable of ``sub`` replaced, and each application
+        of a replacing lambda reduced; t itself where nothing changes."""
+        kind = type(t)
+        if kind is Var:
+            hit = sub.get(t)
+            return t if hit is None else hit[0]
+        if kind is Const or not sub:
+            return t
+        if kind is Abs:
+            var, inner = enter_binder(t.var, sub, lambda: free_vars(t.body))
+            body = self.term(t.body, inner)
+            return t if var is t.var and body is t.body else Abs(var, body)
+        head = t.fn
+        while type(head) is App:
+            head = head.fn
+        hit = sub.get(head) if type(head) is Var else None
+        if hit is None or type(hit[0]) is not Abs:
+            fn, arg = self.term(t.fn, sub), self.term(t.arg, sub)
+            return t if fn is t.fn and arg is t.arg else App(fn, arg)
+        memo = self.memo if sub is self.sub else {}
+        out = memo.get(t)
+        if out is None:
+            out = memo[t] = self.apply(hit[0], [self.term(a, sub)
+                                                for a in spine(t)[1]])
+        return out
+
+    def apply(self, fn: Abs, args: list[Term]) -> Term:
+        """``fn(args)``, the arguments expanded, reduced by the rule; a
+        kept binder that an argument names is renamed."""
+        hit = self.profiles.get(id(fn))
+        profile = hit[1] if hit and hit[0] is fn else _profile(fn)
+        sub: dict[Var, Term] = {}
+        kept = []
+        body: Term = fn
+        for a, reads in zip(args, profile):
+            x, body = body.var, body.body
+            if (type(a) is Var or (type(a) is Abs and len(reads) < 2) or
+                    (reads == [False] and len(args) >= len(profile))):
+                sub[x] = a
+                continue
+            named = {v.name for b in args for v in free_vars(b)}
+            sub[x] = y = (Var(fresh_name(x.name, named | all_names(fn)), x.ty)
+                          if x.name in named else x)
+            kept.append((y, a))
+        out = self.term(body, prepare(sub))
+        for y, a in reversed(kept):
+            out = App(Abs(y, out), a)
+        rest = args[len(profile):]
+        if rest and type(out) is Abs:
+            return self.apply(out, rest)
+        return app(out, *rest)
+
+
+def _profile(fn: Abs) -> list[list[bool]]:
+    """For each binder that opens fn, one entry per read of it in the
+    body under them: whether the read is lazy, under a lambda (as in a
+    ``rec`` step), so not evaluated once whenever the body is.  Of two
+    binders with one name, the body reads the inner one."""
+    names = []
+    while type(fn) is Abs:
+        names.append(fn.var.name)
+        fn = fn.body
+    reads: dict[str, list[bool]] = {x: [] for x in names}
+    _reads(fn, reads, False)
+    return [[] if x in names[i + 1:] else reads[x]
+            for i, x in enumerate(names)]
+
+
+def _reads(t: Term, reads: dict[str, list[bool]], lazy: bool) -> None:
+    kind = type(t)
+    if kind is Var:
+        if t.name in reads:
+            reads[t.name].append(lazy)
+    elif kind is App:
+        _reads(t.fn, reads, lazy)
+        _reads(t.arg, reads, lazy)
+    elif kind is Abs:
+        shadowed = reads.pop(t.var.name, None)
+        _reads(t.body, reads, True)
+        if shadowed is not None:
+            reads[t.var.name] = shadowed
 
 
 def _script_error(where: str, exc: ParseError) -> ScriptError:
@@ -147,7 +272,7 @@ def _name(p: Parser) -> str:
     return text
 
 
-def _parse_step(p: Parser, lets: dict[Var, Term]) -> ProofStep:
+def _parse_step(p: Parser, lets: _Lets) -> ProofStep:
     """A step, the cursor past its ``step`` keyword."""
     where = "step needs 'step <n>: <rule> ...': "
     try:
@@ -181,7 +306,9 @@ def _parse_step(p: Parser, lets: dict[Var, Term]) -> ProofStep:
         # witness terms may mention the conclusion's universals
         scope = p.env
         universals, _ = strip(conclusion, ForallSt)
-        p.env = {**scope, **{v.name: v for v in universals}}
+        names = {v.name: v for v in universals}
+        p.env = {**scope, **names}
+        sub = lets.scope(names)
         p.pos = groups_at
         groups: list[Row] = []
         while p.take("("):
@@ -189,14 +316,14 @@ def _parse_step(p: Parser, lets: dict[Var, Term]) -> ProofStep:
             while not row or p.take(";"):
                 where = (f"step {index}: witness group {len(groups) + 1}, "
                          f"slot {len(row) + 1}: ")
-                row.append(substitute(p.parse_term(), lets))
+                row.append(lets.term(p.parse_term(), sub))
             p.expect_sym(")")
             groups.append(tuple(row))
         p.env, p.pos = scope, end
     except ParseError as exc:
         raise _script_error(where, exc) from None
     return ProofStep(index, rule, tuple(premises), tuple(groups),
-                     subst_f(conclusion, lets))
+                     subst_f_prepared(conclusion, lets.sub, lets.term))
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +789,10 @@ def _mu_collapse(nf: NormalForm, bound: Term) -> Term:
     others = [v for v in nf.universals if v.name != fvar.name]
     for _ in nf.universals:     # the bound's binders are the universals
         bound = bound.body
-    return lam(*others, fvar, app(stdterms.leastz_t(), fvar, bound))
+    # by the let rule: leastz takes f, a variable, and keeps y, which it
+    # reads twice, as a redex
+    return lam(*others, fvar, _Lets().apply(stdterms.leastz_t(),
+                                            [fvar, bound]))
 
 
 def show_term_brief(t: Term) -> str:

@@ -14,7 +14,7 @@ as ``terms.alpha_eq``.
 """
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .terms import (NO_VARS, App, Prepared, Scope, Term, Var,
                     SyntaxNode, all_names, alpha_binder, alpha_walk, app,
@@ -226,30 +226,35 @@ def all_names_f(f: Formula) -> set[str]:
 
 def subst_f(f: Formula, sub: Mapping[Var, Term]) -> Formula:
     """Simultaneous capture-avoiding substitution in a formula."""
-    return _subst_f(f, prepare(sub))
+    return subst_f_prepared(f, prepare(sub), subst_prepared)
 
 
-def _subst_f(f: Formula, sub: Prepared) -> Formula:
+def subst_f_prepared(f: Formula, sub: Prepared,
+                     term: Callable[[Term, Prepared], Term]) -> Formula:
+    """f with each of its terms t rewritten as ``term(t, sub)``, and its
+    binders entered as a substitution enters them: ``subst_f`` with
+    ``subst_prepared``, and ``extract``'s let expansion."""
     if not sub:
         return f
     if isinstance(f, Atom):
-        return Atom(f.rel, tuple(subst_prepared(t, sub) for t in f.args))
+        return Atom(f.rel, tuple(term(t, sub) for t in f.args))
     if isinstance(f, ApproxEq):
-        return ApproxEq(f.ty, subst_prepared(f.left, sub),
-                        subst_prepared(f.right, sub))
+        return ApproxEq(f.ty, term(f.left, sub), term(f.right, sub))
     if isinstance(f, St):
-        return St(subst_prepared(f.arg, sub))
+        return St(term(f.arg, sub))
     if isinstance(f, Not):
-        return Not(_subst_f(f.body, sub))
+        return Not(subst_f_prepared(f.body, sub, term))
     if isinstance(f, (And, Or, Implies)):
-        return type(f)(_subst_f(f.left, sub), _subst_f(f.right, sub))
+        return type(f)(subst_f_prepared(f.left, sub, term),
+                       subst_f_prepared(f.right, sub, term))
     if isinstance(f, QUANTS):
         var, inner = enter_binder(f.var, sub, lambda: free_vars_f(f.body))
-        return type(f)(var, _subst_f(f.body, inner))
+        return type(f)(var, subst_f_prepared(f.body, inner, term))
     if isinstance(f, BQUANTS):
-        bound = subst_prepared(f.bound, sub)
+        bound = term(f.bound, sub)
         var, inner = enter_binder(f.var, sub, lambda: free_vars_f(f.body))
-        return type(f)(var, f.kind, bound, _subst_f(f.body, inner))
+        return type(f)(var, f.kind, bound,
+                       subst_f_prepared(f.body, inner, term))
     raise TypeError(f"not a formula: {f!r}")
 
 

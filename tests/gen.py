@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import random
 
-from rszoo.lang import (Abs, And, Atom, BExists, BForall, Exists, Forall,
-                        Formula, Implies, Not, Or, Term, Var, app, append_c,
-                        empty_c, fresh_name, free_vars_f, get_c, len_c, num,
-                        pair_c, fst_c, rec_c, snd_c)
+from rszoo.lang import (INITSEG, SEQMAX, Abs, And, Atom, BExists, BForall,
+                        Exists, Forall, Formula, Implies, Not, Or, Term, Var,
+                        app, append_c, empty_c, fresh_name, free_vars_f,
+                        get_c, lam, len_c, num, pair_c, fst_c, rec_c, snd_c)
 from rszoo.lang import Arrow, FiniteType, N, Product, Seq, pure
 from rszoo.lang.terms import MAX2, MONUS, PLUS, SUCC
 
@@ -174,6 +174,82 @@ class Gen:
         for y in reversed(ys):
             fn = Abs(y, fn)
         return app(fn, arg, *(self.term(N, env, depth - 1) for _ in ys[1:]))
+
+    # -- let lambdas and their arguments -------------------------------------
+
+    #: how a let body reads a binder: not at all, once in a strict
+    #: position, twice, once under a lambda, once in a ``rec`` step
+    SHAPES = ("unused", "once", "twice", "lambda", "rec")
+
+    def let_lambda(self, names: list[str]) -> tuple[Term, list[str]]:
+        """A closed ``\\x1 ... xk. body`` at type 0 for k in 1..3, each
+        binder of type 0 or 1 and read by the body in one of ``SHAPES``
+        (the second result, per binder).  A binder may take a name of
+        ``names``; a type-1 binder is read applied, ``x(t)``; the lambda
+        and ``rec`` shapes bind ``z``, or ``p`` and ``i``, renamed where
+        the binder read has that name.  No other generator calls this,
+        so their seeded draws do not move."""
+        rng = self.rng
+        binders: list[Var] = []
+        for _ in range(rng.randrange(1, 4)):
+            name = rng.choice(["x", "y", "g", *names])
+            binders.append(Var(name, rng.choice([N, N, pure(1)])))
+        outer: dict[str, FiniteType] = {}
+        shapes = [rng.choice(self.SHAPES) for _ in binders]
+        parts = [self.term(N, outer, 2)]
+        for k, (v, shape) in enumerate(zip(binders, shapes)):
+            if any(w.name == v.name for w in binders[k + 1:]):
+                shapes[k] = "unused"    # the inner binder of its name
+                continue
+            if shape == "once":
+                parts.append(self._read(v, outer))
+            elif shape == "twice":
+                parts.append(app(PLUS, self._read(v, outer),
+                                 self._read(v, outer)))
+            elif shape == "lambda":
+                z = Var(fresh_name("z", {v.name}), N)
+                parts.append(app(SEQMAX, app(INITSEG, Abs(z, app(
+                    PLUS, self._read(v, outer), z)), self.term(N, outer, 1))))
+            elif shape == "rec":
+                p = Var(fresh_name("p", {v.name}), N)
+                i = Var(fresh_name("i", {v.name}), N)
+                parts.append(app(rec_c(N), self.term(N, outer, 1),
+                                 lam(p, i, app(MAX2, self._read(v, outer), p)),
+                                 self.term(N, outer, 1)))
+        rng.shuffle(parts)
+        body = parts[0]
+        for part in parts[1:]:
+            body = app(rng.choice([PLUS, MONUS, MAX2]), body, part)
+        return lam(*binders, body), shapes
+
+    def _read(self, v: Var, env: dict[str, FiniteType]) -> Term:
+        """A read of v at type 0: v itself, or v applied."""
+        if v.ty == N:
+            return v
+        return app(v, self.term(N, env, 1))
+
+    def let_argument(self, ty: FiniteType, env: dict[str, FiniteType],
+                     cap: int, flagging: str) -> tuple[Term, str]:
+        """An argument of type ty (0 or 1) and its kind: ``"var"``,
+        ``"lambda"``, ``"saturating"`` (a numeral past ``cap``),
+        ``"flagging"`` (an application of the type-1 name
+        ``flagging``, whose model object adds a flag) or ``"other"``."""
+        rng = self.rng
+        kind = rng.choice(["var", "other", "lambda" if ty != N else
+                           rng.choice(["saturating", "flagging"])])
+        if kind == "var":
+            return Var(rng.choice([n for n, t in env.items() if t == ty]),
+                       ty), kind
+        if kind == "lambda":
+            x = Var(fresh_name("x", set(env)), N)
+            return Abs(x, self.term(N, {**env, x.name: N}, 2)), kind
+        if kind == "saturating":
+            return num(rng.choice([cap + 1, cap + 2, 4718456])), kind
+        if kind == "flagging":
+            return app(Var(flagging, pure(1)), self.term(N, env, 1)), kind
+        if ty == N:
+            return self.term(N, env, 2), kind
+        return app(PLUS, self.term(N, env, 1)), kind     # not a lambda
 
     # -- internal formulas ---------------------------------------------------
 

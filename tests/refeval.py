@@ -11,7 +11,8 @@ module states the same semantics again, as directly as it can:
 - every constant is a curried function value, and every application
   applies one argument, so ``rec`` calls its step like any function;
 - every quantifier enumerates its whole population up front;
-- a ``run`` decodes its program and calls ``machine.run_program``.
+- a ``run`` decodes its program and calls ``machine.run_program``
+  (``phi``, with no memo).
 
 Nothing is compiled and nothing is remembered between calls.  The
 walker reuses the model's saturation (``sat``), enumeration,
@@ -82,12 +83,18 @@ def unpair(n: int) -> tuple[int, int]:
     return s - b, b
 
 
+def phi(e: int, table: tuple, x: int, budget: int):
+    """``machine.phi`` with no memo: program ``e`` on input ``x`` against
+    the oracle ``table``, whose cells past its end read 0, for at most
+    ``budget`` steps."""
+    return run_program(decode_program(e),
+                       lambda i: table[i] if i < len(table) else 0, x, budget)
+
+
 def run(model, a, e, s):
     """``run(a, e, s)``: program ``e`` on input ``e`` against the table of
     ``a`` for ``s`` steps, output + 1 on a halt, else 0, saturated."""
-    table = model.canon_key(TYPE1, a)
-    res = run_program(decode_program(e),
-                      lambda i: table[i] if i < len(table) else 0, e, s)
+    res = phi(e, model.canon_key(TYPE1, a), e, s)
     return model.sat(res.output + 1 if isinstance(res, HaltsWith) else 0)
 
 

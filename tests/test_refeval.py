@@ -14,8 +14,9 @@ import refeval
 from test_extract import MODEL_CAP3, udnr_entry
 from rszoo.extract import check_candidates, check_script, rs_run
 from rszoo.interp import (MiniModel, ModelError, SeqV, eval_formula,
-                          eval_term, parse_model_config, table_fn)
-from rszoo.lang import (Abs, Arrow, Atom, Exists, ExistsSt, Forall,
+                          eval_term, machine, parse_model_config, table_fn)
+from rszoo.interp.machine import SCAN_INDEX
+from rszoo.lang import (RUN, Abs, Arrow, Atom, Exists, ExistsSt, Forall,
                         ForallSt, N, Seq, Var, app, append_c, empty_c,
                         free_vars, len_c, num, parse_term, pure, spine,
                         subformulas, subterms)
@@ -298,3 +299,62 @@ def test_check_candidates_agrees_with_a_sweep_without_memo_where_keys_matter():
     want = refeval.candidates(MiniModel(3, 2), nf, rows, {"f": "all"})
     assert fields(report) == want
     assert not report.ok and report.checked == 256
+
+
+# ---------------------------------------------------------------------------
+# runs of the oracle machine
+
+def past_the_cap(cap: int) -> list[str]:
+    """Oracles, as closed terms, that are nonzero only past ``cap``: a
+    difference, a ``rec`` guarded by it, a successor that saturates at
+    the cap in a model of that cap, and udnr's marker test."""
+    return [f"\\n:0. monus(n, {cap})",
+            f"\\n:0. rec[0](0, \\p:0. \\i:0. succ(i), monus(n, {cap}))",
+            f"\\n:0. monus(succ(n), {cap})",
+            "\\n:0. rec[0](0, \\p:0. \\i:0. 1, monus(succ(n), 4718456))"]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_runs_on_oracles_nonzero_past_the_cap_agree_with_the_reference(cap):
+    saturated = 0
+    for src in past_the_cap(cap):
+        oracle = parse_term(src)
+        for e, s in itertools.product(range(cap + 1), repeat=2):
+            t = app(RUN, oracle, num(e), num(s))
+            compiled, reference = MiniModel(cap, 1), MiniModel(cap, 1)
+            got = observe(compiled, N, lambda: eval_term(compiled, t, {}))
+            want = observe(reference, N,
+                           lambda: refeval.term(reference, t, {}))
+            assert got == want, (src, e, s)
+            saturated += got[1]
+    # the saturating successor and the marker's literal
+    assert saturated == 2 * (cap + 1) ** 2
+
+
+def test_phi_agrees_with_a_run_without_memo_on_tables_past_the_cap():
+    # Each oracle of ``past_the_cap(3)`` tabulated at caps 1 to 3 (all
+    # zeros) and at cap 8 (nonzero past 3): tables that share a prefix of
+    # zeros.  machine.phi, memoised across every call, against the
+    # reference's phi, which runs each time; the budgets go up and down
+    # so that cached halts and cached non-halts both answer.
+    tables = []
+    for src in past_the_cap(3):
+        for cap in (1, 2, 3, 8):
+            model = MiniModel(cap, 1)
+            tables.append(model.canon_key(
+                pure(1), eval_term(model, parse_term(src), {})))
+    # zeros of 2, 3, 4 and 9 cells, and two nonzero past cell 3
+    assert len(set(tables)) == 6
+    apart = 0
+    for e in (SCAN_INDEX, *range(0, 200, 5)):
+        for x in range(4):
+            for budget in (3, 40, 1, 12, 0, 100):
+                answers = set()
+                for table in tables:
+                    got = machine.phi(e, table, x, budget)
+                    assert got == refeval.phi(e, table, x, budget), \
+                        (e, table, x, budget)
+                    answers.add(got)
+                apart += len(answers) > 1
+    # programs that halt on a long table and run off a short one (63)
+    assert apart >= 45, apart
