@@ -2,11 +2,14 @@
 
 A script is a list of steps, each applying one rule of a small
 candidate-tuple calculus.  A step's conclusion is a normal form
-``(forall^st xs)(exists^st ys) matrix`` and the checker threads a
-finite list of witness tuples (candidates) alongside it: the step is
-sound when the premise guarantees that, for every assignment of the
-universals, at least one candidate tuple satisfies the matrix.  The
-rules:
+``(forall^st xs)(exists^st ys) matrix``, its blocks peeled off the
+formula by ``translate.formula_to_nf`` (a conclusion that is no normal
+form fails its step), and the checker threads a finite list of witness
+tuples (candidates) alongside it: the step is sound when the premise
+guarantees that, for every assignment of the universals, at least one
+candidate tuple satisfies the matrix.  A witness term is well-typed
+and names no variable but the conclusion's universals, each at its
+own type.  The rules:
 
   NF-AXIOM      trusted starting point with an internal matrix; it takes
                 no premises and may not introduce existentials.
@@ -58,10 +61,10 @@ from __future__ import annotations
 
 import itertools
 
-from .lang import (Abs, App, Const, ExistsSt, ForallSt, Formula, Implies, N,
-                   ParseError, Term, Var, alpha_eq_f, app, append_c,
-                   disj, distinct_subterms, empty_c, free_vars, free_vars_f,
-                   fresh_name, infer_type, is_internal, lam, pair_c, pure,
+from .lang import (Abs, App, Const, ForallSt, Formula, Implies, N,
+                   ParseError, Term, TypeCheckError, Var, alpha_eq_f, app,
+                   append_c, disj, distinct_subterms, empty_c, free_vars,
+                   free_vars_f, fresh_name, infer_type, lam, pair_c, pure,
                    show_formula, show_type, spine, stdterms, strip, subst_f)
 # Unused here since scripts are read with the Parser, but kept as
 # module attributes: perfbench looks the parser up, to trace it, at
@@ -73,7 +76,8 @@ from .lang.printer import show_term_prefix
 from .lang.terms import MAX2, Prepared, all_names, enter_binder, prepare
 from .lang.types import FiniteType, Product, record
 from .normalform import normalize_principle
-from .translate import NormalForm, alpha_eq_nf, show_nf
+from .translate import (NormalForm, TranslateError, alpha_eq_nf,
+                        formula_to_nf, show_nf)
 
 
 class ScriptError(Exception):
@@ -327,19 +331,6 @@ def _parse_step(p: Parser, lets: _Lets) -> ProofStep:
 
 
 # ---------------------------------------------------------------------------
-# normal-form plumbing
-
-
-def formula_to_nf(f: Formula) -> NormalForm:
-    """Peel (forall^st)* (exists^st)* and require an internal matrix."""
-    universals, rest = strip(f, ForallSt)
-    existentials, matrix = strip(rest, ExistsSt)
-    if not is_internal(matrix):
-        raise ScriptError(f"matrix is not internal: {show_formula(matrix)}")
-    return NormalForm(tuple(universals), tuple(existentials), matrix)
-
-
-# ---------------------------------------------------------------------------
 # checking
 
 
@@ -372,9 +363,11 @@ def _fail(step: ProofStep, msg: str):
 
 
 def _check_rows(step: ProofStep, rows: tuple[Row, ...],
-                existentials: tuple[Var, ...],
-                scope: dict[str, FiniteType]):
-    """Witness tuples must be well-typed and closed up to the scope."""
+                existentials: tuple[Var, ...], universals: tuple[Var, ...]):
+    """Witness tuples must be well-typed, and closed up to the
+    universals: a variable free in a slot term is one of them, by name
+    and type."""
+    scope = {u.name: u.ty for u in universals}
     for row in rows:
         if len(row) != len(existentials):
             _fail(step, f"witness tuple has {len(row)} slots, "
@@ -385,11 +378,20 @@ def _check_rows(step: ProofStep, rows: tuple[Row, ...],
                 _fail(step, "muscan is not permitted in witness terms; "
                             "search must be spelled out as a bounded "
                             "recursion")
-            loose = {w.name for w in free_vars(t) if w.name not in scope}
+            fvs = free_vars(t)
+            loose = {w.name for w in fvs if w.name not in scope}
             if loose:
                 _fail(step, f"open witness term for {v.name}: "
                             f"unbound {sorted(loose)}")
-            ty = infer_type(t, scope)
+            for w in sorted(fvs, key=lambda w: w.name):
+                if w.ty != scope[w.name]:
+                    _fail(step, f"witness for {v.name}: variable {w.name} "
+                                f"used at type {show_type(w.ty)} but "
+                                f"declared at {show_type(scope[w.name])}")
+            try:
+                ty = infer_type(t)
+            except TypeCheckError as exc:
+                _fail(step, f"witness for {v.name}: {exc}")
             if ty != v.ty:
                 _fail(step, f"witness for {v.name} has type {show_type(ty)}, "
                             f"expected {show_type(v.ty)}")
@@ -406,7 +408,7 @@ def check_script(script: ProofScript) -> ScriptReport:
             raise ScriptError(f"duplicate step index {step.index}")
         try:
             nf = formula_to_nf(step.conclusion)
-        except ScriptError as exc:
+        except TranslateError as exc:
             _fail(step, str(exc))
         prems = []
         for p in step.premises:
@@ -438,8 +440,7 @@ def _rule_exists_witness(step, nf, prems):
         _fail(step, "universal block must match the premise")
     if not step.groups:
         _fail(step, "needs at least one witness tuple")
-    scope = {u.name: u.ty for u in nf.universals}
-    _check_rows(step, step.groups, nf.existentials, scope)
+    _check_rows(step, step.groups, nf.existentials, nf.universals)
     want = disj([subst_f(nf.matrix, dict(zip(nf.existentials, row)))
                  for row in step.groups])
     if not alpha_eq_f(prem.nf.matrix, want):
@@ -457,8 +458,7 @@ def _rule_weaken(step, nf, prems):
         _fail(step, "conclusion must repeat the premise normal form")
     if not step.groups:
         _fail(step, "needs at least one tuple to add")
-    scope = {u.name: u.ty for u in nf.universals}
-    _check_rows(step, step.groups, nf.existentials, scope)
+    _check_rows(step, step.groups, nf.existentials, nf.universals)
     return StepResult(step, nf, prem.rows + step.groups)
 
 

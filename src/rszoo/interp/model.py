@@ -464,8 +464,9 @@ def _apply(fn, arg):
 def _compile_redex(model: MiniModel, head: Abs, args, scope: _Scope):
     """``(\\x1 ... xk. body)(a1, ..., ak, ...)``: the body runs on the
     frame extended by the arguments' values, with no function value
-    per binder; for one to three arguments the extension is a tuple
-    display, with no list built per call."""
+    per binder; for one argument, the binder of every redex that a
+    script's lets keep, the extension is a tuple display, with no list
+    built per call."""
     names, body = (), head
     while isinstance(body, Abs) and len(names) < len(args):
         names += (body.var.name,)
@@ -475,13 +476,6 @@ def _compile_redex(model: MiniModel, head: Abs, args, scope: _Scope):
     if len(values) == 1:
         v0, = values
         redex = lambda frame: inner(frame + (v0(frame),))
-    elif len(values) == 2:
-        v0, v1 = values
-        redex = lambda frame: inner(frame + (v0(frame), v1(frame)))
-    elif len(values) == 3:
-        v0, v1, v2 = values
-        redex = lambda frame: inner(frame + (v0(frame), v1(frame),
-                                             v2(frame)))
     else:
         redex = lambda frame: inner(frame + tuple([v(frame)
                                                    for v in values]))

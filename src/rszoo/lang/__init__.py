@@ -4,9 +4,8 @@ from .types import (Arrow, Base, FiniteType, N, Product, Seq, arrows, pure,
 from .terms import (Abs, App, CONST_NAMES, Const, INITSEG, LangError, MUSCAN,
                     RUN, SEQMAX, SUCC, Term, TypeCheckError, Var, alpha_eq,
                     app, append_c, distinct_subterms, empty_c, free_vars,
-                    fresh_name, fst_c, get_c, infer_type, lam,
-                    len_c, num, pair_c, rec_c, seqapp_c, snd_c, spine,
-                    substitute, subterms)
+                    fresh_name, fst_c, get_c, infer_type, lam, len_c, num,
+                    pair_c, rec_c, seqapp_c, snd_c, spine, subterms)
 from .formulas import (And, ApproxEq, Atom, BExists, BForall, BQUANTS, Exists,
                        ExistsSt, FALSE, Forall, ForallSt, Formula, Implies,
                        Not, Or, QUANTS, St, TRUE, all_names_f, alpha_eq_f,

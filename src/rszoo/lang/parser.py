@@ -28,11 +28,12 @@ A constant's name is reserved.  A polymorphic constant writes its type
 arguments in brackets (``rec[0]``, ``pair[0,1]``); ``terms.POLYMORPHIC``
 says how many it takes.
 
-The same tokens and ``Parser`` read the files that embed this syntax:
-proof scripts (``extract.parse_script``, which also uses the symbols
-``-`` and ``;``) and normal forms (``translate.parse_nf``, whose blocks
-are binder lists).  Blanks, newlines and ``#`` comments separate tokens
-and carry no other meaning, so a formula or term may run over lines.
+The same tokens and ``Parser`` read proof scripts
+(``extract.parse_script``, which also uses the symbols ``-`` and
+``;``).  A ``.nf`` file is a formula: ``translate.parse_nf`` reads it
+with ``parse_formula``.  Blanks, newlines and ``#`` comments separate
+tokens and carry no other meaning, so a formula or term may run over
+lines.
 """
 from __future__ import annotations
 

@@ -305,12 +305,6 @@ def enter_binder(var: Var, sub: Prepared, body_fvs: Callable[[], frozenset]
     return nv, {**sub, var: (nv, frozenset([nv.name]))}
 
 
-def substitute(t: Term, sub: Mapping[Var, Term]) -> Term:
-    """Simultaneous capture-avoiding substitution: every free occurrence
-    of a key of sub becomes its replacement."""
-    return subst_prepared(t, prepare(sub))
-
-
 def subst_prepared(t: Term, sub: Prepared) -> Term:
     if not sub:
         return t
@@ -327,32 +321,23 @@ def subst_prepared(t: Term, sub: Prepared) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
-def infer_type(t: Term, env: dict[str, FiniteType] | None = None) -> FiniteType:
-    """Type of t; raises TypeCheckError on ill-formed applications.
-
-    Variables carry their own types; env, when given, is checked for
-    consistency with them.  The type without env is kept on each node
-    (see ``kept_type``), and env then only has to agree with the
-    variables free in t.  When it does not, or t has no kept type, the
-    walk ``infer_walk`` runs and raises the error.
-    """
+def infer_type(t: Term) -> FiniteType:
+    """Type of t (see ``kept_type``); raises TypeCheckError naming the
+    first fault of an ill-typed t."""
     ty = kept_type(t)
-    if ty is not None and env:
-        for v in free_vars(t):
-            declared = env.get(v.name)
-            if declared is not None and declared != v.ty:
-                ty = None
-                break
-    return infer_walk(t, env or {}) if ty is None else ty
+    if ty is None:
+        raise TypeCheckError(_fault(t))
+    return ty
 
 
 def kept_type(t: Term) -> FiniteType | None:
-    """Type of t without an environment, computed once per node and kept
-    on it; None when t is ill-typed or is no term.
+    """Type of t, computed once per node and kept on it; None when t is
+    ill-typed or is no term.
 
-    Its type in an environment is the same whenever the environment
-    agrees with every variable free in t, since a variable's type is
-    its own and a binder only checks the variables of its name."""
+    A variable's type is its own, and a binder checks the variables of
+    its name free in its body.  Whether the variables free in t agree
+    with an enclosing scope is the caller's to check, on ``free_vars``
+    (as ``extract`` does for a witness term and the universals)."""
     kind = type(t)
     if kind is Var or kind is Const:
         return t.ty
@@ -378,33 +363,29 @@ def kept_type(t: Term) -> FiniteType | None:
     return ty
 
 
-def infer_walk(t: Term, env: dict[str, FiniteType]) -> FiniteType:
-    """``infer_type`` by a walk of every position of t, checking each
-    variable against env and the binders around it."""
-    if isinstance(t, Var):
-        declared = env.get(t.name)
-        if declared is not None and declared != t.ty:
-            raise TypeCheckError(
-                f"variable {t.name} used at type {show_type(t.ty)} "
-                f"but declared at {show_type(declared)}")
-        return t.ty
-    if isinstance(t, Const):
-        return t.ty
-    if isinstance(t, App):
-        fty = infer_walk(t.fn, env)
-        aty = infer_walk(t.arg, env)
+def _fault(t: Term) -> str:
+    """Why t has no kept type: the first ill-typed part, found by
+    descending through the function, then the argument, then a
+    binder's body, to the node whose parts are well-typed."""
+    kind = type(t)
+    if kind is App:
+        for part in (t.fn, t.arg):
+            if kept_type(part) is None:
+                return _fault(part)
+        fty = kept_type(t.fn)
         if not isinstance(fty, Arrow):
-            raise TypeCheckError(f"applied non-function of type {show_type(fty)}")
-        if fty.dom != aty:
-            raise TypeCheckError(
-                f"argument type mismatch: expected {show_type(fty.dom)}, "
-                f"got {show_type(aty)}")
-        return fty.cod
-    if isinstance(t, Abs):
-        inner = dict(env)
-        inner[t.var.name] = t.var.ty
-        return Arrow(t.var.ty, infer_walk(t.body, inner))
-    raise TypeCheckError(f"not a term: {t!r}")
+            return f"applied non-function of type {show_type(fty)}"
+        return (f"argument type mismatch: expected {show_type(fty.dom)}, "
+                f"got {show_type(kept_type(t.arg))}")
+    if kind is Abs:
+        if kept_type(t.body) is None:
+            return _fault(t.body)
+        v = t.var
+        w = next(w for w in free_vars(t.body)
+                 if w.name == v.name and w.ty != v.ty)
+        return (f"variable {w.name} used at type {show_type(w.ty)} "
+                f"but declared at {show_type(v.ty)}")
+    return f"not a term: {t!r}"
 
 
 def alpha_eq(a: Term, b: Term) -> bool:

@@ -1,34 +1,43 @@
-"""Two-block normal forms: the shape, its file format, alpha-equality.
+"""Two-block normal forms: the shape, and its text as a formula.
 
 A NormalForm packages ``(forall^st xs)(exists^st ys) matrix`` with an
 internal matrix: the shape that ``normalform.normalize_principle``
-builds and that proof scripts conclude.  ``nf_to_formula`` and
-``show_nf`` turn one back into a formula or its text, ``parse_nf``
-reads the ``.nf`` file format, and ``alpha_eq_nf`` compares two normal
-forms up to the names of their bound variables.
+builds and that proof scripts conclude.  A normal form is written,
+read and compared as the formula it stands for: ``nf_to_formula``
+builds that formula and ``formula_to_nf`` peels the two blocks off one,
+so ``show_nf`` is ``show_formula``, ``parse_nf`` (the ``.nf`` file
+format) is ``parse_formula``, and ``alpha_eq_nf`` is ``alpha_eq_f``.
+
+A TranslateError is a formula that is no normal form: its matrix is not
+internal, or a name is bound twice in the blocks; from ``parse_nf``
+also text that does not parse as a formula, with its line:col.
 """
 from __future__ import annotations
 
-from .lang.formulas import (ExistsSt, ForallSt, Formula, alpha_walk_f,
-                            is_internal)
-# parse_formula and parse_type are unused here since .nf files are read
-# with the Parser, but kept as module attributes: perfbench looks the
+from .lang.formulas import (ExistsSt, ForallSt, Formula, alpha_eq_f,
+                            is_internal, strip)
+from .lang.parser import ParseError, parse_formula
+# Unused here, but kept as a module attribute: perfbench looks the
 # parser up, to trace it, at every attribute it was reached through.
-from .lang.parser import (ParseError, Parser, parse_formula,  # noqa: F401
-                          parse_type, tokenize)
+from .lang.parser import parse_type  # noqa: F401
 from .lang.printer import show_formula
 from .lang.terms import Var
-from .lang.types import Node, node, show_type
+from .lang.types import Node, node
 
 
 @node
 class NormalForm(Node):
-    """(forall^st universals)(exists^st existentials) matrix."""
+    """(forall^st universals)(exists^st existentials) matrix, with an
+    internal matrix and distinct block names (else a ValueError): so a
+    normal form and its formula determine each other."""
     universals: tuple[Var, ...]
     existentials: tuple[Var, ...]
     matrix: Formula
 
     def __new__(cls, universals, existentials, matrix):
+        if not is_internal(matrix):
+            raise ValueError(
+                f"matrix is not internal: {show_formula(matrix)}")
         names = [v.name for v in universals + existentials]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate names in blocks: {names}")
@@ -36,7 +45,7 @@ class NormalForm(Node):
 
 
 class TranslateError(Exception):
-    """A malformed ``.nf`` file."""
+    """A formula, or the text of one, that is no normal form."""
 
 
 def nf_to_formula(nf: NormalForm) -> Formula:
@@ -48,82 +57,34 @@ def nf_to_formula(nf: NormalForm) -> Formula:
     return f
 
 
-def show_nf(nf: NormalForm) -> str:
-    parts = []
-    if nf.universals:
-        vs = ", ".join(f"{v.name}:{show_type(v.ty)}" for v in nf.universals)
-        parts.append(f"(forall^st {vs})")
-    if nf.existentials:
-        vs = ", ".join(f"{v.name}:{show_type(v.ty)}" for v in nf.existentials)
-        parts.append(f"(exists^st {vs})")
-    parts.append(show_formula(nf.matrix))
-    return " ".join(parts)
-
-
-def alpha_eq_nf(a: NormalForm, b: NormalForm) -> bool:
-    """Equality up to the names of bound variables (order-sensitive):
-    the blocks pairwise by type, then the matrices by ``alpha_walk_f``
-    with each block name bound."""
-    if (len(a.universals) != len(b.universals)
-            or len(a.existentials) != len(b.existentials)):
-        return False
-    ma: dict[str, int] = {}
-    mb: dict[str, int] = {}
-    for depth, (u, v) in enumerate(zip(a.universals + a.existentials,
-                                       b.universals + b.existentials)):
-        if u.ty != v.ty:
-            return False
-        ma[u.name] = mb[v.name] = depth
-    return alpha_walk_f(a.matrix, b.matrix, ma, mb, len(ma))
-
-
-# ---------------------------------------------------------------------------
-# .nf files
-
-def parse_nf(text: str) -> NormalForm:
-    """Parse the normal-form format, three blocks in this order:
-
-        universals: f:1, Psi:1 -> 1
-        existentials: y:0
-        matrix: <formula>
-
-    A block's binders are a quantifier's binder list (``x, y:0, f:1``);
-    an empty block is left out.  The file is read with the language's
-    tokenizer, so blanks, newlines and '#' comments only separate
-    tokens and a block may run over lines.  The matrix is internal and
-    mentions only the block variables.  Any fault is a TranslateError,
-    with its line:col when it has one."""
-    blocks: dict[str, tuple[Var, ...]] = {"universals": (),
-                                          "existentials": ()}
-    m = None
+def formula_to_nf(f: Formula) -> NormalForm:
+    """Peel (forall^st)* (exists^st)* off f; a TranslateError when
+    what is left is no normal form's (see ``NormalForm``)."""
+    universals, rest = strip(f, ForallSt)
+    existentials, matrix = strip(rest, ExistsSt)
     try:
-        p = Parser(tokenize(text), 0, {})
-        for key in _BLOCKS:
-            if p.take(key):
-                p.expect_sym(":")
-                if key != "matrix":
-                    blocks[key] = tuple(p.binders())
-                    continue
-                p.env = {v.name: v for vs in blocks.values() for v in vs}
-                m = p.parse_formula()
-        tok = p.peek()
-        if tok.text in _BLOCKS:
-            p.fail(f"{tok.text} block repeated or out of order")
-        if m is None and tok.kind == "eof":
-            p.fail("normal form needs a matrix block")
-        if m is None:
-            p.expected("a universals, existentials or matrix block")
-        if tok.kind != "eof":
-            p.fail("trailing input after matrix")
-    except ParseError as exc:
-        raise TranslateError(f"{exc.msg} (at {exc.line}:{exc.col})") \
-            from None
-    if not is_internal(m):
-        raise TranslateError("normal-form matrix must be internal")
-    try:
-        return NormalForm(blocks["universals"], blocks["existentials"], m)
+        return NormalForm(tuple(universals), tuple(existentials), matrix)
     except ValueError as exc:
         raise TranslateError(str(exc)) from None
 
 
-_BLOCKS = ("universals", "existentials", "matrix")
+def show_nf(nf: NormalForm) -> str:
+    return show_formula(nf_to_formula(nf))
+
+
+def alpha_eq_nf(a: NormalForm, b: NormalForm) -> bool:
+    """Equality up to the names of bound variables (block order
+    counts)."""
+    return alpha_eq_f(nf_to_formula(a), nf_to_formula(b))
+
+
+def parse_nf(text: str) -> NormalForm:
+    """Read a normal form written as its formula, as ``show_nf`` prints
+    it; a fault is a TranslateError, with its line:col when the text
+    does not parse."""
+    try:
+        f = parse_formula(text)
+    except ParseError as exc:
+        raise TranslateError(f"{exc.msg} (at {exc.line}:{exc.col})") \
+            from None
+    return formula_to_nf(f)

@@ -84,26 +84,34 @@ def test_every_exported_name_is_referenced():
     assert sorted(exported() - uses.used) == []
 
 
-def unread_imports(path: Path) -> list[str]:
-    """The names that the module at ``path`` imports and never reads.
-    An import whose lines carry ``# noqa: F401`` is kept on purpose (a
-    module attribute that something looks up) and is not counted."""
+def imports(path: Path) -> tuple[ast.Module, set[str], set[str]]:
+    """The module at ``path`` parsed, the names it imports, and those
+    of them whose import lines carry ``# noqa: F401``: kept on purpose,
+    as module attributes that something looks up."""
     text = path.read_text()
     lines = text.splitlines()
     tree = ast.parse(text, str(path))
-    imported = set()
+    imported, kept = set(), set()
     for stmt in ast.walk(tree):
-        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or getattr(
+                stmt, "module", None) == "__future__":
             continue
-        if getattr(stmt, "module", None) == "__future__" or any(
-                "# noqa: F401" in line
-                for line in lines[stmt.lineno - 1:stmt.end_lineno]):
-            continue
-        imported.update((alias.asname or alias.name).split(".")[0]
-                        for alias in stmt.names)
+        names = {(alias.asname or alias.name).split(".")[0]
+                 for alias in stmt.names}
+        imported |= names
+        if any("# noqa: F401" in line
+               for line in lines[stmt.lineno - 1:stmt.end_lineno]):
+            kept |= names
+    return tree, imported, kept
+
+
+def unread_imports(path: Path) -> list[str]:
+    """The names that the module at ``path`` imports and never reads,
+    those it keeps on purpose not counted."""
+    tree, imported, kept = imports(path)
     read = {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    return sorted(imported - read)
+    return sorted(imported - kept - read)
 
 
 def test_no_module_imports_a_name_it_never_reads():
@@ -112,3 +120,31 @@ def test_no_module_imports_a_name_it_never_reads():
               for path in sorted((ROOT / "src").rglob("*.py"))
               if path.name != "__init__.py"}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def perfbench_value(name: str):
+    """The literal that ``perfbench/run.py`` assigns to ``name`` at its
+    top level, read without importing the harness."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    raise LookupError(name)
+
+
+def test_every_kept_import_is_a_traced_parser_attribute():
+    # the benchmark traces the parser at each module attribute it lists
+    # in LANG_PARSE; a name imported unread with ``# noqa: F401`` is kept
+    # for that alone, so it goes when the benchmark stops looking it up
+    keys = {module: key
+            for key, module in perfbench_value("RSZOO_MODULES").items()}
+    traced = {tuple(pair) for pair in perfbench_value("LANG_PARSE")}
+    kept = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        kept |= {(keys.get(module, module), name)
+                 for name in imports(path)[2]}
+    assert sorted(kept - traced) == []

@@ -15,9 +15,9 @@ from rszoo.extract import (ProofScript, ProofStep, ScriptError,
                            extract_terms, parse_script, postprocess, rs_run)
 from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
-from rszoo.lang import (SUCC, Forall, N, Var, app, num, parse_formula, pure,
-                        show_formula, show_term, stdterms, subterms)
-from rszoo.translate import parse_nf
+from rszoo.lang import (SUCC, App, Forall, N, Var, app, num, parse_formula,
+                        pure, show_formula, show_term, stdterms, subterms)
+from rszoo.translate import TranslateError, formula_to_nf, parse_nf
 
 UDNR = Path(extract.__file__).parent / "corpus_data" / "udnr"
 GOLDEN_CAP3 = Path(__file__).parent / "golden" / "udnr_cap3.txt"
@@ -316,7 +316,7 @@ def test_rs_run_evaluates_backward_antecedent_once(monkeypatch):
 def test_check_candidates_evaluates_antecedent_once(monkeypatch, matrix,
                                                     vacuous, evaluated):
     model = MiniModel(cap=3, omega=2)
-    nf = parse_nf(f"universals: x:0\nexistentials: y:0\nmatrix: {matrix}")
+    nf = parse_nf(f"(forall^st x:0) (exists^st y:0) {matrix}")
     seen = record_formulas(monkeypatch)
     report = check_candidates(model, nf, ((Var("x", N),),))
     assert report.ok and report.checked == 2
@@ -331,8 +331,7 @@ def test_check_candidates_hoists_antecedent_over_unmentioned_universals(
     # the antecedent mentions x but neither z nor an existential: one
     # evaluation per value of x serves both values of z
     model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("universals: x:0, z:0\nexistentials: y:0\n"
-                  "matrix: x <= x -> y = x")
+    nf = parse_nf("(forall^st x:0, z:0) (exists^st y:0) x <= x -> y = x")
     seen = record_formulas(monkeypatch)
     report = check_candidates(model, nf, ((Var("x", N),),))
     assert report.ok and report.checked == 4
@@ -348,8 +347,7 @@ def test_check_candidates_evaluates_existential_antecedent_per_candidate(
     # candidate's consequent fails, so the second candidate's antecedent
     # is evaluated too (and is false)
     model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("universals: x:0\nexistentials: y:0\n"
-                  "matrix: x < y -> y = x")
+    nf = parse_nf("(forall^st x:0) (exists^st y:0) x < y -> y = x")
     x = Var("x", N)
     seen = record_formulas(monkeypatch)
     report = check_candidates(model, nf, ((app(SUCC, x),), (x,)))
@@ -365,8 +363,7 @@ def test_check_candidates_keys_antecedent_on_universals_read_through_slots(
     # the antecedent reads x only through the slot term of y: a key
     # without x would reuse "y = 0" from x = 0 at x = 1 and fail there
     model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("universals: x:0\nexistentials: y:0\n"
-                  "matrix: y = 0 -> x = 0")
+    nf = parse_nf("(forall^st x:0) (exists^st y:0) y = 0 -> x = 0")
     seen = record_formulas(monkeypatch)
     report = check_candidates(model, nf, ((Var("x", N),),))
     assert report.ok and report.checked == 2
@@ -378,8 +375,7 @@ def test_check_candidates_shares_a_slot_term_across_rows(monkeypatch):
     # succ(x) fills both slots of the first row and y of the second; it
     # is evaluated once per value of x, as is x
     model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("universals: x:0\nexistentials: y:0, z:0\n"
-                  "matrix: z = x")
+    nf = parse_nf("(forall^st x:0) (exists^st y:0, z:0) z = x")
     x = Var("x", N)
     sx = app(SUCC, x)
     seen = record_terms(monkeypatch)
@@ -390,7 +386,7 @@ def test_check_candidates_shares_a_slot_term_across_rows(monkeypatch):
 
 def test_check_candidates_evaluates_closed_slot_term_once(monkeypatch):
     model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("universals: x:0\nexistentials: y:0\nmatrix: y <= x")
+    nf = parse_nf("(forall^st x:0) (exists^st y:0) y <= x")
     seen = record_terms(monkeypatch)
     report = check_candidates(model, nf, ((num(0),),))
     assert report.ok and report.checked == 2
@@ -422,8 +418,7 @@ def test_check_candidates_rejects_a_slot_naming_more_than_the_universals(
     # the second slot reads the first existential, and a third names a
     # declared object: rows no script makes, refused before any sweep
     model = parse_model_config("cap = 3\nomega = 2\ntable Z0: 0 1 0 0 [st]")
-    nf = parse_nf("universals: x:0\nexistentials: y:0, z:0\n"
-                  "matrix: z = x")
+    nf = parse_nf("(forall^st x:0) (exists^st y:0, z:0) z = x")
     x, y = Var("x", N), Var("y", N)
     seen = record_terms(monkeypatch)
     for row, stray in (((app(SUCC, x), y), "['y']"),
@@ -540,6 +535,23 @@ def test_witness_rules_reject_open_terms(steps):
         replay(*steps, groups=((Var("z", N),),))
 
 
+@pytest.mark.parametrize("steps", [
+    (WITNESS,),
+    (WITNESS, f"step 3: WEAKEN 2 with (0) conclude {ONE_SLOT}"),
+])
+@pytest.mark.parametrize("term, message", [
+    # a universal read at another type than its own
+    (Var("x", pure(1)), "variable x used at type 1 but declared at 0"),
+    (App(Var("x", N), num(0)), "applied non-function of type 0"),
+])
+def test_witness_rules_reject_ill_typed_terms(steps, term, message):
+    # built in code, as the parser refuses both terms
+    rule = steps[-1].split()[2]
+    with pytest.raises(ScriptError, match=re.escape(
+            f"step {len(steps) + 1} ({rule}): witness for y: {message}")):
+        replay(*steps, groups=((term,),))
+
+
 # ---------------------------------------------------------------------------
 # rule NF-AXIOM, formula_to_nf and the replay order
 
@@ -570,6 +582,12 @@ AX = "step 2 (NF-AXIOM): "
     ((f"step 2: WEAKEN 3 with (0) conclude {ONE_SLOT}",
       WITNESS.replace("step 2:", "step 3:")),
      "step 2 (WEAKEN): premise 3 not yet derived"),
+    # a name bound twice in the blocks fails its step, rule named
+    (("step 2: NF-AXIOM conclude (forall^st x:0, x:0) x = x",),
+     AX + "duplicate names in blocks: ['x', 'x']"),
+    (("step 2: EXISTS-WITNESS 1 with (x) conclude "
+      "(forall^st x:0) (exists^st x:0) x = x",),
+     "step 2 (EXISTS-WITNESS): duplicate names in blocks: ['x', 'x']"),
 ])
 def test_replay_rejects(steps, message):
     with pytest.raises(ScriptError, match=re.escape(message)):
@@ -577,7 +595,7 @@ def test_replay_rejects(steps, message):
 
 
 def test_formula_to_nf_splits_the_blocks():
-    nf = extract.formula_to_nf(parse_formula(
+    nf = formula_to_nf(parse_formula(
         "(forall^st x:0) (exists^st y:0, g:1) g(y) = x"))
     assert [v.name for v in nf.universals] == ["x"]
     assert [v.name for v in nf.existentials] == ["y", "g"]
@@ -590,8 +608,8 @@ def test_formula_to_nf_splits_the_blocks():
     "(exists^st y:0) (forall^st x:0) x = y",
 ])
 def test_formula_to_nf_rejects_external_matrices(src):
-    with pytest.raises(ScriptError, match="matrix is not internal"):
-        extract.formula_to_nf(parse_formula(src))
+    with pytest.raises(TranslateError, match="matrix is not internal"):
+        formula_to_nf(parse_formula(src))
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +751,7 @@ def test_leastz_is_the_least_zero_up_to_y_else_zero(cap):
      "consequent mentions witness slots other than the target: ['g']"),
 ])
 def test_postprocess_rejects(matrix, target, message):
-    nf = parse_nf("universals: x:0\nexistentials: y:0, g:1\n"
-                  f"matrix: {matrix}")
+    nf = parse_nf(f"(forall^st x:0) (exists^st y:0, g:1) {matrix}")
     t = Var("t", pure(0))   # never inspected: the checks come first
     with pytest.raises(ScriptError, match=re.escape(message)):
         postprocess(t, nf, target)

@@ -14,9 +14,10 @@ from rszoo.lang import (Abs, And, App, Arrow, Atom, BForall, CONST_NAMES,
                         alpha_eq_f, app, free_vars, free_vars_f, infer_type,
                         is_internal, lam, num, pair_c, parse_formula,
                         parse_term, parse_type, pure, show_formula,
-                        show_term, show_type, subst_f, substitute)
+                        show_term, show_type, subst_f)
 from rszoo.lang.parser import Parser
-from rszoo.lang.terms import MONOMORPHIC, PLUS, POLYMORPHIC, all_names
+from rszoo.lang.terms import (MONOMORPHIC, PLUS, POLYMORPHIC, all_names,
+                              prepare, subst_prepared)
 from rszoo.translate import NormalForm, alpha_eq_nf, parse_nf
 
 UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
@@ -64,21 +65,16 @@ def test_lambda_round_trip():
     src = "\\x:0. succ(x)"
     t = parse_term(src)
     assert show_term(t) == src
-    assert infer_type(t, {}) == parse_type("0 -> 0")
+    assert infer_type(t) == parse_type("0 -> 0")
 
 
 def test_infer_type_checks_free_variables_against_the_env():
-    # the type kept on the node is the type in any env that agrees with
-    # the free variables; a disagreeing env or an ill-typed term raises
-    # the error of the full walk
+    # the type kept on the node; an ill-typed term raises its first
+    # fault, a variable checked against the binder of its name included
     x0, x1, f = Var("x", N), Var("x", pure(1)), Var("f", pure(1))
     t = Abs(Var("y", N), App(f, x0))
     assert infer_type(t) == pure(1)
-    assert infer_type(t, {"x": N, "f": pure(1), "z": N}) == pure(1)
-    assert infer_type(Abs(x1, App(x1, num(0))), {"x": N}) == pure(2)
-    with pytest.raises(TypeCheckError,
-                       match="^variable x used at type 0 but declared at 1$"):
-        infer_type(t, {"x": pure(1)})
+    assert infer_type(Abs(x1, App(x1, num(0)))) == pure(2)
     with pytest.raises(TypeCheckError,
                        match="^variable x used at type 1 but declared at 0$"):
         infer_type(Abs(x0, App(f, App(x1, num(0)))))
@@ -88,10 +84,13 @@ def test_infer_type_checks_free_variables_against_the_env():
     with pytest.raises(TypeCheckError,
                        match="^applied non-function of type 0$"):
         infer_type(App(x0, x0))
-    # the walk meets the variable before the application
+    # the fault inside a part is found before the node's own
     with pytest.raises(TypeCheckError,
-                       match="^variable x used at type 0 but declared at 1$"):
-        infer_type(App(x0, x0), {"x": pure(1)})
+                       match="^applied non-function of type 0$"):
+        infer_type(Abs(x1, App(f, App(x0, x0))))
+    with pytest.raises(TypeCheckError,
+                       match="^argument type mismatch: expected 0, got 1$"):
+        infer_type(App(App(PLUS, App(f, f)), x1))
 
 
 def test_candidate_application_brackets():
@@ -99,13 +98,13 @@ def test_candidate_application_brackets():
     src = "Y[3]"
     t = parse_term(src, params={"Y": Y.ty})
     assert show_term(t) == src
-    assert infer_type(t, {}) == Seq(N)
+    assert infer_type(t) == Seq(N)
 
 
 def test_substitution_avoids_capture():
     # (\y:0. plus(x, y))[x := y] must rename the binder
     t = parse_term("\\y:0. plus(x, y)", params={"x": N})
-    s = substitute(t, {Var("x", N): Var("y", N)})
+    s = subst_prepared(t, prepare({Var("x", N): Var("y", N)}))
     assert alpha_eq(s, parse_term("\\z:0. plus(y, z)", params={"y": N}))
     assert not alpha_eq(s, parse_term("\\y:0. plus(y, y)"))
 
@@ -318,7 +317,8 @@ def test_substitution_compares_binder_names_across_types():
     g = subst_f(f, {x: y0})
     assert g.var.name != "y" and g.body.args[0] == y0
     assert eval_formula(MiniModel(cap=2, omega=2), g, {"y": 0}) is True
-    t = substitute(parse_term("\\y:1. x", params={"x": N}), {x: y0})
+    t = subst_prepared(parse_term("\\y:1. x", params={"x": N}),
+                       prepare({x: y0}))
     assert t.var.name != "y" and t.body == y0
 
 

@@ -290,8 +290,7 @@ def test_check_candidates_agrees_with_a_sweep_without_memo_where_keys_matter():
     # read the swept table, the second row's g is the table itself, and
     # the antecedent reads only the existentials, which the two rows set
     # apart; the second row holds vacuously unless f(0) saturates succ
-    nf = parse_nf("universals: f:1\nexistentials: y:0, g:1\n"
-                  "matrix: g(0) = y -> f(y) = 0")
+    nf = parse_nf("(forall^st f:1) (exists^st y:0, g:1) g(0) = y -> f(y) = 0")
     params = {"f": pure(1)}
     rows = tuple(tuple(parse_term(src, params) for src in row) for row in (
         ("f(0)", "\\x:0. f(x)"), ("succ(f(0))", "f")))

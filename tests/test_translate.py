@@ -1,86 +1,129 @@
+from pathlib import Path
+
 import pytest
 
+import gen
+import rszoo
 from canon import canon_nf
-from rszoo.lang import N, Var, pure, show_formula, show_type
+from rszoo.extract import check_script, parse_script
+from rszoo.lang import (ForallSt, N, Var, parse_formula, pure, show_formula,
+                        show_type)
+from rszoo.normalform import normalize_principle
 from rszoo.translate import (NormalForm, TranslateError, alpha_eq_nf,
                              parse_nf, show_nf)
 
-
-def nf_file(nf: NormalForm) -> str:
-    """The normal form as a file, one line per block."""
-    lines = [f"{key}: " + ", ".join(f"{v.name}:{show_type(v.ty)}"
-                                    for v in block)
-             for key, block in (("universals", nf.universals),
-                                ("existentials", nf.existentials)) if block]
-    return "\n".join(lines + ["matrix: " + show_formula(nf.matrix)]) + "\n"
+UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
 
 
 def test_canonical_renaming_is_stable():
-    nf = parse_nf("universals: b:0, a:0\nexistentials: c:1\n"
-                  "matrix: c(a) = b")
+    nf = parse_nf("(forall^st b:0, a:0) (exists^st c:1) c(a) = b")
     c = canon_nf(nf)
     assert show_nf(c) == "(forall^st x0:0, x1:0) (exists^st y0:1) y0(x1) = x0"
     assert show_nf(canon_nf(c)) == show_nf(c)
 
 
 def test_alpha_eq_nf_respects_block_order():
-    a = parse_nf("universals: u:0, v:0\nmatrix: u <= v")
-    b = parse_nf("universals: v:0, u:0\nmatrix: v <= u")
-    c = parse_nf("universals: u:0, v:0\nmatrix: v <= u")
+    a = parse_nf("(forall^st u:0, v:0) u <= v")
+    b = parse_nf("(forall^st v:0, u:0) v <= u")
+    c = parse_nf("(forall^st u:0, v:0) v <= u")
     assert alpha_eq_nf(a, b)  # same modulo renaming
     assert not alpha_eq_nf(a, c)
+    # a universal is no existential, and the blocks match one to one
+    d = parse_nf("(forall^st u:0) (exists^st v:0) u <= v")
+    e = parse_nf("(forall^st u:0) (forall^st v:0) u <= v")
+    assert not alpha_eq_nf(a, d)
+    assert alpha_eq_nf(a, e) and a == e
+
+
+def test_corpus_normal_form_is_its_formula():
+    text = (UDNR / "expect.nf").read_text()
+    nf = parse_nf(text)
+    assert nf == normalize_principle(
+        parse_formula((UDNR / "principle.fml").read_text()))
+    # the file is a '#' header and the text show_nf prints
+    body = [line for line in text.splitlines()
+            if not line.startswith("#")]
+    assert body == [show_nf(nf)]
+    assert [v.name for v in nf.universals] == ["f", "Psi", "Xi"]
+    assert [v.name for v in nf.existentials] == ["y", "Z", "X", "Y", "k"]
 
 
 def test_nf_file_round_trip():
     # '#' comments, a block and the matrix continued on later lines, and
     # an omitted block
     nf = parse_nf("# transfer-like\n"
-                  "universals: f:1,   # the table\n"
-                  "  Psi:1 -> 1\n"
+                  "(forall^st f:1,   # the table\n"
+                  "  Psi:1 -> 1)\n"
                   "\n"
-                  "matrix: Psi(f, 0) = 0 ->\n"
+                  "Psi(f, 0) = 0 ->\n"
                   "  (exists z <= 3) f(z) = 0\n")
     assert [(v.name, show_type(v.ty)) for v in nf.universals] == [
         ("f", "1"), ("Psi", "1 -> 1")]
     assert nf.existentials == ()
     assert show_formula(nf.matrix) == \
         "Psi(f, 0) = 0 -> (exists z <= 3) f(z) = 0"
-    # the printed blocks and matrix read back as the same normal form
-    text = nf_file(nf)
-    assert text == ("universals: f:1, Psi:1 -> 1\n"
-                    "matrix: Psi(f, 0) = 0 -> (exists z <= 3) f(z) = 0\n")
-    assert alpha_eq_nf(parse_nf(text), nf)
-    nf = parse_nf("existentials: y:0, P:1\nmatrix: P(y) = 0")
+    text = show_nf(nf)
+    assert text == ("(forall^st f:1, Psi:1 -> 1) "
+                    "Psi(f, 0) = 0 -> (exists z <= 3) f(z) = 0")
+    assert parse_nf(text) == nf
+    nf = parse_nf("(exists^st y:0, P:1) P(y) = 0")
     assert nf.universals == ()
     assert nf.existentials == (Var("y", N), Var("P", pure(1)))
-    assert alpha_eq_nf(parse_nf(nf_file(nf)), nf)
-    for text, msg in [
-            ("f:1\nmatrix: 0 = 0", "^expected a universals, existentials "
-             r"or matrix block, found 'f' \(at 1:1\)$"),
-            ("universals: f:1\n",
-             r"^normal form needs a matrix block \(at 2:1\)$"),
-            ("universals: f\nmatrix: 0 = 0",
-             r"^expected ':', found 'matrix' \(at 2:1\)$"),
-            ("matrix: st(0)", "^normal-form matrix must be internal$"),
-            # a repeated block does not replace or extend the first one
-            ("universals: x:0\nmatrix: x = 0\nmatrix: 1 = 1",
-             r"^matrix block repeated or out of order \(at 3:1\)$"),
-            ("universals: x:0\n  # more\nuniversals: y:0\nmatrix: x = y",
-             r"^universals block repeated or out of order \(at 3:1\)$"),
-            ("universals: x:0, x:0\nmatrix: x = 0",
-             r"^duplicate names in blocks: \['x', 'x'\]$"),
-            ("universals: x:0\nexistentials: x:0\nmatrix: x = 0",
-             r"^duplicate names in blocks: \['x', 'x'\]$"),
-            # the blocks come in the order universals, existentials,
-            # matrix, and a type or a matrix that does not parse is a
-            # TranslateError with its position
-            ("existentials: y:0\nuniversals: x:0\nmatrix: x = y",
-             r"^universals block repeated or out of order \(at 2:1\)$"),
-            ("universals: x:0\nmatrix: x = 0 x",
-             r"^trailing input after matrix \(at 2:15\)$"),
-            ("universals: x:q\nmatrix: x = 0",
-             r"^expected a type, found 'q' \(at 1:15\)$"),
-            ("universals: x:0\nmatrix:\n  x = z",
-             r"^unbound variable 'z' \(at 3:7\)$")]:
-        with pytest.raises(TranslateError, match=msg):
-            parse_nf(text)
+    assert parse_nf(show_nf(nf)) == nf
+    nf = parse_nf("0 = 0")
+    assert (nf.universals, nf.existentials) == ((), ())
+    assert parse_nf(show_nf(nf)) == nf
+
+
+def test_show_nf_reads_back_as_the_same_normal_form():
+    # the normal forms the pipeline and the scripts build, and seeded
+    # internal matrices under a universal and an existential block
+    nfs = [parse_nf((UDNR / "expect.nf").read_text())]
+    for name in ("forward.prf", "backward.prf"):
+        report = check_script(parse_script((UDNR / name).read_text()))
+        nfs += [r.nf for r in report.results]
+    nfs += [canon_nf(nf) for nf in nfs]
+    g = gen.generator(gen.SEED + 21)
+    x, y, p = Var("x", N), Var("y", N), Var("P", pure(1))
+    for _ in range(200):
+        matrix = g.internal_formula({"x": N, "y": N, "P": pure(1)}, depth=4)
+        nfs.append(NormalForm((x, p), (y,), matrix))
+    for nf in nfs:
+        assert parse_nf(show_nf(nf)) == nf, show_nf(nf)
+
+
+def test_a_normal_form_built_in_code_has_an_internal_matrix():
+    # else its formula would read back with the standard quantifier in
+    # a block: (forall^st x) (forall^st y) m is (forall^st x, y) m
+    x, y = Var("x", N), Var("y", N)
+    m = parse_formula("x = y", params={"x": N, "y": N})
+    with pytest.raises(ValueError, match=r"^matrix is not internal: "
+                       r"\(forall\^st y:0\) x = y$"):
+        NormalForm((x,), (), ForallSt(y, m))
+    assert parse_nf(show_nf(NormalForm((x, y), (), m))) == \
+        NormalForm((x, y), (), m)
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("(forall^st f:1) st(f)", r"^matrix is not internal: st\(f\)$"),
+    # a standard universal after the existential block stays in the
+    # matrix
+    ("(exists^st y:0) (forall^st x:0) x = y",
+     r"^matrix is not internal: \(forall\^st x:0\) x = y$"),
+    ("(forall^st x:0, x:0) x = 0",
+     r"^duplicate names in blocks: \['x', 'x'\]$"),
+    ("(forall^st x:0) (exists^st x:0) x = 0",
+     r"^duplicate names in blocks: \['x', 'x'\]$"),
+    ("(forall^st x:0)\n  x = z", r"^unbound variable 'z' \(at 2:7\)$"),
+    ("(forall^st x:0) x = 0 x",
+     r"^trailing input after formula \(at 1:23\)$"),
+    ("(forall^st x:q) x = 0", r"^expected a type, found 'q' \(at 1:14\)$"),
+    ("", r"^expected a term, found 'end of input' \(at 1:1\)$"),
+    # the retired block format reads as a formula, and fails as one
+    ("universals: x:0\nmatrix: x = 0",
+     r"^unbound variable 'universals' \(at 1:1\)$"),
+])
+def test_parse_nf_rejects(text, msg):
+    with pytest.raises(TranslateError, match=msg):
+        parse_nf(text)
+
