@@ -57,17 +57,21 @@ def psi_theta(model: MiniModel) -> FnV:
 
 def extensionality_search(model: MiniModel, psi: FnV, x: FnV, y: FnV,
                           k: int) -> int | None:
-    """Least n <= cap such that "x,y agree below n -> psi(x)(k) = psi(y)(k)"
-    holds, or None when no such n exists in the model.
+    """Least n <= cap such that "x, y agree below n -> psi(x), psi(y)
+    agree below k" holds, or None when no such n exists in the model:
+    the modulus that the normal form's clause ``initseg(X, Xi(X, Y, k))
+    = initseg(Y, Xi(X, Y, k)) -> initseg(Psi(X), k) = initseg(Psi(Y),
+    k)`` asks for.
 
-    n = 0 works whenever the outputs already agree; otherwise the search
-    looks for the first disagreement of the tables, which falsifies the
-    premise.  None means psi's value at k separates x from y even though
-    every expressible initial segment of the two tables is shared —
-    within this model psi admits no modulus at (x, y, k).
+    n = 0 works whenever the outputs already agree below k; otherwise
+    the search looks for the first disagreement of the tables, which
+    falsifies the premise.  None means the tables agree below the cap
+    and differ only at cell cap, which no initial segment the model can
+    express reaches.
     """
     tx, ty = tabulate(model, x), tabulate(model, y)
-    outs_agree = psi.call(x).call(k) == psi.call(y).call(k)
+    outs_agree = (tabulate(model, psi.call(x))[:k]
+                  == tabulate(model, psi.call(y))[:k])
     for n in range(model.cap + 1):
         if outs_agree or tx[:n] != ty[:n]:
             return n
@@ -77,10 +81,13 @@ def extensionality_search(model: MiniModel, psi: FnV, x: FnV, y: FnV,
 def xi_search(model: MiniModel, psi: FnV) -> FnV:
     """Modulus-of-extensionality functional derived from psi by search.
 
-    Value at (x, y, k) is the least n found by extensionality_search;
-    an unfillable triple yields 0 and sets the ``xi_incomplete`` flag,
-    which leaves the corresponding premise visibly false rather than
-    papering over it.
+    Value at (x, y, k) is the least n found by extensionality_search.
+    An unfillable triple needs agreement on all cap + 1 cells, a number
+    the model cannot hold, so it answers cap + 1 saturated: the cap,
+    with ``overflowed`` set as for any number past the cap, and the
+    ``xi_incomplete`` flag.  Answering 0 instead would state that no
+    agreement is needed, and a term reading that value would carry no
+    sign of it.
     """
     def at(x):
         def at2(y, x=x):
@@ -88,7 +95,7 @@ def xi_search(model: MiniModel, psi: FnV) -> FnV:
                 n = extensionality_search(model, psi, x, y, k)
                 if n is None:
                     model.flags.add("xi_incomplete")
-                    return 0
+                    return model.sat(model.cap + 1)
                 return n
             return FnV(at3)
         return FnV(at2)

@@ -76,7 +76,7 @@ from ..lang.terms import (Abs, App, Const, Term, Var, free_vars, infer_type,
                           spine)
 from ..lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Exists,
                              ExistsSt, Forall, ForallSt, Formula, Implies,
-                             Not, Or, St, desugar_approx, free_vars_f)
+                             Not, Or, desugar_approx, free_vars_f)
 from . import machine
 
 _TYPE1 = Arrow(N, N)
@@ -316,14 +316,6 @@ class MiniModel:
             return list(range(self.cap + 1))
         self.check_enumerable(ty)
         return list(self.enum_values(ty))
-
-    def is_standard(self, ty: FiniteType, v) -> bool:
-        if ty == N:
-            return v < self.omega
-        for (t, w, st) in self.declared.values():
-            if st and t == ty and values_equal(self, ty, v, w):
-                return True
-        return False
 
 
 def values_equal(model: MiniModel, ty: FiniteType, a, b) -> bool:
@@ -641,13 +633,6 @@ def _primitive(model: MiniModel, c: Const):
 def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
     """A closure ``frame -> bool`` over the slots ``scope`` names."""
     if isinstance(f, Atom):
-        if f.rel == "in":
-            elem, seq = (_compile_term(model, a, scope) for a in f.args)
-
-            def member(frame):
-                e = elem(frame)
-                return seq(frame).call(e) != 0
-            return member
         a, b = (_compile_term(model, x, scope) for x in f.args)
         if f.rel == "=":
             return _equality(model, infer_type(f.args[0]), a, b)
@@ -658,9 +643,6 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
         return _fail(f"unknown relation {f.rel!r}")
     if isinstance(f, ApproxEq):
         return _compile_formula(model, desugar_approx(f), scope)
-    if isinstance(f, St):
-        ty, arg = infer_type(f.arg), _compile_term(model, f.arg, scope)
-        return lambda frame: model.is_standard(ty, arg(frame))
     if isinstance(f, Not):
         body = _compile_formula(model, f.body, scope)
         return lambda frame: not body(frame)

@@ -1,11 +1,12 @@
 """Formulas over finite-type terms.
 
-The language distinguishes internal formulas (no standardness predicate
-anywhere) from external ones.  Quantifiers come in four flavours:
-plain, standard-relativized (``forall^st``), and bounded (by <=, <, or
+A formula is external when it has a node of an ``EXTERNAL`` kind: a
+standard quantifier or ``ApproxEq`` (equality on standard arguments);
+otherwise it is internal.  That a term t of type T is standard is said
+``(exists^st y:T) y = t``.  Quantifiers come in four flavours: plain,
+standard-relativized (``forall^st``), and bounded (by <=, <, or
 membership in a sequence value).  Equality is one atom, ``=``, at every
-type, extensional above type 0; ``ApproxEq`` is equality on standard
-arguments and is external.
+type, extensional above type 0.
 
 Formula nodes, like term nodes, derive from ``terms.SyntaxNode``: they
 are immutable, hold only slots, and keep their hash and free variables
@@ -26,7 +27,7 @@ from .types import Arrow, FiniteType, N, Product, Seq, node
 
 @node
 class Atom(SyntaxNode):
-    rel: str  # "=" at any type; "<=", "<" on type 0; "in" for set membership
+    rel: str  # "=" at any type; "<=", "<" on type 0
     args: tuple[Term, ...]
 
 
@@ -35,11 +36,6 @@ class ApproxEq(SyntaxNode):
     ty: FiniteType
     left: Term
     right: Term
-
-
-@node
-class St(SyntaxNode):
-    arg: Term
 
 
 @node
@@ -105,7 +101,7 @@ class BExists(SyntaxNode):
     body: "Formula"
 
 
-Formula = Union[Atom, ApproxEq, St, Not, And, Or, Implies,
+Formula = Union[Atom, ApproxEq, Not, And, Or, Implies,
                 Forall, Exists, ForallSt, ExistsSt, BForall, BExists]
 
 TRUE = Atom("=", (num(0), num(0)))
@@ -113,6 +109,8 @@ FALSE = Atom("<", (num(0), num(0)))
 
 QUANTS = (Forall, Exists, ForallSt, ExistsSt)
 BQUANTS = (BForall, BExists)
+# the node kinds that make a formula external
+EXTERNAL = (ForallSt, ExistsSt, ApproxEq)
 
 
 def conj(parts: list[Formula]) -> Formula:
@@ -134,8 +132,8 @@ def disj(parts: list[Formula]) -> Formula:
 
 
 def is_internal(f: Formula) -> bool:
-    """True iff f mentions no standardness: no st, forall^st/exists^st, approx."""
-    if isinstance(f, (St, ForallSt, ExistsSt, ApproxEq)):
+    """True iff f has no node of an ``EXTERNAL`` kind."""
+    if isinstance(f, EXTERNAL):
         return False
     if isinstance(f, Atom):
         return True
@@ -174,10 +172,9 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 def free_vars_f(f: Formula) -> frozenset[Var]:
     """Variables free in f; a binder removes its name (see free_vars).
     Computed once per node and kept on it."""
-    try:
-        return f._fvs
-    except AttributeError:
-        pass
+    fvs = getattr(f, "_fvs", None)
+    if fvs is not None:
+        return fvs
     fvs = _free_vars_f(f)
     keep_fvs(f, fvs)
     return fvs
@@ -191,8 +188,6 @@ def _free_vars_f(f: Formula) -> frozenset[Var]:
         return out
     if isinstance(f, ApproxEq):
         return union(term_fvs(f.left), term_fvs(f.right))
-    if isinstance(f, St):
-        return term_fvs(f.arg)
     if isinstance(f, Not):
         return free_vars_f(f.body)
     if isinstance(f, (And, Or, Implies)):
@@ -211,8 +206,6 @@ def all_names_f(f: Formula) -> set[str]:
         return set().union(*map(all_names, f.args))
     if isinstance(f, ApproxEq):
         return all_names(f.left) | all_names(f.right)
-    if isinstance(f, St):
-        return all_names(f.arg)
     if isinstance(f, Not):
         return all_names_f(f.body)
     if isinstance(f, (And, Or, Implies)):
@@ -240,8 +233,6 @@ def subst_f_prepared(f: Formula, sub: Prepared,
         return Atom(f.rel, tuple(term(t, sub) for t in f.args))
     if isinstance(f, ApproxEq):
         return ApproxEq(f.ty, term(f.left, sub), term(f.right, sub))
-    if isinstance(f, St):
-        return St(term(f.arg, sub))
     if isinstance(f, Not):
         return Not(subst_f_prepared(f.body, sub, term))
     if isinstance(f, (And, Or, Implies)):
@@ -286,8 +277,6 @@ def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
     if kind is ApproxEq:
         return (a.ty == b.ty and alpha_walk(a.left, b.left, ma, mb, depth)
                 and alpha_walk(a.right, b.right, ma, mb, depth))
-    if kind is St:
-        return alpha_walk(a.arg, b.arg, ma, mb, depth)
     if kind is Not:
         return alpha_walk_f(a.body, b.body, ma, mb, depth)
     if kind is And or kind is Or or kind is Implies:
@@ -307,7 +296,7 @@ def desugar_approx(f: Formula) -> Formula:
     """Expand ApproxEq into its standard-quantifier form, recursively."""
     if isinstance(f, ApproxEq):
         return _approx_at(f.ty, f.left, f.right)
-    if isinstance(f, (Atom, St)):
+    if isinstance(f, Atom):
         return f
     if isinstance(f, Not):
         return Not(desugar_approx(f.body))

@@ -6,9 +6,8 @@ Grammar sketch (precedence low to high):
     or       :=  and ('\\/' and)*
     and      :=  unary ('/\\' unary)*
     unary    :=  '~' unary | quantified | atom
-    atom     :=  st(t) | approx[T](s,t) | true | false
-               | term REL term | '(' formula ')'
-    REL      :=  '=' | '!=' | '<=' | '<' | 'in'
+    atom     :=  approx[T](s,t) | term REL term | '(' formula ')'
+    REL      :=  '=' | '!=' | '<=' | '<'
     binders  :=  NAME (',' NAME)* ':' type (',' binders)?
 
 Quantifier prefixes are parenthesized: ``(forall x:1)``, ``(exists^st
@@ -21,8 +20,9 @@ operand of ``/\\`` or ``\\/`` — wrap it in parentheses instead.
 Formulas are typed as they are parsed: both sides of ``=`` and ``!=``
 at one type, any type (above type 0 equality is extensional); the
 arguments of ``<=`` and ``<`` and the ``<=``/``<`` bounds at type 0,
-``in`` between a number and a type-1 set, the sides of ``approx[T]`` at
-T, and the term under ``st`` well-typed.
+an ``in`` bound a sequence, and the sides of ``approx[T]`` at T.  That
+t is standard is written ``(exists^st y:T) y = t``; a true and a false
+formula, ``0 = 0`` and ``0 < 0``.
 
 A constant's name is reserved.  A polymorphic constant writes its type
 arguments in brackets (``rec[0]``, ``pair[0,1]``); ``terms.POLYMORPHIC``
@@ -40,8 +40,7 @@ from __future__ import annotations
 import re
 
 from .formulas import (And, ApproxEq, Atom, BExists, BForall, Exists,
-                       ExistsSt, FALSE, Forall, ForallSt, Formula, Implies,
-                       Not, Or, St, TRUE)
+                       ExistsSt, Forall, ForallSt, Formula, Implies, Not, Or)
 from .terms import (Abs, CONST_NAMES, MONOMORPHIC, POLYMORPHIC, Term,
                     TypeCheckError, Var, app, infer_type, num, seqapp_c)
 from .types import Arrow, FiniteType, N, Product, Seq, pure, record, show_type
@@ -55,8 +54,7 @@ class ParseError(Exception):
         self.col = col
 
 
-KEYWORDS = frozenset(["forall", "exists", "st", "in", "approx", "true",
-                      "false"])
+KEYWORDS = frozenset(["forall", "exists", "in", "approx"])
 
 _SYMBOLS = ["->", "/\\", "\\/", "!=", "<=", ":=", "^st",
             "(", ")", "[", "]", ",", ":", ".", "*", "~", "<", "=", "\\",
@@ -467,15 +465,6 @@ class Parser:
         return body
 
     def _f_atom(self) -> Formula:
-        if self.take("true"):
-            return TRUE
-        if self.take("false"):
-            return FALSE
-        if self.take("st"):
-            self.expect_sym("(")
-            t, _, _ = self.typed_term()
-            self.expect_sym(")")
-            return St(t)
         if self.take("approx"):
             self.expect_sym("[")
             ty = self.parse_type()
@@ -532,19 +521,14 @@ class Parser:
                                  tok.line, tok.col)
             eq = Atom("=", (l, r))
             return eq if rel == "=" else Not(eq)
-        if rel == "in":
-            if lty != N or rty != Arrow(N, N):
-                raise ParseError("membership needs a number and a type-1 "
-                                 "set", tok.line, tok.col)
-        else:
-            for ty, at in ((lty, ltok), (rty, rtok)):
-                if ty != N:
-                    raise ParseError(f"relation {rel} needs type-0 "
-                                     "arguments", at.line, at.col)
+        for ty, at in ((lty, ltok), (rty, rtok)):
+            if ty != N:
+                raise ParseError(f"relation {rel} needs type-0 arguments",
+                                 at.line, at.col)
         return Atom(rel, (l, r))
 
 
-_RELATIONS = frozenset(["=", "!=", "<=", "<", "in"])
+_RELATIONS = frozenset(["=", "!=", "<=", "<"])
 # the bound kinds of a quantifier, by the token after its variable
 _BOUNDS = {"<=": "le", "<": "lt", "in": "mem"}
 # what may follow a parenthesized term in an atom

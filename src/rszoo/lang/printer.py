@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .formulas import (And, ApproxEq, Atom, BForall, BQUANTS, ExistsSt,
-                       Forall, ForallSt, Formula, Implies, Not, Or, QUANTS, St,
+                       Forall, ForallSt, Formula, Implies, Not, Or, QUANTS,
                        strip)
 from .terms import POLYMORPHIC, Abs, App, Const, Term, Var, spine
 from .types import show_type
@@ -89,9 +89,6 @@ def _application(t: App) -> tuple[Term, list[Term], str]:
     return head, args, "()"
 
 
-_REL = {"=": "=", "<=": "<=", "<": "<", "in": "in"}
-
-
 def show_formula(f: Formula) -> str:
     return _show_f(f, 0)
 
@@ -100,14 +97,12 @@ def show_formula(f: Formula) -> str:
 def _show_f(f: Formula, level: int) -> str:
     if isinstance(f, Atom):
         a, b = f.args
-        return f"{show_term(a)} {_REL[f.rel]} {show_term(b)}"
+        return f"{show_term(a)} {f.rel} {show_term(b)}"
     if isinstance(f, Not) and isinstance(f.body, Atom) and f.body.rel == "=":
         a, b = f.body.args
         return f"{show_term(a)} != {show_term(b)}"
     if isinstance(f, ApproxEq):
         return f"approx[{show_type(f.ty)}]({show_term(f.left)}, {show_term(f.right)})"
-    if isinstance(f, St):
-        return f"st({show_term(f.arg)})"
     if isinstance(f, Not):
         if isinstance(f.body, Atom) and f.body.rel != "=":
             return f"~({_show_f(f.body, 0)})"

@@ -218,10 +218,9 @@ def free_vars(t: Term) -> frozenset[Var]:
     Computed once per node and kept on it."""
     if not isinstance(t, TermNode):
         raise TypeError(f"not a term: {t!r}")
-    try:
-        return t._fvs
-    except AttributeError:
-        pass
+    fvs = getattr(t, "_fvs", None)
+    if fvs is not None:
+        return fvs
     if isinstance(t, Var):
         fvs = frozenset([t])
     elif isinstance(t, Const):
@@ -341,10 +340,9 @@ def kept_type(t: Term) -> FiniteType | None:
     kind = type(t)
     if kind is Var or kind is Const:
         return t.ty
-    try:
-        return t._ty
-    except AttributeError:
-        pass
+    ty = getattr(t, "_ty", None)
+    if ty is not None:
+        return ty
     if kind is App:
         fty = kept_type(t.fn)
         if not isinstance(fty, Arrow) or fty.dom != kept_type(t.arg):

@@ -49,12 +49,11 @@ def node(cls):
         return values(self) == values(other)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
+        h = getattr(self, "_hash", None)
+        if h is None:
             h = hash(values(self))
             keep_hash(self, h)
-            return h
+        return h
 
     def __repr__(self):
         return f"{self.__class__.__qualname__}(" + ", ".join(
@@ -123,8 +122,8 @@ class Node:
     node computes its hash once, from its fields' kept hashes, so
     hashing costs once per distinct node however often a subtree is
     shared.  Slots that keep such derived values stay unset until first
-    computed; their readers catch the ``AttributeError`` of an unset
-    slot.  A kept hash is valid only in the process that computed it
+    computed; their readers take ``getattr(node, slot, None)``, which is
+    None while the slot is unset.  A kept hash is valid only in the process that computed it
     (string hashes are salted per process), so a copy or a pickle is
     rebuilt from the fields alone.
     """

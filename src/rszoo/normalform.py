@@ -29,10 +29,10 @@ types are nonempty; tests check this by brute force at small caps.
 """
 from __future__ import annotations
 
-from .lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Exists,
-                            ExistsSt, Forall, ForallSt, Formula, Implies, Not,
-                            Or, St, all_names_f, conj, is_internal, strip,
-                            subformulas, subst_f)
+from .lang.formulas import (EXTERNAL, And, ApproxEq, Atom, BExists, BForall,
+                            Exists, ExistsSt, Forall, ForallSt, Formula,
+                            Implies, Not, Or, all_names_f, conj, is_internal,
+                            strip, subformulas, subst_f)
 from .lang.terms import (Abs, App, Term, Var, app, fresh_name, fst_c, num,
                          snd_c, INITSEG, NUNL, NUNR)
 from .lang.types import (Arrow, FiniteType, N, Product, Seq, arrows, record,
@@ -97,7 +97,7 @@ def uniformize(base: Formula) -> UniformPrinciple:
             "quantifiers")
     if not is_internal(matrix):
         bad = next(g for g in subformulas(matrix)
-                   if isinstance(g, (St, ForallSt, ExistsSt)))
+                   if isinstance(g, EXTERNAL))
         raise NormalFormError(
             f"matrix must be internal; found {type(bad).__name__}")
 
@@ -229,7 +229,7 @@ def resolve_approx(f: Formula) -> Formula:
         if isinstance(g, ApproxEq):
             raise NormalFormError(
                 "approx atom outside an extensionality implication")
-        if isinstance(g, (Atom, St)):
+        if isinstance(g, Atom):
             return g
         if isinstance(g, Not):
             return Not(go(g.body))
@@ -331,7 +331,7 @@ def prenex_to_normal(f: Formula) -> NormalForm:
     consequent first, flipping polarity through antecedents.
 
     Every exchange is a classical equivalence over nonempty ranges.
-    A standard quantifier (or st-atom) under a plain quantifier blocks
+    A standard quantifier or approx atom under a plain quantifier blocks
     the algorithm and is reported.
     """
     taken = all_names_f(f)
@@ -365,14 +365,10 @@ def prenex_to_normal(f: Formula) -> NormalForm:
             return Not(walk(g.body, not pos))
         if isinstance(g, (Forall, Exists, BForall, BExists)):
             trapped = next(h for h in subformulas(g.body)
-                           if isinstance(h, (St, ForallSt, ExistsSt)))
+                           if isinstance(h, EXTERNAL))
             raise NormalFormError(
                 f"standard structure ({type(trapped).__name__}) trapped "
                 f"under plain quantifier binding {g.var.name!r}")
-        if isinstance(g, St):
-            raise NormalFormError(
-                "bare standardness atom cannot be prenexed; translate "
-                "it first")
         raise NormalFormError(f"cannot prenex {type(g).__name__}")
 
     matrix = walk(f, True)

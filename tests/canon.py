@@ -2,7 +2,7 @@
 the single-walk alpha-equality against.  Two formulas (normal forms)
 are alpha-equal iff their canonical forms are equal."""
 from rszoo.lang import (Abs, And, App, ApproxEq, Atom, BQUANTS, Implies, Not,
-                        Or, QUANTS, St, Var, free_vars_f, subst_f)
+                        Or, QUANTS, Var, free_vars_f, subst_f)
 from rszoo.lang.formulas import Formula
 from rszoo.lang.terms import Term
 from rszoo.translate import NormalForm
@@ -44,8 +44,6 @@ def canon(f: Formula) -> Formula:
             return Atom(g.rel, tuple(term(t, ren) for t in g.args))
         if isinstance(g, ApproxEq):
             return ApproxEq(g.ty, term(g.left, ren), term(g.right, ren))
-        if isinstance(g, St):
-            return St(term(g.arg, ren))
         if isinstance(g, Not):
             return Not(go(g.body, ren))
         if isinstance(g, (And, Or, Implies)):

@@ -34,7 +34,7 @@ from rszoo.interp import FnV, ModelError, PairV, SeqV, zero_value
 from rszoo.interp.machine import HaltsWith, decode_program, run_program
 from rszoo.lang import (Abs, And, App, ApproxEq, Atom, BExists, BForall,
                         Const, Exists, ExistsSt, Forall, ForallSt, Implies,
-                        Not, Or, St, Var, desugar_approx, infer_type, pure)
+                        Not, Or, Var, desugar_approx, infer_type, pure)
 
 TYPE1 = pure(1)
 
@@ -151,8 +151,6 @@ def formula(model, f, env: dict) -> bool:
     """The truth of formula ``f`` in ``model`` under ``env``."""
     if isinstance(f, Atom):
         left, right = (term(model, a, env) for a in f.args)
-        if f.rel == "in":
-            return right.call(left) != 0
         if f.rel == "=":
             ty = infer_type(f.args[0])
             return model.canon_key(ty, left) == model.canon_key(ty, right)
@@ -163,8 +161,6 @@ def formula(model, f, env: dict) -> bool:
         raise ModelError(f"unknown relation {f.rel!r}")
     if isinstance(f, ApproxEq):
         return formula(model, desugar_approx(f), env)
-    if isinstance(f, St):
-        return model.is_standard(infer_type(f.arg), term(model, f.arg, env))
     if isinstance(f, Not):
         return not formula(model, f.body, env)
     if isinstance(f, And):

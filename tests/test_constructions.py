@@ -1,9 +1,9 @@
 import pytest
 from rszoo.interp import (FnV, MiniModel, ModelError, build_construction,
-                          extensionality_search, psi_theta, table_fn,
-                          tabulate, theta, xi_search)
+                          eval_formula, extensionality_search, psi_theta,
+                          table_fn, tabulate, theta, xi_search)
 from rszoo.interp.machine import SCAN_INDEX, HaltsWith
-from rszoo.lang import parse_type
+from rszoo.lang import parse_formula, parse_type
 
 
 def m4():
@@ -88,11 +88,14 @@ def test_extensionality_search_frozen_values():
     p = psi_theta(m)
     x = table_fn([0, 1, 0, 2, 0], m)
     y = table_fn([0] * 5, m)
-    # outputs agree at k=0, so the empty prefix works
+    # the outputs (1 2 1 1 2 and 1 1 1 1 2) agree below k=0 and k=1,
+    # so the empty prefix works
     assert extensionality_search(m, p, x, y, 0) == 0
-    # outputs split at k=1 (2 vs 1); tables first differ at index 1
-    assert extensionality_search(m, p, x, y, 1) == 2
-    assert extensionality_search(m, p, x, y, 4) == 0
+    assert extensionality_search(m, p, x, y, 1) == 0
+    # they split at cell 1, below k=2 and k=4; the tables first differ
+    # at index 1, so agreement below 2 is already false
+    assert extensionality_search(m, p, x, y, 2) == 2
+    assert extensionality_search(m, p, x, y, 4) == 2
 
 
 def test_extensionality_search_unfillable_triple():
@@ -102,7 +105,8 @@ def test_extensionality_search_unfillable_triple():
     last = FnV(lambda z: table_fn([z.call(4)] * 5, m))
     x = table_fn([0, 0, 0, 0, 1], m)
     y = table_fn([0] * 5, m)
-    assert extensionality_search(m, last, x, y, 0) is None
+    assert extensionality_search(m, last, x, y, 0) == 0
+    assert extensionality_search(m, last, x, y, 1) is None
 
 
 def test_xi_search_wraps_and_flags():
@@ -111,13 +115,54 @@ def test_xi_search_wraps_and_flags():
     xi = xi_search(m, p)
     x = table_fn([0, 1, 0, 2, 0], m)
     y = table_fn([0] * 5, m)
-    assert xi.call(x).call(y).call(1) == 2
-    assert "xi_incomplete" not in m.flags
+    assert xi.call(x).call(y).call(2) == 2
+    assert "xi_incomplete" not in m.flags and not m.overflowed
     last = FnV(lambda z: table_fn([z.call(4)] * 5, m))
     xi2 = xi_search(m, last)
     bad_x = table_fn([0, 0, 0, 0, 1], m)
-    assert xi2.call(bad_x).call(y).call(0) == 0
-    assert "xi_incomplete" in m.flags
+    # an unfillable triple answers cap + 1, saturated
+    assert xi2.call(bad_x).call(y).call(1) == 4
+    assert "xi_incomplete" in m.flags and m.overflowed
+
+
+# -- Xi0 against the normal form's extensionality clause ------------------------
+
+CLAUSE = ("initseg(X, Xi(X, Y, k)) = initseg(Y, Xi(X, Y, k)) -> "
+          "initseg(Psi(X), k) = initseg(Psi(Y), k)")
+# no modulus exists: the tables agree below the cap (2), yet the outputs
+# differ below k
+UNFILLABLE = ("initseg(X, 2) = initseg(Y, 2) /\\ "
+              "initseg(Psi(X), k) != initseg(Psi(Y), k)")
+
+
+@pytest.mark.parametrize("functional, unfillable", [
+    (psi_theta, False),
+    # reads only the last cell, which no initial segment below the cap
+    # reaches
+    (lambda m: FnV(lambda z: table_fn([z.call(2)] * 3, m)), True),
+], ids=["psi_theta", "last_cell"])
+def test_xi_search_makes_the_clause_true_wherever_a_modulus_exists(
+        functional, unfillable):
+    # every triple (X, Y, k) of a cap-2 model: 27 * 27 * 3
+    m = MiniModel(cap=2, omega=2)
+    psi = functional(m)
+    env = {"Psi": psi, "Xi": xi_search(m, psi)}
+    params = {"Psi": parse_type("1 -> 1"), "Xi": parse_type("1 -> 1 -> 1")}
+
+    def holds(src):
+        return eval_formula(m, parse_formula(src, params), env)
+
+    everywhere = "(forall X:1, Y:1, k:0) "
+    # where a modulus exists, Xi's value makes the clause true (the
+    # unfillable test comes first, so Xi is read only where one exists)
+    assert holds(f"{everywhere}({UNFILLABLE}) \\/ ({CLAUSE})")
+    assert "xi_incomplete" not in m.flags
+    assert holds(f"(exists X:1, Y:1, k:0) {UNFILLABLE}") == unfillable
+    # elsewhere Xi answers the cap, which leaves the clause false, and
+    # flags it
+    assert holds(f"{everywhere}({UNFILLABLE}) -> ~({CLAUSE}) /\\ "
+                 "Xi(X, Y, k) = 2")
+    assert ("xi_incomplete" in m.flags) == unfillable
 
 
 # -- registry --------------------------------------------------------------------
@@ -134,7 +179,7 @@ def test_build_construction_resolves_names_and_literals():
     m.declare("P0", ty, p, st=True)
     ty2, xi = build_construction("xi_search", ["P0"], m)
     assert ty2 == parse_type("1 -> 1 -> 0 -> 0")
-    assert xi.call(z).call(table_fn([0] * 5, m)).call(1) == 2
+    assert xi.call(z).call(table_fn([0] * 5, m)).call(2) == 2
     ty3, mu = build_construction("mu_op", [], m)
     assert ty3 == parse_type("2")
     assert mu.call(table_fn([3, 2, 0, 1, 0], m)) == 2

@@ -575,8 +575,9 @@ AX = "step 2 (NF-AXIOM): "
      AX + "matrix is not internal: (forall^st x:0) x = y"),
     ((f"step 2: NF-AXIOM conclude {ONE_SLOT}",),
      AX + "internal axiom cannot introduce existentials"),
-    (("step 2: NF-AXIOM conclude (forall^st x:0) st(x)",),
-     AX + "matrix is not internal: st(x)"),
+    (("step 2: NF-AXIOM conclude "
+      "(forall^st x:0) (x = x /\\ ((exists^st y:0) y = x))",),
+     AX + "matrix is not internal: x = x /\\ ((exists^st y:0) y = x)"),
     ((f"step 1: WEAKEN 1 with (0) conclude {ONE_SLOT}",),
      "duplicate step index 1"),
     ((f"step 2: WEAKEN 3 with (0) conclude {ONE_SLOT}",
@@ -603,7 +604,7 @@ def test_formula_to_nf_splits_the_blocks():
 
 
 @pytest.mark.parametrize("src", [
-    "(forall^st x:0) (exists^st y:0) (st(y) -> x = y)",
+    "(forall^st x:0) (exists^st y:0) (((exists^st z:0) z = y) -> x = y)",
     # a standard quantifier after the existential block is not peeled
     "(exists^st y:0) (forall^st x:0) x = y",
 ])

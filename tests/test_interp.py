@@ -192,7 +192,7 @@ def test_standard_type0_quantifiers_run_to_omega():
     m = MiniModel(cap=9, omega=3)
     assert evf(m, "(forall^st x:0) x <= 2")
     assert not evf(m, "(exists^st x:0) x = 3")
-    assert evf(m, "st(2) /\\ ~st(3)")
+    assert evf(m, "((exists^st y:0) y = 2) /\\ ~((exists^st y:0) y = 3)")
 
 
 def test_standard_higher_type_means_declared():
@@ -202,8 +202,8 @@ def test_standard_higher_type_means_declared():
     assert evf(m, "(forall^st W:1) W(0) = 1")
     assert evf(m, "(exists W:1) W(0) = 2")
     assert not evf(m, "(exists^st W:1) W(0) = 2")
-    assert evf(m, "st(a)", params={"a": "1"})
-    assert not evf(m, "st(b)", params={"b": "1"})
+    assert evf(m, "(exists^st W:1) W = a", params={"a": "1"})
+    assert not evf(m, "(exists^st W:1) W = b", params={"b": "1"})
 
 
 def test_full_table_sweep_within_budget():
@@ -228,13 +228,6 @@ def test_bounded_quantifiers():
     m.declare("s", parse_type("0*"), SeqV((5, 1)), st=False)
     assert evf(m, "(forall x in s) 1 <= x")
     assert evf(m, "(exists x in s) x = 5")
-
-
-def test_membership_atom_is_nonzero_test():
-    m = MiniModel(cap=4, omega=2)
-    m.declare("X", parse_type("1"), table_fn([0, 3, 0, 1, 0], m), st=False)
-    assert evf(m, "1 in X /\\ 3 in X")
-    assert not evf(m, "0 in X")
 
 
 def test_approx_at_type_one_sees_only_standard_prefix():

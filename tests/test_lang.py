@@ -165,7 +165,7 @@ def test_neq_display():
 
 def test_internal_flag():
     assert is_internal(parse_formula("(forall x:0) x = x"))
-    assert not is_internal(parse_formula("st(0)"))
+    assert not is_internal(parse_formula("(exists^st y:0) y = 0"))
     assert not is_internal(parse_formula("(forall^st x:0) x = x"))
     assert not is_internal(
         parse_formula("(forall x:1) approx[1](x, x)"))
@@ -217,10 +217,10 @@ def test_typecheck_rejects_ill_typed_atoms():
             ("x < f", 5, "relation < needs type-0 arguments"),
             ("f(g) = 0", 1, "argument type mismatch: expected 0, got 1"),
             ("(f)(g) = 0", 1, "argument type mismatch: expected 0, got 1"),
-            ("x in x", 3, "membership needs a number and a type-1 set"),
             ("x = 0 /\\ (f = 0)", 13, "= needs equal types, got 1 and 0"),
             ("approx[0](x, f)", 14, "equality at 0 applied to 1"),
-            ("st(f(g))", 4, "argument type mismatch: expected 0, got 1"),
+            ("(exists^st y:0) y = f(g)", 21,
+             "argument type mismatch: expected 0, got 1"),
             ("(forall n <= f) n = n", 14,
              "<=-bounded quantifier needs type 0"),
             ("(exists n < h(x)) n = n", 13,
@@ -243,12 +243,11 @@ def test_parenthesized_terms_and_formulas_parse_in_one_pass(monkeypatch):
     # the token after the matching ')' tells a parenthesized term from a
     # parenthesized formula, so no relation is attempted and given up
     x, f = Var("x", N), Var("f", pure(1))
-    ps = {"x": N, "f": pure(1), "s": pure(1)}
+    ps = {"x": N, "f": pure(1)}
     cases = {
         "(x) = 0": Atom("=", (x, num(0))),
         "((x)) <= x": Atom("<=", (x, x)),
         "(f)(x) != 0": Not(Atom("=", (App(f, x), num(0)))),
-        "(x) in s": Atom("in", (x, Var("s", pure(1)))),
         "((x = 0))": Atom("=", (x, num(0))),
         "((x) = 0) /\\ ((\\y:0. y)(x) < 1)": And(
             Atom("=", (x, num(0))),

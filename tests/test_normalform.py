@@ -52,7 +52,11 @@ def test_uniformize_rejects_other_shapes():
         uniformize(parse_formula(
             "((forall n:0) n <= 1) -> (exists y:0) y = 0"))
     with pytest.raises(NormalFormError, match="internal"):
-        uniformize(parse_formula("(forall X:1)(exists d:1) st(d(0))"))
+        uniformize(parse_formula(
+            "(forall X:1)(exists d:1) (exists^st y:0) y = d(0)"))
+    with pytest.raises(NormalFormError,
+                       match="^matrix must be internal; found ApproxEq$"):
+        uniformize(parse_formula("(forall X:1)(exists d:1) approx[1](X, d)"))
 
 
 # -- resolve_approx -----------------------------------------------------------
@@ -146,10 +150,15 @@ def test_prenex_renames_clashes():
     assert len(set(names)) == len(names)
 
 
-def test_prenex_reports_trapped_standard_quantifier():
-    f = parse_formula("(forall n:0)(exists^st y:0) y = n")
-    with pytest.raises(NormalFormError, match="trapped.*'n'"):
-        prenex_to_normal(f)
+@pytest.mark.parametrize("src, kind", [
+    ("(forall n:0)(exists^st y:0) y = n", "ExistsSt"),
+    ("(forall n:0) approx[0](n, n)", "ApproxEq"),
+])
+def test_prenex_reports_trapped_standard_structure(src, kind):
+    with pytest.raises(NormalFormError, match=(
+            rf"^standard structure \({kind}\) trapped under plain "
+            "quantifier binding 'n'$")):
+        prenex_to_normal(parse_formula(src))
 
 
 def test_prenex_leaves_internal_matrix_alone():

@@ -105,7 +105,8 @@ def test_a_normal_form_built_in_code_has_an_internal_matrix():
 
 
 @pytest.mark.parametrize("text, msg", [
-    ("(forall^st f:1) st(f)", r"^matrix is not internal: st\(f\)$"),
+    ("(forall^st f:1) (f = f /\\ ((exists^st g:1) g = f))",
+     r"^matrix is not internal: f = f /\\ \(\(exists\^st g:1\) g = f\)$"),
     # a standard universal after the existential block stays in the
     # matrix
     ("(exists^st y:0) (forall^st x:0) x = y",
