@@ -193,8 +193,8 @@ class MiniModel:
         self.declared: dict[str, tuple[FiniteType, object, bool]] = {}
         self.overflowed = False
         self.flags: set[str] = set()
-        # id(node) -> (node, free names, closure); see _run
-        self._compiled: dict[int, tuple] = {}
+        # node -> (free names, closure); see _run
+        self._compiled: dict[object, tuple] = {}
 
     # -- declarations -------------------------------------------------------
 
@@ -362,14 +362,14 @@ def eval_formula(model: MiniModel, f: Formula, env: dict | None = None) -> bool:
 def _run(model: MiniModel, node, env: dict | None, free, compile_node):
     """Call the closure compiled for ``node`` in this model, compiling it
     on first use, on the values in ``env`` of the node's free names,
-    sorted; a name ``env`` lacks gets ``_UNBOUND``.  The cache holds the
-    node itself, so its id stays unique for as long as the entry lives."""
-    hit = model._compiled.get(id(node))
+    sorted; a name ``env`` lacks gets ``_UNBOUND``.  The cache is keyed
+    on the node (whose hash is kept), so equal nodes share one entry."""
+    hit = model._compiled.get(node)
     if hit is None:
         names = tuple(sorted({v.name for v in free(node)}))
         run = compile_node(model, node, _Scope(names, len(names)))
-        hit = model._compiled[id(node)] = (node, names, run)
-    _node, names, run = hit
+        hit = model._compiled[node] = (names, run)
+    names, run = hit
     if env is None:
         env = model.env()
     return run(tuple([env.get(name, _UNBOUND) for name in names]))
@@ -675,13 +675,13 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
                            _compile_formula(model, f.body,
                                             scope.enter(f.var.name)))
         bound, cap = _compile_term(model, f.bound, scope), model.cap
-        if f.kind == "le":
+        if f.kind == "<=":
             return lambda frame: over(frame,
                                       range(min(bound(frame), cap) + 1))
-        if f.kind == "lt":
+        if f.kind == "<":
             return lambda frame: over(frame,
                                       range(min(bound(frame), cap + 1)))
-        if f.kind == "mem":
+        if f.kind == "in":
             return lambda frame: over(frame, bound(frame).items)
         return _fail(f"unknown bound kind {f.kind!r}")
     return _fail(f"cannot evaluate formula node {type(f).__name__}")

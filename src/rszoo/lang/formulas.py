@@ -88,7 +88,7 @@ class ExistsSt(SyntaxNode):
 @node
 class BForall(SyntaxNode):
     var: Var
-    kind: str  # "le" | "lt" | "mem"
+    kind: str  # "<=" | "<" | "in", as written
     bound: Term
     body: "Formula"
 
@@ -292,21 +292,10 @@ def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
 # ---------------------------------------------------------------------------
 # desugaring
 
-def desugar_approx(f: Formula) -> Formula:
-    """Expand ApproxEq into its standard-quantifier form, recursively."""
-    if isinstance(f, ApproxEq):
-        return _approx_at(f.ty, f.left, f.right)
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(desugar_approx(f.body))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(desugar_approx(f.left), desugar_approx(f.right))
-    if isinstance(f, QUANTS):
-        return type(f)(f.var, desugar_approx(f.body))
-    if isinstance(f, BQUANTS):
-        return type(f)(f.var, f.kind, f.bound, desugar_approx(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+def desugar_approx(f: ApproxEq) -> Formula:
+    """The atom ``approx[T](s, t)`` in standard quantifiers: pointwise
+    at standard arguments, componentwise on products."""
+    return _approx_at(f.ty, f.left, f.right)
 
 
 def _approx_at(ty: FiniteType, l: Term, r: Term) -> Formula:

@@ -5,9 +5,12 @@ Grammar sketch (precedence low to high):
     formula  :=  or ('->' formula)?              right-associative
     or       :=  and ('\\/' and)*
     and      :=  unary ('/\\' unary)*
-    unary    :=  '~' unary | quantified | atom
+    unary    :=  '~' unary | prefix formula | atom
+    prefix   :=  '(' Q '^st'? binders ')' | '(' Q NAME BOUND term ')'
     atom     :=  approx[T](s,t) | term REL term | '(' formula ')'
+    Q        :=  'forall' | 'exists'
     REL      :=  '=' | '!=' | '<=' | '<'
+    BOUND    :=  '<=' | '<' | 'in'          kept as written, as the kind
     binders  :=  NAME (',' NAME)* ':' type (',' binders)?
 
 Quantifier prefixes are parenthesized: ``(forall x:1)``, ``(exists^st
@@ -20,7 +23,9 @@ operand of ``/\\`` or ``\\/`` — wrap it in parentheses instead.
 Formulas are typed as they are parsed: both sides of ``=`` and ``!=``
 at one type, any type (above type 0 equality is extensional); the
 arguments of ``<=`` and ``<`` and the ``<=``/``<`` bounds at type 0,
-an ``in`` bound a sequence, and the sides of ``approx[T]`` at T.  That
+an ``in`` bound a sequence, and the sides of ``approx[T]`` at T.  A
+term of the wrong type fails where it starts; the sides of ``=`` or
+``!=`` at two types fail at the relation.  That
 t is standard is written ``(exists^st y:T) y = t``; a true and a false
 formula, ``0 = 0`` and ``0 < 0``.
 
@@ -233,6 +238,29 @@ class Parser:
             if not self.take(","):
                 return out
 
+    def scoped(self, variables: list[Var], read):
+        """``read()`` with ``variables`` in scope, each shadowing its
+        name until ``read`` returns."""
+        env = self.env
+        outer = {v.name: env.get(v.name) for v in variables}
+        env.update((v.name, v) for v in variables)
+        out = read()
+        for name, prev in outer.items():
+            if prev is None:
+                del env[name]
+            else:
+                env[name] = prev
+        return out
+
+    def listed(self, read, close: str) -> list:
+        """``read()`` once, and again after each ',', then the symbol
+        ``close``."""
+        out = [read()]
+        while self.take(","):
+            out.append(read())
+        self.expect_sym(close)
+        return out
+
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> FiniteType:
@@ -272,36 +300,19 @@ class Parser:
                 self.fail("expected a variable after '\\'")
             self.next()
             self.expect_sym(":")
-            ty = self.parse_type()
-            v = Var(tok.text, ty)
+            v = Var(tok.text, self.parse_type())
             self.expect_sym(".")
-            old = self.env.get(tok.text)
-            self.env[tok.text] = v
-            body = self.parse_term()
-            if old is None:
-                del self.env[tok.text]
-            else:
-                self.env[tok.text] = old
-            return Abs(v, body)
+            return Abs(v, self.scoped([v], self.parse_term))
         return self._term_app()
 
     def _term_app(self) -> Term:
         t = self._term_primary()
         while True:
             if self.take("("):
-                args = [self.parse_term()]
-                while self.take(","):
-                    args.append(self.parse_term())
-                self.expect_sym(")")
-                t = app(t, *args)
+                t = app(t, *self.listed(self.parse_term, ")"))
             elif self.at_sym("["):
-                open_tok = self.peek()
-                self.next()
-                args = [self.parse_term()]
-                while self.take(","):
-                    args.append(self.parse_term())
-                self.expect_sym("]")
-                for a in args:
+                open_tok = self.next()
+                for a in self.listed(self.parse_term, "]"):
                     t = self._mk_seqapp(t, a, open_tok)
             else:
                 return t
@@ -330,10 +341,7 @@ class Parser:
             return c
         make, arity, _ = POLYMORPHIC[name]
         self.expect_sym("[")
-        args = [self.parse_type()]
-        while self.take(","):
-            args.append(self.parse_type())
-        self.expect_sym("]")
+        args = self.listed(self.parse_type, "]")
         if len(args) != arity:
             raise ParseError(f"{name} takes {arity} type argument(s)",
                              tok.line, tok.col)
@@ -364,24 +372,24 @@ class Parser:
 
     # -- formulas -----------------------------------------------------------
 
-    def parse_formula(self, allow_quant: bool = True) -> Formula:
-        left = self._f_or(allow_quant)
+    def parse_formula(self) -> Formula:
+        left = self._f_or()
         if self.take("->"):
-            return Implies(left, self.parse_formula(True))
+            return Implies(left, self.parse_formula())
         return left
 
-    def _f_or(self, aq: bool) -> Formula:
-        left = self._f_and(aq)
+    def _f_or(self) -> Formula:
+        left = self._f_and()
         while self.take("\\/"):
             self._reject_bare_quant("\\/")
-            left = Or(left, self._f_and(False))
+            left = Or(left, self._f_and())
         return left
 
-    def _f_and(self, aq: bool) -> Formula:
-        left = self._f_unary(aq)
+    def _f_and(self) -> Formula:
+        left = self._f_unary()
         while self.take("/\\"):
             self._reject_bare_quant("/\\")
-            left = And(left, self._f_unary(False))
+            left = And(left, self._f_unary())
         return left
 
     def _at_quant(self) -> bool:
@@ -395,17 +403,15 @@ class Parser:
                 f"ambiguous quantifier scope after {op!r}; parenthesize the "
                 "quantified formula", t.line, t.col)
 
-    def _f_unary(self, aq: bool) -> Formula:
+    def _f_unary(self) -> Formula:
         if self.at_sym("~"):
             tok = self.next()
             if self._at_quant():
                 raise ParseError(
                     "ambiguous quantifier scope under '~'; parenthesize the "
                     "quantified formula", tok.line, tok.col)
-            return Not(self._f_unary(False))
+            return Not(self._f_unary())
         if self._at_quant():
-            if not aq:
-                self._reject_bare_quant("operand")
             return self._f_quant()
         return self._f_atom()
 
@@ -416,52 +422,32 @@ class Parser:
         is_st = self.take("^st")
 
         vt = self.peek()
-        kind = _BOUNDS.get(self.peek(1).text) if vt.kind == "ident" else None
-        if kind is None:
-            binders = [(v, None, None) for v in self.binders()]
-        else:  # one bounded binder per prefix
+        kind = self.peek(1).text
+        if vt.kind == "ident" and kind in _BOUND_KINDS:  # one binder
             if is_st:
                 raise ParseError("bounded quantifiers cannot carry ^st",
                                  vt.line, vt.col)
-            self.next()
-            self.next()
-            if kind == "mem":
-                bound = self.parse_term()
-                try:
-                    bty = infer_type(bound)
-                except TypeCheckError as e:
-                    raise ParseError(str(e), vt.line, vt.col) from None
+            self.pos += 2   # the variable and its bound kind
+            bound, bty, btok = self.typed_term()
+            if kind == "in":
                 if not isinstance(bty, Seq):
                     raise ParseError("'in' bound must be a sequence",
-                                     vt.line, vt.col)
-                binders = [(Var(vt.text, bty.elem), kind, bound)]
-            else:
-                bound, bty, btok = self.typed_term()
-                if bty != N:
-                    raise ParseError("<=-bounded quantifier needs type 0",
                                      btok.line, btok.col)
-                binders = [(Var(vt.text, N), kind, bound)]
+                bty = bty.elem
+            elif bty != N:
+                raise ParseError("<=-bounded quantifier needs type 0",
+                                 btok.line, btok.col)
+            v = Var(vt.text, bty)
+            self.expect_sym(")")
+            node = BForall if is_forall else BExists
+            return node(v, kind, bound, self.scoped([v], self.parse_formula))
+        variables = self.binders()
         self.expect_sym(")")
-
-        old: dict[str, Var | None] = {}
-        for v, _, _ in binders:
-            old[v.name] = self.env.get(v.name)
-            self.env[v.name] = v
-        body = self.parse_formula(True)
-        for name, prev in old.items():
-            if prev is None:
-                del self.env[name]
-            else:
-                self.env[name] = prev
-
-        for v, kind, bound in reversed(binders):
-            if kind is None:
-                node = (ForallSt if is_st else Forall) if is_forall else \
-                       (ExistsSt if is_st else Exists)
-                body = node(v, body)
-            else:
-                node = BForall if is_forall else BExists
-                body = node(v, kind, bound, body)
+        body = self.scoped(variables, self.parse_formula)
+        node = (ForallSt if is_st else Forall) if is_forall else \
+               (ExistsSt if is_st else Exists)
+        for v in reversed(variables):
+            body = node(v, body)
         return body
 
     def _f_atom(self) -> Formula:
@@ -481,7 +467,7 @@ class Parser:
             return ApproxEq(ty, sides[0][0], sides[1][0])
         if self.at_sym("(") and not self._opens_term():
             self.next()
-            f = self.parse_formula(True)
+            f = self.parse_formula()
             self.expect_sym(")")
             return f
         return self._f_relation()
@@ -529,8 +515,8 @@ class Parser:
 
 
 _RELATIONS = frozenset(["=", "!=", "<=", "<"])
-# the bound kinds of a quantifier, by the token after its variable
-_BOUNDS = {"<=": "le", "<": "lt", "in": "mem"}
+# the bound kinds of a quantifier: the token after its variable
+_BOUND_KINDS = frozenset(["<=", "<", "in"])
 # what may follow a parenthesized term in an atom
 _AFTER_TERM = _RELATIONS | {"(", "["}
 

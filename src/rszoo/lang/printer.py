@@ -125,8 +125,7 @@ def _show_f(f: Formula, level: int) -> str:
         return f"({s})" if level > 0 else s
     if isinstance(f, BQUANTS):
         kw = "forall" if isinstance(f, BForall) else "exists"
-        op = {"le": "<=", "lt": "<", "mem": "in"}[f.kind]
-        s = (f"({kw} {f.var.name} {op} {show_term(f.bound)}) "
+        s = (f"({kw} {f.var.name} {f.kind} {show_term(f.bound)}) "
              f"{_show_f(f.body, 0)}")
         return f"({s})" if level > 0 else s
     raise TypeError(f"not a formula: {f!r}")

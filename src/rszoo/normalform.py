@@ -50,12 +50,10 @@ class NormalFormError(Exception):
 @record
 class TransferInstance:
     """The transfer statement for zeros of a standard table, in its raw
-    implication shape and its two-block normal shape, the latter also
-    as one formula (built once, so that a model compiles it once).
-    The two are classically equivalent."""
+    implication shape and its two-block normal shape.  The two are
+    classically equivalent."""
     transfer: Formula
     normal: NormalForm
-    normal_formula: Formula
 
 
 def trans_instance() -> TransferInstance:
@@ -66,9 +64,8 @@ def trans_instance() -> TransferInstance:
     transfer = ForallSt(f, Implies(
         ForallSt(x, Not(fx0)),
         Forall(x, Not(fx0))))
-    matrix = Implies(Exists(x, fx0), BExists(z, "le", y, fz0))
-    normal = NormalForm((f,), (y,), matrix)
-    return TransferInstance(transfer, normal, nf_to_formula(normal))
+    matrix = Implies(Exists(x, fx0), BExists(z, "<=", y, fz0))
+    return TransferInstance(transfer, NormalForm((f,), (y,), matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +305,7 @@ def _try_choice(g: Formula, taken: set[str],
         return None
     seq_ty = arrows([x.ty for x in xs], Seq(y.ty))
     w = Var(fresh_name("W", taken), seq_ty)
-    seq_form: Formula = BExists(y, "mem", app(w, *[x for x in xs]), matrix)
+    seq_form: Formula = BExists(y, "in", app(w, *[x for x in xs]), matrix)
     for x in reversed(xs):
         seq_form = ForallSt(x, seq_form)
     seq_form = ExistsSt(w, seq_form)
@@ -394,7 +391,7 @@ def normalize_principle(base: Formula,
     herb = herbrandize_choice(resolved, steps=steps)
     if steps is not None:
         steps.append(("choice-collapsed", herb))
-    target = trans_instance().normal_formula
+    target = nf_to_formula(trans_instance().normal)
     imp = Implies(herb, target)
     if steps is not None:
         steps.append(("implication", imp))

@@ -271,7 +271,7 @@ class Gen:
             return cls(v, self.internal_formula({**env, v.name: v.ty},
                                                 depth - 1))
         v = Var(fresh_name("i", set(env)), N)
-        kind = self.rng.choice(["le", "lt"])
+        kind = self.rng.choice(["<=", "<"])
         bound = self.term(N, env, 2)
         cls = self.rng.choice([BForall, BExists])
         return cls(v, kind, bound,

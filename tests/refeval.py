@@ -175,11 +175,11 @@ def formula(model, f, env: dict) -> bool:
         return over(model, f, env, pop, isinstance(f, (Forall, ForallSt)))
     if isinstance(f, (BForall, BExists)):
         bound = term(model, f.bound, env)
-        if f.kind == "le":
+        if f.kind == "<=":
             pop = range(min(bound, model.cap) + 1)
-        elif f.kind == "lt":
+        elif f.kind == "<":
             pop = range(min(bound, model.cap + 1))
-        elif f.kind == "mem":
+        elif f.kind == "in":
             pop = bound.items
         else:
             raise ModelError(f"unknown bound kind {f.kind!r}")

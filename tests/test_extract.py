@@ -186,6 +186,20 @@ def test_rs_run_again_compiles_nothing_new():
     assert sizes == [sizes[0]] * 3 and sizes[0] > 0
 
 
+def test_fresh_entries_on_one_model_compile_nothing_new():
+    # the cache is keyed on nodes, not on their ids: a freshly read
+    # entry's nodes equal the last one's and find its closures, so the
+    # cache does not grow with each entry run on the model
+    model = udnr_entry().model
+    sizes = []
+    for _ in range(4):
+        entry = udnr_entry()
+        entry.model = model
+        rs_run(entry)
+        sizes.append(len(model._compiled))
+    assert sizes == [sizes[0]] * 4 and sizes[0] > 0
+
+
 def rs_run_fails_at(entry, stage: str) -> str:
     """The message of the ScriptError that rs_run raises at ``stage``."""
     with pytest.raises(ScriptError) as info:

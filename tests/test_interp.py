@@ -1,6 +1,7 @@
 import pytest
 
 import gen
+import refeval
 from rszoo.interp import (FnV, MiniModel, ModelError, ModelRefusal, PairV,
                           SeqV, eval_formula, eval_term, model as model_mod,
                           parse_model_config, table_fn,
@@ -218,6 +219,21 @@ def test_type_two_sweep_refused():
     with pytest.raises(ModelRefusal) as e:
         evf(m, "(forall F:2) F(\\x:0. x) = 0")
     assert "10^" in str(e.value)
+
+
+def test_plain_quantifier_above_type_one_enumerates_every_functional():
+    # at cap 1 a type-1 table has 2 cells of 2 values, and a type-2
+    # functional is one of 2^4 lookups keyed on those tables
+    m = MiniModel(cap=1, omega=1)
+    ty = pure(2)
+    keys = {m.canon_key(ty, F) for F in m.enum_values(ty)}
+    assert len(keys) == 16
+    for src, want in [("(exists F:2) (forall h:1) F(h) = h(0)", True),
+                      ("(forall F:2) (exists h:1) F(h) = h(1)", False),
+                      ("(forall F:2) (exists G:2) G != F", True)]:
+        f = parse_formula(src)
+        assert eval_formula(m, f) is want, src
+        assert refeval.formula(MiniModel(cap=1, omega=1), f, {}) is want
 
 
 def test_bounded_quantifiers():

@@ -175,7 +175,7 @@ def test_bounded_quantifier_kinds():
     f = parse_formula("(forall i <= 4) (exists j < i) j != i")
     bf = f
     assert isinstance(bf, BForall)
-    assert bf.kind == "le"
+    assert bf.kind == "<="
     assert show_formula(f) == "(forall i <= 4) (exists j < i) j != i"
 
 
@@ -207,6 +207,16 @@ def test_grouped_binders_share_and_split_types():
     assert show_formula(f) == "(forall x:0, y:0, f:1) f(x) = y"
 
 
+def test_a_name_bound_twice_in_one_prefix_stays_in_its_scope():
+    # the inner x:1 shadows x:0 in the body; after the body neither is
+    # in scope, so the x after the conjunction is unbound
+    f = parse_formula("(forall x:0, x:1) x = x")
+    assert f.body.body.args[0].ty == pure(1)
+    with pytest.raises(ParseError) as e:
+        parse_formula("((forall x:0, x:1) x = x) /\\ x = 0")
+    assert (e.value.msg, e.value.col) == ("unbound variable 'x'", 30)
+
+
 def test_typecheck_rejects_ill_typed_atoms():
     # each error names the rule broken, at the token that breaks it
     params = {"f": pure(1), "g": pure(1), "h": parse_type("0 -> 1"), "x": N}
@@ -224,7 +234,10 @@ def test_typecheck_rejects_ill_typed_atoms():
             ("(forall n <= f) n = n", 14,
              "<=-bounded quantifier needs type 0"),
             ("(exists n < h(x)) n = n", 13,
-             "<=-bounded quantifier needs type 0")]:
+             "<=-bounded quantifier needs type 0"),
+            ("(forall v in x) v = v", 14, "'in' bound must be a sequence"),
+            ("(exists v in f(g)) v = v", 14,
+             "argument type mismatch: expected 0, got 1")]:
         with pytest.raises(ParseError) as e:
             parse_formula(src, params=params)
         assert (e.value.msg, e.value.line, e.value.col) == (msg, 1, at), src
@@ -374,7 +387,7 @@ def test_binders_remove_free_variables_by_name():
     t = Abs(Var("y", pure(1)), Var("y", N))
     assert free_vars(t) == frozenset()
     # a bound lies outside its binder's scope
-    g = BForall(Var("y", N), "le", Var("y", N),
+    g = BForall(Var("y", N), "<=", Var("y", N),
                 Atom("=", (Var("y", pure(1)), num(0))))
     assert free_vars_f(g) == {Var("y", N)}
 

@@ -70,6 +70,10 @@ def expansions(lets: str, use: str, universals: str = "k:0, x:0, p:0"):
     # a redex written by hand is left alone
     ("let inc := \\n:0. succ(n)", "(\\n:0. inc(n))(k)",
      "(\\n:0. succ(n))(k)"),
+    # ap returns its binder, which takes the let lambda inc; the
+    # argument left over is then applied to inc in turn
+    ("let inc := \\n:0. succ(n)\nlet ap := \\g:1. g", "ap(inc, k)",
+     "succ(k)"),
 ])
 def test_let_applications_reduce_by_the_rule(lets, use, want):
     reduced, plain = expansions(lets, use)

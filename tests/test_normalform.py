@@ -1,6 +1,9 @@
 import pytest
+
+import refeval
 from rszoo.interp import eval_formula, parse_model_config
-from rszoo.lang import parse_formula, parse_type, show_formula, show_type
+from rszoo.lang import (ExistsSt, ForallSt, parse_formula, parse_type,
+                        show_formula, show_type, strip)
 from rszoo.normalform import (NormalFormError, herbrandize_choice,
                               normalize_principle, prenex_to_normal,
                               resolve_approx, trans_instance, uniformize)
@@ -227,7 +230,7 @@ def test_transfer_normal_shape():
 
 def both_shapes(ti, model) -> tuple[bool, bool]:
     return (eval_formula(model, ti.transfer),
-            eval_formula(model, ti.normal_formula))
+            eval_formula(model, nf_to_formula(ti.normal)))
 
 
 def test_transfer_equivalence_holds_in_models():
@@ -246,3 +249,32 @@ def test_transfer_equivalence_compiles_each_shape_once():
     for _ in range(3):
         assert both_shapes(ti, model) == (True, True)
     assert len(model._compiled) == cached
+
+
+def test_prenex_under_negation_flips_the_blocks():
+    # ~ turns the standard exists into the universal block and the
+    # forall into the existential one; both shapes agree in the model
+    f = parse_formula("~((exists^st x:0) (forall^st y:0) x < y)")
+    nf = prenex_to_normal(f)
+    assert show_nf(nf) == "(forall^st x:0) (exists^st y:0) ~(x < y)"
+    model = small_model()
+    assert eval_formula(model, f) is eval_formula(model, nf_to_formula(nf))
+    assert refeval.formula(small_model(), nf_to_formula(nf), {}) is \
+        refeval.formula(small_model(), f, {})
+
+
+def test_resolve_approx_expands_a_premise_of_two_approx_atoms():
+    # two universals give Psi two arguments, so its extensionality
+    # premise is a conjunction of two approx atoms: both compare
+    # prefixes up to one N
+    up = uniformize(parse_formula(
+        "(forall f:1, g:1) (exists y:0) f(y) = g(y)"))
+    ext = strip(strip(up.strong, ExistsSt)[1].right, ForallSt)[1]
+    assert show_formula(ext) == (
+        "approx[1](X, Y) /\\ approx[1](X1, Y1) -> "
+        "approx[0](Psi(X, X1), Psi(Y, Y1))")
+    resolved = strip(strip(resolve_approx(up.strong), ExistsSt)[1].right,
+                     ForallSt)[1]
+    assert show_formula(resolved) == (
+        "(exists^st N:0) initseg(X, N) = initseg(Y, N) /\\ "
+        "initseg(X1, N) = initseg(Y1, N) -> Psi(X, X1) = Psi(Y, Y1)")

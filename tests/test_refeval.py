@@ -300,6 +300,17 @@ def test_check_candidates_agrees_with_a_sweep_without_memo_where_keys_matter():
     assert not report.ok and report.checked == 256
 
 
+def test_candidate_report_notes_a_vacuous_antecedent():
+    # no standard x is below 0, so the row holds only vacuously, and
+    # the report line says so
+    nf = parse_nf("(forall^st x:0) (exists^st y:0) x < 0 -> y = x")
+    rows = ((Var("x", N),),)
+    report = check_candidates(MiniModel(3, 2), nf, rows)
+    assert fields(report) == refeval.candidates(MiniModel(3, 2), nf, rows)
+    assert report.line() == ("candidates ok over 2 assignment(s) "
+                             "[antecedent vacuous]")
+
+
 # ---------------------------------------------------------------------------
 # runs of the oracle machine
 
