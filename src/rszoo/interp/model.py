@@ -74,9 +74,9 @@ from typing import Iterable, Iterator
 from ..lang.types import Arrow, FiniteType, N, Product, Seq, show_type
 from ..lang.terms import (Abs, App, Const, Term, Var, free_vars, infer_type,
                           spine)
-from ..lang.formulas import (And, ApproxEq, Atom, BExists, BForall, Exists,
-                             ExistsSt, Forall, ForallSt, Formula, Implies,
-                             Not, Or, desugar_approx, free_vars_f)
+from ..lang.formulas import (And, Atom, BExists, BForall, Exists, ExistsSt,
+                             Forall, ForallSt, Formula, Implies, Not, Or,
+                             free_vars_f)
 from . import machine
 
 _TYPE1 = Arrow(N, N)
@@ -618,8 +618,6 @@ def _primitive(model: MiniModel, c: Const):
         cod = c.ty.cod.cod if isinstance(c.ty.cod, Arrow) else N
         return 2, lambda s, i: (s.items[i] if i < len(s.items)
                                 else zero_value(model, cod))
-    if name == "seqapp":
-        return 2, lambda f, x: f.call(x)
     if name == "rec":
         def recur(base, step, n):
             acc = base
@@ -641,8 +639,6 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
         if f.rel == "<":
             return lambda frame: a(frame) < b(frame)
         return _fail(f"unknown relation {f.rel!r}")
-    if isinstance(f, ApproxEq):
-        return _compile_formula(model, desugar_approx(f), scope)
     if isinstance(f, Not):
         body = _compile_formula(model, f.body, scope)
         return lambda frame: not body(frame)

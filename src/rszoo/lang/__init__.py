@@ -5,12 +5,12 @@ from .terms import (Abs, App, CONST_NAMES, Const, INITSEG, LangError, MUSCAN,
                     RUN, SEQMAX, SUCC, Term, TypeCheckError, Var, alpha_eq,
                     app, append_c, distinct_subterms, empty_c, free_vars,
                     fresh_name, fst_c, get_c, infer_type, lam, len_c, num,
-                    pair_c, rec_c, seqapp_c, snd_c, spine, subterms)
-from .formulas import (And, ApproxEq, Atom, BExists, BForall, BQUANTS, Exists,
+                    pair_c, rec_c, snd_c, spine, subterms)
+from .formulas import (And, Atom, BExists, BForall, BQUANTS, Exists,
                        ExistsSt, FALSE, Forall, ForallSt, Formula, Implies,
                        Not, Or, QUANTS, TRUE, all_names_f, alpha_eq_f, conj,
-                       desugar_approx, disj, free_vars_f, is_internal, strip,
-                       subformulas, subst_f)
+                       disj, free_vars_f, is_internal, strip, subformulas,
+                       subst_f)
 from .parser import ParseError, parse_formula, parse_term, parse_type
 from .printer import show_formula, show_term
 from . import stdterms

@@ -1,9 +1,10 @@
 """Formulas over finite-type terms.
 
-A formula is external when it has a node of an ``EXTERNAL`` kind: a
-standard quantifier or ``ApproxEq`` (equality on standard arguments);
-otherwise it is internal.  That a term t of type T is standard is said
-``(exists^st y:T) y = t``.  Quantifiers come in four flavours: plain,
+A formula is external when it has a standard quantifier (a node of an
+``EXTERNAL`` kind); otherwise it is internal.  That a term t of type T
+is standard is said ``(exists^st y:T) y = t``, and that s and t agree
+at standard arguments, ``approx[T](s, t)``, is the formula ``approx``
+builds.  Quantifiers come in four flavours: plain,
 standard-relativized (``forall^st``), and bounded (by <=, <, or
 membership in a sequence value).  Equality is one atom, ``=``, at every
 type, extensional above type 0.
@@ -18,10 +19,10 @@ from __future__ import annotations
 from typing import Callable, Iterator, Mapping, Union
 
 from .terms import (NO_VARS, App, Prepared, Scope, Term, Var,
-                    SyntaxNode, all_names, alpha_binder, alpha_walk, app,
+                    SyntaxNode, all_names, alpha_binder, alpha_walk,
                     drop_name, enter_binder, free_vars as term_fvs,
-                    fresh_name, fst_c, keep_fvs, num, prepare, same_scope,
-                    snd_c, subst_prepared, union)
+                    fresh_name, fst_c, infer_type, keep_fvs, num, prepare,
+                    same_scope, snd_c, subst_prepared, union)
 from .types import Arrow, FiniteType, N, Product, Seq, node
 
 
@@ -29,13 +30,6 @@ from .types import Arrow, FiniteType, N, Product, Seq, node
 class Atom(SyntaxNode):
     rel: str  # "=" at any type; "<=", "<" on type 0
     args: tuple[Term, ...]
-
-
-@node
-class ApproxEq(SyntaxNode):
-    ty: FiniteType
-    left: Term
-    right: Term
 
 
 @node
@@ -101,7 +95,7 @@ class BExists(SyntaxNode):
     body: "Formula"
 
 
-Formula = Union[Atom, ApproxEq, Not, And, Or, Implies,
+Formula = Union[Atom, Not, And, Or, Implies,
                 Forall, Exists, ForallSt, ExistsSt, BForall, BExists]
 
 TRUE = Atom("=", (num(0), num(0)))
@@ -110,7 +104,7 @@ FALSE = Atom("<", (num(0), num(0)))
 QUANTS = (Forall, Exists, ForallSt, ExistsSt)
 BQUANTS = (BForall, BExists)
 # the node kinds that make a formula external
-EXTERNAL = (ForallSt, ExistsSt, ApproxEq)
+EXTERNAL = (ForallSt, ExistsSt)
 
 
 def conj(parts: list[Formula]) -> Formula:
@@ -186,8 +180,6 @@ def _free_vars_f(f: Formula) -> frozenset[Var]:
         for t in f.args:
             out = union(out, term_fvs(t))
         return out
-    if isinstance(f, ApproxEq):
-        return union(term_fvs(f.left), term_fvs(f.right))
     if isinstance(f, Not):
         return free_vars_f(f.body)
     if isinstance(f, (And, Or, Implies)):
@@ -204,8 +196,6 @@ def all_names_f(f: Formula) -> set[str]:
     """Every variable name in f, free or bound."""
     if isinstance(f, Atom):
         return set().union(*map(all_names, f.args))
-    if isinstance(f, ApproxEq):
-        return all_names(f.left) | all_names(f.right)
     if isinstance(f, Not):
         return all_names_f(f.body)
     if isinstance(f, (And, Or, Implies)):
@@ -231,8 +221,6 @@ def subst_f_prepared(f: Formula, sub: Prepared,
         return f
     if isinstance(f, Atom):
         return Atom(f.rel, tuple(term(t, sub) for t in f.args))
-    if isinstance(f, ApproxEq):
-        return ApproxEq(f.ty, term(f.left, sub), term(f.right, sub))
     if isinstance(f, Not):
         return Not(subst_f_prepared(f.body, sub, term))
     if isinstance(f, (And, Or, Implies)):
@@ -274,9 +262,6 @@ def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
             if not alpha_walk(s, t, ma, mb, depth):
                 return False
         return True
-    if kind is ApproxEq:
-        return (a.ty == b.ty and alpha_walk(a.left, b.left, ma, mb, depth)
-                and alpha_walk(a.right, b.right, ma, mb, depth))
     if kind is Not:
         return alpha_walk_f(a.body, b.body, ma, mb, depth)
     if kind is And or kind is Or or kind is Implies:
@@ -290,24 +275,51 @@ def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
 
 
 # ---------------------------------------------------------------------------
-# desugaring
+# approximation
 
-def desugar_approx(f: ApproxEq) -> Formula:
-    """The atom ``approx[T](s, t)`` in standard quantifiers: pointwise
-    at standard arguments, componentwise on products."""
-    return _approx_at(f.ty, f.left, f.right)
-
-
-def _approx_at(ty: FiniteType, l: Term, r: Term) -> Formula:
+def approx(ty: FiniteType, l: Term, r: Term) -> Formula:
+    """The formula that ``approx[T](l, r)`` abbreviates: ``l = r`` at
+    type 0 and at sequence types, ``(forall^st u) approx[U](l(u), r(u))``
+    at a function type T = S -> U (u of type S), and componentwise on
+    products."""
     if ty == N or isinstance(ty, Seq):
         return Atom("=", (l, r))
     if isinstance(ty, Arrow):
         taken = {v.name for v in term_fvs(l) | term_fvs(r)}
-        x = Var(fresh_name("u", taken), ty.dom)
-        return ForallSt(x, _approx_at(ty.cod, App(l, x), App(r, x)))
+        u = Var(fresh_name("u", taken), ty.dom)
+        return ForallSt(u, approx(ty.cod, App(l, u), App(r, u)))
     if isinstance(ty, Product):
-        return And(_approx_at(ty.left, app(fst_c(ty.left, ty.right), l),
-                              app(fst_c(ty.left, ty.right), r)),
-                   _approx_at(ty.right, app(snd_c(ty.left, ty.right), l),
-                              app(snd_c(ty.left, ty.right), r)))
+        fst, snd = fst_c(ty.left, ty.right), snd_c(ty.left, ty.right)
+        return And(approx(ty.left, App(fst, l), App(fst, r)),
+                   approx(ty.right, App(snd, l), App(snd, r)))
     raise TypeError(f"not a finite type: {ty!r}")
+
+
+def approx_sides(f: Formula) -> tuple[FiniteType, Term, Term] | None:
+    """(T, l, r) when f is ``approx(T, l, r)``, up to the names of its
+    standard quantifiers' variables; else None."""
+    if isinstance(f, Atom):
+        ty = infer_type(f.args[0])
+        if f.rel == "=" and (ty == N or isinstance(ty, Seq)):
+            return ty, *f.args
+        return None
+    if isinstance(f, ForallSt):
+        inner = approx_sides(f.body)
+        if inner is None:
+            return None
+        cod, l, r = inner
+        u = f.var
+        if (isinstance(l, App) and isinstance(r, App) and l.arg == u == r.arg
+                and all(v.name != u.name
+                        for v in term_fvs(l.fn) | term_fvs(r.fn))):
+            return Arrow(u.ty, cod), l.fn, r.fn
+        return None
+    if isinstance(f, And):
+        a, b = approx_sides(f.left), approx_sides(f.right)
+        if a and b and isinstance(a[1], App) and isinstance(a[2], App):
+            fst, snd = fst_c(a[0], b[0]), snd_c(a[0], b[0])
+            l, r = a[1].arg, a[2].arg
+            if (a[1:] == (App(fst, l), App(fst, r))
+                    and b[1:] == (App(snd, l), App(snd, r))):
+                return Product(a[0], b[0]), l, r
+    return None

@@ -12,6 +12,10 @@ Grammar sketch (precedence low to high):
     REL      :=  '=' | '!=' | '<=' | '<'
     BOUND    :=  '<=' | '<' | 'in'          kept as written, as the kind
     binders  :=  NAME (',' NAME)* ':' type (',' binders)?
+    term     :=  '\\' NAME ':' type '.' term | primary args*
+    args     :=  '(' term (',' term)* ')'
+    primary  :=  NUMBER | NAME | CONST ('[' type (',' type)* ']')?
+              |  '(' term ')'
 
 Quantifier prefixes are parenthesized: ``(forall x:1)``, ``(exists^st
 y:0)``, ``(forall x, y:0, f:1)``, ``(forall n <= t)``, ``(exists v in
@@ -27,7 +31,8 @@ an ``in`` bound a sequence, and the sides of ``approx[T]`` at T.  A
 term of the wrong type fails where it starts; the sides of ``=`` or
 ``!=`` at two types fail at the relation.  That
 t is standard is written ``(exists^st y:T) y = t``; a true and a false
-formula, ``0 = 0`` and ``0 < 0``.
+formula, ``0 = 0`` and ``0 < 0``.  ``approx[T](s, t)`` is read as the
+formula it abbreviates (``formulas.approx``).
 
 A constant's name is reserved.  A polymorphic constant writes its type
 arguments in brackets (``rec[0]``, ``pair[0,1]``); ``terms.POLYMORPHIC``
@@ -44,10 +49,10 @@ from __future__ import annotations
 
 import re
 
-from .formulas import (And, ApproxEq, Atom, BExists, BForall, Exists,
-                       ExistsSt, Forall, ForallSt, Formula, Implies, Not, Or)
+from .formulas import (And, Atom, BExists, BForall, Exists, ExistsSt, Forall,
+                       ForallSt, Formula, Implies, Not, Or, approx)
 from .terms import (Abs, CONST_NAMES, MONOMORPHIC, POLYMORPHIC, Term,
-                    TypeCheckError, Var, app, infer_type, num, seqapp_c)
+                    TypeCheckError, Var, app, infer_type, num)
 from .types import Arrow, FiniteType, N, Product, Seq, pure, record, show_type
 
 
@@ -307,30 +312,13 @@ class Parser:
 
     def _term_app(self) -> Term:
         t = self._term_primary()
-        while True:
-            if self.take("("):
-                t = app(t, *self.listed(self.parse_term, ")"))
-            elif self.at_sym("["):
-                open_tok = self.next()
-                for a in self.listed(self.parse_term, "]"):
-                    t = self._mk_seqapp(t, a, open_tok)
-            else:
-                return t
+        while self.take("("):
+            t = app(t, *self.listed(self.parse_term, ")"))
+        return t
 
     # A term parsed here takes each free variable from ``env`` as it is
     # now, so ``env`` agrees with it and its type is ``infer_type`` of
     # the term alone.
-
-    def _mk_seqapp(self, fn: Term, arg: Term, tok: Token) -> Term:
-        try:
-            fty = infer_type(fn)
-            aty = infer_type(arg)
-        except TypeCheckError as e:
-            raise ParseError(str(e), tok.line, tok.col) from None
-        if not isinstance(fty, Arrow) or fty.dom != aty:
-            raise ParseError("candidate application Y[x] needs a function "
-                             "matching the argument type", tok.line, tok.col)
-        return app(seqapp_c(fty.dom, fty.cod), fn, arg)
 
     def _constant(self, name: str, tok: Token) -> Term:
         """The constant ``name``, the cursor past it; a polymorphic one
@@ -366,8 +354,6 @@ class Parser:
             t = self.parse_term()
             self.expect_sym(")")
             return t
-        if self.at_sym("\\"):
-            return self.parse_term()
         self.expected("a term")
 
     # -- formulas -----------------------------------------------------------
@@ -435,7 +421,7 @@ class Parser:
                                      btok.line, btok.col)
                 bty = bty.elem
             elif bty != N:
-                raise ParseError("<=-bounded quantifier needs type 0",
+                raise ParseError(f"{kind}-bounded quantifier needs type 0",
                                  btok.line, btok.col)
             v = Var(vt.text, bty)
             self.expect_sym(")")
@@ -464,7 +450,7 @@ class Parser:
                 if got != ty:
                     raise ParseError(f"equality at {show_type(ty)} applied "
                                      f"to {show_type(got)}", at.line, at.col)
-            return ApproxEq(ty, sides[0][0], sides[1][0])
+            return approx(ty, sides[0][0], sides[1][0])
         if self.at_sym("(") and not self._opens_term():
             self.next()
             f = self.parse_formula()
@@ -474,8 +460,8 @@ class Parser:
 
     def _opens_term(self) -> bool:
         """Whether the '(' at the cursor opens a term, not a formula:
-        the token after its matching ')' is a relation or goes on with
-        a term (an argument list or a candidate application)."""
+        the token after its matching ')' is a relation or opens an
+        argument list."""
         i = self.closing(self.pos)
         if self.toks[i].kind == "eof":
             return False
@@ -518,7 +504,7 @@ _RELATIONS = frozenset(["=", "!=", "<=", "<"])
 # the bound kinds of a quantifier: the token after its variable
 _BOUND_KINDS = frozenset(["<=", "<", "in"])
 # what may follow a parenthesized term in an atom
-_AFTER_TERM = _RELATIONS | {"(", "["}
+_AFTER_TERM = _RELATIONS | {"("}
 
 
 # ---------------------------------------------------------------------------

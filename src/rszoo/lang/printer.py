@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .formulas import (And, ApproxEq, Atom, BForall, BQUANTS, ExistsSt,
-                       Forall, ForallSt, Formula, Implies, Not, Or, QUANTS,
-                       strip)
-from .terms import POLYMORPHIC, Abs, App, Const, Term, Var, spine
+from .formulas import (And, Atom, BForall, BQUANTS, ExistsSt, Forall,
+                       ForallSt, Formula, Implies, Not, Or, QUANTS, strip)
+from .terms import POLYMORPHIC, Abs, Const, Term, Var, spine
 from .types import show_type
 
 
@@ -21,10 +20,6 @@ def _const_str(c: Const) -> str:
         return c.name
     *_, type_args = POLYMORPHIC[c.name]
     return f"{c.name}[{','.join(map(show_type, type_args(c.ty)))}]"
-
-
-def _is_seqapp(t: Term) -> bool:
-    return isinstance(t, Const) and t.name == "seqapp"
 
 
 def show_term(t: Term) -> str:
@@ -53,40 +48,23 @@ def _pieces(t: Term) -> Iterator[str]:
         yield _binder(t)
         yield from _pieces(t.body)
     else:
-        head, args, (opening, closing) = _application(t)
+        head, args = spine(t)
         if isinstance(head, Abs):
             yield "("
             yield from _pieces(head)
             yield ")"
         else:
             yield from _pieces(head)
-        yield opening
+        yield "("
         for i, a in enumerate(args):
             if i:
                 yield ", "
             yield from _pieces(a)
-        yield closing
+        yield ")"
 
 
 def _binder(t: Abs) -> str:
     return f"\\{t.var.name}:{show_type(t.var.ty)}. "
-
-
-def _application(t: App) -> tuple[Term, list[Term], str]:
-    """Head, arguments and brackets of an application."""
-    head, args = spine(t)
-    # candidate application: seqapp chains display as Y[x1,...,xn]
-    if _is_seqapp(head) and len(args) == 2:
-        fn, arg = args
-        idx = [arg]
-        inner_head, inner_args = spine(fn)
-        while _is_seqapp(inner_head) and len(inner_args) == 2:
-            fn = inner_args[0]
-            idx.append(inner_args[1])
-            inner_head, inner_args = spine(fn)
-        idx.reverse()
-        return fn, idx, "[]"
-    return head, args, "()"
 
 
 def show_formula(f: Formula) -> str:
@@ -101,8 +79,6 @@ def _show_f(f: Formula, level: int) -> str:
     if isinstance(f, Not) and isinstance(f.body, Atom) and f.body.rel == "=":
         a, b = f.body.args
         return f"{show_term(a)} != {show_term(b)}"
-    if isinstance(f, ApproxEq):
-        return f"approx[{show_type(f.ty)}]({show_term(f.left)}, {show_term(f.right)})"
     if isinstance(f, Not):
         if isinstance(f.body, Atom) and f.body.rel != "=":
             return f"~({_show_f(f.body, 0)})"

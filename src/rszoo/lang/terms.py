@@ -128,11 +128,6 @@ def get_c(t: FiniteType) -> Const:
     return Const("get", Arrow(Seq(t), Arrow(N, t)))
 
 
-def seqapp_c(a: FiniteType, b: FiniteType) -> Const:
-    """Application combinator used to display candidate functionals as Y[x]."""
-    return Const("seqapp", Arrow(Arrow(a, b), Arrow(a, b)))
-
-
 #: the constants of one type, by name
 MONOMORPHIC = {c.name: c for c in (SUCC, PLUS, MONUS, MAX2, NPAIR, NUNL, NUNR,
                                    SEQMAX, INITSEG, RUN, MUSCAN)}
@@ -149,7 +144,6 @@ POLYMORPHIC = {
     "append": (append_c, 1, lambda ty: (ty.dom.elem,)),
     "len": (len_c, 1, lambda ty: (ty.dom.elem,)),
     "get": (get_c, 1, lambda ty: (ty.dom.elem,)),
-    "seqapp": (seqapp_c, 2, lambda ty: (ty.dom.dom, ty.dom.cod)),
 }
 
 #: constant names reserved by the concrete syntax

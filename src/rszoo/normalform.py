@@ -29,14 +29,13 @@ types are nonempty; tests check this by brute force at small caps.
 """
 from __future__ import annotations
 
-from .lang.formulas import (EXTERNAL, And, ApproxEq, Atom, BExists, BForall,
-                            Exists, ExistsSt, Forall, ForallSt, Formula,
-                            Implies, Not, Or, all_names_f, conj, is_internal,
-                            strip, subformulas, subst_f)
-from .lang.terms import (Abs, App, Term, Var, app, fresh_name, fst_c, num,
-                         snd_c, INITSEG, NUNL, NUNR)
-from .lang.types import (Arrow, FiniteType, N, Product, Seq, arrows, record,
-                         show_type)
+from .lang.formulas import (EXTERNAL, And, Atom, BExists, BForall, Exists,
+                            ExistsSt, Forall, ForallSt, Formula, Implies, Not,
+                            Or, all_names_f, approx, approx_sides, conj,
+                            is_internal, strip, subformulas, subst_f)
+from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num, INITSEG,
+                         NUNL, NUNR)
+from .lang.types import Arrow, FiniteType, N, Seq, arrows, record, show_type
 from .translate import NormalForm, nf_to_formula
 
 
@@ -137,8 +136,8 @@ def _extensionality(fn: Var, arg_tys: list[FiniteType],
     out_ty = fn.ty
     for _ in arg_tys:
         out_ty = out_ty.cod
-    prem = conj([ApproxEq(c.ty, c, d) for c, d in zip(cs, ds)])
-    ccl = ApproxEq(out_ty, app(fn, *cs), app(fn, *ds))
+    prem = conj([approx(c.ty, c, d) for c, d in zip(cs, ds)])
+    ccl = approx(out_ty, app(fn, *cs), app(fn, *ds))
     body: Formula = Implies(prem, ccl)
     for v in reversed(cs + ds):
         body = ForallSt(v, body)
@@ -180,11 +179,6 @@ def _prefix_eq(ty: FiniteType, l: Term, r: Term, n: Var,
     second component says whether n was actually used."""
     if ty == N or isinstance(ty, Seq):
         return Atom("=", (l, r)), False
-    if isinstance(ty, Product):
-        fst, snd = fst_c(ty.left, ty.right), snd_c(ty.left, ty.right)
-        fl, ul = _prefix_eq(ty.left, App(fst, l), App(fst, r), n, taken)
-        fr, ur = _prefix_eq(ty.right, App(snd, l), App(snd, r), n, taken)
-        return And(fl, fr), ul or ur
     k = _numeric_arity(ty)
     if k is None:
         raise NormalFormError(
@@ -193,39 +187,38 @@ def _prefix_eq(ty: FiniteType, l: Term, r: Term, n: Var,
     return Atom("=", (app(INITSEG, dl, n), app(INITSEG, dr, n))), True
 
 
-def _approx_leaves(f: Formula) -> list[ApproxEq] | None:
-    if isinstance(f, ApproxEq):
-        return [f]
+def _approx_leaves(f: Formula) -> list[tuple] | None:
+    """``approx_sides`` of each approx in f, when f is a conjunction of
+    them (so a product's approx gives one per component)."""
     if isinstance(f, And):
         l = _approx_leaves(f.left)
         r = _approx_leaves(f.right)
-        if l is not None and r is not None:
-            return l + r
-    return None
+        return l + r if l is not None and r is not None else None
+    leaf = approx_sides(f)
+    return None if leaf is None else [leaf]
 
 
 def resolve_approx(f: Formula) -> Formula:
     """Expand approx-implications into prefix comparisons.
 
-    An implication whose sides are conjunctions of approx-atoms becomes
+    An implication whose sides are conjunctions of approxes becomes
 
         (forall^st k)(exists^st N)(prefixes agree at N -> images agree at k)
 
     with k or N omitted when the corresponding side is purely numeric.
-    Approx-atoms anywhere else are rejected: the grammar covers exactly
-    the extensionality conjuncts that uniformize builds.
+    An approx is the formula that ``approx`` builds, read back by
+    ``approx_sides``.  One outside such an implication is left as it
+    is: a standard quantifier, which ``prenex_to_normal`` moves like
+    any other.
     """
     taken = all_names_f(f)
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, Implies):
+        if isinstance(g, Implies) and not is_internal(g):
             prem = _approx_leaves(g.left)
             ccl = _approx_leaves(g.right)
             if prem is not None and ccl is not None:
                 return rewrite(prem, ccl)
-        if isinstance(g, ApproxEq):
-            raise NormalFormError(
-                "approx atom outside an extensionality implication")
         if isinstance(g, Atom):
             return g
         if isinstance(g, Not):
@@ -238,17 +231,17 @@ def resolve_approx(f: Formula) -> Formula:
             return type(g)(g.var, g.kind, g.bound, go(g.body))
         raise NormalFormError(f"cannot resolve inside {type(g).__name__}")
 
-    def rewrite(prem: list[ApproxEq], ccl: list[ApproxEq]) -> Formula:
+    def rewrite(prem, ccl) -> Formula:
         nv = Var(fresh_name("N", taken), N)
         kv = Var(fresh_name("k", taken), N)
         ps, pused = [], False
-        for a in prem:
-            g, used = _prefix_eq(a.ty, a.left, a.right, nv, taken)
+        for ty, l, r in prem:
+            g, used = _prefix_eq(ty, l, r, nv, taken)
             ps.append(g)
             pused = pused or used
         cs, cused = [], False
-        for a in ccl:
-            g, used = _prefix_eq(a.ty, a.left, a.right, kv, taken)
+        for ty, l, r in ccl:
+            g, used = _prefix_eq(ty, l, r, kv, taken)
             cs.append(g)
             cused = cused or used
         out: Formula = Implies(conj(ps), conj(cs))
@@ -328,8 +321,8 @@ def prenex_to_normal(f: Formula) -> NormalForm:
     consequent first, flipping polarity through antecedents.
 
     Every exchange is a classical equivalence over nonempty ranges.
-    A standard quantifier or approx atom under a plain quantifier blocks
-    the algorithm and is reported.
+    A standard quantifier under a plain quantifier blocks the algorithm
+    and is reported.
     """
     taken = all_names_f(f)
     blocks: set[str] = set()

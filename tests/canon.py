@@ -1,8 +1,8 @@
 """Canonical renaming of bound variables: the oracle that tests compare
 the single-walk alpha-equality against.  Two formulas (normal forms)
 are alpha-equal iff their canonical forms are equal."""
-from rszoo.lang import (Abs, And, App, ApproxEq, Atom, BQUANTS, Implies, Not,
-                        Or, QUANTS, Var, free_vars_f, subst_f)
+from rszoo.lang import (Abs, And, App, Atom, BQUANTS, Implies, Not, Or,
+                        QUANTS, Var, free_vars_f, subst_f)
 from rszoo.lang.formulas import Formula
 from rszoo.lang.terms import Term
 from rszoo.translate import NormalForm
@@ -42,8 +42,6 @@ def canon(f: Formula) -> Formula:
     def go(g: Formula, ren: dict[str, str]) -> Formula:
         if isinstance(g, Atom):
             return Atom(g.rel, tuple(term(t, ren) for t in g.args))
-        if isinstance(g, ApproxEq):
-            return ApproxEq(g.ty, term(g.left, ren), term(g.right, ren))
         if isinstance(g, Not):
             return Not(go(g.body, ren))
         if isinstance(g, (And, Or, Implies)):

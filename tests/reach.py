@@ -8,7 +8,8 @@ Under ``sys.settrace`` it runs the tier-1 suite (pytest, in this
 process) and then ``rs_run`` on the udnr entry at caps 3, 4 and 5 and
 at cap 3 with the forward plan ``f: all``.  It prints, per module, the
 statements that neither run executed, with their line numbers, and the
-totals.  Docstrings are not counted, nor statements that compile to no
+totals, and exits with pytest's status: a listing from a failing suite
+is not one of the suite.  Docstrings are not counted, nor statements that compile to no
 code (``global``, ``nonlocal``).  Code run in a subprocess (the
 benchmark smoke tests start one) is not traced.
 
@@ -79,8 +80,9 @@ class Tracer:
         return local
 
 
-def run_all() -> dict[str, set[int]]:
-    """The lines that tier 1 and the shipped pipeline run."""
+def run_all() -> tuple[dict[str, set[int]], int]:
+    """The lines that tier 1 and the shipped pipeline run, and pytest's
+    exit status."""
     import pytest
 
     tracer = Tracer()
@@ -98,13 +100,11 @@ def run_all() -> dict[str, set[int]]:
             rs_run(udnr_entry(model, plan))
     finally:
         sys.settrace(None)
-    if status != 0:
-        print(f"warning: pytest exited with status {int(status)}")
-    return tracer.seen
+    return tracer.seen, int(status)
 
 
-def main() -> None:
-    seen = run_all()
+def main() -> int:
+    seen, status = run_all()
     total = missed_total = 0
     for path in sorted(PACKAGE.rglob("*.py")):
         lines = seen.get(str(path), set())
@@ -121,7 +121,11 @@ def main() -> None:
         for line in missed:
             print(f"  {line:5d}  {source[line - 1].strip()}")
     print(f"total: {missed_total} of {total} statements run nowhere")
+    if status:
+        print(f"pytest exited with status {status}, so this listing does "
+              "not describe the suite")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -32,9 +32,9 @@ import math
 from rszoo.extract import _value_label
 from rszoo.interp import FnV, ModelError, PairV, SeqV, zero_value
 from rszoo.interp.machine import HaltsWith, decode_program, run_program
-from rszoo.lang import (Abs, And, App, ApproxEq, Atom, BExists, BForall,
-                        Const, Exists, ExistsSt, Forall, ForallSt, Implies,
-                        Not, Or, Var, desugar_approx, infer_type, pure)
+from rszoo.lang import (Abs, And, App, Atom, BExists, BForall, Const, Exists,
+                        ExistsSt, Forall, ForallSt, Implies, Not, Or, Var,
+                        infer_type, pure)
 
 TYPE1 = pure(1)
 
@@ -142,7 +142,6 @@ PRIMITIVES = {
     "append": (2, lambda m, c, s, v: append(m, s, v)),
     "len": (1, lambda m, c, s: m.sat(len(s.items))),
     "get": (2, get),
-    "seqapp": (2, lambda m, c, f, x: f.call(x)),
     "rec": (3, lambda m, c, b, step, n: rec(b, step, n)),
 }
 
@@ -159,8 +158,6 @@ def formula(model, f, env: dict) -> bool:
         if f.rel == "<":
             return left < right
         raise ModelError(f"unknown relation {f.rel!r}")
-    if isinstance(f, ApproxEq):
-        return formula(model, desugar_approx(f), env)
     if isinstance(f, Not):
         return not formula(model, f.body, env)
     if isinstance(f, And):

@@ -663,6 +663,7 @@ STEP1 = AXIOM.replace("step 1: ", "")
     ("script s\nlet q z\n" + AXIOM,
      "let q: expected ':=', found 'z' (at 2:7)"),
     ("script s\n", "script has no steps"),
+    ("script 3\n" + AXIOM, "expected a name, found '3' (at 1:8)"),
     # a directive runs up to the next one, so a stray line after a step
     # is named where it stands, not glued onto the step
     ("script s\nstep 1: NF-AXIOM conclude (forall^st x:0) x = x\n"
@@ -694,6 +695,9 @@ STEP1 = AXIOM.replace("step 1: ", "")
     (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x] conclude "
      f"{ONE_SLOT}",
      "step 2: witness group 1, slot 1: expected ')', found ']' (at 3:33)"),
+    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x) (succ(x) "
+     f"conclude {ONE_SLOT}",
+     "step 2: witness group is not closed (at 3:90)"),
 ])
 def test_parse_script_rejects(text, message):
     with pytest.raises(ScriptError, match=re.escape(message)):

@@ -106,11 +106,9 @@ def test_rec_iterates():
     assert ev(m, "rec[0](0, \\a:0. \\i:0. plus(a, i), 4)") == 6
 
 
-def test_lambda_and_seqapp():
+def test_lambda_applies():
     m = MiniModel(cap=9, omega=2)
     assert ev(m, "(\\x:0. succ(x))(3)") == 4
-    m.declare("Y", parse_type("0 -> 0"), table_fn([9] + [0] * 9, m), st=False)
-    assert ev(m, "Y[0]") == 9
 
 
 def test_muscan_least_zero_else_zero():
@@ -253,6 +251,25 @@ def test_approx_at_type_one_sees_only_standard_prefix():
     assert evf(m, "approx[1](f, g)", params={"f": "1", "g": "1"})
     m.declare("h", parse_type("1"), table_fn([0, 2, 5, 5, 5, 5, 5, 5, 5, 5], m), st=False)
     assert not evf(m, "approx[1](f, h)", params={"f": "1", "h": "1"})
+
+
+def test_approx_at_a_product_type_is_componentwise():
+    # approx[0 x 1](p, q) holds iff the first components are equal and
+    # the second components' tables agree below omega
+    m = MiniModel(cap=2, omega=2)
+    ty = parse_type("0 x 1")
+    f = parse_formula("approx[0 x 1](p, q)", params={"p": ty, "q": ty})
+    pairs = m.population(ty, standard=False)
+    seen = set()
+    for p in pairs:
+        for q in pairs:
+            want = p.left == q.left and all(
+                p.right.call(i) == q.right.call(i) for i in range(m.omega))
+            env = {"p": p, "q": q}
+            assert eval_formula(m, f, env) is want, (p, q)
+            assert refeval.formula(m, f, env) is want, (p, q)
+            seen.add(want)
+    assert len(pairs) == 81 and seen == {True, False}
 
 
 def test_eq_at_higher_type_is_extensional():

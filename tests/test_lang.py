@@ -15,6 +15,7 @@ from rszoo.lang import (Abs, And, App, Arrow, Atom, BForall, CONST_NAMES,
                         is_internal, lam, num, pair_c, parse_formula,
                         parse_term, parse_type, pure, show_formula,
                         show_term, show_type, subst_f)
+from rszoo.lang.formulas import approx, approx_sides
 from rszoo.lang.parser import Parser
 from rszoo.lang.terms import (MONOMORPHIC, PLUS, POLYMORPHIC, all_names,
                               prepare, subst_prepared)
@@ -93,14 +94,6 @@ def test_infer_type_checks_free_variables_against_the_env():
         infer_type(App(App(PLUS, App(f, f)), x1))
 
 
-def test_candidate_application_brackets():
-    Y = Var("Y", parse_type("0 -> 0*"))
-    src = "Y[3]"
-    t = parse_term(src, params={"Y": Y.ty})
-    assert show_term(t) == src
-    assert infer_type(t) == Seq(N)
-
-
 def test_substitution_avoids_capture():
     # (\y:0. plus(x, y))[x := y] must rename the binder
     t = parse_term("\\y:0. plus(x, y)", params={"x": N})
@@ -155,6 +148,26 @@ def test_alpha_eq_renames_lambda_binders():
                       parse_formula("(forall w:0) (\\v0:0. v0)(w) = 0"))
     assert not alpha_eq_f(nested,
                           parse_formula("(forall w:0) (\\v0:0. w)(w) = 0"))
+
+
+def test_approx_sides_reads_back_what_approx_builds():
+    for ty in map(parse_type, ["0", "0*", "1", "2", "0 -> 1", "1 -> 0*",
+                               "0 x 1", "(0 x 1) x 2", "0 -> 0 x 1"]):
+        f, g = Var("f", ty), Var("g", ty)
+        assert approx_sides(approx(ty, f, g)) == (ty, f, g)
+    # a conjunction of approxes that is no product's approx: its second
+    # component compares q with p
+    ty = Product(N, pure(1))
+    assert approx_sides(parse_formula(
+        "fst[0,1](p) = fst[0,1](q) /\\ approx[1](snd[0,1](q), snd[0,1](p))",
+        params={"p": ty, "q": ty})) is None
+    # the bound variable must be the last argument and nothing else
+    f, g = Var("f", parse_type("0 -> 1")), Var("g", parse_type("0 -> 1"))
+    assert approx_sides(parse_formula(
+        "(forall^st u:0) f(u, u) = g(u, u)",
+        params={"f": f.ty, "g": g.ty})) is None
+    assert approx_sides(parse_formula("f = g", params={"f": f.ty,
+                                                       "g": g.ty})) is None
 
 
 def test_neq_display():
@@ -234,10 +247,19 @@ def test_typecheck_rejects_ill_typed_atoms():
             ("(forall n <= f) n = n", 14,
              "<=-bounded quantifier needs type 0"),
             ("(exists n < h(x)) n = n", 13,
-             "<=-bounded quantifier needs type 0"),
+             "<-bounded quantifier needs type 0"),
             ("(forall v in x) v = v", 14, "'in' bound must be a sequence"),
             ("(exists v in f(g)) v = v", 14,
-             "argument type mismatch: expected 0, got 1")]:
+             "argument type mismatch: expected 0, got 1"),
+            # and so does each syntax error
+            ("(forall x, :0) x = x", 12, "expected a variable, found ':'"),
+            ("f = \\3", 6, "expected a variable after '\\'"),
+            ("rec[0, 0](x, \\a:0. \\i:0. a, x) = x", 1,
+             "rec takes 1 type argument(s)"),
+            ("x = exists", 5, "keyword 'exists' is not a term"),
+            ("(forall^st n <= 3) n = n", 12,
+             "bounded quantifiers cannot carry ^st"),
+            ("x 0", 3, "expected a relation, found '0'")]:
         with pytest.raises(ParseError) as e:
             parse_formula(src, params=params)
         assert (e.value.msg, e.value.line, e.value.col) == (msg, 1, at), src

@@ -7,8 +7,8 @@ import pickle
 
 import pytest
 
-from rszoo.lang import (Abs, And, App, ApproxEq, Arrow, Atom, Base, Const,
-                        Forall, N, Or, Product, Seq, Var, num, parse_formula,
+from rszoo.lang import (Abs, And, App, Arrow, Atom, Base, Const, Forall,
+                        ForallSt, N, Or, Product, Seq, Var, num, parse_formula,
                         parse_term, pure)
 from rszoo.lang.formulas import SyntaxNode
 from rszoo.lang.types import Node
@@ -20,7 +20,7 @@ b = Atom("<", (y, num(1)))
 SAMPLES = [
     N, Arrow(N, N), Product(N, pure(1)), Seq(N),
     x, num(3), App(Const("succ", Arrow(N, N)), x), Abs(x, x),
-    a, And(a, b), Or(a, b), Forall(x, a), ApproxEq(N, x, y),
+    a, And(a, b), Or(a, b), Forall(x, a), ForallSt(y, b),
     parse_formula("(forall f:1)(exists n <= 3) f(n) = 0 "
                   "-> ~((exists^st g:1) g = f)"),
     parse_term("\\f:1. \\n:0. rec[0](n, \\p:0. \\i:0. f(p), n)"),
@@ -43,7 +43,7 @@ def test_every_node_kind_is_a_slots_class_and_no_dataclass():
     kinds = node_kinds()
     assert {"Base", "Arrow", "Var", "App", "Abs", "Atom", "BExists"} <= \
         {k.__name__ for k in kinds}
-    assert len(kinds) == 20
+    assert len(kinds) == 19
     for kind in kinds:
         assert not dataclasses.is_dataclass(kind), kind
         assert "__dict__" not in dir(kind), kind

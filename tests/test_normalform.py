@@ -32,12 +32,13 @@ def test_uniformize_flips_quantifiers():
 
 
 def test_uniformize_strong_adds_extensionality():
+    # approx[1](X, Y) is (forall^st u:0) X(u) = Y(u)
     up = uniformize(parse_formula(DNR_BASE))
     assert show_formula(up.strong) == (
         "(exists^st Psi:1 -> 1) ((forall^st Z:1) (forall e:0, s:0) "
         "run(Z, e, s) = 0 \\/ succ(Psi(Z, e)) != run(Z, e, s)) /\\ "
-        "((forall^st X:1, Y:1) approx[1](X, Y) -> "
-        "approx[1](Psi(X), Psi(Y)))")
+        "((forall^st X:1, Y:1) ((forall^st u:0) X(u) = Y(u)) -> "
+        "(forall^st u:0) Psi(X, u) = Psi(Y, u))")
 
 
 def test_uniformize_without_existential_degenerates():
@@ -58,7 +59,7 @@ def test_uniformize_rejects_other_shapes():
         uniformize(parse_formula(
             "(forall X:1)(exists d:1) (exists^st y:0) y = d(0)"))
     with pytest.raises(NormalFormError,
-                       match="^matrix must be internal; found ApproxEq$"):
+                       match="^matrix must be internal; found ForallSt$"):
         uniformize(parse_formula("(forall X:1)(exists d:1) approx[1](X, d)"))
 
 
@@ -87,19 +88,39 @@ def test_resolve_approx_diagonalizes_two_argument_tables():
     assert "initseg(\\i1:0. X(nunl(i1), nunr(i1)), N)" in out
 
 
+def test_resolve_approx_splits_a_product_premise():
+    # approx at 0 x 1 is the conjunction of its components' approxes:
+    # fst is compared by =, snd by its prefix up to the one N
+    up = uniformize(parse_formula(
+        "(forall P:0 x 1)(exists y:0) snd[0,1](P, y) = fst[0,1](P)"))
+    resolved = strip(strip(resolve_approx(up.strong), ExistsSt)[1].right,
+                     ForallSt)[1]
+    assert show_formula(resolved) == (
+        "(exists^st N:0) fst[0,1](X) = fst[0,1](Y) /\\ "
+        "initseg(snd[0,1](X), N) = initseg(snd[0,1](Y), N) -> "
+        "Psi(X) = Psi(Y)")
+
+
 def test_resolve_approx_rejects_unencodable_types():
     f = parse_formula(
         "(forall^st F:2, G:2)(approx[2](F, G) -> approx[0](F(\\x:0. x), "
         "G(\\x:0. x)))")
     with pytest.raises(NormalFormError, match="no prefix encoding"):
         resolve_approx(f)
+    # a product under an arrow has none either
+    up = uniformize(parse_formula(
+        "(forall P:0 -> 0 x 1)(exists y:0) fst[0,1](P(y)) = y"))
+    with pytest.raises(NormalFormError,
+                       match="^no prefix encoding at type 0 -> 0 x 1$"):
+        resolve_approx(up.strong)
 
 
 def test_resolve_approx_rejects_stray_approx():
+    # an approx outside an extensionality implication is not rewritten:
+    # it stays the standard quantifier it is, for prenex_to_normal
     f = parse_formula("approx[1](f, g)",
                       params={"f": parse_type("1"), "g": parse_type("1")})
-    with pytest.raises(NormalFormError, match="outside"):
-        resolve_approx(f)
+    assert resolve_approx(f) == f
 
 
 # -- herbrandize_choice ---------------------------------------------------------
@@ -155,7 +176,8 @@ def test_prenex_renames_clashes():
 
 @pytest.mark.parametrize("src, kind", [
     ("(forall n:0)(exists^st y:0) y = n", "ExistsSt"),
-    ("(forall n:0) approx[0](n, n)", "ApproxEq"),
+    # approx[1](n, n) is (forall^st u:0) n(u) = n(u)
+    ("(forall n:1) approx[1](n, n)", "ForallSt"),
 ])
 def test_prenex_reports_trapped_standard_structure(src, kind):
     with pytest.raises(NormalFormError, match=(
@@ -271,8 +293,8 @@ def test_resolve_approx_expands_a_premise_of_two_approx_atoms():
         "(forall f:1, g:1) (exists y:0) f(y) = g(y)"))
     ext = strip(strip(up.strong, ExistsSt)[1].right, ForallSt)[1]
     assert show_formula(ext) == (
-        "approx[1](X, Y) /\\ approx[1](X1, Y1) -> "
-        "approx[0](Psi(X, X1), Psi(Y, Y1))")
+        "((forall^st u:0) X(u) = Y(u)) /\\ ((forall^st u:0) X1(u) = Y1(u)) "
+        "-> Psi(X, X1) = Psi(Y, Y1)")
     resolved = strip(strip(resolve_approx(up.strong), ExistsSt)[1].right,
                      ForallSt)[1]
     assert show_formula(resolved) == (
