@@ -63,9 +63,9 @@ import itertools
 
 from .lang import (Abs, App, Const, ForallSt, Formula, Implies, N,
                    ParseError, Term, TypeCheckError, Var, alpha_eq_f, app,
-                   append_c, disj, distinct_subterms, empty_c, free_vars,
-                   free_vars_f, fresh_name, infer_type, lam, pair_c, pure,
-                   show_formula, show_type, spine, stdterms, strip, subst_f)
+                   append_c, disj, empty_c, free_vars, free_vars_f,
+                   fresh_name, infer_type, lam, pair_c, pure, show_formula,
+                   show_type, spine, stdterms, strip, subst_f)
 # Unused here since scripts are read with the Parser, but kept as
 # module attributes: perfbench looks the parser up, to trace it, at
 # every attribute it was reached through.
@@ -373,11 +373,6 @@ def _check_rows(step: ProofStep, rows: tuple[Row, ...],
             _fail(step, f"witness tuple has {len(row)} slots, "
                         f"conclusion has {len(existentials)} existentials")
         for v, t in zip(existentials, row):
-            if any(isinstance(s, Const) and s.name == "muscan"
-                   for s in distinct_subterms(t)):
-                _fail(step, "muscan is not permitted in witness terms; "
-                            "search must be spelled out as a bounded "
-                            "recursion")
             fvs = free_vars(t)
             loose = {w.name for w in fvs if w.name not in scope}
             if loose:
@@ -614,12 +609,13 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
 
     One memo serves the call, under one rule: a slot term, or the
     antecedent, is evaluated once per tuple of values of the names free
-    in it, a function value counting by identity.  So rows that share a
-    term share its value, a closed term is evaluated once per call, and
-    an antecedent that names no existential is evaluated once per
-    assignment of the universals it reads.  Equal slot terms are first
-    made one object, so that a key compares them by identity and lists
-    their values in one order.
+    in it, a function value counting by identity and a pair or sequence
+    (a tuple) by value, which is sound since tuples never change.  So
+    rows that share a term share its value, a closed term is evaluated
+    once per call, and an antecedent that names no existential is
+    evaluated once per assignment of the universals it reads.  Equal
+    slot terms are first made one object, so that a key compares them
+    by identity and lists their values in one order.
 
     Skipping a re-evaluation loses nothing from the report:
     ``overflowed`` is tracked for the whole call and ``model.flags`` is

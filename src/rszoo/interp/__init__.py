@@ -4,19 +4,8 @@ constructions the corpus entries bind against."""
 from .machine import (DidNotHalt, HaltsWith, MachineError, Program,
                       decode_program, enumeration_alphabet, encode_program,
                       phi, program_count, run_program, theta)
-from .model import (FnV, MiniModel, ModelError, ModelRefusal, PairV, SeqV,
-                    eval_formula, eval_term, parse_model_config, table_fn,
-                    tabulate, values_equal, zero_value)
+from .model import (FnV, MiniModel, ModelError, ModelRefusal, eval_formula,
+                    eval_term, parse_model_config, table_fn, tabulate,
+                    values_equal, zero_value)
 from .constructions import (build_construction, extensionality_search,
                             mu_op, psi_theta, xi_search)
-
-__all__ = [
-    "DidNotHalt", "HaltsWith", "MachineError", "Program", "decode_program",
-    "enumeration_alphabet", "encode_program", "phi", "program_count",
-    "run_program", "theta",
-    "FnV", "MiniModel", "ModelError", "ModelRefusal", "PairV", "SeqV",
-    "eval_formula", "eval_term", "parse_model_config", "table_fn",
-    "tabulate", "values_equal", "zero_value",
-    "build_construction", "extensionality_search", "mu_op", "psi_theta",
-    "xi_search",
-]

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from ..lang.types import Arrow, N, pure
 from .machine import theta
-from .model import (FnV, MiniModel, ModelError, least_zero, table_fn,
-                    tabulate)
+from .model import FnV, MiniModel, ModelError, table_fn, tabulate
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,12 @@ def xi_search(model: MiniModel, psi: FnV) -> FnV:
 def mu_op(model: MiniModel) -> FnV:
     """The least-zero search as a declared type-2 functional: maps a
     table to its least zero, 0 when there is none."""
-    return FnV(lambda f: least_zero(model, f))
+    def least_zero(f):
+        for i in range(model.cap + 1):
+            if f.call(i) == 0:
+                return i
+        return 0
+    return FnV(least_zero)
 
 
 # ---------------------------------------------------------------------------

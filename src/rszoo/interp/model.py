@@ -1,10 +1,12 @@
 """Bounded evaluation of terms and formulas.
 
 A :class:`MiniModel` interprets the language over the finite universe
-{0..cap}.  Type-0 values are plain ints; products are :class:`PairV`;
-sequences are :class:`SeqV`; functions are :class:`FnV` (a callable plus
-its table once known).  Arithmetic saturates at ``cap`` and records the
-fact in ``model.overflowed`` — values are never silently wrapped.
+{0..cap}.  Values are plain data: a type-0 value is an int, a product
+value is the pair ``(l, r)`` of its components, and a sequence value is
+the tuple of its items; the type says which a tuple is.  Only functions
+are objects, :class:`FnV` (a callable plus its table once known).
+Arithmetic saturates at ``cap`` and records the fact in
+``model.overflowed`` — values are never silently wrapped.
 
 Standardness is a *flag*, not a derived notion: a number is standard
 iff it is below ``omega``; any other object is standard iff it was
@@ -97,27 +99,6 @@ class ModelRefusal(ModelError):
         self.estimate = estimate
 
 
-class PairV:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def __repr__(self):
-        return f"<{self.left!r}, {self.right!r}>"
-
-
-class SeqV:
-    __slots__ = ("items",)
-
-    def __init__(self, items):
-        self.items = tuple(items)
-
-    def __repr__(self):
-        return f"seq{list(self.items)!r}"
-
-
 class FnV:
     """A function value: a callable and its table, once known.
 
@@ -146,9 +127,9 @@ def zero_value(model: "MiniModel", ty: FiniteType):
     if ty == N:
         return 0
     if isinstance(ty, Product):
-        return PairV(zero_value(model, ty.left), zero_value(model, ty.right))
+        return zero_value(model, ty.left), zero_value(model, ty.right)
     if isinstance(ty, Seq):
-        return SeqV(())
+        return ()
     if isinstance(ty, Arrow):
         z = zero_value(model, ty.cod)
         return FnV(lambda _v, z=z: z, name="0")
@@ -262,13 +243,12 @@ class MiniModel:
         if isinstance(ty, Product):
             for a in self.enum_values(ty.left):
                 for b in self.enum_values(ty.right):
-                    yield PairV(a, b)
+                    yield a, b
             return
         if isinstance(ty, Seq):
+            elems = list(self.enum_values(ty.elem))
             for length in range(self.cap + 2):
-                for items in itertools.product(
-                        list(self.enum_values(ty.elem)), repeat=length):
-                    yield SeqV(items)
+                yield from itertools.product(elems, repeat=length)
             return
         if isinstance(ty, Arrow):
             dom = list(self.enum_values(ty.dom))
@@ -291,10 +271,10 @@ class MiniModel:
         if ty == N:
             return v
         if isinstance(ty, Product):
-            return (self.canon_key(ty.left, v.left),
-                    self.canon_key(ty.right, v.right))
+            return (self.canon_key(ty.left, v[0]),
+                    self.canon_key(ty.right, v[1]))
         if isinstance(ty, Seq):
-            return tuple(self.canon_key(ty.elem, x) for x in v.items)
+            return tuple(self.canon_key(ty.elem, x) for x in v)
         if ty == _TYPE1:
             return tabulate(self, v)
         if isinstance(ty, Arrow):
@@ -321,15 +301,6 @@ class MiniModel:
 def values_equal(model: MiniModel, ty: FiniteType, a, b) -> bool:
     """Extensional equality at a type: equal fingerprints."""
     return model.canon_key(ty, a) == model.canon_key(ty, b)
-
-
-def least_zero(model: MiniModel, f: FnV) -> int:
-    """The least i <= cap with f(i) = 0, else 0: the model's least-zero
-    search, behind both ``muscan`` and the ``mu_op`` construction."""
-    for i in range(model.cap + 1):
-        if f.call(i) == 0:
-            return i
-    return 0
 
 
 def tabulate(model: MiniModel, fn: FnV) -> tuple:
@@ -518,8 +489,7 @@ def _compile_const(model: MiniModel, c: Const):
             return cap
         return saturated
     if name == "empty":
-        empty = SeqV(())
-        return lambda frame: empty
+        return lambda frame: ()
     prim = _primitive(model, c)
     if prim is None:
         return _fail(f"unknown constant {name!r}")
@@ -592,32 +562,29 @@ def _primitive(model: MiniModel, c: Const):
     if name == "nunr":
         return 1, lambda n: _cantor_unpair(n)[1]
     if name == "seqmax":
-        return 1, lambda s: max(s.items) if s.items else 0
+        return 1, lambda s: max(s, default=0)
     if name == "initseg":
-        return 2, lambda f, n: SeqV(f.call(i) for i in range(n))
+        return 2, lambda f, n: tuple([f.call(i) for i in range(n)])
     if name == "run":
         return 3, lambda a, e, s: sat(machine.theta(tabulate(model, a), s, e))
-    if name == "muscan":
-        return 1, lambda f: least_zero(model, f)
     if name == "pair":
-        return 2, PairV
+        return 2, lambda a, b: (a, b)
     if name == "fst":
-        return 1, lambda p: p.left
+        return 1, itemgetter(0)
     if name == "snd":
-        return 1, lambda p: p.right
+        return 1, itemgetter(1)
     if name == "append":
         def push(s, v):
-            if len(s.items) >= model.seq_limit:
+            if len(s) >= model.seq_limit:
                 model.overflowed = True
                 return s
-            return SeqV(s.items + (v,))
+            return s + (v,)
         return 2, push
     if name == "len":
-        return 1, lambda s: sat(len(s.items))
+        return 1, lambda s: sat(len(s))
     if name == "get":
-        cod = c.ty.cod.cod if isinstance(c.ty.cod, Arrow) else N
-        return 2, lambda s, i: (s.items[i] if i < len(s.items)
-                                else zero_value(model, cod))
+        elem = c.ty.dom.elem
+        return 2, lambda s, i: s[i] if i < len(s) else zero_value(model, elem)
     if name == "rec":
         def recur(base, step, n):
             acc = base
@@ -678,7 +645,7 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
             return lambda frame: over(frame,
                                       range(min(bound(frame), cap + 1)))
         if f.kind == "in":
-            return lambda frame: over(frame, bound(frame).items)
+            return lambda frame: over(frame, bound(frame))
         return _fail(f"unknown bound kind {f.kind!r}")
     return _fail(f"cannot evaluate formula node {type(f).__name__}")
 

@@ -66,11 +66,7 @@ class Abs(TermNode):
 Term = Union[Var, Const, App, Abs]
 
 
-class LangError(Exception):
-    """Base error for the language layer."""
-
-
-class TypeCheckError(LangError):
+class TypeCheckError(Exception):
     pass
 
 
@@ -93,7 +89,6 @@ NUNR = Const("nunr", Arrow(N, N))
 SEQMAX = Const("seqmax", Arrow(Seq(N), N))
 INITSEG = Const("initseg", Arrow(pure(1), Arrow(N, Seq(N))))
 RUN = Const("run", Arrow(pure(1), Arrow(N, Arrow(N, N))))
-MUSCAN = Const("muscan", Arrow(pure(1), N))
 
 
 def rec_c(ty: FiniteType) -> Const:
@@ -130,7 +125,7 @@ def get_c(t: FiniteType) -> Const:
 
 #: the constants of one type, by name
 MONOMORPHIC = {c.name: c for c in (SUCC, PLUS, MONUS, MAX2, NPAIR, NUNL, NUNR,
-                                   SEQMAX, INITSEG, RUN, MUSCAN)}
+                                   SEQMAX, INITSEG, RUN)}
 
 #: the polymorphic constants, by name: the constructor, the number of
 #: its type arguments, and those arguments read back from the type of an
@@ -185,22 +180,6 @@ def subterms(t: Term) -> Iterator[Term]:
         yield from subterms(t.arg)
     elif isinstance(t, Abs):
         yield from subterms(t.body)
-
-
-def distinct_subterms(t: Term) -> Iterator[Term]:
-    """Every node object of t once, however often it is shared."""
-    seen: set[int] = set()
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if id(s) in seen:
-            continue
-        seen.add(id(s))
-        yield s
-        if isinstance(s, App):
-            todo += (s.arg, s.fn)
-        elif isinstance(s, Abs):
-            todo.append(s.body)
 
 
 NO_VARS: frozenset[Var] = frozenset()

@@ -71,4 +71,12 @@ MUTANTS = [
     # still hold at the declared tables, with only the overflow that
     # the shipped run also has
     Mutant("xi0-zero", "model.cfg", (("Xi0", "0", 1),), survives="4"),
+    # the model's least-zero search answers 0 everywhere: the backward
+    # candidates then hold only where the antecedent fails, and the
+    # verdict gains backward-antecedent-vacuous
+    Mutant("mu0-zero", "model.cfg", (("mu0", "0", 1),), survives=None),
+    # the dodge functional answers the constant-0 table everywhere: the
+    # forward candidates then hold only where the antecedent fails, and
+    # the verdict gains antecedent-vacuous
+    Mutant("psi0-zero", "model.cfg", (("Psi0", "0", 1),), survives=None),
 ]

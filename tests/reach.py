@@ -104,11 +104,14 @@ def run_all() -> tuple[dict[str, set[int]], int]:
 
 
 def main() -> int:
+    # read before the run, so that an edit made while it goes cannot
+    # shift the listing off the code that ran
+    modules = [(path, statements(path), path.read_text().splitlines())
+               for path in sorted(PACKAGE.rglob("*.py"))]
     seen, status = run_all()
     total = missed_total = 0
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path, stmts, source in modules:
         lines = seen.get(str(path), set())
-        stmts = statements(path)
         missed = sorted(first for first, own in stmts.items()
                         if not lines.intersection(own))
         total += len(stmts)
@@ -117,7 +120,6 @@ def main() -> int:
             continue
         print(f"{path.relative_to(PACKAGE)}: {len(missed)} of "
               f"{len(stmts)} statements run nowhere")
-        source = path.read_text().splitlines()
         for line in missed:
             print(f"  {line:5d}  {source[line - 1].strip()}")
     print(f"total: {missed_total} of {total} statements run nowhere")

@@ -30,7 +30,7 @@ import itertools
 import math
 
 from rszoo.extract import _value_label
-from rszoo.interp import FnV, ModelError, PairV, SeqV, zero_value
+from rszoo.interp import FnV, ModelError, zero_value
 from rszoo.interp.machine import HaltsWith, decode_program, run_program
 from rszoo.lang import (Abs, And, App, Atom, BExists, BForall, Const, Exists,
                         ExistsSt, Forall, ForallSt, Implies, Not, Or, Var,
@@ -62,7 +62,7 @@ def constant(model, c: Const):
     if c.name.isdigit():
         return model.sat(int(c.name))
     if c.name == "empty":
-        return SeqV(())
+        return ()
     if c.name not in PRIMITIVES:
         raise ModelError(f"unknown constant {c.name!r}")
     arity, impl = PRIMITIVES[c.name]
@@ -98,20 +98,16 @@ def run(model, a, e, s):
     return model.sat(res.output + 1 if isinstance(res, HaltsWith) else 0)
 
 
-def least_zero(model, f):
-    return next((i for i in range(model.cap + 1) if f.call(i) == 0), 0)
-
-
 def append(model, s, v):
-    if len(s.items) >= model.seq_limit:
+    if len(s) >= model.seq_limit:
         model.overflowed = True
         return s
-    return SeqV(s.items + (v,))
+    return s + (v,)
 
 
 def get(model, c, s, i):
-    if i < len(s.items):
-        return s.items[i]
+    if i < len(s):
+        return s[i]
     return zero_value(model, c.ty.dom.elem)
 
 
@@ -132,15 +128,14 @@ PRIMITIVES = {
     "npair": (2, lambda m, c, a, b: m.sat((a + b) * (a + b + 1) // 2 + b)),
     "nunl": (1, lambda m, c, n: unpair(n)[0]),
     "nunr": (1, lambda m, c, n: unpair(n)[1]),
-    "seqmax": (1, lambda m, c, s: max(s.items, default=0)),
-    "initseg": (2, lambda m, c, f, n: SeqV(f.call(i) for i in range(n))),
+    "seqmax": (1, lambda m, c, s: max(s, default=0)),
+    "initseg": (2, lambda m, c, f, n: tuple(f.call(i) for i in range(n))),
     "run": (3, lambda m, c, a, e, s: run(m, a, e, s)),
-    "muscan": (1, lambda m, c, f: least_zero(m, f)),
-    "pair": (2, lambda m, c, a, b: PairV(a, b)),
-    "fst": (1, lambda m, c, p: p.left),
-    "snd": (1, lambda m, c, p: p.right),
+    "pair": (2, lambda m, c, a, b: (a, b)),
+    "fst": (1, lambda m, c, p: p[0]),
+    "snd": (1, lambda m, c, p: p[1]),
     "append": (2, lambda m, c, s, v: append(m, s, v)),
-    "len": (1, lambda m, c, s: m.sat(len(s.items))),
+    "len": (1, lambda m, c, s: m.sat(len(s))),
     "get": (2, get),
     "rec": (3, lambda m, c, b, step, n: rec(b, step, n)),
 }
@@ -177,7 +172,7 @@ def formula(model, f, env: dict) -> bool:
         elif f.kind == "<":
             pop = range(min(bound, model.cap + 1))
         elif f.kind == "in":
-            pop = bound.items
+            pop = bound
         else:
             raise ModelError(f"unknown bound kind {f.kind!r}")
         return over(model, f, env, pop, isinstance(f, BForall))

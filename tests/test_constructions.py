@@ -183,6 +183,7 @@ def test_build_construction_resolves_names_and_literals():
     ty3, mu = build_construction("mu_op", [], m)
     assert ty3 == parse_type("2")
     assert mu.call(table_fn([3, 2, 0, 1, 0], m)) == 2
+    assert mu.call(table_fn([1, 1, 1, 1, 1], m)) == 0
     with pytest.raises(ModelError, match="unknown construction"):
         build_construction("no_such_thing", [], m)
     with pytest.raises(ModelError, match="undeclared object 'Q0'"):

@@ -29,9 +29,9 @@ def defined(module) -> set[str]:
 
 
 def exported() -> set[str]:
-    names = set(rszoo.interp.__all__)
-    names |= {name for name, obj in vars(rszoo.lang).items()
-              if not name.startswith("_") and not inspect.ismodule(obj)}
+    names = {name for package in (rszoo.lang, rszoo.interp)
+             for name, obj in vars(package).items()
+             if not name.startswith("_") and not inspect.ismodule(obj)}
     for module in (rszoo.translate, rszoo.normalform, rszoo.extract):
         names |= defined(module)
     return names
@@ -40,8 +40,8 @@ def exported() -> set[str]:
 class Uses(ast.NodeVisitor):
     """The names a module reads: as a variable, as an attribute, or as a
     string that is a whole identifier (``getattr`` lookups).  The import
-    and ``__all__`` lines that export a name do not read it, and neither
-    does its definition, recursion included."""
+    line that exports a name does not read it, and neither does its
+    definition, recursion included."""
 
     def __init__(self):
         self.used: set[str] = set()
@@ -62,11 +62,6 @@ class Uses(ast.NodeVisitor):
     def visit_Constant(self, node):
         if isinstance(node.value, str) and node.value.isidentifier():
             self.use(node.value)
-
-    def visit_Assign(self, node):
-        if not any(isinstance(t, ast.Name) and t.id == "__all__"
-                   for t in node.targets):
-            self.generic_visit(node)
 
     def visit_definition(self, node):
         self.inside.append(node.name)

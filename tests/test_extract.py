@@ -513,7 +513,8 @@ WK = "step 3 (WEAKEN): "
      EW + "witness for y has type 1, expected 0"),
     ((f"step 2: EXISTS-WITNESS 1 with (muscan(\\n:0. x)) "
       f"conclude {ONE_SLOT}",),
-     EW + "muscan is not permitted in witness terms"),
+     "step 2: witness group 1, slot 1: unbound variable 'muscan' "
+     "(at 3:32)"),
     ((f"step 2: EXISTS-WITNESS 1 with (x) conclude {ONE_SLOT}",),
      EW + "premise matrix is not the disjunction of the instantiated "
           "conclusion matrix"),
@@ -530,7 +531,8 @@ WK = "step 3 (WEAKEN): "
      WK + "witness for y has type 1, expected 0"),
     ((WITNESS, f"step 3: WEAKEN 2 with (muscan(\\n:0. x)) "
                f"conclude {ONE_SLOT}"),
-     WK + "muscan is not permitted in witness terms"),
+     "step 3: witness group 1, slot 1: unbound variable 'muscan' "
+     "(at 4:24)"),
 ])
 def test_witness_rules_reject(steps, message):
     with pytest.raises(ScriptError, match=re.escape(message)):

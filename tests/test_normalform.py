@@ -74,6 +74,15 @@ def test_resolve_approx_type_one():
         "initseg(Psi(X), k) = initseg(Psi(Y), k))")
 
 
+def test_resolve_approx_under_a_bounded_quantifier():
+    t1 = parse_type("1")
+    f = parse_formula("(forall n <= 3) (approx[1](f, g) -> approx[1](h, j))",
+                      params=dict.fromkeys("fghj", t1))
+    assert show_formula(resolve_approx(f)) == (
+        "(forall n <= 3) (forall^st k:0) (exists^st N:0) "
+        "initseg(f, N) = initseg(g, N) -> initseg(h, k) = initseg(j, k)")
+
+
 def test_resolve_approx_type_zero_is_plain_equality():
     f = parse_formula(
         "(forall^st a:0, b:0)(approx[0](a, b) -> approx[0](a, b))")

@@ -13,8 +13,8 @@ import gen
 import refeval
 from test_extract import MODEL_CAP3, udnr_entry
 from rszoo.extract import check_candidates, check_script, rs_run
-from rszoo.interp import (MiniModel, ModelError, SeqV, eval_formula,
-                          eval_term, machine, parse_model_config, table_fn)
+from rszoo.interp import (MiniModel, ModelError, eval_formula, eval_term,
+                          machine, parse_model_config, table_fn)
 from rszoo.interp.machine import SCAN_INDEX
 from rszoo.lang import (RUN, Abs, Arrow, Atom, Exists, ExistsSt, Forall,
                         ForallSt, N, Seq, Var, app, append_c, empty_c,
@@ -50,7 +50,7 @@ def draw(rng, cap):
 def bind(model, data):
     """The environment that ``data`` (from ``draw``) gives in ``model``."""
     n, cells, items = data
-    return {"n": n, "h": table_fn(cells, model), "s": SeqV(items)}
+    return {"n": n, "h": table_fn(cells, model), "s": tuple(items)}
 
 
 def twin_models(rng, cap):
