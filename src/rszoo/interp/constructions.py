@@ -1,10 +1,21 @@
-"""Named constructions for populating models.
+"""Model configurations, and the named constructions they bind.
 
-Model configurations declare objects either as literal tables or through
-``bind NAME: construction args...`` lines; this module is the registry
-those lines resolve against.  It holds the three constructions the
-shipped corpus binds: the dodge functional ``psi_theta``, its
-extensionality modulus ``xi_search`` and the least-zero search ``mu_op``.
+A configuration sets ``cap``, ``omega`` and, optionally, ``budget`` (see
+:class:`MiniModel`), and declares the model's objects, one a line::
+
+    cap = 4
+    omega = 2
+    table Z0: 0 1 0 0 0 [st]      # a type-1 object by its value table
+    bind Psi0: psi_theta [st]     # an object a construction builds
+
+A setting is ``NAME = NUMBER``; a declaration is ``table NAME: NUMBER*
+[st]?`` or ``bind NAME: CONSTRUCTION NAME* [st]?``, whose arguments are
+earlier declared objects, and ``[st]`` marks its object standard.  The
+language's tokenizer reads the text, so comments, names and numbers are
+those of formulas.  A faulty line is a :class:`ModelError` naming it.
+The shipped corpus binds three constructions: the dodge functional
+``psi_theta``, its extensionality modulus ``xi_search`` and the
+least-zero search ``mu_op``.
 
 The dodge functional ``psi_theta`` embeds :func:`machine.theta` into
 a model as a type-1 → type-1 object: for each oracle table it tabulates
@@ -18,6 +29,9 @@ shipped configurations keep their entries small.
 """
 from __future__ import annotations
 
+import itertools
+
+from ..lang.parser import ParseError, Parser, Token, tokenize
 from ..lang.types import Arrow, N, pure
 from .machine import theta
 from .model import FnV, MiniModel, ModelError, table_fn, tabulate
@@ -123,10 +137,8 @@ _T1 = pure(1)
 
 
 def build_construction(name: str, args: list[str], model: MiniModel):
-    """Resolve a ``bind`` line: returns (type, value).
-
-    Arguments are names of previously declared objects.
-    """
+    """Resolve a ``bind`` line, whose arguments name earlier declared
+    objects: returns (type, value)."""
     vals = [model.object(a) for a in args]
     try:
         if name == "psi_theta":
@@ -138,3 +150,72 @@ def build_construction(name: str, args: list[str], model: MiniModel):
     except TypeError as exc:
         raise ModelError(f"bad arguments for {name}: {exc}") from None
     raise ModelError(f"unknown construction {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# model configuration files
+
+def parse_model_config(text: str) -> MiniModel:
+    """Build a MiniModel from a configuration (see the module docstring)."""
+    settings: dict[str, int] = {}
+    decls = []      # (line, kind, name, words, st)
+    try:
+        for p in _lines(text):
+            word = p.next().text
+            if word in ("table", "bind") and not p.at_sym("="):
+                name = _name(p)
+                p.expect_sym(":")
+                words = [_name(p)] if word == "bind" else []
+                while p.peek().kind != "eof" and not p.at_sym("["):
+                    words.append(p.next().text)
+                st = p.take("[")
+                if st and not (p.take("st") and p.take("]")):
+                    p.expected("'[st]'")
+                decls.append((p.toks[0].line, word, name, words, st))
+            else:
+                if word not in ("cap", "omega", "budget"):
+                    p.fail(f"unknown setting {word!r}")
+                if word in settings:
+                    p.fail(f"repeated setting {word!r}")
+                p.expect_sym("=")
+                if p.peek().kind != "num":
+                    p.fail(f"{word} needs a number, got {p.peek().text!r}")
+                settings[word] = p.number()
+            if p.peek().kind != "eof":
+                p.expected("end of line")
+    except ParseError as exc:
+        raise ModelError(f"line {exc.line}: {exc.msg}") from None
+    if "cap" not in settings or "omega" not in settings:
+        raise ModelError("model config needs cap= and omega=")
+    model = MiniModel(**settings)
+    for line, kind, name, words, st in decls:
+        try:
+            if kind == "table":
+                if not all(w.isdecimal() for w in words):
+                    raise ModelError("entries must be numbers: "
+                                     f"{' '.join(words)!r}")
+                if any(int(w) > model.cap for w in words):
+                    raise ModelError(f"entries outside 0..{model.cap}")
+                ty, value = _T1, table_fn(map(int, words), model, name=name)
+            else:
+                ty, value = build_construction(words[0], words[1:], model)
+                value.name = value.name or name
+            model.declare(name, ty, value, st)
+        except ModelError as exc:
+            raise ModelError(f"line {line}: {kind} {name!r}: {exc}") from None
+    return model
+
+
+def _lines(text: str):
+    """A Parser for each line of text that holds a token: over the
+    line's tokens, then an "eof" token where they end."""
+    for n, line in itertools.groupby(tokenize(text)[:-1], lambda t: t.line):
+        toks = list(line)
+        toks.append(Token("eof", "", n, toks[-1].col + len(toks[-1].text)))
+        yield Parser(toks, 0, {})
+
+
+def _name(p: Parser) -> str:
+    if p.peek().kind != "ident":
+        p.expected("a name")
+    return p.next().text

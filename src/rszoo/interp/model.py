@@ -10,11 +10,11 @@ Arithmetic saturates at ``cap`` and records the fact in
 
 Standardness is a *flag*, not a derived notion: a number is standard
 iff it is below ``omega``; any other object is standard iff it was
-declared so in the model configuration.  ``(forall^st x)`` and
-``(exists^st x)`` range over exactly the standard objects.  A plain
-quantifier at type 0 ranges over {0..cap}; at higher types it ranges
-over the full finite table space when that space fits in the
-enumeration budget and otherwise refuses with a size estimate
+declared so in the model configuration (read by ``constructions``).
+``(forall^st x)`` and ``(exists^st x)`` range over exactly the standard
+objects.  A plain quantifier at type 0 ranges over {0..cap}; at higher
+types it ranges over the full finite table space when that space fits
+in the enumeration budget and otherwise refuses with a size estimate
 (:class:`ModelRefusal`) rather than guessing.  Over ``0 -> 0`` the
 tables are not listed: the body is evaluated once per prefix of cells
 it reads, each evaluation deciding every table that extends the prefix
@@ -51,20 +51,6 @@ or constant above ``cap`` sets ``overflowed`` every time it is
 evaluated; function constants get a fresh :class:`FnV` per visit, so a
 cached table never hides it) and the relation's errors.  Closures read
 ``cap`` when compiled, so a compiled node belongs to one model.
-
-Model configurations use a line-based text format::
-
-    cap = 4
-    omega = 2
-    budget = 200000
-    table h0: 0 0 1 0 0 [st]
-    bind Psi0: psi_theta [st]
-
-``table`` declares a type-1 object by its value table; ``bind`` builds
-an object through the construction registry (see ``constructions``),
-passing previously declared names as arguments.  A trailing ``[st]``
-marks the object standard.  ``budget`` may be omitted (see
-:class:`MiniModel`).
 """
 from __future__ import annotations
 
@@ -723,72 +709,3 @@ def _prefix_reader(cells: list, cap: int):
             cells.extend([0] * (i + 1 - len(cells)))
         return cells[i]
     return call
-
-
-# -- model configuration files -------------------------------------------------
-
-def parse_model_config(text: str) -> MiniModel:
-    """Build a MiniModel from the line-based config format.  A faulty
-    line is a ModelError that names it (and the declared object)."""
-    settings: dict[str, int] = {}    # MiniModel's keyword arguments
-    decls: list[tuple[str, str]] = []    # (line label, declaration)
-    for n, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line and ":" not in line:
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in ("cap", "omega", "budget"):
-                raise ModelError(f"line {n}: unknown setting {key!r}")
-            if key in settings:
-                raise ModelError(f"line {n}: repeated setting {key!r}")
-            try:
-                settings[key] = int(val)
-            except ValueError:
-                raise ModelError(f"line {n}: {key} needs a number, got "
-                                 f"{val.strip()!r}") from None
-            continue
-        if line.startswith("table ") or line.startswith("bind "):
-            decls.append((f"line {n}", line))
-            continue
-        raise ModelError(f"line {n}: unrecognized model config line: "
-                         f"{raw!r}")
-    if "cap" not in settings or "omega" not in settings:
-        raise ModelError("model config needs cap= and omega=")
-    model = MiniModel(**settings)
-    cap = model.cap
-    from .constructions import build_construction
-    for at, line in decls:
-        st = False
-        body = line
-        if body.endswith("[st]"):
-            st = True
-            body = body[:-4].strip()
-        head, _, rest = body.partition(":")
-        kind, _, name = head.strip().partition(" ")
-        name = name.strip()
-        if not name or not rest.strip():
-            raise ModelError(f"{at}: malformed declaration: {line!r}")
-        at = f"{at}: {kind} {name!r}"
-        try:
-            if kind == "table":
-                try:
-                    entries = [int(x) for x in rest.split()]
-                except ValueError:
-                    raise ModelError("entries must be numbers: "
-                                     f"{rest.strip()!r}") from None
-                if any(e > cap or e < 0 for e in entries):
-                    raise ModelError(f"entries outside 0..{cap}")
-                value = table_fn(entries, model, name=name)
-                ty = Arrow(N, N)
-            else:
-                parts = rest.split()
-                cname, args = parts[0], parts[1:]
-                ty, value = build_construction(cname, args, model)
-                if isinstance(value, FnV) and value.name is None:
-                    value.name = name
-            model.declare(name, ty, value, st)
-        except ModelError as exc:
-            raise ModelError(f"{at}: {exc}") from None
-    return model

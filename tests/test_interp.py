@@ -484,7 +484,7 @@ cap = 4
 omega = 2
 budget = 150000
 
-table Z0: 0 1 0 2 0 [st]
+table Z0: 0 1 0 2 0 [st]    # a comment may end a declaration
 bind Psi0: psi_theta [st]
 """
 
@@ -530,6 +530,15 @@ def test_config_rejects_duplicates_and_unknowns():
     ("cap = 3\ncap = 4\nomega = 2\n", "line 2: repeated setting 'cap'"),
     ("cap = 3\nomega = 2\n# tables\ntable h: 0 0 [st]\n",
      "line 4: table 'h': table needs 4 entries, got 2"),
+    # a declared name is one the formulas can write
+    ("cap = 3\nomega = 2\ntable a.b: 0 0 0 0\n",
+     "line 3: expected ':', found '.'"),
+    # a declaration ends with its line
+    ("cap = 3\nomega = 2\ntable h: 0 0 0 0 [st\ntable g: 0 0 0 0\n",
+     "line 3: expected '[st]', found 'end of input'"),
+    ("cap = 3 4\nomega = 2\n", "line 1: expected end of line, found '4'"),
+    ("cap = 3\nomega = 2\nbind 7: psi_theta\n",
+     "line 3: expected a name, found '7'"),
 ])
 def test_config_errors_name_the_line(text, message):
     with pytest.raises(ModelError) as info:
@@ -544,7 +553,14 @@ def test_omega_must_sit_inside_universe():
         MiniModel(cap=4, omega=0)
 
 
-@pytest.mark.parametrize("budget", [0, -5])
-def test_budget_must_be_positive(budget):
+@pytest.mark.parametrize("budget, message", [
+    pytest.param(0, "budget must be at least 1", id="0"),
+    # the tokenizer reads "-5" as the symbol "-" and a number
+    pytest.param(-5, "line 3: budget needs a number, got '-'", id="-5"),
+])
+def test_budget_must_be_positive(budget, message):
     with pytest.raises(ModelError, match="budget must be at least 1"):
+        MiniModel(cap=2, omega=1, budget=budget)
+    with pytest.raises(ModelError) as info:
         parse_model_config(f"cap = 2\nomega = 1\nbudget = {budget}\n")
+    assert str(info.value) == message
