@@ -41,8 +41,16 @@ when it is reached, not before.  Compile time also resolves what the
 node alone fixes: the comparison an ``=`` makes (``==`` at type 0,
 fingerprints above, which at type 1 are value tables), each constant's
 implementation (a constant applied to all its arguments calls it
-directly), the expansion of ``approx``, the kind of a bound, the
-relation of an atom and the range of a type-0 quantifier.  Everything
+directly), the kind of a bound, the relation of an atom, the range of a
+type-0 quantifier and whether that quantifier is a search: one whose
+body is ``s(x) = n``, with ``s`` headed by a variable and not reading
+``x``, and ``n`` a numeral at most ``cap``.  A search runs as one loop
+that passes each value to ``s``'s function, with no frame per value.
+``s`` is evaluated when the first value arrives, never before, and
+once, by the argument made above for a constant ``rec`` step: an empty
+range evaluates nothing, and each later value would run ``s`` on a
+frame that differs only in the slot of ``x``, which ``s`` never reads,
+and give the same function.  Everything
 that depends on the model's state is left to run time, when a node is
 reached: the population of a quantifier above type 0 (asked for on
 every visit, so later declarations are seen and an empty standard
@@ -607,10 +615,12 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
         ty = f.var.ty
         standard = isinstance(f, (ForallSt, ExistsSt))
         universal = isinstance(f, (Forall, ForallSt))
-        body = _compile_formula(model, f.body, scope.enter(f.var.name))
-        if ty == _TYPE1 and not standard:
-            return _table_sweep(model, universal, body)
-        over = _quantifier(universal, body)
+        over = _search(model, f, universal, scope)
+        if over is None:
+            body = _compile_formula(model, f.body, scope.enter(f.var.name))
+            if ty == _TYPE1 and not standard:
+                return _table_sweep(model, universal, body)
+            over = _quantifier(universal, body)
         if ty == N:
             pop = range(model.omega if standard else model.cap + 1)
             return lambda frame: over(frame, pop)
@@ -620,9 +630,10 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
         # is reached.
         return lambda frame: over(frame, model.population(ty, standard))
     if isinstance(f, (BForall, BExists)):
-        over = _quantifier(isinstance(f, BForall),
-                           _compile_formula(model, f.body,
-                                            scope.enter(f.var.name)))
+        universal = isinstance(f, BForall)
+        over = _search(model, f, universal, scope) or _quantifier(
+            universal, _compile_formula(model, f.body,
+                                        scope.enter(f.var.name)))
         bound, cap = _compile_term(model, f.bound, scope), model.cap
         if f.kind == "<=":
             return lambda frame: over(frame,
@@ -661,6 +672,57 @@ def _quantifier(universal: bool, body):
     def exists(frame, pop):
         for v in pop:
             if body(frame + (v,)):
+                return True
+        return False
+    return exists
+
+
+def _search(model: MiniModel, f: Formula, universal: bool, scope: _Scope):
+    """``over(frame, pop)``, as ``_quantifier`` gives it, for a search:
+    a quantifier over type 0, binding ``x``, whose body is ``s(x) = n``
+    with ``s`` headed by a variable and not reading ``x``, and ``n`` a
+    numeral at most ``cap``.  None for any other quantifier, and so for
+    a constant or a lambda at the head: the general path already runs
+    those with no function value (``_compile_primitive_app``,
+    ``_compile_rec``, ``_compile_redex``), where a loop over ``s``'s
+    function value would be slower.  ``s`` is evaluated on the first
+    value, with ``_apply``'s check and error, and its function is then
+    called on each value in turn (see the module docstring)."""
+    x, atom = f.var, f.body
+    if not (x.ty == N and isinstance(atom, Atom) and atom.rel == "="):
+        return None
+    left, right = atom.args
+    if not (isinstance(left, App) and left.arg == x
+            and isinstance(spine(left)[0], Var) and infer_type(left) == N
+            and all(v.name != x.name for v in free_vars(left.fn))
+            and isinstance(right, Const) and right.name.isdigit()
+            and int(right.name) <= model.cap):
+        return None
+    fn, n = _compile_term(model, left.fn, scope), int(right.name)
+
+    def callee(frame):
+        g = fn(frame)
+        if not isinstance(g, FnV):
+            raise ModelError(f"applying a non-function value {g!r}")
+        return g.call
+
+    if universal:
+        def forall(frame, pop):
+            call = None
+            for v in pop:
+                if call is None:
+                    call = callee(frame)
+                if call(v) != n:
+                    return False
+            return True
+        return forall
+
+    def exists(frame, pop):
+        call = None
+        for v in pop:
+            if call is None:
+                call = callee(frame)
+            if call(v) == n:
                 return True
         return False
     return exists

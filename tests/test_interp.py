@@ -309,6 +309,70 @@ def test_unbound_variable_raises_only_when_reached():
         evf(m, "(exists x <= 0) y = 0", params={"y": "0"})
 
 
+@pytest.mark.parametrize("quantifier, want", [("exists", False),
+                                               ("forall", True)])
+@pytest.mark.parametrize("empty, reached", [("< 0", "<= 0"),
+                                            ("in s", "in t")])
+def test_a_search_over_an_empty_range_evaluates_nothing(quantifier, want,
+                                                        empty, reached):
+    # u is unbound: a search that evaluated it before its first value
+    # would raise on the empty range too
+    m = MiniModel(cap=4, omega=2)
+    params = {"u": pure(1), "s": parse_type("0*"), "t": parse_type("0*")}
+    env = {"s": (), "t": (0,)}
+    f = parse_formula(f"({quantifier} z {empty}) u(z) = 0", params)
+    assert eval_formula(m, f, env) is want
+    assert not m.overflowed and not m.flags
+    f = parse_formula(f"({quantifier} z {reached}) u(z) = 0", params)
+    with pytest.raises(ModelError, match="unbound variable 'u'"):
+        eval_formula(m, f, env)
+
+
+@pytest.mark.parametrize("src, last_unflagged", [
+    # the search's function saturates: 7 is above the cap
+    ("(exists z < k) F(7, z) = 0", 0),
+    # its calls saturate, from z = 4 on
+    ("(exists z < k) F(1, z) = 0", 4),
+])
+def test_a_saturating_search_is_flagged_only_when_a_value_is_reached(
+        src, last_unflagged):
+    m = MiniModel(cap=4, omega=2)
+    f = parse_formula(src, params={"k": N, "F": parse_type("0 -> 0 -> 0")})
+    plus = ev(m, "plus")
+    for k in range(7):
+        m.overflowed = False
+        assert not eval_formula(m, f, {"k": k, "F": plus})
+        assert m.overflowed is (k > last_unflagged), k
+
+
+@pytest.mark.parametrize("src, searched", [
+    ("(exists x:0) h(x) = 0", True),
+    ("(forall x <= k) F(k, x) = 1", True),
+    # the general path runs these with no function value
+    ("(exists x:0) plus(k, x) = 0", False),
+    ("(exists x:0) rec[0](1, \\p:0. \\i:0. 0, x) = 0", False),
+    ("(exists x:0) (\\y:0. succ(y))(x) = 0", False),
+    # s reads x
+    ("(exists x:0) F(x, x) = 0", False),
+])
+def test_a_search_is_a_variable_applied_to_the_binder(monkeypatch, src,
+                                                      searched):
+    found = []
+    search = model_mod._search
+
+    def recorded(model, f, universal, scope):
+        found.append(search(model, f, universal, scope) is not None)
+        return None
+
+    monkeypatch.setattr(model_mod, "_search", recorded)
+    f = parse_formula(src, params={"h": pure(1), "k": N,
+                                   "F": parse_type("0 -> 0 -> 0")})
+    m = MiniModel(cap=4, omega=2)
+    eval_formula(m, f, {"k": 1, "h": table_fn([1] * 5, m),
+                        "F": ev(m, "plus")})
+    assert found == [searched]
+
+
 def test_standard_object_declared_later_is_seen():
     m = MiniModel(cap=4, omega=2)
     f = parse_formula("(exists^st W:1) W(0) = 3")

@@ -13,13 +13,16 @@ import gen
 import refeval
 from test_extract import MODEL_CAP3, udnr_entry
 from rszoo.extract import check_candidates, check_script, rs_run
-from rszoo.interp import (MiniModel, ModelError, eval_formula, eval_term,
-                          machine, parse_model_config, table_fn)
+from rszoo.interp import (FnV, MiniModel, ModelError, eval_formula,
+                          eval_term, machine, model as model_mod,
+                          parse_model_config, table_fn)
 from rszoo.interp.machine import SCAN_INDEX
-from rszoo.lang import (RUN, Abs, Arrow, Atom, Exists, ExistsSt, Forall,
-                        ForallSt, N, Seq, Var, app, append_c, empty_c,
-                        free_vars, len_c, num, parse_term, pure, spine,
-                        subformulas, subterms)
+from rszoo.lang import (RUN, SUCC, Abs, And, Arrow, Atom, BExists, BForall,
+                        Exists, ExistsSt, Forall, ForallSt, Implies, N, Or,
+                        Seq, Var, app, append_c, empty_c, free_vars, len_c,
+                        num, parse_term, pure, rec_c, spine, subformulas,
+                        subterms)
+from rszoo.lang.terms import MAX2, MONUS, NPAIR, PLUS
 from rszoo.translate import parse_nf
 
 FREE = {"n": N, "h": pure(1), "s": Seq(N)}
@@ -183,6 +186,143 @@ def test_generated_recs_agree_with_the_reference():
     floors = {"const0": 80, "const+": 150, "p": 120, "i_only": 60,
               "shadow": 200, "rebind": 120, "saturated": 120, "rec1": 100,
               "sweep_h": 40}
+    assert all(counts[k] >= floors[k] for k in floors), counts
+
+
+# ---------------------------------------------------------------------------
+# searches: a quantifier over type 0 whose body is s(x) = n
+
+# kinds of s: the last two have a lambda or a constant at the head, which
+# makes the quantifier no search
+SEARCH_FUNCTIONS = ["binder", "free", "unbound", "non-function", "applied",
+                    "saturating", "probe", "lambda", "constant"]
+SEARCH_RANGES = ["plain", "standard", "<=", "<", "in"]
+F_TYPE = Arrow(N, pure(1))
+
+
+def with_f(model, env):
+    """``env`` with ``F: 0 -> 0 -> 0``, whose value at ``a`` adds a flag
+    naming its argument each time it is called and saturates at the
+    cap."""
+    def at(a):
+        def call(b):
+            model.flags.add(f"F_at_{b}")
+            return model.sat(a + b)
+        return FnV(call)
+    return dict(env, F=FnV(at))
+
+
+def search_function(g, kind, cap):
+    """The ``s`` of a search, of type 1: ``g`` is bound by a standard
+    quantifier around the search, ``h`` given by the environment or,
+    for ``probe``, swept; ``u`` is unbound and ``w`` not a function."""
+    rng = g.rng
+    if kind in ("binder", "free", "unbound", "non-function", "probe"):
+        name = {"binder": "g", "unbound": "u", "non-function": "w"}
+        return Var(name.get(kind, "h"), pure(1))
+    if kind == "applied":
+        return app(Var("F", F_TYPE), g.term(N, FREE, 2))
+    if kind == "saturating":
+        return app(Var("F", F_TYPE), num(cap + 1 + rng.randrange(3)))
+    if kind == "lambda":
+        return Abs(Var("y", N), g.term(N, dict(FREE, y=N), depth=3))
+    if rng.random() < 0.3:
+        # a rec with a literal step, given all but its stage count
+        _rec, (base, step, _stages) = spine(g.rec_term(N, FREE))
+        return app(rec_c(N), base, step)
+    return rng.choice([SUCC, app(rng.choice([PLUS, MONUS, MAX2, NPAIR]),
+                                 g.term(N, FREE, 2))])
+
+
+def search(g, kind, over, cap):
+    """A quantifier over type 0 whose body is ``s(x) = n``, with ``s``
+    of ``kind`` and range ``over``, in the context ``kind`` asks for,
+    and whether it is a search.  The binder is ``x`` or, shadowing the
+    free ``n``, ``n``; an ``s`` that reads it, an argument other than
+    it or a numeral above the cap makes the quantifier no search."""
+    rng, x = g.rng, Var(g.rng.choice(["x", "n"]), N)
+    fn = search_function(g, kind, cap)
+    arg, n = x, rng.randrange(cap + 1)
+    if rng.random() < 0.1:
+        arg = rng.choice([app(SUCC, x), num(0)])
+    elif rng.random() < 0.1:
+        n = cap + 1
+    body = Atom("=", (app(fn, arg), num(n)))
+    searched = (kind not in ("lambda", "constant") and arg == x
+                and n <= cap and x not in free_vars(fn))
+    universal = rng.random() < 0.5
+    if over in ("plain", "standard"):
+        f = [[Exists, Forall], [ExistsSt, ForallSt]][over == "standard"][
+            universal](x, body)
+    elif over == "in":
+        bound = rng.choice([Var("s", Seq(N)), g.term(Seq(N), FREE, 2)])
+        f = (BExists, BForall)[universal](x, "in", bound, body)
+    else:
+        f = (BExists, BForall)[universal](x, over, g.term(N, FREE, 2), body)
+    if kind == "binder":
+        f = rng.choice([ForallSt, ExistsSt])(Var("g", pure(1)), f)
+    elif kind == "probe":
+        # the shape of (mu2): a sweep whose probe is searched
+        rest = g.internal_formula({"h": pure(1), "n": N}, depth=1)
+        f = rng.choice([Forall, Exists])(Var("h", pure(1)), rng.choice(
+            [Implies, And, Or])(f, rest))
+    return f, searched
+
+
+def test_searches_agree_with_the_reference(monkeypatch):
+    runs = []
+    compile_search = model_mod._search
+
+    def recorded(model, f, universal, scope):
+        over = compile_search(model, f, universal, scope)
+        if over is None:
+            return None
+
+        def run(frame, pop):
+            runs.append(len(pop))
+            return over(frame, pop)
+        return run
+
+    monkeypatch.setattr(model_mod, "_search", recorded)
+    g = gen.generator(gen.SEED + 41)
+    counts = collections.Counter()
+    for cap in (1, 2, 3):
+        for _ in range(300):
+            kind = g.rng.choice(SEARCH_FUNCTIONS)
+            over = g.rng.choice(SEARCH_RANGES)
+            f, searched = search(g, kind, over, cap)
+            compiled, reference = twin_models(g.rng, cap)
+            data = draw(g.rng, cap)
+            w = g.rng.choice([data[0], tuple(data[2])])
+            del runs[:]
+            got = observe(compiled, N, lambda: eval_formula(
+                compiled, f, with_f(compiled, dict(bind(compiled, data),
+                                                   w=w))))
+            want = observe(reference, N, lambda: refeval.formula(
+                reference, f, with_f(reference, dict(bind(reference, data),
+                                                     w=w))))
+            assert got == want, f
+            if kind not in ("binder", "probe"):
+                # the search alone: it runs exactly when it is one
+                assert bool(runs) == searched, f
+            counts[kind] += bool(runs) or kind in ("lambda", "constant")
+            counts[over] += bool(runs)
+            counts["empty"] += 0 in runs
+            counts["no_search"] += not searched
+            counts["raised"] += isinstance(got[0][0], type)
+            counts["overflowed"] += got[1]
+            counts["flagged"] += bool(got[2])
+            counts["true"] += got[0][1] is True
+    # searched: binder 44, free 84, unbound 82, non-function 82,
+    # applied 49, saturating 87, probe 86; lambda 100 and constant 90
+    # cases; by range 102, 125, 104, 99 and 84; 64 over an empty range,
+    # 346 no search, 180 raised, 239 overflowed, 230 flagged and 293
+    # true with this seed
+    floors = {"binder": 30, "free": 60, "unbound": 60, "non-function": 60,
+              "applied": 35, "saturating": 65, "probe": 65, "lambda": 75,
+              "constant": 65, "plain": 75, "standard": 90, "<=": 75,
+              "<": 75, "in": 60, "empty": 45, "no_search": 260,
+              "raised": 135, "overflowed": 180, "flagged": 170, "true": 220}
     assert all(counts[k] >= floors[k] for k in floors), counts
 
 
