@@ -16,8 +16,6 @@ own type.  The rules:
   EXISTS-WITNESS  introduce existentials; the premise matrix must be
                 exactly the disjunction of the instantiated conclusion
                 matrix, one disjunct per tuple.
-  WEAKEN        append candidate tuples (always sound: the implicit
-                disjunction only grows).
 
 A script is read with the language's tokenizer and ``Parser``, so
 blanks, newlines and ``#`` comments only separate tokens and a directive
@@ -85,7 +83,7 @@ class ScriptError(Exception):
     pass
 
 
-RULES = ("NF-AXIOM", "EXISTS-WITNESS", "WEAKEN")
+RULES = ("NF-AXIOM", "EXISTS-WITNESS")
 
 Row = tuple[Term, ...]
 
@@ -446,22 +444,9 @@ def _rule_exists_witness(step, nf, prems):
     return StepResult(step, nf, step.groups)
 
 
-def _rule_weaken(step, nf, prems):
-    if len(prems) != 1:
-        _fail(step, "needs exactly one premise")
-    prem = prems[0]
-    if not alpha_eq_nf(nf, prem.nf):
-        _fail(step, "conclusion must repeat the premise normal form")
-    if not step.groups:
-        _fail(step, "needs at least one tuple to add")
-    _check_rows(step, step.groups, nf.existentials, nf.universals)
-    return StepResult(step, nf, prem.rows + step.groups)
-
-
 _RULE_HANDLERS = {
     "NF-AXIOM": _rule_nf_axiom,
     "EXISTS-WITNESS": _rule_exists_witness,
-    "WEAKEN": _rule_weaken,
 }
 
 

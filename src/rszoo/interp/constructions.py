@@ -19,13 +19,14 @@ least-zero search ``mu_op``.
 
 The dodge functional ``psi_theta`` embeds :func:`machine.theta` into
 a model as a type-1 → type-1 object: for each oracle table it tabulates
-the bounded diagonal run (program ``e`` on input ``e``, one more than
-the output, 0 when the run does not halt), saturating values at the
-cap.  Adding one is what makes the result *diagonally non-recursive
-relative to the oracle*: whenever the run halts, the functional's value
-differs from the run's value.  The dodge property holds as long as
-outputs stay below the cap, which is why standard oracle tables in the
-shipped configurations keep their entries small.
+the bounded diagonal run (program number ``e`` on input ``e``, one more
+than the output, 0 when the run does not halt), saturating values at
+the cap; program 0 is the member scan (``machine.PROGRAMS``).  Adding
+one is what makes the result *diagonally non-recursive relative to the
+oracle*: whenever the run halts, the functional's value differs from
+the run's value.  The dodge property holds as long as outputs stay
+below the cap, which is why standard oracle tables in the shipped
+configurations keep their entries small.
 """
 from __future__ import annotations
 
@@ -44,17 +45,20 @@ def psi_theta(model: MiniModel) -> FnV:
     """The dodge functional as a model object of type 1 -> 1.
 
     For each oracle table Z it returns the table
-    ``e |-> sat(theta(Z, cap, e))``: the step budget is the cap,
-    matching the step bounds a plain quantifier can reach.  The memo
+    ``e |-> sat(theta(Z, 4 * (cap + 1), e))``: the member scan, program
+    0, spends 4 steps a cell, so it reaches a mark at cell cap within
+    the step budget, which is above every bound ``s <= cap`` that
+    ``run(Z, e, s)`` can be given.  The memo
     keeps, with each table, whether building it saturated, so every
     call on that oracle sets ``model.overflowed``, not only the first.
     """
     memo: dict[tuple, tuple[FnV, bool]] = {}
+    budget = 4 * (model.cap + 1)
 
     def outer(z):
         key = tabulate(model, z)
         if key not in memo:
-            runs = [theta(key, model.cap, e) for e in range(model.cap + 1)]
+            runs = [theta(key, budget, e) for e in range(model.cap + 1)]
             memo[key] = (table_fn([min(r, model.cap) for r in runs], model),
                          max(runs) > model.cap)
         value, saturated = memo[key]

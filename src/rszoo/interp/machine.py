@@ -167,14 +167,14 @@ def phi(e: int, table: tuple, x: int, budget: int) -> HaltsWith | DidNotHalt:
 
 
 def theta(table: tuple, budget: int, e: int) -> int:
-    """The bounded diagonal run: program ``e`` on input ``e`` against
-    the oracle ``table`` for at most ``budget`` steps; output+1 on halt
-    and 0 otherwise.
+    """The bounded diagonal run: program number ``e`` (machine index
+    ``PROGRAMS.get(e, e)``) on input ``e`` against the oracle ``table``
+    for at most ``budget`` steps; output+1 on halt and 0 otherwise.
 
     Adding one makes the value differ from the run's output whenever it
     halts.  The value is an unbounded integer; a model saturates it.
     """
-    res = phi(e, table, e, budget)
+    res = phi(PROGRAMS.get(e, e), table, e, budget)
     if isinstance(res, HaltsWith):
         return res.output + 1
     return 0
@@ -193,3 +193,9 @@ SCAN_PROGRAM: Program = (
 )
 
 SCAN_INDEX = encode_program(SCAN_PROGRAM)
+
+# The diagonal numbering: program number 0 is the scan, so a model's
+# diagonal run reaches it below every cap; every other number is its
+# machine index.  The empty program it displaces computes what
+# ("halt",), index 2, computes, so every program is still numbered.
+PROGRAMS = {0: SCAN_INDEX}

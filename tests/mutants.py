@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-# the slot terms of the forward rows, as the script writes them
-DMARK = "dmark(f, Psi(empty1, 4718456))"
-ROW1_Y = f"Xi(empty1, {DMARK}, 4718457)"
+# the slot terms of the forward row, as the script writes them
+DMARK = "dmark(f, Psi(empty1, 0))"
+ROW_Y = f"Xi(empty1, {DMARK}, 1)"
 
 
 class Mutant(NamedTuple):
@@ -42,35 +42,41 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # the bound max(0, max(0, 0)); step 1's axiom stays the disjunction
-    # of the rows, as EXISTS-WITNESS demands
+    # the bound 0; step 1's axiom stays the instance of the row, as
+    # EXISTS-WITNESS demands
     Mutant("every-y-0", "forward.prf", (
-        (f"(exists z <= {ROW1_Y}) f(z) = 0", "(exists z <= 0) f(z) = 0", 1),
-        (f"({ROW1_Y}; ", "(0; ", 1),
-        ("WEAKEN 2 with (4718456; ", "WEAKEN 2 with (0; ", 1)),
-        survives="3"),
-    Mutant("fallback-y-0", "forward.prf", (
-        ("WEAKEN 2 with (4718456; ", "WEAKEN 2 with (0; ", 1),),
-        survives="10"),
-    # the marker's offset, in both places the let reads it
+        (f"(exists z <= {ROW_Y}) f(z) = 0", "(exists z <= 0) f(z) = 0", 1),
+        (f"({ROW_Y}; ", "(0; ", 1)),
+        survives=None),
+    # the mark 7 cells late, behind the guard that keeps the shifted
+    # index inside the table
     Mutant("dmark-offset-7", "forward.prf", (
-        ("leq(4718456, n), flag(firstz(h, monus(n, 4718456))",
-         "leq(7, n), flag(firstz(h, monus(n, 7))", 1),),
-        survives="3"),
+        ("flag(firstz(h, n), succ(v), 0)",
+         "flag(iszero(monus(7, n)), flag(firstz(h, monus(n, 7)), succ(v), "
+         "0), 0)", 1),),
+        survives=None),
+    # the mark 1 cell late.  A first zero at cell cap - 1 (E0's, at cap
+    # 3) is marked at cap, where Xi0 answers cap + 1, saturated, so the
+    # verdict gains overflowed; one at cell cap is marked past the
+    # table, which refutes the row (test_mutants.py, under f: all)
+    Mutant("mark-late-1", "forward.prf", (
+        ("firstz(h, n)", "firstz(h, monus(n, 1))", 1),), survives=None),
     # every place the script passes k, Xi's last argument
-    Mutant("xi-k-0", "forward.prf", (("4718457", "0", 12),), survives="4"),
+    Mutant("xi-k-0", "forward.prf", (
+        (")), 1)", ")), 0)", 5), ("(Psi(empty1), 1)", "(Psi(empty1), 0)", 1),
+        ("; 1)", "; 0)", 1)), survives=None),
     # a row edited without the axiom: the replay refuses step 2
     Mutant("row-without-axiom", "forward.prf",
-           ((f"({ROW1_Y}; ", "(0; ", 1),), survives=None),
+           ((f"({ROW_Y}; ", "(0; ", 1),), survives=None),
     # the backward witness searches for no halting stage: mu of the
     # constant 0, in the step and in the axiom it must match
     Mutant("backward-mu-0", "backward.prf", (
         ("mu(\\s:0. iszero(run(Z, e, s)))", "mu(\\s:0. 0)", 2),),
         survives=None),
     # the model's modulus answers 0 everywhere: the forward candidates
-    # still hold at the declared tables, with only the overflow that
-    # the shipped run also has
-    Mutant("xi0-zero", "model.cfg", (("Xi0", "0", 1),), survives="4"),
+    # then hold only where the antecedent fails, and the verdict gains
+    # antecedent-vacuous
+    Mutant("xi0-zero", "model.cfg", (("Xi0", "0", 1),), survives=None),
     # the model's least-zero search answers 0 everywhere: the backward
     # candidates then hold only where the antecedent fails, and the
     # verdict gains backward-antecedent-vacuous

@@ -11,8 +11,8 @@ module states the same semantics again, as directly as it can:
 - every constant is a curried function value, and every application
   applies one argument, so ``rec`` calls its step like any function;
 - every quantifier enumerates its whole population up front;
-- a ``run`` decodes its program and calls ``machine.run_program``
-  (``phi``, with no memo).
+- a ``run`` decodes its program, numbered by ``machine.PROGRAMS``, and
+  calls ``machine.run_program`` (``phi``, with no memo).
 
 Nothing is compiled and nothing is remembered between calls.  The
 walker reuses the model's saturation (``sat``), enumeration,
@@ -31,7 +31,8 @@ import math
 
 from rszoo.extract import _value_label
 from rszoo.interp import FnV, ModelError, zero_value
-from rszoo.interp.machine import HaltsWith, decode_program, run_program
+from rszoo.interp.machine import (PROGRAMS, HaltsWith, decode_program,
+                                  run_program)
 from rszoo.lang import (Abs, And, App, Atom, BExists, BForall, Const, Exists,
                         ExistsSt, Forall, ForallSt, Implies, Not, Or, Var,
                         infer_type, pure)
@@ -92,9 +93,10 @@ def phi(e: int, table: tuple, x: int, budget: int):
 
 
 def run(model, a, e, s):
-    """``run(a, e, s)``: program ``e`` on input ``e`` against the table of
-    ``a`` for ``s`` steps, output + 1 on a halt, else 0, saturated."""
-    res = phi(e, model.canon_key(TYPE1, a), e, s)
+    """``run(a, e, s)``: program number ``e`` (machine index
+    ``PROGRAMS.get(e, e)``) on input ``e`` against the table of ``a`` for
+    ``s`` steps, output + 1 on a halt, else 0, saturated."""
+    res = phi(PROGRAMS.get(e, e), model.canon_key(TYPE1, a), e, s)
     return model.sat(res.output + 1 if isinstance(res, HaltsWith) else 0)
 
 

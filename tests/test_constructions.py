@@ -2,7 +2,7 @@ import pytest
 from rszoo.interp import (FnV, MiniModel, ModelError, build_construction,
                           eval_formula, extensionality_search, psi_theta,
                           table_fn, tabulate, theta, xi_search)
-from rszoo.interp.machine import SCAN_INDEX, HaltsWith
+from rszoo.interp.machine import SCAN_INDEX
 from rszoo.lang import parse_formula, parse_type
 
 
@@ -14,10 +14,15 @@ def m4():
 
 def test_theta_values_at_small_indices():
     z = (0,) * 5
-    # index 0: empty program, output 0, so theta = 1
-    assert theta(z, 4, 0) == 1
+    # program 0 is the member scan: from cell 0 it finds 2 at cell 1 in
+    # 8 steps and outputs 1, so theta = 2; on zero cells it runs on
+    assert theta((0, 2, 0, 0, 0), 8, 0) == 2
+    assert theta((0, 2, 0, 0, 0), 7, 0) == 0
+    assert theta(z, 20, 0) == 0
     # index 1: one oracle read; theta = oracle(1) + 1
     assert theta((0, 1, 0, 0, 0), 4, 1) == 2
+    # index 2: halt, output 0, so theta = 1
+    assert theta(z, 4, 2) == 1
     # a non-halting run gives 0
     assert theta(z, 4, SCAN_INDEX) == 0
 
@@ -26,11 +31,16 @@ def test_psi_theta_tables_frozen():
     m = m4()
     z = table_fn([0, 1, 0, 2, 0], m)
     empty = table_fn([0] * 5, m)
+    mark = table_fn([0, 0, 0, 0, 3], m)
     p = psi_theta(m)
-    # traced by hand: e=0 empty program -> 1; e=1 oracle read -> Z(1)+1;
-    # e=2 halt -> 1; e=3 inc first register -> 1; e=4 inc second -> 2
+    # traced by hand: e=0 the scan -> first nonzero cell, so Z(1) -> 1
+    # and none -> 0; e=1 oracle read -> Z(1)+1; e=2 halt -> 1; e=3 inc
+    # first register -> 1; e=4 inc second -> 2
     assert tabulate(m, p.call(z)) == (1, 2, 1, 1, 2)
-    assert tabulate(m, p.call(empty)) == (1, 1, 1, 1, 2)
+    assert tabulate(m, p.call(empty)) == (0, 1, 1, 1, 2)
+    # the scan spends 4 steps a cell, so the budget 4 * (cap + 1)
+    # reaches a mark at cell cap
+    assert tabulate(m, p.call(mark)) == (3, 1, 1, 1, 2)
 
 
 def test_psi_theta_memoises_by_table():
@@ -43,12 +53,13 @@ def test_psi_theta_memoises_by_table():
 
 def test_psi_theta_flags_saturation_on_every_call():
     # at cap 3, e = 1 reads Z(1) = 3 and returns 4: the table saturates
+    # (e = 0, the scan, finds the 3 and returns 3)
     m = MiniModel(cap=3, omega=2)
     p = psi_theta(m)
     z = table_fn([0, 3, 0, 0], m)
     for _call in range(2):
         m.overflowed = False
-        assert tabulate(m, p.call(z)) == (1, 3, 1, 1)
+        assert tabulate(m, p.call(z)) == (3, 3, 1, 1)
         assert m.overflowed
     m.overflowed = False
     p.call(table_fn([0, 1, 0, 0], m))
@@ -56,11 +67,9 @@ def test_psi_theta_flags_saturation_on_every_call():
 
 
 def dodge_holds(m, p, z):
-    from rszoo.interp.machine import phi
     for e in range(m.cap + 1):
         for s in range(m.cap + 1):
-            r = phi(e, z.table, e, s)
-            run = m.sat(r.output + 1) if isinstance(r, HaltsWith) else 0
+            run = m.sat(theta(z.table, s, e))
             if run != 0 and m.sat(p.call(z).call(e) + 1) == run:
                 return False
     return True
@@ -87,15 +96,15 @@ def test_extensionality_search_frozen_values():
     m = m4()
     p = psi_theta(m)
     x = table_fn([0, 1, 0, 2, 0], m)
-    y = table_fn([0] * 5, m)
+    y = table_fn([1, 0, 0, 0, 0], m)
     # the outputs (1 2 1 1 2 and 1 1 1 1 2) agree below k=0 and k=1,
     # so the empty prefix works
     assert extensionality_search(m, p, x, y, 0) == 0
     assert extensionality_search(m, p, x, y, 1) == 0
     # they split at cell 1, below k=2 and k=4; the tables first differ
-    # at index 1, so agreement below 2 is already false
-    assert extensionality_search(m, p, x, y, 2) == 2
-    assert extensionality_search(m, p, x, y, 4) == 2
+    # at index 0, so agreement below 1 is already false
+    assert extensionality_search(m, p, x, y, 2) == 1
+    assert extensionality_search(m, p, x, y, 4) == 1
 
 
 def test_extensionality_search_unfillable_triple():
@@ -136,11 +145,14 @@ UNFILLABLE = ("initseg(X, 2) = initseg(Y, 2) /\\ "
 
 
 @pytest.mark.parametrize("functional, unfillable", [
-    (psi_theta, False),
+    # the scan, program 0, reads up to the last cell on a zero prefix
+    (psi_theta, True),
     # reads only the last cell, which no initial segment below the cap
     # reaches
     (lambda m: FnV(lambda z: table_fn([z.call(2)] * 3, m)), True),
-], ids=["psi_theta", "last_cell"])
+    # reads only the first cell
+    (lambda m: FnV(lambda z: table_fn([z.call(0)] * 3, m)), False),
+], ids=["psi_theta", "last_cell", "first_cell"])
 def test_xi_search_makes_the_clause_true_wherever_a_modulus_exists(
         functional, unfillable):
     # every triple (X, Y, k) of a cap-2 model: 27 * 27 * 3

@@ -22,22 +22,25 @@ from rszoo.translate import TranslateError, formula_to_nf, parse_nf
 UDNR = Path(extract.__file__).parent / "corpus_data" / "udnr"
 GOLDEN_CAP3 = Path(__file__).parent / "golden" / "udnr_cap3.txt"
 
-# The shipped udnr model at cap 3: tables cut to 4 cells, [st] kept.
-MODEL_CAP3 = """\
-cap = 3
-omega = 2
-budget = 200000
-table Z0: 0 1 0 0 [st]
-table E0: 0 0 0 0 [st]
-bind Psi0: psi_theta [st]
-bind Xi0: xi_search Psi0 [st]
-bind mu0: mu_op [st]
-"""
+
+def resized_model(cap: int) -> str:
+    """The shipped udnr model at another cap: every table cut or padded
+    with zeros to cap + 1 cells, every other line kept."""
+    out = []
+    for line in (UDNR / "model.cfg").read_text().splitlines():
+        words = line.split()
+        if words[:1] == ["cap"]:
+            line = f"cap = {cap}"
+        elif words[:1] == ["table"]:
+            st = words[-1] == "[st]"
+            cells = (words[2:len(words) - st] + ["0"] * (cap + 1))[:cap + 1]
+            line = " ".join(words[:2] + cells + ["[st]"] * st)
+        out.append(line)
+    return "\n".join(out) + "\n"
 
 
-# The same model at cap 5: tables padded with zeros to 6 cells.
-MODEL_CAP5 = MODEL_CAP3.replace("cap = 3", "cap = 5").replace(
-    "0 0 [st]", "0 0 0 0 [st]")
+MODEL_CAP3 = resized_model(3)
+MODEL_CAP5 = resized_model(5)
 
 
 def udnr_entry(model: str = MODEL_CAP3, f_plan: str = "st"):
@@ -79,6 +82,26 @@ def test_rs_run_udnr_candidates_hold(udnr_run):
         assert stages[tag].startswith("candidates ok over 2 assignment(s)")
 
 
+@pytest.mark.parametrize("cap", [3, 4, 5])
+def test_rs_run_udnr_holds_without_a_flag_at_every_cap(cap):
+    model = {3: MODEL_CAP3, 4: (UDNR / "model.cfg").read_text(),
+             5: MODEL_CAP5}[cap]
+    verdict = rs_run(udnr_entry(model))
+    stages = dict(verdict.stages)
+    for tag in ("candidates-forward", "candidates-backward"):
+        assert stages[tag] == "candidates ok over 2 assignment(s)"
+    assert verdict.flags == ()
+
+
+def test_rs_run_udnr_forward_sweep_over_every_cap4_table():
+    # cap 3's sweep is a golden; only the tables whose first zero is
+    # cell cap saturate, where Xi0 answers cap + 1
+    verdict = rs_run(udnr_entry((UDNR / "model.cfg").read_text(), "all"))
+    assert dict(verdict.stages)["candidates-forward"] == (
+        "candidates ok over 3125 assignment(s) [overflow]")
+    assert verdict.flags == ("overflowed",)
+
+
 def test_rs_run_replays_each_script_once(udnr_run):
     _entry, _verdict, replays = udnr_run
     assert replays == ["udnr-forward", "udnr-backward"]
@@ -106,6 +129,7 @@ def test_forward_term_makes_at_most_215_python_calls_per_table(udnr_run):
     # evaluator made 292.9 a table before it ran constant rec steps once
     # and built small redex frames without a list, 222.6 after, and
     # 206.6 once the script's let applications were reduced when read.
+    # The one-row script, whose bound is Xi's value alone, makes 172.7.
     entry, verdict, _replays = udnr_run
     model = entry.model
     term = eval_term(model, verdict.forward_term, model.env())
@@ -132,10 +156,11 @@ def test_forward_term_makes_at_most_215_python_calls_per_table(udnr_run):
 
 def test_rs_run_bound_is_a_max_over_the_target_slot(udnr_run):
     entry, verdict, _replays = udnr_run
+    # the script has one row, so the max over the rows is its y
     dmark = show_term(check_script(entry.forward).final.rows[0][1])
     assert show_term(verdict.bound_term) == (
         "\\f:1. \\Psi:1 -> 1. \\Xi:1 -> 1 -> 1. "
-        f"max(Xi(\\n:0. 0, {dmark}, 4718457), max(0, 4718456))")
+        f"Xi(\\n:0. 0, {dmark}, 1)")
 
 
 def udnr_transcript(verdict) -> str:
@@ -156,7 +181,7 @@ def test_rs_run_matches_golden_transcript(udnr_run):
 @pytest.mark.parametrize("golden, model, f_plan", [
     ("udnr_cap5.txt", MODEL_CAP5, "st"),
     ("udnr_cap3_fall.txt", MODEL_CAP3, "all"),
-])
+], ids=["udnr_cap5", "udnr_cap3_fall"])
 def test_rs_run_matches_golden_transcript_on_other_paths(golden, model,
                                                          f_plan):
     # the other two benchmarked paths: cap 5 (the table-1 sweep of the
@@ -172,7 +197,7 @@ def test_rs_run_term_sizes(udnr_run):
     _entry, verdict, _replays = udnr_run
     nodes = sum(1 for t in (verdict.forward_term, verdict.backward_term)
                 for _ in subterms(t))
-    assert nodes == 213
+    assert nodes == 175
 
 
 def test_rs_run_again_compiles_nothing_new():
@@ -239,7 +264,8 @@ def test_rs_run_fails_at_candidates_backward_naming_declared_objects():
 
 def test_rs_run_flags_a_saturated_backward_sweep():
     # max(.., monus(9, 9)) keeps the witness's value, but the numeral 9
-    # saturates at cap 3 on every evaluation of the backward slot term
+    # saturates at cap 3 on every evaluation of the backward slot term;
+    # the forward check saturates nothing
     entry = udnr_entry()
     witness = r"run(Z, e, mu(\s:0. iszero(run(Z, e, s))))"
     text = (UDNR / "backward.prf").read_text()
@@ -249,7 +275,25 @@ def test_rs_run_flags_a_saturated_backward_sweep():
     verdict = rs_run(entry)
     assert dict(verdict.stages)["candidates-backward"] == (
         "candidates ok over 2 assignment(s) [overflow]")
-    assert verdict.flags == ("backward-overflowed", "overflowed")
+    assert verdict.flags == ("backward-overflowed",)
+
+
+@pytest.mark.parametrize("cap, failing", [(3, 128), (4, 1625)])
+def test_backward_row_fails_on_a_recorded_count_of_tables(cap, failing):
+    # a record for ROADMAP item 19, not a verdict: with Z swept over
+    # every table, the backward row's dodge clause is false on this many
+    # tables, where succ(d(e)) and run(Z, e, s) both read the cap; at
+    # cap 4, 375 of them have the scan (program 0) halt on cell 0 = cap
+    entry = udnr_entry(resized_model(cap))
+    model = entry.model
+    final = check_script(entry.backward).final
+    clause = final.nf.matrix.right      # mu0 meets the antecedent
+    refuted = 0
+    for table in itertools.product(range(cap + 1), repeat=cap + 1):
+        env = {"mu": model.object("mu0"), "Z": table_fn(list(table), model)}
+        env["d"] = eval_term(model, final.rows[0][0], env)
+        refuted += not rszoo.interp.eval_formula(model, clause, env)
+    assert refuted == failing
 
 
 def test_rs_run_rejects_a_sweep_plan_naming_an_object():
@@ -294,7 +338,8 @@ def test_rs_run_evaluates_backward_antecedent_once(monkeypatch):
     # The backward antecedent "(forall h:1) ..." mentions only mu, so it
     # is evaluated once across the two (mu0, Z) assignments.  Its sweep
     # reads table cells instead of listing the tables: mu0 is applied
-    # once per prefix read, 66 times in all (376 with two eager sweeps).
+    # once per prefix read and wherever the consequent's witness reads
+    # it, 58 times in all.
     entry = udnr_entry()
     mu0 = entry.model.object("mu0")
     applied, apply = [], mu0.call
@@ -319,7 +364,7 @@ def test_rs_run_evaluates_backward_antecedent_once(monkeypatch):
               and f.var.ty == pure(1)]
     assert len(sweeps) == 1 and "mu" in show_formula(sweeps[0])
     assert (pure(1), False) not in populations
-    assert len(applied) == 66
+    assert len(applied) == 58
 
 
 @pytest.mark.parametrize("matrix, vacuous, evaluated", [
@@ -444,7 +489,7 @@ def test_check_candidates_rejects_a_slot_naming_more_than_the_universals(
 
 
 # ---------------------------------------------------------------------------
-# rules EXISTS-WITNESS and WEAKEN
+# rule EXISTS-WITNESS
 
 
 AXIOM = ("step 1: NF-AXIOM conclude (forall^st x:0) "
@@ -483,15 +528,7 @@ def test_exists_witness_introduces_rows():
     assert final.nf.existentials == (Var("y", N),)
 
 
-def test_weaken_appends_rows():
-    final = replay(WITNESS,
-                   f"step 3: WEAKEN 2 with (0) (x) conclude {ONE_SLOT}").final
-    x = Var("x", N)
-    assert final.rows == ((x,), (app(SUCC, x),), (num(0),), (x,))
-
-
 EW = "step 2 (EXISTS-WITNESS): "
-WK = "step 3 (WEAKEN): "
 
 
 @pytest.mark.parametrize("steps, message", [
@@ -518,54 +555,30 @@ WK = "step 3 (WEAKEN): "
     ((f"step 2: EXISTS-WITNESS 1 with (x) conclude {ONE_SLOT}",),
      EW + "premise matrix is not the disjunction of the instantiated "
           "conclusion matrix"),
-    ((WITNESS, f"step 3: WEAKEN with (0) conclude {ONE_SLOT}"),
-     WK + "needs exactly one premise"),
-    ((WITNESS, "step 3: WEAKEN 2 with (0) conclude "
-               "(forall^st x:0) (exists^st y:0) x = y"),
-     WK + "conclusion must repeat the premise normal form"),
-    ((WITNESS, f"step 3: WEAKEN 2 conclude {ONE_SLOT}"),
-     WK + "needs at least one tuple to add"),
-    ((WITNESS, f"step 3: WEAKEN 2 with (0; 0) conclude {ONE_SLOT}"),
-     WK + "witness tuple has 2 slots, conclusion has 1 existentials"),
-    ((WITNESS, f"step 3: WEAKEN 2 with (\\n:0. n) conclude {ONE_SLOT}"),
-     WK + "witness for y has type 1, expected 0"),
-    ((WITNESS, f"step 3: WEAKEN 2 with (muscan(\\n:0. x)) "
-               f"conclude {ONE_SLOT}"),
-     "step 3: witness group 1, slot 1: unbound variable 'muscan' "
-     "(at 4:24)"),
 ])
 def test_witness_rules_reject(steps, message):
     with pytest.raises(ScriptError, match=re.escape(message)):
         replay(*steps)
 
 
-@pytest.mark.parametrize("steps", [
-    (WITNESS,),
-    (WITNESS, f"step 3: WEAKEN 2 with (0) conclude {ONE_SLOT}"),
-])
-def test_witness_rules_reject_open_terms(steps):
+def test_witness_rules_reject_open_terms():
     # the parser already refuses unbound names, so the term is put into
     # the parsed step directly
     with pytest.raises(ScriptError, match=re.escape(
             "open witness term for y: unbound ['z']")):
-        replay(*steps, groups=((Var("z", N),),))
+        replay(WITNESS, groups=((Var("z", N),),))
 
 
-@pytest.mark.parametrize("steps", [
-    (WITNESS,),
-    (WITNESS, f"step 3: WEAKEN 2 with (0) conclude {ONE_SLOT}"),
-])
 @pytest.mark.parametrize("term, message", [
     # a universal read at another type than its own
     (Var("x", pure(1)), "variable x used at type 1 but declared at 0"),
     (App(Var("x", N), num(0)), "applied non-function of type 0"),
 ])
-def test_witness_rules_reject_ill_typed_terms(steps, term, message):
+def test_witness_rules_reject_ill_typed_terms(term, message):
     # built in code, as the parser refuses both terms
-    rule = steps[-1].split()[2]
     with pytest.raises(ScriptError, match=re.escape(
-            f"step {len(steps) + 1} ({rule}): witness for y: {message}")):
-        replay(*steps, groups=((term,),))
+            f"{EW}witness for y: {message}")):
+        replay(WITNESS, groups=((term,),))
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +607,11 @@ AX = "step 2 (NF-AXIOM): "
     (("step 2: NF-AXIOM conclude "
       "(forall^st x:0) (x = x /\\ ((exists^st y:0) y = x))",),
      AX + "matrix is not internal: x = x /\\ ((exists^st y:0) y = x)"),
-    ((f"step 1: WEAKEN 1 with (0) conclude {ONE_SLOT}",),
+    (("step 1: NF-AXIOM conclude (forall^st x:0) x = x",),
      "duplicate step index 1"),
-    ((f"step 2: WEAKEN 3 with (0) conclude {ONE_SLOT}",
-      WITNESS.replace("step 2:", "step 3:")),
-     "step 2 (WEAKEN): premise 3 not yet derived"),
+    ((WITNESS.replace("EXISTS-WITNESS 1", "EXISTS-WITNESS 3"),
+      AXIOM.replace("step 1:", "step 3:")),
+     EW + "premise 3 not yet derived"),
     # a name bound twice in the blocks fails its step, rule named
     (("step 2: NF-AXIOM conclude (forall^st x:0, x:0) x = x",),
      AX + "duplicate names in blocks: ['x', 'x']"),
@@ -779,9 +792,8 @@ def test_postprocess_rejects(matrix, target, message):
 
 
 def test_extract_function_needs_one_candidate():
-    entry = udnr_entry()
-    report = check_script(entry.forward)
-    assert len(report.final.rows) == 3
+    report = replay(WITNESS)
+    assert len(report.final.rows) == 2
     with pytest.raises(ScriptError, match="exactly one candidate"):
         extract_function(report)
 

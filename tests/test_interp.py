@@ -114,8 +114,15 @@ def test_run_is_machine_call_plus_one():
     # program 1 = single oracle read: halts in one step with Z(e)
     assert ev(m, "run(Z, 1, 0)") == 0
     assert ev(m, "run(Z, 1, 1)") == 1
-    # program 0 = empty program: halts at once with output 0
-    assert ev(m, "run(Z, 0, 0)") == 1
+    # program 2 = ("halt",): halts in one step with output 0
+    assert ev(m, "run(Z, 2, 0)") == 0
+    assert ev(m, "run(Z, 2, 1)") == 1
+    # program 0 = the member scan (machine.PROGRAMS): from cell 0 it
+    # reads M(1) = 3 in its eighth step and outputs 2
+    m.declare("M", parse_type("1"), table_fn([0, 3] + [0] * 8, m), st=False)
+    assert ev(m, "run(M, 0, 7)") == 0
+    assert ev(m, "run(M, 0, 8)") == 3
+    assert ev(m, "run(Z, 0, 9)") == 0
 
 
 def test_run_respects_type_one_equality():

@@ -100,7 +100,7 @@ def test_a_step_universal_shadows_a_let_in_its_witness_groups():
 
 def test_equal_let_applications_are_one_object():
     script = parse_script((UDNR / "forward.prf").read_text())
-    step1, step2, _step3 = script.steps
+    step1, step2 = script.steps
     dodge = step2.groups[0][1]
     assert isinstance(dodge, App)
     assert all(row[1] is dodge and row[3] is dodge for row in step2.groups)

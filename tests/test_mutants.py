@@ -1,15 +1,17 @@
 """The mutants of ``mutants.py`` through ``rs_run`` at cap 3: each is
 killed or survives exactly as the list says."""
+import pytest
+
 from rszoo.extract import ScriptError, parse_script, rs_run
 from rszoo.interp.model import zero_value
 
 from mutants import MUTANTS
-from test_extract import UDNR, udnr_entry
+from test_extract import MODEL_CAP3, MODEL_CAP5, UDNR, udnr_entry
 
 
-def mutated(mutant):
+def mutated(mutant, model=MODEL_CAP3, f_plan="st"):
     """The udnr entry with the mutant's edits made."""
-    entry = udnr_entry()
+    entry = udnr_entry(model, f_plan)
     if mutant.file == "model.cfg":
         model = entry.model
         for name, _zero, _once in mutant.edits:
@@ -36,3 +38,30 @@ def test_mutants_die_or_survive_as_listed():
     survivors = [m for m in MUTANTS if m.survives is not None]
     print(f"{len(survivors)} of {len(MUTANTS)} mutants survive:",
           ", ".join(f"{m.name} (item {m.survives})" for m in survivors))
+
+
+def named(name):
+    return next(m for m in MUTANTS if m.name == name)
+
+
+@pytest.mark.parametrize("model", [MODEL_CAP3, MODEL_CAP5], ids=["3", "5"])
+@pytest.mark.parametrize("name", ["every-y-0", "dmark-offset-7", "xi-k-0"])
+def test_forward_mutants_fail_at_a_standard_table(name, model):
+    # killed by a FAIL, not by a flag, at both caps: E0's first zero is
+    # cell 2, which each mutant's bound or mark misses
+    with pytest.raises(ScriptError) as info:
+        rs_run(mutated(named(name), model))
+    assert str(info.value).startswith(
+        "udnr/candidates-forward: candidates FAIL over 2 assignment(s)")
+    assert str(info.value).endswith(" f=E0, Psi=Psi0, Xi=Xi0")
+
+
+def test_the_late_mark_is_no_equivalent_mutant():
+    # the standard tables' first zeros are not in the last cell, so only
+    # a sweep over every table shows that the proof with the mark one
+    # cell late does not hold
+    with pytest.raises(ScriptError) as info:
+        rs_run(mutated(named("mark-late-1"), f_plan="all"))
+    assert str(info.value).startswith(
+        "udnr/candidates-forward: candidates FAIL over 256 assignment(s) "
+        "[overflow] f=(1, 1, 1, 0), Psi=Psi0, Xi=Xi0;")

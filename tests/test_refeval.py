@@ -12,6 +12,7 @@ import pytest
 import gen
 import refeval
 from test_extract import MODEL_CAP3, udnr_entry
+from test_mutants import mutated, named
 from rszoo.extract import check_candidates, check_script, rs_run
 from rszoo.interp import (FnV, MiniModel, ModelError, eval_formula,
                           eval_term, machine, model as model_mod,
@@ -374,7 +375,8 @@ def test_udnr_forward_term_agrees_with_the_reference_on_every_table(
                        lambda: want_fn.call(table_fn(table, reference)))
         assert got == want, table
         overflowed += got[1]
-    assert overflowed == cells ** cells
+    # only a first zero at cell cap overflows: Xi0 answers cap + 1 there
+    assert overflowed == compiled.cap ** compiled.cap
 
 
 @pytest.mark.parametrize("z", ["Z0", "E0"])
@@ -398,26 +400,27 @@ def fields(report) -> tuple:
             report.antecedent_vacuous, report.overflowed)
 
 
-@pytest.mark.parametrize("script, plan, keep, ok", [
+@pytest.mark.parametrize("script, plan, mutant, ok", [
     ("forward", "st", None, True),
     ("forward", "all", None, True),
     ("backward", None, None, True),
-    # without the fallback row, a table whose first zero is not cell 0
-    # fails (ROADMAP item 3)
-    ("forward", "all", 2, False),
+    # the mark one cell late: a first zero at cell cap is refuted
+    ("forward", "all", "mark-late-1", False),
 ])
 def test_check_candidates_agrees_with_a_sweep_without_memo(script, plan,
-                                                           keep, ok):
+                                                           mutant, ok):
     # two fresh entries at cap 3: check_candidates with its memo and the
     # compiled evaluator, and the reference sweep over the walker
-    compiled, reference = udnr_entry(), udnr_entry()
+    def entry():
+        return udnr_entry() if mutant is None else mutated(named(mutant))
+
+    compiled, reference = entry(), entry()
     final = check_script(getattr(compiled, script)).final
-    rows = final.rows[:keep]
     plans = None
     if plan is not None:
         plans = dict(compiled.plans, f=plan)
-    report = check_candidates(compiled.model, final.nf, rows, plans)
-    want = refeval.candidates(reference.model, final.nf, rows, plans)
+    report = check_candidates(compiled.model, final.nf, final.rows, plans)
+    want = refeval.candidates(reference.model, final.nf, final.rows, plans)
     assert fields(report) == want
     assert sorted(compiled.model.flags) == sorted(reference.model.flags)
     assert report.ok is ok
@@ -425,11 +428,11 @@ def test_check_candidates_agrees_with_a_sweep_without_memo(script, plan,
 
 
 def test_check_candidates_agrees_with_a_sweep_without_memo_where_keys_matter():
-    # udnr's verdicts barely depend on the memo (its fallback row carries
-    # them), so here each part of a key decides a row: the slot terms
-    # read the swept table, the second row's g is the table itself, and
-    # the antecedent reads only the existentials, which the two rows set
-    # apart; the second row holds vacuously unless f(0) saturates succ
+    # udnr's scripts have one row each, so here each part of a key
+    # decides a row: the slot terms read the swept table, the second
+    # row's g is the table itself, and the antecedent reads only the
+    # existentials, which the two rows set apart; the second row holds
+    # vacuously unless f(0) saturates succ
     nf = parse_nf("(forall^st f:1) (exists^st y:0, g:1) g(0) = y -> f(y) = 0")
     params = {"f": pure(1)}
     rows = tuple(tuple(parse_term(src, params) for src in row) for row in (
@@ -457,7 +460,8 @@ def test_candidate_report_notes_a_vacuous_antecedent():
 def past_the_cap(cap: int) -> list[str]:
     """Oracles, as closed terms, that are nonzero only past ``cap``: a
     difference, a ``rec`` guarded by it, a successor that saturates at
-    the cap in a model of that cap, and udnr's marker test."""
+    the cap in a model of that cap, and a test against a numeral far
+    past the cap, which saturates."""
     return [f"\\n:0. monus(n, {cap})",
             f"\\n:0. rec[0](0, \\p:0. \\i:0. succ(i), monus(n, {cap}))",
             f"\\n:0. monus(succ(n), {cap})",
@@ -477,7 +481,7 @@ def test_runs_on_oracles_nonzero_past_the_cap_agree_with_the_reference(cap):
                            lambda: refeval.term(reference, t, {}))
             assert got == want, (src, e, s)
             saturated += got[1]
-    # the saturating successor and the marker's literal
+    # the saturating successor and the far numeral
     assert saturated == 2 * (cap + 1) ** 2
 
 
