@@ -2,17 +2,18 @@
 
 A script is a list of steps, each applying one rule of a small
 candidate-tuple calculus.  A step's conclusion is a normal form
-``(forall^st xs)(exists^st ys) matrix``, its blocks peeled off the
-formula by ``translate.formula_to_nf`` (a conclusion that is no normal
-form fails its step), and the checker threads a finite list of witness
-tuples (candidates) alongside it: the step is sound when the premise
+``(forall^st xs)(exists^st ys) matrix``, split into its blocks by
+``translate.nf_blocks`` (a conclusion that is no normal form fails its
+step), and the checker threads a finite list of witness tuples
+(candidates) alongside it: the step is sound when the premise
 guarantees that, for every assignment of the universals, at least one
 candidate tuple satisfies the matrix.  A witness term is well-typed
 and names no variable but the conclusion's universals, each at its
 own type.  The rules:
 
   NF-AXIOM      trusted starting point with an internal matrix; it takes
-                no premises and may not introduce existentials.
+                no premises and no witness tuples, and may not introduce
+                existentials.
   EXISTS-WITNESS  introduce existentials; the premise matrix must be
                 exactly the disjunction of the instantiated conclusion
                 matrix, one disjunct per tuple.
@@ -46,7 +47,9 @@ and the flags are those of the substituted term.  A lambda argument
 that lands in head position is reduced in turn; a redex written in the
 script is left as written.
 
-Extraction reads the final candidate rows back as closed terms.
+A report lists the steps in script order, and its final step is the
+script's last one.  Extraction reads that step's candidate rows back as
+closed terms.
 ``extract_terms`` gives ``\\xs. <seq of tuples>``.  For a numeric
 target slot ``y``, ``postprocess`` gives the bound
 ``\\xs. max(r1[y], max(r2[y], ...))`` straight from the rows, and the
@@ -75,8 +78,7 @@ from .lang.printer import show_term_prefix
 from .lang.terms import MAX2, Prepared, all_names, enter_binder, prepare
 from .lang.types import FiniteType, Product, record
 from .normalform import normalize_principle
-from .translate import (NormalForm, TranslateError, alpha_eq_nf,
-                        formula_to_nf, show_nf)
+from .translate import TranslateError, nf_blocks
 
 
 class ScriptError(Exception):
@@ -154,12 +156,12 @@ class _Lets:
     def __init__(self):
         self.sub: Prepared = {}
         self.memo: dict[Term, Term] = {}
-        self.profiles: dict[int, tuple] = {}    # id(value): value, profile
+        self.profiles: dict[Abs, list] = {}
 
     def define(self, v: Var, body: Term) -> None:
         value = self.term(body, self.sub)
         if type(value) is Abs:
-            self.profiles[id(value)] = value, _profile(value)
+            self.profiles[value] = _profile(value)
         self.sub = {**self.sub, v: (value, frozenset())}
         self.memo.clear()   # v may be free in a term read under a binder
 
@@ -198,8 +200,9 @@ class _Lets:
     def apply(self, fn: Abs, args: list[Term]) -> Term:
         """``fn(args)``, the arguments expanded, reduced by the rule; a
         kept binder that an argument names is renamed."""
-        hit = self.profiles.get(id(fn))
-        profile = hit[1] if hit and hit[0] is fn else _profile(fn)
+        profile = self.profiles.get(fn)
+        if profile is None:
+            profile = _profile(fn)
         sub: dict[Var, Term] = {}
         kept = []
         body: Term = fn
@@ -335,8 +338,8 @@ def _parse_step(p: Parser, lets: _Lets) -> ProofStep:
 
 @record
 class StepResult:
+    """A replayed step and its rows; its normal form is its conclusion."""
     step: ProofStep
-    nf: NormalForm
     rows: tuple[Row, ...]
 
     def line(self) -> str:
@@ -393,55 +396,63 @@ def _check_rows(step: ProofStep, rows: tuple[Row, ...],
 
 def check_script(script: ProofScript) -> ScriptReport:
     """Replay a script, rule by rule.  Raises ScriptError naming the
-    step and the violated side condition; returns a report with the
-    per-step normal forms and candidate tuples."""
-    results: dict[int, StepResult] = {}
+    step and the violated side condition; returns a report with each
+    step's candidate tuples, in script order.  A rule handler gets the
+    ``nf_blocks`` of the conclusion and of each premise."""
+    blocks: dict[int, tuple] = {}
+    results: list[StepResult] = []
 
     for step in script.steps:
-        if step.index in results:
+        if step.index in blocks:
             raise ScriptError(f"duplicate step index {step.index}")
         try:
-            nf = formula_to_nf(step.conclusion)
+            nf = nf_blocks(step.conclusion)
         except TranslateError as exc:
             _fail(step, str(exc))
         prems = []
         for p in step.premises:
-            if p not in results:
+            if p not in blocks:
                 _fail(step, f"premise {p} not yet derived")
-            prems.append(results[p])
-        results[step.index] = _RULE_HANDLERS[step.rule](step, nf, prems)
+            prems.append(blocks[p])
+        rows = _RULE_HANDLERS[step.rule](step, nf, prems)
+        blocks[step.index] = nf
+        results.append(StepResult(step, rows))
 
-    return ScriptReport(script, tuple(results[i] for i in sorted(results)))
+    return ScriptReport(script, tuple(results))
 
 
 def _rule_nf_axiom(step, nf, prems):
     if prems:
         _fail(step, "axioms take no premises")
-    if nf.existentials:
+    if step.groups:
+        _fail(step, "axioms take no witness tuples")
+    _, existentials, _ = nf
+    if existentials:
         _fail(step, "internal axiom cannot introduce existentials")
-    return StepResult(step, nf, ((),))
+    return ((),)
 
 
 def _rule_exists_witness(step, nf, prems):
+    universals, existentials, matrix = nf
     if len(prems) != 1:
         _fail(step, "needs exactly one premise")
-    prem = prems[0]
-    if prem.nf.existentials:
+    prem_universals, prem_existentials, prem_matrix = prems[0]
+    if prem_existentials:
         _fail(step, "premise must be existential-free")
-    if not nf.existentials:
+    if not existentials:
         _fail(step, "conclusion introduces no existentials")
-    if nf.universals != prem.nf.universals:
+    if universals != prem_universals:
         _fail(step, "universal block must match the premise")
     if not step.groups:
         _fail(step, "needs at least one witness tuple")
-    _check_rows(step, step.groups, nf.existentials, nf.universals)
-    want = disj([subst_f(nf.matrix, dict(zip(nf.existentials, row)))
+    _check_rows(step, step.groups, existentials, universals)
+    want = disj([subst_f(matrix, dict(zip(existentials, row)))
                  for row in step.groups])
-    if not alpha_eq_f(prem.nf.matrix, want):
+    if not alpha_eq_f(prem_matrix, want):
         _fail(step, "premise matrix is not the disjunction of the "
                     "instantiated conclusion matrix; expected "
                     + show_formula(want))
-    return StepResult(step, nf, step.groups)
+    return step.groups
 
 
 _RULE_HANDLERS = {
@@ -481,48 +492,51 @@ def _require_closed(t: Term) -> Term:
 def extract_terms(report: ScriptReport) -> Term:
     """Closed realizing term ``\\xs. <seq of witness tuples>`` for the
     final step of a replayed script."""
-    nf, rows = report.final.nf, report.final.rows
-    if not nf.existentials:
+    final = report.final
+    universals, existentials, _ = nf_blocks(final.step.conclusion)
+    if not existentials:
         raise ScriptError("final step has no existentials to extract")
-    if not rows:
+    if not final.rows:
         raise ScriptError("final step has no candidate tuples")
-    tupty = _tuple_type(nf.existentials)
+    tupty = _tuple_type(existentials)
     seq = empty_c(tupty)
-    for row in rows:
-        seq = app(append_c(tupty), seq, _tuple_term(nf.existentials, row))
-    return _require_closed(lam(*nf.universals, seq))
+    for row in final.rows:
+        seq = app(append_c(tupty), seq, _tuple_term(existentials, row))
+    return _require_closed(lam(*universals, seq))
 
 
 def extract_function(report: ScriptReport) -> Term:
     """Single-witness extraction: ``\\xs. witness`` instead of a
     candidate sequence.  Demands exactly one tuple with one slot."""
     final = report.final
-    if len(final.rows) != 1 or len(final.nf.existentials) != 1:
+    universals, existentials, _ = nf_blocks(final.step.conclusion)
+    if len(final.rows) != 1 or len(existentials) != 1:
         raise ScriptError("function extraction needs exactly one candidate "
                           "and one witness slot; got "
                           f"{len(final.rows)} candidate(s) over "
-                          f"{len(final.nf.existentials)} slot(s)")
-    return _require_closed(lam(*final.nf.universals, final.rows[0][0]))
+                          f"{len(existentials)} slot(s)")
+    return _require_closed(lam(*universals, final.rows[0][0]))
 
 
 # ---------------------------------------------------------------------------
 # post-processing: the bound over the candidates' target slot
 
 
-def postprocess(rows: tuple[Row, ...], nf: NormalForm, target: str) -> Term:
+def postprocess(rows: tuple[Row, ...], nf: Formula, target: str) -> Term:
     """The closed bound term ``\\xs. max(r1[y], max(r2[y], ...))`` over
     the target slot ``y`` of the candidate rows, with the ``max``
-    primitive.  The consequent of the matrix may mention no other
+    primitive.  The consequent of nf's matrix may mention no other
     witness slot, since the bound stands in for the target alone."""
-    names = [v.name for v in nf.existentials]
+    universals, existentials, matrix = nf_blocks(nf)
+    names = [v.name for v in existentials]
     if target not in names:
         raise ScriptError(f"{target!r} is not a witness slot of the "
                           "normal form")
     idx = names.index(target)
-    if nf.existentials[idx].ty != N:
+    if existentials[idx].ty != N:
         raise ScriptError(f"non-numeric target slot {target!r}: "
-                          f"{show_type(nf.existentials[idx].ty)}")
-    cons = nf.matrix.right if isinstance(nf.matrix, Implies) else nf.matrix
+                          f"{show_type(existentials[idx].ty)}")
+    cons = matrix.right if isinstance(matrix, Implies) else matrix
     stray = {v.name for v in free_vars_f(cons)} & (set(names) - {target})
     if stray:
         raise ScriptError("consequent mentions witness slots other than "
@@ -533,7 +547,7 @@ def postprocess(rows: tuple[Row, ...], nf: NormalForm, target: str) -> Term:
     body = rows[-1][idx]
     for row in reversed(rows[:-1]):
         body = app(MAX2, row[idx], body)
-    return _require_closed(lam(*nf.universals, body))
+    return _require_closed(lam(*universals, body))
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +589,10 @@ def _value_label(model, ty, v) -> str:
         return "<value>"
 
 
-def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
+def check_candidates(model, nf: Formula, rows: tuple[Row, ...],
                      plans: dict[str, str] | None = None) -> CandidateReport:
-    """Sweep the universals and test that some candidate tuple satisfies
-    the matrix at every assignment.
+    """Sweep the universals of the normal form nf and test that some
+    candidate tuple satisfies its matrix at every assignment.
 
     ``plans`` maps a universal name to ``"all"`` (full enumeration) or
     ``"st"`` (declared/standard population, the default — the block is
@@ -586,7 +600,7 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     a ScriptError.  A slot term may name no variable but the universals
     (a script's witness terms are closed up to them); any other is a
     ScriptError.  The matrix names only the two blocks' variables, whose
-    names differ (see ``NormalForm``), so an assignment's environment
+    names differ (``nf_blocks``), so an assignment's environment
     holds the universals and each row sets its existentials there.
 
     When the matrix is an implication, its consequent is evaluated only
@@ -611,13 +625,14 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     # calls by wrapping the package's attributes once it is imported.
     from .interp import eval_formula, eval_term
 
+    universals, existentials, matrix = nf_blocks(nf)
     plans = plans or {}
-    names = {v.name for v in nf.universals}
+    names = {v.name for v in universals}
     stray = sorted(plans.keys() - names)
     if stray:
         raise ScriptError(f"sweep plan names no universal: {stray}")
     pools = []
-    for v in nf.universals:
+    for v in universals:
         plan = plans.get(v.name, "st")
         if plan not in ("st", "all"):
             raise ScriptError(f"unknown sweep plan {plan!r} for {v.name}")
@@ -630,9 +645,9 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
             raise ScriptError("slot term names more than the "
                               f"universals: {sorted(stray)}")
 
-    antecedent, consequent = ((nf.matrix.left, nf.matrix.right)
-                              if isinstance(nf.matrix, Implies)
-                              else (None, nf.matrix))
+    antecedent, consequent = ((matrix.left, matrix.right)
+                              if isinstance(matrix, Implies)
+                              else (None, matrix))
     memo: dict = {}
 
     def once(evaluate, node, free, env):
@@ -647,10 +662,10 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
     failures: list[str] = []
     for combo in itertools.product(*pools):
         checked += 1
-        env = {v.name: val for v, val in zip(nf.universals, combo)}
+        env = {v.name: val for v, val in zip(universals, combo)}
         hit = False
         for row in rows:
-            for v, t in zip(nf.existentials, row):
+            for v, t in zip(existentials, row):
                 env[v.name] = once(eval_term, t, free_vars, env)
             vacuous = antecedent is not None and not once(
                 eval_formula, antecedent, free_vars_f, env)
@@ -661,7 +676,7 @@ def check_candidates(model, nf: NormalForm, rows: tuple[Row, ...],
         if not hit and len(failures) < 5:
             failures.append(", ".join(
                 f"{v.name}={_value_label(model, v.ty, val)}"
-                for v, val in zip(nf.universals, combo)))
+                for v, val in zip(universals, combo)))
     overflowed = model.overflowed
     model.overflowed = was_overflowed or overflowed
     return CandidateReport(not failures, checked, tuple(failures),
@@ -715,7 +730,7 @@ def rs_run(entry) -> ExplicitImplication:
         """Check a script's final rows in the model; a failure raises,
         and a vacuous antecedent or saturation sets a flag."""
         cand = _stage(eid, tag, lambda: check_candidates(
-            entry.model, final.nf, final.rows, plans))
+            entry.model, final.step.conclusion, final.rows, plans))
         stages.append((tag, cand.line()))
         if not cand.ok:
             raise ScriptError(f"{eid}/{tag}: {cand.line()}")
@@ -726,28 +741,29 @@ def rs_run(entry) -> ExplicitImplication:
 
     nf = _stage(eid, "normalize",
                 lambda: normalize_principle(entry.principle))
-    stages.append(("normalize", show_nf(nf)))
+    stages.append(("normalize", show_formula(nf)))
 
     if nf != entry.expect:
         raise ScriptError(f"{eid}/expect: normal form differs from the "
-                          f"stored expectation:\n  got  {show_nf(nf)}\n"
-                          f"  want {show_nf(entry.expect)}")
+                          f"stored expectation:\n  got  {show_formula(nf)}\n"
+                          f"  want {show_formula(entry.expect)}")
     stages.append(("expect", "normal form matches stored expectation"))
 
     rep = _stage(eid, "check-forward", lambda: check_script(entry.forward))
     stages.extend(("check-forward", l) for l in rep.lines())
-    if not alpha_eq_nf(rep.final.nf, nf):
-        raise ScriptError(f"{eid}/align: forward script concludes "
-                          f"{show_nf(rep.final.nf)}, but the principle "
-                          f"normalizes to {show_nf(nf)}")
-    stages.append(("align", "script conclusion matches the normal form"))
     final = rep.final
+    concluded = final.step.conclusion
+    if not alpha_eq_f(concluded, nf):
+        raise ScriptError(f"{eid}/align: forward script concludes "
+                          f"{show_formula(concluded)}, but the principle "
+                          f"normalizes to {show_formula(nf)}")
+    stages.append(("align", "script conclusion matches the normal form"))
     candidates("candidates-forward", "", final, entry.plans)
     bound = _stage(eid, "postprocess",
-                   lambda: postprocess(final.rows, final.nf, entry.witness))
+                   lambda: postprocess(final.rows, concluded, entry.witness))
     stages.append(("postprocess", f"bound {show_term_brief(bound)}"))
     forward_term = _stage(eid, "collapse",
-                          lambda: _mu_collapse(final.nf, bound))
+                          lambda: _mu_collapse(concluded, bound))
     stages.append(("collapse", show_term_brief(forward_term)))
 
     rep = _stage(eid, "check-backward", lambda: check_script(entry.backward))
@@ -761,16 +777,17 @@ def rs_run(entry) -> ExplicitImplication:
                                tuple(sorted(flags)), tuple(stages))
 
 
-def _mu_collapse(nf: NormalForm, bound: Term) -> Term:
-    """Reshape the bound ``\\xs. b`` as (other universals) -> table ->
-    ``leastz(f, b)``, the explicit forward content against the
-    zero-transfer target."""
-    fvar = next((v for v in nf.universals if v.ty == pure(1)
+def _mu_collapse(nf: Formula, bound: Term) -> Term:
+    """Reshape the bound ``\\xs. b`` over nf's universals as (other
+    universals) -> table -> ``leastz(f, b)``, the explicit forward
+    content against the zero-transfer target."""
+    universals, _, _ = nf_blocks(nf)
+    fvar = next((v for v in universals if v.ty == pure(1)
                  and v.name == "f"), None)
     if fvar is None:
         raise ScriptError("no table universal 'f' to collapse against")
-    others = [v for v in nf.universals if v.name != fvar.name]
-    for _ in nf.universals:     # the bound's binders are the universals
+    others = [v for v in universals if v.name != fvar.name]
+    for _ in universals:        # the bound's binders are the universals
         bound = bound.body
     # by the let rule: leastz takes f, a variable, and keeps y, which it
     # reads twice, as a redex

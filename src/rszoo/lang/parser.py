@@ -40,8 +40,9 @@ says how many it takes.
 
 The same tokens and ``Parser`` read proof scripts
 (``extract.parse_script``, which also uses the symbols ``-`` and
-``;``).  A ``.nf`` file is a formula: ``translate.parse_nf`` reads it
-with ``parse_formula``.  Blanks, newlines and ``#`` comments separate
+``;``).  A ``.nf`` file is a normal form, which is a formula:
+``translate.parse_nf`` reads it with ``parse_formula`` and checks its
+shape with ``nf_blocks``.  Blanks, newlines and ``#`` comments separate
 tokens and carry no other meaning, so a formula or term may run over
 lines.
 """

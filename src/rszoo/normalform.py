@@ -36,7 +36,6 @@ from .lang.formulas import (EXTERNAL, And, Atom, BExists, BForall, Exists,
 from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num, INITSEG,
                          NUNL, NUNR)
 from .lang.types import Arrow, FiniteType, N, Seq, arrows, record, show_type
-from .translate import NormalForm, nf_to_formula
 
 
 class NormalFormError(Exception):
@@ -49,10 +48,10 @@ class NormalFormError(Exception):
 @record
 class TransferInstance:
     """The transfer statement for zeros of a standard table, in its raw
-    implication shape and its two-block normal shape.  The two are
+    implication shape and its two-block normal form.  The two are
     classically equivalent."""
     transfer: Formula
-    normal: NormalForm
+    normal: Formula
 
 
 def trans_instance() -> TransferInstance:
@@ -64,7 +63,7 @@ def trans_instance() -> TransferInstance:
         ForallSt(x, Not(fx0)),
         Forall(x, Not(fx0))))
     matrix = Implies(Exists(x, fx0), BExists(z, "<=", y, fz0))
-    return TransferInstance(transfer, NormalForm((f,), (y,), matrix))
+    return TransferInstance(transfer, ForallSt(f, ExistsSt(y, matrix)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +315,11 @@ def _try_choice(g: Formula, taken: set[str],
 # ---------------------------------------------------------------------------
 # step 4: prenex
 
-def prenex_to_normal(f: Formula) -> NormalForm:
+def prenex_to_normal(f: Formula) -> Formula:
     """Pull all standard quantifiers to the front of an implication,
-    consequent first, flipping polarity through antecedents.
+    consequent first, flipping polarity through antecedents.  The
+    result is a normal form: what is left under the blocks is internal,
+    and ``bind`` renames a block name that would repeat.
 
     Every exchange is a classical equivalence over nonempty ranges.
     A standard quantifier under a plain quantifier blocks the algorithm
@@ -361,15 +362,19 @@ def prenex_to_normal(f: Formula) -> NormalForm:
                 f"under plain quantifier binding {g.var.name!r}")
         raise NormalFormError(f"cannot prenex {type(g).__name__}")
 
-    matrix = walk(f, True)
-    return NormalForm(tuple(univ), tuple(exis), matrix)
+    out = walk(f, True)
+    for v in reversed(exis):
+        out = ExistsSt(v, out)
+    for v in reversed(univ):
+        out = ForallSt(v, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the composed pipeline
 
 def normalize_principle(base: Formula,
-                        steps: list | None = None) -> NormalForm:
+                        steps: list | None = None) -> Formula:
     """Full pipeline: problem statement to the two-block implication
     normal form against the bounded-zero transfer target."""
     if steps is not None:
@@ -384,8 +389,7 @@ def normalize_principle(base: Formula,
     herb = herbrandize_choice(resolved, steps=steps)
     if steps is not None:
         steps.append(("choice-collapsed", herb))
-    target = nf_to_formula(trans_instance().normal)
-    imp = Implies(herb, target)
+    imp = Implies(herb, trans_instance().normal)
     if steps is not None:
         steps.append(("implication", imp))
     nf = prenex_to_normal(imp)

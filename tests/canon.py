@@ -1,11 +1,10 @@
 """Canonical renaming of bound variables: the oracle that tests compare
-the single-walk alpha-equality against.  Two formulas (normal forms)
-are alpha-equal iff their canonical forms are equal."""
+the single-walk alpha-equality against.  Two formulas (normal forms
+among them) are alpha-equal iff their canonical forms are equal."""
 from rszoo.lang import (Abs, And, App, Atom, BQUANTS, Implies, Not, Or,
-                        QUANTS, Var, free_vars_f, subst_f)
+                        QUANTS, Var, free_vars_f)
 from rszoo.lang.formulas import Formula
 from rszoo.lang.terms import Term
-from rszoo.translate import NormalForm
 
 
 def canon(f: Formula) -> Formula:
@@ -58,23 +57,3 @@ def canon(f: Formula) -> Formula:
 
     return go(f, {})
 
-
-def canon_nf(nf: NormalForm) -> NormalForm:
-    """Canonical variable naming: universals x0..,
-    existentials y0.., then canonical bound names inside the matrix.
-    Like every binder, a block renames its names at every type."""
-    m = nf.matrix
-    blocks = {v.name for v in nf.universals + nf.existentials}
-    taken = {v.name for v in free_vars_f(m)} - blocks
-    new: dict[str, str] = {}
-    for prefix, block in (("x", nf.universals), ("y", nf.existentials)):
-        for i, v in enumerate(block):
-            name = f"{prefix}{i}"
-            while name in taken:
-                name += "_"
-            new[v.name] = name
-    m = subst_f(m, {v: Var(new[v.name], v.ty) for v in free_vars_f(m)
-                    if v.name in new})
-    return NormalForm(tuple(Var(new[v.name], v.ty) for v in nf.universals),
-                      tuple(Var(new[v.name], v.ty) for v in nf.existentials),
-                      canon(m))

@@ -36,6 +36,7 @@ from rszoo.interp.machine import (PROGRAMS, HaltsWith, decode_program,
 from rszoo.lang import (Abs, And, App, Atom, BExists, BForall, Const, Exists,
                         ExistsSt, Forall, ForallSt, Implies, Not, Or, Var,
                         infer_type, pure)
+from rszoo.translate import nf_blocks
 
 TYPE1 = pure(1)
 
@@ -190,30 +191,32 @@ def over(model, f, env: dict, pop, universal: bool) -> bool:
 
 def candidates(model, nf, rows, plans=None) -> tuple:
     """The fields of the ``CandidateReport`` that ``check_candidates``
-    gives, found with no memo: at each assignment of the universals (in
+    gives for the normal form nf, found with no memo: at each assignment
+    of the universals (in
     the order of ``itertools.product``), each row's slot terms and then
     the matrix are evaluated afresh, row by row, until one holds.  A row
     holds vacuously where the matrix is an implication whose antecedent
     is false."""
+    universals, existentials, matrix = nf_blocks(nf)
     plans = plans or {}
     pools = [model.population(v.ty, plans.get(v.name, "st") == "st")
-             for v in nf.universals]
+             for v in universals]
     model.overflowed = False
     checked, genuine, failures = 0, 0, []
     for combo in itertools.product(*pools):
         checked += 1
-        env = {v.name: value for v, value in zip(nf.universals, combo)}
+        env = {v.name: value for v, value in zip(universals, combo)}
         for row in rows:
             row_env = {**env, **{v.name: term(model, t, env)
-                                 for v, t in zip(nf.existentials, row)}}
-            if formula(model, nf.matrix, row_env):
-                vacuous = (isinstance(nf.matrix, Implies)
-                           and not formula(model, nf.matrix.left, row_env))
+                                 for v, t in zip(existentials, row)}}
+            if formula(model, matrix, row_env):
+                vacuous = (isinstance(matrix, Implies)
+                           and not formula(model, matrix.left, row_env))
                 genuine += not vacuous
                 break
         else:
             failures.append(", ".join(
                 f"{v.name}={_value_label(model, v.ty, value)}"
-                for v, value in zip(nf.universals, combo)))
+                for v, value in zip(universals, combo)))
     return (not failures, checked, tuple(failures[:5]),
             genuine == 0 and not failures, model.overflowed)

@@ -17,7 +17,7 @@ from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
 from rszoo.lang import (SUCC, App, Forall, N, Var, app, num, parse_formula,
                         pure, show_formula, show_term, stdterms, subterms)
-from rszoo.translate import TranslateError, formula_to_nf, parse_nf
+from rszoo.translate import TranslateError, nf_blocks, parse_nf
 
 UDNR = Path(extract.__file__).parent / "corpus_data" / "udnr"
 GOLDEN_CAP3 = Path(__file__).parent / "golden" / "udnr_cap3.txt"
@@ -287,7 +287,8 @@ def test_backward_row_fails_on_a_recorded_count_of_tables(cap, failing):
     entry = udnr_entry(resized_model(cap))
     model = entry.model
     final = check_script(entry.backward).final
-    clause = final.nf.matrix.right      # mu0 meets the antecedent
+    _, _, matrix = nf_blocks(final.step.conclusion)
+    clause = matrix.right       # mu0 meets the antecedent
     refuted = 0
     for table in itertools.product(range(cap + 1), repeat=cap + 1):
         env = {"mu": model.object("mu0"), "Z": table_fn(list(table), model)}
@@ -461,7 +462,7 @@ def test_check_candidates_evaluates_udnr_slot_terms_once_per_table(
     model = entry.model
     final = check_script(entry.forward).final
     seen = record_terms(monkeypatch)
-    report = check_candidates(model, final.nf, final.rows,
+    report = check_candidates(model, final.step.conclusion, final.rows,
                               {"f": "all", "Psi": "st", "Xi": "st"})
     assert report.ok and report.checked == 256
     per_table = Counter((t, model.canon_key(pure(1), env["f"]))
@@ -525,7 +526,7 @@ def test_exists_witness_introduces_rows():
     final = replay(WITNESS).final
     x = Var("x", N)
     assert final.rows == ((x,), (app(SUCC, x),))
-    assert final.nf.existentials == (Var("y", N),)
+    assert nf_blocks(final.step.conclusion)[1] == (Var("y", N),)
 
 
 EW = "step 2 (EXISTS-WITNESS): "
@@ -582,14 +583,15 @@ def test_witness_rules_reject_ill_typed_terms(term, message):
 
 
 # ---------------------------------------------------------------------------
-# rule NF-AXIOM, formula_to_nf and the replay order
+# rule NF-AXIOM, nf_blocks and the replay order
 
 
 def test_nf_axiom_starts_with_one_empty_row():
     final = replay().final
     assert final.rows == ((),)
-    assert final.nf.existentials == ()
-    assert [v.name for v in final.nf.universals] == ["x"]
+    universals, existentials, _ = nf_blocks(final.step.conclusion)
+    assert existentials == ()
+    assert [v.name for v in universals] == ["x"]
 
 
 AX = "step 2 (NF-AXIOM): "
@@ -618,18 +620,36 @@ AX = "step 2 (NF-AXIOM): "
     (("step 2: EXISTS-WITNESS 1 with (x) conclude "
       "(forall^st x:0) (exists^st x:0) x = x",),
      "step 2 (EXISTS-WITNESS): duplicate names in blocks: ['x', 'x']"),
+    (("step 2: NF-AXIOM with (x) conclude (forall^st x:0) x = x",),
+     AX + "axioms take no witness tuples"),
 ])
 def test_replay_rejects(steps, message):
     with pytest.raises(ScriptError, match=re.escape(message)):
         replay(*steps)
 
 
-def test_formula_to_nf_splits_the_blocks():
-    nf = formula_to_nf(parse_formula(
+def test_report_ends_at_the_last_step_of_the_script():
+    # step indices need not rise: the report keeps the script's order,
+    # so its final step is the last one written, not the highest index
+    report = check_script(parse_script(
+        "script descending\n"
+        + AXIOM.replace("step 1:", "step 5:") + "\n"
+        + WITNESS.replace("step 2: EXISTS-WITNESS 1",
+                          "step 3: EXISTS-WITNESS 5")))
+    assert [r.step.index for r in report.results] == [5, 3]
+    assert report.lines() == ["step 5: NF-AXIOM ok (1 candidate(s))",
+                              "step 3: EXISTS-WITNESS ok (2 candidate(s))"]
+    x = Var("x", N)
+    assert report.final.step.index == 3
+    assert report.final.rows == ((x,), (app(SUCC, x),))
+
+
+def test_nf_blocks_splits_the_blocks():
+    universals, existentials, matrix = nf_blocks(parse_formula(
         "(forall^st x:0) (exists^st y:0, g:1) g(y) = x"))
-    assert [v.name for v in nf.universals] == ["x"]
-    assert [v.name for v in nf.existentials] == ["y", "g"]
-    assert show_formula(nf.matrix) == "g(y) = x"
+    assert [v.name for v in universals] == ["x"]
+    assert [v.name for v in existentials] == ["y", "g"]
+    assert show_formula(matrix) == "g(y) = x"
 
 
 @pytest.mark.parametrize("src", [
@@ -637,9 +657,9 @@ def test_formula_to_nf_splits_the_blocks():
     # a standard quantifier after the existential block is not peeled
     "(exists^st y:0) (forall^st x:0) x = y",
 ])
-def test_formula_to_nf_rejects_external_matrices(src):
+def test_nf_blocks_rejects_external_matrices(src):
     with pytest.raises(TranslateError, match="matrix is not internal"):
-        formula_to_nf(parse_formula(src))
+        nf_blocks(parse_formula(src))
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +779,7 @@ def test_every_rule_is_used_by_a_shipped_script():
 
 def test_postprocess_bounds_the_target_slot():
     report = replay(WITNESS)
-    nf = report.final.nf
+    nf = report.final.step.conclusion
     bound = postprocess(report.final.rows, nf, "y")
     model = MiniModel(cap=5, omega=2)
     value = eval_term(model, bound, model.env())

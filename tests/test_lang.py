@@ -5,11 +5,11 @@ import pytest
 
 import gen
 import rszoo
-from canon import canon, canon_nf
+from canon import canon
 from rszoo.extract import parse_script
 from rszoo.interp import MiniModel, eval_formula, eval_term
 from rszoo.lang import (Abs, And, App, Arrow, Atom, BForall, CONST_NAMES,
-                        Exists, Forall, N, Not, ParseError, Product, Seq,
+                        Exists, Forall, ForallSt, N, Not, ParseError, Product, Seq,
                         TypeCheckError, Var, all_names_f, alpha_eq,
                         alpha_eq_f, app, free_vars, free_vars_f, infer_type,
                         is_internal, lam, num, pair_c, parse_formula,
@@ -19,7 +19,7 @@ from rszoo.lang.formulas import approx, approx_sides
 from rszoo.lang.parser import Parser
 from rszoo.lang.terms import (MONOMORPHIC, PLUS, POLYMORPHIC, all_names,
                               prepare, subst_prepared)
-from rszoo.translate import NormalForm, alpha_eq_nf, parse_nf
+from rszoo.translate import parse_nf
 
 UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
 
@@ -125,10 +125,8 @@ def test_alpha_eq_avoids_capturing_free_names():
     assert not alpha_eq_f(free, bound)
     assert alpha_eq_f(free, parse_formula("(forall z:0) z = v0",
                                           params={"v0": N}))
-    # the same pair as a matrix, and with the binder in a universal block
-    assert not alpha_eq_nf(NormalForm((), (), free), NormalForm((), (), bound))
-    assert not alpha_eq_nf(NormalForm((x,), (), free.body),
-                           NormalForm((y,), (), bound.body))
+    # the same pair with the binder in a universal block
+    assert not alpha_eq_f(ForallSt(x, free.body), ForallSt(y, bound.body))
 
 
 def test_alpha_eq_renames_lambda_binders():
@@ -136,12 +134,11 @@ def test_alpha_eq_renames_lambda_binders():
     a = parse_formula("(\\y:0. y)(x) = 0", params={"x": N})
     b = parse_formula("(\\z:0. z)(x) = 0", params={"x": N})
     assert alpha_eq_f(a, b)
-    assert alpha_eq_nf(NormalForm((x,), (), a), NormalForm((x,), (), b))
+    assert alpha_eq_f(ForallSt(x, a), ForallSt(x, b))
     # a lambda binder does not capture a free name either
     free = parse_formula("(\\y:0. v0)(x) = 0", params={"x": N, "v0": N})
     bound = parse_formula("(\\y:0. y)(x) = 0", params={"x": N})
     assert not alpha_eq_f(free, bound)
-    assert not alpha_eq_nf(NormalForm((), (), free), NormalForm((), (), bound))
     # nor does a quantifier capture a name bound by a lambda inside it
     nested = parse_formula("(forall v0:0) (\\y:0. y)(v0) = 0")
     assert alpha_eq_f(nested,
@@ -269,7 +266,7 @@ def test_typecheck_accepts_equality_at_sequence_type():
     # the shipped udnr matrix compares initseg(..) = initseg(..) at 0*
     nf = parse_nf((UDNR / "expect.nf").read_text())
     assert "initseg(X, Xi(X, Y, k)) = initseg(Y, Xi(X, Y, k))" in \
-        show_formula(nf.matrix)
+        show_formula(nf)
     s = Var("s", Seq(N))
     assert parse_formula("s = s", params={"s": s.ty}) == Atom("=", (s, s))
 
@@ -425,17 +422,13 @@ def test_alpha_eq_binds_names_across_types():
     assert eval_formula(model, open_, {"y": 0}) is True
     assert not alpha_eq_f(closed, open_)
     assert canon(closed) != canon(open_)
-    bare = NormalForm((), (), closed), NormalForm((), (), open_)
-    assert not alpha_eq_nf(*bare)
-    assert canon_nf(bare[0]) != canon_nf(bare[1])
     # the same binders as a universal block, and as lambdas
-    blocks = NormalForm((y1,), (), matrix), NormalForm((z1,), (), matrix)
-    assert not alpha_eq_nf(*blocks)
-    assert canon_nf(blocks[0]) != canon_nf(blocks[1])
+    blocks = ForallSt(y1, matrix), ForallSt(z1, matrix)
+    assert not alpha_eq_f(*blocks)
+    assert canon(blocks[0]) != canon(blocks[1])
     assert not alpha_eq(Abs(y1, y0), Abs(z1, y0))
     # binding across types on both sides is alpha-equal
     renamed = Exists(z1, Atom("=", (Var("z", N), num(0))))
     assert alpha_eq_f(closed, renamed)
     assert canon(closed) == canon(renamed)
-    assert alpha_eq_nf(blocks[0],
-                       NormalForm((z1,), (), renamed.body))
+    assert alpha_eq_f(blocks[0], ForallSt(z1, renamed.body))

@@ -1,14 +1,18 @@
+from pathlib import Path
+
 import pytest
 
 import refeval
+import rszoo
 from rszoo.interp import eval_formula, parse_model_config
 from rszoo.lang import (ExistsSt, ForallSt, parse_formula, parse_type,
                         show_formula, show_type, strip)
 from rszoo.normalform import (NormalFormError, herbrandize_choice,
                               normalize_principle, prenex_to_normal,
                               resolve_approx, trans_instance, uniformize)
-from rszoo.translate import nf_to_formula, show_nf
+from rszoo.translate import nf_blocks, parse_nf
 
+UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
 DNR_BASE = ("(forall Z:1)(exists d:1)(forall e:0)(forall s:0)"
             "(run(Z, e, s) = 0 \\/ ~(succ(d(e)) = run(Z, e, s)))")
 
@@ -166,20 +170,20 @@ def test_herbrandize_keeps_sequences_at_higher_type():
 
 def test_prenex_consequent_first_order():
     base = parse_formula(DNR_BASE)
-    nf = normalize_principle(base)
-    assert [v.name for v in nf.universals] == ["f", "Psi", "Xi"]
-    assert [v.name for v in nf.existentials] == ["y", "Z", "X", "Y", "k"]
-    assert [show_type(v.ty) for v in nf.universals] == [
+    universals, existentials, _ = nf_blocks(normalize_principle(base))
+    assert [v.name for v in universals] == ["f", "Psi", "Xi"]
+    assert [v.name for v in existentials] == ["y", "Z", "X", "Y", "k"]
+    assert [show_type(v.ty) for v in universals] == [
         "1", "1 -> 1", "1 -> 1 -> 1"]
-    assert [show_type(v.ty) for v in nf.existentials] == [
+    assert [show_type(v.ty) for v in existentials] == [
         "0", "1", "1", "1", "0"]
 
 
 def test_prenex_renames_clashes():
     f = parse_formula(
         "((exists^st x:0) x = 0) -> (forall^st x:0)(exists^st y:0) y <= x")
-    nf = prenex_to_normal(f)
-    names = [v.name for v in nf.universals + nf.existentials]
+    universals, existentials, _ = nf_blocks(prenex_to_normal(f))
+    names = [v.name for v in universals + existentials]
     assert len(set(names)) == len(names)
 
 
@@ -197,9 +201,9 @@ def test_prenex_reports_trapped_standard_structure(src, kind):
 
 def test_prenex_leaves_internal_matrix_alone():
     f = parse_formula("(forall^st w:0)(forall n:0)(exists m:0) m = n")
-    nf = prenex_to_normal(f)
-    assert [v.name for v in nf.universals] == ["w"]
-    assert show_formula(nf.matrix) == "(forall n:0) (exists m:0) m = n"
+    universals, _, matrix = nf_blocks(prenex_to_normal(f))
+    assert [v.name for v in universals] == ["w"]
+    assert show_formula(matrix) == "(forall n:0) (exists m:0) m = n"
 
 
 # -- the composed pipeline --------------------------------------------------------
@@ -215,7 +219,22 @@ EXPECTED_DNR_NF = (
 
 def test_pipeline_output_frozen():
     nf = normalize_principle(parse_formula(DNR_BASE))
-    assert show_nf(nf) == EXPECTED_DNR_NF
+    assert show_formula(nf) == EXPECTED_DNR_NF
+
+
+@pytest.mark.parametrize("build", [
+    lambda: normalize_principle(parse_formula(
+        (UDNR / "principle.fml").read_text())),
+    lambda: normalize_principle(parse_formula(DNR_BASE)),
+    lambda: trans_instance().normal,
+], ids=["udnr", "dnr", "transfer"])
+def test_pipeline_output_is_a_normal_form(build):
+    # the formula prenex_to_normal builds has an internal matrix and
+    # distinct block names, so it reads back as itself
+    nf = build()
+    universals, existentials, _ = nf_blocks(nf)
+    assert universals and existentials
+    assert parse_nf(show_formula(nf)) == nf
 
 
 def test_pipeline_stage_labels():
@@ -233,7 +252,7 @@ def test_pipeline_truth_equivalent_when_true():
     imp = dict(steps)["implication"]
     m = small_model()
     assert eval_formula(m, imp) is True
-    assert eval_formula(m, nf_to_formula(nf)) is True
+    assert eval_formula(m, nf) is True
 
 
 def test_pipeline_truth_equivalent_when_false():
@@ -244,14 +263,14 @@ def test_pipeline_truth_equivalent_when_false():
     imp = dict(steps)["implication"]
     m = small_model("table f0: 1 1 1 0 [st]\n")
     assert eval_formula(m, imp) is False
-    assert eval_formula(m, nf_to_formula(nf)) is False
+    assert eval_formula(m, nf) is False
 
 
 # -- transfer target ---------------------------------------------------------------
 
 def test_transfer_normal_shape():
     ti = trans_instance()
-    assert show_nf(ti.normal) == (
+    assert show_formula(ti.normal) == (
         "(forall^st f:1) (exists^st y:0) ((exists x:0) f(x) = 0) -> "
         "(exists z <= y) f(z) = 0")
     assert show_formula(ti.transfer) == (
@@ -261,7 +280,7 @@ def test_transfer_normal_shape():
 
 def both_shapes(ti, model) -> tuple[bool, bool]:
     return (eval_formula(model, ti.transfer),
-            eval_formula(model, nf_to_formula(ti.normal)))
+            eval_formula(model, ti.normal))
 
 
 def test_transfer_equivalence_holds_in_models():
@@ -287,10 +306,10 @@ def test_prenex_under_negation_flips_the_blocks():
     # forall into the existential one; both shapes agree in the model
     f = parse_formula("~((exists^st x:0) (forall^st y:0) x < y)")
     nf = prenex_to_normal(f)
-    assert show_nf(nf) == "(forall^st x:0) (exists^st y:0) ~(x < y)"
+    assert show_formula(nf) == "(forall^st x:0) (exists^st y:0) ~(x < y)"
     model = small_model()
-    assert eval_formula(model, f) is eval_formula(model, nf_to_formula(nf))
-    assert refeval.formula(small_model(), nf_to_formula(nf), {}) is \
+    assert eval_formula(model, f) is eval_formula(model, nf)
+    assert refeval.formula(small_model(), nf, {}) is \
         refeval.formula(small_model(), f, {})
 
 

@@ -419,8 +419,9 @@ def test_check_candidates_agrees_with_a_sweep_without_memo(script, plan,
     plans = None
     if plan is not None:
         plans = dict(compiled.plans, f=plan)
-    report = check_candidates(compiled.model, final.nf, final.rows, plans)
-    want = refeval.candidates(reference.model, final.nf, final.rows, plans)
+    nf = final.step.conclusion
+    report = check_candidates(compiled.model, nf, final.rows, plans)
+    want = refeval.candidates(reference.model, nf, final.rows, plans)
     assert fields(report) == want
     assert sorted(compiled.model.flags) == sorted(reference.model.flags)
     assert report.ok is ok

@@ -4,15 +4,14 @@ is one walk that stops at a node shared by both sides."""
 import time
 
 import gen
-from canon import canon, canon_nf
+from canon import canon
 from rszoo.extract import show_term_brief
 from rszoo.lang import (Abs, And, App, Arrow, Atom, BQUANTS, Base, Const,
-                        Forall, Implies, N, Not, Or, Product, QUANTS, Seq, Var,
+                        ExistsSt, Forall, ForallSt, Implies, N, Not, Or, Product, QUANTS, Seq, Var,
                         alpha_eq, alpha_eq_f, app, free_vars, free_vars_f,
                         pure, subst_f)
 from rszoo.lang.terms import PLUS
 from rszoo.lang.types import Node
-from rszoo.translate import NormalForm, alpha_eq_nf
 
 
 def doubled(times: int = 20):
@@ -149,10 +148,10 @@ def test_alpha_walk_agrees_with_canonical_renaming():
             assert same == (canon(f) == canon(h)), (f, h)
             counts["equal" if same else "unequal"] += 1
             counts["shadowing"] += cross_type_shadowing(h)
-            a = NormalForm((x,), (y,), f)
-            b = NormalForm((Var("u", N),), (Var("w", N),),
-                           subst_f(h, {x: Var("u", N), y: Var("w", N)}))
-            assert alpha_eq_nf(a, b) == (canon_nf(a) == canon_nf(b))
+            a = ForallSt(x, ExistsSt(y, f))
+            b = ForallSt(Var("u", N), ExistsSt(Var("w", N), subst_f(
+                h, {x: Var("u", N), y: Var("w", N)})))
+            assert alpha_eq_f(a, b) == (canon(a) == canon(b))
         previous = f
         # one node under two binders: the walk may stop at it only when
         # its free names are bound alike on both sides

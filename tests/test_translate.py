@@ -4,35 +4,35 @@ import pytest
 
 import gen
 import rszoo
-from canon import canon_nf
+from canon import canon
 from rszoo.extract import check_script, parse_script
-from rszoo.lang import (ForallSt, N, Var, parse_formula, pure, show_formula,
-                        show_type)
+from rszoo.lang import (ExistsSt, ForallSt, N, Var, alpha_eq_f, parse_formula,
+                        pure, show_formula, show_type)
 from rszoo.normalform import normalize_principle
-from rszoo.translate import (NormalForm, TranslateError, alpha_eq_nf,
-                             parse_nf, show_nf)
+from rszoo.translate import TranslateError, nf_blocks, parse_nf
 
 UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
 
 
 def test_canonical_renaming_is_stable():
     nf = parse_nf("(forall^st b:0, a:0) (exists^st c:1) c(a) = b")
-    c = canon_nf(nf)
-    assert show_nf(c) == "(forall^st x0:0, x1:0) (exists^st y0:1) y0(x1) = x0"
-    assert show_nf(canon_nf(c)) == show_nf(c)
+    c = canon(nf)
+    assert show_formula(c) == \
+        "(forall^st v0:0, v1:0) (exists^st v2:1) v2(v1) = v0"
+    assert canon(c) == c
 
 
-def test_alpha_eq_nf_respects_block_order():
+def test_alpha_eq_f_respects_block_order():
     a = parse_nf("(forall^st u:0, v:0) u <= v")
     b = parse_nf("(forall^st v:0, u:0) v <= u")
     c = parse_nf("(forall^st u:0, v:0) v <= u")
-    assert alpha_eq_nf(a, b)  # same modulo renaming
-    assert not alpha_eq_nf(a, c)
+    assert alpha_eq_f(a, b)  # same modulo renaming
+    assert not alpha_eq_f(a, c)
     # a universal is no existential, and the blocks match one to one
     d = parse_nf("(forall^st u:0) (exists^st v:0) u <= v")
     e = parse_nf("(forall^st u:0) (forall^st v:0) u <= v")
-    assert not alpha_eq_nf(a, d)
-    assert alpha_eq_nf(a, e) and a == e
+    assert not alpha_eq_f(a, d)
+    assert alpha_eq_f(a, e) and a == e
 
 
 def test_corpus_normal_form_is_its_formula():
@@ -40,12 +40,13 @@ def test_corpus_normal_form_is_its_formula():
     nf = parse_nf(text)
     assert nf == normalize_principle(
         parse_formula((UDNR / "principle.fml").read_text()))
-    # the file is a '#' header and the text show_nf prints
+    # the file is a '#' header and the text show_formula prints
     body = [line for line in text.splitlines()
             if not line.startswith("#")]
-    assert body == [show_nf(nf)]
-    assert [v.name for v in nf.universals] == ["f", "Psi", "Xi"]
-    assert [v.name for v in nf.existentials] == ["y", "Z", "X", "Y", "k"]
+    assert body == [show_formula(nf)]
+    universals, existentials, _ = nf_blocks(nf)
+    assert [v.name for v in universals] == ["f", "Psi", "Xi"]
+    assert [v.name for v in existentials] == ["y", "Z", "X", "Y", "k"]
 
 
 def test_nf_file_round_trip():
@@ -57,51 +58,53 @@ def test_nf_file_round_trip():
                   "\n"
                   "Psi(f, 0) = 0 ->\n"
                   "  (exists z <= 3) f(z) = 0\n")
-    assert [(v.name, show_type(v.ty)) for v in nf.universals] == [
+    universals, existentials, matrix = nf_blocks(nf)
+    assert [(v.name, show_type(v.ty)) for v in universals] == [
         ("f", "1"), ("Psi", "1 -> 1")]
-    assert nf.existentials == ()
-    assert show_formula(nf.matrix) == \
+    assert existentials == ()
+    assert show_formula(matrix) == \
         "Psi(f, 0) = 0 -> (exists z <= 3) f(z) = 0"
-    text = show_nf(nf)
+    text = show_formula(nf)
     assert text == ("(forall^st f:1, Psi:1 -> 1) "
                     "Psi(f, 0) = 0 -> (exists z <= 3) f(z) = 0")
     assert parse_nf(text) == nf
     nf = parse_nf("(exists^st y:0, P:1) P(y) = 0")
-    assert nf.universals == ()
-    assert nf.existentials == (Var("y", N), Var("P", pure(1)))
-    assert parse_nf(show_nf(nf)) == nf
+    assert nf_blocks(nf)[:2] == ((), (Var("y", N), Var("P", pure(1))))
+    assert parse_nf(show_formula(nf)) == nf
     nf = parse_nf("0 = 0")
-    assert (nf.universals, nf.existentials) == ((), ())
-    assert parse_nf(show_nf(nf)) == nf
+    assert nf_blocks(nf) == ((), (), nf)
+    assert parse_nf(show_formula(nf)) == nf
 
 
-def test_show_nf_reads_back_as_the_same_normal_form():
+def test_show_formula_reads_back_as_the_same_normal_form():
     # the normal forms the pipeline and the scripts build, and seeded
     # internal matrices under a universal and an existential block
     nfs = [parse_nf((UDNR / "expect.nf").read_text())]
     for name in ("forward.prf", "backward.prf"):
         report = check_script(parse_script((UDNR / name).read_text()))
-        nfs += [r.nf for r in report.results]
-    nfs += [canon_nf(nf) for nf in nfs]
+        nfs += [r.step.conclusion for r in report.results]
+    nfs += [canon(nf) for nf in nfs]
     g = gen.generator(gen.SEED + 21)
     x, y, p = Var("x", N), Var("y", N), Var("P", pure(1))
     for _ in range(200):
         matrix = g.internal_formula({"x": N, "y": N, "P": pure(1)}, depth=4)
-        nfs.append(NormalForm((x, p), (y,), matrix))
+        nfs.append(ForallSt(x, ForallSt(p, ExistsSt(y, matrix))))
     for nf in nfs:
-        assert parse_nf(show_nf(nf)) == nf, show_nf(nf)
+        assert parse_nf(show_formula(nf)) == nf, show_formula(nf)
 
 
 def test_a_normal_form_built_in_code_has_an_internal_matrix():
-    # else its formula would read back with the standard quantifier in
-    # a block: (forall^st x) (forall^st y) m is (forall^st x, y) m
+    # a normal form is its formula, so a standard quantifier built
+    # under the blocks is read as a block when it can be, and is no
+    # normal form when it cannot: (exists^st y) (forall^st x) m
     x, y = Var("x", N), Var("y", N)
     m = parse_formula("x = y", params={"x": N, "y": N})
-    with pytest.raises(ValueError, match=r"^matrix is not internal: "
-                       r"\(forall\^st y:0\) x = y$"):
-        NormalForm((x,), (), ForallSt(y, m))
-    assert parse_nf(show_nf(NormalForm((x, y), (), m))) == \
-        NormalForm((x, y), (), m)
+    both = ForallSt(x, ForallSt(y, m))
+    assert nf_blocks(both) == ((x, y), (), m)
+    assert parse_nf(show_formula(both)) == both
+    with pytest.raises(TranslateError, match=r"^matrix is not internal: "
+                       r"\(forall\^st x:0\) x = y$"):
+        nf_blocks(ExistsSt(y, ForallSt(x, m)))
 
 
 @pytest.mark.parametrize("text, msg", [
