@@ -66,7 +66,7 @@ from .interp import ModelError
 from .lang import (Abs, App, Const, ForallSt, Formula, Implies, N,
                    ParseError, Term, TypeCheckError, Var, alpha_eq_f, app,
                    append_c, disj, empty_c, free_vars, free_vars_f,
-                   fresh_name, infer_type, lam, pair_c, pure, show_formula,
+                   fresh_name, infer_type, lam, pair_c, show_formula,
                    show_type, spine, stdterms, strip, subst_f)
 # Unused here since scripts are read with the Parser, but kept as
 # module attributes: perfbench looks the parser up, to trace it, at
@@ -77,7 +77,7 @@ from .lang.parser import Parser, tokenize
 from .lang.printer import show_term_prefix
 from .lang.terms import MAX2, Prepared, all_names, enter_binder, prepare
 from .lang.types import FiniteType, Product, record
-from .normalform import normalize_principle
+from .normalform import BZT_BOUND, BZT_TABLE, normalize_principle
 from .translate import TranslateError, nf_blocks
 
 
@@ -349,7 +349,6 @@ class StepResult:
 
 @record
 class ScriptReport:
-    script: ProofScript
     results: tuple[StepResult, ...]
 
     @property
@@ -418,7 +417,7 @@ def check_script(script: ProofScript) -> ScriptReport:
         blocks[step.index] = nf
         results.append(StepResult(step, rows))
 
-    return ScriptReport(script, tuple(results))
+    return ScriptReport(tuple(results))
 
 
 def _rule_nf_axiom(step, nf, prems):
@@ -690,8 +689,6 @@ def check_candidates(model, nf: Formula, rows: tuple[Row, ...],
 @record
 class ExplicitImplication:
     """A proved implication together with its explicit term content."""
-    source: str
-    target: str
     forward_term: Term
     backward_term: Term
     bound_term: Term
@@ -718,10 +715,10 @@ def rs_run(entry) -> ExplicitImplication:
     the candidates in the entry's model, and assemble the explicit
     implication terms.  Errors carry the failing stage tag.
 
-    The entry fields read are ``ident``, ``source``, ``target``,
-    ``witness``, ``principle``, ``expect``, ``forward``, ``backward``,
-    ``model`` and ``plans`` (the forward sweep plans); the backward
-    sweep ranges over the standard objects."""
+    The entry fields read are ``ident``, ``principle``, ``expect``,
+    ``forward``, ``backward``, ``model`` and ``plans`` (the forward sweep
+    plans); the backward sweep ranges over the standard objects.  The
+    target's table and bound are those of ``normalform``."""
     eid = entry.ident
     stages: list[tuple[str, str]] = []
     flags: set[str] = set()
@@ -760,10 +757,10 @@ def rs_run(entry) -> ExplicitImplication:
     stages.append(("align", "script conclusion matches the normal form"))
     candidates("candidates-forward", "", final, entry.plans)
     bound = _stage(eid, "postprocess",
-                   lambda: postprocess(final.rows, concluded, entry.witness))
+                   lambda: postprocess(final.rows, concluded, BZT_BOUND.name))
     stages.append(("postprocess", f"bound {show_term_brief(bound)}"))
     forward_term = _stage(eid, "collapse",
-                          lambda: _mu_collapse(concluded, bound))
+                          lambda: _mu_collapse(concluded, bound, BZT_TABLE))
     stages.append(("collapse", show_term_brief(forward_term)))
 
     rep = _stage(eid, "check-backward", lambda: check_script(entry.backward))
@@ -772,27 +769,26 @@ def rs_run(entry) -> ExplicitImplication:
     backward_term = _stage(eid, "extract-backward",
                            lambda: extract_function(rep))
 
-    return ExplicitImplication(entry.source, entry.target, forward_term,
-                               backward_term, bound,
+    return ExplicitImplication(forward_term, backward_term, bound,
                                tuple(sorted(flags)), tuple(stages))
 
 
-def _mu_collapse(nf: Formula, bound: Term) -> Term:
+def _mu_collapse(nf: Formula, bound: Term, table: Var) -> Term:
     """Reshape the bound ``\\xs. b`` over nf's universals as (other
-    universals) -> table -> ``leastz(f, b)``, the explicit forward
-    content against the zero-transfer target."""
+    universals) -> table -> ``leastz(table, b)``, the explicit forward
+    content against the zero-transfer target, whose table is
+    ``table``."""
     universals, _, _ = nf_blocks(nf)
-    fvar = next((v for v in universals if v.ty == pure(1)
-                 and v.name == "f"), None)
-    if fvar is None:
-        raise ScriptError("no table universal 'f' to collapse against")
-    others = [v for v in universals if v.name != fvar.name]
+    if table not in universals:
+        raise ScriptError(f"no table universal {table.name!r} to collapse "
+                          "against")
+    others = [v for v in universals if v != table]
     for _ in universals:        # the bound's binders are the universals
         bound = bound.body
-    # by the let rule: leastz takes f, a variable, and keeps y, which it
-    # reads twice, as a redex
-    return lam(*others, fvar, _Lets().apply(stdterms.leastz_t(),
-                                            [fvar, bound]))
+    # by the let rule: leastz takes the table, a variable, and keeps the
+    # bound, which it reads twice, as a redex
+    return lam(*others, table, _Lets().apply(stdterms.leastz_t(),
+                                             [table, bound]))
 
 
 def show_term_brief(t: Term) -> str:

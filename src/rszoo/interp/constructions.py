@@ -66,7 +66,7 @@ def psi_theta(model: MiniModel) -> FnV:
             model.overflowed = True
         return value
 
-    return FnV(outer, name="psi_theta")
+    return FnV(outer)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def xi_search(model: MiniModel, psi: FnV) -> FnV:
             return FnV(at3)
         return FnV(at2)
 
-    return FnV(at, name="xi_search")
+    return FnV(at)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +200,9 @@ def parse_model_config(text: str) -> MiniModel:
                                      f"{' '.join(words)!r}")
                 if any(int(w) > model.cap for w in words):
                     raise ModelError(f"entries outside 0..{model.cap}")
-                ty, value = _T1, table_fn(map(int, words), model, name=name)
+                ty, value = _T1, table_fn(map(int, words), model)
             else:
                 ty, value = build_construction(words[0], words[1:], model)
-                value.name = value.name or name
             model.declare(name, ty, value, st)
         except ModelError as exc:
             raise ModelError(f"line {line}: {kind} {name!r}: {exc}") from None

@@ -23,8 +23,9 @@ and with the effects of a table-by-table sweep (see ``_table_sweep``).
 
 Evaluation is compile-once: ``eval_formula`` and ``eval_term`` turn a
 formula or term into nested closures ``frame -> value`` the first time
-the model sees that node object, cache them on the model keyed by the
-node's identity, and call them.  A frame is a tuple, and compile time
+the model sees that node or one equal to it, cache them on the model
+keyed by the node's value, so equal nodes share one entry, and call
+them.  A frame is a tuple, and compile time
 resolves every variable to a slot of it: the node's free names, sorted,
 take the first slots, and each binder (a lambda, a redex, a quantifier,
 a literal ``rec`` step) runs its body on the frame extended by its
@@ -89,8 +90,6 @@ class ModelRefusal(ModelError):
     def __init__(self, ty: FiniteType, estimate: str):
         super().__init__(f"refusing to enumerate {show_type(ty)}: "
                          f"about {estimate} values exceeds the budget")
-        self.ty = ty
-        self.estimate = estimate
 
 
 class FnV:
@@ -100,18 +99,15 @@ class FnV:
     the domain; for domain type 0 that is just index order.  It is given
     at construction or filled by the first ``tabulate``; a type-1 value
     is that table as far as equality and the oracle machine are
-    concerned.  ``name`` is cosmetic.
+    concerned.
     """
-    __slots__ = ("call", "table", "name")
+    __slots__ = ("call", "table")
 
-    def __init__(self, call, table=None, name=None):
+    def __init__(self, call, table=None):
         self.call = call
         self.table = tuple(table) if table is not None else None
-        self.name = name
 
     def __repr__(self):
-        if self.name:
-            return f"<fn {self.name}>"
         if self.table is not None:
             return f"<fn {list(self.table)!r}>"
         return "<fn>"
@@ -126,18 +122,18 @@ def zero_value(model: "MiniModel", ty: FiniteType):
         return ()
     if isinstance(ty, Arrow):
         z = zero_value(model, ty.cod)
-        return FnV(lambda _v, z=z: z, name="0")
+        return FnV(lambda _v, z=z: z)
     raise ModelError(f"no zero value at type {show_type(ty)}")
 
 
-def table_fn(table: Iterable[int], model: "MiniModel", name=None) -> FnV:
+def table_fn(table: Iterable[int], model: "MiniModel") -> FnV:
     """Type-1 object from a value table over {0..cap}; reads beyond the
     table return 0, as the oracle machine reads them."""
     tab = tuple(table)
     if len(tab) != model.cap + 1:
         raise ModelError(f"table needs {model.cap + 1} entries, "
                          f"got {len(tab)}")
-    return FnV(_indexed(tab, 0), table=tab, name=name)
+    return FnV(_indexed(tab, 0), table=tab)
 
 
 def _indexed(tab: tuple, fallback):
@@ -222,11 +218,9 @@ class MiniModel:
             return str(round(10 ** lg))
         return f"10^{lg:.0f}"
 
-    def check_enumerable(self, ty: FiniteType) -> int:
-        lg = self.size_log10(ty)
-        if lg > math.log10(self.budget):
+    def check_enumerable(self, ty: FiniteType) -> None:
+        if self.size_log10(ty) > math.log10(self.budget):
             raise ModelRefusal(ty, self.size_estimate(ty))
-        return round(10 ** lg)
 
     def enum_values(self, ty: FiniteType) -> Iterator:
         """All values of a type, in a fixed canonical order.  Callers

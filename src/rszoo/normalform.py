@@ -54,9 +54,14 @@ class TransferInstance:
     normal: Formula
 
 
+# The target's standard table and the bound on its first zero, a
+# universal and a witness slot of every normal form the pipeline builds.
+BZT_TABLE = Var("f", Arrow(N, N))
+BZT_BOUND = Var("y", N)
+
+
 def trans_instance() -> TransferInstance:
-    f, x, y, z = (Var("f", Arrow(N, N)), Var("x", N), Var("y", N),
-                  Var("z", N))
+    f, y, x, z = BZT_TABLE, BZT_BOUND, Var("x", N), Var("z", N)
     fx0 = Atom("=", (App(f, x), num(0)))
     fz0 = Atom("=", (App(f, z), num(0)))
     transfer = ForallSt(f, Implies(
@@ -71,11 +76,10 @@ def trans_instance() -> TransferInstance:
 
 @record
 class UniformPrinciple:
-    """A problem statement with its functional and relativized variants.
+    """The functional and relativized variants of a problem statement.
 
     ``functionals`` lists the solution functionals introduced for the
     original existentials (empty when the statement had none)."""
-    base: Formula
     uniform: Formula
     strong: Formula
     functionals: tuple[Var, ...]
@@ -101,7 +105,7 @@ def uniformize(base: Formula) -> UniformPrinciple:
         strong = matrix
         for v in reversed(xs):
             strong = ForallSt(v, strong)
-        return UniformPrinciple(base, uniform, strong, ())
+        return UniformPrinciple(uniform, strong, ())
 
     taken = all_names_f(base)
     fns = [Var(fresh_name("Psi" if i == 0 else f"Psi{i + 1}", taken),
@@ -121,7 +125,7 @@ def uniformize(base: Formula) -> UniformPrinciple:
     strong = conj([core] + ext)
     for fn in reversed(fns):
         strong = ExistsSt(fn, strong)
-    return UniformPrinciple(base, uniform, strong, tuple(fns))
+    return UniformPrinciple(uniform, strong, tuple(fns))
 
 
 def _extensionality(fn: Var, arg_tys: list[FiniteType],

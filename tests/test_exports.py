@@ -143,3 +143,52 @@ def test_every_kept_import_is_a_traced_parser_attribute():
         kept |= {(keys.get(module, module), name)
                  for name in imports(path)[2]}
     assert sorted(kept - traced) == []
+
+
+def record_fields() -> dict[str, set[str]]:
+    """The fields that each ``@record`` or ``@node`` class in ``src``
+    declares, by class name."""
+    fields = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(cls, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id in ("record", "node")
+                    for d in cls.decorator_list):
+                fields[cls.name] = {
+                    stmt.target.id for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)}
+    return fields
+
+
+class AttributeReads(ast.NodeVisitor):
+    """The attribute names a module reads, each with the classes whose
+    bodies the read is in."""
+
+    def __init__(self):
+        self.reads: dict[str, list[tuple[str, ...]]] = {}
+        self.inside: list[str] = []
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.reads.setdefault(node.attr, []).append(tuple(self.inside))
+        self.generic_visit(node)
+
+    def visit_ClassDef(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+
+def test_every_record_field_is_read_outside_its_class():
+    # a field that only its own class reads, or nothing, is state that
+    # is set and never used; fields are matched by name, as Uses matches
+    reads = AttributeReads()
+    for tree in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            reads.visit(ast.parse(path.read_text(), str(path)))
+    unread = sorted(
+        f"{cls}.{field}" for cls, fields in record_fields().items()
+        for field in fields
+        if not any(cls not in inside for inside in reads.reads.get(field, ())))
+    assert unread == []

@@ -47,7 +47,7 @@ def udnr_entry(model: str = MODEL_CAP3, f_plan: str = "st"):
     def read(name):
         return (UDNR / name).read_text()
     return SimpleNamespace(
-        ident="udnr", source="UDNR", target="BZT", witness="y",
+        ident="udnr",
         principle=parse_formula(read("principle.fml")),
         expect=parse_nf(read("expect.nf")),
         forward=parse_script(read("forward.prf")),
@@ -311,6 +311,18 @@ def test_rs_run_rejects_a_sweep_plan_for_no_universal():
     entry.plans = {"F": "all", "Psi": "st", "Xi": "st"}
     assert rs_run_fails_at(entry, "candidates-forward") == (
         "udnr/candidates-forward: sweep plan names no universal: ['F']")
+
+
+def test_rs_run_fails_at_collapse_without_the_target_table():
+    # with f renamed g the script's conclusion is alpha-equal to the
+    # normal form, so it aligns, and with no plan naming f the sweep
+    # passes; the collapse then finds no table universal named f
+    entry = udnr_entry()
+    text = (UDNR / "forward.prf").read_text()
+    entry.forward = parse_script(re.sub(r"\bf\b", "g", text))
+    entry.plans = {"Psi": "st", "Xi": "st"}
+    assert rs_run_fails_at(entry, "collapse") == (
+        "udnr/collapse: no table universal 'f' to collapse against")
 
 
 def record_formulas(monkeypatch) -> list:

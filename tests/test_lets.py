@@ -215,8 +215,8 @@ def test_forward_term_agrees_with_substituted_lets_on_every_table(cap):
         nf = final.step.conclusion
         terms.append((nf, postprocess(final.rows, nf, "y")))
     (nf, bound), (_nf, plain_bound) = terms
-    forward = _mu_collapse(nf, bound)
     f, psi, xi = nf_blocks(nf)[0]
+    forward = _mu_collapse(nf, bound, f)
     before = lam(psi, xi, f, app(stdterms.leastz_t(), f,
                                  plain_bound.body.body.body))
     assert sum(1 for _ in subterms(forward)) < sum(
