@@ -49,9 +49,9 @@ script is left as written.
 
 A report lists the steps in script order, and its final step is the
 script's last one.  Extraction reads that step's candidate rows back as
-closed terms.
-``extract_terms`` gives ``\\xs. <seq of tuples>``.  For a numeric
-target slot ``y``, ``postprocess`` gives the bound
+closed terms.  ``extract_function`` gives ``\\xs. witness`` for a step
+with one row of one slot.  For a numeric target slot ``y``,
+``postprocess`` gives the bound
 ``\\xs. max(r1[y], max(r2[y], ...))`` straight from the rows, and the
 explicit content of the implication applies the least-zero search
 ``stdterms.leastz_t`` to that bound, by the same rule.  The terms are
@@ -65,9 +65,9 @@ import itertools
 from .interp import ModelError
 from .lang import (Abs, App, Const, ForallSt, Formula, Implies, N,
                    ParseError, Term, TypeCheckError, Var, alpha_eq_f, app,
-                   append_c, disj, empty_c, free_vars, free_vars_f,
-                   fresh_name, infer_type, lam, pair_c, show_formula,
-                   show_type, spine, stdterms, strip, subst_f)
+                   disj, free_vars, free_vars_f, fresh_name, infer_type,
+                   lam, show_formula, show_type, spine, stdterms, strip,
+                   subst_f)
 # Unused here since scripts are read with the Parser, but kept as
 # module attributes: perfbench looks the parser up, to trace it, at
 # every attribute it was reached through.
@@ -76,7 +76,7 @@ from .lang.formulas import subst_f_prepared
 from .lang.parser import Parser, tokenize
 from .lang.printer import show_term_prefix
 from .lang.terms import MAX2, Prepared, all_names, enter_binder, prepare
-from .lang.types import FiniteType, Product, record
+from .lang.types import record
 from .normalform import BZT_BOUND, BZT_TABLE, normalize_principle
 from .translate import TranslateError, nf_blocks
 
@@ -464,23 +464,6 @@ _RULE_HANDLERS = {
 # extraction
 
 
-def _tuple_type(existentials: tuple[Var, ...]) -> FiniteType:
-    tys = [v.ty for v in existentials]
-    out = tys[-1]
-    for ty in reversed(tys[:-1]):
-        out = Product(ty, out)
-    return out
-
-
-def _tuple_term(existentials: tuple[Var, ...], row: Row) -> Term:
-    out = row[-1]
-    out_ty = existentials[-1].ty
-    for v, t in zip(reversed(existentials[:-1]), reversed(row[:-1])):
-        out = app(pair_c(v.ty, out_ty), t, out)
-        out_ty = Product(v.ty, out_ty)
-    return out
-
-
 def _require_closed(t: Term) -> Term:
     loose = sorted(v.name for v in free_vars(t))
     if loose:
@@ -488,25 +471,9 @@ def _require_closed(t: Term) -> Term:
     return t
 
 
-def extract_terms(report: ScriptReport) -> Term:
-    """Closed realizing term ``\\xs. <seq of witness tuples>`` for the
-    final step of a replayed script."""
-    final = report.final
-    universals, existentials, _ = nf_blocks(final.step.conclusion)
-    if not existentials:
-        raise ScriptError("final step has no existentials to extract")
-    if not final.rows:
-        raise ScriptError("final step has no candidate tuples")
-    tupty = _tuple_type(existentials)
-    seq = empty_c(tupty)
-    for row in final.rows:
-        seq = app(append_c(tupty), seq, _tuple_term(existentials, row))
-    return _require_closed(lam(*universals, seq))
-
-
 def extract_function(report: ScriptReport) -> Term:
-    """Single-witness extraction: ``\\xs. witness`` instead of a
-    candidate sequence.  Demands exactly one tuple with one slot."""
+    """Single-witness extraction: ``\\xs. witness``.  Demands exactly
+    one tuple with one slot."""
     final = report.final
     universals, existentials, _ = nf_blocks(final.step.conclusion)
     if len(final.rows) != 1 or len(existentials) != 1:
@@ -515,6 +482,11 @@ def extract_function(report: ScriptReport) -> Term:
                           f"{len(final.rows)} candidate(s) over "
                           f"{len(existentials)} slot(s)")
     return _require_closed(lam(*universals, final.rows[0][0]))
+
+
+# The benchmark's tracer looks this name up to time it; nothing calls it.
+# ROADMAP item 8 removes it with the ``extract.extract_terms.self_s`` span.
+extract_terms = extract_function
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +579,8 @@ def check_candidates(model, nf: Formula, rows: tuple[Row, ...],
 
     One memo serves the call, under one rule: a slot term, or the
     antecedent, is evaluated once per tuple of values of the names free
-    in it, a function value counting by identity and a pair or sequence
-    (a tuple) by value, which is sound since tuples never change.  So
+    in it, a function value counting by identity and a sequence (a
+    tuple) by value, which is sound since tuples never change.  So
     rows that share a term share its value, a closed term is evaluated
     once per call, and an antecedent that names no existential is
     evaluated once per assignment of the universals it reads.  Equal
@@ -718,7 +690,10 @@ def rs_run(entry) -> ExplicitImplication:
     The entry fields read are ``ident``, ``principle``, ``expect``,
     ``forward``, ``backward``, ``model`` and ``plans`` (the forward sweep
     plans); the backward sweep ranges over the standard objects.  The
-    target's table and bound are those of ``normalform``."""
+    target's table and bound are those of ``normalform``.  The forward
+    script's conclusion must be ``==`` to the normal form, as the stored
+    expectation must, not only alpha-equal: the sweep plans and the
+    target's table and bound name its variables."""
     eid = entry.ident
     stages: list[tuple[str, str]] = []
     flags: set[str] = set()
@@ -750,7 +725,7 @@ def rs_run(entry) -> ExplicitImplication:
     stages.extend(("check-forward", l) for l in rep.lines())
     final = rep.final
     concluded = final.step.conclusion
-    if not alpha_eq_f(concluded, nf):
+    if concluded != nf:
         raise ScriptError(f"{eid}/align: forward script concludes "
                           f"{show_formula(concluded)}, but the principle "
                           f"normalizes to {show_formula(nf)}")

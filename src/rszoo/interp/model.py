@@ -1,10 +1,9 @@
 """Bounded evaluation of terms and formulas.
 
 A :class:`MiniModel` interprets the language over the finite universe
-{0..cap}.  Values are plain data: a type-0 value is an int, a product
-value is the pair ``(l, r)`` of its components, and a sequence value is
-the tuple of its items; the type says which a tuple is.  Only functions
-are objects, :class:`FnV` (a callable plus its table once known).
+{0..cap}.  Values are plain data: a type-0 value is an int and a
+sequence value is the tuple of its items.  Only functions are objects,
+:class:`FnV` (a callable plus its table once known).
 Arithmetic saturates at ``cap`` and records the fact in
 ``model.overflowed`` — values are never silently wrapped.
 
@@ -68,7 +67,7 @@ import math
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from ..lang.types import Arrow, FiniteType, N, Product, Seq, show_type
+from ..lang.types import Arrow, FiniteType, N, Seq, show_type
 from ..lang.terms import (Abs, App, Const, Term, Var, free_vars, infer_type,
                           spine)
 from ..lang.formulas import (And, Atom, BExists, BForall, Exists, ExistsSt,
@@ -107,17 +106,10 @@ class FnV:
         self.call = call
         self.table = tuple(table) if table is not None else None
 
-    def __repr__(self):
-        if self.table is not None:
-            return f"<fn {list(self.table)!r}>"
-        return "<fn>"
-
 
 def zero_value(model: "MiniModel", ty: FiniteType):
     if ty == N:
         return 0
-    if isinstance(ty, Product):
-        return zero_value(model, ty.left), zero_value(model, ty.right)
     if isinstance(ty, Seq):
         return ()
     if isinstance(ty, Arrow):
@@ -160,7 +152,6 @@ class MiniModel:
         self.cap = cap
         self.omega = omega
         self.budget = budget
-        self.seq_limit = 4 * (cap + 1)
         self.declared: dict[str, tuple[FiniteType, object, bool]] = {}
         self.overflowed = False
         self.flags: set[str] = set()
@@ -195,8 +186,6 @@ class MiniModel:
     def size_log10(self, ty: FiniteType) -> float:
         if ty == N:
             return math.log10(self.cap + 1)
-        if isinstance(ty, Product):
-            return self.size_log10(ty.left) + self.size_log10(ty.right)
         if isinstance(ty, Seq):
             per = self.size_log10(ty.elem)
             if per * self.cap > 30:
@@ -228,11 +217,6 @@ class MiniModel:
         if ty == N:
             yield from range(self.cap + 1)
             return
-        if isinstance(ty, Product):
-            for a in self.enum_values(ty.left):
-                for b in self.enum_values(ty.right):
-                    yield a, b
-            return
         if isinstance(ty, Seq):
             elems = list(self.enum_values(ty.elem))
             for length in range(self.cap + 2):
@@ -258,9 +242,6 @@ class MiniModel:
         """Hashable extensional fingerprint of a value."""
         if ty == N:
             return v
-        if isinstance(ty, Product):
-            return (self.canon_key(ty.left, v[0]),
-                    self.canon_key(ty.right, v[1]))
         if isinstance(ty, Seq):
             return tuple(self.canon_key(ty.elem, x) for x in v)
         if ty == _TYPE1:
@@ -476,8 +457,6 @@ def _compile_const(model: MiniModel, c: Const):
             model.overflowed = True
             return cap
         return saturated
-    if name == "empty":
-        return lambda frame: ()
     prim = _primitive(model, c)
     if prim is None:
         return _fail(f"unknown constant {name!r}")
@@ -520,11 +499,6 @@ def _curried(impl, arity: int, given: tuple = ()) -> FnV:
     return FnV(call)
 
 
-def _cantor(a: int, b: int) -> int:
-    s = a + b
-    return s * (s + 1) // 2 + b
-
-
 def _cantor_unpair(n: int) -> tuple[int, int]:
     s = int((math.isqrt(8 * n + 1) - 1) // 2)
     b = n - s * (s + 1) // 2
@@ -537,42 +511,18 @@ def _primitive(model: MiniModel, c: Const):
     name, sat = c.name, model.sat
     if name == "succ":
         return 1, lambda n: sat(n + 1)
-    if name == "plus":
-        return 2, lambda a, b: sat(a + b)
     if name == "monus":
         return 2, lambda a, b: a - b if a > b else 0
     if name == "max":
         return 2, max
-    if name == "npair":
-        return 2, lambda a, b: sat(_cantor(a, b))
     if name == "nunl":
         return 1, lambda n: _cantor_unpair(n)[0]
     if name == "nunr":
         return 1, lambda n: _cantor_unpair(n)[1]
-    if name == "seqmax":
-        return 1, lambda s: max(s, default=0)
     if name == "initseg":
         return 2, lambda f, n: tuple([f.call(i) for i in range(n)])
     if name == "run":
         return 3, lambda a, e, s: sat(machine.theta(tabulate(model, a), s, e))
-    if name == "pair":
-        return 2, lambda a, b: (a, b)
-    if name == "fst":
-        return 1, itemgetter(0)
-    if name == "snd":
-        return 1, itemgetter(1)
-    if name == "append":
-        def push(s, v):
-            if len(s) >= model.seq_limit:
-                model.overflowed = True
-                return s
-            return s + (v,)
-        return 2, push
-    if name == "len":
-        return 1, lambda s: sat(len(s))
-    if name == "get":
-        elem = c.ty.dom.elem
-        return 2, lambda s, i: s[i] if i < len(s) else zero_value(model, elem)
     if name == "rec":
         def recur(base, step, n):
             acc = base

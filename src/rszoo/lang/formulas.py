@@ -21,9 +21,9 @@ from typing import Callable, Iterator, Mapping, Union
 from .terms import (NO_VARS, App, Prepared, Scope, Term, Var,
                     SyntaxNode, all_names, alpha_binder, alpha_walk,
                     drop_name, enter_binder, free_vars as term_fvs,
-                    fresh_name, fst_c, infer_type, keep_fvs, num, prepare,
-                    same_scope, snd_c, subst_prepared, union)
-from .types import Arrow, FiniteType, N, Product, Seq, node
+                    fresh_name, infer_type, keep_fvs, num, prepare,
+                    same_scope, subst_prepared, union)
+from .types import Arrow, FiniteType, N, Seq, node
 
 
 @node
@@ -279,19 +279,14 @@ def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
 
 def approx(ty: FiniteType, l: Term, r: Term) -> Formula:
     """The formula that ``approx[T](l, r)`` abbreviates: ``l = r`` at
-    type 0 and at sequence types, ``(forall^st u) approx[U](l(u), r(u))``
-    at a function type T = S -> U (u of type S), and componentwise on
-    products."""
+    type 0 and at sequence types, and ``(forall^st u) approx[U](l(u),
+    r(u))`` at a function type T = S -> U (u of type S)."""
     if ty == N or isinstance(ty, Seq):
         return Atom("=", (l, r))
     if isinstance(ty, Arrow):
         taken = {v.name for v in term_fvs(l) | term_fvs(r)}
         u = Var(fresh_name("u", taken), ty.dom)
         return ForallSt(u, approx(ty.cod, App(l, u), App(r, u)))
-    if isinstance(ty, Product):
-        fst, snd = fst_c(ty.left, ty.right), snd_c(ty.left, ty.right)
-        return And(approx(ty.left, App(fst, l), App(fst, r)),
-                   approx(ty.right, App(snd, l), App(snd, r)))
     raise TypeError(f"not a finite type: {ty!r}")
 
 
@@ -313,13 +308,4 @@ def approx_sides(f: Formula) -> tuple[FiniteType, Term, Term] | None:
                 and all(v.name != u.name
                         for v in term_fvs(l.fn) | term_fvs(r.fn))):
             return Arrow(u.ty, cod), l.fn, r.fn
-        return None
-    if isinstance(f, And):
-        a, b = approx_sides(f.left), approx_sides(f.right)
-        if a and b and isinstance(a[1], App) and isinstance(a[2], App):
-            fst, snd = fst_c(a[0], b[0]), snd_c(a[0], b[0])
-            l, r = a[1].arg, a[2].arg
-            if (a[1:] == (App(fst, l), App(fst, r))
-                    and b[1:] == (App(snd, l), App(snd, r))):
-                return Product(a[0], b[0]), l, r
     return None

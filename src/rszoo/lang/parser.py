@@ -35,8 +35,8 @@ formula, ``0 = 0`` and ``0 < 0``.  ``approx[T](s, t)`` is read as the
 formula it abbreviates (``formulas.approx``).
 
 A constant's name is reserved.  A polymorphic constant writes its type
-arguments in brackets (``rec[0]``, ``pair[0,1]``); ``terms.POLYMORPHIC``
-says how many it takes.
+arguments in brackets (``rec[0]``); ``terms.POLYMORPHIC`` says how many
+it takes.
 
 The same tokens and ``Parser`` read proof scripts
 (``extract.parse_script``, which also uses the symbols ``-`` and
@@ -54,7 +54,7 @@ from .formulas import (And, Atom, BExists, BForall, Exists, ExistsSt, Forall,
                        ForallSt, Formula, Implies, Not, Or, approx)
 from .terms import (Abs, CONST_NAMES, MONOMORPHIC, POLYMORPHIC, Term,
                     TypeCheckError, Var, app, infer_type, num)
-from .types import Arrow, FiniteType, N, Product, Seq, pure, record, show_type
+from .types import Arrow, FiniteType, N, Seq, pure, record, show_type
 
 
 class ParseError(Exception):
@@ -270,15 +270,9 @@ class Parser:
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> FiniteType:
-        left = self._type_prod()
+        left = self._type_post()
         if self.take("->"):
             return Arrow(left, self.parse_type())
-        return left
-
-    def _type_prod(self) -> FiniteType:
-        left = self._type_post()
-        while self.take("x"):
-            left = Product(left, self._type_post())
         return left
 
     def _type_post(self) -> FiniteType:

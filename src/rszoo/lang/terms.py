@@ -1,9 +1,12 @@
 """Terms of the finite-type language.
 
 Four node kinds only: variables, constants, application, abstraction.
-Numerals are constants whose name is the decimal digits; polymorphic
-constants (rec, pair, ...) carry their instantiated type, and the
-concrete syntax writes the type index in brackets, e.g. ``rec[0]``.
+Numerals are constants whose name is the decimal digits.  The other
+constants are the ones a corpus file writes or the pipeline builds:
+``succ``, ``monus``, ``max``, the unpairings ``nunl`` and ``nunr``,
+``initseg``, ``run``, and the one polymorphic constant ``rec``, which
+carries its instantiated type; the concrete syntax writes the type
+index in brackets, ``rec[0]``.
 
 Nodes are immutable and often shared: expanding a ``let`` puts one
 subterm object at many places, so a term is a DAG that prints as a far
@@ -19,8 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Mapping, Union
 
-from .types import (Arrow, FiniteType, N, Node, Product, Seq, node, pure,
-                    show_type)
+from .types import Arrow, FiniteType, N, Node, Seq, node, pure, show_type
 
 
 class SyntaxNode(Node):
@@ -80,13 +82,10 @@ def num(n: int) -> Const:
 
 
 SUCC = Const("succ", Arrow(N, N))
-PLUS = Const("plus", Arrow(N, Arrow(N, N)))
 MONUS = Const("monus", Arrow(N, Arrow(N, N)))
 MAX2 = Const("max", Arrow(N, Arrow(N, N)))
-NPAIR = Const("npair", Arrow(N, Arrow(N, N)))
 NUNL = Const("nunl", Arrow(N, N))
 NUNR = Const("nunr", Arrow(N, N))
-SEQMAX = Const("seqmax", Arrow(Seq(N), N))
 INITSEG = Const("initseg", Arrow(pure(1), Arrow(N, Seq(N))))
 RUN = Const("run", Arrow(pure(1), Arrow(N, Arrow(N, N))))
 
@@ -95,50 +94,15 @@ def rec_c(ty: FiniteType) -> Const:
     return Const("rec", Arrow(ty, Arrow(Arrow(ty, Arrow(N, ty)), Arrow(N, ty))))
 
 
-def pair_c(a: FiniteType, b: FiniteType) -> Const:
-    return Const("pair", Arrow(a, Arrow(b, Product(a, b))))
-
-
-def fst_c(a: FiniteType, b: FiniteType) -> Const:
-    return Const("fst", Arrow(Product(a, b), a))
-
-
-def snd_c(a: FiniteType, b: FiniteType) -> Const:
-    return Const("snd", Arrow(Product(a, b), b))
-
-
-def empty_c(t: FiniteType) -> Const:
-    return Const("empty", Seq(t))
-
-
-def append_c(t: FiniteType) -> Const:
-    return Const("append", Arrow(Seq(t), Arrow(t, Seq(t))))
-
-
-def len_c(t: FiniteType) -> Const:
-    return Const("len", Arrow(Seq(t), N))
-
-
-def get_c(t: FiniteType) -> Const:
-    return Const("get", Arrow(Seq(t), Arrow(N, t)))
-
-
 #: the constants of one type, by name
-MONOMORPHIC = {c.name: c for c in (SUCC, PLUS, MONUS, MAX2, NPAIR, NUNL, NUNR,
-                                   SEQMAX, INITSEG, RUN)}
+MONOMORPHIC = {c.name: c for c in (SUCC, MONUS, MAX2, NUNL, NUNR, INITSEG,
+                                   RUN)}
 
 #: the polymorphic constants, by name: the constructor, the number of
 #: its type arguments, and those arguments read back from the type of an
-#: instance (the concrete syntax writes them in brackets, ``pair[0,1]``)
+#: instance (the concrete syntax writes them in brackets, ``rec[0]``)
 POLYMORPHIC = {
     "rec": (rec_c, 1, lambda ty: (ty.dom,)),
-    "pair": (pair_c, 2, lambda ty: (ty.dom, ty.cod.dom)),
-    "fst": (fst_c, 2, lambda ty: (ty.dom.left, ty.dom.right)),
-    "snd": (snd_c, 2, lambda ty: (ty.dom.left, ty.dom.right)),
-    "empty": (empty_c, 1, lambda ty: (ty.elem,)),
-    "append": (append_c, 1, lambda ty: (ty.dom.elem,)),
-    "len": (len_c, 1, lambda ty: (ty.dom.elem,)),
-    "get": (get_c, 1, lambda ty: (ty.dom.elem,)),
 }
 
 #: constant names reserved by the concrete syntax

@@ -1,7 +1,8 @@
 """Finite simple types over the base type of natural numbers.
 
 The hierarchy is generated by the base type 0 (naturals), function
-arrows, binary products, and finite-sequence types written ``sigma*``.
+arrows, and finite-sequence types written ``sigma*``; a tuple of
+types is taken by currying.
 Pure types are abbreviated by numerals in the concrete syntax:
 ``1 = 0 -> 0``, ``2 = 1 -> 0``, and so on.
 
@@ -160,15 +161,6 @@ class Arrow(Node):
 
 
 @node
-class Product(Node):
-    left: "FiniteType"
-    right: "FiniteType"
-
-    def __str__(self) -> str:
-        return show_type(self)
-
-
-@node
 class Seq(Node):
     elem: "FiniteType"
 
@@ -176,7 +168,7 @@ class Seq(Node):
         return show_type(self)
 
 
-FiniteType = Union[Base, Arrow, Product, Seq]
+FiniteType = Union[Base, Arrow, Seq]
 
 N = Base()
 
@@ -210,13 +202,6 @@ def arrows(doms: list[FiniteType] | tuple[FiniteType, ...], cod: FiniteType) -> 
     return ty
 
 
-def _show_atom(ty: FiniteType) -> str:
-    s = show_type(ty)
-    if isinstance(ty, Base) or _pure_degree(ty) is not None:
-        return s
-    return f"({s})"
-
-
 def show_type(ty: FiniteType) -> str:
     deg = _pure_degree(ty)
     if deg is not None:
@@ -227,13 +212,9 @@ def show_type(ty: FiniteType) -> str:
         if isinstance(ty.dom, Arrow) and _pure_degree(ty.dom) is None:
             dom = f"({dom})"
         return f"{dom} -> {show_type(ty.cod)}"
-    if isinstance(ty, Product):
-        l = _show_atom(ty.left) if isinstance(ty.left, (Arrow, Product)) else show_type(ty.left)
-        r = _show_atom(ty.right) if isinstance(ty.right, (Arrow, Product)) else show_type(ty.right)
-        return f"{l} x {r}"
     if isinstance(ty, Seq):
         inner = show_type(ty.elem)
-        if isinstance(ty.elem, (Arrow, Product)) and _pure_degree(ty.elem) is None:
+        if isinstance(ty.elem, Arrow) and _pure_degree(ty.elem) is None:
             inner = f"({inner})"
         return f"{inner}*"
     raise TypeError(f"not a finite type: {ty!r}")

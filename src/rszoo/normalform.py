@@ -192,7 +192,8 @@ def _prefix_eq(ty: FiniteType, l: Term, r: Term, n: Var,
 
 def _approx_leaves(f: Formula) -> list[tuple] | None:
     """``approx_sides`` of each approx in f, when f is a conjunction of
-    them (so a product's approx gives one per component)."""
+    them (as ``_extensionality`` writes a premise over several
+    arguments)."""
     if isinstance(f, And):
         l = _approx_leaves(f.left)
         r = _approx_leaves(f.right)

@@ -7,27 +7,38 @@ from __future__ import annotations
 
 import random
 
-from rszoo.lang import (INITSEG, SEQMAX, Abs, And, Atom, BExists, BForall,
+from rszoo.lang import (INITSEG, RUN, Abs, And, Atom, BExists, BForall,
                         Exists, Forall, Formula, Implies, Not, Or, Term, Var,
-                        app, append_c, empty_c, fresh_name, free_vars_f,
-                        get_c, lam, len_c, num, pair_c, fst_c, rec_c, snd_c)
-from rszoo.lang import Arrow, FiniteType, N, Product, Seq, pure
-from rszoo.lang.terms import MAX2, MONUS, PLUS, SUCC
+                        app, fresh_name, free_vars_f, lam, num, rec_c)
+from rszoo.lang import Arrow, FiniteType, N, Seq, pure
+from rszoo.lang.terms import MAX2, MONUS, SUCC
 
 SEED = 20260815
 
+#: the only sequence type with closed terms: ``initseg(h, n)``
+SEQ0 = Seq(N)
+
+
+def plus(a: Term, b: Term) -> Term:
+    """``a + b``, saturating at the cap: ``b`` successors of ``a``,
+    ``rec[0](a, \\m:0. \\j:0. succ(m), b)``."""
+    m = Var("m", N)
+    return app(rec_c(N), a, lam(m, Var("j", N), app(SUCC, m)), b)
+
+
+#: the 2-ary numeric operations the generators draw from
+BINARY = (plus, lambda a, b: app(MONUS, a, b), lambda a, b: app(MAX2, a, b))
+
 
 def default_term(ty: FiniteType) -> Term:
-    """A closed inhabitant of any type."""
+    """A closed inhabitant of 0, of an arrow type into one, and of 0*
+    (the empty sequence ``initseg(\\_d:0. 0, 0)``)."""
     if ty == N:
         return num(0)
     if isinstance(ty, Arrow):
         return Abs(Var("_d", ty.dom), default_term(ty.cod))
-    if isinstance(ty, Product):
-        return app(pair_c(ty.left, ty.right),
-                   default_term(ty.left), default_term(ty.right))
-    if isinstance(ty, Seq):
-        return empty_c(ty.elem)
+    if ty == SEQ0:
+        return app(INITSEG, default_term(pure(1)), num(0))
     raise ValueError(f"no default for {ty!r}")
 
 
@@ -46,14 +57,12 @@ class Gen:
         r = self.rng.random()
         if depth <= 0 or r < 0.55:
             return N
-        if r < 0.8:
+        if r < 0.85:
             return Arrow(self.type(depth - 1), self.type(depth - 1))
-        if r < 0.9:
-            return Product(self.type(depth - 1), self.type(depth - 1))
-        return Seq(self.type(depth - 1))
+        return SEQ0
 
     def small_type(self) -> FiniteType:
-        return self.rng.choice([N, N, N, pure(1), Seq(N)])
+        return self.rng.choice([N, N, N, pure(1), SEQ0])
 
     # -- terms ---------------------------------------------------------------
 
@@ -71,17 +80,9 @@ class Gen:
             x = Var(fresh_name("x", set(env)), ty.dom)
             body = self.term(ty.cod, {**env, x.name: x.ty}, depth - 1)
             return Abs(x, body)
-        if isinstance(ty, Product):
-            return app(pair_c(ty.left, ty.right),
-                       self.term(ty.left, env, depth - 1),
-                       self.term(ty.right, env, depth - 1))
-        if isinstance(ty, Seq):
-            n = self.rng.randrange(0, 3)
-            t: Term = empty_c(ty.elem)
-            for _ in range(n):
-                t = app(append_c(ty.elem), t,
-                        self.term(ty.elem, env, depth - 1))
-            return t
+        if ty == SEQ0:
+            return app(INITSEG, self.term(pure(1), env, depth - 1),
+                       self.term(N, env, depth - 1))
         return default_term(ty)
 
     def _num_term(self, env: dict[str, FiniteType], depth: int) -> Term:
@@ -91,9 +92,8 @@ class Gen:
         if r < 0.45:
             return app(SUCC, self.term(N, env, depth - 1))
         if r < 0.6:
-            op = self.rng.choice([PLUS, MONUS, MAX2])
-            return app(op, self.term(N, env, depth - 1),
-                       self.term(N, env, depth - 1))
+            return self.rng.choice(BINARY)(self.term(N, env, depth - 1),
+                                           self.term(N, env, depth - 1))
         if r < 0.75:
             # apply a function variable if one is around
             fns = [(n, t) for n, t in env.items()
@@ -101,15 +101,6 @@ class Gen:
             if fns:
                 n, t = self.rng.choice(fns)
                 return app(Var(n, t), self.term(t.dom, env, depth - 1))
-        if r < 0.85:
-            seqs = [(n, t) for n, t in env.items() if isinstance(t, Seq)]
-            if seqs:
-                n, t = self.rng.choice(seqs)
-                if self.rng.random() < 0.5:
-                    return app(len_c(t.elem), Var(n, t))
-                if t.elem == N:
-                    return app(get_c(N), Var(n, t),
-                               self.term(N, env, depth - 1))
         return num(self.rng.randrange(0, 4))
 
     def rec_term(self, ty: FiniteType, env: dict[str, FiniteType],
@@ -147,7 +138,7 @@ class Gen:
         rng.shuffle(parts)
         body = parts[0]
         for part in parts[1:]:
-            body = app(rng.choice([PLUS, MONUS, MAX2]), body, part)
+            body = rng.choice(BINARY)(body, part)
         if rng.random() < 0.3:
             body = app(SUCC, body)
         if rng.random() < 0.3:
@@ -169,7 +160,7 @@ class Gen:
             ys.append(Var(fresh_name("y", taken), N))
         e = self.term(N, env, depth - 1)
         for y in ys:
-            e = app(self.rng.choice([PLUS, MONUS, MAX2]), y, e)
+            e = self.rng.choice(BINARY)(y, e)
         fn = e
         for y in reversed(ys):
             fn = Abs(y, fn)
@@ -204,12 +195,13 @@ class Gen:
             if shape == "once":
                 parts.append(self._read(v, outer))
             elif shape == "twice":
-                parts.append(app(PLUS, self._read(v, outer),
-                                 self._read(v, outer)))
+                parts.append(plus(self._read(v, outer), self._read(v, outer)))
             elif shape == "lambda":
+                # a run tabulates its oracle, reading v at every cell
                 z = Var(fresh_name("z", {v.name}), N)
-                parts.append(app(SEQMAX, app(INITSEG, Abs(z, app(
-                    PLUS, self._read(v, outer), z)), self.term(N, outer, 1))))
+                parts.append(app(RUN, Abs(z, plus(self._read(v, outer), z)),
+                                 self.term(N, outer, 1),
+                                 self.term(N, outer, 1)))
             elif shape == "rec":
                 p = Var(fresh_name("p", {v.name}), N)
                 i = Var(fresh_name("i", {v.name}), N)
@@ -219,7 +211,7 @@ class Gen:
         rng.shuffle(parts)
         body = parts[0]
         for part in parts[1:]:
-            body = app(rng.choice([PLUS, MONUS, MAX2]), body, part)
+            body = rng.choice(BINARY)(body, part)
         return lam(*binders, body), shapes
 
     def _read(self, v: Var, env: dict[str, FiniteType]) -> Term:
@@ -249,7 +241,7 @@ class Gen:
             return app(Var(flagging, pure(1)), self.term(N, env, 1)), kind
         if ty == N:
             return self.term(N, env, 2), kind
-        return app(PLUS, self.term(N, env, 1)), kind     # not a lambda
+        return app(MONUS, self.term(N, env, 1)), kind    # not a lambda
 
     # -- internal formulas ---------------------------------------------------
 

@@ -65,6 +65,13 @@ MUTANTS = [
     Mutant("xi-k-0", "forward.prf", (
         (")), 1)", ")), 0)", 5), ("(Psi(empty1), 1)", "(Psi(empty1), 0)", 1),
         ("; 1)", "; 0)", 1)), survives=None),
+    # the bound renamed w in step 2's conclusion, which stays
+    # alpha-equal to the normal form; the later stages look the bound up
+    # by its name y, so alignment refuses it
+    Mutant("rename-y", "forward.prf", (
+        ("(exists^st y:0, ", "(exists^st w:0, ", 1),
+        ("(exists z <= y) f(z) = 0", "(exists z <= w) f(z) = 0", 1)),
+        survives=None),
     # a row edited without the axiom: the replay refuses step 2
     Mutant("row-without-axiom", "forward.prf",
            ((f"({ROW_Y}; ", "(0; ", 1),), survives=None),

@@ -30,7 +30,7 @@ import itertools
 import math
 
 from rszoo.extract import _value_label
-from rszoo.interp import FnV, ModelError, zero_value
+from rszoo.interp import FnV, ModelError
 from rszoo.interp.machine import (PROGRAMS, HaltsWith, decode_program,
                                   run_program)
 from rszoo.lang import (Abs, And, App, Atom, BExists, BForall, Const, Exists,
@@ -63,12 +63,10 @@ def term(model, t, env: dict):
 def constant(model, c: Const):
     if c.name.isdigit():
         return model.sat(int(c.name))
-    if c.name == "empty":
-        return ()
     if c.name not in PRIMITIVES:
         raise ModelError(f"unknown constant {c.name!r}")
     arity, impl = PRIMITIVES[c.name]
-    return curried(lambda *args: impl(model, c, *args), arity, ())
+    return curried(lambda *args: impl(model, *args), arity, ())
 
 
 def curried(fn, arity: int, given: tuple) -> FnV:
@@ -101,19 +99,6 @@ def run(model, a, e, s):
     return model.sat(res.output + 1 if isinstance(res, HaltsWith) else 0)
 
 
-def append(model, s, v):
-    if len(s) >= model.seq_limit:
-        model.overflowed = True
-        return s
-    return s + (v,)
-
-
-def get(model, c, s, i):
-    if i < len(s):
-        return s[i]
-    return zero_value(model, c.ty.dom.elem)
-
-
 def rec(base, step, n):
     acc = base
     for i in range(n):
@@ -121,26 +106,16 @@ def rec(base, step, n):
     return acc
 
 
-# name -> (arity, implementation taking the model, the constant and
-# every argument)
+# name -> (arity, implementation taking the model and every argument)
 PRIMITIVES = {
-    "succ": (1, lambda m, c, n: m.sat(n + 1)),
-    "plus": (2, lambda m, c, a, b: m.sat(a + b)),
-    "monus": (2, lambda m, c, a, b: max(a - b, 0)),
-    "max": (2, lambda m, c, a, b: max(a, b)),
-    "npair": (2, lambda m, c, a, b: m.sat((a + b) * (a + b + 1) // 2 + b)),
-    "nunl": (1, lambda m, c, n: unpair(n)[0]),
-    "nunr": (1, lambda m, c, n: unpair(n)[1]),
-    "seqmax": (1, lambda m, c, s: max(s, default=0)),
-    "initseg": (2, lambda m, c, f, n: tuple(f.call(i) for i in range(n))),
-    "run": (3, lambda m, c, a, e, s: run(m, a, e, s)),
-    "pair": (2, lambda m, c, a, b: (a, b)),
-    "fst": (1, lambda m, c, p: p[0]),
-    "snd": (1, lambda m, c, p: p[1]),
-    "append": (2, lambda m, c, s, v: append(m, s, v)),
-    "len": (1, lambda m, c, s: m.sat(len(s))),
-    "get": (2, get),
-    "rec": (3, lambda m, c, b, step, n: rec(b, step, n)),
+    "succ": (1, lambda m, n: m.sat(n + 1)),
+    "monus": (2, lambda m, a, b: max(a - b, 0)),
+    "max": (2, lambda m, a, b: max(a, b)),
+    "nunl": (1, lambda m, n: unpair(n)[0]),
+    "nunr": (1, lambda m, n: unpair(n)[1]),
+    "initseg": (2, lambda m, f, n: tuple(f.call(i) for i in range(n))),
+    "run": (3, run),
+    "rec": (3, lambda m, b, step, n: rec(b, step, n)),
 }
 
 

@@ -1,7 +1,9 @@
 """Every name that ``rszoo.lang`` and ``rszoo.interp`` export, and every
 public name that ``rszoo.translate``, ``rszoo.normalform`` and
 ``rszoo.extract`` define, is used: library code that nothing reaches
-does not stay.  And no module imports a name it never reads."""
+does not stay.  A constant of the language stays only if a corpus file
+writes it or the pipeline builds it.  And no module imports a name it
+never reads."""
 import ast
 import inspect
 from pathlib import Path
@@ -11,8 +13,11 @@ import rszoo.interp
 import rszoo.lang
 import rszoo.normalform
 import rszoo.translate
+from rszoo.lang import terms
+from rszoo.lang.parser import tokenize
 
 ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "rszoo"
 
 
 def defined(module) -> set[str]:
@@ -77,6 +82,28 @@ def test_every_exported_name_is_referenced():
         for path in sorted((ROOT / tree).rglob("*.py")):
             uses.visit(ast.parse(path.read_text(), str(path)))
     assert sorted(exported() - uses.used) == []
+
+
+def test_every_constant_is_written_by_the_corpus_or_built_in_src():
+    # stricter than the test above, which counts reads from tests too: a
+    # constant stays only if a corpus file writes it as a token, or a
+    # module of src other than terms reads its Const or its constructor
+    written = {tok.text for path in sorted(PACKAGE.glob("corpus_data/*/*"))
+               for tok in tokenize(path.read_text())}
+    uses = Uses()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path != PACKAGE / "lang" / "terms.py":
+            uses.visit(ast.parse(path.read_text(), str(path)))
+
+    def builders(name: str) -> set[str]:
+        if name in terms.POLYMORPHIC:
+            return {terms.POLYMORPHIC[name][0].__name__}
+        return {attr for attr, obj in vars(terms).items()
+                if obj is terms.MONOMORPHIC[name]}
+
+    assert sorted(name for name in terms.CONST_NAMES
+                  if name not in written
+                  and not builders(name) & uses.used) == []
 
 
 def imports(path: Path) -> tuple[ast.Module, set[str], set[str]]:

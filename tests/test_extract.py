@@ -12,7 +12,7 @@ import rszoo.interp
 from rszoo import extract
 from rszoo.extract import (ProofScript, ProofStep, ScriptError,
                            check_candidates, check_script, extract_function,
-                           extract_terms, parse_script, postprocess, rs_run)
+                           parse_script, postprocess, rs_run)
 from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
 from rszoo.lang import (SUCC, App, Forall, N, Var, app, num, parse_formula,
@@ -313,16 +313,22 @@ def test_rs_run_rejects_a_sweep_plan_for_no_universal():
         "udnr/candidates-forward: sweep plan names no universal: ['F']")
 
 
-def test_rs_run_fails_at_collapse_without_the_target_table():
-    # with f renamed g the script's conclusion is alpha-equal to the
-    # normal form, so it aligns, and with no plan naming f the sweep
-    # passes; the collapse then finds no table universal named f
+def test_rs_run_fails_at_align_when_the_script_renames_the_table():
+    # with f renamed g the script's conclusion is only alpha-equal to the
+    # normal form.  The sweep plans and the collapse look the table up by
+    # its name f, so alignment asks for ==, even with no plan naming f;
+    # the collapse alone would refuse such a conclusion
     entry = udnr_entry()
     text = (UDNR / "forward.prf").read_text()
     entry.forward = parse_script(re.sub(r"\bf\b", "g", text))
     entry.plans = {"Psi": "st", "Xi": "st"}
-    assert rs_run_fails_at(entry, "collapse") == (
-        "udnr/collapse: no table universal 'f' to collapse against")
+    rs_run_fails_at(entry, "align")
+    final = check_script(entry.forward).final
+    nf = final.step.conclusion
+    with pytest.raises(ScriptError,
+                       match="^no table universal 'f' to collapse against$"):
+        extract._mu_collapse(nf, postprocess(final.rows, nf, "y"),
+                             Var("f", pure(1)))
 
 
 def record_formulas(monkeypatch) -> list:
@@ -828,14 +834,6 @@ def test_extract_function_needs_one_candidate():
     assert len(report.final.rows) == 2
     with pytest.raises(ScriptError, match="exactly one candidate"):
         extract_function(report)
-
-
-def test_extract_terms_needs_existentials():
-    report = check_script(parse_script(
-        "script plain\n"
-        "step 1: NF-AXIOM conclude (forall^st x:0) x = x\n"))
-    with pytest.raises(ScriptError, match="no existentials"):
-        extract_terms(report)
 
 
 def test_value_label_falls_back_only_on_model_errors():

@@ -9,15 +9,15 @@ from canon import canon
 from rszoo.extract import parse_script
 from rszoo.interp import MiniModel, eval_formula, eval_term
 from rszoo.lang import (Abs, And, App, Arrow, Atom, BForall, CONST_NAMES,
-                        Exists, Forall, ForallSt, N, Not, ParseError, Product, Seq,
+                        Exists, Forall, ForallSt, N, Not, ParseError, Seq,
                         TypeCheckError, Var, all_names_f, alpha_eq,
                         alpha_eq_f, app, free_vars, free_vars_f, infer_type,
-                        is_internal, lam, num, pair_c, parse_formula,
-                        parse_term, parse_type, pure, show_formula,
-                        show_term, show_type, subst_f)
+                        is_internal, lam, num, parse_formula, parse_term,
+                        parse_type, pure, rec_c, show_formula, show_term,
+                        show_type, subst_f)
 from rszoo.lang.formulas import approx, approx_sides
 from rszoo.lang.parser import Parser
-from rszoo.lang.terms import (MONOMORPHIC, PLUS, POLYMORPHIC, all_names,
+from rszoo.lang.terms import (MAX2, MONOMORPHIC, POLYMORPHIC, all_names,
                               prepare, subst_prepared)
 from rszoo.translate import parse_nf
 
@@ -35,9 +35,9 @@ def test_type_printer_structure():
     # pure types print as their numeral
     assert show_type(parse_type("(0 -> 0) -> 0")) == "2"
     assert show_type(Arrow(pure(1), N)) == "2"
-    assert show_type(parse_type("0 x 1*")) == "0 x 1*"
-    assert show_type(parse_type("(0 x 1)*")) == "(0 x 1)*"
-    assert show_type(parse_type("(0 -> 1) -> 1 x 1")) == "(0 -> 1) -> 1 x 1"
+    assert show_type(parse_type("1*")) == "1*"
+    assert show_type(parse_type("(0 -> 1)*")) == "(0 -> 1)*"
+    assert show_type(parse_type("(0 -> 1) -> 1*")) == "(0 -> 1) -> 1*"
 
 
 def test_type_parse_errors_carry_position():
@@ -91,15 +91,15 @@ def test_infer_type_checks_free_variables_against_the_env():
         infer_type(Abs(x1, App(f, App(x0, x0))))
     with pytest.raises(TypeCheckError,
                        match="^argument type mismatch: expected 0, got 1$"):
-        infer_type(App(App(PLUS, App(f, f)), x1))
+        infer_type(App(App(MAX2, App(f, f)), x1))
 
 
 def test_substitution_avoids_capture():
-    # (\y:0. plus(x, y))[x := y] must rename the binder
-    t = parse_term("\\y:0. plus(x, y)", params={"x": N})
+    # (\y:0. max(x, y))[x := y] must rename the binder
+    t = parse_term("\\y:0. max(x, y)", params={"x": N})
     s = subst_prepared(t, prepare({Var("x", N): Var("y", N)}))
-    assert alpha_eq(s, parse_term("\\z:0. plus(y, z)", params={"y": N}))
-    assert not alpha_eq(s, parse_term("\\y:0. plus(y, y)"))
+    assert alpha_eq(s, parse_term("\\z:0. max(y, z)", params={"y": N}))
+    assert not alpha_eq(s, parse_term("\\y:0. max(y, y)"))
 
 
 def test_alpha_eq_distinguishes_shadowing():
@@ -111,10 +111,10 @@ def test_alpha_eq_distinguishes_shadowing():
 
 
 def test_formula_round_trip_and_alpha():
-    src = "(forall x:0) (exists y:0) plus(x, y) = 3"
+    src = "(forall x:0) (exists y:0) max(x, y) = 3"
     f = parse_formula(src)
     assert show_formula(f) == src
-    g = parse_formula("(forall u:0) (exists v:0) plus(u, v) = 3")
+    g = parse_formula("(forall u:0) (exists v:0) max(u, v) = 3")
     assert alpha_eq_f(f, g)
 
 
@@ -149,15 +149,13 @@ def test_alpha_eq_renames_lambda_binders():
 
 def test_approx_sides_reads_back_what_approx_builds():
     for ty in map(parse_type, ["0", "0*", "1", "2", "0 -> 1", "1 -> 0*",
-                               "0 x 1", "(0 x 1) x 2", "0 -> 0 x 1"]):
+                               "1*", "(1 -> 0*) -> 2"]):
         f, g = Var("f", ty), Var("g", ty)
         assert approx_sides(approx(ty, f, g)) == (ty, f, g)
-    # a conjunction of approxes that is no product's approx: its second
-    # component compares q with p
-    ty = Product(N, pure(1))
+    # a conjunction of approxes is no approx
     assert approx_sides(parse_formula(
-        "fst[0,1](p) = fst[0,1](q) /\\ approx[1](snd[0,1](q), snd[0,1](p))",
-        params={"p": ty, "q": ty})) is None
+        "p = q /\\ approx[1](f, g)",
+        params={"p": N, "q": N, "f": pure(1), "g": pure(1)})) is None
     # the bound variable must be the last argument and nothing else
     f, g = Var("f", parse_type("0 -> 1")), Var("g", parse_type("0 -> 1"))
     assert approx_sides(parse_formula(
@@ -256,7 +254,12 @@ def test_typecheck_rejects_ill_typed_atoms():
             ("x = exists", 5, "keyword 'exists' is not a term"),
             ("(forall^st n <= 3) n = n", 12,
              "bounded quantifiers cannot carry ^st"),
-            ("x 0", 3, "expected a relation, found '0'")]:
+            ("x 0", 3, "expected a relation, found '0'"),
+            # types are built from 0 by -> and *, with no product
+            ("(forall p:0 x 1) p = p", 13, "expected ')', found 'x'"),
+            # and a name is a constant only if a corpus file or the
+            # pipeline uses it
+            ("plus(x, 0) = x", 1, "unbound variable 'plus'")]:
         with pytest.raises(ParseError) as e:
             parse_formula(src, params=params)
         assert (e.value.msg, e.value.line, e.value.col) == (msg, 1, at), src
@@ -311,7 +314,7 @@ def test_parenthesized_terms_and_formulas_parse_in_one_pass(monkeypatch):
 def test_every_constant_prints_and_reparses_at_nontrivial_indices():
     # the printer writes a polymorphic constant's type index and the
     # parser reads it back, both through the table in terms
-    indices = (pure(1), Seq(N), Product(N, pure(1)))
+    indices = (pure(1), Seq(N), parse_type("0 -> 0*"))
     for name in sorted(CONST_NAMES):
         if name in MONOMORPHIC:
             consts = [MONOMORPHIC[name]]
@@ -325,7 +328,7 @@ def test_every_constant_prints_and_reparses_at_nontrivial_indices():
         for c in consts:
             text = show_term(c)
             assert parse_term(text) == c, text
-    assert show_term(pair_c(Product(N, pure(1)), Seq(N))) == "pair[0 x 1,0*]"
+    assert show_term(rec_c(parse_type("0 -> 0*"))) == "rec[0 -> 0*]"
 
 
 def test_unbound_variable_is_an_error():
@@ -376,7 +379,7 @@ def test_substitution_agrees_with_the_evaluator():
         f = g.internal_formula(outer, depth=3)
         t, u = g.term(N, scope, 2), g.term(N, scope, 2)
         for sub in ({x: t}, {x: y, y: x},
-                    {x: app(PLUS, q, t), y: app(PLUS, i, u)}):
+                    {x: app(MAX2, q, t), y: app(MAX2, i, u)}):
             got = subst_f(f, sub)
             mentioned = set().union(*map(all_names, sub.values()))
             renamed += bool(all_names_f(got) - all_names_f(f) - mentioned)

@@ -56,6 +56,14 @@ def test_forward_mutants_fail_at_a_standard_table(name, model):
     assert str(info.value).endswith(" f=E0, Psi=Psi0, Xi=Xi0")
 
 
+def test_a_renamed_bound_fails_at_align():
+    # alpha-equal to the normal form is not enough: postprocess reads the
+    # bound by the name y, and without the check it would fail there
+    with pytest.raises(ScriptError) as info:
+        rs_run(mutated(named("rename-y")))
+    assert str(info.value).startswith("udnr/align: forward script concludes")
+
+
 def test_the_late_mark_is_no_equivalent_mutant():
     # the standard tables' first zeros are not in the last cell, so only
     # a sweep over every table shows that the proof with the mark one

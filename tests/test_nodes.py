@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from rszoo.lang import (Abs, And, App, Arrow, Atom, Base, Const, Forall,
-                        ForallSt, N, Or, Product, Seq, Var, num, parse_formula,
+                        ForallSt, N, Not, Or, Seq, Var, num, parse_formula,
                         parse_term, pure)
 from rszoo.lang.formulas import SyntaxNode
 from rszoo.lang.types import Node
@@ -18,9 +18,9 @@ a = Atom("=", (x, num(0)))
 b = Atom("<", (y, num(1)))
 
 SAMPLES = [
-    N, Arrow(N, N), Product(N, pure(1)), Seq(N),
+    N, Arrow(N, N), Seq(N),
     x, num(3), App(Const("succ", Arrow(N, N)), x), Abs(x, x),
-    a, And(a, b), Or(a, b), Forall(x, a), ForallSt(y, b),
+    a, Not(a), And(a, b), Or(a, b), Forall(x, a), ForallSt(y, b),
     parse_formula("(forall f:1)(exists n <= 3) f(n) = 0 "
                   "-> ~((exists^st g:1) g = f)"),
     parse_term("\\f:1. \\n:0. rec[0](n, \\p:0. \\i:0. f(p), n)"),
@@ -43,7 +43,7 @@ def test_every_node_kind_is_a_slots_class_and_no_dataclass():
     kinds = node_kinds()
     assert {"Base", "Arrow", "Var", "App", "Abs", "Atom", "BExists"} <= \
         {k.__name__ for k in kinds}
-    assert len(kinds) == 19
+    assert len(kinds) == 18
     for kind in kinds:
         assert not dataclasses.is_dataclass(kind), kind
         assert "__dict__" not in dir(kind), kind

@@ -101,30 +101,17 @@ def test_resolve_approx_diagonalizes_two_argument_tables():
     assert "initseg(\\i1:0. X(nunl(i1), nunr(i1)), N)" in out
 
 
-def test_resolve_approx_splits_a_product_premise():
-    # approx at 0 x 1 is the conjunction of its components' approxes:
-    # fst is compared by =, snd by its prefix up to the one N
-    up = uniformize(parse_formula(
-        "(forall P:0 x 1)(exists y:0) snd[0,1](P, y) = fst[0,1](P)"))
-    resolved = strip(strip(resolve_approx(up.strong), ExistsSt)[1].right,
-                     ForallSt)[1]
-    assert show_formula(resolved) == (
-        "(exists^st N:0) fst[0,1](X) = fst[0,1](Y) /\\ "
-        "initseg(snd[0,1](X), N) = initseg(snd[0,1](Y), N) -> "
-        "Psi(X) = Psi(Y)")
-
-
 def test_resolve_approx_rejects_unencodable_types():
     f = parse_formula(
         "(forall^st F:2, G:2)(approx[2](F, G) -> approx[0](F(\\x:0. x), "
         "G(\\x:0. x)))")
     with pytest.raises(NormalFormError, match="no prefix encoding"):
         resolve_approx(f)
-    # a product under an arrow has none either
+    # a sequence type under an arrow has none either
     up = uniformize(parse_formula(
-        "(forall P:0 -> 0 x 1)(exists y:0) fst[0,1](P(y)) = y"))
+        "(forall P:0 -> 0*)(exists y:0) P(y) = P(0)"))
     with pytest.raises(NormalFormError,
-                       match="^no prefix encoding at type 0 -> 0 x 1$"):
+                       match="^no prefix encoding at type 0 -> 0\\*$"):
         resolve_approx(up.strong)
 
 

@@ -7,10 +7,10 @@ import gen
 from canon import canon
 from rszoo.extract import show_term_brief
 from rszoo.lang import (Abs, And, App, Arrow, Atom, BQUANTS, Base, Const,
-                        ExistsSt, Forall, ForallSt, Implies, N, Not, Or, Product, QUANTS, Seq, Var,
-                        alpha_eq, alpha_eq_f, app, free_vars, free_vars_f,
-                        pure, subst_f)
-from rszoo.lang.terms import PLUS
+                        ExistsSt, Forall, ForallSt, Implies, N, Not, Or,
+                        QUANTS, Seq, Var, alpha_eq, alpha_eq_f, app,
+                        free_vars, free_vars_f, pure, subst_f)
+from rszoo.lang.terms import MAX2
 from rszoo.lang.types import Node
 
 
@@ -58,7 +58,7 @@ def nodes(x):
         v = getattr(x, name)
         for part in (v if isinstance(v, tuple) else (v,)):
             if isinstance(part, Node) and \
-                    not isinstance(part, (Base, Arrow, Product, Seq)):
+                    not isinstance(part, (Base, Arrow, Seq)):
                 yield from nodes(part)
 
 
@@ -126,11 +126,11 @@ def test_alpha_walk_agrees_with_canonical_renaming():
     previous = None
     for trial in range(200):
         f = And(g.internal_formula(outer, depth=4),
-                Atom("<=", (app(p, x), app(PLUS, x, y))))
+                Atom("<=", (app(p, x), app(MAX2, x, y))))
         # x becomes one shared subterm object at each occurrence, and P a
         # lambda, so binders sit inside terms too
         t = g.term(N, {**outer, "q": N, "i": N}, 2)
-        lam_p = Abs(Var("q", N), app(PLUS, Var("q", N), t))
+        lam_p = Abs(Var("q", N), app(MAX2, Var("q", N), t))
         f = subst_f(f, {x: t, p: lam_p} if trial % 3 else {x: t})
         positions = [id(n) for n in nodes(f) if isinstance(n, (App, Abs))]
         counts["shared"] += len(set(positions)) < len(positions)
