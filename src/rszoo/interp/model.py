@@ -41,10 +41,10 @@ when it is reached, not before.  Compile time also resolves what the
 node alone fixes: the comparison an ``=`` makes (``==`` at type 0,
 fingerprints above, which at type 1 are value tables), each constant's
 implementation (a constant applied to all its arguments calls it
-directly), the kind of a bound, the relation of an atom, the range of a
-type-0 quantifier and whether that quantifier is a search: one whose
-body is ``s(x) = n``, with ``s`` headed by a variable and not reading
-``x``, and ``n`` a numeral at most ``cap``.  A search runs as one loop
+directly), the range of a type-0 quantifier and whether that
+quantifier is a search: one whose body is ``s(x) = n``, with ``s``
+headed by a variable and not reading ``x``, and ``n`` a numeral at
+most ``cap``.  A search runs as one loop
 that passes each value to ``s``'s function, with no frame per value.
 ``s`` is evaluated when the first value arrives, never before, and
 once, by the argument made above for a constant ``rec`` step: an empty
@@ -57,8 +57,9 @@ every visit, so later declarations are seen and an empty standard
 population is flagged only where it is reached), saturation (a numeral
 or constant above ``cap`` sets ``overflowed`` every time it is
 evaluated; function constants get a fresh :class:`FnV` per visit, so a
-cached table never hides it) and the relation's errors.  Closures read
-``cap`` when compiled, so a compiled node belongs to one model.
+cached table never hides it) and the error of a node it cannot
+evaluate.  Closures read ``cap`` when compiled, so a compiled node
+belongs to one model.
 """
 from __future__ import annotations
 
@@ -70,9 +71,8 @@ from typing import Iterable, Iterator
 from ..lang.types import Arrow, FiniteType, N, Seq, show_type
 from ..lang.terms import (Abs, App, Const, Term, Var, free_vars, infer_type,
                           spine)
-from ..lang.formulas import (And, Atom, BExists, BForall, Exists, ExistsSt,
-                             Forall, ForallSt, Formula, Implies, Not, Or,
-                             free_vars_f)
+from ..lang.formulas import (And, Atom, BExists, Exists, ExistsSt, Forall,
+                             ForallSt, Formula, Implies, Not, Or, free_vars_f)
 from . import machine
 
 _TYPE1 = Arrow(N, N)
@@ -537,13 +537,7 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
     """A closure ``frame -> bool`` over the slots ``scope`` names."""
     if isinstance(f, Atom):
         a, b = (_compile_term(model, x, scope) for x in f.args)
-        if f.rel == "=":
-            return _equality(model, infer_type(f.args[0]), a, b)
-        if f.rel == "<=":
-            return lambda frame: a(frame) <= b(frame)
-        if f.rel == "<":
-            return lambda frame: a(frame) < b(frame)
-        return _fail(f"unknown relation {f.rel!r}")
+        return _equality(model, infer_type(f.args[0]), a, b)
     if isinstance(f, Not):
         body = _compile_formula(model, f.body, scope)
         return lambda frame: not body(frame)
@@ -573,21 +567,11 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
         # empty standard population is flagged only where a quantifier
         # is reached.
         return lambda frame: over(frame, model.population(ty, standard))
-    if isinstance(f, (BForall, BExists)):
-        universal = isinstance(f, BForall)
-        over = _search(model, f, universal, scope) or _quantifier(
-            universal, _compile_formula(model, f.body,
-                                        scope.enter(f.var.name)))
+    if isinstance(f, BExists):
+        over = _search(model, f, False, scope) or _quantifier(
+            False, _compile_formula(model, f.body, scope.enter(f.var.name)))
         bound, cap = _compile_term(model, f.bound, scope), model.cap
-        if f.kind == "<=":
-            return lambda frame: over(frame,
-                                      range(min(bound(frame), cap) + 1))
-        if f.kind == "<":
-            return lambda frame: over(frame,
-                                      range(min(bound(frame), cap + 1)))
-        if f.kind == "in":
-            return lambda frame: over(frame, bound(frame))
-        return _fail(f"unknown bound kind {f.kind!r}")
+        return lambda frame: over(frame, range(min(bound(frame), cap) + 1))
     return _fail(f"cannot evaluate formula node {type(f).__name__}")
 
 
@@ -633,7 +617,7 @@ def _search(model: MiniModel, f: Formula, universal: bool, scope: _Scope):
     value, with ``_apply``'s check and error, and its function is then
     called on each value in turn (see the module docstring)."""
     x, atom = f.var, f.body
-    if not (x.ty == N and isinstance(atom, Atom) and atom.rel == "="):
+    if not (x.ty == N and isinstance(atom, Atom)):
         return None
     left, right = atom.args
     if not (isinstance(left, App) and left.arg == x

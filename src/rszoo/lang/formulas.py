@@ -4,10 +4,10 @@ A formula is external when it has a standard quantifier (a node of an
 ``EXTERNAL`` kind); otherwise it is internal.  That a term t of type T
 is standard is said ``(exists^st y:T) y = t``, and that s and t agree
 at standard arguments, ``approx[T](s, t)``, is the formula ``approx``
-builds.  Quantifiers come in four flavours: plain,
-standard-relativized (``forall^st``), and bounded (by <=, <, or
-membership in a sequence value).  Equality is one atom, ``=``, at every
-type, extensional above type 0.
+builds.  Quantifiers come in three flavours: plain, standard-relativized
+(``forall^st``), and the bounded existential ``(exists z <= t)`` over
+type 0.  The one prime formula is an equation, ``s = t``, at any type,
+extensional above type 0; ``s <= t`` is not primitive.
 
 Formula nodes, like term nodes, derive from ``terms.SyntaxNode``: they
 are immutable, hold only slots, and keep their hash and free variables
@@ -16,20 +16,20 @@ as ``terms.alpha_eq``.
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Iterator, Mapping, Union
 
 from .terms import (NO_VARS, App, Prepared, Scope, Term, Var,
                     SyntaxNode, all_names, alpha_binder, alpha_walk,
                     drop_name, enter_binder, free_vars as term_fvs,
-                    fresh_name, infer_type, keep_fvs, num, prepare,
+                    fresh_name, infer_type, keep_fvs, prepare,
                     same_scope, subst_prepared, union)
 from .types import Arrow, FiniteType, N, Seq, node
 
 
 @node
 class Atom(SyntaxNode):
-    rel: str  # "=" at any type; "<=", "<" on type 0
-    args: tuple[Term, ...]
+    args: tuple[Term, ...]  # the two sides of an equation
 
 
 @node
@@ -80,49 +80,29 @@ class ExistsSt(SyntaxNode):
 
 
 @node
-class BForall(SyntaxNode):
-    var: Var
-    kind: str  # "<=" | "<" | "in", as written
-    bound: Term
-    body: "Formula"
-
-
-@node
 class BExists(SyntaxNode):
+    """``(exists var <= bound) body``, var and bound of type 0."""
     var: Var
-    kind: str
     bound: Term
     body: "Formula"
 
 
 Formula = Union[Atom, Not, And, Or, Implies,
-                Forall, Exists, ForallSt, ExistsSt, BForall, BExists]
-
-TRUE = Atom("=", (num(0), num(0)))
-FALSE = Atom("<", (num(0), num(0)))
+                Forall, Exists, ForallSt, ExistsSt, BExists]
 
 QUANTS = (Forall, Exists, ForallSt, ExistsSt)
-BQUANTS = (BForall, BExists)
 # the node kinds that make a formula external
 EXTERNAL = (ForallSt, ExistsSt)
 
 
 def conj(parts: list[Formula]) -> Formula:
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    """The conjunction of one or more formulas, grouped to the left."""
+    return reduce(And, parts)
 
 
 def disj(parts: list[Formula]) -> Formula:
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    """The disjunction of one or more formulas, grouped to the left."""
+    return reduce(Or, parts)
 
 
 def is_internal(f: Formula) -> bool:
@@ -131,14 +111,10 @@ def is_internal(f: Formula) -> bool:
         return False
     if isinstance(f, Atom):
         return True
-    if isinstance(f, Not):
+    if isinstance(f, (Not, Forall, Exists, BExists)):
         return is_internal(f.body)
     if isinstance(f, (And, Or, Implies)):
         return is_internal(f.left) and is_internal(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return is_internal(f.body)
-    if isinstance(f, BQUANTS):
-        return is_internal(f.body)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -159,7 +135,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     elif isinstance(f, (And, Or, Implies)):
         yield from subformulas(f.left)
         yield from subformulas(f.right)
-    elif isinstance(f, QUANTS + BQUANTS):
+    elif isinstance(f, QUANTS + (BExists,)):
         yield from subformulas(f.body)
 
 
@@ -186,7 +162,7 @@ def _free_vars_f(f: Formula) -> frozenset[Var]:
         return union(free_vars_f(f.left), free_vars_f(f.right))
     if isinstance(f, QUANTS):
         return drop_name(free_vars_f(f.body), f.var.name)
-    if isinstance(f, BQUANTS):
+    if isinstance(f, BExists):
         return union(term_fvs(f.bound),
                      drop_name(free_vars_f(f.body), f.var.name))
     raise TypeError(f"not a formula: {f!r}")
@@ -202,7 +178,7 @@ def all_names_f(f: Formula) -> set[str]:
         return all_names_f(f.left) | all_names_f(f.right)
     if isinstance(f, QUANTS):
         return {f.var.name} | all_names_f(f.body)
-    if isinstance(f, BQUANTS):
+    if isinstance(f, BExists):
         return {f.var.name} | all_names(f.bound) | all_names_f(f.body)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -220,7 +196,7 @@ def subst_f_prepared(f: Formula, sub: Prepared,
     if not sub:
         return f
     if isinstance(f, Atom):
-        return Atom(f.rel, tuple(term(t, sub) for t in f.args))
+        return Atom(tuple(term(t, sub) for t in f.args))
     if isinstance(f, Not):
         return Not(subst_f_prepared(f.body, sub, term))
     if isinstance(f, (And, Or, Implies)):
@@ -229,11 +205,10 @@ def subst_f_prepared(f: Formula, sub: Prepared,
     if isinstance(f, QUANTS):
         var, inner = enter_binder(f.var, sub, lambda: free_vars_f(f.body))
         return type(f)(var, subst_f_prepared(f.body, inner, term))
-    if isinstance(f, BQUANTS):
+    if isinstance(f, BExists):
         bound = term(f.bound, sub)
         var, inner = enter_binder(f.var, sub, lambda: free_vars_f(f.body))
-        return type(f)(var, f.kind, bound,
-                       subst_f_prepared(f.body, inner, term))
+        return BExists(var, bound, subst_f_prepared(f.body, inner, term))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -256,8 +231,6 @@ def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
     if kind is not type(b):
         return False
     if kind is Atom:
-        if a.rel != b.rel or len(a.args) != len(b.args):
-            return False
         for s, t in zip(a.args, b.args):
             if not alpha_walk(s, t, ma, mb, depth):
                 return False
@@ -267,8 +240,7 @@ def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
     if kind is And or kind is Or or kind is Implies:
         return (alpha_walk_f(a.left, b.left, ma, mb, depth)
                 and alpha_walk_f(a.right, b.right, ma, mb, depth))
-    if kind in BQUANTS and not (
-            a.kind == b.kind and alpha_walk(a.bound, b.bound, ma, mb, depth)):
+    if kind is BExists and not alpha_walk(a.bound, b.bound, ma, mb, depth):
         return False
     return alpha_binder(a.var, b.var, alpha_walk_f, a.body, b.body,
                         ma, mb, depth)
@@ -282,7 +254,7 @@ def approx(ty: FiniteType, l: Term, r: Term) -> Formula:
     type 0 and at sequence types, and ``(forall^st u) approx[U](l(u),
     r(u))`` at a function type T = S -> U (u of type S)."""
     if ty == N or isinstance(ty, Seq):
-        return Atom("=", (l, r))
+        return Atom((l, r))
     if isinstance(ty, Arrow):
         taken = {v.name for v in term_fvs(l) | term_fvs(r)}
         u = Var(fresh_name("u", taken), ty.dom)
@@ -295,7 +267,7 @@ def approx_sides(f: Formula) -> tuple[FiniteType, Term, Term] | None:
     standard quantifiers' variables; else None."""
     if isinstance(f, Atom):
         ty = infer_type(f.args[0])
-        if f.rel == "=" and (ty == N or isinstance(ty, Seq)):
+        if ty == N or isinstance(ty, Seq):
             return ty, *f.args
         return None
     if isinstance(f, ForallSt):

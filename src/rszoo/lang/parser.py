@@ -6,11 +6,10 @@ Grammar sketch (precedence low to high):
     or       :=  and ('\\/' and)*
     and      :=  unary ('/\\' unary)*
     unary    :=  '~' unary | prefix formula | atom
-    prefix   :=  '(' Q '^st'? binders ')' | '(' Q NAME BOUND term ')'
+    prefix   :=  '(' Q '^st'? binders ')' | '(' 'exists' NAME '<=' term ')'
     atom     :=  approx[T](s,t) | term REL term | '(' formula ')'
     Q        :=  'forall' | 'exists'
-    REL      :=  '=' | '!=' | '<=' | '<'
-    BOUND    :=  '<=' | '<' | 'in'          kept as written, as the kind
+    REL      :=  '=' | '!='                 s != t is ~(s = t)
     binders  :=  NAME (',' NAME)* ':' type (',' binders)?
     term     :=  '\\' NAME ':' type '.' term | primary args*
     args     :=  '(' term (',' term)* ')'
@@ -18,21 +17,22 @@ Grammar sketch (precedence low to high):
               |  '(' term ')'
 
 Quantifier prefixes are parenthesized: ``(forall x:1)``, ``(exists^st
-y:0)``, ``(forall x, y:0, f:1)``, ``(forall n <= t)``, ``(exists v in
-s)``; in a binder list, names before a ``:`` share its type.  A
+y:0)``, ``(forall x, y:0, f:1)``, ``(exists n <= t)``; in a binder
+list, names before a ``:`` share its type.  The one bounded quantifier
+is the plain existential over type 0 bounded by ``<=``; ``<=`` is no
+relation, as in E-PA^omega, whose prime formulas are equations.  A
 quantifier's body extends as far right as possible; to keep that
 readable, a quantifier is rejected directly under ``~`` or as the right
 operand of ``/\\`` or ``\\/`` — wrap it in parentheses instead.
 
 Formulas are typed as they are parsed: both sides of ``=`` and ``!=``
-at one type, any type (above type 0 equality is extensional); the
-arguments of ``<=`` and ``<`` and the ``<=``/``<`` bounds at type 0,
-an ``in`` bound a sequence, and the sides of ``approx[T]`` at T.  A
-term of the wrong type fails where it starts; the sides of ``=`` or
-``!=`` at two types fail at the relation.  That
-t is standard is written ``(exists^st y:T) y = t``; a true and a false
-formula, ``0 = 0`` and ``0 < 0``.  ``approx[T](s, t)`` is read as the
-formula it abbreviates (``formulas.approx``).
+at one type, any type (above type 0 equality is extensional); a bound
+at type 0, and the sides of ``approx[T]`` at T.  A term of the wrong
+type fails where it starts; the sides of ``=`` or ``!=`` at two types
+fail at the relation.  That t is standard is written ``(exists^st
+y:T) y = t``; a true and a false formula, ``0 = 0`` and ``0 != 0``.
+``approx[T](s, t)`` is read as the formula it abbreviates
+(``formulas.approx``).
 
 A constant's name is reserved.  A polymorphic constant writes its type
 arguments in brackets (``rec[0]``); ``terms.POLYMORPHIC`` says how many
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import re
 
-from .formulas import (And, Atom, BExists, BForall, Exists, ExistsSt, Forall,
+from .formulas import (And, Atom, BExists, Exists, ExistsSt, Forall,
                        ForallSt, Formula, Implies, Not, Or, approx)
 from .terms import (Abs, CONST_NAMES, MONOMORPHIC, POLYMORPHIC, Term,
                     TypeCheckError, Var, app, infer_type, num)
@@ -65,10 +65,10 @@ class ParseError(Exception):
         self.col = col
 
 
-KEYWORDS = frozenset(["forall", "exists", "in", "approx"])
+KEYWORDS = frozenset(["forall", "exists", "approx"])
 
 _SYMBOLS = ["->", "/\\", "\\/", "!=", "<=", ":=", "^st",
-            "(", ")", "[", "]", ",", ":", ".", "*", "~", "<", "=", "\\",
+            "(", ")", "[", "]", ",", ":", ".", "*", "~", "=", "\\",
             "-", ";"]
 
 # Blanks, then one token, a newline, a comment, a character that starts
@@ -403,25 +403,15 @@ class Parser:
         is_st = self.take("^st")
 
         vt = self.peek()
-        kind = self.peek(1).text
-        if vt.kind == "ident" and kind in _BOUND_KINDS:  # one binder
-            if is_st:
-                raise ParseError("bounded quantifiers cannot carry ^st",
-                                 vt.line, vt.col)
-            self.pos += 2   # the variable and its bound kind
+        if (not (is_forall or is_st) and vt.kind == "ident"
+                and self.peek(1).text == "<="):
+            self.pos += 2   # the variable and '<='
             bound, bty, btok = self.typed_term()
-            if kind == "in":
-                if not isinstance(bty, Seq):
-                    raise ParseError("'in' bound must be a sequence",
-                                     btok.line, btok.col)
-                bty = bty.elem
-            elif bty != N:
-                raise ParseError(f"{kind}-bounded quantifier needs type 0",
-                                 btok.line, btok.col)
-            v = Var(vt.text, bty)
+            if bty != N:
+                raise ParseError("a bound needs type 0", btok.line, btok.col)
+            v = Var(vt.text, N)
             self.expect_sym(")")
-            node = BForall if is_forall else BExists
-            return node(v, kind, bound, self.scoped([v], self.parse_formula))
+            return BExists(v, bound, self.scoped([v], self.parse_formula))
         variables = self.binders()
         self.expect_sym(")")
         body = self.scoped(variables, self.parse_formula)
@@ -474,30 +464,22 @@ class Parser:
             raise ParseError(str(e), tok.line, tok.col) from None
 
     def _f_relation(self) -> Formula:
-        l, lty, ltok = self.typed_term()
+        l, lty, _ = self.typed_term()
         tok = self.peek()
         rel = tok.text
         if rel not in _RELATIONS:
             self.expected("a relation")
         self.next()
-        r, rty, rtok = self.typed_term()
-        if rel == "=" or rel == "!=":
-            if lty != rty:
-                raise ParseError(f"{rel} needs equal types, got "
-                                 f"{show_type(lty)} and {show_type(rty)}",
-                                 tok.line, tok.col)
-            eq = Atom("=", (l, r))
-            return eq if rel == "=" else Not(eq)
-        for ty, at in ((lty, ltok), (rty, rtok)):
-            if ty != N:
-                raise ParseError(f"relation {rel} needs type-0 arguments",
-                                 at.line, at.col)
-        return Atom(rel, (l, r))
+        r, rty, _ = self.typed_term()
+        if lty != rty:
+            raise ParseError(f"{rel} needs equal types, got "
+                             f"{show_type(lty)} and {show_type(rty)}",
+                             tok.line, tok.col)
+        eq = Atom((l, r))
+        return eq if rel == "=" else Not(eq)
 
 
-_RELATIONS = frozenset(["=", "!=", "<=", "<"])
-# the bound kinds of a quantifier: the token after its variable
-_BOUND_KINDS = frozenset(["<=", "<", "in"])
+_RELATIONS = frozenset(["=", "!="])
 # what may follow a parenthesized term in an atom
 _AFTER_TERM = _RELATIONS | {"("}
 

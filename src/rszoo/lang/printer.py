@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .formulas import (And, Atom, BForall, BQUANTS, ExistsSt, Forall,
-                       ForallSt, Formula, Implies, Not, Or, QUANTS, strip)
+from .formulas import (And, Atom, BExists, ExistsSt, Forall, ForallSt,
+                       Formula, Implies, Not, Or, QUANTS, strip)
 from .terms import POLYMORPHIC, Abs, Const, Term, Var, spine
 from .types import show_type
 
@@ -75,13 +75,11 @@ def show_formula(f: Formula) -> str:
 def _show_f(f: Formula, level: int) -> str:
     if isinstance(f, Atom):
         a, b = f.args
-        return f"{show_term(a)} {f.rel} {show_term(b)}"
-    if isinstance(f, Not) and isinstance(f.body, Atom) and f.body.rel == "=":
+        return f"{show_term(a)} = {show_term(b)}"
+    if isinstance(f, Not) and isinstance(f.body, Atom):
         a, b = f.body.args
         return f"{show_term(a)} != {show_term(b)}"
     if isinstance(f, Not):
-        if isinstance(f.body, Atom) and f.body.rel != "=":
-            return f"~({_show_f(f.body, 0)})"
         return f"~{_show_f(f.body, 3)}"
     if isinstance(f, Implies):
         s = f"{_show_f(f.left, 1)} -> {_show_f(f.right, 0)}"
@@ -99,9 +97,8 @@ def _show_f(f: Formula, level: int) -> str:
         names = ", ".join(f"{v.name}:{show_type(v.ty)}" for v in vs)
         s = f"({kw}{st} {names}) {_show_f(body, 0)}"
         return f"({s})" if level > 0 else s
-    if isinstance(f, BQUANTS):
-        kw = "forall" if isinstance(f, BForall) else "exists"
-        s = (f"({kw} {f.var.name} {f.kind} {show_term(f.bound)}) "
+    if isinstance(f, BExists):
+        s = (f"(exists {f.var.name} <= {show_term(f.bound)}) "
              f"{_show_f(f.body, 0)}")
         return f"({s})" if level > 0 else s
     raise TypeError(f"not a formula: {f!r}")

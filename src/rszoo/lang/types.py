@@ -76,7 +76,7 @@ def _values(fields):
 
 def _init(setters):
     """``__init__`` storing its positional arguments with the given slot
-    setters: a closure for each arity from one to four, the arities of
+    setters: a closure for each arity from one to three, the arities of
     nodes built in bulk, and a loop for the others."""
     if len(setters) == 1:
         (s0,) = setters
@@ -96,14 +96,6 @@ def _init(setters):
             s0(self, a)
             s1(self, b)
             s2(self, c)
-    elif len(setters) == 4:
-        s0, s1, s2, s3 = setters
-
-        def __init__(self, a, b, c, d):
-            s0(self, a)
-            s1(self, b)
-            s2(self, c)
-            s3(self, d)
     else:
         def __init__(self, *args):
             if len(args) != len(setters):

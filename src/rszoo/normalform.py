@@ -12,9 +12,9 @@ and the extractor work with:
 2. ``resolve_approx``   - expand the approx-implications into explicit
                           prefix comparisons with a modulus: for each
                           output position k some agreement length N.
-3. ``herbrandize_choice`` - trade the inner standard existential for a
-                          standard functional (candidate sequences first,
-                          then a max-collapse at numeric type).
+3. ``herbrandize_choice`` - trade the inner standard existential, of
+                          type 0, for a standard functional: the
+                          max-collapse of the Herbrand form.
 4. ``prenex_to_normal`` - pull every standard quantifier of the final
                           implication to the front, flipping those in
                           negative position, consequent first.
@@ -29,9 +29,9 @@ types are nonempty; tests check this by brute force at small caps.
 """
 from __future__ import annotations
 
-from .lang.formulas import (EXTERNAL, And, Atom, BExists, BForall, Exists,
-                            ExistsSt, Forall, ForallSt, Formula, Implies, Not,
-                            Or, all_names_f, approx, approx_sides, conj,
+from .lang.formulas import (EXTERNAL, And, Atom, BExists, Exists, ExistsSt,
+                            Forall, ForallSt, Formula, Implies, Not, Or,
+                            all_names_f, approx, approx_sides, conj,
                             is_internal, strip, subformulas, subst_f)
 from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num, INITSEG,
                          NUNL, NUNR)
@@ -62,12 +62,12 @@ BZT_BOUND = Var("y", N)
 
 def trans_instance() -> TransferInstance:
     f, y, x, z = BZT_TABLE, BZT_BOUND, Var("x", N), Var("z", N)
-    fx0 = Atom("=", (App(f, x), num(0)))
-    fz0 = Atom("=", (App(f, z), num(0)))
+    fx0 = Atom((App(f, x), num(0)))
+    fz0 = Atom((App(f, z), num(0)))
     transfer = ForallSt(f, Implies(
         ForallSt(x, Not(fx0)),
         Forall(x, Not(fx0))))
-    matrix = Implies(Exists(x, fx0), BExists(z, "<=", y, fz0))
+    matrix = Implies(Exists(x, fx0), BExists(z, y, fz0))
     return TransferInstance(transfer, ForallSt(f, ExistsSt(y, matrix)))
 
 
@@ -181,13 +181,13 @@ def _prefix_eq(ty: FiniteType, l: Term, r: Term, n: Var,
     """Compare l and r of the given type up to prefix length n; the
     second component says whether n was actually used."""
     if ty == N or isinstance(ty, Seq):
-        return Atom("=", (l, r)), False
+        return Atom((l, r)), False
     k = _numeric_arity(ty)
     if k is None:
         raise NormalFormError(
             f"no prefix encoding at type {show_type(ty)}")
     dl, dr = _diag(l, k, taken), _diag(r, k, taken)
-    return Atom("=", (app(INITSEG, dl, n), app(INITSEG, dr, n))), True
+    return Atom((app(INITSEG, dl, n), app(INITSEG, dr, n))), True
 
 
 def _approx_leaves(f: Formula) -> list[tuple] | None:
@@ -231,8 +231,8 @@ def resolve_approx(f: Formula) -> Formula:
             return type(g)(go(g.left), go(g.right))
         if isinstance(g, (Forall, Exists, ForallSt, ExistsSt)):
             return type(g)(g.var, go(g.body))
-        if isinstance(g, (BForall, BExists)):
-            return type(g)(g.var, g.kind, g.bound, go(g.body))
+        if isinstance(g, BExists):
+            return BExists(g.var, g.bound, go(g.body))
         raise NormalFormError(f"cannot resolve inside {type(g).__name__}")
 
     def rewrite(prem, ccl) -> Formula:
@@ -261,23 +261,26 @@ def resolve_approx(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # step 3: herbrandized choice
 
-def herbrandize_choice(f: Formula, steps: list | None = None) -> Formula:
+def herbrandize_choice(f: Formula) -> Formula:
     """Trade inner standard existentials for standard functionals.
 
-    Each conjunct of shape (forall^st xs)(exists^st y) phi, phi internal,
-    first becomes a candidate-sequence functional,
-
-        (exists^st W: xs -> (ty of y)*)(forall^st xs)(exists y in W(xs)) phi,
-
-    and at numeric witness type the sequence collapses to its maximum:
+    Each conjunct of shape (forall^st xs)(exists^st y:0) phi, phi
+    internal, becomes
 
         (exists^st Xi: xs -> 0)(forall^st xs) phi[y := Xi(xs)].
 
-    The collapse assumes phi gets no harder as the witness grows, which
-    holds for every prefix-agreement matrix this pipeline produces (the
-    premise only strengthens); at non-numeric types the sequence form is
-    kept.  Conjunctions and the standard-existential context are
-    traversed; anything already functional is left alone.
+    Herbrandized choice gives the Herbrand form: a standard W that
+    sends each xs to a finite sequence of candidates, one of which is a
+    witness y.  Xi(xs) is the largest candidate in W(xs).  That
+    collapse is sound because phi gets no harder as the witness grows,
+    which holds for every prefix-agreement matrix this pipeline
+    produces (the premise only strengthens).  Only the collapsed form
+    is built.  At any other type there is no largest candidate, and a
+    standard existential of another type under standard universals is
+    refused: pulled out from under them as it is, by
+    ``prenex_to_normal``, it would claim one witness for every xs.
+    Conjunctions and the standard-existential context are traversed;
+    anything already functional is left alone.
     """
     taken = all_names_f(f)
 
@@ -286,30 +289,23 @@ def herbrandize_choice(f: Formula, steps: list | None = None) -> Formula:
             return ExistsSt(g.var, go(g.body))
         if isinstance(g, And):
             return And(go(g.left), go(g.right))
-        got = _try_choice(g, taken, steps)
+        got = _try_choice(g, taken)
         return got if got is not None else g
 
     return go(f)
 
 
-def _try_choice(g: Formula, taken: set[str],
-                steps: list | None) -> Formula | None:
+def _try_choice(g: Formula, taken: set[str]) -> Formula | None:
     xs, rest = strip(g, ForallSt)
     if not xs or not isinstance(rest, ExistsSt):
         return None
     y, matrix = rest.var, rest.body
     if not is_internal(matrix):
         return None
-    seq_ty = arrows([x.ty for x in xs], Seq(y.ty))
-    w = Var(fresh_name("W", taken), seq_ty)
-    seq_form: Formula = BExists(y, "in", app(w, *[x for x in xs]), matrix)
-    for x in reversed(xs):
-        seq_form = ForallSt(x, seq_form)
-    seq_form = ExistsSt(w, seq_form)
-    if steps is not None:
-        steps.append(("candidate-sequence", seq_form))
     if y.ty != N:
-        return seq_form
+        raise NormalFormError(
+            f"no max-collapse for the standard existential {y.name!r} of "
+            f"type {show_type(y.ty)}: only a type-0 witness collapses")
     xi = Var(fresh_name("Xi", taken), arrows([x.ty for x in xs], N))
     out: Formula = subst_f(matrix, {y: app(xi, *xs)})
     for x in reversed(xs):
@@ -359,7 +355,7 @@ def prenex_to_normal(f: Formula) -> Formula:
             return type(g)(walk(g.left, pos), walk(g.right, pos))
         if isinstance(g, Not):
             return Not(walk(g.body, not pos))
-        if isinstance(g, (Forall, Exists, BForall, BExists)):
+        if isinstance(g, (Forall, Exists, BExists)):
             trapped = next(h for h in subformulas(g.body)
                            if isinstance(h, EXTERNAL))
             raise NormalFormError(
@@ -391,7 +387,7 @@ def normalize_principle(base: Formula,
     resolved = resolve_approx(up.strong)
     if steps is not None:
         steps.append(("prefix-resolved", resolved))
-    herb = herbrandize_choice(resolved, steps=steps)
+    herb = herbrandize_choice(resolved)
     if steps is not None:
         steps.append(("choice-collapsed", herb))
     imp = Implies(herb, trans_instance().normal)

@@ -1,7 +1,7 @@
 """Canonical renaming of bound variables: the oracle that tests compare
 the single-walk alpha-equality against.  Two formulas (normal forms
 among them) are alpha-equal iff their canonical forms are equal."""
-from rszoo.lang import (Abs, And, App, Atom, BQUANTS, Implies, Not, Or,
+from rszoo.lang import (Abs, And, App, Atom, BExists, Implies, Not, Or,
                         QUANTS, Var, free_vars_f)
 from rszoo.lang.formulas import Formula
 from rszoo.lang.terms import Term
@@ -40,7 +40,7 @@ def canon(f: Formula) -> Formula:
 
     def go(g: Formula, ren: dict[str, str]) -> Formula:
         if isinstance(g, Atom):
-            return Atom(g.rel, tuple(term(t, ren) for t in g.args))
+            return Atom(tuple(term(t, ren) for t in g.args))
         if isinstance(g, Not):
             return Not(go(g.body, ren))
         if isinstance(g, (And, Or, Implies)):
@@ -48,11 +48,10 @@ def canon(f: Formula) -> Formula:
         if isinstance(g, QUANTS):
             nv = Var(fresh(), g.var.ty)
             return type(g)(nv, go(g.body, {**ren, g.var.name: nv.name}))
-        if isinstance(g, BQUANTS):
+        if isinstance(g, BExists):
             bound = term(g.bound, ren)
             nv = Var(fresh(), g.var.ty)
-            return type(g)(nv, g.kind, bound,
-                           go(g.body, {**ren, g.var.name: nv.name}))
+            return BExists(nv, bound, go(g.body, {**ren, g.var.name: nv.name}))
         raise TypeError(f"not a formula: {g!r}")
 
     return go(f, {})

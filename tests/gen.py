@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import random
 
-from rszoo.lang import (INITSEG, RUN, Abs, And, Atom, BExists, BForall,
-                        Exists, Forall, Formula, Implies, Not, Or, Term, Var,
-                        app, fresh_name, free_vars_f, lam, num, rec_c)
+from rszoo.lang import (INITSEG, RUN, Abs, And, Atom, BExists, Exists, Forall,
+                        Formula, Implies, Not, Or, Term, Var, app, fresh_name,
+                        free_vars_f, lam, num, rec_c)
 from rszoo.lang import Arrow, FiniteType, N, Seq, pure
 from rszoo.lang.terms import MAX2, MONUS, SUCC
 
@@ -263,21 +263,14 @@ class Gen:
             return cls(v, self.internal_formula({**env, v.name: v.ty},
                                                 depth - 1))
         v = Var(fresh_name("i", set(env)), N)
-        kind = self.rng.choice(["<=", "<"])
         bound = self.term(N, env, 2)
-        cls = self.rng.choice([BForall, BExists])
-        return cls(v, kind, bound,
-                   self.internal_formula({**env, v.name: v.ty}, depth - 1))
+        return BExists(v, bound, self.internal_formula({**env, v.name: N},
+                                                       depth - 1))
 
     def _atom(self, env: dict[str, FiniteType], depth: int) -> Formula:
-        r = self.rng.random()
-        if r < 0.75:
-            rel = self.rng.choice(["=", "=", "<=", "<"])
-            return Atom(rel, (self.term(N, env, 2), self.term(N, env, 2)))
-        ty = self.small_type()
-        if ty == N:
-            return Atom("=", (self.term(N, env, 2), self.term(N, env, 2)))
-        return Atom("=", (self.term(ty, env, 1), self.term(ty, env, 1)))
+        ty = N if self.rng.random() < 0.75 else self.small_type()
+        size = 2 if ty == N else 1
+        return Atom((self.term(ty, env, size), self.term(ty, env, size)))
 
 
 def generator(seed: int = SEED) -> Gen:

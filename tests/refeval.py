@@ -33,9 +33,9 @@ from rszoo.extract import _value_label
 from rszoo.interp import FnV, ModelError
 from rszoo.interp.machine import (PROGRAMS, HaltsWith, decode_program,
                                   run_program)
-from rszoo.lang import (Abs, And, App, Atom, BExists, BForall, Const, Exists,
-                        ExistsSt, Forall, ForallSt, Implies, Not, Or, Var,
-                        infer_type, pure)
+from rszoo.lang import (Abs, And, App, Atom, BExists, Const, Exists, ExistsSt,
+                        Forall, ForallSt, Implies, Not, Or, Var, infer_type,
+                        pure)
 from rszoo.translate import nf_blocks
 
 TYPE1 = pure(1)
@@ -123,14 +123,8 @@ def formula(model, f, env: dict) -> bool:
     """The truth of formula ``f`` in ``model`` under ``env``."""
     if isinstance(f, Atom):
         left, right = (term(model, a, env) for a in f.args)
-        if f.rel == "=":
-            ty = infer_type(f.args[0])
-            return model.canon_key(ty, left) == model.canon_key(ty, right)
-        if f.rel == "<=":
-            return left <= right
-        if f.rel == "<":
-            return left < right
-        raise ModelError(f"unknown relation {f.rel!r}")
+        ty = infer_type(f.args[0])
+        return model.canon_key(ty, left) == model.canon_key(ty, right)
     if isinstance(f, Not):
         return not formula(model, f.body, env)
     if isinstance(f, And):
@@ -143,17 +137,9 @@ def formula(model, f, env: dict) -> bool:
     if isinstance(f, (Forall, Exists, ForallSt, ExistsSt)):
         pop = model.population(f.var.ty, isinstance(f, (ForallSt, ExistsSt)))
         return over(model, f, env, pop, isinstance(f, (Forall, ForallSt)))
-    if isinstance(f, (BForall, BExists)):
-        bound = term(model, f.bound, env)
-        if f.kind == "<=":
-            pop = range(min(bound, model.cap) + 1)
-        elif f.kind == "<":
-            pop = range(min(bound, model.cap + 1))
-        elif f.kind == "in":
-            pop = bound
-        else:
-            raise ModelError(f"unknown bound kind {f.kind!r}")
-        return over(model, f, env, pop, isinstance(f, BForall))
+    if isinstance(f, BExists):
+        pop = range(min(term(model, f.bound, env), model.cap) + 1)
+        return over(model, f, env, pop, False)
     raise ModelError(f"cannot evaluate formula node {type(f).__name__}")
 
 

@@ -1,9 +1,9 @@
 """Every name that ``rszoo.lang`` and ``rszoo.interp`` export, and every
 public name that ``rszoo.translate``, ``rszoo.normalform`` and
 ``rszoo.extract`` define, is used: library code that nothing reaches
-does not stay.  A constant of the language stays only if a corpus file
-writes it or the pipeline builds it.  And no module imports a name it
-never reads."""
+does not stay.  A constant of the language, and a kind of formula node,
+stays only if a corpus file writes it or the pipeline builds it.  And
+no module imports a name it never reads."""
 import ast
 import inspect
 from pathlib import Path
@@ -13,8 +13,10 @@ import rszoo.interp
 import rszoo.lang
 import rszoo.normalform
 import rszoo.translate
-from rszoo.lang import terms
+from rszoo.extract import parse_script
+from rszoo.lang import formulas, parse_formula, subformulas, terms
 from rszoo.lang.parser import tokenize
+from rszoo.translate import parse_nf
 
 ROOT = Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "rszoo"
@@ -104,6 +106,38 @@ def test_every_constant_is_written_by_the_corpus_or_built_in_src():
     assert sorted(name for name in terms.CONST_NAMES
                   if name not in written
                   and not builders(name) & uses.used) == []
+
+
+def corpus_formulas():
+    """The formulas that the corpus files write: each principle, normal
+    form and script conclusion."""
+    corpus = PACKAGE / "corpus_data"
+    for path in sorted(corpus.glob("*/*.fml")):
+        yield parse_formula(path.read_text())
+    for path in sorted(corpus.glob("*/*.nf")):
+        yield parse_nf(path.read_text())
+    for path in sorted(corpus.glob("*/*.prf")):
+        yield from (step.conclusion
+                    for step in parse_script(path.read_text()).steps)
+
+
+def test_every_formula_node_is_written_by_the_corpus_or_built_in_src():
+    # as for constants: a kind of formula node stays only if a corpus
+    # file writes it, or a module of src calls its constructor by name.
+    # formulas defines and rebuilds the kinds, and the parser builds
+    # whatever is written, so neither counts
+    written = {type(g).__name__ for f in corpus_formulas()
+               for g in subformulas(f)}
+    lang = PACKAGE / "lang"
+    built = {call.func.id for path in sorted(PACKAGE.rglob("*.py"))
+             if path not in (lang / "formulas.py", lang / "parser.py")
+             for call in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+    kinds = {name for name, obj in vars(formulas).items()
+             if isinstance(obj, type) and issubclass(obj, terms.SyntaxNode)
+             and obj.__module__ == formulas.__name__}
+    assert {"Atom", "Not", "ForallSt", "BExists"} <= kinds
+    assert sorted(kinds - written - built) == []
 
 
 def imports(path: Path) -> tuple[ast.Module, set[str], set[str]]:

@@ -238,7 +238,7 @@ def test_rs_run_fails_at_expect_on_another_normal_form():
     entry = udnr_entry()
     text = (UDNR / "expect.nf").read_text()
     assert "(exists z <= y)" in text
-    entry.expect = parse_nf(text.replace("(exists z <= y)", "(exists z < y)"))
+    entry.expect = parse_nf(text.replace("(exists z <= y)", "(exists z <= k)"))
     rs_run_fails_at(entry, "expect")
 
 
@@ -387,8 +387,8 @@ def test_rs_run_evaluates_backward_antecedent_once(monkeypatch):
 
 
 @pytest.mark.parametrize("matrix, vacuous, evaluated", [
-    ("x < 0 -> y = x", True, ["x < 0"]),
-    ("x <= x -> y = x", False, ["x <= x", "y = x"]),
+    ("succ(x) = 0 -> y = x", True, ["succ(x) = 0"]),
+    ("x = x -> y = x", False, ["x = x", "y = x"]),
     ("y = x", False, ["y = x"]),
 ])
 def test_check_candidates_evaluates_antecedent_once(monkeypatch, matrix,
@@ -404,18 +404,27 @@ def test_check_candidates_evaluates_antecedent_once(monkeypatch, matrix,
     assert seen == want * 2
 
 
+def test_check_candidates_shows_a_failing_number_as_itself():
+    # no row holds: each failure names the type-0 universal's value
+    model = MiniModel(cap=3, omega=2)
+    nf = parse_nf("(forall^st x:0) (exists^st y:0) y = succ(x)")
+    report = check_candidates(model, nf, ((Var("x", N),),))
+    assert not report.ok and report.failures == ("x=0", "x=1")
+    assert report.line().endswith("FAIL over 2 assignment(s) x=0; x=1")
+
+
 def test_check_candidates_hoists_antecedent_over_unmentioned_universals(
         monkeypatch):
     # the antecedent mentions x but neither z nor an existential: one
     # evaluation per value of x serves both values of z
     model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("(forall^st x:0, z:0) (exists^st y:0) x <= x -> y = x")
+    nf = parse_nf("(forall^st x:0, z:0) (exists^st y:0) x = x -> y = x")
     seen = record_formulas(monkeypatch)
     report = check_candidates(model, nf, ((Var("x", N),),))
     assert report.ok and report.checked == 4
     params = {"x": N, "y": N}
     ante, cons = (parse_formula(src, params=params)
-                  for src in ("x <= x", "y = x"))
+                  for src in ("x = x", "y = x"))
     assert seen == [ante, cons, cons, ante, cons, cons]
 
 
@@ -425,14 +434,14 @@ def test_check_candidates_evaluates_existential_antecedent_per_candidate(
     # candidate's consequent fails, so the second candidate's antecedent
     # is evaluated too (and is false)
     model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("(forall^st x:0) (exists^st y:0) x < y -> y = x")
+    nf = parse_nf("(forall^st x:0) (exists^st y:0) succ(x) = y -> y = x")
     x = Var("x", N)
     seen = record_formulas(monkeypatch)
     report = check_candidates(model, nf, ((app(SUCC, x),), (x,)))
     assert report.ok and report.checked == 2
     params = {"x": N, "y": N}
     ante, cons = (parse_formula(src, params=params)
-                  for src in ("x < y", "y = x"))
+                  for src in ("succ(x) = y", "y = x"))
     assert seen == [ante, cons, ante] * 2
 
 
@@ -464,7 +473,7 @@ def test_check_candidates_shares_a_slot_term_across_rows(monkeypatch):
 
 def test_check_candidates_evaluates_closed_slot_term_once(monkeypatch):
     model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("(forall^st x:0) (exists^st y:0) y <= x")
+    nf = parse_nf("(forall^st x:0) (exists^st y:0) (exists z <= x) z = y")
     seen = record_terms(monkeypatch)
     report = check_candidates(model, nf, ((num(0),),))
     assert report.ok and report.checked == 2

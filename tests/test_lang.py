@@ -8,7 +8,7 @@ import rszoo
 from canon import canon
 from rszoo.extract import parse_script
 from rszoo.interp import MiniModel, eval_formula, eval_term
-from rszoo.lang import (Abs, And, App, Arrow, Atom, BForall, CONST_NAMES,
+from rszoo.lang import (Abs, And, App, Arrow, Atom, BExists, CONST_NAMES,
                         Exists, Forall, ForallSt, N, Not, ParseError, Seq,
                         TypeCheckError, Var, all_names_f, alpha_eq,
                         alpha_eq_f, app, free_vars, free_vars_f, infer_type,
@@ -167,7 +167,7 @@ def test_approx_sides_reads_back_what_approx_builds():
 
 def test_neq_display():
     f = parse_formula("x != 0", params={"x": N})
-    assert f == Not(Atom("=", (Var("x", N), num(0))))
+    assert f == Not(Atom((Var("x", N), num(0))))
     assert show_formula(f) == "x != 0"
 
 
@@ -180,16 +180,19 @@ def test_internal_flag():
 
 
 def test_bounded_quantifier_kinds():
-    f = parse_formula("(forall i <= 4) (exists j < i) j != i")
-    bf = f
-    assert isinstance(bf, BForall)
-    assert bf.kind == "<="
-    assert show_formula(f) == "(forall i <= 4) (exists j < i) j != i"
-
-
-def test_membership_bound_takes_type_from_sequence():
-    f = parse_formula("(exists v in s) v = 0", params={"s": Seq(N)})
-    assert show_formula(f) == "(exists v in s) v = 0"
+    # one kind: the plain existential bounded by <=; a universal, a
+    # standard one, a < bound and an in bound are no bounded quantifiers
+    f = parse_formula("(exists i <= 4) (exists j <= i) j != i")
+    assert isinstance(f, BExists) and f.bound == num(4)
+    assert show_formula(f) == "(exists i <= 4) (exists j <= i) j != i"
+    for src, at, msg in [
+            ("(forall i <= 4) i = i", 11, "expected ':', found '<='"),
+            ("(exists^st i <= 4) i = i", 14, "expected ':', found '<='"),
+            ("(exists i < 4) i = i", 11, "unexpected character '<'"),
+            ("(exists v in s) v = 0", 11, "expected ':', found 'in'")]:
+        with pytest.raises(ParseError) as e:
+            parse_formula(src, params={"s": Seq(N)})
+        assert (e.value.msg, e.value.col) == (msg, at), src
 
 
 def test_quantifier_scope_is_maximal():
@@ -231,20 +234,15 @@ def test_typecheck_rejects_ill_typed_atoms():
     for src, at, msg in [
             ("f = 0", 3, "= needs equal types, got 1 and 0"),
             ("x != f", 3, "!= needs equal types, got 0 and 1"),
-            ("f <= f", 1, "relation <= needs type-0 arguments"),
-            ("x < f", 5, "relation < needs type-0 arguments"),
+            ("x <= x", 3, "expected a relation, found '<='"),
             ("f(g) = 0", 1, "argument type mismatch: expected 0, got 1"),
             ("(f)(g) = 0", 1, "argument type mismatch: expected 0, got 1"),
             ("x = 0 /\\ (f = 0)", 13, "= needs equal types, got 1 and 0"),
             ("approx[0](x, f)", 14, "equality at 0 applied to 1"),
             ("(exists^st y:0) y = f(g)", 21,
              "argument type mismatch: expected 0, got 1"),
-            ("(forall n <= f) n = n", 14,
-             "<=-bounded quantifier needs type 0"),
-            ("(exists n < h(x)) n = n", 13,
-             "<-bounded quantifier needs type 0"),
-            ("(forall v in x) v = v", 14, "'in' bound must be a sequence"),
-            ("(exists v in f(g)) v = v", 14,
+            ("(exists n <= f) n = n", 14, "a bound needs type 0"),
+            ("(exists v <= f(g)) v = v", 14,
              "argument type mismatch: expected 0, got 1"),
             # and so does each syntax error
             ("(forall x, :0) x = x", 12, "expected a variable, found ':'"),
@@ -252,8 +250,6 @@ def test_typecheck_rejects_ill_typed_atoms():
             ("rec[0, 0](x, \\a:0. \\i:0. a, x) = x", 1,
              "rec takes 1 type argument(s)"),
             ("x = exists", 5, "keyword 'exists' is not a term"),
-            ("(forall^st n <= 3) n = n", 12,
-             "bounded quantifiers cannot carry ^st"),
             ("x 0", 3, "expected a relation, found '0'"),
             # types are built from 0 by -> and *, with no product
             ("(forall p:0 x 1) p = p", 13, "expected ')', found 'x'"),
@@ -271,7 +267,7 @@ def test_typecheck_accepts_equality_at_sequence_type():
     assert "initseg(X, Xi(X, Y, k)) = initseg(Y, Xi(X, Y, k))" in \
         show_formula(nf)
     s = Var("s", Seq(N))
-    assert parse_formula("s = s", params={"s": s.ty}) == Atom("=", (s, s))
+    assert parse_formula("s = s", params={"s": s.ty}) == Atom((s, s))
 
 
 def test_parenthesized_terms_and_formulas_parse_in_one_pass(monkeypatch):
@@ -280,13 +276,13 @@ def test_parenthesized_terms_and_formulas_parse_in_one_pass(monkeypatch):
     x, f = Var("x", N), Var("f", pure(1))
     ps = {"x": N, "f": pure(1)}
     cases = {
-        "(x) = 0": Atom("=", (x, num(0))),
-        "((x)) <= x": Atom("<=", (x, x)),
-        "(f)(x) != 0": Not(Atom("=", (App(f, x), num(0)))),
-        "((x = 0))": Atom("=", (x, num(0))),
-        "((x) = 0) /\\ ((\\y:0. y)(x) < 1)": And(
-            Atom("=", (x, num(0))),
-            Atom("<", (App(Abs(Var("y", N), Var("y", N)), x), num(1)))),
+        "(x) = 0": Atom((x, num(0))),
+        "((x)) != x": Not(Atom((x, x))),
+        "(f)(x) != 0": Not(Atom((App(f, x), num(0)))),
+        "((x = 0))": Atom((x, num(0))),
+        "((x) = 0) /\\ ((\\y:0. y)(x) = 1)": And(
+            Atom((x, num(0))),
+            Atom((App(Abs(Var("y", N), Var("y", N)), x), num(1)))),
     }
     failed = []
     relation = Parser._f_relation
@@ -358,9 +354,9 @@ def test_substitution_compares_binder_names_across_types():
 
 def test_simultaneous_substitution_swaps():
     x, y = Var("x", N), Var("y", N)
-    f = parse_formula("x < y", params={"x": N, "y": N})
+    f = parse_formula("x = succ(y)", params={"x": N, "y": N})
     assert subst_f(f, {x: y, y: x}) == parse_formula(
-        "y < x", params={"x": N, "y": N})
+        "y = succ(x)", params={"x": N, "y": N})
 
 
 def test_substitution_agrees_with_the_evaluator():
@@ -403,14 +399,13 @@ def test_free_vars_of_formula():
 def test_binders_remove_free_variables_by_name():
     # y:0 under a y:1 binder reads the bound y, as the evaluator does:
     # the formula is closed, and false since no table equals 0
-    f = Exists(Var("y", pure(1)), Atom("=", (Var("y", N), num(0))))
+    f = Exists(Var("y", pure(1)), Atom((Var("y", N), num(0))))
     assert free_vars_f(f) == frozenset()
     assert eval_formula(MiniModel(cap=2, omega=1), f, {}) is False
     t = Abs(Var("y", pure(1)), Var("y", N))
     assert free_vars(t) == frozenset()
     # a bound lies outside its binder's scope
-    g = BForall(Var("y", N), "<=", Var("y", N),
-                Atom("=", (Var("y", pure(1)), num(0))))
+    g = BExists(Var("y", N), Var("y", N), Atom((Var("y", pure(1)), num(0))))
     assert free_vars_f(g) == {Var("y", N)}
 
 
@@ -418,7 +413,7 @@ def test_alpha_eq_binds_names_across_types():
     # y:0 under a y:1 binder is bound (see above), under a z:1 binder
     # free: the first formula is closed and false, the second true at y=0
     y1, z1, y0 = Var("y", pure(1)), Var("z", pure(1)), Var("y", N)
-    matrix = Atom("=", (y0, num(0)))
+    matrix = Atom((y0, num(0)))
     closed, open_ = Exists(y1, matrix), Exists(z1, matrix)
     model = MiniModel(cap=2, omega=1)
     assert eval_formula(model, closed, {}) is False
@@ -431,7 +426,7 @@ def test_alpha_eq_binds_names_across_types():
     assert canon(blocks[0]) != canon(blocks[1])
     assert not alpha_eq(Abs(y1, y0), Abs(z1, y0))
     # binding across types on both sides is alpha-equal
-    renamed = Exists(z1, Atom("=", (Var("z", N), num(0))))
+    renamed = Exists(z1, Atom((Var("z", N), num(0))))
     assert alpha_eq_f(closed, renamed)
     assert canon(closed) == canon(renamed)
     assert alpha_eq_f(blocks[0], ForallSt(z1, renamed.body))

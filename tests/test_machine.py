@@ -49,6 +49,20 @@ def test_decode_rejects_negative():
         decode_program(-1)
 
 
+def test_encode_rejects_an_instruction_not_valid_at_its_length():
+    # a branch target past the program's end is in no alphabet of its
+    # length
+    with pytest.raises(MachineError, match=(
+            r"^instruction \('brz', 0, 2\) is not valid at length 1$")):
+        encode_program((("brz", 0, 2),))
+
+
+def test_run_rejects_an_unknown_instruction():
+    with pytest.raises(MachineError,
+                       match=r"^unknown instruction \('jmp', 0\)$"):
+        run_program((("jmp", 0),), zeros, 0, 5)
+
+
 def test_empty_program_halts_immediately():
     assert run_program((), zeros, 5, 0) == HaltsWith(0, 0)
 

@@ -46,9 +46,11 @@ def test_uniformize_strong_adds_extensionality():
 
 
 def test_uniformize_without_existential_degenerates():
-    up = uniformize(parse_formula("(forall X:1)(forall n:0) X(n) <= 1"))
+    up = uniformize(parse_formula(
+        "(forall X:1)(forall n:0) (exists z <= 1) z = X(n)"))
     assert up.functionals == ()
-    assert show_formula(up.strong) == "(forall^st X:1, n:0) X(n) <= 1"
+    assert show_formula(up.strong) == \
+        "(forall^st X:1, n:0) (exists z <= 1) z = X(n)"
 
 
 def test_uniformize_rejects_other_shapes():
@@ -58,7 +60,7 @@ def test_uniformize_rejects_other_shapes():
     with pytest.raises(NormalFormError,
                        match="opening with plain universal quantifiers"):
         uniformize(parse_formula(
-            "((forall n:0) n <= 1) -> (exists y:0) y = 0"))
+            "((forall n:0) n = 1) -> (exists y:0) y = 0"))
     with pytest.raises(NormalFormError, match="internal"):
         uniformize(parse_formula(
             "(forall X:1)(exists d:1) (exists^st y:0) y = d(0)"))
@@ -80,10 +82,10 @@ def test_resolve_approx_type_one():
 
 def test_resolve_approx_under_a_bounded_quantifier():
     t1 = parse_type("1")
-    f = parse_formula("(forall n <= 3) (approx[1](f, g) -> approx[1](h, j))",
+    f = parse_formula("(exists n <= 3) (approx[1](f, g) -> approx[1](h, j))",
                       params=dict.fromkeys("fghj", t1))
     assert show_formula(resolve_approx(f)) == (
-        "(forall n <= 3) (forall^st k:0) (exists^st N:0) "
+        "(exists n <= 3) (forall^st k:0) (exists^st N:0) "
         "initseg(f, N) = initseg(g, N) -> initseg(h, k) = initseg(j, k)")
 
 
@@ -135,22 +137,22 @@ def test_herbrandize_collapses_numeric_witness():
         "initseg(X, Xi(X, k)) = initseg(X, Xi(X, k))")
 
 
-def test_herbrandize_records_sequence_stage():
-    f = parse_formula("(forall^st X:1)(exists^st N:0)(X(N) = 0)")
-    steps = []
-    out = herbrandize_choice(f, steps=steps)
-    labels = [l for l, _ in steps]
-    assert labels == ["candidate-sequence"]
-    assert "(exists N in W(X))" in show_formula(steps[0][1])
-    assert show_formula(out) == \
-        "(exists^st Xi:2) (forall^st X:1) X(Xi(X)) = 0"
-
-
-def test_herbrandize_keeps_sequences_at_higher_type():
+def test_herbrandize_refuses_a_witness_above_type_0():
+    # type-1 candidates have no maximum, and pulling g out from under X
+    # as it stands would claim one g for every X
     f = parse_formula("(forall^st X:1)(exists^st g:1)(g(0) = X(0))")
-    out = show_formula(herbrandize_choice(f))
-    assert out == ("(exists^st W:1 -> 1*) (forall^st X:1) "
-                   "(exists g in W(X)) g(0) = X(0)")
+    with pytest.raises(NormalFormError, match=(
+            "^no max-collapse for the standard existential 'g' of type 1: "
+            "only a type-0 witness collapses$")):
+        herbrandize_choice(f)
+
+
+def test_herbrandize_leaves_an_external_matrix_alone():
+    # the existential's body is no internal matrix, so there is nothing
+    # to collapse
+    f = parse_formula(
+        "(forall^st X:1)(exists^st N:0)((forall^st u:0) X(u) = N)")
+    assert herbrandize_choice(f) is f
 
 
 # -- prenex ---------------------------------------------------------------------
@@ -168,7 +170,7 @@ def test_prenex_consequent_first_order():
 
 def test_prenex_renames_clashes():
     f = parse_formula(
-        "((exists^st x:0) x = 0) -> (forall^st x:0)(exists^st y:0) y <= x")
+        "((exists^st x:0) x = 0) -> (forall^st x:0)(exists^st y:0) y = x")
     universals, existentials, _ = nf_blocks(prenex_to_normal(f))
     names = [v.name for v in universals + existentials]
     assert len(set(names)) == len(names)
@@ -178,6 +180,7 @@ def test_prenex_renames_clashes():
     ("(forall n:0)(exists^st y:0) y = n", "ExistsSt"),
     # approx[1](n, n) is (forall^st u:0) n(u) = n(u)
     ("(forall n:1) approx[1](n, n)", "ForallSt"),
+    ("(exists n <= 3) (exists^st y:0) y = n", "ExistsSt"),
 ])
 def test_prenex_reports_trapped_standard_structure(src, kind):
     with pytest.raises(NormalFormError, match=(
@@ -229,8 +232,7 @@ def test_pipeline_stage_labels():
     normalize_principle(parse_formula(DNR_BASE), steps=steps)
     assert [l for l, _ in steps] == [
         "input", "uniform", "strong", "prefix-resolved",
-        "candidate-sequence", "choice-collapsed", "implication",
-        "normal-form"]
+        "choice-collapsed", "implication", "normal-form"]
 
 
 def test_pipeline_truth_equivalent_when_true():
@@ -291,9 +293,10 @@ def test_transfer_equivalence_compiles_each_shape_once():
 def test_prenex_under_negation_flips_the_blocks():
     # ~ turns the standard exists into the universal block and the
     # forall into the existential one; both shapes agree in the model
-    f = parse_formula("~((exists^st x:0) (forall^st y:0) x < y)")
+    f = parse_formula("~((exists^st x:0) (forall^st y:0) succ(y) = x)")
     nf = prenex_to_normal(f)
-    assert show_formula(nf) == "(forall^st x:0) (exists^st y:0) ~(x < y)"
+    assert show_formula(nf) == \
+        "(forall^st x:0) (exists^st y:0) succ(y) != x"
     model = small_model()
     assert eval_formula(model, f) is eval_formula(model, nf)
     assert refeval.formula(small_model(), nf, {}) is \

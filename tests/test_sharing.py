@@ -6,7 +6,7 @@ import time
 import gen
 from canon import canon
 from rszoo.extract import show_term_brief
-from rszoo.lang import (Abs, And, App, Arrow, Atom, BQUANTS, Base, Const,
+from rszoo.lang import (Abs, And, App, Arrow, Atom, BExists, Base, Const,
                         ExistsSt, Forall, ForallSt, Implies, N, Not, Or,
                         QUANTS, Seq, Var, alpha_eq, alpha_eq_f, app,
                         free_vars, free_vars_f, pure, subst_f)
@@ -38,8 +38,8 @@ def test_shared_dag_costs_per_distinct_node():
     fvs, took = timed(lambda: free_vars(t))
     assert fvs == {Var("x", N)} and took < 0.2, f"free_vars took {took:.3f} s"
     t = doubled()
-    same, took = timed(lambda: alpha_eq_f(Atom("=", (t, t)),
-                                          Atom("=", (t, t))))
+    same, took = timed(lambda: alpha_eq_f(Atom((t, t)),
+                                          Atom((t, t))))
     assert same and took < 0.2, f"alpha_eq_f took {took:.3f} s"
     t = doubled()
     shown, took = timed(lambda: show_term_brief(t))
@@ -88,15 +88,15 @@ def rename(f, pick):
 
     def go(g, ren):
         if isinstance(g, Atom):
-            return Atom(g.rel, tuple(term(t, ren) for t in g.args))
+            return Atom(tuple(term(t, ren) for t in g.args))
         if isinstance(g, Not):
             return Not(go(g.body, ren))
         if isinstance(g, (And, Or, Implies)):
             return type(g)(go(g.left, ren), go(g.right, ren))
         new = pick(g.var.name)
         inner = {**ren, g.var.name: new}
-        if isinstance(g, BQUANTS):
-            return type(g)(Var(new, g.var.ty), g.kind, term(g.bound, ren),
+        if isinstance(g, BExists):
+            return BExists(Var(new, g.var.ty), term(g.bound, ren),
                            go(g.body, inner))
         return type(g)(Var(new, g.var.ty), go(g.body, inner))
 
@@ -107,7 +107,7 @@ def cross_type_shadowing(f) -> bool:
     """Some name occurs at two types, bound at one of them: there the
     name-keyed and the typed-variable-keyed renamings part ways."""
     binders = {(n.var.name, n.var.ty) for n in nodes(f)
-               if isinstance(n, (Abs,) + QUANTS + BQUANTS)}
+               if isinstance(n, (Abs, BExists) + QUANTS)}
     names = {(n.name, n.ty) for n in nodes(f) if isinstance(n, Var)}
     return any(b != v and b[0] == v[0] for b in binders for v in names)
 
@@ -126,7 +126,7 @@ def test_alpha_walk_agrees_with_canonical_renaming():
     previous = None
     for trial in range(200):
         f = And(g.internal_formula(outer, depth=4),
-                Atom("<=", (app(p, x), app(MAX2, x, y))))
+                Atom((app(p, x), app(MAX2, x, y))))
         # x becomes one shared subterm object at each occurrence, and P a
         # lambda, so binders sit inside terms too
         t = g.term(N, {**outer, "q": N, "i": N}, 2)

@@ -11,7 +11,7 @@ from rszoo.lang import ParseError
 from rszoo.lang.parser import tokenize
 
 SYMBOLS = ["->", "/\\", "\\/", "!=", "<=", ":=", "^st",
-           "(", ")", "[", "]", ",", ":", ".", "*", "~", "<", "=", "\\",
+           "(", ")", "[", "]", ",", ":", ".", "*", "~", "=", "\\",
            "-", ";"]
 
 
@@ -104,7 +104,7 @@ def test_every_corpus_file_tokenizes():
             raise AssertionError(f"{path.name}: {exc}") from None
 
 
-ALPHABET = (SYMBOLS + list("abxyzXZ_'0123456789 \t\r\n#^-/!$;{}")
+ALPHABET = (SYMBOLS + list("abxyzXZ_'0123456789 \t\r\n#^-/!$;{}<")
             + ["forall", "exists", "st", "in", "x1", "f'", "é", "²", "٣",
                "# note", "½", " "])
 

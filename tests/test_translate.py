@@ -23,14 +23,14 @@ def test_canonical_renaming_is_stable():
 
 
 def test_alpha_eq_f_respects_block_order():
-    a = parse_nf("(forall^st u:0, v:0) u <= v")
-    b = parse_nf("(forall^st v:0, u:0) v <= u")
-    c = parse_nf("(forall^st u:0, v:0) v <= u")
+    a = parse_nf("(forall^st u:0, v:0) u = succ(v)")
+    b = parse_nf("(forall^st v:0, u:0) v = succ(u)")
+    c = parse_nf("(forall^st u:0, v:0) v = succ(u)")
     assert alpha_eq_f(a, b)  # same modulo renaming
     assert not alpha_eq_f(a, c)
     # a universal is no existential, and the blocks match one to one
-    d = parse_nf("(forall^st u:0) (exists^st v:0) u <= v")
-    e = parse_nf("(forall^st u:0) (forall^st v:0) u <= v")
+    d = parse_nf("(forall^st u:0) (exists^st v:0) u = succ(v)")
+    e = parse_nf("(forall^st u:0) (forall^st v:0) u = succ(v)")
     assert not alpha_eq_f(a, d)
     assert alpha_eq_f(a, e) and a == e
 
