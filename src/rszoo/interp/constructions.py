@@ -162,6 +162,7 @@ def build_construction(name: str, args: list[str], model: MiniModel):
 def parse_model_config(text: str) -> MiniModel:
     """Build a MiniModel from a configuration (see the module docstring)."""
     settings: dict[str, int] = {}
+    lines: dict[str, int] = {}      # the line of each setting
     decls = []      # (line, kind, name, words, st)
     try:
         for p in _lines(text):
@@ -185,13 +186,18 @@ def parse_model_config(text: str) -> MiniModel:
                 if p.peek().kind != "num":
                     p.fail(f"{word} needs a number, got {p.peek().text!r}")
                 settings[word] = p.number()
+                lines[word] = p.toks[0].line
             if p.peek().kind != "eof":
                 p.expected("end of line")
     except ParseError as exc:
         raise ModelError(f"line {exc.line}: {exc.msg}") from None
     if "cap" not in settings or "omega" not in settings:
         raise ModelError("model config needs cap= and omega=")
-    model = MiniModel(**settings)
+    try:
+        model = MiniModel(**settings)
+    except ModelError as exc:     # its message starts with the setting
+        line = lines[str(exc).split()[0]]
+        raise ModelError(f"line {line}: {exc}") from None
     for line, kind, name, words, st in decls:
         try:
             if kind == "table":

@@ -46,11 +46,13 @@ quantifier is a search: one whose body is ``s(x) = n``, with ``s``
 headed by a variable and not reading ``x``, and ``n`` a numeral at
 most ``cap``.  A search runs as one loop
 that passes each value to ``s``'s function, with no frame per value.
-``s`` is evaluated when the first value arrives, never before, and
-once, by the argument made above for a constant ``rec`` step: an empty
-range evaluates nothing, and each later value would run ``s`` on a
-frame that differs only in the slot of ``x``, which ``s`` never reads,
-and give the same function.  Everything
+``s`` is evaluated once per search, before the loop, by the argument
+made above for a constant ``rec`` step: each value would run ``s`` on
+a frame that differs only in the slot of ``x``, which ``s`` never
+reads, and give the same function; and no type-0 range is empty (a
+``<=`` range holds 0, a plain one ``cap + 1`` values, a standard one
+``omega >= 1``), so the search reaches ``s`` whenever it runs.
+Everything
 that depends on the model's state is left to run time, when a node is
 reached: the population of a quantifier above type 0 (asked for on
 every visit, so later declarations are seen and an empty standard
@@ -140,7 +142,9 @@ def _indexed(tab: tuple, fallback):
 
 
 class MiniModel:
-    """Finite model with universe {0..cap} and standardness cut omega."""
+    """Finite model with universe {0..cap} and standardness cut omega.
+    A refused setting is a ModelError whose message starts with the
+    setting's name."""
 
     def __init__(self, cap: int, omega: int, budget: int = 200_000):
         if cap < 1:
@@ -588,21 +592,15 @@ def _equality(model: MiniModel, ty: FiniteType, left, right):
 
 def _quantifier(universal: bool, body):
     """``over(frame, pop)``: the body, on the frame extended by each
-    value in ``pop``, until one decides the quantifier."""
-    if universal:
-        def forall(frame, pop):
-            for v in pop:
-                if not body(frame + (v,)):
-                    return False
-            return True
-        return forall
-
-    def exists(frame, pop):
+    value in ``pop``, until one decides the quantifier: a universal by
+    a false body, an existential by a true one.  A formula closure
+    returns a ``bool``, so ``is`` compares it."""
+    def over(frame, pop):
         for v in pop:
-            if body(frame + (v,)):
-                return True
-        return False
-    return exists
+            if body(frame + (v,)) is not universal:
+                return not universal
+        return universal
+    return over
 
 
 def _search(model: MiniModel, f: Formula, universal: bool, scope: _Scope):
@@ -613,9 +611,9 @@ def _search(model: MiniModel, f: Formula, universal: bool, scope: _Scope):
     a constant or a lambda at the head: the general path already runs
     those with no function value (``_compile_primitive_app``,
     ``_compile_rec``, ``_compile_redex``), where a loop over ``s``'s
-    function value would be slower.  ``s`` is evaluated on the first
-    value, with ``_apply``'s check and error, and its function is then
-    called on each value in turn (see the module docstring)."""
+    function value would be slower.  ``s`` is evaluated once, before
+    the loop, with ``_apply``'s check and error, and its function is
+    then called on each value in turn (see the module docstring)."""
     x, atom = f.var, f.body
     if not (x.ty == N and isinstance(atom, Atom)):
         return None
@@ -636,20 +634,16 @@ def _search(model: MiniModel, f: Formula, universal: bool, scope: _Scope):
 
     if universal:
         def forall(frame, pop):
-            call = None
+            call = callee(frame)
             for v in pop:
-                if call is None:
-                    call = callee(frame)
                 if call(v) != n:
                     return False
             return True
         return forall
 
     def exists(frame, pop):
-        call = None
+        call = callee(frame)
         for v in pop:
-            if call is None:
-                call = callee(frame)
             if call(v) == n:
                 return True
         return False
@@ -679,7 +673,7 @@ def _table_sweep(model: MiniModel, universal: bool, body):
         cells: list[int] = []
         while True:
             probe = FnV(_prefix_reader(cells, cap))
-            if bool(body(frame + (probe,))) is not universal:
+            if body(frame + (probe,)) is not universal:
                 return not universal
             last = len(cells) - 1
             while last >= 0 and cells[last] == cap:

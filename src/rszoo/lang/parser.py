@@ -73,15 +73,15 @@ _SYMBOLS = ["->", "/\\", "\\/", "!=", "<=", ":=", "^st",
 
 # Blanks, then one token, a newline, a comment, a character that starts
 # none of them ("bad"), or the end of the input (no group).  Symbols are
-# tried in the order above, longest first.  A number is a run of digits;
-# a name starts with a letter or "_" and goes on with letters, digits,
-# "_" and "'", where letters and digits are those of ``str.isalpha`` and
-# ``str.isdigit``.  The regex classes agree with those on ASCII; on
-# other characters ``_word`` decides.
+# tried in the order above, longest first.  Names and numbers are ASCII:
+# a number is a run of the digits 0-9; a name starts with an ASCII
+# letter or "_" and goes on with those, digits and "'".  Any other
+# character outside a comment is "bad".
 _TOKEN = re.compile(
     r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>#[^\n]*)"
     r"|(?P<num>\d+)|(?P<ident>[^\W\d][\w']*)"
-    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")|(?P<bad>.)|\Z)")
+    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")|(?P<bad>.)|\Z)",
+    re.ASCII)
 
 
 class Token:
@@ -102,7 +102,6 @@ def tokenize(src: str) -> list[Token]:
     line, start = 1, 0      # start: position of the line's first character
     pos = 0
     eof = n = len(src)
-    ascii_only = src.isascii()
     match = _TOKEN.match
     while pos < n:
         m = match(src, pos)
@@ -110,8 +109,6 @@ def tokenize(src: str) -> list[Token]:
         if kind is None:
             break
         at, pos = m.start(kind), m.end()
-        if (kind == "num" or kind == "ident") and not ascii_only:
-            kind, pos = _word(src, at)
         if kind == "newline":
             line += 1
             start = pos
@@ -125,23 +122,6 @@ def tokenize(src: str) -> list[Token]:
             toks.append(Token(kind, src[at:pos], line, at - start + 1))
     toks.append(Token("eof", "", line, eof - start + 1))
     return toks
-
-
-def _word(src: str, i: int) -> tuple[str, int]:
-    """Kind and end of the number or name at i, by ``str.isdigit`` and
-    ``str.isalpha``, which the regex classes do not match outside ASCII:
-    "²" is a digit but not a ``\\d``, "½" is a ``\\w`` but neither a
-    digit nor a letter; kind "bad" when the character starts no token."""
-    n, j = len(src), i
-    if src[i].isdigit():
-        while j < n and src[j].isdigit():
-            j += 1
-        return "num", j
-    if src[i].isalpha() or src[i] == "_":
-        while j < n and (src[j].isalnum() or src[j] in "_'"):
-            j += 1
-        return "ident", j
-    return "bad", i
 
 
 @record
@@ -201,12 +181,8 @@ class Parser:
         t = self.peek()
         if t.kind != "num":
             self.expected("a number")
-        try:
-            value = int(t.text)
-        except ValueError:  # a digit that is no decimal digit, like "²"
-            self.fail(f"bad number {t.text!r}")
         self.next()
-        return value
+        return int(t.text)
 
     def closing(self, i: int) -> int:
         """The index of the token that closes the '(' or '[' at token i,

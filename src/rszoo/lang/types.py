@@ -139,25 +139,16 @@ keep_hash = Node.__dict__["_hash"].__set__
 class Base(Node):
     """The type of natural numbers, written ``0``."""
 
-    def __str__(self) -> str:
-        return "0"
-
 
 @node
 class Arrow(Node):
     dom: "FiniteType"
     cod: "FiniteType"
 
-    def __str__(self) -> str:
-        return show_type(self)
-
 
 @node
 class Seq(Node):
     elem: "FiniteType"
-
-    def __str__(self) -> str:
-        return show_type(self)
 
 
 FiniteType = Union[Base, Arrow, Seq]

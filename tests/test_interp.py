@@ -190,6 +190,20 @@ def test_type_two_sweep_refused():
     assert "10^" in str(e.value)
 
 
+@pytest.mark.parametrize("src, estimate", [
+    # 5^(10^2184) type-3 functionals: the exponent's log overflows
+    ("(forall F:3) F = F", "10^(astronomical)"),
+    # sequences of up to 4 type-2 functionals, of 10^2184 each
+    ("(forall s:2*) s = s", "10^8737"),
+])
+def test_refusal_estimates_the_size_at_cap_four(src, estimate):
+    m = MiniModel(cap=4, omega=2)
+    with pytest.raises(ModelRefusal) as e:
+        evf(m, src)
+    assert str(e.value).endswith(
+        f": about {estimate} values exceeds the budget")
+
+
 def test_plain_quantifier_above_type_one_enumerates_every_functional():
     # at cap 1 a type-1 table has 2 cells of 2 values, and a type-2
     # functional is one of 2^4 lookups keyed on those tables
@@ -573,6 +587,13 @@ def test_config_rejects_duplicates_and_unknowns():
     ("cap = 3 4\nomega = 2\n", "line 1: expected end of line, found '4'"),
     ("cap = 3\nomega = 2\nbind 7: psi_theta\n",
      "line 3: expected a name, found '7'"),
+    # a setting the model refuses
+    ("cap = 0\nomega = 1\n", "line 1: cap must be at least 1"),
+    # an omega past the cap is omega's fault
+    ("cap = 3\n# the cut\nomega = 5\n",
+     "line 3: omega must satisfy 0 < omega <= cap"),
+    ("budget = 0\ncap = 3\nomega = 2\n",
+     "line 1: budget must be at least 1"),
 ])
 def test_config_errors_name_the_line(text, message):
     with pytest.raises(ModelError) as info:
@@ -588,7 +609,7 @@ def test_omega_must_sit_inside_universe():
 
 
 @pytest.mark.parametrize("budget, message", [
-    pytest.param(0, "budget must be at least 1", id="0"),
+    pytest.param(0, "line 3: budget must be at least 1", id="0"),
     # the tokenizer reads "-5" as the symbol "-" and a number
     pytest.param(-5, "line 3: budget needs a number, got '-'", id="-5"),
 ])

@@ -40,6 +40,13 @@ def test_type_printer_structure():
     assert show_type(parse_type("(0 -> 1) -> 1*")) == "(0 -> 1) -> 1*"
 
 
+def test_numerals_and_pure_types_are_nonnegative():
+    with pytest.raises(ValueError, match="numerals are nonnegative"):
+        num(-1)
+    with pytest.raises(ValueError, match="pure type index must be >= 0"):
+        pure(-1)
+
+
 def test_type_parse_errors_carry_position():
     with pytest.raises(ParseError) as e:
         parse_type("0 -> ")
@@ -47,12 +54,12 @@ def test_type_parse_errors_carry_position():
 
 
 def test_a_digit_that_is_no_decimal_digit_is_a_parse_error():
-    # "²" tokenizes as a number (str.isdigit), but int() rejects it
+    # "²" is a digit to str.isdigit, but a number is ASCII digits
     for parse in (parse_term, parse_type):
         with pytest.raises(ParseError) as e:
             parse("²")
         assert (e.value.msg, e.value.line, e.value.col) == \
-            ("bad number '²'", 1, 1)
+            ("unexpected character '²'", 1, 1)
 
 
 def test_term_application_display():

@@ -91,7 +91,6 @@ def test_repr_is_the_record_format():
         "Atom(args=(Var(name='x', ty=Base()), "
         "Const(name='0', ty=Base())))")
     assert repr(Arrow(N, N)) == "Arrow(dom=Base(), cod=Base())"
-    assert str(Arrow(N, N)) == "1"
 
 
 def test_formula_and_term_nodes_keep_free_variables():

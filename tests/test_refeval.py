@@ -119,6 +119,8 @@ def test_generated_formulas_agree_with_the_reference():
             want = observe(reference, N, lambda: refeval.formula(
                 reference, f, bind(reference, data)))
             assert got == want, f
+            # the quantifier loops compare a body's value with ``is``
+            assert isinstance(got[0][0], type) or type(got[0][1]) is bool, f
             cases += 1
             quantifiers = [s for s in subformulas(f)
                            if isinstance(s, (Forall, Exists, ForallSt,
@@ -298,6 +300,7 @@ def test_searches_agree_with_the_reference(monkeypatch):
                 reference, f, with_f(reference, dict(bind(reference, data),
                                                      w=w))))
             assert got == want, f
+            assert isinstance(got[0][0], type) or type(got[0][1]) is bool, f
             if kind not in ("binder", "probe"):
                 # the search alone: it runs exactly when it is one
                 assert bool(runs) == searched, f
