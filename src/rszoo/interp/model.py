@@ -19,6 +19,11 @@ tables are not listed: the body is evaluated once per prefix of cells
 it reads, each evaluation deciding every table that extends the prefix
 (Berger's fan functional, Escardó's exhaustive search), in the order
 and with the effects of a table-by-table sweep (see ``_table_sweep``).
+The sweep keeps one prefix, a ``dict`` of cells moved in place from
+prefix to prefix, and each prefix's probe is a fresh :class:`FnV`
+whose call is that dict's own lookup: a held cell is read in C, and
+only a miss runs Python, zero-filling up to an in-range cell or
+reading 0 for anything else.
 
 Evaluation is compile-once: ``eval_formula`` and ``eval_term`` turn a
 formula or term into nested closures ``frame -> value`` the first time
@@ -49,10 +54,12 @@ that passes each value to ``s``'s function, with no frame per value.
 ``s`` is evaluated once per search, before the loop, by the argument
 made above for a constant ``rec`` step: each value would run ``s`` on
 a frame that differs only in the slot of ``x``, which ``s`` never
-reads, and give the same function; and no type-0 range is empty (a
-``<=`` range holds 0, a plain one ``cap + 1`` values, a standard one
-``omega >= 1``), so the search reaches ``s`` whenever it runs.
-Everything
+reads, and give the same function.  A search runs only on a range
+that is not empty, so it reaches ``s`` whenever the value loop would:
+a plain range holds ``cap + 1`` values and a standard one ``omega >=
+1``, and a ``<=`` range is empty only under a bound below 0 (a value
+the caller's ``env`` gives, since the model makes none), where the
+bounded quantifier answers False before the search starts.  Everything
 that depends on the model's state is left to run time, when a node is
 reached: the population of a quantifier above type 0 (asked for on
 every visit, so later declarations are seen and an empty standard
@@ -575,7 +582,13 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
         over = _search(model, f, False, scope) or _quantifier(
             False, _compile_formula(model, f.body, scope.enter(f.var.name)))
         bound, cap = _compile_term(model, f.bound, scope), model.cap
-        return lambda frame: over(frame, range(min(bound(frame), cap) + 1))
+
+        def bexists(frame):
+            # a bound below 0 makes the range empty: False, and a
+            # search's function is never evaluated
+            top = min(bound(frame), cap)
+            return top >= 0 and over(frame, range(top + 1))
+        return bexists
     return _fail(f"cannot evaluate formula node {type(f).__name__}")
 
 
@@ -613,7 +626,9 @@ def _search(model: MiniModel, f: Formula, universal: bool, scope: _Scope):
     ``_compile_rec``, ``_compile_redex``), where a loop over ``s``'s
     function value would be slower.  ``s`` is evaluated once, before
     the loop, with ``_apply``'s check and error, and its function is
-    then called on each value in turn (see the module docstring)."""
+    then called on each value in turn (see the module docstring).
+    ``pop`` is never empty: the bounded quantifier answers an empty
+    range itself."""
     x, atom = f.var, f.body
     if not (x.ty == N and isinstance(atom, Atom)):
         return None
@@ -654,42 +669,65 @@ def _table_sweep(model: MiniModel, universal: bool, body):
     """A plain quantifier over the ``0 -> 0`` tables, swept by prefix.
 
     The body is evaluated on the frame extended by a table-less probe
-    that serves cells from a prefix: reading cell ``i`` zero-extends the
-    prefix up to ``i``, and a read past ``cap`` or of a non-int returns
-    0, as a table does.  One evaluation therefore decides every table
-    that extends the cells it read.  The next prefix drops trailing
-    ``cap`` cells and bumps the last one (an odometer), so the prefixes
-    cover ``enum_values``' order in contiguous blocks and the sweep
-    stops in the block holding the first deciding table: same answer,
-    error, ``overflowed`` and flags as evaluating each table.  A full
-    read (``tabulate``, ``=`` at type 1, ``canon_key``, ``run``'s table)
-    reads every cell, so its block is one table.  The budget check is
-    the eager sweep's.
+    (``_probe``) that serves cells from one ``_Prefix``: reading cell
+    ``i`` zero-extends the prefix up to ``i``, and a read past ``cap``
+    or of a non-int returns 0, as a table does.  One evaluation
+    therefore decides every table that extends the cells it read.  The
+    next prefix drops trailing ``cap`` cells and bumps the last one (an
+    odometer), so the prefixes cover ``enum_values``' order in
+    contiguous blocks and the sweep stops in the block holding the first
+    deciding table: same answer, error, ``overflowed`` and flags as
+    evaluating each table.  A full read (``tabulate``, ``=`` at type 1,
+    ``canon_key``, ``run``'s table) reads every cell, so its block is
+    one table.  The budget check is the eager sweep's.
+
+    One ``_Prefix`` serves the whole sweep and the odometer moves it in
+    place, so a probe reads the current prefix, not the one it was made
+    for.  That is sound because no probe is read after its evaluation:
+    the body's value is a ``bool``, and every memo the model keeps
+    (``psi_theta``'s, ``machine.phi``'s) keys on a table's value, as
+    ``canon_key`` fingerprints one: a tuple read while the probe's
+    prefix stood.  Each prefix still gets a fresh probe, so the
+    ``table`` that ``tabulate`` keeps on it is that prefix's.
     """
     cap = model.cap
 
     def sweep(frame):
         model.check_enumerable(_TYPE1)
-        cells: list[int] = []
+        cells = _Prefix(cap)
         while True:
-            probe = FnV(_prefix_reader(cells, cap))
-            if body(frame + (probe,)) is not universal:
+            if body(frame + (_probe(cells),)) is not universal:
                 return not universal
-            last = len(cells) - 1
-            while last >= 0 and cells[last] == cap:
-                last -= 1
-            if last < 0:
+            while cells:
+                i, v = cells.popitem()
+                if v != cap:
+                    cells[i] = v + 1
+                    break
+            else:
                 return universal
-            cells = cells[:last] + [cells[last] + 1]
     return sweep
 
 
-def _prefix_reader(cells: list, cap: int):
-    """Cell lookup that zero-extends ``cells`` up to the cell read."""
-    def call(i):
-        if not isinstance(i, int) or not 0 <= i <= cap:
-            return 0
-        if i >= len(cells):
-            cells.extend([0] * (i + 1 - len(cells)))
-        return cells[i]
-    return call
+class _Prefix(dict):
+    """The cells of a prefix of a ``0 -> 0`` table, keyed ``0..n-1`` in
+    insertion order, so ``popitem`` drops the last.  A read of a held
+    cell is a dict lookup; a miss on an int in ``0..cap`` zero-fills the
+    prefix up to it, and any other miss (a cell past ``cap``, a
+    non-int) reads 0 and fills nothing."""
+    __slots__ = ("cap",)
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def __missing__(self, i):
+        if isinstance(i, int) and 0 <= i <= self.cap:
+            for j in range(len(self), i + 1):
+                self[j] = 0
+        return 0
+
+
+def _probe(cells: _Prefix) -> FnV:
+    """The probe of one prefix: a fresh function value whose call is the
+    prefix's own lookup.  ``_table_sweep`` calls it once per prefix."""
+    return FnV(cells.__getitem__)

@@ -228,6 +228,19 @@ def test_bounded_quantifiers():
     assert m.overflowed
 
 
+def test_bound_below_zero_answers_false_without_searching():
+    # k = -1 leaves no value to search: the answer is False and the
+    # unbound h is never evaluated, as in the reference walker; from
+    # k = 0 on the search reaches h and both raise
+    f = parse_formula("(exists z <= k) h(z) = 0",
+                      params={"k": N, "h": pure(1)})
+    for k in (-1, 0, 2):
+        got = outcome(lambda: eval_formula(MiniModel(3, 2), f, {"k": k}))
+        want = outcome(lambda: refeval.formula(MiniModel(3, 2), f, {"k": k}))
+        assert got == want, k
+        assert (got is False) == (k < 0), k
+
+
 def test_approx_at_type_one_sees_only_standard_prefix():
     m = MiniModel(cap=9, omega=2)
     m.declare("f", parse_type("1"), table_fn([0, 1, 9, 9, 9, 9, 9, 9, 9, 9], m), st=False)
@@ -466,15 +479,45 @@ def outcome(run):
         return type(e), str(e)
 
 
+def recorded_probes(monkeypatch) -> list:
+    """Hook the sweep's per-prefix seam, ``model._probe``.  The list
+    returned gets one ``(probe, reads)`` pair per probe the sweep makes:
+    the function value the body sees, whose call is wrapped to record,
+    per read, the argument, the value read and how many cells the
+    prefix then holds."""
+    make, probes = model_mod._probe, []
+
+    def recorded(cells):
+        probe, reads = make(cells), []
+        lookup = probe.call
+
+        def call(i):
+            v = lookup(i)
+            reads.append((i, v, len(cells)))
+            return v
+        probe.call = call
+        probes.append((probe, reads))
+        return probe
+    monkeypatch.setattr(model_mod, "_probe", recorded)
+    return probes
+
+
+def sweep_both(f, cap, env=None):
+    """``f`` decided by the sweep and table by table, each in a fresh
+    model of its own; the tables the eager sweep tried.  The answers,
+    errors, ``overflowed`` and flags must agree."""
+    lazy, eager = MiniModel(cap, min(2, cap)), MiniModel(cap, min(2, cap))
+    visited = []
+    got = outcome(lambda: eval_formula(lazy, f, env or {}))
+    want = outcome(lambda: eager_sweep(eager, f, visited, env))
+    assert got == want, f
+    assert lazy.overflowed == eager.overflowed, f
+    assert lazy.flags == eager.flags, f
+    return got, visited
+
+
 def test_table_sweep_agrees_with_eager_enumeration(monkeypatch):
-    probes = []
-    reader = model_mod._prefix_reader
-
-    def counted(cells, cap):
-        probes.append(cells)
-        return reader(cells, cap)
-
-    monkeypatch.setattr(model_mod, "_prefix_reader", counted)
+    probes = recorded_probes(monkeypatch)
     g = gen.generator(gen.SEED + 11)
     cases = early = fewer = 0
     for cap in (1, 2, 3):
@@ -506,22 +549,65 @@ def test_table_sweep_agrees_with_eager_enumeration(monkeypatch):
 def test_table_sweep_reads_zero_past_the_cap(monkeypatch):
     # g(0) is a cell past every table: the probe reads it as 0, as a
     # table does, so one probe that fills no cell decides every table
-    probes = []
-    reader = model_mod._prefix_reader
-
-    def counted(cells, cap):
-        probes.append(cells)
-        return reader(cells, cap)
-
-    monkeypatch.setattr(model_mod, "_prefix_reader", counted)
+    probes = recorded_probes(monkeypatch)
     f = parse_formula("(forall h:1) h(g(0)) = 0", params={"g": pure(1)})
-    lazy, eager = MiniModel(cap=3, omega=2), MiniModel(cap=3, omega=2)
-    g = FnV(lambda _i: lazy.cap + 5)
-    assert eval_formula(lazy, f, {"g": g}) is True
-    assert probes == [[]]
-    visited = []
-    assert eager_sweep(eager, f, visited, {"g": g}) is True
+    g = FnV(lambda _i: 8)
+    got, visited = sweep_both(f, 3, {"g": g})
+    assert got is True
+    assert [reads for _probe, reads in probes] == [[(8, 0, 0)]]
     assert len(visited) == 4 ** 4
+
+
+@pytest.mark.parametrize("src, first, want", [
+    ("(exists h:1) (h(2) = 1 /\\ h(0) = 1)", 2, True),
+    ("(forall h:1) (h(3) = 0 -> h(0) = 0)", 3, False),
+    ("(exists h:1) (h(3) = h(1) /\\ h(0) = 2 /\\ h(2) = 4)", 3, True),
+])
+def test_table_sweep_zero_fills_reads_out_of_order(monkeypatch, src, first,
+                                                   want):
+    # the first read, of cell ``first``, fills every cell up to it with
+    # 0; cell 4 is never read, so each probe decides five tables or more
+    probes = recorded_probes(monkeypatch)
+    got, visited = sweep_both(parse_formula(src), 4)
+    assert got is want
+    assert probes[0][1][0] == (first, 0, first + 1)
+    assert all(held < 5 for _probe, reads in probes for _i, _v, held in reads)
+    assert len(probes) < len(visited)
+
+
+@pytest.mark.parametrize("value", [(1, 2), FnV(lambda _i: 0), 4, -1],
+                         ids=["sequence", "function", "past-cap", "negative"])
+def test_table_sweep_reads_zero_off_the_table_and_fills_nothing(
+        monkeypatch, value):
+    # h(1) fills cells 0 and 1; the read of g(0) is of no cell: it reads
+    # 0 and the prefix keeps what it held
+    probes = recorded_probes(monkeypatch)
+    f = parse_formula("(exists h:1) (h(1) = 2 /\\ h(g(0)) = 0)",
+                      params={"g": pure(1)})
+    got, visited = sweep_both(f, 3, {"g": FnV(lambda _i: value)})
+    assert got is True
+    assert len(probes) == 3 < len(visited)
+    for _probe, reads in probes:
+        (cell, _v, held), *rest = reads
+        assert (cell, held) == (1, 2)
+        assert rest in ([], [(value, 0, 2)])
+    assert probes[-1][1][1:] == [(value, 0, 2)]
+
+
+@pytest.mark.parametrize("src", [
+    "(exists h:1) h = Z",
+    "(forall h:1) run(h, 1, 1) = succ(h(1))",
+])
+def test_table_sweep_gives_each_full_read_a_fresh_table(monkeypatch, src):
+    # a body that reads every cell decides one table per prefix, and
+    # each probe keeps that prefix's table (the run saturates at h(1) = 3)
+    probes = recorded_probes(monkeypatch)
+    f = parse_formula(src, params={"Z": pure(1)})
+    z = table_fn([1, 0, 2, 1], MiniModel(3, 2))
+    got, visited = sweep_both(f, 3, {"Z": z})
+    assert got is True
+    assert [p.table for p, _reads in probes] == [h.table for h in visited]
+    assert len({id(p) for p, _reads in probes}) == len(probes)
 
 
 # -- model configuration ------------------------------------------------------
