@@ -3,13 +3,13 @@
 A script is a list of steps, each applying one rule of a small
 candidate-tuple calculus.  A step's conclusion is a normal form
 ``(forall^st xs)(exists^st ys) matrix``, split into its blocks by
-``translate.nf_blocks`` (a conclusion that is no normal form fails its
-step), and the checker threads a finite list of witness tuples
-(candidates) alongside it: the step is sound when the premise
-guarantees that, for every assignment of the universals, at least one
-candidate tuple satisfies the matrix.  A witness term is well-typed
-and names no variable but the conclusion's universals, each at its
-own type.  The rules:
+``translate.nf_blocks`` once, when the step is replayed (a conclusion
+that is no normal form fails its step), and the checker threads a
+finite list of witness tuples (candidates) alongside it: the step is
+sound when the premise guarantees that, for every assignment of the
+universals, at least one candidate tuple satisfies the matrix.  A
+witness term is well-typed and names no variable but the conclusion's
+universals, each at its own type.  The rules:
 
   NF-AXIOM      trusted starting point with an internal matrix; it takes
                 no premises and no witness tuples, and may not introduce
@@ -22,17 +22,18 @@ A script is read with the language's tokenizer and ``Parser``, so
 blanks, newlines and ``#`` comments only separate tokens and a directive
 may run over lines until the next one starts:
 
-  script    :=  ('script' NAME | 'let' NAME ':=' term | step)*
+  script    :=  ('script' NAME | 'let' VAR ':=' term | step)*
   step      :=  'step' NUM ':' RULE NUM* ('with' group+)? 'conclude' formula
   group     :=  '(' term (';' term)* ')'
 
 A NAME (and a RULE) may join its parts with '-', no blanks around it:
-``script udnr-backward``, ``step 1: NF-AXIOM``.  A group is one
-candidate tuple, its slots separated by ';'.  The ``with`` groups come
-before the conclusion but are scoped by it: their terms may name its
-``forall^st`` universals, which shadow the lets, so the conclusion is
-read first.  An error gives its line:col in the script and names the let
-or the step (and the conclusion or the group and slot) it is in.
+``script udnr-backward``, ``step 1: NF-AXIOM``.  A VAR, the name a
+let binds, is one name and no constant's, as for every binder.  A group
+is one candidate tuple, its slots separated by ';'.  The ``with`` groups
+come before the conclusion but are scoped by it: their terms may name
+its ``forall^st`` universals, which shadow the lets, so the conclusion
+is read first.  An error gives its line:col in the script and names the
+let or the step (and the conclusion or the group and slot) it is in.
 
 A ``let`` term may use the lets above it.  Each let is expanded in every
 later term as it is read, in one walk (``_Lets``) that also reduces each
@@ -47,16 +48,17 @@ and the flags are those of the substituted term.  A lambda argument
 that lands in head position is reduced in turn; a redex written in the
 script is left as written.
 
-A report lists the steps in script order, and its final step is the
-script's last one.  Extraction reads that step's candidate rows back as
-closed terms.  ``extract_function`` gives ``\\xs. witness`` for a step
-with one row of one slot.  For a numeric target slot ``y``,
-``postprocess`` gives the bound
-``\\xs. max(r1[y], max(r2[y], ...))`` straight from the rows, and the
-explicit content of the implication applies the least-zero search
-``stdterms.leastz_t`` to that bound, by the same rule.  The terms are
-built small, from the primitives and the reduced lets, with no rewriting
-pass afterwards.
+A replayed step (``StepResult``) keeps its checked rows and its
+conclusion's blocks, and the model check and extraction read them from
+it.  A report lists the steps in script order, and its final step is
+the script's last one.  Extraction reads that step's rows back as closed terms.
+``extract_function`` gives ``\\xs. witness`` for a step with one row
+of one slot.  For a numeric target slot ``y``, ``postprocess`` gives
+the bound ``\\xs. max(r1[y], max(r2[y], ...))`` straight from the rows,
+and the explicit content of the implication applies the least-zero
+search ``stdterms.leastz_t`` to that bound, by the same rule.  The
+terms are built small, from the primitives and the reduced lets, with
+no rewriting pass afterwards.
 """
 from __future__ import annotations
 
@@ -124,7 +126,7 @@ def parse_script(text: str) -> ProofScript:
             if p.take("script"):
                 name = _name(p)
             elif p.take("let"):
-                lname = _name(p)
+                lname = p.bound_name(p.expecting("a name"))
                 where = f"let {lname}: "
                 p.expect_sym(":=")
                 body, ty, _ = p.typed_term()
@@ -338,9 +340,12 @@ def _parse_step(p: Parser, lets: _Lets) -> ProofStep:
 
 @record
 class StepResult:
-    """A replayed step and its rows; its normal form is its conclusion."""
+    """A replayed step, its rows, and its conclusion's blocks."""
     step: ProofStep
     rows: tuple[Row, ...]
+    universals: tuple[Var, ...]
+    existentials: tuple[Var, ...]
+    matrix: Formula
 
     def line(self) -> str:
         return (f"step {self.step.index}: {self.step.rule} ok "
@@ -396,13 +401,12 @@ def _check_rows(step: ProofStep, rows: tuple[Row, ...],
 def check_script(script: ProofScript) -> ScriptReport:
     """Replay a script, rule by rule.  Raises ScriptError naming the
     step and the violated side condition; returns a report with each
-    step's candidate tuples, in script order.  A rule handler gets the
-    ``nf_blocks`` of the conclusion and of each premise."""
-    blocks: dict[int, tuple] = {}
-    results: list[StepResult] = []
+    step's rows and blocks, in script order.  A rule handler gets the
+    ``nf_blocks`` of the conclusion and each premise's replayed step."""
+    done: dict[int, StepResult] = {}    # in script order
 
     for step in script.steps:
-        if step.index in blocks:
+        if step.index in done:
             raise ScriptError(f"duplicate step index {step.index}")
         try:
             nf = nf_blocks(step.conclusion)
@@ -410,14 +414,13 @@ def check_script(script: ProofScript) -> ScriptReport:
             _fail(step, str(exc))
         prems = []
         for p in step.premises:
-            if p not in blocks:
+            if p not in done:
                 _fail(step, f"premise {p} not yet derived")
-            prems.append(blocks[p])
+            prems.append(done[p])
         rows = _RULE_HANDLERS[step.rule](step, nf, prems)
-        blocks[step.index] = nf
-        results.append(StepResult(step, rows))
+        done[step.index] = StepResult(step, rows, *nf)
 
-    return ScriptReport(tuple(results))
+    return ScriptReport(tuple(done.values()))
 
 
 def _rule_nf_axiom(step, nf, prems):
@@ -435,19 +438,19 @@ def _rule_exists_witness(step, nf, prems):
     universals, existentials, matrix = nf
     if len(prems) != 1:
         _fail(step, "needs exactly one premise")
-    prem_universals, prem_existentials, prem_matrix = prems[0]
-    if prem_existentials:
+    prem = prems[0]
+    if prem.existentials:
         _fail(step, "premise must be existential-free")
     if not existentials:
         _fail(step, "conclusion introduces no existentials")
-    if universals != prem_universals:
+    if universals != prem.universals:
         _fail(step, "universal block must match the premise")
     if not step.groups:
         _fail(step, "needs at least one witness tuple")
     _check_rows(step, step.groups, existentials, universals)
     want = disj([subst_f(matrix, dict(zip(existentials, row)))
                  for row in step.groups])
-    if not alpha_eq_f(prem_matrix, want):
+    if not alpha_eq_f(prem.matrix, want):
         _fail(step, "premise matrix is not the disjunction of the "
                     "instantiated conclusion matrix; expected "
                     + show_formula(want))
@@ -464,24 +467,15 @@ _RULE_HANDLERS = {
 # extraction
 
 
-def _require_closed(t: Term) -> Term:
-    loose = sorted(v.name for v in free_vars(t))
-    if loose:
-        raise ScriptError(f"extracted term is open: unbound {loose}")
-    return t
-
-
-def extract_function(report: ScriptReport) -> Term:
-    """Single-witness extraction: ``\\xs. witness``.  Demands exactly
-    one tuple with one slot."""
-    final = report.final
-    universals, existentials, _ = nf_blocks(final.step.conclusion)
-    if len(final.rows) != 1 or len(existentials) != 1:
+def extract_function(final: StepResult) -> Term:
+    """Single-witness extraction from a replayed step: ``\\xs.
+    witness``.  Demands exactly one tuple with one slot."""
+    if len(final.rows) != 1 or len(final.existentials) != 1:
         raise ScriptError("function extraction needs exactly one candidate "
                           "and one witness slot; got "
                           f"{len(final.rows)} candidate(s) over "
-                          f"{len(existentials)} slot(s)")
-    return _require_closed(lam(*universals, final.rows[0][0]))
+                          f"{len(final.existentials)} slot(s)")
+    return lam(*final.universals, final.rows[0][0])
 
 
 # The benchmark's tracer looks this name up to time it; nothing calls it.
@@ -493,12 +487,12 @@ extract_terms = extract_function
 # post-processing: the bound over the candidates' target slot
 
 
-def postprocess(rows: tuple[Row, ...], nf: Formula, target: str) -> Term:
+def postprocess(final: StepResult, target: str) -> Term:
     """The closed bound term ``\\xs. max(r1[y], max(r2[y], ...))`` over
-    the target slot ``y`` of the candidate rows, with the ``max``
-    primitive.  The consequent of nf's matrix may mention no other
+    the target slot ``y`` of a replayed step's rows, with the ``max``
+    primitive.  The consequent of its matrix may mention no other
     witness slot, since the bound stands in for the target alone."""
-    universals, existentials, matrix = nf_blocks(nf)
+    existentials, matrix, rows = final.existentials, final.matrix, final.rows
     names = [v.name for v in existentials]
     if target not in names:
         raise ScriptError(f"{target!r} is not a witness slot of the "
@@ -512,13 +506,11 @@ def postprocess(rows: tuple[Row, ...], nf: Formula, target: str) -> Term:
     if stray:
         raise ScriptError("consequent mentions witness slots other than "
                           f"the target: {sorted(stray)}")
-    if not rows:
-        raise ScriptError("no candidate tuples to bound")
 
     body = rows[-1][idx]
     for row in reversed(rows[:-1]):
         body = app(MAX2, row[idx], body)
-    return _require_closed(lam(*universals, body))
+    return lam(*final.universals, body)
 
 
 # ---------------------------------------------------------------------------
@@ -560,18 +552,18 @@ def _value_label(model, ty, v) -> str:
         return "<value>"
 
 
-def check_candidates(model, nf: Formula, rows: tuple[Row, ...],
+def check_candidates(model, final: StepResult,
                      plans: dict[str, str] | None = None) -> CandidateReport:
-    """Sweep the universals of the normal form nf and test that some
-    candidate tuple satisfies its matrix at every assignment.
+    """Sweep the universals of a replayed step and test that some
+    candidate row satisfies its matrix at every assignment.
 
     ``plans`` maps a universal name to ``"all"`` (full enumeration) or
     ``"st"`` (declared/standard population, the default — the block is
     a forall^st); any other plan, or a key that names no universal, is
-    a ScriptError.  A slot term may name no variable but the universals
-    (a script's witness terms are closed up to them); any other is a
-    ScriptError.  The matrix names only the two blocks' variables, whose
-    names differ (``nf_blocks``), so an assignment's environment
+    a ScriptError.  The blocks and the rows come from the replay, which
+    checked them: a slot term is well-typed and names no variable but
+    the universals, and the matrix names only the two blocks'
+    variables, whose names differ.  So an assignment's environment
     holds the universals and each row sets its existentials there.
 
     When the matrix is an implication, its consequent is evaluated only
@@ -596,7 +588,8 @@ def check_candidates(model, nf: Formula, rows: tuple[Row, ...],
     # calls by wrapping the package's attributes once it is imported.
     from .interp import eval_formula, eval_term
 
-    universals, existentials, matrix = nf_blocks(nf)
+    universals, existentials, matrix = (final.universals, final.existentials,
+                                        final.matrix)
     plans = plans or {}
     names = {v.name for v in universals}
     stray = sorted(plans.keys() - names)
@@ -609,12 +602,7 @@ def check_candidates(model, nf: Formula, rows: tuple[Row, ...],
             raise ScriptError(f"unknown sweep plan {plan!r} for {v.name}")
         pools.append(model.population(v.ty, standard=(plan == "st")))
     terms: dict[Term, Term] = {}
-    rows = [tuple(terms.setdefault(t, t) for t in row) for row in rows]
-    for t in terms:
-        stray = {w.name for w in free_vars(t)} - names
-        if stray:
-            raise ScriptError("slot term names more than the "
-                              f"universals: {sorted(stray)}")
+    rows = [tuple(terms.setdefault(t, t) for t in row) for row in final.rows]
 
     antecedent, consequent = ((matrix.left, matrix.right)
                               if isinstance(matrix, Implies)
@@ -701,8 +689,8 @@ def rs_run(entry) -> ExplicitImplication:
     def candidates(tag: str, prefix: str, final: StepResult, plans):
         """Check a script's final rows in the model; a failure raises,
         and a vacuous antecedent or saturation sets a flag."""
-        cand = _stage(eid, tag, lambda: check_candidates(
-            entry.model, final.step.conclusion, final.rows, plans))
+        cand = _stage(eid, tag, lambda: check_candidates(entry.model, final,
+                                                         plans))
         stages.append((tag, cand.line()))
         if not cand.ok:
             raise ScriptError(f"{eid}/{tag}: {cand.line()}")
@@ -732,28 +720,28 @@ def rs_run(entry) -> ExplicitImplication:
     stages.append(("align", "script conclusion matches the normal form"))
     candidates("candidates-forward", "", final, entry.plans)
     bound = _stage(eid, "postprocess",
-                   lambda: postprocess(final.rows, concluded, BZT_BOUND.name))
+                   lambda: postprocess(final, BZT_BOUND.name))
     stages.append(("postprocess", f"bound {show_term_brief(bound)}"))
-    forward_term = _stage(eid, "collapse",
-                          lambda: _mu_collapse(concluded, bound, BZT_TABLE))
+    forward_term = _stage(eid, "collapse", lambda: _mu_collapse(
+        final.universals, bound, BZT_TABLE))
     stages.append(("collapse", show_term_brief(forward_term)))
 
     rep = _stage(eid, "check-backward", lambda: check_script(entry.backward))
     stages.extend(("check-backward", l) for l in rep.lines())
     candidates("candidates-backward", "backward-", rep.final, None)
     backward_term = _stage(eid, "extract-backward",
-                           lambda: extract_function(rep))
+                           lambda: extract_function(rep.final))
 
     return ExplicitImplication(forward_term, backward_term, bound,
                                tuple(sorted(flags)), tuple(stages))
 
 
-def _mu_collapse(nf: Formula, bound: Term, table: Var) -> Term:
-    """Reshape the bound ``\\xs. b`` over nf's universals as (other
+def _mu_collapse(universals: tuple[Var, ...], bound: Term,
+                 table: Var) -> Term:
+    """Reshape the bound ``\\xs. b`` over the universals xs as (other
     universals) -> table -> ``leastz(table, b)``, the explicit forward
     content against the zero-transfer target, whose table is
     ``table``."""
-    universals, _, _ = nf_blocks(nf)
     if table not in universals:
         raise ScriptError(f"no table universal {table.name!r} to collapse "
                           "against")

@@ -63,12 +63,12 @@ bounded quantifier answers False before the search starts.  Everything
 that depends on the model's state is left to run time, when a node is
 reached: the population of a quantifier above type 0 (asked for on
 every visit, so later declarations are seen and an empty standard
-population is flagged only where it is reached), saturation (a numeral
-or constant above ``cap`` sets ``overflowed`` every time it is
+population is flagged only where it is reached) and saturation (a
+numeral or constant above ``cap`` sets ``overflowed`` every time it is
 evaluated; function constants get a fresh :class:`FnV` per visit, so a
-cached table never hides it) and the error of a node it cannot
-evaluate.  Closures read ``cap`` when compiled, so a compiled node
-belongs to one model.
+cached table never hides it).  An unknown constant fails when compiled.
+Closures read ``cap`` when compiled, so a compiled node belongs to one
+model.
 """
 from __future__ import annotations
 
@@ -80,8 +80,8 @@ from typing import Iterable, Iterator
 from ..lang.types import Arrow, FiniteType, N, Seq, show_type
 from ..lang.terms import (Abs, App, Const, Term, Var, free_vars, infer_type,
                           spine)
-from ..lang.formulas import (And, Atom, BExists, Exists, ExistsSt, Forall,
-                             ForallSt, Formula, Implies, Not, Or, free_vars_f)
+from ..lang.formulas import (And, Atom, Exists, ExistsSt, Forall, ForallSt,
+                             Formula, Implies, Not, Or, free_vars_f)
 from . import machine
 
 _TYPE1 = Arrow(N, N)
@@ -326,13 +326,6 @@ def _run(model: MiniModel, node, env: dict | None, free, compile_node):
     return run(tuple([env.get(name, _UNBOUND) for name in names]))
 
 
-def _fail(message: str):
-    """A closure that raises when it is reached, not when compiled."""
-    def fail(frame):
-        raise ModelError(message)
-    return fail
-
-
 class _Scope:
     """The names of a frame's slots at compile time: the evaluated
     node's free names (``entry`` slots, which may hold ``_UNBOUND``),
@@ -369,22 +362,20 @@ def _compile_term(model: MiniModel, t: Term, scope: _Scope):
     if isinstance(t, Abs):
         body = _compile_term(model, t.body, scope.enter(t.var.name))
         return lambda frame: FnV(lambda v: body(frame + (v,)))
-    if isinstance(t, App):
-        head, args = spine(t)
-        if isinstance(head, Const):
-            if (head.name == "rec" and len(args) >= 3
-                    and isinstance(args[1], Abs)
-                    and isinstance(args[1].body, Abs)):
-                return _compile_apps(model, _compile_rec(model, args, scope),
-                                     args[3:], scope)
-            prim = _primitive(model, head)
-            if prim is not None:
-                return _compile_primitive_app(model, prim, args, scope)
-        if isinstance(head, Abs):
-            return _compile_redex(model, head, args, scope)
-        return _compile_apps(model, _compile_term(model, head, scope), args,
-                             scope)
-    return _fail(f"cannot evaluate term {t!r}")
+    head, args = spine(t)       # an App
+    if isinstance(head, Const):
+        if (head.name == "rec" and len(args) >= 3
+                and isinstance(args[1], Abs)
+                and isinstance(args[1].body, Abs)):
+            return _compile_apps(model, _compile_rec(model, args, scope),
+                                 args[3:], scope)
+        prim = _primitive(model, head)
+        if prim is not None:
+            return _compile_primitive_app(model, prim, args, scope)
+    if isinstance(head, Abs):
+        return _compile_redex(model, head, args, scope)
+    return _compile_apps(model, _compile_term(model, head, scope), args,
+                         scope)
 
 
 def _compile_apps(model: MiniModel, fn, args, scope: _Scope):
@@ -470,7 +461,7 @@ def _compile_const(model: MiniModel, c: Const):
         return saturated
     prim = _primitive(model, c)
     if prim is None:
-        return _fail(f"unknown constant {name!r}")
+        raise ModelError(f"unknown constant {name!r}")
     arity, impl = prim
     # A fresh function value per visit: tabulate keeps its table on the
     # value, and a shared one would stop a saturating constant from
@@ -578,18 +569,17 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
         # empty standard population is flagged only where a quantifier
         # is reached.
         return lambda frame: over(frame, model.population(ty, standard))
-    if isinstance(f, BExists):
-        over = _search(model, f, False, scope) or _quantifier(
-            False, _compile_formula(model, f.body, scope.enter(f.var.name)))
-        bound, cap = _compile_term(model, f.bound, scope), model.cap
+    # a BExists
+    over = _search(model, f, False, scope) or _quantifier(
+        False, _compile_formula(model, f.body, scope.enter(f.var.name)))
+    bound, cap = _compile_term(model, f.bound, scope), model.cap
 
-        def bexists(frame):
-            # a bound below 0 makes the range empty: False, and a
-            # search's function is never evaluated
-            top = min(bound(frame), cap)
-            return top >= 0 and over(frame, range(top + 1))
-        return bexists
-    return _fail(f"cannot evaluate formula node {type(f).__name__}")
+    def bexists(frame):
+        # a bound below 0 makes the range empty: False, and a search's
+        # function is never evaluated
+        top = min(bound(frame), cap)
+        return top >= 0 and over(frame, range(top + 1))
+    return bexists
 
 
 def _equality(model: MiniModel, ty: FiniteType, left, right):

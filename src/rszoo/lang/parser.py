@@ -34,7 +34,8 @@ y:T) y = t``; a true and a false formula, ``0 = 0`` and ``0 != 0``.
 ``approx[T](s, t)`` is read as the formula it abbreviates
 (``formulas.approx``).
 
-A constant's name is reserved.  A polymorphic constant writes its type
+A constant's name is reserved, and no binder may take it: the constant
+would take every read.  A polymorphic constant writes its type
 arguments in brackets (``rec[0]``); ``terms.POLYMORPHIC`` says how many
 it takes.
 
@@ -174,8 +175,23 @@ class Parser:
         raise ParseError(msg, t.line, t.col)
 
     def expected(self, what: str):
-        self.fail(f"expected {what}, found "
-                  f"{self.peek().text or 'end of input'!r}")
+        self.fail(self.expecting(what))
+
+    def expecting(self, what: str) -> str:
+        found = self.peek().text or "end of input"
+        return f"expected {what}, found {found!r}"
+
+    def bound_name(self, missing: str) -> str:
+        """The name a binder binds, the cursor past it, and not a
+        constant's; ``missing`` is the error where no name is."""
+        tok = self.peek()
+        if tok.kind != "ident":
+            self.fail(missing)
+        if tok.text in CONST_NAMES:
+            raise ParseError(f"{tok.text!r} is a constant, not a variable "
+                             "name", tok.line, tok.col)
+        self.next()
+        return tok.text
 
     def number(self) -> int:
         t = self.peek()
@@ -206,11 +222,7 @@ class Parser:
         out: list[Var] = []
         pending: list[str] = []
         while True:
-            t = self.peek()
-            if t.kind != "ident":
-                self.expected("a variable")
-            self.next()
-            pending.append(t.text)
+            pending.append(self.bound_name(self.expecting("a variable")))
             if self.take(","):  # more names share the coming type
                 continue
             self.expect_sym(":")
@@ -271,12 +283,9 @@ class Parser:
 
     def parse_term(self) -> Term:
         if self.take("\\"):
-            tok = self.peek()
-            if tok.kind != "ident":
-                self.fail("expected a variable after '\\'")
-            self.next()
+            name = self.bound_name("expected a variable after '\\'")
             self.expect_sym(":")
-            v = Var(tok.text, self.parse_type())
+            v = Var(name, self.parse_type())
             self.expect_sym(".")
             return Abs(v, self.scoped([v], self.parse_term))
         return self._term_app()
@@ -378,14 +387,12 @@ class Parser:
         is_forall = kw.text == "forall"
         is_st = self.take("^st")
 
-        vt = self.peek()
-        if (not (is_forall or is_st) and vt.kind == "ident"
-                and self.peek(1).text == "<="):
-            self.pos += 2   # the variable and '<='
+        if not (is_forall or is_st) and self.peek(1).text == "<=":
+            v = Var(self.bound_name(self.expecting("a variable")), N)
+            self.next()     # the '<='
             bound, bty, btok = self.typed_term()
             if bty != N:
                 raise ParseError("a bound needs type 0", btok.line, btok.col)
-            v = Var(vt.text, N)
             self.expect_sym(")")
             return BExists(v, bound, self.scoped([v], self.parse_formula))
         variables = self.binders()

@@ -6,8 +6,9 @@ an internal matrix and no block name bound twice: the shape that
 conclude.  It is written with ``show_formula``, compared with
 ``alpha_eq_f`` (block order counts) and ``==``, and read from a ``.nf``
 file by ``parse_nf``.  ``nf_blocks`` checks the shape and splits a
-formula into its two blocks and its matrix, wherever a formula is taken
-as a normal form.
+formula into its two blocks and its matrix: in ``parse_nf``, and once
+per step in a script's replay (``extract.check_script``), whose split
+the later stages read.
 
 A TranslateError is a formula that is no normal form: its matrix is not
 internal, or a name is bound twice in the blocks; from ``parse_nf``

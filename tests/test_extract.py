@@ -10,7 +10,7 @@ import pytest
 
 import rszoo.interp
 from rszoo import extract
-from rszoo.extract import (ProofScript, ProofStep, ScriptError,
+from rszoo.extract import (ProofScript, ProofStep, ScriptError, StepResult,
                            check_candidates, check_script, extract_function,
                            parse_script, postprocess, rs_run)
 from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
@@ -55,6 +55,13 @@ def udnr_entry(model: str = MODEL_CAP3, f_plan: str = "st"):
         model=parse_model_config(model),
         plans={"f": f_plan, "Psi": "st", "Xi": "st"},
     )
+
+
+def replayed(nf, rows) -> StepResult:
+    """A replayed step that concludes the normal form nf with ``rows``,
+    split as the replay splits it, for a stage that reads one."""
+    return StepResult(ProofStep(1, "EXISTS-WITNESS", (), rows, nf), rows,
+                      *nf_blocks(nf))
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +112,30 @@ def test_rs_run_udnr_forward_sweep_over_every_cap4_table():
 def test_rs_run_replays_each_script_once(udnr_run):
     _entry, _verdict, replays = udnr_run
     assert replays == ["udnr-forward", "udnr-backward"]
+
+
+def test_rs_run_splits_each_script_step_once(monkeypatch):
+    # the replay splits each conclusion, and the model checks, the bound,
+    # the collapse and the extraction read the replayed step: udnr's two
+    # scripts have two steps each
+    split = []
+
+    def counted(f):
+        split.append(f)
+        return nf_blocks(f)
+
+    monkeypatch.setattr(extract, "nf_blocks", counted)
+    rs_run(udnr_entry())
+    assert len(split) == 4
+
+
+def test_rs_run_names_the_stage_of_a_model_refusal():
+    # no ScriptError: _stage names the exception's class and the stage
+    entry = udnr_entry()
+    entry.plans["Psi"] = "all"
+    assert rs_run_fails_at(entry, "candidates-forward") == (
+        "udnr/candidates-forward: ModelRefusal: refusing to enumerate "
+        "1 -> 1: about 10^617 values exceeds the budget")
 
 
 def test_rs_run_forward_term_is_least_zero(udnr_run):
@@ -324,10 +355,9 @@ def test_rs_run_fails_at_align_when_the_script_renames_the_table():
     entry.plans = {"Psi": "st", "Xi": "st"}
     rs_run_fails_at(entry, "align")
     final = check_script(entry.forward).final
-    nf = final.step.conclusion
     with pytest.raises(ScriptError,
                        match="^no table universal 'f' to collapse against$"):
-        extract._mu_collapse(nf, postprocess(final.rows, nf, "y"),
+        extract._mu_collapse(final.universals, postprocess(final, "y"),
                              Var("f", pure(1)))
 
 
@@ -396,7 +426,7 @@ def test_check_candidates_evaluates_antecedent_once(monkeypatch, matrix,
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf(f"(forall^st x:0) (exists^st y:0) {matrix}")
     seen = record_formulas(monkeypatch)
-    report = check_candidates(model, nf, ((Var("x", N),),))
+    report = check_candidates(model, replayed(nf, ((Var("x", N),),)))
     assert report.ok and report.checked == 2
     assert report.antecedent_vacuous is vacuous
     params = {"x": N, "y": N}
@@ -408,7 +438,7 @@ def test_check_candidates_shows_a_failing_number_as_itself():
     # no row holds: each failure names the type-0 universal's value
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf("(forall^st x:0) (exists^st y:0) y = succ(x)")
-    report = check_candidates(model, nf, ((Var("x", N),),))
+    report = check_candidates(model, replayed(nf, ((Var("x", N),),)))
     assert not report.ok and report.failures == ("x=0", "x=1")
     assert report.line().endswith("FAIL over 2 assignment(s) x=0; x=1")
 
@@ -420,7 +450,7 @@ def test_check_candidates_hoists_antecedent_over_unmentioned_universals(
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf("(forall^st x:0, z:0) (exists^st y:0) x = x -> y = x")
     seen = record_formulas(monkeypatch)
-    report = check_candidates(model, nf, ((Var("x", N),),))
+    report = check_candidates(model, replayed(nf, ((Var("x", N),),)))
     assert report.ok and report.checked == 4
     params = {"x": N, "y": N}
     ante, cons = (parse_formula(src, params=params)
@@ -437,7 +467,7 @@ def test_check_candidates_evaluates_existential_antecedent_per_candidate(
     nf = parse_nf("(forall^st x:0) (exists^st y:0) succ(x) = y -> y = x")
     x = Var("x", N)
     seen = record_formulas(monkeypatch)
-    report = check_candidates(model, nf, ((app(SUCC, x),), (x,)))
+    report = check_candidates(model, replayed(nf, ((app(SUCC, x),), (x,))))
     assert report.ok and report.checked == 2
     params = {"x": N, "y": N}
     ante, cons = (parse_formula(src, params=params)
@@ -452,7 +482,7 @@ def test_check_candidates_keys_antecedent_on_universals_read_through_slots(
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf("(forall^st x:0) (exists^st y:0) y = 0 -> x = 0")
     seen = record_formulas(monkeypatch)
-    report = check_candidates(model, nf, ((Var("x", N),),))
+    report = check_candidates(model, replayed(nf, ((Var("x", N),),)))
     assert report.ok and report.checked == 2
     ante = parse_formula("y = 0", params={"y": N})
     assert seen.count(ante) == 2
@@ -466,7 +496,7 @@ def test_check_candidates_shares_a_slot_term_across_rows(monkeypatch):
     x = Var("x", N)
     sx = app(SUCC, x)
     seen = record_terms(monkeypatch)
-    report = check_candidates(model, nf, ((sx, sx), (sx, x)))
+    report = check_candidates(model, replayed(nf, ((sx, sx), (sx, x))))
     assert report.ok and report.checked == 2
     assert [t for t, _env in seen] == [sx, x, sx, x]
 
@@ -475,7 +505,7 @@ def test_check_candidates_evaluates_closed_slot_term_once(monkeypatch):
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf("(forall^st x:0) (exists^st y:0) (exists z <= x) z = y")
     seen = record_terms(monkeypatch)
-    report = check_candidates(model, nf, ((num(0),),))
+    report = check_candidates(model, replayed(nf, ((num(0),),)))
     assert report.ok and report.checked == 2
     assert [t for t, _env in seen] == [num(0)]
 
@@ -489,7 +519,7 @@ def test_check_candidates_evaluates_udnr_slot_terms_once_per_table(
     model = entry.model
     final = check_script(entry.forward).final
     seen = record_terms(monkeypatch)
-    report = check_candidates(model, final.step.conclusion, final.rows,
+    report = check_candidates(model, final,
                               {"f": "all", "Psi": "st", "Xi": "st"})
     assert report.ok and report.checked == 256
     per_table = Counter((t, model.canon_key(pure(1), env["f"]))
@@ -498,22 +528,6 @@ def test_check_candidates_evaluates_udnr_slot_terms_once_per_table(
     per_term = Counter(t for t, _env in seen)
     assert sorted(per_term.values(), reverse=True)[:2] == [256, 256]
     assert set(per_term.values()) == {1, 256}
-
-
-def test_check_candidates_rejects_a_slot_naming_more_than_the_universals(
-        monkeypatch):
-    # the second slot reads the first existential, and a third names a
-    # declared object: rows no script makes, refused before any sweep
-    model = parse_model_config("cap = 3\nomega = 2\ntable Z0: 0 1 0 0 [st]")
-    nf = parse_nf("(forall^st x:0) (exists^st y:0, z:0) z = x")
-    x, y = Var("x", N), Var("y", N)
-    seen = record_terms(monkeypatch)
-    for row, stray in (((app(SUCC, x), y), "['y']"),
-                       ((x, app(Var("Z0", pure(1)), x)), "['Z0']")):
-        with pytest.raises(ScriptError, match=re.escape(
-                f"slot term names more than the universals: {stray}")):
-            check_candidates(model, nf, ((x, x), row))
-    assert seen == []
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +774,12 @@ STEP1 = AXIOM.replace("step 1: ", "")
     (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x) (succ(x) "
      f"conclude {ONE_SLOT}",
      "step 2: witness group is not closed (at 3:90)"),
+    # a let binds one name, and no constant's: '-' joins the parts of a
+    # script's name or a rule's only
+    ("script s\nlet succ := 0\n" + AXIOM,
+     "'succ' is a constant, not a variable name (at 2:5)"),
+    ("script s\nlet a-b := 0\n" + AXIOM,
+     "let a: expected ':=', found '-' (at 2:6)"),
 ])
 def test_parse_script_rejects(text, message):
     with pytest.raises(ScriptError, match=re.escape(message)):
@@ -806,8 +826,7 @@ def test_every_rule_is_used_by_a_shipped_script():
 
 def test_postprocess_bounds_the_target_slot():
     report = replay(WITNESS)
-    nf = report.final.step.conclusion
-    bound = postprocess(report.final.rows, nf, "y")
+    bound = postprocess(report.final, "y")
     model = MiniModel(cap=5, omega=2)
     value = eval_term(model, bound, model.env())
     assert [value.call(n) for n in range(4)] == [1, 2, 3, 4]
@@ -833,16 +852,16 @@ def test_leastz_is_the_least_zero_up_to_y_else_zero(cap):
 ])
 def test_postprocess_rejects(matrix, target, message):
     nf = parse_nf(f"(forall^st x:0) (exists^st y:0, g:1) {matrix}")
-    t = Var("t", pure(0))   # never inspected: the checks come first
+    rows = ()   # never inspected: the checks come first
     with pytest.raises(ScriptError, match=re.escape(message)):
-        postprocess(t, nf, target)
+        postprocess(replayed(nf, rows), target)
 
 
 def test_extract_function_needs_one_candidate():
     report = replay(WITNESS)
     assert len(report.final.rows) == 2
     with pytest.raises(ScriptError, match="exactly one candidate"):
-        extract_function(report)
+        extract_function(report.final)
 
 
 def test_value_label_falls_back_only_on_model_errors():

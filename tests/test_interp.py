@@ -7,8 +7,9 @@ from rszoo.interp import (FnV, MiniModel, ModelError, ModelRefusal,
                           parse_model_config, table_fn,
                           tabulate, values_equal, zero_value)
 from rszoo.interp.machine import SCAN_INDEX
-from rszoo.lang import (Exists, Forall, N, Var, parse_formula, parse_term,
-                        parse_type, pure, subformulas)
+from rszoo.lang import (And, Atom, Const, Exists, Forall, N, Var, app, num,
+                        parse_formula, parse_term, parse_type, pure,
+                        subformulas)
 
 
 def types(m):
@@ -419,6 +420,17 @@ def test_rec_with_a_variable_step_takes_the_general_path(monkeypatch):
     assert inline == []
     assert ev(m, f"rec[0](1, {step}, 4)") == 3
     assert len(inline) == 1
+
+
+def test_an_unknown_constant_raises_when_compiled():
+    # unlike an unbound variable, a constant the model has no meaning for
+    # is refused before anything runs, even where it is never reached
+    m = MiniModel(cap=4, omega=2)
+    plus = Const("plus", parse_type("0 -> 0"))
+    unreached = And(Atom((num(0), num(1))), Atom((app(plus, num(0)), num(0))))
+    for node, evaluate in ((plus, eval_term), (unreached, eval_formula)):
+        with pytest.raises(ModelError, match="^unknown constant 'plus'$"):
+            evaluate(m, node)
 
 
 def test_unbound_variable_in_a_rec_step_raises_only_when_run():

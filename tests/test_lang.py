@@ -235,6 +235,20 @@ def test_a_name_bound_twice_in_one_prefix_stays_in_its_scope():
     assert (e.value.msg, e.value.col) == ("unbound variable 'x'", 30)
 
 
+@pytest.mark.parametrize("read, src, name, at", [
+    (parse_term, "\\succ:0. succ", "succ", 2),
+    (parse_formula, "(forall nunl:1) nunl = nunl", "nunl", 9),
+    (parse_formula, "(exists run <= 3) run = run", "run", 9),
+])
+def test_a_binder_may_not_take_a_constants_name(read, src, name, at):
+    # the constant would take every read of the name, so the body could
+    # never read the variable
+    with pytest.raises(ParseError) as e:
+        read(src)
+    assert (e.value.msg, e.value.line, e.value.col) == (
+        f"{name!r} is a constant, not a variable name", 1, at)
+
+
 def test_typecheck_rejects_ill_typed_atoms():
     # each error names the rule broken, at the token that breaks it
     params = {"f": pure(1), "g": pure(1), "h": parse_type("0 -> 1"), "x": N}

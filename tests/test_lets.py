@@ -23,7 +23,6 @@ from rszoo.lang import (Abs, App, Atom, ForallSt, N, Var, app, free_vars,
                         infer_type, lam, pure, show_formula, show_term,
                         stdterms, strip, subformulas, subterms)
 from rszoo.lang.terms import all_names
-from rszoo.translate import nf_blocks
 
 
 def expansions(lets: str, use: str, universals: str = "k:0, x:0, p:0"):
@@ -212,11 +211,10 @@ def test_forward_term_agrees_with_substituted_lets_on_every_table(cap):
     terms = []
     for parse in (parse_script, plainlets.parse_script):
         final = check_script(parse(text)).final
-        nf = final.step.conclusion
-        terms.append((nf, postprocess(final.rows, nf, "y")))
-    (nf, bound), (_nf, plain_bound) = terms
-    f, psi, xi = nf_blocks(nf)[0]
-    forward = _mu_collapse(nf, bound, f)
+        terms.append((final, postprocess(final, "y")))
+    (final, bound), (_final, plain_bound) = terms
+    f, psi, xi = final.universals
+    forward = _mu_collapse(final.universals, bound, f)
     before = lam(psi, xi, f, app(stdterms.leastz_t(), f,
                                  plain_bound.body.body.body))
     assert sum(1 for _ in subterms(forward)) < sum(

@@ -11,7 +11,7 @@ import pytest
 
 import gen
 import refeval
-from test_extract import MODEL_CAP3, udnr_entry
+from test_extract import MODEL_CAP3, replayed, udnr_entry
 from test_mutants import mutated, named
 from rszoo.extract import check_candidates, check_script, rs_run
 from rszoo.interp import (FnV, MiniModel, ModelError, eval_formula,
@@ -395,7 +395,7 @@ def test_check_candidates_agrees_with_a_sweep_without_memo(script, plan,
     if plan is not None:
         plans = dict(compiled.plans, f=plan)
     nf = final.step.conclusion
-    report = check_candidates(compiled.model, nf, final.rows, plans)
+    report = check_candidates(compiled.model, final, plans)
     want = refeval.candidates(reference.model, nf, final.rows, plans)
     assert fields(report) == want
     assert sorted(compiled.model.flags) == sorted(reference.model.flags)
@@ -413,7 +413,8 @@ def test_check_candidates_agrees_with_a_sweep_without_memo_where_keys_matter():
     params = {"f": pure(1)}
     rows = tuple(tuple(parse_term(src, params) for src in row) for row in (
         ("f(0)", "\\x:0. f(x)"), ("succ(f(0))", "f")))
-    report = check_candidates(MiniModel(3, 2), nf, rows, {"f": "all"})
+    report = check_candidates(MiniModel(3, 2), replayed(nf, rows),
+                              {"f": "all"})
     want = refeval.candidates(MiniModel(3, 2), nf, rows, {"f": "all"})
     assert fields(report) == want
     assert not report.ok and report.checked == 256
@@ -424,7 +425,7 @@ def test_candidate_report_notes_a_vacuous_antecedent():
     # report line says so
     nf = parse_nf("(forall^st x:0) (exists^st y:0) succ(x) = 0 -> y = x")
     rows = ((Var("x", N),),)
-    report = check_candidates(MiniModel(3, 2), nf, rows)
+    report = check_candidates(MiniModel(3, 2), replayed(nf, rows))
     assert fields(report) == refeval.candidates(MiniModel(3, 2), nf, rows)
     assert report.line() == ("candidates ok over 2 assignment(s) "
                              "[antecedent vacuous]")
