@@ -1,39 +1,32 @@
-"""Proof scripts over two-block normal forms, and term extraction.
+"""Witness rows over two-block normal forms, and term extraction.
 
-A script is a list of steps, each applying one rule of a small
-candidate-tuple calculus.  A step's conclusion is a normal form
-``(forall^st xs)(exists^st ys) matrix``, split into its blocks by
-``translate.nf_blocks`` once, when the step is replayed (a conclusion
-that is no normal form fails its step), and the checker threads a
-finite list of witness tuples (candidates) alongside it: the step is
-sound when the premise guarantees that, for every assignment of the
-universals, at least one candidate tuple satisfies the matrix.  A
-witness term is well-typed and names no variable but the conclusion's
-universals, each at its own type.  The rules:
-
-  NF-AXIOM      trusted starting point with an internal matrix; it takes
-                no premises and no witness tuples, and may not introduce
-                existentials.
-  EXISTS-WITNESS  introduce existentials; the premise matrix must be
-                exactly the disjunction of the instantiated conclusion
-                matrix, one disjunct per tuple.
+The paper's algorithm RS turns a proof into explicit terms.  Here RS's
+proof is the rows; the model judges them.  A script gives, for a normal
+form ``(forall^st xs)(exists^st ys) matrix`` that the pipeline builds
+(``normalform.normalize_principle`` forward, ``normalize_backward``
+backward), a finite list of witness rows, one term per existential,
+which claims that at every assignment of the universals some row
+satisfies the matrix: a Herbrand disjunction in the sense of van den
+Berg, Briseid and Safarik (APAL 2012).  ``check_script`` checks that the
+rows fit the normal form, and ``check_candidates`` sweeps the universals
+in a finite model, which is the claim's one judge.
 
 A script is read with the language's tokenizer and ``Parser``, so
-blanks, newlines and ``#`` comments only separate tokens and a directive
-may run over lines until the next one starts:
+blanks, newlines and ``#`` comments only separate tokens:
 
-  script    :=  ('script' NAME | 'let' VAR ':=' term | step)*
-  step      :=  'step' NUM ':' RULE NUM* ('with' group+)? 'conclude' formula
-  group     :=  '(' term (';' term)* ')'
+  script  :=  ('script' NAME | 'let' VAR ':=' term)* prefix group+
+  prefix  :=  '(' 'forall' '^st' binders ')'
+  group   :=  '(' term (';' term)* ')'
 
-A NAME (and a RULE) may join its parts with '-', no blanks around it:
-``script udnr-backward``, ``step 1: NF-AXIOM``.  A VAR, the name a
-let binds, is one name and no constant's, as for every binder.  A group
-is one candidate tuple, its slots separated by ';'.  The ``with`` groups
-come before the conclusion but are scoped by it: their terms may name
-its ``forall^st`` universals, which shadow the lets, so the conclusion
-is read first.  An error gives its line:col in the script and names the
-let or the step (and the conclusion or the group and slot) it is in.
+A NAME may join its parts with '-', no blanks around it: ``script
+udnr-backward``.  A VAR, the name a let binds, is one name and not a
+reserved one, as for every binder.  The prefix writes the universals of
+the normal form, so that the rows can be read (and typed) with the text
+alone; ``check_script`` demands that it be the built form's universal
+block, names, types and order.  A group is one row, its slots separated
+by ';' in the order of the existentials; a slot may name the universals,
+which shadow the lets.  An error gives its line:col in the script and
+names the let, or the row and slot, it is in.
 
 A ``let`` term may use the lets above it.  Each let is expanded in every
 later term as it is read, in one walk (``_Lets``) that also reduces each
@@ -48,46 +41,40 @@ and the flags are those of the substituted term.  A lambda argument
 that lands in head position is reduced in turn; a redex written in the
 script is left as written.
 
-A replayed step (``StepResult``) keeps its checked rows and its
-conclusion's blocks, and the model check and extraction read them from
-it.  A report lists the steps in script order, and its final step is
-the script's last one.  Extraction reads that step's rows back as closed terms.
-``extract_function`` gives ``\\xs. witness`` for a step with one row
-of one slot.  For a numeric target slot ``y``, ``postprocess`` gives
-the bound ``\\xs. max(r1[y], max(r2[y], ...))`` straight from the rows,
-and the explicit content of the implication applies the least-zero
-search ``stdterms.leastz_t`` to that bound, by the same rule.  The
-terms are built small, from the primitives and the reduced lets, with
-no rewriting pass afterwards.
+The checked rows (``CheckedRows``) keep the normal form's blocks, and
+the model check and extraction read them.  ``extract_function`` gives
+``\\xs. witness`` for one row of one slot.  For a numeric target slot
+``y``, ``postprocess`` gives the bound ``\\xs. max(r1[y], max(r2[y],
+...))`` straight from the rows, and the explicit content of the
+implication applies the least-zero search ``stdterms.leastz_t`` to that
+bound, by the same rule.  The terms are built small, from the
+primitives and the reduced lets, with no rewriting pass afterwards.
 """
 from __future__ import annotations
 
 import itertools
 
 from .interp import ModelError
-from .lang import (Abs, App, Const, ForallSt, Formula, Implies, N,
-                   ParseError, Term, TypeCheckError, Var, alpha_eq_f, app,
-                   disj, free_vars, free_vars_f, fresh_name, infer_type,
-                   lam, show_formula, show_type, spine, stdterms, strip,
-                   subst_f)
+from .lang import (Abs, App, Const, Formula, Implies, N, ParseError, Term,
+                   TypeCheckError, Var, app, free_vars, free_vars_f,
+                   fresh_name, infer_type, lam, show_formula, show_type,
+                   spine, stdterms)
 # Unused here since scripts are read with the Parser, but kept as
 # module attributes: perfbench looks the parser up, to trace it, at
 # every attribute it was reached through.
 from .lang import parse_formula, parse_term, parse_type  # noqa: F401
-from .lang.formulas import subst_f_prepared
 from .lang.parser import Parser, tokenize
 from .lang.printer import show_term_prefix
 from .lang.terms import MAX2, Prepared, all_names, enter_binder, prepare
 from .lang.types import record
-from .normalform import BZT_BOUND, BZT_TABLE, normalize_principle
-from .translate import TranslateError, nf_blocks
+from .normalform import (BZT_BOUND, BZT_TABLE, normalize_backward,
+                         normalize_principle)
+from .translate import nf_blocks
 
 
 class ScriptError(Exception):
     pass
 
-
-RULES = ("NF-AXIOM", "EXISTS-WITNESS")
 
 Row = tuple[Term, ...]
 
@@ -97,32 +84,22 @@ Row = tuple[Term, ...]
 
 
 @record
-class ProofStep:
-    index: int
-    rule: str
-    premises: tuple[int, ...]
-    groups: tuple[Row, ...]   # term tuples following ``with``
-    conclusion: Formula
-
-
-@record
 class ProofScript:
     name: str
-    steps: tuple[ProofStep, ...]
+    universals: tuple[Var, ...]     # the prefix
+    rows: tuple[Row, ...]
 
 
 def parse_script(text: str) -> ProofScript:
     """Read a script (grammar in the module docstring).  A ParseError
     becomes a ScriptError that gives its line:col in the text and names
-    the let or step it is in."""
+    the let, or the row and slot, it is in."""
     name = "script"
     lets = _Lets()
-    steps: list[ProofStep] = []
-    where = ""                    # the let being read, for errors
+    where = ""                    # the let or slot being read, for errors
     try:
         p = Parser(tokenize(text), 0, {})
-        while p.peek().kind != "eof":
-            where = ""
+        while not p.at_sym("("):
             if p.take("script"):
                 name = _name(p)
             elif p.take("let"):
@@ -133,15 +110,32 @@ def parse_script(text: str) -> ProofScript:
                 v = Var(lname, ty)
                 lets.define(v, body)
                 p.env[lname] = v
-            elif p.take("step"):
-                steps.append(_parse_step(p, lets))
+                where = ""
             else:
-                p.expected("'script', 'let' or 'step'")
+                p.expected("'script', 'let' or '(forall^st'")
+        where = "prefix: "
+        p.next()
+        if not (p.take("forall") and p.take("^st")):
+            p.expected("'forall^st'")
+        universals = p.binders()
+        p.expect_sym(")")
+        names = {v.name: v for v in universals}
+        p.env.update(names)
+        sub = lets.scope(names)
+        rows: list[Row] = []
+        while not rows or p.peek().kind != "eof":
+            where = f"row {len(rows) + 1}: "
+            p.expect_sym("(")
+            row: list[Term] = []
+            while not row or p.take(";"):
+                where = f"row {len(rows) + 1}, slot {len(row) + 1}: "
+                row.append(lets.term(p.parse_term(), sub))
+            p.expect_sym(")")
+            rows.append(tuple(row))
     except ParseError as exc:
-        raise _script_error(where, exc) from None
-    if not steps:
-        raise ScriptError("script has no steps")
-    return ProofScript(name, tuple(steps))
+        raise ScriptError(f"{where}{exc.msg} (at {exc.line}:{exc.col})") \
+            from None
+    return ProofScript(name, tuple(universals), tuple(rows))
 
 
 class _Lets:
@@ -257,13 +251,9 @@ def _reads(t: Term, reads: dict[str, list[bool]], lazy: bool) -> None:
             reads[t.var.name] = shadowed
 
 
-def _script_error(where: str, exc: ParseError) -> ScriptError:
-    return ScriptError(f"{where}{exc.msg} (at {exc.line}:{exc.col})")
-
-
 def _name(p: Parser) -> str:
-    """A name whose parts may be joined by '-' with no blanks around
-    it: ``udnr-forward``, ``NF-AXIOM``."""
+    """A script's name, whose parts may be joined by '-' with no blanks
+    around it: ``udnr-forward``."""
     tok = p.peek()
     if tok.kind != "ident":
         p.expected("a name")
@@ -280,196 +270,83 @@ def _name(p: Parser) -> str:
     return text
 
 
-def _parse_step(p: Parser, lets: _Lets) -> ProofStep:
-    """A step, the cursor past its ``step`` keyword."""
-    where = "step needs 'step <n>: <rule> ...': "
-    try:
-        index = p.number()
-        p.expect_sym(":")
-        where = f"step {index}: "
-        tok = p.peek()
-        if tok.kind != "ident" or tok.text in ("with", "conclude"):
-            p.expected("a rule")
-        rule = _name(p)
-        if rule not in RULES:
-            raise ParseError(f"unknown rule {rule!r}", tok.line, tok.col)
-        premises: list[int] = []
-        while p.peek().kind == "num":
-            premises.append(p.number())
-        groups_at = p.pos
-        if p.take("with"):
-            groups_at = p.pos
-            if not p.at_sym("("):
-                p.expected("'(' opening a witness group")
-            while p.at_sym("("):    # read once the conclusion is
-                p.pos = p.closing(p.pos)
-                if p.next().kind == "eof":
-                    p.fail("witness group is not closed")
-        if not p.take("conclude"):
-            p.expected("a premise, 'with' or 'conclude'")
-        where = f"step {index}: conclusion: "
-        conclusion = p.parse_formula()
-        end = p.pos
-
-        # witness terms may mention the conclusion's universals
-        scope = p.env
-        universals, _ = strip(conclusion, ForallSt)
-        names = {v.name: v for v in universals}
-        p.env = {**scope, **names}
-        sub = lets.scope(names)
-        p.pos = groups_at
-        groups: list[Row] = []
-        while p.take("("):
-            row: list[Term] = []
-            while not row or p.take(";"):
-                where = (f"step {index}: witness group {len(groups) + 1}, "
-                         f"slot {len(row) + 1}: ")
-                row.append(lets.term(p.parse_term(), sub))
-            p.expect_sym(")")
-            groups.append(tuple(row))
-        p.env, p.pos = scope, end
-    except ParseError as exc:
-        raise _script_error(where, exc) from None
-    return ProofStep(index, rule, tuple(premises), tuple(groups),
-                     subst_f_prepared(conclusion, lets.sub, lets.term))
-
-
 # ---------------------------------------------------------------------------
 # checking
 
 
 @record
-class StepResult:
-    """A replayed step, its rows, and its conclusion's blocks."""
-    step: ProofStep
+class CheckedRows:
+    """A script's rows, checked against a normal form, and the normal
+    form's blocks."""
     rows: tuple[Row, ...]
     universals: tuple[Var, ...]
     existentials: tuple[Var, ...]
     matrix: Formula
 
     def line(self) -> str:
-        return (f"step {self.step.index}: {self.step.rule} ok "
-                f"({len(self.rows)} candidate(s))")
+        return f"{len(self.rows)} witness row(s) fit the normal form"
 
 
-@record
-class ScriptReport:
-    results: tuple[StepResult, ...]
-
-    @property
-    def final(self) -> StepResult:
-        return self.results[-1]
-
-    def lines(self) -> list[str]:
-        return [r.line() for r in self.results]
+def _block(vs: tuple[Var, ...]) -> str:
+    """A universal block as a script's prefix writes it."""
+    return ("(forall^st "
+            + ", ".join(f"{v.name}:{show_type(v.ty)}" for v in vs) + ")")
 
 
-def _fail(step: ProofStep, msg: str):
-    raise ScriptError(f"step {step.index} ({step.rule}): {msg}")
+def check_script(script: ProofScript, nf: Formula) -> CheckedRows:
+    """The script's rows against the normal form nf, split by
+    ``nf_blocks``: the script's prefix must be nf's universal block
+    (names, types and order), and each row fit nf's existentials
+    (``_check_rows``).  A ScriptError names the row and slot, or both
+    blocks."""
+    universals, existentials, matrix = nf_blocks(nf)
+    if script.universals != universals:
+        raise ScriptError(f"script prefix {_block(script.universals)} is "
+                          f"not the normal form's {_block(universals)}")
+    _check_rows(script.rows, existentials, universals)
+    return CheckedRows(script.rows, universals, existentials, matrix)
 
 
-def _check_rows(step: ProofStep, rows: tuple[Row, ...],
-                existentials: tuple[Var, ...], universals: tuple[Var, ...]):
-    """Witness tuples must be well-typed, and closed up to the
-    universals: a variable free in a slot term is one of them, by name
-    and type."""
+def _check_rows(rows: tuple[Row, ...], existentials: tuple[Var, ...],
+                universals: tuple[Var, ...]) -> None:
+    """Each row has one slot per existential, and each slot term is
+    well-typed at its existential's type and closed up to the
+    universals: a variable free in it is one of them, by name and
+    type."""
     scope = {u.name: u.ty for u in universals}
-    for row in rows:
+    for i, row in enumerate(rows, 1):
         if len(row) != len(existentials):
-            _fail(step, f"witness tuple has {len(row)} slots, "
-                        f"conclusion has {len(existentials)} existentials")
+            raise ScriptError(f"row {i} has {len(row)} slot(s), the normal "
+                              f"form {len(existentials)} existential(s)")
         for v, t in zip(existentials, row):
+            where = f"row {i}, slot {v.name}: "
             fvs = free_vars(t)
             loose = {w.name for w in fvs if w.name not in scope}
             if loose:
-                _fail(step, f"open witness term for {v.name}: "
-                            f"unbound {sorted(loose)}")
+                raise ScriptError(f"{where}open witness term: unbound "
+                                  f"{sorted(loose)}")
             for w in sorted(fvs, key=lambda w: w.name):
                 if w.ty != scope[w.name]:
-                    _fail(step, f"witness for {v.name}: variable {w.name} "
-                                f"used at type {show_type(w.ty)} but "
-                                f"declared at {show_type(scope[w.name])}")
+                    raise ScriptError(
+                        f"{where}variable {w.name} used at type "
+                        f"{show_type(w.ty)} but declared at "
+                        f"{show_type(scope[w.name])}")
             try:
                 ty = infer_type(t)
             except TypeCheckError as exc:
-                _fail(step, f"witness for {v.name}: {exc}")
+                raise ScriptError(f"{where}{exc}") from None
             if ty != v.ty:
-                _fail(step, f"witness for {v.name} has type {show_type(ty)}, "
-                            f"expected {show_type(v.ty)}")
-
-
-def check_script(script: ProofScript) -> ScriptReport:
-    """Replay a script, rule by rule.  Raises ScriptError naming the
-    step and the violated side condition; returns a report with each
-    step's rows and blocks, in script order.  A rule handler gets the
-    ``nf_blocks`` of the conclusion and each premise's replayed step."""
-    done: dict[int, StepResult] = {}    # in script order
-
-    for step in script.steps:
-        if step.index in done:
-            raise ScriptError(f"duplicate step index {step.index}")
-        try:
-            nf = nf_blocks(step.conclusion)
-        except TranslateError as exc:
-            _fail(step, str(exc))
-        prems = []
-        for p in step.premises:
-            if p not in done:
-                _fail(step, f"premise {p} not yet derived")
-            prems.append(done[p])
-        rows = _RULE_HANDLERS[step.rule](step, nf, prems)
-        done[step.index] = StepResult(step, rows, *nf)
-
-    return ScriptReport(tuple(done.values()))
-
-
-def _rule_nf_axiom(step, nf, prems):
-    if prems:
-        _fail(step, "axioms take no premises")
-    if step.groups:
-        _fail(step, "axioms take no witness tuples")
-    _, existentials, _ = nf
-    if existentials:
-        _fail(step, "internal axiom cannot introduce existentials")
-    return ((),)
-
-
-def _rule_exists_witness(step, nf, prems):
-    universals, existentials, matrix = nf
-    if len(prems) != 1:
-        _fail(step, "needs exactly one premise")
-    prem = prems[0]
-    if prem.existentials:
-        _fail(step, "premise must be existential-free")
-    if not existentials:
-        _fail(step, "conclusion introduces no existentials")
-    if universals != prem.universals:
-        _fail(step, "universal block must match the premise")
-    if not step.groups:
-        _fail(step, "needs at least one witness tuple")
-    _check_rows(step, step.groups, existentials, universals)
-    want = disj([subst_f(matrix, dict(zip(existentials, row)))
-                 for row in step.groups])
-    if not alpha_eq_f(prem.matrix, want):
-        _fail(step, "premise matrix is not the disjunction of the "
-                    "instantiated conclusion matrix; expected "
-                    + show_formula(want))
-    return step.groups
-
-
-_RULE_HANDLERS = {
-    "NF-AXIOM": _rule_nf_axiom,
-    "EXISTS-WITNESS": _rule_exists_witness,
-}
+                raise ScriptError(f"{where}witness has type {show_type(ty)}, "
+                                  f"expected {show_type(v.ty)}")
 
 
 # ---------------------------------------------------------------------------
 # extraction
 
 
-def extract_function(final: StepResult) -> Term:
-    """Single-witness extraction from a replayed step: ``\\xs.
-    witness``.  Demands exactly one tuple with one slot."""
+def extract_function(final: CheckedRows) -> Term:
+    """Single-witness extraction from checked rows: ``\\xs. witness``.
+    Demands exactly one row with one slot."""
     if len(final.rows) != 1 or len(final.existentials) != 1:
         raise ScriptError("function extraction needs exactly one candidate "
                           "and one witness slot; got "
@@ -487,9 +364,9 @@ extract_terms = extract_function
 # post-processing: the bound over the candidates' target slot
 
 
-def postprocess(final: StepResult, target: str) -> Term:
+def postprocess(final: CheckedRows, target: str) -> Term:
     """The closed bound term ``\\xs. max(r1[y], max(r2[y], ...))`` over
-    the target slot ``y`` of a replayed step's rows, with the ``max``
+    the target slot ``y`` of checked rows, with the ``max``
     primitive.  The consequent of its matrix may mention no other
     witness slot, since the bound stands in for the target alone."""
     existentials, matrix, rows = final.existentials, final.matrix, final.rows
@@ -552,16 +429,16 @@ def _value_label(model, ty, v) -> str:
         return "<value>"
 
 
-def check_candidates(model, final: StepResult,
+def check_candidates(model, final: CheckedRows,
                      plans: dict[str, str] | None = None) -> CandidateReport:
-    """Sweep the universals of a replayed step and test that some
+    """Sweep the universals of checked rows and test that some
     candidate row satisfies its matrix at every assignment.
 
     ``plans`` maps a universal name to ``"all"`` (full enumeration) or
     ``"st"`` (declared/standard population, the default — the block is
     a forall^st); any other plan, or a key that names no universal, is
-    a ScriptError.  The blocks and the rows come from the replay, which
-    checked them: a slot term is well-typed and names no variable but
+    a ScriptError.  The blocks and the rows come from ``check_script``,
+    which checked them: a slot term is well-typed and names no variable but
     the universals, and the matrix names only the two blocks'
     variables, whose names differ.  So an assignment's environment
     holds the universals and each row sets its existentials there.
@@ -670,25 +547,33 @@ def _stage(entry_id: str, tag: str, fn):
 
 
 def rs_run(entry) -> ExplicitImplication:
-    """Drive one corpus entry end to end: normalize the principle,
-    compare against the stored expectation, replay both scripts, check
-    the candidates in the entry's model, and assemble the explicit
-    implication terms.  Errors carry the failing stage tag.
+    """Drive one corpus entry end to end: build the forward normal form
+    and compare it with the stored expectation, check the forward rows
+    against it and in the entry's model, build the bound and the forward
+    term; then build the backward normal form, check the backward rows
+    against it and in the model, and extract the backward term.  Errors
+    carry the failing stage tag.
 
     The entry fields read are ``ident``, ``principle``, ``expect``,
     ``forward``, ``backward``, ``model`` and ``plans`` (the forward sweep
     plans); the backward sweep ranges over the standard objects.  The
-    target's table and bound are those of ``normalform``.  The forward
-    script's conclusion must be ``==`` to the normal form, as the stored
-    expectation must, not only alpha-equal: the sweep plans and the
-    target's table and bound name its variables."""
+    target's table and bound are those of ``normalform``; the sweep
+    plans name the built form's universals, so a script's prefix must
+    be ``==`` to them, not only alpha-equal."""
     eid = entry.ident
     stages: list[tuple[str, str]] = []
     flags: set[str] = set()
 
-    def candidates(tag: str, prefix: str, final: StepResult, plans):
-        """Check a script's final rows in the model; a failure raises,
-        and a vacuous antecedent or saturation sets a flag."""
+    def checked(direction: str, script: ProofScript, nf: Formula):
+        """The script's rows checked against nf, and the stage line."""
+        tag = "check-" + direction
+        rows = _stage(eid, tag, lambda: check_script(script, nf))
+        stages.append((tag, rows.line()))
+        return rows
+
+    def candidates(tag: str, prefix: str, final: CheckedRows, plans):
+        """Check the rows in the model; a failure raises, and a vacuous
+        antecedent or saturation sets a flag."""
         cand = _stage(eid, tag, lambda: check_candidates(entry.model, final,
                                                          plans))
         stages.append((tag, cand.line()))
@@ -709,28 +594,22 @@ def rs_run(entry) -> ExplicitImplication:
                           f"  want {show_formula(entry.expect)}")
     stages.append(("expect", "normal form matches stored expectation"))
 
-    rep = _stage(eid, "check-forward", lambda: check_script(entry.forward))
-    stages.extend(("check-forward", l) for l in rep.lines())
-    final = rep.final
-    concluded = final.step.conclusion
-    if concluded != nf:
-        raise ScriptError(f"{eid}/align: forward script concludes "
-                          f"{show_formula(concluded)}, but the principle "
-                          f"normalizes to {show_formula(nf)}")
-    stages.append(("align", "script conclusion matches the normal form"))
-    candidates("candidates-forward", "", final, entry.plans)
+    forward = checked("forward", entry.forward, nf)
+    candidates("candidates-forward", "", forward, entry.plans)
     bound = _stage(eid, "postprocess",
-                   lambda: postprocess(final, BZT_BOUND.name))
+                   lambda: postprocess(forward, BZT_BOUND.name))
     stages.append(("postprocess", f"bound {show_term_brief(bound)}"))
     forward_term = _stage(eid, "collapse", lambda: _mu_collapse(
-        final.universals, bound, BZT_TABLE))
+        forward.universals, bound, BZT_TABLE))
     stages.append(("collapse", show_term_brief(forward_term)))
 
-    rep = _stage(eid, "check-backward", lambda: check_script(entry.backward))
-    stages.extend(("check-backward", l) for l in rep.lines())
-    candidates("candidates-backward", "backward-", rep.final, None)
+    nf = _stage(eid, "normalize-backward",
+                lambda: normalize_backward(entry.principle))
+    stages.append(("normalize-backward", show_formula(nf)))
+    backward = checked("backward", entry.backward, nf)
+    candidates("candidates-backward", "backward-", backward, None)
     backward_term = _stage(eid, "extract-backward",
-                           lambda: extract_function(rep.final))
+                           lambda: extract_function(backward))
 
     return ExplicitImplication(forward_term, backward_term, bound,
                                tuple(sorted(flags)), tuple(stages))

@@ -11,19 +11,17 @@ extensional above type 0; ``s <= t`` is not primitive.
 
 Formula nodes, like term nodes, derive from ``terms.SyntaxNode``: they
 are immutable, hold only slots, and keep their hash and free variables
-once computed (see ``terms``).  ``alpha_eq_f`` is the same single walk
-as ``terms.alpha_eq``.
+once computed (see ``terms``).
 """
 from __future__ import annotations
 
 from functools import reduce
-from typing import Callable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
-from .terms import (NO_VARS, App, Prepared, Scope, Term, Var,
-                    SyntaxNode, all_names, alpha_binder, alpha_walk,
+from .terms import (NO_VARS, App, Prepared, Term, Var, SyntaxNode, all_names,
                     drop_name, enter_binder, free_vars as term_fvs,
                     fresh_name, infer_type, keep_fvs, prepare,
-                    same_scope, subst_prepared, union)
+                    subst_prepared, union)
 from .types import Arrow, FiniteType, N, Seq, node
 
 
@@ -98,11 +96,6 @@ EXTERNAL = (ForallSt, ExistsSt)
 def conj(parts: list[Formula]) -> Formula:
     """The conjunction of one or more formulas, grouped to the left."""
     return reduce(And, parts)
-
-
-def disj(parts: list[Formula]) -> Formula:
-    """The disjunction of one or more formulas, grouped to the left."""
-    return reduce(Or, parts)
 
 
 def is_internal(f: Formula) -> bool:
@@ -185,65 +178,29 @@ def all_names_f(f: Formula) -> set[str]:
 
 def subst_f(f: Formula, sub: Mapping[Var, Term]) -> Formula:
     """Simultaneous capture-avoiding substitution in a formula."""
-    return subst_f_prepared(f, prepare(sub), subst_prepared)
+    return subst_f_prepared(f, prepare(sub))
 
 
-def subst_f_prepared(f: Formula, sub: Prepared,
-                     term: Callable[[Term, Prepared], Term]) -> Formula:
-    """f with each of its terms t rewritten as ``term(t, sub)``, and its
-    binders entered as a substitution enters them: ``subst_f`` with
-    ``subst_prepared``, and ``extract``'s let expansion."""
+def subst_f_prepared(f: Formula, sub: Prepared) -> Formula:
+    """``subst_f`` with the substitution prepared: each term rewritten by
+    ``subst_prepared``, each binder entered by ``enter_binder``."""
     if not sub:
         return f
     if isinstance(f, Atom):
-        return Atom(tuple(term(t, sub) for t in f.args))
+        return Atom(tuple(subst_prepared(t, sub) for t in f.args))
     if isinstance(f, Not):
-        return Not(subst_f_prepared(f.body, sub, term))
+        return Not(subst_f_prepared(f.body, sub))
     if isinstance(f, (And, Or, Implies)):
-        return type(f)(subst_f_prepared(f.left, sub, term),
-                       subst_f_prepared(f.right, sub, term))
+        return type(f)(subst_f_prepared(f.left, sub),
+                       subst_f_prepared(f.right, sub))
     if isinstance(f, QUANTS):
         var, inner = enter_binder(f.var, sub, lambda: free_vars_f(f.body))
-        return type(f)(var, subst_f_prepared(f.body, inner, term))
+        return type(f)(var, subst_f_prepared(f.body, inner))
     if isinstance(f, BExists):
-        bound = term(f.bound, sub)
+        bound = subst_prepared(f.bound, sub)
         var, inner = enter_binder(f.var, sub, lambda: free_vars_f(f.body))
-        return BExists(var, bound, subst_f_prepared(f.body, inner, term))
+        return BExists(var, bound, subst_f_prepared(f.body, inner))
     raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# alpha-equality
-
-def alpha_eq_f(a: Formula, b: Formula) -> bool:
-    """Equality up to the names of bound variables, of quantifiers and
-    of lambdas; see ``alpha_walk``."""
-    return alpha_walk_f(a, b, {}, {}, 0)
-
-
-def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
-                 depth: int) -> bool:
-    """``terms.alpha_walk`` on formulas: one walk, binders matched by
-    name, scopes updated in place and restored."""
-    if a is b and same_scope(free_vars_f(a), ma, mb):
-        return True
-    kind = type(a)
-    if kind is not type(b):
-        return False
-    if kind is Atom:
-        for s, t in zip(a.args, b.args):
-            if not alpha_walk(s, t, ma, mb, depth):
-                return False
-        return True
-    if kind is Not:
-        return alpha_walk_f(a.body, b.body, ma, mb, depth)
-    if kind is And or kind is Or or kind is Implies:
-        return (alpha_walk_f(a.left, b.left, ma, mb, depth)
-                and alpha_walk_f(a.right, b.right, ma, mb, depth))
-    if kind is BExists and not alpha_walk(a.bound, b.bound, ma, mb, depth):
-        return False
-    return alpha_binder(a.var, b.var, alpha_walk_f, a.body, b.body,
-                        ma, mb, depth)
 
 
 # ---------------------------------------------------------------------------

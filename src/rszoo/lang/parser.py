@@ -34,12 +34,13 @@ y:T) y = t``; a true and a false formula, ``0 = 0`` and ``0 != 0``.
 ``approx[T](s, t)`` is read as the formula it abbreviates
 (``formulas.approx``).
 
-A constant's name is reserved, and no binder may take it: the constant
-would take every read.  A polymorphic constant writes its type
-arguments in brackets (``rec[0]``); ``terms.POLYMORPHIC`` says how many
-it takes.
+A constant's name and a keyword are reserved, and no binder, nor a
+``params`` name of ``parse_term`` or ``parse_formula``, may take one:
+the constant or keyword would take every read.  A polymorphic constant
+writes its type arguments in brackets (``rec[0]``);
+``terms.POLYMORPHIC`` says how many it takes.
 
-The same tokens and ``Parser`` read proof scripts
+The same tokens and ``Parser`` read witness-row scripts
 (``extract.parse_script``, which also uses the symbols ``-`` and
 ``;``).  A ``.nf`` file is a normal form, which is a formula:
 ``translate.parse_nf`` reads it with ``parse_formula`` and checks its
@@ -183,22 +184,18 @@ class Parser:
 
     def bound_name(self, missing: str) -> str:
         """The name a binder binds, the cursor past it, and not a
-        constant's; ``missing`` is the error where no name is."""
+        reserved one; ``missing`` is the error where no name is."""
         tok = self.peek()
         if tok.kind != "ident":
             self.fail(missing)
-        if tok.text in CONST_NAMES:
-            raise ParseError(f"{tok.text!r} is a constant, not a variable "
-                             "name", tok.line, tok.col)
+        _refuse_reserved(tok.text, tok.line, tok.col)
         self.next()
         return tok.text
 
     def number(self) -> int:
-        t = self.peek()
-        if t.kind != "num":
-            self.expected("a number")
-        self.next()
-        return int(t.text)
+        """The number at the cursor, the cursor past it: each caller has
+        seen a "num" token there."""
+        return int(self.next().text)
 
     def closing(self, i: int) -> int:
         """The index of the token that closes the '(' or '[' at token i,
@@ -292,7 +289,11 @@ class Parser:
 
     def _term_app(self) -> Term:
         t = self._term_primary()
-        while self.take("("):
+        # no argument opens with a keyword, so a '(' that opens a
+        # quantifier prefix ends the term: a script's prefix follows its
+        # last let
+        while self.at_sym("(") and not self._at_quant():
+            self.next()
             t = app(t, *self.listed(self.parse_term, ")"))
         return t
 
@@ -483,9 +484,21 @@ def parse_formula(src: str, params: dict[str, FiniteType] | None = None
     return _read_all(src, params, Parser.parse_formula, "formula")
 
 
+def _refuse_reserved(name: str, line: int, col: int) -> None:
+    """A ParseError at line:col when a variable may not take ``name``."""
+    for kind, names in (("a constant", CONST_NAMES), ("a keyword", KEYWORDS)):
+        if name in names:
+            raise ParseError(f"{name!r} is {kind}, not a variable name",
+                             line, col)
+
+
 def _read_all(src: str, params: dict[str, FiniteType] | None, read, what):
-    """``read`` over all of src, with ``params`` as its free variables."""
-    env = {name: Var(name, ty) for name, ty in (params or {}).items()}
+    """``read`` over all of src, with ``params`` as its free variables; a
+    reserved ``params`` name fails at 1:1."""
+    params = params or {}
+    for name in params:
+        _refuse_reserved(name, 1, 1)
+    env = {name: Var(name, ty) for name, ty in params.items()}
     p = Parser(tokenize(src), 0, env)
     out = read(p)
     if p.peek().kind != "eof":

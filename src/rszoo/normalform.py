@@ -2,7 +2,7 @@
 
 A *problem statement* is a formula (forall X..)(exists Y..) phi with phi
 internal: for every instance there is a solution.  The pipeline turns
-such a statement into the two-block normal form that the proof scripts
+such a statement into the two-block normal form that the witness rows
 and the extractor work with:
 
 1. ``uniformize``       - flip the quantifiers through a solution
@@ -22,6 +22,13 @@ and the extractor work with:
 The pipeline refuses anything outside this grammar, implication-shaped
 statements (hypothesis to bounded conclusion) included.
 
+The backward direction has a fixed source as the forward one has a
+fixed target: ``normalize_backward`` relativizes the statement's blocks,
+puts Feferman's specification (mu^2) of a standard least-zero functional
+``mu:2`` in front of them, and calls ``prenex_to_normal``.  Each
+direction's witness rows are checked against the normal form built
+here, not against one that a script states.
+
 The quantifier exchanges in step 4 are classical equivalences over
 nonempty finite ranges, so the output stays truth-equivalent to its
 input in any MiniModel whose standard populations at the quantified
@@ -35,7 +42,8 @@ from .lang.formulas import (EXTERNAL, And, Atom, BExists, Exists, ExistsSt,
                             is_internal, strip, subformulas, subst_f)
 from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num, INITSEG,
                          NUNL, NUNR)
-from .lang.types import Arrow, FiniteType, N, Seq, arrows, record, show_type
+from .lang.types import (Arrow, FiniteType, N, Seq, arrows, pure, record,
+                         show_type)
 
 
 class NormalFormError(Exception):
@@ -85,8 +93,8 @@ class UniformPrinciple:
     functionals: tuple[Var, ...]
 
 
-def uniformize(base: Formula) -> UniformPrinciple:
-    """Build the functional and relativized-strong variants of a
+def _statement(base: Formula) -> tuple[list[Var], list[Var], Formula]:
+    """The universals, the existentials and the internal matrix of a
     (forall X..)(exists Y..) phi problem statement."""
     xs, rest = strip(base, Forall)
     ys, matrix = strip(rest, Exists)
@@ -99,6 +107,13 @@ def uniformize(base: Formula) -> UniformPrinciple:
                    if isinstance(g, EXTERNAL))
         raise NormalFormError(
             f"matrix must be internal; found {type(bad).__name__}")
+    return xs, ys, matrix
+
+
+def uniformize(base: Formula) -> UniformPrinciple:
+    """Build the functional and relativized-strong variants of a
+    (forall X..)(exists Y..) phi problem statement."""
+    xs, ys, matrix = _statement(base)
 
     if not ys:
         uniform = base
@@ -372,7 +387,7 @@ def prenex_to_normal(f: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# the composed pipeline
+# the composed pipelines
 
 def normalize_principle(base: Formula,
                         steps: list | None = None) -> Formula:
@@ -397,3 +412,28 @@ def normalize_principle(base: Formula,
     if steps is not None:
         steps.append(("normal-form", nf))
     return nf
+
+
+def normalize_backward(base: Formula) -> Formula:
+    """The backward normal form of a problem statement (forall xs)(exists
+    ys) phi: under Feferman's specification (mu^2) of a standard mu:2,
+
+        (forall^st mu) ((forall h:1) (((exists x:0) h(x) = 0)
+                                      -> h(mu(h)) = 0)
+                        -> (forall^st xs)(exists^st ys) phi),
+
+    brought to the front by ``prenex_to_normal``.  A statement without
+    existentials has no backward content and is refused."""
+    xs, ys, matrix = _statement(base)
+    if not ys:
+        raise NormalFormError("the backward normal form needs an "
+                              "existential block")
+    for y in reversed(ys):
+        matrix = ExistsSt(y, matrix)
+    for x in reversed(xs):
+        matrix = ForallSt(x, matrix)
+    mu = Var(fresh_name("mu", all_names_f(base)), pure(2))
+    h, x = Var("h", pure(1)), Var("x", N)
+    spec = Forall(h, Implies(Exists(x, Atom((App(h, x), num(0)))),
+                             Atom((App(h, App(mu, h)), num(0)))))
+    return prenex_to_normal(ForallSt(mu, Implies(spec, matrix)))

@@ -2,13 +2,12 @@
 
 A normal form is a formula ``(forall^st xs)(exists^st ys) matrix`` with
 an internal matrix and no block name bound twice: the shape that
-``normalform.normalize_principle`` builds and that proof scripts
-conclude.  It is written with ``show_formula``, compared with
-``alpha_eq_f`` (block order counts) and ``==``, and read from a ``.nf``
-file by ``parse_nf``.  ``nf_blocks`` checks the shape and splits a
-formula into its two blocks and its matrix: in ``parse_nf``, and once
-per step in a script's replay (``extract.check_script``), whose split
-the later stages read.
+``normalform.normalize_principle`` and ``normalize_backward`` build.  It
+is written with ``show_formula``, compared with ``==``, and read from a
+``.nf`` file by ``parse_nf``.  ``nf_blocks`` checks the shape and splits
+a formula into its two blocks and its matrix: in ``parse_nf``, and once
+per script in ``extract.check_script``, whose split the later stages
+read.
 
 A TranslateError is a formula that is no normal form: its matrix is not
 internal, or a name is bound twice in the blocks; from ``parse_nf``

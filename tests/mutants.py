@@ -2,7 +2,7 @@
 
 A check is as strong as the mutants it kills (DeMillo, Lipton and
 Sayward, 1978).  A mutant names the entry file it edits and lists its
-edits.  A text edit of a proof script names how often its text occurs,
+edits.  A text edit of a witness-row script names how often its text occurs,
 so an edit that no longer applies fails instead of leaving the script
 unchanged.  An edit of ``model.cfg`` is made in the model loaded from
 it, since the file's constructions cannot write the mutated object:
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-# the slot terms of the forward row, as the script writes them
-DMARK = "dmark(f, Psi(empty1, 0))"
-ROW_Y = f"Xi(empty1, {DMARK}, 1)"
+# the slot term y of the forward row, as the script writes it
+ROW_Y = "Xi(empty1, dmark(f, Psi(empty1, 0)), 1)"
+# the backward row's slot term d
+ROW_D = "\\e:0. run(Z, e, mu(\\s:0. iszero(run(Z, e, s))))"
 
 
 class Mutant(NamedTuple):
@@ -42,12 +43,9 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # the bound 0; step 1's axiom stays the instance of the row, as
-    # EXISTS-WITNESS demands
-    Mutant("every-y-0", "forward.prf", (
-        (f"(exists z <= {ROW_Y}) f(z) = 0", "(exists z <= 0) f(z) = 0", 1),
-        (f"({ROW_Y}; ", "(0; ", 1)),
-        survives=None),
+    # the bound 0
+    Mutant("every-y-0", "forward.prf", ((f"({ROW_Y};", "(0;", 1),),
+           survives=None),
     # the mark 7 cells late, behind the guard that keeps the shifted
     # index inside the table
     Mutant("dmark-offset-7", "forward.prf", (
@@ -61,25 +59,27 @@ MUTANTS = [
     # table, which refutes the row (test_mutants.py, under f: all)
     Mutant("mark-late-1", "forward.prf", (
         ("firstz(h, n)", "firstz(h, monus(n, 1))", 1),), survives=None),
-    # every place the script passes k, Xi's last argument
+    # every place the row passes k: Xi's last argument in y, and k's own
+    # slot
     Mutant("xi-k-0", "forward.prf", (
-        (")), 1)", ")), 0)", 5), ("(Psi(empty1), 1)", "(Psi(empty1), 0)", 1),
-        ("; 1)", "; 0)", 1)), survives=None),
-    # the bound renamed w in step 2's conclusion, which stays
-    # alpha-equal to the normal form; the later stages look the bound up
-    # by its name y, so alignment refuses it
-    Mutant("rename-y", "forward.prf", (
-        ("(exists^st y:0, ", "(exists^st w:0, ", 1),
-        ("(exists z <= y) f(z) = 0", "(exists z <= w) f(z) = 0", 1)),
+        (")), 1);", ")), 0);", 1), ("; 1)", "; 0)", 1)), survives=None),
+    # the universal f renamed g in the prefix and in the row, which stays
+    # alpha-equal to rows for the normal form; the sweep plans and the
+    # collapse look the table up by its name f, so the prefix check of
+    # check-forward refuses it
+    Mutant("rename-f", "forward.prf", (
+        ("(forall^st f:1, ", "(forall^st g:1, ", 1),
+        ("dmark(f, ", "dmark(g, ", 3)),
         survives=None),
-    # a row edited without the axiom: the replay refuses step 2
-    Mutant("row-without-axiom", "forward.prf",
-           ((f"({ROW_Y}; ", "(0; ", 1),), survives=None),
     # the backward witness searches for no halting stage: mu of the
-    # constant 0, in the step and in the axiom it must match
+    # constant 0
     Mutant("backward-mu-0", "backward.prf", (
-        ("mu(\\s:0. iszero(run(Z, e, s)))", "mu(\\s:0. 0)", 2),),
+        ("mu(\\s:0. iszero(run(Z, e, s)))", "mu(\\s:0. 0)", 1),),
         survives=None),
+    # the backward witness ignores the oracle: the zero function, which
+    # dodges neither standard table
+    Mutant("backward-trivial", "backward.prf", (
+        (f"({ROW_D})", "(\\e:0. 0)", 1),), survives=None),
     # the model's modulus answers 0 everywhere: the forward candidates
     # then hold only where the antecedent fails, and the verdict gains
     # antecedent-vacuous

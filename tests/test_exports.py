@@ -13,9 +13,9 @@ import rszoo.interp
 import rszoo.lang
 import rszoo.normalform
 import rszoo.translate
-from rszoo.extract import parse_script
 from rszoo.lang import formulas, parse_formula, subformulas, terms
 from rszoo.lang.parser import tokenize
+from rszoo.normalform import normalize_backward, normalize_principle
 from rszoo.translate import parse_nf
 
 ROOT = Path(__file__).parents[1]
@@ -109,16 +109,17 @@ def test_every_constant_is_written_by_the_corpus_or_built_in_src():
 
 
 def corpus_formulas():
-    """The formulas that the corpus files write: each principle, normal
-    form and script conclusion."""
+    """The formulas that the corpus files write, and the normal forms the
+    pipeline builds from them: each principle with its forward and
+    backward normal form, and each stored normal form."""
     corpus = PACKAGE / "corpus_data"
     for path in sorted(corpus.glob("*/*.fml")):
-        yield parse_formula(path.read_text())
+        principle = parse_formula(path.read_text())
+        yield principle
+        yield normalize_principle(principle)
+        yield normalize_backward(principle)
     for path in sorted(corpus.glob("*/*.nf")):
         yield parse_nf(path.read_text())
-    for path in sorted(corpus.glob("*/*.prf")):
-        yield from (step.conclusion
-                    for step in parse_script(path.read_text()).steps)
 
 
 def test_every_formula_node_is_written_by_the_corpus_or_built_in_src():

@@ -10,13 +10,14 @@ import pytest
 
 import rszoo.interp
 from rszoo import extract
-from rszoo.extract import (ProofScript, ProofStep, ScriptError, StepResult,
+from rszoo.extract import (CheckedRows, ProofScript, ScriptError,
                            check_candidates, check_script, extract_function,
                            parse_script, postprocess, rs_run)
 from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
 from rszoo.lang import (SUCC, App, Forall, N, Var, app, num, parse_formula,
                         pure, show_formula, show_term, stdterms, subterms)
+from rszoo.normalform import normalize_backward
 from rszoo.translate import TranslateError, nf_blocks, parse_nf
 
 UDNR = Path(extract.__file__).parent / "corpus_data" / "udnr"
@@ -57,22 +58,21 @@ def udnr_entry(model: str = MODEL_CAP3, f_plan: str = "st"):
     )
 
 
-def replayed(nf, rows) -> StepResult:
-    """A replayed step that concludes the normal form nf with ``rows``,
-    split as the replay splits it, for a stage that reads one."""
-    return StepResult(ProofStep(1, "EXISTS-WITNESS", (), rows, nf), rows,
-                      *nf_blocks(nf))
+def checked_rows(nf, rows) -> CheckedRows:
+    """``rows`` for the normal form nf, split as ``check_script`` splits
+    it, for a stage that reads checked rows."""
+    return CheckedRows(rows, *nf_blocks(nf))
 
 
 @pytest.fixture(scope="module")
 def udnr_run():
-    """One rs_run of udnr at cap 3, counting the script replays."""
+    """One rs_run of udnr at cap 3, counting the script checks."""
     entry = udnr_entry()
     replays = []
 
-    def counted(script):
+    def counted(script, nf):
         replays.append(script.name)
-        return check_script(script)
+        return check_script(script, nf)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extract, "check_script", counted)
@@ -114,10 +114,10 @@ def test_rs_run_replays_each_script_once(udnr_run):
     assert replays == ["udnr-forward", "udnr-backward"]
 
 
-def test_rs_run_splits_each_script_step_once(monkeypatch):
-    # the replay splits each conclusion, and the model checks, the bound,
-    # the collapse and the extraction read the replayed step: udnr's two
-    # scripts have two steps each
+def test_rs_run_splits_each_normal_form_once(monkeypatch):
+    # check_script splits the normal form it checks a script against, and
+    # the model checks, the bound, the collapse and the extraction read
+    # the checked rows: one split per direction
     split = []
 
     def counted(f):
@@ -126,7 +126,7 @@ def test_rs_run_splits_each_script_step_once(monkeypatch):
 
     monkeypatch.setattr(extract, "nf_blocks", counted)
     rs_run(udnr_entry())
-    assert len(split) == 4
+    assert len(split) == 2
 
 
 def test_rs_run_names_the_stage_of_a_model_refusal():
@@ -188,7 +188,7 @@ def test_forward_term_makes_at_most_215_python_calls_per_table(udnr_run):
 def test_rs_run_bound_is_a_max_over_the_target_slot(udnr_run):
     entry, verdict, _replays = udnr_run
     # the script has one row, so the max over the rows is its y
-    dmark = show_term(check_script(entry.forward).final.rows[0][1])
+    dmark = show_term(entry.forward.rows[0][1])
     assert show_term(verdict.bound_term) == (
         "\\f:1. \\Psi:1 -> 1. \\Xi:1 -> 1 -> 1. "
         f"Xi(\\n:0. 0, {dmark}, 1)")
@@ -273,10 +273,28 @@ def test_rs_run_fails_at_expect_on_another_normal_form():
     rs_run_fails_at(entry, "expect")
 
 
-def test_rs_run_fails_at_align_on_a_forward_script_for_another_form():
+def test_rs_run_fails_at_check_forward_on_the_backward_script():
+    # a prefix mismatch names both blocks
     entry = udnr_entry()
     entry.forward = entry.backward
-    rs_run_fails_at(entry, "align")
+    assert rs_run_fails_at(entry, "check-forward") == (
+        "udnr/check-forward: script prefix (forall^st mu:2, Z:1) is not the "
+        "normal form's (forall^st f:1, Psi:1 -> 1, Xi:1 -> 1 -> 1)")
+
+
+def test_rs_run_names_the_stage_row_and_slot_of_a_row_error():
+    entry = udnr_entry()
+    text = (UDNR / "forward.prf").read_text()
+    row_y = "(Xi(empty1, dmark(f, Psi(empty1, 0)), 1);"
+    assert text.count(row_y) == 1
+    entry.forward = parse_script(text.replace(row_y, "(empty1;"))
+    assert rs_run_fails_at(entry, "check-forward") == (
+        "udnr/check-forward: row 1, slot y: witness has type 1, expected 0")
+    entry = udnr_entry()
+    entry.backward = parse_script((UDNR / "backward.prf").read_text()
+                                  .replace("(\\e:0. run(", "(\\e:1. run("))
+    assert rs_run_fails_at(entry, "check-backward").startswith(
+        "udnr/check-backward: row 1, slot d: ")
 
 
 def test_rs_run_fails_at_candidates_backward_naming_declared_objects():
@@ -286,7 +304,7 @@ def test_rs_run_fails_at_candidates_backward_naming_declared_objects():
     entry = udnr_entry()
     witness = r"\e:0. run(Z, e, mu(\s:0. iszero(run(Z, e, s))))"
     text = (UDNR / "backward.prf").read_text()
-    assert text.count(witness) == 2
+    assert text.count(witness) == 1
     entry.backward = parse_script(text.replace(witness, r"\e:0. 0"))
     assert rs_run_fails_at(entry, "candidates-backward") == (
         "udnr/candidates-backward: candidates FAIL over 2 assignment(s) "
@@ -300,7 +318,7 @@ def test_rs_run_flags_a_saturated_backward_sweep():
     entry = udnr_entry()
     witness = r"run(Z, e, mu(\s:0. iszero(run(Z, e, s))))"
     text = (UDNR / "backward.prf").read_text()
-    assert text.count(witness) == 2
+    assert text.count(witness) == 1
     entry.backward = parse_script(
         text.replace(witness, f"max({witness}, monus(9, 9))"))
     verdict = rs_run(entry)
@@ -317,9 +335,8 @@ def test_backward_row_fails_on_a_recorded_count_of_tables(cap, failing):
     # cap 4, 375 of them have the scan (program 0) halt on cell 0 = cap
     entry = udnr_entry(resized_model(cap))
     model = entry.model
-    final = check_script(entry.backward).final
-    _, _, matrix = nf_blocks(final.step.conclusion)
-    clause = matrix.right       # mu0 meets the antecedent
+    final = check_script(entry.backward, normalize_backward(entry.principle))
+    clause = final.matrix.right     # mu0 meets the antecedent
     refuted = 0
     for table in itertools.product(range(cap + 1), repeat=cap + 1):
         env = {"mu": model.object("mu0"), "Z": table_fn(list(table), model)}
@@ -344,17 +361,22 @@ def test_rs_run_rejects_a_sweep_plan_for_no_universal():
         "udnr/candidates-forward: sweep plan names no universal: ['F']")
 
 
-def test_rs_run_fails_at_align_when_the_script_renames_the_table():
-    # with f renamed g the script's conclusion is only alpha-equal to the
-    # normal form.  The sweep plans and the collapse look the table up by
-    # its name f, so alignment asks for ==, even with no plan naming f;
-    # the collapse alone would refuse such a conclusion
+def test_rs_run_fails_at_check_forward_when_the_script_renames_the_table():
+    # with f renamed g the script's rows are only alpha-equal to rows for
+    # the normal form.  The sweep plans and the collapse look the table up
+    # by its name f, so the prefix must be ==, even with no plan naming
+    # f; the collapse alone would refuse such a prefix
     entry = udnr_entry()
     text = (UDNR / "forward.prf").read_text()
     entry.forward = parse_script(re.sub(r"\bf\b", "g", text))
     entry.plans = {"Psi": "st", "Xi": "st"}
-    rs_run_fails_at(entry, "align")
-    final = check_script(entry.forward).final
+    assert rs_run_fails_at(entry, "check-forward") == (
+        "udnr/check-forward: script prefix (forall^st g:1, Psi:1 -> 1, "
+        "Xi:1 -> 1 -> 1) is not the normal form's (forall^st f:1, "
+        "Psi:1 -> 1, Xi:1 -> 1 -> 1)")
+    _, existentials, matrix = nf_blocks(entry.expect)
+    final = CheckedRows(entry.forward.rows, entry.forward.universals,
+                        existentials, matrix)
     with pytest.raises(ScriptError,
                        match="^no table universal 'f' to collapse against$"):
         extract._mu_collapse(final.universals, postprocess(final, "y"),
@@ -426,7 +448,7 @@ def test_check_candidates_evaluates_antecedent_once(monkeypatch, matrix,
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf(f"(forall^st x:0) (exists^st y:0) {matrix}")
     seen = record_formulas(monkeypatch)
-    report = check_candidates(model, replayed(nf, ((Var("x", N),),)))
+    report = check_candidates(model, checked_rows(nf, ((Var("x", N),),)))
     assert report.ok and report.checked == 2
     assert report.antecedent_vacuous is vacuous
     params = {"x": N, "y": N}
@@ -438,7 +460,7 @@ def test_check_candidates_shows_a_failing_number_as_itself():
     # no row holds: each failure names the type-0 universal's value
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf("(forall^st x:0) (exists^st y:0) y = succ(x)")
-    report = check_candidates(model, replayed(nf, ((Var("x", N),),)))
+    report = check_candidates(model, checked_rows(nf, ((Var("x", N),),)))
     assert not report.ok and report.failures == ("x=0", "x=1")
     assert report.line().endswith("FAIL over 2 assignment(s) x=0; x=1")
 
@@ -450,7 +472,7 @@ def test_check_candidates_hoists_antecedent_over_unmentioned_universals(
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf("(forall^st x:0, z:0) (exists^st y:0) x = x -> y = x")
     seen = record_formulas(monkeypatch)
-    report = check_candidates(model, replayed(nf, ((Var("x", N),),)))
+    report = check_candidates(model, checked_rows(nf, ((Var("x", N),),)))
     assert report.ok and report.checked == 4
     params = {"x": N, "y": N}
     ante, cons = (parse_formula(src, params=params)
@@ -467,7 +489,7 @@ def test_check_candidates_evaluates_existential_antecedent_per_candidate(
     nf = parse_nf("(forall^st x:0) (exists^st y:0) succ(x) = y -> y = x")
     x = Var("x", N)
     seen = record_formulas(monkeypatch)
-    report = check_candidates(model, replayed(nf, ((app(SUCC, x),), (x,))))
+    report = check_candidates(model, checked_rows(nf, ((app(SUCC, x),), (x,))))
     assert report.ok and report.checked == 2
     params = {"x": N, "y": N}
     ante, cons = (parse_formula(src, params=params)
@@ -482,7 +504,7 @@ def test_check_candidates_keys_antecedent_on_universals_read_through_slots(
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf("(forall^st x:0) (exists^st y:0) y = 0 -> x = 0")
     seen = record_formulas(monkeypatch)
-    report = check_candidates(model, replayed(nf, ((Var("x", N),),)))
+    report = check_candidates(model, checked_rows(nf, ((Var("x", N),),)))
     assert report.ok and report.checked == 2
     ante = parse_formula("y = 0", params={"y": N})
     assert seen.count(ante) == 2
@@ -496,7 +518,7 @@ def test_check_candidates_shares_a_slot_term_across_rows(monkeypatch):
     x = Var("x", N)
     sx = app(SUCC, x)
     seen = record_terms(monkeypatch)
-    report = check_candidates(model, replayed(nf, ((sx, sx), (sx, x))))
+    report = check_candidates(model, checked_rows(nf, ((sx, sx), (sx, x))))
     assert report.ok and report.checked == 2
     assert [t for t, _env in seen] == [sx, x, sx, x]
 
@@ -505,7 +527,7 @@ def test_check_candidates_evaluates_closed_slot_term_once(monkeypatch):
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf("(forall^st x:0) (exists^st y:0) (exists z <= x) z = y")
     seen = record_terms(monkeypatch)
-    report = check_candidates(model, replayed(nf, ((num(0),),)))
+    report = check_candidates(model, checked_rows(nf, ((num(0),),)))
     assert report.ok and report.checked == 2
     assert [t for t, _env in seen] == [num(0)]
 
@@ -517,7 +539,7 @@ def test_check_candidates_evaluates_udnr_slot_terms_once_per_table(
     # ones once in all
     entry = udnr_entry()
     model = entry.model
-    final = check_script(entry.forward).final
+    final = check_script(entry.forward, entry.expect)
     seen = record_terms(monkeypatch)
     report = check_candidates(model, final,
                               {"f": "all", "Psi": "st", "Xi": "st"})
@@ -531,25 +553,20 @@ def test_check_candidates_evaluates_udnr_slot_terms_once_per_table(
 
 
 # ---------------------------------------------------------------------------
-# rule EXISTS-WITNESS
+# checking rows against a normal form
 
 
-AXIOM = ("step 1: NF-AXIOM conclude (forall^st x:0) "
-         "x = x \\/ succ(x) = x")
 ONE_SLOT = "(forall^st x:0) (exists^st y:0) y = x"
-WITNESS = f"step 2: EXISTS-WITNESS 1 with (x) (succ(x)) conclude {ONE_SLOT}"
+ROWS = "script rows\n(forall^st x:0)\n(x) (succ(x))"
 
 
-def replay(*steps: str, groups=None):
-    """Replay the axiom above followed by ``steps``; ``groups``, when
-    given, replaces the witness tuples of the last step."""
-    script = parse_script("\n".join(("script rules", AXIOM) + steps))
-    if groups is not None:
-        last = script.steps[-1]
-        last = ProofStep(last.index, last.rule, last.premises, groups,
-                         last.conclusion)
-        script = ProofScript(script.name, script.steps[:-1] + (last,))
-    return check_script(script)
+def check(text: str = ROWS, nf: str = ONE_SLOT, rows=None) -> CheckedRows:
+    """``check_script`` of the script ``text`` against the normal form
+    ``nf``; ``rows``, when given, replaces the script's rows."""
+    script = parse_script(text)
+    if rows is not None:
+        script = ProofScript(script.name, script.universals, rows)
+    return check_script(script, parse_nf(nf))
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -564,51 +581,53 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_exists_witness_introduces_rows():
-    final = replay(WITNESS).final
+    # the rows witness the normal form's existentials, and the checked
+    # rows carry its blocks
+    final = check()
     x = Var("x", N)
     assert final.rows == ((x,), (app(SUCC, x),))
-    assert nf_blocks(final.step.conclusion)[1] == (Var("y", N),)
+    assert final.universals == (x,)
+    assert final.existentials == (Var("y", N),)
+    assert show_formula(final.matrix) == "y = x"
+    assert final.line() == "2 witness row(s) fit the normal form"
 
 
-EW = "step 2 (EXISTS-WITNESS): "
-
-
-@pytest.mark.parametrize("steps, message", [
-    ((f"step 2: EXISTS-WITNESS with (x) (succ(x)) conclude {ONE_SLOT}",),
-     EW + "needs exactly one premise"),
-    ((WITNESS, "step 3: EXISTS-WITNESS 2 with (x; x) conclude "
-               "(forall^st x:0) (exists^st y:0, z:0) y = x /\\ z = x"),
-     "step 3 (EXISTS-WITNESS): premise must be existential-free"),
-    (("step 2: EXISTS-WITNESS 1 with (x) conclude (forall^st x:0) x = x",),
-     EW + "conclusion introduces no existentials"),
-    (("step 2: EXISTS-WITNESS 1 with (z) (succ(z)) conclude "
-      "(forall^st z:0) (exists^st y:0) y = z",),
-     EW + "universal block must match the premise"),
-    ((f"step 2: EXISTS-WITNESS 1 conclude {ONE_SLOT}",),
-     EW + "needs at least one witness tuple"),
-    ((f"step 2: EXISTS-WITNESS 1 with (x; x) conclude {ONE_SLOT}",),
-     EW + "witness tuple has 2 slots, conclusion has 1 existentials"),
-    ((f"step 2: EXISTS-WITNESS 1 with (\\n:0. n) conclude {ONE_SLOT}",),
-     EW + "witness for y has type 1, expected 0"),
-    ((f"step 2: EXISTS-WITNESS 1 with (muscan(\\n:0. x)) "
-      f"conclude {ONE_SLOT}",),
-     "step 2: witness group 1, slot 1: unbound variable 'muscan' "
-     "(at 3:32)"),
-    ((f"step 2: EXISTS-WITNESS 1 with (x) conclude {ONE_SLOT}",),
-     EW + "premise matrix is not the disjunction of the instantiated "
-          "conclusion matrix"),
+@pytest.mark.parametrize("text, nf, message", [
+    # the prefix is the universal block: names, types and order
+    ("script s\n(forall^st z:0)\n(z)", ONE_SLOT,
+     "script prefix (forall^st z:0) is not the normal form's "
+     "(forall^st x:0)"),
+    ("script s\n(forall^st x:1)\n(x(0))", ONE_SLOT,
+     "script prefix (forall^st x:1) is not the normal form's "
+     "(forall^st x:0)"),
+    ("script s\n(forall^st z:0, x:0)\n(x)",
+     "(forall^st x:0, z:0) (exists^st y:0) y = x",
+     "script prefix (forall^st z:0, x:0) is not the normal form's "
+     "(forall^st x:0, z:0)"),
+    ("script s\n(forall^st x:0)\n(x)",
+     "(forall^st x:0, z:0) (exists^st y:0) y = x",
+     "script prefix (forall^st x:0) is not the normal form's "
+     "(forall^st x:0, z:0)"),
+    # one slot per existential, each at its type
+    ("script s\n(forall^st x:0)\n(x; x)", ONE_SLOT,
+     "row 1 has 2 slot(s), the normal form 1 existential(s)"),
+    ("script s\n(forall^st x:0)\n(x) (\\n:0. n)", ONE_SLOT,
+     "row 2, slot y: witness has type 1, expected 0"),
+    ("script s\n(forall^st x:0)\n(x; x) (x)",
+     "(forall^st x:0) (exists^st y:0, g:1) g(y) = x",
+     "row 1, slot g: witness has type 0, expected 1"),
 ])
-def test_witness_rules_reject(steps, message):
-    with pytest.raises(ScriptError, match=re.escape(message)):
-        replay(*steps)
+def test_check_script_rejects(text, nf, message):
+    with pytest.raises(ScriptError, match=f"^{re.escape(message)}$"):
+        check(text, nf)
 
 
 def test_witness_rules_reject_open_terms():
     # the parser already refuses unbound names, so the term is put into
-    # the parsed step directly
+    # the parsed script directly
     with pytest.raises(ScriptError, match=re.escape(
-            "open witness term for y: unbound ['z']")):
-        replay(WITNESS, groups=((Var("z", N),),))
+            "row 1, slot y: open witness term: unbound ['z']")):
+        check(rows=((Var("z", N),),))
 
 
 @pytest.mark.parametrize("term, message", [
@@ -619,70 +638,8 @@ def test_witness_rules_reject_open_terms():
 def test_witness_rules_reject_ill_typed_terms(term, message):
     # built in code, as the parser refuses both terms
     with pytest.raises(ScriptError, match=re.escape(
-            f"{EW}witness for y: {message}")):
-        replay(WITNESS, groups=((term,),))
-
-
-# ---------------------------------------------------------------------------
-# rule NF-AXIOM, nf_blocks and the replay order
-
-
-def test_nf_axiom_starts_with_one_empty_row():
-    final = replay().final
-    assert final.rows == ((),)
-    universals, existentials, _ = nf_blocks(final.step.conclusion)
-    assert existentials == ()
-    assert [v.name for v in universals] == ["x"]
-
-
-AX = "step 2 (NF-AXIOM): "
-
-
-@pytest.mark.parametrize("steps, message", [
-    (("step 2: NF-AXIOM 1 conclude (forall^st x:0) x = x",),
-     AX + "axioms take no premises"),
-    # the block shape is checked before the rule: a standard universal
-    # after the existential block stays in the matrix
-    (("step 2: NF-AXIOM conclude (exists^st y:0) (forall^st x:0) x = y",),
-     AX + "matrix is not internal: (forall^st x:0) x = y"),
-    ((f"step 2: NF-AXIOM conclude {ONE_SLOT}",),
-     AX + "internal axiom cannot introduce existentials"),
-    (("step 2: NF-AXIOM conclude "
-      "(forall^st x:0) (x = x /\\ ((exists^st y:0) y = x))",),
-     AX + "matrix is not internal: x = x /\\ ((exists^st y:0) y = x)"),
-    (("step 1: NF-AXIOM conclude (forall^st x:0) x = x",),
-     "duplicate step index 1"),
-    ((WITNESS.replace("EXISTS-WITNESS 1", "EXISTS-WITNESS 3"),
-      AXIOM.replace("step 1:", "step 3:")),
-     EW + "premise 3 not yet derived"),
-    # a name bound twice in the blocks fails its step, rule named
-    (("step 2: NF-AXIOM conclude (forall^st x:0, x:0) x = x",),
-     AX + "duplicate names in blocks: ['x', 'x']"),
-    (("step 2: EXISTS-WITNESS 1 with (x) conclude "
-      "(forall^st x:0) (exists^st x:0) x = x",),
-     "step 2 (EXISTS-WITNESS): duplicate names in blocks: ['x', 'x']"),
-    (("step 2: NF-AXIOM with (x) conclude (forall^st x:0) x = x",),
-     AX + "axioms take no witness tuples"),
-])
-def test_replay_rejects(steps, message):
-    with pytest.raises(ScriptError, match=re.escape(message)):
-        replay(*steps)
-
-
-def test_report_ends_at_the_last_step_of_the_script():
-    # step indices need not rise: the report keeps the script's order,
-    # so its final step is the last one written, not the highest index
-    report = check_script(parse_script(
-        "script descending\n"
-        + AXIOM.replace("step 1:", "step 5:") + "\n"
-        + WITNESS.replace("step 2: EXISTS-WITNESS 1",
-                          "step 3: EXISTS-WITNESS 5")))
-    assert [r.step.index for r in report.results] == [5, 3]
-    assert report.lines() == ["step 5: NF-AXIOM ok (1 candidate(s))",
-                              "step 3: EXISTS-WITNESS ok (2 candidate(s))"]
-    x = Var("x", N)
-    assert report.final.step.index == 3
-    assert report.final.rows == ((x,), (app(SUCC, x),))
+            f"row 2, slot y: {message}")):
+        check(rows=((Var("x", N),), (term,)))
 
 
 def test_nf_blocks_splits_the_blocks():
@@ -707,78 +664,63 @@ def test_nf_blocks_rejects_external_matrices(src):
 # script syntax
 
 
-def test_parse_script_reads_lets_and_steps():
+def test_parse_script_reads_lets_prefix_and_rows():
     script = parse_script(
         "script udnr-demo-2  # a comment\n"
         "let two := succ(succ(0))\n"
-        "step 1: NF-AXIOM conclude (forall^st x:0)\n"
-        "  x = two \\/ x = x\n"
-        "step 2: EXISTS-WITNESS 1 with (two) (x)\n"
-        "  conclude (forall^st x:0) (exists^st y:0) x = y\n")
+        "(forall^st x:0)\n"
+        "(two)\n"
+        "  (x)\n")
     assert script.name == "udnr-demo-2"
     two = app(SUCC, app(SUCC, num(0)))
-    first, second = script.steps
-    assert (first.index, first.rule, first.premises) == (1, "NF-AXIOM", ())
-    assert show_formula(first.conclusion) == \
-        "(forall^st x:0) x = succ(succ(0)) \\/ x = x"
-    assert (second.rule, second.premises) == ("EXISTS-WITNESS", (1,))
-    assert second.groups == ((two,), (Var("x", N),))
-    final = check_script(script).final
-    assert final.rows == ((two,), (Var("x", N),))
+    x = Var("x", N)
+    assert script.universals == (x,)
+    assert script.rows == ((two,), (x,))
+    assert check_script(script, parse_nf(ONE_SLOT)).rows == ((two,), (x,))
 
 
-STEP1 = AXIOM.replace("step 1: ", "")
+BODY = "(forall^st x:0)\n(x)"
 
 
 @pytest.mark.parametrize("text, message", [
-    ("  x = x\nscript s\n" + AXIOM,
-     "expected 'script', 'let' or 'step', found 'x' (at 1:3)"),
+    ("  x = x\nscript s\n" + BODY,
+     "expected 'script', 'let' or '(forall^st', found 'x' (at 1:3)"),
     # ``param`` is no directive
-    ("script s\nparam p : 1\n" + AXIOM,
-     "expected 'script', 'let' or 'step', found 'param' (at 2:1)"),
-    ("script s\nlet q z\n" + AXIOM,
+    ("script s\nparam p : 1\n" + BODY,
+     "expected 'script', 'let' or '(forall^st', found 'param' (at 2:1)"),
+    ("script s\nlet q z\n" + BODY,
      "let q: expected ':=', found 'z' (at 2:7)"),
-    ("script s\n", "script has no steps"),
-    ("script 3\n" + AXIOM, "expected a name, found '3' (at 1:8)"),
-    # a directive runs up to the next one, so a stray line after a step
-    # is named where it stands, not glued onto the step
-    ("script s\nstep 1: NF-AXIOM conclude (forall^st x:0) x = x\n"
-     "param p : 1",
-     "expected 'script', 'let' or 'step', found 'param' (at 3:1)"),
-    ("script s\nstep 1 NF-AXIOM",
-     "step needs 'step <n>: <rule> ...': expected ':', found 'NF' (at 2:8)"),
-    ("script s\nstep one: " + STEP1,
-     "step needs 'step <n>: <rule> ...': expected a number, found 'one' "
-     "(at 2:6)"),
-    ("script s\nstep 1: NF-AXIOM (forall^st x:0) x = x",
-     "step 1: expected a premise, 'with' or 'conclude', found '(' (at 2:18)"),
-    ("script s\nstep 1: conclude (forall^st x:0) x = x",
-     "step 1: expected a rule, found 'conclude' (at 2:9)"),
-    ("script s\nstep 1: NF-AXIM conclude (forall^st x:0) x = x",
-     "step 1: unknown rule 'NF-AXIM' (at 2:9)"),
+    ("script s\n",
+     "expected 'script', 'let' or '(forall^st', found 'end of input' "
+     "(at 2:1)"),
+    ("script 3\n" + BODY, "expected a name, found '3' (at 1:8)"),
     # blanks around '-' end a name
-    ("script s\nstep 1: NF -AXIOM conclude (forall^st x:0) x = x",
-     "step 1: unknown rule 'NF' (at 2:9)"),
-    ("script s\nstep 1: NF-AXIOM x conclude (forall^st x:0) x = x",
-     "step 1: expected a premise, 'with' or 'conclude', found 'x' (at 2:18)"),
-    # the axiom takes no kind word
-    ("script s\nstep 1: NF-AXIOM internal conclude (forall^st x:0) x = x",
-     "step 1: expected a premise, 'with' or 'conclude', found 'internal' "
-     "(at 2:18)"),
-    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with x conclude "
-     f"{ONE_SLOT}",
-     "step 2: expected '(' opening a witness group, found 'x' (at 3:31)"),
-    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x] conclude "
-     f"{ONE_SLOT}",
-     "step 2: witness group 1, slot 1: expected ')', found ']' (at 3:33)"),
-    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x) (succ(x) "
-     f"conclude {ONE_SLOT}",
-     "step 2: witness group is not closed (at 3:90)"),
-    # a let binds one name, and no constant's: '-' joins the parts of a
-    # script's name or a rule's only
-    ("script s\nlet succ := 0\n" + AXIOM,
+    ("script udnr -forward\n" + BODY,
+     "expected 'script', 'let' or '(forall^st', found '-' (at 1:13)"),
+    # the prefix is a standard universal block
+    ("script s\n(x)", "prefix: expected 'forall^st', found 'x' (at 2:2)"),
+    ("script s\n(forall x:0)\n(x)",
+     "prefix: expected 'forall^st', found 'x' (at 2:9)"),
+    ("script s\n(forall^st x:q)\n(x)",
+     "prefix: expected a type, found 'q' (at 2:14)"),
+    ("script s\n(forall^st succ:0)\n(0)",
+     "prefix: 'succ' is a constant, not a variable name (at 2:12)"),
+    # at least one row, and nothing but rows after the prefix
+    ("script s\n(forall^st x:0)\n",
+     "row 1: expected '(', found 'end of input' (at 3:1)"),
+    ("script s\n(forall^st x:0)\n(x)\nlet q := 0",
+     "row 2: expected '(', found 'let' (at 4:1)"),
+    ("script s\n(forall^st x:0)\n(x]",
+     "row 1, slot 1: expected ')', found ']' (at 3:3)"),
+    ("script s\n(forall^st x:0)\n(x) (succ(x)",
+     "row 2, slot 1: expected ')', found 'end of input' (at 3:13)"),
+    # a let binds one name, and no constant's or keyword's: '-' joins
+    # the parts of a script's name only
+    ("script s\nlet succ := 0\n" + BODY,
      "'succ' is a constant, not a variable name (at 2:5)"),
-    ("script s\nlet a-b := 0\n" + AXIOM,
+    ("script s\nlet forall := 0\n" + BODY,
+     "'forall' is a keyword, not a variable name (at 2:5)"),
+    ("script s\nlet a-b := 0\n" + BODY,
      "let a: expected ':=', found '-' (at 2:6)"),
 ])
 def test_parse_script_rejects(text, message):
@@ -787,37 +729,20 @@ def test_parse_script_rejects(text, message):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("script s\nlet q := succ(z)\n" + AXIOM,
+    ("script s\nlet q := succ(z)\n" + BODY,
      "let q: unbound variable 'z' (at 2:15)"),
-    ("script s\nstep 1: NF-AXIOM conclude (forall^st x:0) x = z",
-     "step 1: conclusion: unbound variable 'z' (at 2:47)"),
-    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (z) conclude "
-     f"{ONE_SLOT}",
-     "step 2: witness group 1, slot 1: unbound variable 'z' (at 3:32)"),
-    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with (x) (succ(x); z) "
-     f"conclude {ONE_SLOT}",
-     "step 2: witness group 2, slot 2: unbound variable 'z' (at 3:45)"),
-    # groups and the conclusion may run over lines
-    (f"script s\n{AXIOM}\nstep 2: EXISTS-WITNESS 1 with\n"
-     "  (x)  # the first candidate\n  (succ(x);\n   z)\n"
-     f"  conclude {ONE_SLOT}\n",
-     "step 2: witness group 2, slot 2: unbound variable 'z' (at 6:4)"),
+    ("script s\n(forall^st x:0)\n(z)",
+     "row 1, slot 1: unbound variable 'z' (at 3:2)"),
+    ("script s\n(forall^st x:0)\n(x) (succ(x); z)",
+     "row 2, slot 2: unbound variable 'z' (at 3:15)"),
+    # rows may run over lines
+    ("script s\n(forall^st x:0)\n"
+     "  (x)  # the first row\n  (succ(x);\n   z)\n",
+     "row 2, slot 2: unbound variable 'z' (at 5:4)"),
 ])
-def test_parse_errors_name_the_step_and_part(text, message):
+def test_parse_errors_name_the_let_row_and_slot(text, message):
     with pytest.raises(ScriptError, match=re.escape(message)):
         parse_script(text)
-
-
-def test_every_rule_is_used_by_a_shipped_script():
-    # a rule that no corpus script reaches is dead code: delete it, or
-    # ship the entry that needs it
-    rules = set()
-    scripts = sorted(UDNR.parent.glob("*/*.prf"))
-    assert scripts
-    for path in scripts:
-        for step in parse_script(path.read_text()).steps:
-            rules.add(step.rule)
-    assert set(extract.RULES) <= rules
 
 
 # ---------------------------------------------------------------------------
@@ -825,8 +750,7 @@ def test_every_rule_is_used_by_a_shipped_script():
 
 
 def test_postprocess_bounds_the_target_slot():
-    report = replay(WITNESS)
-    bound = postprocess(report.final, "y")
+    bound = postprocess(check(), "y")
     model = MiniModel(cap=5, omega=2)
     value = eval_term(model, bound, model.env())
     assert [value.call(n) for n in range(4)] == [1, 2, 3, 4]
@@ -854,14 +778,14 @@ def test_postprocess_rejects(matrix, target, message):
     nf = parse_nf(f"(forall^st x:0) (exists^st y:0, g:1) {matrix}")
     rows = ()   # never inspected: the checks come first
     with pytest.raises(ScriptError, match=re.escape(message)):
-        postprocess(replayed(nf, rows), target)
+        postprocess(checked_rows(nf, rows), target)
 
 
 def test_extract_function_needs_one_candidate():
-    report = replay(WITNESS)
-    assert len(report.final.rows) == 2
+    final = check()
+    assert len(final.rows) == 2
     with pytest.raises(ScriptError, match="exactly one candidate"):
-        extract_function(report.final)
+        extract_function(final)
 
 
 def test_value_label_falls_back_only_on_model_errors():

@@ -19,18 +19,18 @@ from rszoo.extract import (_mu_collapse, check_script, parse_script,
                            postprocess)
 from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
                           table_fn)
-from rszoo.lang import (Abs, App, Atom, ForallSt, N, Var, app, free_vars,
-                        infer_type, lam, pure, show_formula, show_term,
-                        stdterms, strip, subformulas, subterms)
+from rszoo.lang import (Abs, App, N, Var, app, free_vars, infer_type, lam,
+                        parse_formula, pure, show_term, stdterms, subterms)
+from rszoo.normalform import normalize_principle
 from rszoo.lang.terms import all_names
 
 
 def expansions(lets: str, use: str, universals: str = "k:0, x:0, p:0"):
     """The term ``use`` read under ``lets`` by the reducing walk and by
-    plain substitution, in a step whose universals are ``universals``."""
-    text = (f"script lets\n{lets}\nstep 1: NF-AXIOM conclude "
-            f"(forall^st {universals}) {use} = {use}\n")
-    return [strip(parse(text).steps[0].conclusion, ForallSt)[1].args[0]
+    plain substitution, as the slot of a row under the universals
+    ``universals``."""
+    text = f"script lets\n{lets}\n(forall^st {universals})\n({use})\n"
+    return [parse(text).rows[0][0]
             for parse in (parse_script, plainlets.parse_script)]
 
 
@@ -86,38 +86,22 @@ def test_let_applications_reduce_by_the_rule(lets, use, want):
             == observe(again, ty, lambda: refeval.term(again, plain, env)))
 
 
-def test_a_step_universal_shadows_a_let_in_its_witness_groups():
-    # the parser reads the row's x as the conclusion's universal, so the
+def test_a_prefix_universal_shadows_a_let_in_the_rows():
+    # the parser reads the row's x as the prefix's universal, so the
     # expansion must not replace it with the let of that name
     script = parse_script(
-        "script shadow\nlet x := 0\n"
-        "step 1: NF-AXIOM conclude (forall^st x:0) x = x\n"
-        "step 2: EXISTS-WITNESS 1 with (x)\n"
-        "  conclude (forall^st x:0) (exists^st y:0) x = y\n")
-    assert script.steps[1].groups == ((Var("x", N),),)
-    assert check_script(script).final.rows == ((Var("x", N),),)
+        "script shadow\nlet x := 0\n(forall^st x:0)\n(x)\n")
+    assert script.rows == ((Var("x", N),),)
 
 
 def test_equal_let_applications_are_one_object():
-    script = parse_script((UDNR / "forward.prf").read_text())
-    step1, step2 = script.steps
-    dodge = step2.groups[0][1]
+    # the row's three dmark applications, and the one inside its y slot
+    (row,) = parse_script((UDNR / "forward.prf").read_text()).rows
+    dodge = row[1]
     assert isinstance(dodge, App)
-    assert all(row[1] is dodge and row[3] is dodge for row in step2.groups)
-    shared = [s for atom_arg in _terms(step1.conclusion)
-              for s in subterms(atom_arg) if s == dodge]
+    assert row[3] is dodge
+    shared = [s for s in subterms(row[0]) if s == dodge]
     assert shared and all(s is dodge for s in shared)
-
-
-def _terms(f):
-    """Every term argument of an atom of f, by position."""
-    return [t for s in subformulas(f) if isinstance(s, Atom) for t in s.args]
-
-
-def test_a_redex_written_in_a_conclusion_stays():
-    step1 = parse_script((UDNR / "backward.prf").read_text()).steps[0]
-    assert ("succ((\\e:0. run(Z, e, mu(\\s:0. rec[0](1, \\p:0. \\i:0. 0, "
-            "run(Z, e, s)))))(e))") in show_formula(step1.conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +140,10 @@ def test_reduced_lets_agree_with_plain_substitution():
                                 for v in binders))
             use = show_term(app(Var("L", infer_type(fn)), *args))
             text = (f"script lets\nlet L := {show_term(fn)}\n"
-                    "step 1: NF-AXIOM conclude (forall^st n:0, p:0, h:1, "
-                    f"F:1) {use} = {use}\n")
-            reduced, plain = (
-                strip(parse(text).steps[0].conclusion, ForallSt)[1].args[0]
-                for parse in (parse_script, plainlets.parse_script))
+                    f"(forall^st n:0, p:0, h:1, F:1)\n({use})\n")
+            reduced, plain = (parse(text).rows[0][0]
+                              for parse in (parse_script,
+                                            plainlets.parse_script))
             ty = infer_type(reduced)
             data = (rng.randrange(cap + 1), rng.randrange(cap + 1),
                     [rng.randrange(cap + 1) for _ in range(cap + 1)])
@@ -208,9 +191,11 @@ def test_forward_term_agrees_with_substituted_lets_on_every_table(cap):
     # script's lets substituted, and leastz applied to f and the bound
     model_text = MODEL_CAP3 if cap == 3 else (UDNR / "model.cfg").read_text()
     text = (UDNR / "forward.prf").read_text()
+    nf = normalize_principle(parse_formula(
+        (UDNR / "principle.fml").read_text()))
     terms = []
     for parse in (parse_script, plainlets.parse_script):
-        final = check_script(parse(text)).final
+        final = check_script(parse(text), nf)
         terms.append((final, postprocess(final, "y")))
     (final, bound), (_final, plain_bound) = terms
     f, psi, xi = final.universals

@@ -56,12 +56,23 @@ def test_forward_mutants_fail_at_a_standard_table(name, model):
     assert str(info.value).endswith(" f=E0, Psi=Psi0, Xi=Xi0")
 
 
-def test_a_renamed_bound_fails_at_align():
-    # alpha-equal to the normal form is not enough: postprocess reads the
-    # bound by the name y, and without the check it would fail there
+def test_a_renamed_table_fails_at_check_forward():
+    # rows alpha-equal to rows for the normal form are not enough: the
+    # sweep plans and the collapse read the table by the name f
     with pytest.raises(ScriptError) as info:
-        rs_run(mutated(named("rename-y")))
-    assert str(info.value).startswith("udnr/align: forward script concludes")
+        rs_run(mutated(named("rename-f")))
+    assert str(info.value).startswith(
+        "udnr/check-forward: script prefix (forall^st g:1, ")
+
+
+def test_the_trivial_backward_row_fails_at_a_standard_table():
+    # checked against the built backward normal form, the zero function
+    # dodges neither Z0 nor E0
+    with pytest.raises(ScriptError) as info:
+        rs_run(mutated(named("backward-trivial")))
+    assert str(info.value) == (
+        "udnr/candidates-backward: candidates FAIL over 2 assignment(s) "
+        "mu=mu0, Z=Z0; mu=mu0, Z=E0")
 
 
 def test_the_late_mark_is_no_equivalent_mutant():

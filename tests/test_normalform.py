@@ -8,8 +8,9 @@ from rszoo.interp import eval_formula, parse_model_config
 from rszoo.lang import (ExistsSt, ForallSt, parse_formula, parse_type,
                         show_formula, show_type, strip)
 from rszoo.normalform import (NormalFormError, herbrandize_choice,
-                              normalize_principle, prenex_to_normal,
-                              resolve_approx, trans_instance, uniformize)
+                              normalize_backward, normalize_principle,
+                              prenex_to_normal, resolve_approx,
+                              trans_instance, uniformize)
 from rszoo.translate import nf_blocks, parse_nf
 
 UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
@@ -217,7 +218,9 @@ def test_pipeline_output_frozen():
         (UDNR / "principle.fml").read_text())),
     lambda: normalize_principle(parse_formula(DNR_BASE)),
     lambda: trans_instance().normal,
-], ids=["udnr", "dnr", "transfer"])
+    lambda: normalize_backward(parse_formula(
+        (UDNR / "principle.fml").read_text())),
+], ids=["udnr", "dnr", "transfer", "udnr-backward"])
 def test_pipeline_output_is_a_normal_form(build):
     # the formula prenex_to_normal builds has an internal matrix and
     # distinct block names, so it reads back as itself
@@ -253,6 +256,41 @@ def test_pipeline_truth_equivalent_when_false():
     m = small_model("table f0: 1 1 1 0 [st]\n")
     assert eval_formula(m, imp) is False
     assert eval_formula(m, nf) is False
+
+
+# -- the backward normal form -------------------------------------------------
+
+EXPECTED_DNR_BACKWARD_NF = (
+    "(forall^st mu:2, Z:1) (exists^st d:1) ((forall h:1) ((exists x:0) "
+    "h(x) = 0) -> h(mu(h)) = 0) -> (forall e:0, s:0) run(Z, e, s) = 0 \\/ "
+    "succ(d(e)) != run(Z, e, s)")
+
+
+def test_backward_output_frozen():
+    # Feferman's (mu^2) for a standard mu:2 in front of the relativized
+    # statement, brought to the front
+    nf = normalize_backward(parse_formula(DNR_BASE))
+    assert show_formula(nf) == EXPECTED_DNR_BACKWARD_NF
+
+
+def test_backward_takes_a_fresh_name_for_mu():
+    nf = normalize_backward(parse_formula(
+        "(forall mu:1)(exists d:0) d = mu(0)"))
+    assert show_formula(nf) == (
+        "(forall^st mu1:2, mu:1) (exists^st d:0) ((forall h:1) "
+        "((exists x:0) h(x) = 0) -> h(mu1(h)) = 0) -> d = mu(0)")
+
+
+def test_backward_rejects_other_shapes():
+    # a statement without existentials has no backward content; other
+    # shapes are refused as uniformize refuses them
+    with pytest.raises(NormalFormError, match="^the backward normal form "
+                       "needs an existential block$"):
+        normalize_backward(parse_formula(
+            "(forall X:1)(forall n:0) (exists z <= 1) z = X(n)"))
+    with pytest.raises(NormalFormError,
+                       match="opening with plain universal quantifiers"):
+        normalize_backward(parse_formula("(exists y:0) y = 0"))
 
 
 # -- transfer target ---------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 import gen
 import refeval
-from test_extract import MODEL_CAP3, replayed, udnr_entry
+from test_extract import MODEL_CAP3, checked_rows, udnr_entry
 from test_mutants import mutated, named
 from rszoo.extract import check_candidates, check_script, rs_run
 from rszoo.interp import (FnV, MiniModel, ModelError, eval_formula,
@@ -23,6 +23,7 @@ from rszoo.lang import (RUN, SUCC, Abs, And, Arrow, Atom, BExists,
                         Seq, Var, app, free_vars, num, parse_term, pure,
                         rec_c, spine, subformulas, subterms)
 from rszoo.lang.terms import MAX2, MONUS
+from rszoo.normalform import normalize_backward, normalize_principle
 from rszoo.translate import parse_nf
 
 FREE = {"n": N, "h": pure(1), "s": Seq(N)}
@@ -390,11 +391,13 @@ def test_check_candidates_agrees_with_a_sweep_without_memo(script, plan,
         return udnr_entry() if mutant is None else mutated(named(mutant))
 
     compiled, reference = entry(), entry()
-    final = check_script(getattr(compiled, script)).final
+    build = {"forward": normalize_principle,
+             "backward": normalize_backward}[script]
+    nf = build(compiled.principle)
+    final = check_script(getattr(compiled, script), nf)
     plans = None
     if plan is not None:
         plans = dict(compiled.plans, f=plan)
-    nf = final.step.conclusion
     report = check_candidates(compiled.model, final, plans)
     want = refeval.candidates(reference.model, nf, final.rows, plans)
     assert fields(report) == want
@@ -413,7 +416,7 @@ def test_check_candidates_agrees_with_a_sweep_without_memo_where_keys_matter():
     params = {"f": pure(1)}
     rows = tuple(tuple(parse_term(src, params) for src in row) for row in (
         ("f(0)", "\\x:0. f(x)"), ("succ(f(0))", "f")))
-    report = check_candidates(MiniModel(3, 2), replayed(nf, rows),
+    report = check_candidates(MiniModel(3, 2), checked_rows(nf, rows),
                               {"f": "all"})
     want = refeval.candidates(MiniModel(3, 2), nf, rows, {"f": "all"})
     assert fields(report) == want
@@ -425,7 +428,7 @@ def test_candidate_report_notes_a_vacuous_antecedent():
     # report line says so
     nf = parse_nf("(forall^st x:0) (exists^st y:0) succ(x) = 0 -> y = x")
     rows = ((Var("x", N),),)
-    report = check_candidates(MiniModel(3, 2), replayed(nf, rows))
+    report = check_candidates(MiniModel(3, 2), checked_rows(nf, rows))
     assert fields(report) == refeval.candidates(MiniModel(3, 2), nf, rows)
     assert report.line() == ("candidates ok over 2 assignment(s) "
                              "[antecedent vacuous]")
