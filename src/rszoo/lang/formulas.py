@@ -11,17 +11,19 @@ extensional above type 0; ``s <= t`` is not primitive.
 
 Formula nodes, like term nodes, derive from ``terms.SyntaxNode``: they
 are immutable, hold only slots, and keep their hash and free variables
-once computed (see ``terms``).
+once computed (see ``terms``).  ``alpha_eq_f`` is the same single walk
+as ``terms.alpha_eq``.
 """
 from __future__ import annotations
 
 from functools import reduce
 from typing import Iterator, Mapping, Union
 
-from .terms import (NO_VARS, App, Prepared, Term, Var, SyntaxNode, all_names,
+from .terms import (NO_VARS, App, Prepared, Scope, Term, Var,
+                    SyntaxNode, all_names, alpha_binder, alpha_walk,
                     drop_name, enter_binder, free_vars as term_fvs,
                     fresh_name, infer_type, keep_fvs, prepare,
-                    subst_prepared, union)
+                    same_scope, subst_prepared, union)
 from .types import Arrow, FiniteType, N, Seq, node
 
 
@@ -201,6 +203,40 @@ def subst_f_prepared(f: Formula, sub: Prepared) -> Formula:
         var, inner = enter_binder(f.var, sub, lambda: free_vars_f(f.body))
         return BExists(var, bound, subst_f_prepared(f.body, inner))
     raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# alpha-equality
+
+def alpha_eq_f(a: Formula, b: Formula) -> bool:
+    """Equality up to the names of bound variables, of quantifiers and
+    of lambdas; see ``alpha_walk``."""
+    return alpha_walk_f(a, b, {}, {}, 0)
+
+
+def alpha_walk_f(a: Formula, b: Formula, ma: Scope, mb: Scope,
+                 depth: int) -> bool:
+    """``terms.alpha_walk`` on formulas: one walk, binders matched by
+    name, scopes updated in place and restored."""
+    if a is b and same_scope(free_vars_f(a), ma, mb):
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is Atom:
+        for s, t in zip(a.args, b.args):
+            if not alpha_walk(s, t, ma, mb, depth):
+                return False
+        return True
+    if kind is Not:
+        return alpha_walk_f(a.body, b.body, ma, mb, depth)
+    if kind is And or kind is Or or kind is Implies:
+        return (alpha_walk_f(a.left, b.left, ma, mb, depth)
+                and alpha_walk_f(a.right, b.right, ma, mb, depth))
+    if kind is BExists and not alpha_walk(a.bound, b.bound, ma, mb, depth):
+        return False
+    return alpha_binder(a.var, b.var, alpha_walk_f, a.body, b.body,
+                        ma, mb, depth)
 
 
 # ---------------------------------------------------------------------------

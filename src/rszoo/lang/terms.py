@@ -14,7 +14,8 @@ larger tree.  Each node therefore keeps what is computed from it alone,
 its hash, its free variables and its type, in slots of its own the
 first time they are asked for (which is sound only because nodes never
 change); hashing, ``free_vars`` and ``infer_type`` then cost once per
-distinct node, not once per occurrence.  Equality is by class and fields
+distinct node, not once per occurrence, and ``alpha_eq`` does not look
+inside a node that both sides share.  Equality is by class and fields
 (see ``types.Node``).
 """
 from __future__ import annotations
@@ -320,3 +321,72 @@ def _fault(t: Term) -> str:
         return (f"variable {w.name} used at type {show_type(w.ty)} "
                 f"but declared at {show_type(v.ty)}")
     return f"not a term: {t!r}"
+
+
+def alpha_eq(a: Term, b: Term) -> bool:
+    """Equality up to the names of bound variables."""
+    return alpha_walk(a, b, {}, {}, 0)
+
+
+#: scope of an alpha-equality walk: each name bound around one side,
+#: mapped to the depth of its innermost binder
+Scope = dict[str, int]
+
+
+def same_scope(fvs: frozenset[Var], ma: Scope, mb: Scope) -> bool:
+    """True when every name in fvs is free on both sides or bound at one
+    depth on both: a node then equals itself in that pair of scopes."""
+    for v in fvs:
+        if ma.get(v.name) != mb.get(v.name):
+            return False
+    return True
+
+
+def alpha_binder(a: Var, b: Var, walk, body_a, body_b, ma: Scope,
+                 mb: Scope, depth: int) -> bool:
+    """``walk`` the two bodies with a bound around one and b around the
+    other, both at depth; the scopes are restored before returning."""
+    if a.ty != b.ty:
+        return False
+    olda, oldb = ma.get(a.name), mb.get(b.name)
+    ma[a.name] = mb[b.name] = depth
+    same = walk(body_a, body_b, ma, mb, depth + 1)
+    if olda is None:
+        del ma[a.name]
+    else:
+        ma[a.name] = olda
+    if oldb is None:
+        del mb[b.name]
+    else:
+        mb[b.name] = oldb
+    return same
+
+
+def alpha_walk(a: Term, b: Term, ma: Scope, mb: Scope, depth: int) -> bool:
+    """The alpha-equality walk, on terms (``formulas.alpha_walk_f`` is
+    the same walk on formulas).
+
+    Binders are matched by name, as ``free_vars`` and the evaluator
+    do: an occurrence belongs to the innermost binder of its name,
+    whatever its type, and two occurrences agree when both are free
+    with one name or both are bound at one depth.  ``depth`` counts the
+    binders entered on each side.  The scopes are updated in place and
+    restored on the way out, so the walk allocates nothing; a node met
+    on both sides in agreeing scopes is equal without a look inside.
+    """
+    if a is b and same_scope(free_vars(a), ma, mb):
+        return True
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is Var:
+        da = ma.get(a.name)
+        return (da == mb.get(b.name) and (da is not None or a.name == b.name)
+                and a.ty == b.ty)
+    if kind is App:
+        return (alpha_walk(a.fn, b.fn, ma, mb, depth)
+                and alpha_walk(a.arg, b.arg, ma, mb, depth))
+    if kind is Abs:
+        return alpha_binder(a.var, b.var, alpha_walk, a.body, b.body,
+                            ma, mb, depth)
+    return a == b

@@ -114,10 +114,11 @@ def test_rs_run_replays_each_script_once(udnr_run):
     assert replays == ["udnr-forward", "udnr-backward"]
 
 
-def test_rs_run_splits_each_normal_form_once(monkeypatch):
-    # check_script splits the normal form it checks a script against, and
-    # the model checks, the bound, the collapse and the extraction read
-    # the checked rows: one split per direction
+def test_rs_run_splits_each_script_step_once(monkeypatch):
+    # a script is checked in one step: check_script splits the normal
+    # form it checks the script against, and the model checks, the bound,
+    # the collapse and the extraction read the checked rows: one split per
+    # direction
     split = []
 
     def counted(f):
@@ -622,6 +623,16 @@ def test_check_script_rejects(text, nf, message):
         check(text, nf)
 
 
+def test_nf_axiom_starts_with_one_empty_row():
+    # a normal form without existentials, an internal axiom, is witnessed
+    # by one row of no slots; built in code, as a row holds a slot
+    final = check(rows=((),), nf="(forall^st x:0) x = x \\/ succ(x) = x")
+    assert final.rows == ((),)
+    assert final.existentials == ()
+    assert [v.name for v in final.universals] == ["x"]
+    assert final.line() == "1 witness row(s) fit the normal form"
+
+
 def test_witness_rules_reject_open_terms():
     # the parser already refuses unbound names, so the term is put into
     # the parsed script directly
@@ -664,7 +675,8 @@ def test_nf_blocks_rejects_external_matrices(src):
 # script syntax
 
 
-def test_parse_script_reads_lets_prefix_and_rows():
+def test_parse_script_reads_lets_and_steps():
+    # the steps of a script: its lets, its prefix and its rows
     script = parse_script(
         "script udnr-demo-2  # a comment\n"
         "let two := succ(succ(0))\n"
@@ -680,6 +692,9 @@ def test_parse_script_reads_lets_prefix_and_rows():
 
 
 BODY = "(forall^st x:0)\n(x)"
+# the retired step format, which the parser refuses where it starts
+STEP_FORMAT = ("step 1: NF-AXIOM conclude (forall^st x:0) "
+               "x = x \\/ succ(x) = x")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -688,12 +703,15 @@ BODY = "(forall^st x:0)\n(x)"
     # ``param`` is no directive
     ("script s\nparam p : 1\n" + BODY,
      "expected 'script', 'let' or '(forall^st', found 'param' (at 2:1)"),
-    ("script s\nlet q z\n" + BODY,
+    # an error before the body is named there, whatever the body is
+    ("script s\nlet q z\n" + STEP_FORMAT,
      "let q: expected ':=', found 'z' (at 2:7)"),
     ("script s\n",
      "expected 'script', 'let' or '(forall^st', found 'end of input' "
      "(at 2:1)"),
-    ("script 3\n" + BODY, "expected a name, found '3' (at 1:8)"),
+    ("script 3\n" + STEP_FORMAT, "expected a name, found '3' (at 1:8)"),
+    ("script s\n" + STEP_FORMAT,
+     "expected 'script', 'let' or '(forall^st', found 'step' (at 2:1)"),
     # blanks around '-' end a name
     ("script udnr -forward\n" + BODY,
      "expected 'script', 'let' or '(forall^st', found '-' (at 1:13)"),
@@ -716,11 +734,11 @@ BODY = "(forall^st x:0)\n(x)"
      "row 2, slot 1: expected ')', found 'end of input' (at 3:13)"),
     # a let binds one name, and no constant's or keyword's: '-' joins
     # the parts of a script's name only
-    ("script s\nlet succ := 0\n" + BODY,
+    ("script s\nlet succ := 0\n" + STEP_FORMAT,
      "'succ' is a constant, not a variable name (at 2:5)"),
     ("script s\nlet forall := 0\n" + BODY,
      "'forall' is a keyword, not a variable name (at 2:5)"),
-    ("script s\nlet a-b := 0\n" + BODY,
+    ("script s\nlet a-b := 0\n" + STEP_FORMAT,
      "let a: expected ':=', found '-' (at 2:6)"),
 ])
 def test_parse_script_rejects(text, message):

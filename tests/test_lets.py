@@ -86,9 +86,10 @@ def test_let_applications_reduce_by_the_rule(lets, use, want):
             == observe(again, ty, lambda: refeval.term(again, plain, env)))
 
 
-def test_a_prefix_universal_shadows_a_let_in_the_rows():
-    # the parser reads the row's x as the prefix's universal, so the
-    # expansion must not replace it with the let of that name
+def test_a_step_universal_shadows_a_let_in_its_witness_groups():
+    # the parser reads the x of a witness group as the universal of the
+    # script's step, its prefix, so the expansion must not replace it
+    # with the let of that name
     script = parse_script(
         "script shadow\nlet x := 0\n(forall^st x:0)\n(x)\n")
     assert script.rows == ((Var("x", N),),)

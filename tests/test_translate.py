@@ -4,12 +4,34 @@ import pytest
 
 import gen
 import rszoo
-from rszoo.lang import (ExistsSt, ForallSt, N, Var, parse_formula, pure,
-                        show_formula, show_type)
+from canon import canon
+from rszoo.lang import (ExistsSt, ForallSt, N, Var, alpha_eq_f, parse_formula,
+                        pure, show_formula, show_type)
 from rszoo.normalform import normalize_backward, normalize_principle
 from rszoo.translate import TranslateError, nf_blocks, parse_nf
 
 UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
+
+
+def test_canonical_renaming_is_stable():
+    nf = parse_nf("(forall^st b:0, a:0) (exists^st c:1) c(a) = b")
+    c = canon(nf)
+    assert show_formula(c) == \
+        "(forall^st v0:0, v1:0) (exists^st v2:1) v2(v1) = v0"
+    assert canon(c) == c
+
+
+def test_alpha_eq_f_respects_block_order():
+    a = parse_nf("(forall^st u:0, v:0) u = succ(v)")
+    b = parse_nf("(forall^st v:0, u:0) v = succ(u)")
+    c = parse_nf("(forall^st u:0, v:0) v = succ(u)")
+    assert alpha_eq_f(a, b)  # same modulo renaming
+    assert not alpha_eq_f(a, c)
+    # a universal is no existential, and the blocks match one to one
+    d = parse_nf("(forall^st u:0) (exists^st v:0) u = succ(v)")
+    e = parse_nf("(forall^st u:0) (forall^st v:0) u = succ(v)")
+    assert not alpha_eq_f(a, d)
+    assert alpha_eq_f(a, e) and a == e
 
 
 def test_corpus_normal_form_is_its_formula():
@@ -54,10 +76,12 @@ def test_nf_file_round_trip():
 
 
 def test_show_formula_reads_back_as_the_same_normal_form():
-    # the normal forms the pipeline builds in both directions, and
-    # seeded internal matrices under a universal and an existential block
+    # the normal forms the pipeline builds in both directions, their
+    # canonical renamings, and seeded internal matrices under a universal
+    # and an existential block
     principle = parse_formula((UDNR / "principle.fml").read_text())
     nfs = [normalize_principle(principle), normalize_backward(principle)]
+    nfs += [canon(nf) for nf in nfs]
     g = gen.generator(gen.SEED + 21)
     x, y, p = Var("x", N), Var("y", N), Var("P", pure(1))
     for _ in range(200):
