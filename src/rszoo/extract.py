@@ -43,7 +43,7 @@ script is left as written.
 
 The checked rows (``CheckedRows``) keep the normal form's blocks, and
 the model check and extraction read them.  ``extract_function`` gives
-``\\xs. witness`` for one row of one slot.  For a numeric target slot
+``\\xs. witness`` for one row of one slot.  For the target's bound slot
 ``y``, ``postprocess`` gives the bound ``\\xs. max(r1[y], max(r2[y],
 ...))`` straight from the rows, and the explicit content of the
 implication applies the least-zero search ``stdterms.leastz_t`` to that
@@ -364,26 +364,14 @@ extract_terms = extract_function
 # post-processing: the bound over the candidates' target slot
 
 
-def postprocess(final: CheckedRows, target: str) -> Term:
+def postprocess(final: CheckedRows) -> Term:
     """The closed bound term ``\\xs. max(r1[y], max(r2[y], ...))`` over
-    the target slot ``y`` of checked rows, with the ``max``
-    primitive.  The consequent of its matrix may mention no other
-    witness slot, since the bound stands in for the target alone."""
-    existentials, matrix, rows = final.existentials, final.matrix, final.rows
-    names = [v.name for v in existentials]
-    if target not in names:
-        raise ScriptError(f"{target!r} is not a witness slot of the "
-                          "normal form")
-    idx = names.index(target)
-    if existentials[idx].ty != N:
-        raise ScriptError(f"non-numeric target slot {target!r}: "
-                          f"{show_type(existentials[idx].ty)}")
-    cons = matrix.right if isinstance(matrix, Implies) else matrix
-    stray = {v.name for v in free_vars_f(cons)} & (set(names) - {target})
-    if stray:
-        raise ScriptError("consequent mentions witness slots other than "
-                          f"the target: {sorted(stray)}")
-
+    the slot ``y`` (``BZT_BOUND``) of checked forward rows, with the
+    ``max`` primitive.  The forward normal form always holds that slot,
+    and its consequent is the target's, which mentions no other witness
+    slot, so the bound stands in for the target alone."""
+    idx = final.existentials.index(BZT_BOUND)
+    rows = final.rows
     body = rows[-1][idx]
     for row in reversed(rows[:-1]):
         body = app(MAX2, row[idx], body)
@@ -559,7 +547,7 @@ def rs_run(entry) -> ExplicitImplication:
     plans); the backward sweep ranges over the standard objects.  The
     target's table and bound are those of ``normalform``; the sweep
     plans name the built form's universals, so a script's prefix must
-    be ``==`` to them, not only alpha-equal."""
+    be ``==`` to them."""
     eid = entry.ident
     stages: list[tuple[str, str]] = []
     flags: set[str] = set()
@@ -596,11 +584,10 @@ def rs_run(entry) -> ExplicitImplication:
 
     forward = checked("forward", entry.forward, nf)
     candidates("candidates-forward", "", forward, entry.plans)
-    bound = _stage(eid, "postprocess",
-                   lambda: postprocess(forward, BZT_BOUND.name))
+    bound = _stage(eid, "postprocess", lambda: postprocess(forward))
     stages.append(("postprocess", f"bound {show_term_brief(bound)}"))
-    forward_term = _stage(eid, "collapse", lambda: _mu_collapse(
-        forward.universals, bound, BZT_TABLE))
+    forward_term = _stage(eid, "collapse",
+                          lambda: _mu_collapse(forward.universals, bound))
     stages.append(("collapse", show_term_brief(forward_term)))
 
     nf = _stage(eid, "normalize-backward",
@@ -615,22 +602,18 @@ def rs_run(entry) -> ExplicitImplication:
                                tuple(sorted(flags)), tuple(stages))
 
 
-def _mu_collapse(universals: tuple[Var, ...], bound: Term,
-                 table: Var) -> Term:
+def _mu_collapse(universals: tuple[Var, ...], bound: Term) -> Term:
     """Reshape the bound ``\\xs. b`` over the universals xs as (other
-    universals) -> table -> ``leastz(table, b)``, the explicit forward
-    content against the zero-transfer target, whose table is
-    ``table``."""
-    if table not in universals:
-        raise ScriptError(f"no table universal {table.name!r} to collapse "
-                          "against")
-    others = [v for v in universals if v != table]
+    universals) -> f -> ``leastz(f, b)``, the explicit forward content
+    against the zero-transfer target, whose table ``f`` (``BZT_TABLE``)
+    the forward normal form always holds among its universals."""
+    others = [v for v in universals if v != BZT_TABLE]
     for _ in universals:        # the bound's binders are the universals
         bound = bound.body
     # by the let rule: leastz takes the table, a variable, and keeps the
     # bound, which it reads twice, as a redex
-    return lam(*others, table, _Lets().apply(stdterms.leastz_t(),
-                                             [table, bound]))
+    return lam(*others, BZT_TABLE, _Lets().apply(stdterms.leastz_t(),
+                                                 [BZT_TABLE, bound]))
 
 
 def show_term_brief(t: Term) -> str:

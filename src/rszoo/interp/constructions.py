@@ -168,7 +168,7 @@ def parse_model_config(text: str) -> MiniModel:
         for p in _lines(text):
             word = p.next().text
             if word in ("table", "bind") and not p.at_sym("="):
-                name = _name(p)
+                name = p.bound_name(p.expecting("a name"))
                 p.expect_sym(":")
                 words = [_name(p)] if word == "bind" else []
                 while p.peek().kind != "eof" and not p.at_sym("["):

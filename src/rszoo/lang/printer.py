@@ -1,6 +1,6 @@
 """Canonical display of terms and formulas.
 
-The output re-parses to an alpha-equal object: parentheses follow the
+The output re-parses to an equal (``==``) object: parentheses follow the
 grammar's precedence, quantified operands of binary connectives are
 always parenthesized, and polymorphic constants regain their bracketed
 type index.

@@ -63,7 +63,8 @@ class TransferInstance:
 
 
 # The target's standard table and the bound on its first zero, a
-# universal and a witness slot of every normal form the pipeline builds.
+# universal and a witness slot of every forward normal form the pipeline
+# builds (see ``normalize_principle``).
 BZT_TABLE = Var("f", Arrow(N, N))
 BZT_BOUND = Var("y", N)
 
@@ -392,7 +393,14 @@ def prenex_to_normal(f: Formula) -> Formula:
 def normalize_principle(base: Formula,
                         steps: list | None = None) -> Formula:
     """Full pipeline: problem statement to the two-block implication
-    normal form against the bounded-zero transfer target."""
+    normal form against the bounded-zero transfer target.
+
+    The result always holds the target's table ``BZT_TABLE`` among its
+    universals and its bound ``BZT_BOUND`` among its existentials, and
+    its consequent is the target's matrix: ``prenex_to_normal`` binds
+    the consequent first, so a clashing name of the principle is
+    renamed, never the target's.  The extraction (``extract.postprocess``
+    and the collapse) relies on this."""
     if steps is not None:
         steps.append(("input", base))
     up = uniformize(base)

@@ -63,10 +63,10 @@ MUTANTS = [
     # slot
     Mutant("xi-k-0", "forward.prf", (
         (")), 1);", ")), 0);", 1), ("; 1)", "; 0)", 1)), survives=None),
-    # the universal f renamed g in the prefix and in the row, which stays
-    # alpha-equal to rows for the normal form; the sweep plans and the
-    # collapse look the table up by its name f, so the prefix check of
-    # check-forward refuses it
+    # the universal f renamed g in the prefix and in the row, which are
+    # then rows for the normal form up to the names of its universals;
+    # the sweep plans and the collapse read the table by its name f, so
+    # the prefix check of check-forward refuses it
     Mutant("rename-f", "forward.prf", (
         ("(forall^st f:1, ", "(forall^st g:1, ", 1),
         ("dmark(f, ", "dmark(g, ", 3)),

@@ -1,9 +1,11 @@
 """Every name that ``rszoo.lang`` and ``rszoo.interp`` export, and every
 public name that ``rszoo.translate``, ``rszoo.normalform`` and
-``rszoo.extract`` define, is used: library code that nothing reaches
-does not stay.  A constant of the language, and a kind of formula node,
-stays only if a corpus file writes it or the pipeline builds it.  And
-no module imports a name it never reads."""
+``rszoo.extract`` define, is read by the library (``src``) or the
+benchmark (``perfbench``): a name that only tests read is library code
+that nothing reaches, and does not stay.  A constant of the language,
+and a kind of formula node, stays only if a corpus file writes it or
+the pipeline builds it.  And no module imports a name it never
+reads."""
 import ast
 import inspect
 from pathlib import Path
@@ -80,16 +82,17 @@ class Uses(ast.NodeVisitor):
 
 def test_every_exported_name_is_referenced():
     uses = Uses()
-    for tree in ("src", "tests", "perfbench"):
+    for tree in ("src", "perfbench"):
         for path in sorted((ROOT / tree).rglob("*.py")):
             uses.visit(ast.parse(path.read_text(), str(path)))
     assert sorted(exported() - uses.used) == []
 
 
 def test_every_constant_is_written_by_the_corpus_or_built_in_src():
-    # stricter than the test above, which counts reads from tests too: a
-    # constant stays only if a corpus file writes it as a token, or a
-    # module of src other than terms reads its Const or its constructor
+    # stricter than the test above, which counts reads from perfbench
+    # and from terms itself: a constant stays only if a corpus file
+    # writes it as a token, or a module of src other than terms reads
+    # its Const or its constructor
     written = {tok.text for path in sorted(PACKAGE.glob("corpus_data/*/*"))
                for tok in tokenize(path.read_text())}
     uses = Uses()

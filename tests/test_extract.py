@@ -363,10 +363,10 @@ def test_rs_run_rejects_a_sweep_plan_for_no_universal():
 
 
 def test_rs_run_fails_at_check_forward_when_the_script_renames_the_table():
-    # with f renamed g the script's rows are only alpha-equal to rows for
-    # the normal form.  The sweep plans and the collapse look the table up
-    # by its name f, so the prefix must be ==, even with no plan naming
-    # f; the collapse alone would refuse such a prefix
+    # with f renamed g the script's rows are rows for the normal form
+    # up to the names of its universals.  The sweep plans and the
+    # collapse read the table by its name f, so the prefix must be ==,
+    # even with no plan naming f
     entry = udnr_entry()
     text = (UDNR / "forward.prf").read_text()
     entry.forward = parse_script(re.sub(r"\bf\b", "g", text))
@@ -375,13 +375,6 @@ def test_rs_run_fails_at_check_forward_when_the_script_renames_the_table():
         "udnr/check-forward: script prefix (forall^st g:1, Psi:1 -> 1, "
         "Xi:1 -> 1 -> 1) is not the normal form's (forall^st f:1, "
         "Psi:1 -> 1, Xi:1 -> 1 -> 1)")
-    _, existentials, matrix = nf_blocks(entry.expect)
-    final = CheckedRows(entry.forward.rows, entry.forward.universals,
-                        existentials, matrix)
-    with pytest.raises(ScriptError,
-                       match="^no table universal 'f' to collapse against$"):
-        extract._mu_collapse(final.universals, postprocess(final, "y"),
-                             Var("f", pure(1)))
 
 
 def record_formulas(monkeypatch) -> list:
@@ -768,7 +761,7 @@ def test_parse_errors_name_the_let_row_and_slot(text, message):
 
 
 def test_postprocess_bounds_the_target_slot():
-    bound = postprocess(check(), "y")
+    bound = postprocess(check())
     model = MiniModel(cap=5, omega=2)
     value = eval_term(model, bound, model.env())
     assert [value.call(n) for n in range(4)] == [1, 2, 3, 4]
@@ -784,19 +777,6 @@ def test_leastz_is_the_least_zero_up_to_y_else_zero(cap):
         for y in range(cap + 1):
             want = table.index(0) if 0 in table[:y + 1] else 0
             assert at_table.call(y) == want, (table, y)
-
-
-@pytest.mark.parametrize("matrix, target, message", [
-    ("g(x) = 0 -> y = x", "w", "'w' is not a witness slot of the normal form"),
-    ("g(x) = 0 -> y = x", "g", "non-numeric target slot 'g': 1"),
-    ("y = x -> g(y) = 0", "y",
-     "consequent mentions witness slots other than the target: ['g']"),
-])
-def test_postprocess_rejects(matrix, target, message):
-    nf = parse_nf(f"(forall^st x:0) (exists^st y:0, g:1) {matrix}")
-    rows = ()   # never inspected: the checks come first
-    with pytest.raises(ScriptError, match=re.escape(message)):
-        postprocess(checked_rows(nf, rows), target)
 
 
 def test_extract_function_needs_one_candidate():

@@ -679,11 +679,17 @@ def test_config_rejects_duplicates_and_unknowns():
     # a declared name is one the formulas can write
     ("cap = 3\nomega = 2\ntable a.b: 0 0 0 0\n",
      "line 3: expected ':', found '.'"),
+    ("cap = 3\nomega = 2\ntable succ: 0 0 0 0 [st]\n",
+     "line 3: 'succ' is a constant, not a variable name"),
+    ("cap = 3\nomega = 2\nbind forall: mu_op [st]\n",
+     "line 3: 'forall' is a keyword, not a variable name"),
     # a declaration ends with its line
     ("cap = 3\nomega = 2\ntable h: 0 0 0 0 [st\ntable g: 0 0 0 0\n",
      "line 3: expected '[st]', found 'end of input'"),
     ("cap = 3 4\nomega = 2\n", "line 1: expected end of line, found '4'"),
     ("cap = 3\nomega = 2\nbind 7: psi_theta\n",
+     "line 3: expected a name, found '7'"),
+    ("cap = 3\nomega = 2\nbind h: 7\n",
      "line 3: expected a name, found '7'"),
     # a setting the model refuses
     ("cap = 0\nomega = 1\n", "line 1: cap must be at least 1"),

@@ -5,16 +5,14 @@ import pytest
 
 import gen
 import rszoo
-from canon import canon
 from rszoo.extract import parse_script
 from rszoo.interp import MiniModel, eval_formula, eval_term
 from rszoo.lang import (Abs, And, App, Arrow, Atom, BExists, CONST_NAMES,
-                        Exists, Forall, ForallSt, N, Not, ParseError, Seq,
-                        TypeCheckError, Var, all_names_f, alpha_eq,
-                        alpha_eq_f, app, free_vars, free_vars_f, infer_type,
-                        is_internal, lam, num, parse_formula, parse_term,
-                        parse_type, pure, rec_c, show_formula, show_term,
-                        show_type, subst_f)
+                        Exists, Forall, N, Not, ParseError, Seq,
+                        TypeCheckError, Var, all_names_f, app, free_vars,
+                        free_vars_f, infer_type, is_internal, num,
+                        parse_formula, parse_term, parse_type, pure, rec_c,
+                        show_formula, show_term, show_type, subst_f)
 from rszoo.lang.formulas import approx, approx_sides
 from rszoo.lang.parser import Parser
 from rszoo.lang.terms import (MAX2, MONOMORPHIC, POLYMORPHIC, all_names,
@@ -108,49 +106,11 @@ def test_substitution_avoids_capture():
     assert s == parse_term("\\y1:0. max(y, y1)", params={"y": N})
 
 
-def test_alpha_eq_distinguishes_shadowing():
-    a = lam(Var("x", N), lam(Var("x", N), Var("x", N)))
-    b = lam(Var("x", N), lam(Var("y", N), Var("x", N)))
-    assert not alpha_eq(a, b)
-    c = lam(Var("u", N), lam(Var("v", N), Var("v", N)))
-    assert alpha_eq(a, c)
-
-
-def test_formula_round_trip_and_alpha():
+def test_formula_round_trip():
     src = "(forall x:0) (exists y:0) max(x, y) = 3"
     f = parse_formula(src)
     assert show_formula(f) == src
-    g = parse_formula("(forall u:0) (exists v:0) max(u, v) = 3")
-    assert alpha_eq_f(f, g)
-
-
-def test_alpha_eq_avoids_capturing_free_names():
-    x, y = Var("x", N), Var("y", N)
-    free = parse_formula("(forall x:0) x = v0", params={"v0": N})
-    bound = parse_formula("(forall y:0) y = y")
-    assert not alpha_eq_f(free, bound)
-    assert alpha_eq_f(free, parse_formula("(forall z:0) z = v0",
-                                          params={"v0": N}))
-    # the same pair with the binder in a universal block
-    assert not alpha_eq_f(ForallSt(x, free.body), ForallSt(y, bound.body))
-
-
-def test_alpha_eq_renames_lambda_binders():
-    x = Var("x", N)
-    a = parse_formula("(\\y:0. y)(x) = 0", params={"x": N})
-    b = parse_formula("(\\z:0. z)(x) = 0", params={"x": N})
-    assert alpha_eq_f(a, b)
-    assert alpha_eq_f(ForallSt(x, a), ForallSt(x, b))
-    # a lambda binder does not capture a free name either
-    free = parse_formula("(\\y:0. v0)(x) = 0", params={"x": N, "v0": N})
-    bound = parse_formula("(\\y:0. y)(x) = 0", params={"x": N})
-    assert not alpha_eq_f(free, bound)
-    # nor does a quantifier capture a name bound by a lambda inside it
-    nested = parse_formula("(forall v0:0) (\\y:0. y)(v0) = 0")
-    assert alpha_eq_f(nested,
-                      parse_formula("(forall w:0) (\\v0:0. v0)(w) = 0"))
-    assert not alpha_eq_f(nested,
-                          parse_formula("(forall w:0) (\\v0:0. w)(w) = 0"))
+    assert parse_formula(show_formula(f)) == f
 
 
 def test_approx_sides_reads_back_what_approx_builds():
@@ -463,26 +423,3 @@ def test_binders_remove_free_variables_by_name():
     # a bound lies outside its binder's scope
     g = BExists(Var("y", N), Var("y", N), Atom((Var("y", pure(1)), num(0))))
     assert free_vars_f(g) == {Var("y", N)}
-
-
-def test_alpha_eq_binds_names_across_types():
-    # y:0 under a y:1 binder is bound (see above), under a z:1 binder
-    # free: the first formula is closed and false, the second true at y=0
-    y1, z1, y0 = Var("y", pure(1)), Var("z", pure(1)), Var("y", N)
-    matrix = Atom((y0, num(0)))
-    closed, open_ = Exists(y1, matrix), Exists(z1, matrix)
-    model = MiniModel(cap=2, omega=1)
-    assert eval_formula(model, closed, {}) is False
-    assert eval_formula(model, open_, {"y": 0}) is True
-    assert not alpha_eq_f(closed, open_)
-    assert canon(closed) != canon(open_)
-    # the same binders as a universal block, and as lambdas
-    blocks = ForallSt(y1, matrix), ForallSt(z1, matrix)
-    assert not alpha_eq_f(*blocks)
-    assert canon(blocks[0]) != canon(blocks[1])
-    assert not alpha_eq(Abs(y1, y0), Abs(z1, y0))
-    # binding across types on both sides is alpha-equal
-    renamed = Exists(z1, Atom((Var("z", N), num(0))))
-    assert alpha_eq_f(closed, renamed)
-    assert canon(closed) == canon(renamed)
-    assert alpha_eq_f(blocks[0], ForallSt(z1, renamed.body))

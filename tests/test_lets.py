@@ -197,10 +197,10 @@ def test_forward_term_agrees_with_substituted_lets_on_every_table(cap):
     terms = []
     for parse in (parse_script, plainlets.parse_script):
         final = check_script(parse(text), nf)
-        terms.append((final, postprocess(final, "y")))
+        terms.append((final, postprocess(final)))
     (final, bound), (_final, plain_bound) = terms
     f, psi, xi = final.universals
-    forward = _mu_collapse(final.universals, bound, f)
+    forward = _mu_collapse(final.universals, bound)
     before = lam(psi, xi, f, app(stdterms.leastz_t(), f,
                                  plain_bound.body.body.body))
     assert sum(1 for _ in subterms(forward)) < sum(

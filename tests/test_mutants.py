@@ -57,8 +57,9 @@ def test_forward_mutants_fail_at_a_standard_table(name, model):
 
 
 def test_a_renamed_table_fails_at_check_forward():
-    # rows alpha-equal to rows for the normal form are not enough: the
-    # sweep plans and the collapse read the table by the name f
+    # rows for the normal form up to the names of its universals are
+    # not enough: the sweep plans and the collapse read the table by the
+    # name f
     with pytest.raises(ScriptError) as info:
         rs_run(mutated(named("rename-f")))
     assert str(info.value).startswith(

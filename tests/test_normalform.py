@@ -7,10 +7,10 @@ import rszoo
 from rszoo.interp import eval_formula, parse_model_config
 from rszoo.lang import (ExistsSt, ForallSt, parse_formula, parse_type,
                         show_formula, show_type, strip)
-from rszoo.normalform import (NormalFormError, herbrandize_choice,
-                              normalize_backward, normalize_principle,
-                              prenex_to_normal, resolve_approx,
-                              trans_instance, uniformize)
+from rszoo.normalform import (BZT_BOUND, BZT_TABLE, NormalFormError,
+                              herbrandize_choice, normalize_backward,
+                              normalize_principle, prenex_to_normal,
+                              resolve_approx, trans_instance, uniformize)
 from rszoo.translate import nf_blocks, parse_nf
 
 UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
@@ -228,6 +228,23 @@ def test_pipeline_output_is_a_normal_form(build):
     universals, existentials, _ = nf_blocks(nf)
     assert universals and existentials
     assert parse_nf(show_formula(nf)) == nf
+
+
+@pytest.mark.parametrize("principle", [
+    (UDNR / "principle.fml").read_text(),
+    DNR_BASE,
+    "(forall f:1)(exists y:0) f(y) = 0",
+    "(forall y:1)(exists f:1)(forall e:0) f(e) = y(e)",
+], ids=["udnr", "dnr", "binds-f-and-y", "binds-y-and-f"])
+def test_forward_normal_form_holds_the_target(principle):
+    # postprocess and the collapse read the target's bound y and table f
+    # off the built form unchecked: the blocks hold both, and the
+    # consequent is the target's.  A principle that binds f or y itself
+    # has its own name renamed (f1, y1), never the target's
+    universals, existentials, matrix = nf_blocks(
+        normalize_principle(parse_formula(principle)))
+    assert BZT_TABLE in universals and BZT_BOUND in existentials
+    assert matrix.right == nf_blocks(trans_instance().normal)[2]
 
 
 def test_pipeline_stage_labels():
