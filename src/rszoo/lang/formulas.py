@@ -2,9 +2,9 @@
 
 A formula is external when it has a standard quantifier (a node of an
 ``EXTERNAL`` kind); otherwise it is internal.  That a term t of type T
-is standard is said ``(exists^st y:T) y = t``, and that s and t agree
-at standard arguments, ``approx[T](s, t)``, is the formula ``approx``
-builds.  Quantifiers come in three flavours: plain, standard-relativized
+is standard is said ``(exists^st y:T) y = t``, and that s and t of
+type 1 agree at standard arguments, ``(forall^st u:0) s(u) = t(u)``.
+Quantifiers come in three flavours: plain, standard-relativized
 (``forall^st``), and the bounded existential ``(exists z <= t)`` over
 type 0.  The one prime formula is an equation, ``s = t``, at any type,
 extensional above type 0; ``s <= t`` is not primitive.
@@ -18,11 +18,10 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterator, Mapping, Union
 
-from .terms import (NO_VARS, App, Prepared, Term, Var, SyntaxNode,
-                    all_names, drop_name, enter_binder,
-                    free_vars as term_fvs, fresh_name, infer_type,
+from .terms import (NO_VARS, Prepared, Term, Var, SyntaxNode, all_names,
+                    drop_name, enter_binder, free_vars as term_fvs,
                     keep_fvs, prepare, subst_prepared, union)
-from .types import Arrow, FiniteType, N, Seq, node
+from .types import node
 
 
 @node
@@ -202,39 +201,3 @@ def subst_f_prepared(f: Formula, sub: Prepared) -> Formula:
         return BExists(var, bound, subst_f_prepared(f.body, inner))
     raise TypeError(f"not a formula: {f!r}")
 
-
-# ---------------------------------------------------------------------------
-# approximation
-
-def approx(ty: FiniteType, l: Term, r: Term) -> Formula:
-    """The formula that ``approx[T](l, r)`` abbreviates: ``l = r`` at
-    type 0 and at sequence types, and ``(forall^st u) approx[U](l(u),
-    r(u))`` at a function type T = S -> U (u of type S)."""
-    if ty == N or isinstance(ty, Seq):
-        return Atom((l, r))
-    if isinstance(ty, Arrow):
-        taken = {v.name for v in term_fvs(l) | term_fvs(r)}
-        u = Var(fresh_name("u", taken), ty.dom)
-        return ForallSt(u, approx(ty.cod, App(l, u), App(r, u)))
-    raise TypeError(f"not a finite type: {ty!r}")
-
-
-def approx_sides(f: Formula) -> tuple[FiniteType, Term, Term] | None:
-    """(T, l, r) when f is ``approx(T, l, r)``, up to the names of its
-    standard quantifiers' variables; else None."""
-    if isinstance(f, Atom):
-        ty = infer_type(f.args[0])
-        if ty == N or isinstance(ty, Seq):
-            return ty, *f.args
-        return None
-    if isinstance(f, ForallSt):
-        inner = approx_sides(f.body)
-        if inner is None:
-            return None
-        cod, l, r = inner
-        u = f.var
-        if (isinstance(l, App) and isinstance(r, App) and l.arg == u == r.arg
-                and all(v.name != u.name
-                        for v in term_fvs(l.fn) | term_fvs(r.fn))):
-            return Arrow(u.ty, cod), l.fn, r.fn
-    return None

@@ -7,7 +7,7 @@ Grammar sketch (precedence low to high):
     and      :=  unary ('/\\' unary)*
     unary    :=  '~' unary | prefix formula | atom
     prefix   :=  '(' Q '^st'? binders ')' | '(' 'exists' NAME '<=' term ')'
-    atom     :=  approx[T](s,t) | term REL term | '(' formula ')'
+    atom     :=  term REL term | '(' formula ')'
     Q        :=  'forall' | 'exists'
     REL      :=  '=' | '!='                 s != t is ~(s = t)
     binders  :=  NAME (',' NAME)* ':' type (',' binders)?
@@ -26,13 +26,12 @@ readable, a quantifier is rejected directly under ``~`` or as the right
 operand of ``/\\`` or ``\\/`` — wrap it in parentheses instead.
 
 Formulas are typed as they are parsed: both sides of ``=`` and ``!=``
-at one type, any type (above type 0 equality is extensional); a bound
-at type 0, and the sides of ``approx[T]`` at T.  A term of the wrong
-type fails where it starts; the sides of ``=`` or ``!=`` at two types
-fail at the relation.  That t is standard is written ``(exists^st
-y:T) y = t``; a true and a false formula, ``0 = 0`` and ``0 != 0``.
-``approx[T](s, t)`` is read as the formula it abbreviates
-(``formulas.approx``).
+at one type, any type (above type 0 equality is extensional), and a
+bound at type 0.  A term of the wrong type fails where it starts; the
+sides of ``=`` or ``!=`` at two types fail at the relation.  That t is
+standard is written ``(exists^st y:T) y = t``; that s and t of type 1
+agree at standard arguments, ``(forall^st u:0) s(u) = t(u)``; a true
+and a false formula, ``0 = 0`` and ``0 != 0``.
 
 A constant's name and a keyword are reserved, and no binder, nor a
 ``params`` name of ``parse_term`` or ``parse_formula``, may take one:
@@ -53,7 +52,7 @@ from __future__ import annotations
 import re
 
 from .formulas import (And, Atom, BExists, Exists, ExistsSt, Forall,
-                       ForallSt, Formula, Implies, Not, Or, approx)
+                       ForallSt, Formula, Implies, Not, Or)
 from .terms import (Abs, CONST_NAMES, MONOMORPHIC, POLYMORPHIC, Term,
                     TypeCheckError, Var, app, infer_type, num)
 from .types import Arrow, FiniteType, N, Seq, pure, record, show_type
@@ -67,7 +66,7 @@ class ParseError(Exception):
         self.col = col
 
 
-KEYWORDS = frozenset(["forall", "exists", "approx"])
+KEYWORDS = frozenset(["forall", "exists"])
 
 _SYMBOLS = ["->", "/\\", "\\/", "!=", "<=", ":=", "^st",
             "(", ")", "[", "]", ",", ":", ".", "*", "~", "=", "\\",
@@ -406,20 +405,6 @@ class Parser:
         return body
 
     def _f_atom(self) -> Formula:
-        if self.take("approx"):
-            self.expect_sym("[")
-            ty = self.parse_type()
-            self.expect_sym("]")
-            self.expect_sym("(")
-            sides = [self.typed_term()]
-            self.expect_sym(",")
-            sides.append(self.typed_term())
-            self.expect_sym(")")
-            for _, got, at in sides:
-                if got != ty:
-                    raise ParseError(f"equality at {show_type(ty)} applied "
-                                     f"to {show_type(got)}", at.line, at.col)
-            return approx(ty, sides[0][0], sides[1][0])
         if self.at_sym("(") and not self._opens_term():
             self.next()
             f = self.parse_formula()

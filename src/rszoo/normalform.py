@@ -7,17 +7,13 @@ and the extractor work with:
 
 1. ``uniformize``       - flip the quantifiers through a solution
                           functional: (exists Psi)(forall X) phi(X, Psi(X));
-                          then relativize both blocks to standard objects
-                          and conjoin extensionality of Psi up to ``approx``.
-2. ``resolve_approx``   - expand the approx-implications into explicit
-                          prefix comparisons with a modulus: for each
-                          output position k some agreement length N.
-3. ``herbrandize_choice`` - trade the inner standard existential, of
-                          type 0, for a standard functional: the
-                          max-collapse of the Herbrand form.
-4. ``prenex_to_normal`` - pull every standard quantifier of the final
-                          implication to the front, flipping those in
-                          negative position, consequent first.
+                          relativize both blocks to standard objects, and
+                          conjoin the extensionality of Psi with its
+                          modulus Xi, on initial segments.
+2. ``prenex_to_normal`` - pull every standard quantifier of the
+                          implication to the bounded-zero transfer target
+                          to the front, flipping those in negative
+                          position, consequent first.
 
 The pipeline refuses anything outside this grammar, implication-shaped
 statements (hypothesis to bounded conclusion) included.
@@ -29,7 +25,7 @@ puts Feferman's specification (mu^2) of a standard least-zero functional
 direction's witness rows are checked against the normal form built
 here, not against one that a script states.
 
-The quantifier exchanges in step 4 are classical equivalences over
+The quantifier exchanges in step 2 are classical equivalences over
 nonempty finite ranges, so the output stays truth-equivalent to its
 input in any MiniModel whose standard populations at the quantified
 types are nonempty; tests check this by brute force at small caps.
@@ -38,7 +34,7 @@ from __future__ import annotations
 
 from .lang.formulas import (EXTERNAL, And, Atom, BExists, Exists, ExistsSt,
                             Forall, ForallSt, Formula, Implies, Not, Or,
-                            all_names_f, approx, approx_sides, conj,
+                            all_names_f, conj,
                             is_internal, strip, subformulas, subst_f)
 from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num, INITSEG,
                          NUNL, NUNR)
@@ -83,17 +79,6 @@ def trans_instance() -> TransferInstance:
 # ---------------------------------------------------------------------------
 # step 1: uniformize
 
-@record
-class UniformPrinciple:
-    """The functional and relativized variants of a problem statement.
-
-    ``functionals`` lists the solution functionals introduced for the
-    original existentials (empty when the statement had none)."""
-    uniform: Formula
-    strong: Formula
-    functionals: tuple[Var, ...]
-
-
 def _statement(base: Formula) -> tuple[list[Var], list[Var], Formula]:
     """The universals, the existentials and the internal matrix of a
     (forall X..)(exists Y..) phi problem statement."""
@@ -111,43 +96,56 @@ def _statement(base: Formula) -> tuple[list[Var], list[Var], Formula]:
     return xs, ys, matrix
 
 
-def uniformize(base: Formula) -> UniformPrinciple:
-    """Build the functional and relativized-strong variants of a
-    (forall X..)(exists Y..) phi problem statement."""
+def uniformize(base: Formula) -> Formula:
+    """The strong uniform variant of a (forall X..)(exists Y..) phi
+    problem statement: a standard solution functional Psi for each
+    existential, and the statement relativized to standard objects with
+    Psi(X..) in place of that existential, in conjunction with each
+    functional's extensionality clause (``_extensionality``):
+
+        (exists^st Psi..)((forall^st X..) phi(X.., Psi(X..)) /\\ ext(Psi))
+
+    A statement without existentials is only relativized."""
     xs, ys, matrix = _statement(base)
-
-    if not ys:
-        uniform = base
-        strong = matrix
-        for v in reversed(xs):
-            strong = ForallSt(v, strong)
-        return UniformPrinciple(uniform, strong, ())
-
     taken = all_names_f(base)
     fns = [Var(fresh_name("Psi" if i == 0 else f"Psi{i + 1}", taken),
                arrows([x.ty for x in xs], y.ty)) for i, y in enumerate(ys)]
-    inner = subst_f(matrix, {y: app(fn, *xs) for y, fn in zip(ys, fns)})
-
-    uniform = inner
-    for x in reversed(xs):
-        uniform = Forall(x, uniform)
-    for fn in reversed(fns):
-        uniform = Exists(fn, uniform)
-
-    core = inner
+    core = subst_f(matrix, {y: app(fn, *xs) for y, fn in zip(ys, fns)})
     for x in reversed(xs):
         core = ForallSt(x, core)
-    ext = [_extensionality(fn, [x.ty for x in xs], taken) for fn in fns]
-    strong = conj([core] + ext)
+    # the clauses' k, i and Xi are drawn against the names of the core:
+    # a name that only the statement's existential block bound is free
+    names = all_names_f(core)
+    out = conj([core] + [_extensionality(fn, [x.ty for x in xs], taken,
+                                         names) for fn in fns])
     for fn in reversed(fns):
-        strong = ExistsSt(fn, strong)
-    return UniformPrinciple(uniform, strong, tuple(fns))
+        out = ExistsSt(fn, out)
+    return out
 
 
-def _extensionality(fn: Var, arg_tys: list[FiniteType],
-                    taken: set[str]) -> Formula:
-    """(forall^st C, D)(C approx D -> fn(C) approx fn(D)), one C/D pair
-    per argument position."""
+def _extensionality(fn: Var, arg_tys: list[FiniteType], taken: set[str],
+                    names: set[str]) -> Formula:
+    """The standard extensionality of fn (for standard X.. and Y.. that
+    agree at every standard argument, fn(X..) and fn(Y..) agree too),
+    resolved on initial segments, with the agreement length Herbrandized
+    into a modulus Xi:
+
+        (exists^st Xi)(forall^st X.., Y.., k)
+            (initseg(X, Xi(X.., Y.., k)) = initseg(Y, Xi(X.., Y.., k)) /\\ ..
+             -> initseg(fn(X..), k) = initseg(fn(Y..), k))
+
+    A side of type 0 or of a sequence type is compared by =, so k is
+    dropped when the output is, and Xi when every argument is.  A
+    k-argument numeric function is compared as one table along the
+    diagonal (``_diag``); a side of any other type is refused.
+
+    Herbrandized choice gives a standard W that sends each (X.., Y.., k)
+    to a finite sequence of candidate lengths, one of which makes the
+    implication hold; Xi takes the largest.  That collapse is sound
+    because the implication gets no harder as the length grows: the
+    premise only strengthens.
+
+    X and Y are drawn against taken; k, i and Xi against names."""
     cs, ds = [], []
     for ty in arg_tys:
         cs.append(Var(fresh_name("X", taken), ty))
@@ -155,16 +153,23 @@ def _extensionality(fn: Var, arg_tys: list[FiniteType],
     out_ty = fn.ty
     for _ in arg_tys:
         out_ty = out_ty.cod
-    prem = conj([approx(c.ty, c, d) for c, d in zip(cs, ds)])
-    ccl = approx(out_ty, app(fn, *cs), app(fn, *ds))
+    us, n, k = cs + ds, None, None
+    if any(isinstance(ty, Arrow) for ty in arg_tys + [out_ty]):
+        # every clause with a side above type 0 takes a k, used or not,
+        # which keeps the names of the clauses after it as printed
+        k = Var(fresh_name("k", names), N)
+        if isinstance(out_ty, Arrow):
+            us.append(k)
+        if any(isinstance(ty, Arrow) for ty in arg_tys):
+            xi = Var(fresh_name("Xi", names), arrows([u.ty for u in us], N))
+            n = app(xi, *us)
+    prem = conj([_prefix_eq(c.ty, c, d, n, names) for c, d in zip(cs, ds)])
+    ccl = _prefix_eq(out_ty, app(fn, *cs), app(fn, *ds), k, names)
     body: Formula = Implies(prem, ccl)
-    for v in reversed(cs + ds):
-        body = ForallSt(v, body)
-    return body
+    for u in reversed(us):
+        body = ForallSt(u, body)
+    return body if n is None else ExistsSt(xi, body)
 
-
-# ---------------------------------------------------------------------------
-# step 2: resolve approx
 
 def _numeric_arity(ty: FiniteType) -> int | None:
     """k when ty is 0 -> 0 -> ... -> 0 with k arguments, else None."""
@@ -192,145 +197,22 @@ def _diag(t: Term, k: int, taken: set[str]) -> Term:
     return Abs(i, app(t, *args))
 
 
-def _prefix_eq(ty: FiniteType, l: Term, r: Term, n: Var,
-               taken: set[str]) -> tuple[Formula, bool]:
-    """Compare l and r of the given type up to prefix length n; the
-    second component says whether n was actually used."""
+def _prefix_eq(ty: FiniteType, l: Term, r: Term, n: Term | None,
+               taken: set[str]) -> Formula:
+    """Compare l and r of the given type up to prefix length n, which a
+    side of type 0 or of a sequence type does not read."""
     if ty == N or isinstance(ty, Seq):
-        return Atom((l, r)), False
+        return Atom((l, r))
     k = _numeric_arity(ty)
     if k is None:
         raise NormalFormError(
             f"no prefix encoding at type {show_type(ty)}")
     dl, dr = _diag(l, k, taken), _diag(r, k, taken)
-    return Atom((app(INITSEG, dl, n), app(INITSEG, dr, n))), True
-
-
-def _approx_leaves(f: Formula) -> list[tuple] | None:
-    """``approx_sides`` of each approx in f, when f is a conjunction of
-    them (as ``_extensionality`` writes a premise over several
-    arguments)."""
-    if isinstance(f, And):
-        l = _approx_leaves(f.left)
-        r = _approx_leaves(f.right)
-        return l + r if l is not None and r is not None else None
-    leaf = approx_sides(f)
-    return None if leaf is None else [leaf]
-
-
-def resolve_approx(f: Formula) -> Formula:
-    """Expand approx-implications into prefix comparisons.
-
-    An implication whose sides are conjunctions of approxes becomes
-
-        (forall^st k)(exists^st N)(prefixes agree at N -> images agree at k)
-
-    with k or N omitted when the corresponding side is purely numeric.
-    An approx is the formula that ``approx`` builds, read back by
-    ``approx_sides``.  One outside such an implication is left as it
-    is: a standard quantifier, which ``prenex_to_normal`` moves like
-    any other.
-    """
-    taken = all_names_f(f)
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Implies) and not is_internal(g):
-            prem = _approx_leaves(g.left)
-            ccl = _approx_leaves(g.right)
-            if prem is not None and ccl is not None:
-                return rewrite(prem, ccl)
-        if isinstance(g, Atom):
-            return g
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (Forall, Exists, ForallSt, ExistsSt)):
-            return type(g)(g.var, go(g.body))
-        if isinstance(g, BExists):
-            return BExists(g.var, g.bound, go(g.body))
-        raise NormalFormError(f"cannot resolve inside {type(g).__name__}")
-
-    def rewrite(prem, ccl) -> Formula:
-        nv = Var(fresh_name("N", taken), N)
-        kv = Var(fresh_name("k", taken), N)
-        ps, pused = [], False
-        for ty, l, r in prem:
-            g, used = _prefix_eq(ty, l, r, nv, taken)
-            ps.append(g)
-            pused = pused or used
-        cs, cused = [], False
-        for ty, l, r in ccl:
-            g, used = _prefix_eq(ty, l, r, kv, taken)
-            cs.append(g)
-            cused = cused or used
-        out: Formula = Implies(conj(ps), conj(cs))
-        if pused:
-            out = ExistsSt(nv, out)
-        if cused:
-            out = ForallSt(kv, out)
-        return out
-
-    return go(f)
+    return Atom((app(INITSEG, dl, n), app(INITSEG, dr, n)))
 
 
 # ---------------------------------------------------------------------------
-# step 3: herbrandized choice
-
-def herbrandize_choice(f: Formula) -> Formula:
-    """Trade inner standard existentials for standard functionals.
-
-    Each conjunct of shape (forall^st xs)(exists^st y:0) phi, phi
-    internal, becomes
-
-        (exists^st Xi: xs -> 0)(forall^st xs) phi[y := Xi(xs)].
-
-    Herbrandized choice gives the Herbrand form: a standard W that
-    sends each xs to a finite sequence of candidates, one of which is a
-    witness y.  Xi(xs) is the largest candidate in W(xs).  That
-    collapse is sound because phi gets no harder as the witness grows,
-    which holds for every prefix-agreement matrix this pipeline
-    produces (the premise only strengthens).  Only the collapsed form
-    is built.  At any other type there is no largest candidate, and a
-    standard existential of another type under standard universals is
-    refused: pulled out from under them as it is, by
-    ``prenex_to_normal``, it would claim one witness for every xs.
-    Conjunctions and the standard-existential context are traversed;
-    anything already functional is left alone.
-    """
-    taken = all_names_f(f)
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, ExistsSt):
-            return ExistsSt(g.var, go(g.body))
-        if isinstance(g, And):
-            return And(go(g.left), go(g.right))
-        got = _try_choice(g, taken)
-        return got if got is not None else g
-
-    return go(f)
-
-
-def _try_choice(g: Formula, taken: set[str]) -> Formula | None:
-    xs, rest = strip(g, ForallSt)
-    if not xs or not isinstance(rest, ExistsSt):
-        return None
-    y, matrix = rest.var, rest.body
-    if not is_internal(matrix):
-        return None
-    if y.ty != N:
-        raise NormalFormError(
-            f"no max-collapse for the standard existential {y.name!r} of "
-            f"type {show_type(y.ty)}: only a type-0 witness collapses")
-    xi = Var(fresh_name("Xi", taken), arrows([x.ty for x in xs], N))
-    out: Formula = subst_f(matrix, {y: app(xi, *xs)})
-    for x in reversed(xs):
-        out = ForallSt(x, out)
-    return ExistsSt(xi, out)
-
-
-# ---------------------------------------------------------------------------
-# step 4: prenex
+# step 2: prenex
 
 def prenex_to_normal(f: Formula) -> Formula:
     """Pull all standard quantifiers to the front of an implication,
@@ -390,8 +272,7 @@ def prenex_to_normal(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # the composed pipelines
 
-def normalize_principle(base: Formula,
-                        steps: list | None = None) -> Formula:
+def normalize_principle(base: Formula) -> Formula:
     """Full pipeline: problem statement to the two-block implication
     normal form against the bounded-zero transfer target.
 
@@ -401,25 +282,7 @@ def normalize_principle(base: Formula,
     the consequent first, so a clashing name of the principle is
     renamed, never the target's.  The extraction (``extract.postprocess``
     and the collapse) relies on this."""
-    if steps is not None:
-        steps.append(("input", base))
-    up = uniformize(base)
-    if steps is not None:
-        steps.append(("uniform", up.uniform))
-        steps.append(("strong", up.strong))
-    resolved = resolve_approx(up.strong)
-    if steps is not None:
-        steps.append(("prefix-resolved", resolved))
-    herb = herbrandize_choice(resolved)
-    if steps is not None:
-        steps.append(("choice-collapsed", herb))
-    imp = Implies(herb, trans_instance().normal)
-    if steps is not None:
-        steps.append(("implication", imp))
-    nf = prenex_to_normal(imp)
-    if steps is not None:
-        steps.append(("normal-form", nf))
-    return nf
+    return prenex_to_normal(Implies(uniformize(base), trans_instance().normal))
 
 
 def normalize_backward(base: Formula) -> Formula:

@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rszoo"
 TESTS = ROOT / "tests"
 # the count of statements that ran nowhere when it was last lowered
-CEILING = 19
+CEILING = 16
 
 
 def statements(path: Path) -> dict[int, tuple[int, ...]]:

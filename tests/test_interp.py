@@ -246,9 +246,10 @@ def test_approx_at_type_one_sees_only_standard_prefix():
     m = MiniModel(cap=9, omega=2)
     m.declare("f", parse_type("1"), table_fn([0, 1, 9, 9, 9, 9, 9, 9, 9, 9], m), st=False)
     m.declare("g", parse_type("1"), table_fn([0, 1, 5, 5, 5, 5, 5, 5, 5, 5], m), st=False)
-    assert evf(m, "approx[1](f, g)", params={"f": "1", "g": "1"})
+    assert evf(m, "(forall^st u:0) f(u) = g(u)", params={"f": "1", "g": "1"})
     m.declare("h", parse_type("1"), table_fn([0, 2, 5, 5, 5, 5, 5, 5, 5, 5], m), st=False)
-    assert not evf(m, "approx[1](f, h)", params={"f": "1", "h": "1"})
+    assert not evf(m, "(forall^st u:0) f(u) = h(u)",
+                   params={"f": "1", "h": "1"})
 
 
 def test_eq_at_higher_type_is_extensional():

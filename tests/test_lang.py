@@ -13,7 +13,6 @@ from rszoo.lang import (Abs, And, App, Arrow, Atom, BExists, CONST_NAMES,
                         free_vars_f, infer_type, is_internal, num,
                         parse_formula, parse_term, parse_type, pure, rec_c,
                         show_formula, show_term, show_type, subst_f)
-from rszoo.lang.formulas import approx, approx_sides
 from rszoo.lang.parser import Parser
 from rszoo.lang.terms import (MAX2, MONOMORPHIC, POLYMORPHIC, all_names,
                               prepare, subst_prepared)
@@ -113,24 +112,6 @@ def test_formula_round_trip():
     assert parse_formula(show_formula(f)) == f
 
 
-def test_approx_sides_reads_back_what_approx_builds():
-    for ty in map(parse_type, ["0", "0*", "1", "2", "0 -> 1", "1 -> 0*",
-                               "1*", "(1 -> 0*) -> 2"]):
-        f, g = Var("f", ty), Var("g", ty)
-        assert approx_sides(approx(ty, f, g)) == (ty, f, g)
-    # a conjunction of approxes is no approx
-    assert approx_sides(parse_formula(
-        "p = q /\\ approx[1](f, g)",
-        params={"p": N, "q": N, "f": pure(1), "g": pure(1)})) is None
-    # the bound variable must be the last argument and nothing else
-    f, g = Var("f", parse_type("0 -> 1")), Var("g", parse_type("0 -> 1"))
-    assert approx_sides(parse_formula(
-        "(forall^st u:0) f(u, u) = g(u, u)",
-        params={"f": f.ty, "g": g.ty})) is None
-    assert approx_sides(parse_formula("f = g", params={"f": f.ty,
-                                                       "g": g.ty})) is None
-
-
 def test_neq_display():
     f = parse_formula("x != 0", params={"x": N})
     assert f == Not(Atom((Var("x", N), num(0))))
@@ -142,7 +123,7 @@ def test_internal_flag():
     assert not is_internal(parse_formula("(exists^st y:0) y = 0"))
     assert not is_internal(parse_formula("(forall^st x:0) x = x"))
     assert not is_internal(
-        parse_formula("(forall x:1) approx[1](x, x)"))
+        parse_formula("(forall x:1) (forall^st u:0) x(u) = x(u)"))
 
 
 def test_bounded_quantifier_kinds():
@@ -209,14 +190,14 @@ def test_a_binder_may_not_take_a_constants_name(read, src, name, at):
 
 
 @pytest.mark.parametrize("read, src, name, at", [
-    (parse_formula, "(forall approx:0) approx = 0", "approx", 9),
+    (parse_formula, "(forall^st exists:0) 0 = 0", "exists", 12),
     (parse_formula, "(forall forall:0) 0 = 0", "forall", 9),
     (parse_formula, "(exists exists <= 3) 0 = 0", "exists", 9),
-    (parse_term, "\\approx:0. 0", "approx", 2),
+    (parse_term, "\\forall:0. 0", "forall", 2),
 ])
 def test_a_binder_may_not_take_a_keywords_name(read, src, name, at):
-    # approx would read as the start of an approx[T](s, t) atom wherever
-    # an atom starts, so a keyword is reserved as a constant is
+    # a keyword is reserved as a constant is: the parser reads it as the
+    # keyword wherever it may stand
     with pytest.raises(ParseError) as e:
         read(src)
     assert (e.value.msg, e.value.line, e.value.col) == (
@@ -225,7 +206,7 @@ def test_a_binder_may_not_take_a_keywords_name(read, src, name, at):
 
 @pytest.mark.parametrize("read, name, kind", [
     (parse_formula, "succ", "a constant"),
-    (parse_term, "approx", "a keyword"),
+    (parse_term, "exists", "a keyword"),
 ])
 def test_a_parameter_may_not_take_a_reserved_name(read, name, kind):
     # the parameter would be unreadable: its name reads as the constant
@@ -247,7 +228,8 @@ def test_typecheck_rejects_ill_typed_atoms():
             ("f(g) = 0", 1, "argument type mismatch: expected 0, got 1"),
             ("(f)(g) = 0", 1, "argument type mismatch: expected 0, got 1"),
             ("x = 0 /\\ (f = 0)", 13, "= needs equal types, got 1 and 0"),
-            ("approx[0](x, f)", 14, "equality at 0 applied to 1"),
+            ("(forall^st u:0) f(u) = h(u)", 22,
+             "= needs equal types, got 0 and 1"),
             ("(exists^st y:0) y = f(g)", 21,
              "argument type mismatch: expected 0, got 1"),
             ("(exists n <= f) n = n", 14, "a bound needs type 0"),

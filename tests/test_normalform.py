@@ -5,12 +5,10 @@ import pytest
 import refeval
 import rszoo
 from rszoo.interp import eval_formula, parse_model_config
-from rszoo.lang import (ExistsSt, ForallSt, parse_formula, parse_type,
-                        show_formula, show_type, strip)
+from rszoo.lang import Implies, parse_formula, show_formula, show_type
 from rszoo.normalform import (BZT_BOUND, BZT_TABLE, NormalFormError,
-                              herbrandize_choice, normalize_backward,
-                              normalize_principle, prenex_to_normal,
-                              resolve_approx, trans_instance, uniformize)
+                              normalize_backward, normalize_principle,
+                              prenex_to_normal, trans_instance, uniformize)
 from rszoo.translate import nf_blocks, parse_nf
 
 UDNR = Path(rszoo.__file__).parent / "corpus_data" / "udnr"
@@ -29,28 +27,24 @@ def small_model(extra=""):
 # -- uniformize ---------------------------------------------------------------
 
 def test_uniformize_flips_quantifiers():
-    up = uniformize(parse_formula(DNR_BASE))
-    assert show_formula(up.uniform) == (
-        "(exists Psi:1 -> 1) (forall Z:1, e:0, s:0) run(Z, e, s) = 0 "
-        "\\/ succ(Psi(Z, e)) != run(Z, e, s)")
-    assert [v.name for v in up.functionals] == ["Psi"]
+    # the existential d becomes the standard functional Psi, applied to
+    # the universals
+    assert show_formula(uniformize(parse_formula(DNR_BASE))).startswith(
+        "(exists^st Psi:1 -> 1) ((forall^st Z:1) (forall e:0, s:0) "
+        "run(Z, e, s) = 0 \\/ succ(Psi(Z, e)) != run(Z, e, s)) /\\ ")
 
 
 def test_uniformize_strong_adds_extensionality():
-    # approx[1](X, Y) is (forall^st u:0) X(u) = Y(u)
-    up = uniformize(parse_formula(DNR_BASE))
-    assert show_formula(up.strong) == (
-        "(exists^st Psi:1 -> 1) ((forall^st Z:1) (forall e:0, s:0) "
-        "run(Z, e, s) = 0 \\/ succ(Psi(Z, e)) != run(Z, e, s)) /\\ "
-        "((forall^st X:1, Y:1) ((forall^st u:0) X(u) = Y(u)) -> "
-        "(forall^st u:0) Psi(X, u) = Psi(Y, u))")
+    # Psi's extensionality on initial segments, with its modulus Xi
+    assert show_formula(uniformize(parse_formula(DNR_BASE))).endswith(
+        "/\\ ((exists^st Xi:1 -> 1 -> 1) (forall^st X:1, Y:1, k:0) "
+        "initseg(X, Xi(X, Y, k)) = initseg(Y, Xi(X, Y, k)) -> "
+        "initseg(Psi(X), k) = initseg(Psi(Y), k))")
 
 
 def test_uniformize_without_existential_degenerates():
-    up = uniformize(parse_formula(
-        "(forall X:1)(forall n:0) (exists z <= 1) z = X(n)"))
-    assert up.functionals == ()
-    assert show_formula(up.strong) == \
+    assert show_formula(uniformize(parse_formula(
+        "(forall X:1)(forall n:0) (exists z <= 1) z = X(n)"))) == \
         "(forall^st X:1, n:0) (exists z <= 1) z = X(n)"
 
 
@@ -67,93 +61,8 @@ def test_uniformize_rejects_other_shapes():
             "(forall X:1)(exists d:1) (exists^st y:0) y = d(0)"))
     with pytest.raises(NormalFormError,
                        match="^matrix must be internal; found ForallSt$"):
-        uniformize(parse_formula("(forall X:1)(exists d:1) approx[1](X, d)"))
-
-
-# -- resolve_approx -----------------------------------------------------------
-
-def test_resolve_approx_type_one():
-    up = uniformize(parse_formula(DNR_BASE))
-    out = resolve_approx(up.strong)
-    assert show_formula(out).endswith(
-        "((forall^st X:1, Y:1, k:0) (exists^st N:0) "
-        "initseg(X, N) = initseg(Y, N) -> "
-        "initseg(Psi(X), k) = initseg(Psi(Y), k))")
-
-
-def test_resolve_approx_under_a_bounded_quantifier():
-    t1 = parse_type("1")
-    f = parse_formula("(exists n <= 3) (approx[1](f, g) -> approx[1](h, j))",
-                      params=dict.fromkeys("fghj", t1))
-    assert show_formula(resolve_approx(f)) == (
-        "(exists n <= 3) (forall^st k:0) (exists^st N:0) "
-        "initseg(f, N) = initseg(g, N) -> initseg(h, k) = initseg(j, k)")
-
-
-def test_resolve_approx_type_zero_is_plain_equality():
-    f = parse_formula(
-        "(forall^st a:0, b:0)(approx[0](a, b) -> approx[0](a, b))")
-    out = resolve_approx(f)
-    assert show_formula(out) == "(forall^st a:0, b:0) a = b -> a = b"
-
-
-def test_resolve_approx_diagonalizes_two_argument_tables():
-    base = parse_formula(
-        "(forall R:0 -> 0 -> 0)(exists d:1)(forall i:0)(R(i, d(i)) = 1)")
-    out = show_formula(resolve_approx(uniformize(base).strong))
-    assert "initseg(\\i1:0. X(nunl(i1), nunr(i1)), N)" in out
-
-
-def test_resolve_approx_rejects_unencodable_types():
-    f = parse_formula(
-        "(forall^st F:2, G:2)(approx[2](F, G) -> approx[0](F(\\x:0. x), "
-        "G(\\x:0. x)))")
-    with pytest.raises(NormalFormError, match="no prefix encoding"):
-        resolve_approx(f)
-    # a sequence type under an arrow has none either
-    up = uniformize(parse_formula(
-        "(forall P:0 -> 0*)(exists y:0) P(y) = P(0)"))
-    with pytest.raises(NormalFormError,
-                       match="^no prefix encoding at type 0 -> 0\\*$"):
-        resolve_approx(up.strong)
-
-
-def test_resolve_approx_rejects_stray_approx():
-    # an approx outside an extensionality implication is not rewritten:
-    # it stays the standard quantifier it is, for prenex_to_normal
-    f = parse_formula("approx[1](f, g)",
-                      params={"f": parse_type("1"), "g": parse_type("1")})
-    assert resolve_approx(f) == f
-
-
-# -- herbrandize_choice ---------------------------------------------------------
-
-def test_herbrandize_collapses_numeric_witness():
-    f = parse_formula(
-        "(forall^st X:1, k:0)(exists^st N:0)"
-        "(initseg(X, N) = initseg(X, N))")
-    out = herbrandize_choice(f)
-    assert show_formula(out) == (
-        "(exists^st Xi:1 -> 1) (forall^st X:1, k:0) "
-        "initseg(X, Xi(X, k)) = initseg(X, Xi(X, k))")
-
-
-def test_herbrandize_refuses_a_witness_above_type_0():
-    # type-1 candidates have no maximum, and pulling g out from under X
-    # as it stands would claim one g for every X
-    f = parse_formula("(forall^st X:1)(exists^st g:1)(g(0) = X(0))")
-    with pytest.raises(NormalFormError, match=(
-            "^no max-collapse for the standard existential 'g' of type 1: "
-            "only a type-0 witness collapses$")):
-        herbrandize_choice(f)
-
-
-def test_herbrandize_leaves_an_external_matrix_alone():
-    # the existential's body is no internal matrix, so there is nothing
-    # to collapse
-    f = parse_formula(
-        "(forall^st X:1)(exists^st N:0)((forall^st u:0) X(u) = N)")
-    assert herbrandize_choice(f) is f
+        uniformize(parse_formula(
+            "(forall X:1)(exists d:1) (forall^st u:0) X(u) = d(u)"))
 
 
 # -- prenex ---------------------------------------------------------------------
@@ -179,8 +88,7 @@ def test_prenex_renames_clashes():
 
 @pytest.mark.parametrize("src, kind", [
     ("(forall n:0)(exists^st y:0) y = n", "ExistsSt"),
-    # approx[1](n, n) is (forall^st u:0) n(u) = n(u)
-    ("(forall n:1) approx[1](n, n)", "ForallSt"),
+    ("(forall n:1) (forall^st u:0) n(u) = n(u)", "ForallSt"),
     ("(exists n <= 3) (exists^st y:0) y = n", "ExistsSt"),
 ])
 def test_prenex_reports_trapped_standard_structure(src, kind):
@@ -211,6 +119,118 @@ EXPECTED_DNR_NF = (
 def test_pipeline_output_frozen():
     nf = normalize_principle(parse_formula(DNR_BASE))
     assert show_formula(nf) == EXPECTED_DNR_NF
+
+
+# each functional's extensionality clause, with its modulus Xi, in the
+# normal form: a principle and its normal form, or the refusal's message
+FROZEN = {
+    # one Xi over a conjunction; the output is a number, so there is no k
+    "two-type-1-arguments": (
+        "(forall f:1, g:1) (exists y:0) f(y) = g(y)",
+        "(forall^st f:1, Psi:1 -> 2, Xi:1 -> 1 -> 1 -> 2) "
+        "(exists^st y:0, f1:1, g:1, X:1, X1:1, Y:1, Y1:1) "
+        "f1(Psi(f1, g)) = g(Psi(f1, g)) /\\ "
+        "(initseg(X, Xi(X, X1, Y, Y1)) = initseg(Y, Xi(X, X1, Y, Y1)) /\\ "
+        "initseg(X1, Xi(X, X1, Y, Y1)) = initseg(Y1, Xi(X, X1, Y, Y1)) -> "
+        "Psi(X, X1) = Psi(Y, Y1)) -> "
+        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+    # a 0 -> 0 -> 0 argument is compared along the diagonal
+    "two-argument-table": (
+        "(forall R:0 -> 0 -> 0)(exists d:1)(forall i:0) R(i, d(i)) = 1",
+        "(forall^st f:1, Psi:(0 -> 1) -> 1, Xi:(0 -> 1) -> (0 -> 1) -> 1) "
+        "(exists^st y:0, R:0 -> 1, X:0 -> 1, Y:0 -> 1, k:0) "
+        "((forall i:0) R(i, Psi(R, i)) = 1) /\\ "
+        "(initseg(\\i1:0. X(nunl(i1), nunr(i1)), Xi(X, Y, k)) = "
+        "initseg(\\i2:0. Y(nunl(i2), nunr(i2)), Xi(X, Y, k)) -> "
+        "initseg(Psi(X), k) = initseg(Psi(Y), k)) -> "
+        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+    # numbers throughout: neither Xi nor k
+    "type-0-only": (
+        "(forall a:0, b:0)(exists c:0) c = b",
+        "(forall^st f:1, Psi:0 -> 1) "
+        "(exists^st y:0, a:0, b:0, X:0, X1:0, Y:0, Y1:0) Psi(a, b) = b /\\ "
+        "(X = Y /\\ X1 = Y1 -> Psi(X, X1) = Psi(Y, Y1)) -> "
+        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+    # number arguments: k but no Xi
+    "type-0-arguments": (
+        "(forall a:0)(exists c:1) c(0) = a",
+        "(forall^st f:1, Psi:0 -> 1) (exists^st y:0, a:0, X:0, Y:0, k:0) "
+        "Psi(a, 0) = a /\\ "
+        "(X = Y -> initseg(Psi(X), k) = initseg(Psi(Y), k)) -> "
+        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+    "type-0-output": (
+        "(forall X:1)(exists c:0) c = X(0)",
+        "(forall^st f:1, Psi:2, Xi:1 -> 2) (exists^st y:0, X:1, X1:1, Y:1) "
+        "Psi(X) = X(0) /\\ "
+        "(initseg(X1, Xi(X1, Y)) = initseg(Y, Xi(X1, Y)) -> "
+        "Psi(X1) = Psi(Y)) -> "
+        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+    # the first clause takes k unused, so the second's is k1
+    "two-functionals": (
+        "(forall X:1)(exists a:0, b:1) a = b(0)",
+        "(forall^st f:1, Psi:2, Psi2:1 -> 1, Xi:1 -> 2, Xi1:1 -> 1 -> 1) "
+        "(exists^st y:0, X:1, X1:1, Y:1, X2:1, Y1:1, k1:0) "
+        "Psi(X) = Psi2(X, 0) /\\ "
+        "(initseg(X1, Xi(X1, Y)) = initseg(Y, Xi(X1, Y)) -> "
+        "Psi(X1) = Psi(Y)) /\\ "
+        "(initseg(X2, Xi1(X2, Y1, k1)) = initseg(Y1, Xi1(X2, Y1, k1)) -> "
+        "initseg(Psi2(X2), k1) = initseg(Psi2(Y1), k1)) -> "
+        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+    # a name that only the existential block binds is free for Xi
+    "binds-Xi": (
+        "(forall X:1, Y:1)(exists Psi:1, Xi:0) Psi(Xi) = X(Xi)",
+        "(forall^st f:1, Psi1:1 -> 1 -> 1, Psi2:1 -> 2, "
+        "Xi:1 -> 1 -> 1 -> 1 -> 1, Xi1:1 -> 1 -> 1 -> 2) "
+        "(exists^st y:0, X:1, Y:1, X1:1, X2:1, Y1:1, Y2:1, k:0, "
+        "X3:1, X4:1, Y3:1, Y4:1) "
+        "Psi1(X, Y, Psi2(X, Y)) = X(Psi2(X, Y)) /\\ "
+        "(initseg(X1, Xi(X1, X2, Y1, Y2, k)) = "
+        "initseg(Y1, Xi(X1, X2, Y1, Y2, k)) /\\ "
+        "initseg(X2, Xi(X1, X2, Y1, Y2, k)) = "
+        "initseg(Y2, Xi(X1, X2, Y1, Y2, k)) -> "
+        "initseg(Psi1(X1, X2), k) = initseg(Psi1(Y1, Y2), k)) /\\ "
+        "(initseg(X3, Xi1(X3, X4, Y3, Y4)) = "
+        "initseg(Y3, Xi1(X3, X4, Y3, Y4)) /\\ "
+        "initseg(X4, Xi1(X3, X4, Y3, Y4)) = "
+        "initseg(Y4, Xi1(X3, X4, Y3, Y4)) -> "
+        "Psi2(X3, X4) = Psi2(Y3, Y4)) -> "
+        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+    # a universal k keeps its name, so the clauses' are k1 and k2
+    "binds-N-and-k": (
+        "(forall N:1, k:1)(exists i:0, Xi:1) Xi(i) = N(i)",
+        "(forall^st f:1, Psi:1 -> 2, Psi2:1 -> 1 -> 1, "
+        "Xi:1 -> 1 -> 1 -> 2, Xi1:1 -> 1 -> 1 -> 1 -> 1) "
+        "(exists^st y:0, N:1, k:1, X:1, X1:1, Y:1, Y1:1, X2:1, X3:1, "
+        "Y2:1, Y3:1, k2:0) Psi2(N, k, Psi(N, k)) = N(Psi(N, k)) /\\ "
+        "(initseg(X, Xi(X, X1, Y, Y1)) = initseg(Y, Xi(X, X1, Y, Y1)) /\\ "
+        "initseg(X1, Xi(X, X1, Y, Y1)) = initseg(Y1, Xi(X, X1, Y, Y1)) -> "
+        "Psi(X, X1) = Psi(Y, Y1)) /\\ "
+        "(initseg(X2, Xi1(X2, X3, Y2, Y3, k2)) = "
+        "initseg(Y2, Xi1(X2, X3, Y2, Y3, k2)) /\\ "
+        "initseg(X3, Xi1(X2, X3, Y2, Y3, k2)) = "
+        "initseg(Y3, Xi1(X2, X3, Y2, Y3, k2)) -> "
+        "initseg(Psi2(X2, X3), k2) = initseg(Psi2(Y2, Y3), k2)) -> "
+        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+    # no initial segments above type 1, nor of sequences
+    "type-2-argument": (
+        "(forall F:2)(exists c:0) c = F(\\x:0. x)",
+        "no prefix encoding at type 2"),
+    "sequence-valued-argument": (
+        "(forall P:0 -> 0*)(exists y:0) P(y) = P(0)",
+        "no prefix encoding at type 0 -> 0*"),
+}
+
+
+@pytest.mark.parametrize("principle, expected", FROZEN.values(),
+                         ids=FROZEN.keys())
+def test_normalize_principle_frozen(principle, expected):
+    base = parse_formula(principle)
+    if not expected.startswith("(forall^st"):
+        with pytest.raises(NormalFormError) as e:
+            normalize_principle(base)
+        assert str(e.value) == expected
+        return
+    assert show_formula(normalize_principle(base)) == expected
 
 
 @pytest.mark.parametrize("build", [
@@ -247,32 +267,29 @@ def test_forward_normal_form_holds_the_target(principle):
     assert matrix.right == nf_blocks(trans_instance().normal)[2]
 
 
-def test_pipeline_stage_labels():
-    steps = []
-    normalize_principle(parse_formula(DNR_BASE), steps=steps)
-    assert [l for l, _ in steps] == [
-        "input", "uniform", "strong", "prefix-resolved",
-        "choice-collapsed", "implication", "normal-form"]
-
-
 def test_pipeline_truth_equivalent_when_true():
-    steps = []
-    nf = normalize_principle(parse_formula(DNR_BASE), steps=steps)
-    imp = dict(steps)["implication"]
+    base = parse_formula(DNR_BASE)
+    imp = Implies(uniformize(base), trans_instance().normal)
+    nf = normalize_principle(base)
     m = small_model()
     assert eval_formula(m, imp) is True
     assert eval_formula(m, nf) is True
+    assert refeval.formula(small_model(), imp, {}) is True
+    assert refeval.formula(small_model(), nf, {}) is True
 
 
 def test_pipeline_truth_equivalent_when_false():
     # a standard table whose only zero lies beyond the standard cut
     # falsifies the bounded-zero target, hence both forms
-    steps = []
-    nf = normalize_principle(parse_formula(DNR_BASE), steps=steps)
-    imp = dict(steps)["implication"]
-    m = small_model("table f0: 1 1 1 0 [st]\n")
+    base = parse_formula(DNR_BASE)
+    imp = Implies(uniformize(base), trans_instance().normal)
+    nf = normalize_principle(base)
+    extra = "table f0: 1 1 1 0 [st]\n"
+    m = small_model(extra)
     assert eval_formula(m, imp) is False
     assert eval_formula(m, nf) is False
+    assert refeval.formula(small_model(extra), imp, {}) is False
+    assert refeval.formula(small_model(extra), nf, {}) is False
 
 
 # -- the backward normal form -------------------------------------------------
@@ -356,20 +373,3 @@ def test_prenex_under_negation_flips_the_blocks():
     assert eval_formula(model, f) is eval_formula(model, nf)
     assert refeval.formula(small_model(), nf, {}) is \
         refeval.formula(small_model(), f, {})
-
-
-def test_resolve_approx_expands_a_premise_of_two_approx_atoms():
-    # two universals give Psi two arguments, so its extensionality
-    # premise is a conjunction of two approx atoms: both compare
-    # prefixes up to one N
-    up = uniformize(parse_formula(
-        "(forall f:1, g:1) (exists y:0) f(y) = g(y)"))
-    ext = strip(strip(up.strong, ExistsSt)[1].right, ForallSt)[1]
-    assert show_formula(ext) == (
-        "((forall^st u:0) X(u) = Y(u)) /\\ ((forall^st u:0) X1(u) = Y1(u)) "
-        "-> Psi(X, X1) = Psi(Y, Y1)")
-    resolved = strip(strip(resolve_approx(up.strong), ExistsSt)[1].right,
-                     ForallSt)[1]
-    assert show_formula(resolved) == (
-        "(exists^st N:0) initseg(X, N) = initseg(Y, N) /\\ "
-        "initseg(X1, N) = initseg(Y1, N) -> Psi(X, X1) = Psi(Y, Y1)")
