@@ -65,6 +65,27 @@ def test_uniformize_rejects_other_shapes():
             "(forall X:1)(exists d:1) (forall^st u:0) X(u) = d(u)"))
 
 
+# -- the extensionality comparison ------------------------------------------------
+
+def test_resolve_approx_type_one():
+    # type-1 sides agree on an initial segment: the argument's up to Xi,
+    # the output's up to k
+    out = show_formula(uniformize(parse_formula(
+        "(forall X:1)(exists d:1) d(0) = X(0)")))
+    assert out.endswith(
+        "((exists^st Xi:1 -> 1 -> 1) (forall^st X1:1, Y:1, k:0) "
+        "initseg(X1, Xi(X1, Y, k)) = initseg(Y, Xi(X1, Y, k)) -> "
+        "initseg(Psi(X1), k) = initseg(Psi(Y), k))")
+
+
+def test_resolve_approx_diagonalizes_two_argument_tables():
+    base = parse_formula(
+        "(forall R:0 -> 0 -> 0)(exists d:1)(forall i:0)(R(i, d(i)) = 1)")
+    out = show_formula(uniformize(base))
+    assert "initseg(\\i1:0. X(nunl(i1), nunr(i1)), Xi(X, Y, k))" in out
+    assert "initseg(\\i2:0. Y(nunl(i2), nunr(i2)), Xi(X, Y, k))" in out
+
+
 # -- prenex ---------------------------------------------------------------------
 
 def test_prenex_consequent_first_order():
