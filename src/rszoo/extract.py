@@ -106,7 +106,7 @@ def parse_script(text: str) -> ProofScript:
                 lname = p.bound_name(p.expecting("a name"))
                 where = f"let {lname}: "
                 p.expect_sym(":=")
-                body, ty, _ = p.typed_term()
+                body, ty = p.typed_term()
                 v = Var(lname, ty)
                 lets.define(v, body)
                 p.env[lname] = v

@@ -54,12 +54,9 @@ that passes each value to ``s``'s function, with no frame per value.
 ``s`` is evaluated once per search, before the loop, by the argument
 made above for a constant ``rec`` step: each value would run ``s`` on
 a frame that differs only in the slot of ``x``, which ``s`` never
-reads, and give the same function.  A search runs only on a range
-that is not empty, so it reaches ``s`` whenever the value loop would:
-a plain range holds ``cap + 1`` values and a standard one ``omega >=
-1``, and a ``<=`` range is empty only under a bound below 0 (a value
-the caller's ``env`` gives, since the model makes none), where the
-bounded quantifier answers False before the search starts.  Everything
+reads, and give the same function.  A search's range is never empty,
+so it reaches ``s`` whenever the value loop would: a plain range holds
+``cap + 1`` values and a standard one ``omega >= 1``.  Everything
 that depends on the model's state is left to run time, when a node is
 reached: the population of a quantifier above type 0 (asked for on
 every visit, so later declarations are seen and an empty standard
@@ -80,8 +77,8 @@ from typing import Iterable, Iterator
 from ..lang.types import Arrow, FiniteType, N, Seq, show_type
 from ..lang.terms import (Abs, App, Const, Term, Var, free_vars, infer_type,
                           spine)
-from ..lang.formulas import (And, Atom, Exists, ExistsSt, Forall, ForallSt,
-                             Formula, Implies, Not, Or, free_vars_f)
+from ..lang.formulas import (And, Atom, ExistsSt, Forall, ForallSt, Formula,
+                             Implies, Not, Or, free_vars_f)
 from . import machine
 
 _TYPE1 = Arrow(N, N)
@@ -551,35 +548,23 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
         if isinstance(f, Or):
             return lambda frame: left(frame) or right(frame)
         return lambda frame: (not left(frame)) or right(frame)
-    if isinstance(f, (Forall, Exists, ForallSt, ExistsSt)):
-        ty = f.var.ty
-        standard = isinstance(f, (ForallSt, ExistsSt))
-        universal = isinstance(f, (Forall, ForallSt))
-        over = _search(model, f, universal, scope)
-        if over is None:
-            body = _compile_formula(model, f.body, scope.enter(f.var.name))
-            if ty == _TYPE1 and not standard:
-                return _table_sweep(model, universal, body)
-            over = _quantifier(universal, body)
-        if ty == N:
-            pop = range(model.omega if standard else model.cap + 1)
-            return lambda frame: over(frame, pop)
-        # A population above type 0 is asked for on every visit:
-        # standard objects may be declared between evaluations, and an
-        # empty standard population is flagged only where a quantifier
-        # is reached.
-        return lambda frame: over(frame, model.population(ty, standard))
-    # a BExists
-    over = _search(model, f, False, scope) or _quantifier(
-        False, _compile_formula(model, f.body, scope.enter(f.var.name)))
-    bound, cap = _compile_term(model, f.bound, scope), model.cap
-
-    def bexists(frame):
-        # a bound below 0 makes the range empty: False, and a search's
-        # function is never evaluated
-        top = min(bound(frame), cap)
-        return top >= 0 and over(frame, range(top + 1))
-    return bexists
+    # a quantifier
+    ty = f.var.ty
+    standard = isinstance(f, (ForallSt, ExistsSt))
+    universal = isinstance(f, (Forall, ForallSt))
+    over = _search(model, f, universal, scope)
+    if over is None:
+        body = _compile_formula(model, f.body, scope.enter(f.var.name))
+        if ty == _TYPE1 and not standard:
+            return _table_sweep(model, universal, body)
+        over = _quantifier(universal, body)
+    if ty == N:
+        pop = range(model.omega if standard else model.cap + 1)
+        return lambda frame: over(frame, pop)
+    # A population above type 0 is asked for on every visit: standard
+    # objects may be declared between evaluations, and an empty standard
+    # population is flagged only where a quantifier is reached.
+    return lambda frame: over(frame, model.population(ty, standard))
 
 
 def _equality(model: MiniModel, ty: FiniteType, left, right):
@@ -617,8 +602,7 @@ def _search(model: MiniModel, f: Formula, universal: bool, scope: _Scope):
     function value would be slower.  ``s`` is evaluated once, before
     the loop, with ``_apply``'s check and error, and its function is
     then called on each value in turn (see the module docstring).
-    ``pop`` is never empty: the bounded quantifier answers an empty
-    range itself."""
+    ``pop`` is never empty."""
     x, atom = f.var, f.body
     if not (x.ty == N and isinstance(atom, Atom)):
         return None

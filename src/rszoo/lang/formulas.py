@@ -4,10 +4,11 @@ A formula is external when it has a standard quantifier (a node of an
 ``EXTERNAL`` kind); otherwise it is internal.  That a term t of type T
 is standard is said ``(exists^st y:T) y = t``, and that s and t of
 type 1 agree at standard arguments, ``(forall^st u:0) s(u) = t(u)``.
-Quantifiers come in three flavours: plain, standard-relativized
-(``forall^st``), and the bounded existential ``(exists z <= t)`` over
-type 0.  The one prime formula is an equation, ``s = t``, at any type,
-extensional above type 0; ``s <= t`` is not primitive.
+Quantifiers come in two flavours: plain and standard-relativized
+(``forall^st``).  The one prime formula is an equation, ``s = t``, at
+any type, extensional above type 0.  As in E-PA^omega, ``s <= t``
+abbreviates ``monus(s, t) = 0``, so the bounded existential ``(exists
+z <= t) A`` is written ``(exists z:0) monus(z, t) = 0 /\\ A``.
 
 Formula nodes, like term nodes, derive from ``terms.SyntaxNode``: they
 are immutable, hold only slots, and keep their hash and free variables
@@ -76,16 +77,8 @@ class ExistsSt(SyntaxNode):
     body: "Formula"
 
 
-@node
-class BExists(SyntaxNode):
-    """``(exists var <= bound) body``, var and bound of type 0."""
-    var: Var
-    bound: Term
-    body: "Formula"
-
-
 Formula = Union[Atom, Not, And, Or, Implies,
-                Forall, Exists, ForallSt, ExistsSt, BExists]
+                Forall, Exists, ForallSt, ExistsSt]
 
 QUANTS = (Forall, Exists, ForallSt, ExistsSt)
 # the node kinds that make a formula external
@@ -103,7 +96,7 @@ def is_internal(f: Formula) -> bool:
         return False
     if isinstance(f, Atom):
         return True
-    if isinstance(f, (Not, Forall, Exists, BExists)):
+    if isinstance(f, (Not, Forall, Exists)):
         return is_internal(f.body)
     if isinstance(f, (And, Or, Implies)):
         return is_internal(f.left) and is_internal(f.right)
@@ -127,7 +120,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     elif isinstance(f, (And, Or, Implies)):
         yield from subformulas(f.left)
         yield from subformulas(f.right)
-    elif isinstance(f, QUANTS + (BExists,)):
+    elif isinstance(f, QUANTS):
         yield from subformulas(f.body)
 
 
@@ -154,9 +147,6 @@ def _free_vars_f(f: Formula) -> frozenset[Var]:
         return union(free_vars_f(f.left), free_vars_f(f.right))
     if isinstance(f, QUANTS):
         return drop_name(free_vars_f(f.body), f.var.name)
-    if isinstance(f, BExists):
-        return union(term_fvs(f.bound),
-                     drop_name(free_vars_f(f.body), f.var.name))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -170,8 +160,6 @@ def all_names_f(f: Formula) -> set[str]:
         return all_names_f(f.left) | all_names_f(f.right)
     if isinstance(f, QUANTS):
         return {f.var.name} | all_names_f(f.body)
-    if isinstance(f, BExists):
-        return {f.var.name} | all_names(f.bound) | all_names_f(f.body)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -195,9 +183,5 @@ def subst_f_prepared(f: Formula, sub: Prepared) -> Formula:
     if isinstance(f, QUANTS):
         var, inner = enter_binder(f.var, sub, lambda: free_vars_f(f.body))
         return type(f)(var, subst_f_prepared(f.body, inner))
-    if isinstance(f, BExists):
-        bound = subst_prepared(f.bound, sub)
-        var, inner = enter_binder(f.var, sub, lambda: free_vars_f(f.body))
-        return BExists(var, bound, subst_f_prepared(f.body, inner))
     raise TypeError(f"not a formula: {f!r}")
 

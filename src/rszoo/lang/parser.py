@@ -6,7 +6,7 @@ Grammar sketch (precedence low to high):
     or       :=  and ('\\/' and)*
     and      :=  unary ('/\\' unary)*
     unary    :=  '~' unary | prefix formula | atom
-    prefix   :=  '(' Q '^st'? binders ')' | '(' 'exists' NAME '<=' term ')'
+    prefix   :=  '(' Q '^st'? binders ')'
     atom     :=  term REL term | '(' formula ')'
     Q        :=  'forall' | 'exists'
     REL      :=  '=' | '!='                 s != t is ~(s = t)
@@ -17,21 +17,22 @@ Grammar sketch (precedence low to high):
               |  '(' term ')'
 
 Quantifier prefixes are parenthesized: ``(forall x:1)``, ``(exists^st
-y:0)``, ``(forall x, y:0, f:1)``, ``(exists n <= t)``; in a binder
-list, names before a ``:`` share its type.  The one bounded quantifier
-is the plain existential over type 0 bounded by ``<=``; ``<=`` is no
-relation, as in E-PA^omega, whose prime formulas are equations.  A
-quantifier's body extends as far right as possible; to keep that
-readable, a quantifier is rejected directly under ``~`` or as the right
-operand of ``/\\`` or ``\\/`` — wrap it in parentheses instead.
+y:0)``, ``(forall x, y:0, f:1)``; in a binder list, names before a
+``:`` share its type.  There is no bounded quantifier and no ``<=``: as
+in E-PA^omega, whose prime formulas are equations, ``s <= t`` is
+``monus(s, t) = 0``, so ``(exists z <= t) A`` is written ``(exists
+z:0) monus(z, t) = 0 /\\ A``.  A quantifier's body extends as far
+right as possible; to keep that readable, a quantifier is rejected
+directly under ``~`` or as the right operand of ``/\\`` or ``\\/`` —
+wrap it in parentheses instead.
 
 Formulas are typed as they are parsed: both sides of ``=`` and ``!=``
-at one type, any type (above type 0 equality is extensional), and a
-bound at type 0.  A term of the wrong type fails where it starts; the
-sides of ``=`` or ``!=`` at two types fail at the relation.  That t is
-standard is written ``(exists^st y:T) y = t``; that s and t of type 1
-agree at standard arguments, ``(forall^st u:0) s(u) = t(u)``; a true
-and a false formula, ``0 = 0`` and ``0 != 0``.
+at one type, any type (above type 0 equality is extensional).  A term
+of the wrong type fails where it starts; the sides of ``=`` or ``!=``
+at two types fail at the relation.  That t is standard is written
+``(exists^st y:T) y = t``; that s and t of type 1 agree at standard
+arguments, ``(forall^st u:0) s(u) = t(u)``; a true and a false
+formula, ``0 = 0`` and ``0 != 0``.
 
 A constant's name and a keyword are reserved, and no binder, nor a
 ``params`` name of ``parse_term`` or ``parse_formula``, may take one:
@@ -51,11 +52,11 @@ from __future__ import annotations
 
 import re
 
-from .formulas import (And, Atom, BExists, Exists, ExistsSt, Forall,
-                       ForallSt, Formula, Implies, Not, Or)
+from .formulas import (And, Atom, Exists, ExistsSt, Forall, ForallSt,
+                       Formula, Implies, Not, Or)
 from .terms import (Abs, CONST_NAMES, MONOMORPHIC, POLYMORPHIC, Term,
                     TypeCheckError, Var, app, infer_type, num)
-from .types import Arrow, FiniteType, N, Seq, pure, record, show_type
+from .types import Arrow, FiniteType, Seq, pure, record, show_type
 
 
 class ParseError(Exception):
@@ -68,7 +69,7 @@ class ParseError(Exception):
 
 KEYWORDS = frozenset(["forall", "exists"])
 
-_SYMBOLS = ["->", "/\\", "\\/", "!=", "<=", ":=", "^st",
+_SYMBOLS = ["->", "/\\", "\\/", "!=", ":=", "^st",
             "(", ")", "[", "]", ",", ":", ".", "*", "~", "=", "\\",
             "-", ";"]
 
@@ -386,15 +387,6 @@ class Parser:
         kw = self.next()  # forall | exists
         is_forall = kw.text == "forall"
         is_st = self.take("^st")
-
-        if not (is_forall or is_st) and self.peek(1).text == "<=":
-            v = Var(self.bound_name(self.expecting("a variable")), N)
-            self.next()     # the '<='
-            bound, bty, btok = self.typed_term()
-            if bty != N:
-                raise ParseError("a bound needs type 0", btok.line, btok.col)
-            self.expect_sym(")")
-            return BExists(v, bound, self.scoped([v], self.parse_formula))
         variables = self.binders()
         self.expect_sym(")")
         body = self.scoped(variables, self.parse_formula)
@@ -422,24 +414,24 @@ class Parser:
         after = self.toks[i + 1]
         return after.text in _AFTER_TERM
 
-    def typed_term(self) -> tuple[Term, FiniteType, Token]:
-        """A term, its type, and the token it starts at; an ill-typed
-        term fails there."""
+    def typed_term(self) -> tuple[Term, FiniteType]:
+        """A term and its type; an ill-typed term fails where it
+        starts."""
         tok = self.peek()
         t = self.parse_term()
         try:
-            return t, infer_type(t), tok
+            return t, infer_type(t)
         except TypeCheckError as e:
             raise ParseError(str(e), tok.line, tok.col) from None
 
     def _f_relation(self) -> Formula:
-        l, lty, _ = self.typed_term()
+        l, lty = self.typed_term()
         tok = self.peek()
         rel = tok.text
         if rel not in _RELATIONS:
             self.expected("a relation")
         self.next()
-        r, rty, _ = self.typed_term()
+        r, rty = self.typed_term()
         if lty != rty:
             raise ParseError(f"{rel} needs equal types, got "
                              f"{show_type(lty)} and {show_type(rty)}",

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .formulas import (And, Atom, BExists, ExistsSt, Forall, ForallSt,
-                       Formula, Implies, Not, Or, QUANTS, strip)
+from .formulas import (And, Atom, ExistsSt, Forall, ForallSt, Formula,
+                       Implies, Not, Or, QUANTS, strip)
 from .terms import POLYMORPHIC, Abs, Const, Term, Var, spine
 from .types import show_type
 
@@ -96,10 +96,6 @@ def _show_f(f: Formula, level: int) -> str:
         vs, body = strip(f, type(f))
         names = ", ".join(f"{v.name}:{show_type(v.ty)}" for v in vs)
         s = f"({kw}{st} {names}) {_show_f(body, 0)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(f, BExists):
-        s = (f"(exists {f.var.name} <= {show_term(f.bound)}) "
-             f"{_show_f(f.body, 0)}")
         return f"({s})" if level > 0 else s
     raise TypeError(f"not a formula: {f!r}")
 

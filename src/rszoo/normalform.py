@@ -32,12 +32,11 @@ types are nonempty; tests check this by brute force at small caps.
 """
 from __future__ import annotations
 
-from .lang.formulas import (EXTERNAL, And, Atom, BExists, Exists, ExistsSt,
-                            Forall, ForallSt, Formula, Implies, Not, Or,
-                            all_names_f, conj,
-                            is_internal, strip, subformulas, subst_f)
+from .lang.formulas import (EXTERNAL, And, Atom, Exists, ExistsSt, Forall,
+                            ForallSt, Formula, Implies, Not, Or, all_names_f,
+                            conj, is_internal, strip, subformulas, subst_f)
 from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num, INITSEG,
-                         NUNL, NUNR)
+                         MONUS, NUNL, NUNR)
 from .lang.types import (Arrow, FiniteType, N, Seq, arrows, pure, record,
                          show_type)
 
@@ -72,7 +71,9 @@ def trans_instance() -> TransferInstance:
     transfer = ForallSt(f, Implies(
         ForallSt(x, Not(fx0)),
         Forall(x, Not(fx0))))
-    matrix = Implies(Exists(x, fx0), BExists(z, y, fz0))
+    # z <= y is monus(z, y) = 0, as in E-PA^omega
+    bounded = And(Atom((app(MONUS, z, y), num(0))), fz0)
+    matrix = Implies(Exists(x, fx0), Exists(z, bounded))
     return TransferInstance(transfer, ForallSt(f, ExistsSt(y, matrix)))
 
 
@@ -154,15 +155,12 @@ def _extensionality(fn: Var, arg_tys: list[FiniteType], taken: set[str],
     for _ in arg_tys:
         out_ty = out_ty.cod
     us, n, k = cs + ds, None, None
-    if any(isinstance(ty, Arrow) for ty in arg_tys + [out_ty]):
-        # every clause with a side above type 0 takes a k, used or not,
-        # which keeps the names of the clauses after it as printed
+    if isinstance(out_ty, Arrow):
         k = Var(fresh_name("k", names), N)
-        if isinstance(out_ty, Arrow):
-            us.append(k)
-        if any(isinstance(ty, Arrow) for ty in arg_tys):
-            xi = Var(fresh_name("Xi", names), arrows([u.ty for u in us], N))
-            n = app(xi, *us)
+        us.append(k)
+    if any(isinstance(ty, Arrow) for ty in arg_tys):
+        xi = Var(fresh_name("Xi", names), arrows([u.ty for u in us], N))
+        n = app(xi, *us)
     prem = conj([_prefix_eq(c.ty, c, d, n, names) for c, d in zip(cs, ds)])
     ccl = _prefix_eq(out_ty, app(fn, *cs), app(fn, *ds), k, names)
     body: Formula = Implies(prem, ccl)
@@ -253,7 +251,7 @@ def prenex_to_normal(f: Formula) -> Formula:
             return type(g)(walk(g.left, pos), walk(g.right, pos))
         if isinstance(g, Not):
             return Not(walk(g.body, not pos))
-        if isinstance(g, (Forall, Exists, BExists)):
+        if isinstance(g, (Forall, Exists)):
             trapped = next(h for h in subformulas(g.body)
                            if isinstance(h, EXTERNAL))
             raise NormalFormError(

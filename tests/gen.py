@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from rszoo.lang import (INITSEG, RUN, Abs, And, Atom, BExists, Exists, Forall,
+from rszoo.lang import (INITSEG, RUN, Abs, And, Atom, Exists, Forall,
                         Formula, Implies, Not, Or, Term, Var, app, fresh_name,
                         free_vars_f, lam, num, rec_c)
 from rszoo.lang import Arrow, FiniteType, N, Seq, pure
@@ -262,10 +262,11 @@ class Gen:
             cls = self.rng.choice([Forall, Exists])
             return cls(v, self.internal_formula({**env, v.name: v.ty},
                                                 depth - 1))
+        # (exists i <= bound) body, spelled as E-PA^omega spells it
         v = Var(fresh_name("i", set(env)), N)
         bound = self.term(N, env, 2)
-        return BExists(v, bound, self.internal_formula({**env, v.name: N},
-                                                       depth - 1))
+        body = self.internal_formula({**env, v.name: N}, depth - 1)
+        return Exists(v, And(Atom((app(MONUS, v, bound), num(0))), body))
 
     def _atom(self, env: dict[str, FiniteType], depth: int) -> Formula:
         ty = N if self.rng.random() < 0.75 else self.small_type()

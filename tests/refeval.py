@@ -33,9 +33,8 @@ from rszoo.extract import _value_label
 from rszoo.interp import FnV, ModelError
 from rszoo.interp.machine import (PROGRAMS, HaltsWith, decode_program,
                                   run_program)
-from rszoo.lang import (Abs, And, App, Atom, BExists, Const, Exists, ExistsSt,
-                        Forall, ForallSt, Implies, Not, Or, Var, infer_type,
-                        pure)
+from rszoo.lang import (Abs, And, App, Atom, Const, Exists, ExistsSt, Forall,
+                        ForallSt, Implies, Not, Or, Var, infer_type, pure)
 from rszoo.translate import nf_blocks
 
 TYPE1 = pure(1)
@@ -137,9 +136,6 @@ def formula(model, f, env: dict) -> bool:
     if isinstance(f, (Forall, Exists, ForallSt, ExistsSt)):
         pop = model.population(f.var.ty, isinstance(f, (ForallSt, ExistsSt)))
         return over(model, f, env, pop, isinstance(f, (Forall, ForallSt)))
-    if isinstance(f, BExists):
-        pop = range(min(term(model, f.bound, env), model.cap) + 1)
-        return over(model, f, env, pop, False)
     raise ModelError(f"cannot evaluate formula node {type(f).__name__}")
 
 

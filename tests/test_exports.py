@@ -140,7 +140,7 @@ def test_every_formula_node_is_written_by_the_corpus_or_built_in_src():
     kinds = {name for name, obj in vars(formulas).items()
              if isinstance(obj, type) and issubclass(obj, terms.SyntaxNode)
              and obj.__module__ == formulas.__name__}
-    assert {"Atom", "Not", "ForallSt", "BExists"} <= kinds
+    assert {"Atom", "Not", "ForallSt", "Exists"} <= kinds and len(kinds) == 9
     assert sorted(kinds - written - built) == []
 
 

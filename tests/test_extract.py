@@ -269,8 +269,8 @@ def rs_run_fails_at(entry, stage: str) -> str:
 def test_rs_run_fails_at_expect_on_another_normal_form():
     entry = udnr_entry()
     text = (UDNR / "expect.nf").read_text()
-    assert "(exists z <= y)" in text
-    entry.expect = parse_nf(text.replace("(exists z <= y)", "(exists z <= k)"))
+    assert "monus(z, y)" in text
+    entry.expect = parse_nf(text.replace("monus(z, y)", "monus(z, k)"))
     rs_run_fails_at(entry, "expect")
 
 
@@ -519,7 +519,8 @@ def test_check_candidates_shares_a_slot_term_across_rows(monkeypatch):
 
 def test_check_candidates_evaluates_closed_slot_term_once(monkeypatch):
     model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("(forall^st x:0) (exists^st y:0) (exists z <= x) z = y")
+    nf = parse_nf("(forall^st x:0) (exists^st y:0) "
+                  "(exists z:0) monus(z, x) = 0 /\\ z = y")
     seen = record_terms(monkeypatch)
     report = check_candidates(model, checked_rows(nf, ((num(0),),)))
     assert report.ok and report.checked == 2

@@ -155,13 +155,13 @@ def test_tabulate_caches():
 def test_plain_type0_quantifiers_run_to_cap():
     m = MiniModel(cap=4, omega=2)
     assert evf(m, "(exists x:0) x = 4")
-    assert evf(m, "(forall x:0) (exists y <= 4) y = x")
+    assert evf(m, "(forall x:0) (exists y:0) monus(y, 4) = 0 /\\ y = x")
     assert not evf(m, "(exists x:0) succ(x) = 0")
 
 
 def test_standard_type0_quantifiers_run_to_omega():
     m = MiniModel(cap=9, omega=3)
-    assert evf(m, "(forall^st x:0) (exists y <= 2) y = x")
+    assert evf(m, "(forall^st x:0) (exists y:0) monus(y, 2) = 0 /\\ y = x")
     assert not evf(m, "(exists^st x:0) x = 3")
     assert evf(m, "((exists^st y:0) y = 2) /\\ ~((exists^st y:0) y = 3)")
 
@@ -180,7 +180,7 @@ def test_standard_higher_type_means_declared():
 def test_full_table_sweep_within_budget():
     m = MiniModel(cap=2, omega=1)
     # 27 tables at cap 2
-    assert evf(m, "(forall f:1)((exists y <= 2) y = f(0))")
+    assert evf(m, "(forall f:1)((exists y:0) monus(y, 2) = 0 /\\ y = f(0))")
     assert evf(m, "(exists f:1)(f(0) = 2 /\\ f(1) = 0)")
 
 
@@ -222,18 +222,19 @@ def test_plain_quantifier_above_type_one_enumerates_every_functional():
 
 def test_bounded_quantifiers():
     m = MiniModel(cap=9, omega=2)
-    assert evf(m, "(exists x <= 3) x = 3")
-    assert not evf(m, "(exists x <= 2) x = 3")
+    # (exists x <= t) A is spelled (exists x:0) monus(x, t) = 0 /\ A
+    assert evf(m, "(exists x:0) monus(x, 3) = 0 /\\ x = 3")
+    assert not evf(m, "(exists x:0) monus(x, 2) = 0 /\\ x = 3")
     # a bound above the cap saturates, and the range stops at the cap
-    assert evf(m, "(exists x <= 12) x = 9")
+    assert evf(m, "(exists x:0) monus(x, 12) = 0 /\\ x = 9")
     assert m.overflowed
 
 
 def test_bound_below_zero_answers_false_without_searching():
-    # k = -1 leaves no value to search: the answer is False and the
-    # unbound h is never evaluated, as in the reference walker; from
-    # k = 0 on the search reaches h and both raise
-    f = parse_formula("(exists z <= k) h(z) = 0",
+    # with k = -1 from the env, monus(z, k) is never 0: the conjunction
+    # is False at every z and the unbound h is never applied, as in the
+    # reference walker; from k = 0 on z = 0 reaches h and both raise
+    f = parse_formula("(exists z:0) monus(z, k) = 0 /\\ h(z) = 0",
                       params={"k": N, "h": pure(1)})
     for k in (-1, 0, 2):
         got = outcome(lambda: eval_formula(MiniModel(3, 2), f, {"k": k}))
@@ -295,17 +296,18 @@ def test_empty_standard_population_flagged_only_when_reached():
 
 def test_unbound_variable_raises_only_when_reached():
     m = MiniModel(cap=4, omega=2)
-    assert not evf(m, "0 = 1 /\\ ((exists x <= 0) y = 0)", params={"y": "0"})
+    assert not evf(m, "0 = 1 /\\ ((exists x:0) monus(x, 0) = 0 /\\ y = 0)",
+                   params={"y": "0"})
     with pytest.raises(ModelError, match="'y'"):
-        evf(m, "(exists x <= 0) y = 0", params={"y": "0"})
+        evf(m, "(exists x:0) monus(x, 0) = 0 /\\ y = 0", params={"y": "0"})
 
 
 @pytest.mark.parametrize("src, last_unflagged", [
-    # the search's function saturates: 7 is above the cap, and the
-    # first value, 0, is in every range
-    ("(exists z <= k) F(7, z) = 0", -1),
+    # F's first argument saturates: 7 is above the cap, and the first
+    # value, 0, is in every range
+    ("(exists z:0) monus(z, k) = 0 /\\ F(7, z) = 0", -1),
     # its calls saturate, from z = 4 on
-    ("(exists z <= k) F(1, z) = 0", 3),
+    ("(exists z:0) monus(z, k) = 0 /\\ F(1, z) = 0", 3),
 ])
 def test_a_saturating_search_is_flagged_only_when_a_value_is_reached(
         src, last_unflagged):
@@ -321,7 +323,8 @@ def test_a_saturating_search_is_flagged_only_when_a_value_is_reached(
 
 @pytest.mark.parametrize("src, searched", [
     ("(exists x:0) h(x) = 0", True),
-    ("(exists x <= k) F(k, x) = 1", True),
+    # a bounded search is a conjunction, so no search
+    ("(exists x:0) monus(x, k) = 0 /\\ F(k, x) = 1", False),
     # the general path runs these with no function value
     ("(exists x:0) max(k, x) = 0", False),
     ("(exists x:0) rec[0](1, \\p:0. \\i:0. 0, x) = 0", False),
@@ -356,7 +359,7 @@ def test_standard_object_declared_later_is_seen():
 
 
 def test_compiled_formulas_and_terms_are_per_model():
-    f = parse_formula("(forall x:0) (exists y <= 3) y = x")
+    f = parse_formula("(forall x:0) (exists y:0) monus(y, 3) = 0 /\\ y = x")
     assert eval_formula(MiniModel(cap=3, omega=2), f)
     assert not eval_formula(MiniModel(cap=4, omega=2), f)
     t = parse_term("7")
@@ -468,7 +471,7 @@ def test_table_sweep_at_cap_six_is_refused():
     m = MiniModel(cap=6, omega=2)
     assert m.budget == 200_000
     with pytest.raises(ModelRefusal, match="823543"):
-        evf(m, "(forall h:1) (exists y <= 6) y = h(0)")
+        evf(m, "(forall h:1) (exists y:0) monus(y, 6) = 0 /\\ y = h(0)")
 
 
 def eager_sweep(m, f, visited: list, env: dict | None = None):

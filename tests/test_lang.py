@@ -7,8 +7,8 @@ import gen
 import rszoo
 from rszoo.extract import parse_script
 from rszoo.interp import MiniModel, eval_formula, eval_term
-from rszoo.lang import (Abs, And, App, Arrow, Atom, BExists, CONST_NAMES,
-                        Exists, Forall, N, Not, ParseError, Seq,
+from rszoo.lang import (Abs, And, App, Arrow, Atom, CONST_NAMES, Exists,
+                        Forall, N, Not, ParseError, Seq,
                         TypeCheckError, Var, all_names_f, app, free_vars,
                         free_vars_f, infer_type, is_internal, num,
                         parse_formula, parse_term, parse_type, pure, rec_c,
@@ -127,14 +127,15 @@ def test_internal_flag():
 
 
 def test_bounded_quantifier_kinds():
-    # one kind: the plain existential bounded by <=; a universal, a
-    # standard one, a < bound and an in bound are no bounded quantifiers
-    f = parse_formula("(exists i <= 4) (exists j <= i) j != i")
-    assert isinstance(f, BExists) and f.bound == num(4)
-    assert show_formula(f) == "(exists i <= 4) (exists j <= i) j != i"
+    # no kind: (exists i <= t) A is spelled (exists i:0) monus(i, t) = 0
+    # /\ A, and every bounded form is refused at its bound
+    src = ("(exists i:0) monus(i, 4) = 0 /\\ "
+           "((exists j:0) monus(j, i) = 0 /\\ j != i)")
+    assert show_formula(parse_formula(src)) == src
     for src, at, msg in [
-            ("(forall i <= 4) i = i", 11, "expected ':', found '<='"),
-            ("(exists^st i <= 4) i = i", 14, "expected ':', found '<='"),
+            ("(exists i <= 4) i = i", 11, "unexpected character '<'"),
+            ("(forall i <= 4) i = i", 11, "unexpected character '<'"),
+            ("(exists^st i <= 4) i = i", 14, "unexpected character '<'"),
             ("(exists i < 4) i = i", 11, "unexpected character '<'"),
             ("(exists v in s) v = 0", 11, "expected ':', found 'in'")]:
         with pytest.raises(ParseError) as e:
@@ -178,7 +179,7 @@ def test_a_name_bound_twice_in_one_prefix_stays_in_its_scope():
 @pytest.mark.parametrize("read, src, name, at", [
     (parse_term, "\\succ:0. succ", "succ", 2),
     (parse_formula, "(forall nunl:1) nunl = nunl", "nunl", 9),
-    (parse_formula, "(exists run <= 3) run = run", "run", 9),
+    (parse_formula, "(exists run:0) run = run", "run", 9),
 ])
 def test_a_binder_may_not_take_a_constants_name(read, src, name, at):
     # the constant would take every read of the name, so the body could
@@ -192,7 +193,7 @@ def test_a_binder_may_not_take_a_constants_name(read, src, name, at):
 @pytest.mark.parametrize("read, src, name, at", [
     (parse_formula, "(forall^st exists:0) 0 = 0", "exists", 12),
     (parse_formula, "(forall forall:0) 0 = 0", "forall", 9),
-    (parse_formula, "(exists exists <= 3) 0 = 0", "exists", 9),
+    (parse_formula, "(exists exists:0) 0 = 0", "exists", 9),
     (parse_term, "\\forall:0. 0", "forall", 2),
 ])
 def test_a_binder_may_not_take_a_keywords_name(read, src, name, at):
@@ -224,7 +225,7 @@ def test_typecheck_rejects_ill_typed_atoms():
     for src, at, msg in [
             ("f = 0", 3, "= needs equal types, got 1 and 0"),
             ("x != f", 3, "!= needs equal types, got 0 and 1"),
-            ("x <= x", 3, "expected a relation, found '<='"),
+            ("x <= x", 3, "unexpected character '<'"),
             ("f(g) = 0", 1, "argument type mismatch: expected 0, got 1"),
             ("(f)(g) = 0", 1, "argument type mismatch: expected 0, got 1"),
             ("x = 0 /\\ (f = 0)", 13, "= needs equal types, got 1 and 0"),
@@ -232,8 +233,7 @@ def test_typecheck_rejects_ill_typed_atoms():
              "= needs equal types, got 0 and 1"),
             ("(exists^st y:0) y = f(g)", 21,
              "argument type mismatch: expected 0, got 1"),
-            ("(exists n <= f) n = n", 14, "a bound needs type 0"),
-            ("(exists v <= f(g)) v = v", 14,
+            ("(exists v:0) monus(v, f(g)) = 0 /\\ v = v", 14,
              "argument type mismatch: expected 0, got 1"),
             # and so does each syntax error
             ("(forall x, :0) x = x", 12, "expected a variable, found ':'"),
@@ -402,6 +402,3 @@ def test_binders_remove_free_variables_by_name():
     assert eval_formula(MiniModel(cap=2, omega=1), f, {}) is False
     t = Abs(Var("y", pure(1)), Var("y", N))
     assert free_vars(t) == frozenset()
-    # a bound lies outside its binder's scope
-    g = BExists(Var("y", N), Var("y", N), Atom((Var("y", pure(1)), num(0))))
-    assert free_vars_f(g) == {Var("y", N)}

@@ -21,8 +21,8 @@ SAMPLES = [
     N, Arrow(N, N), Seq(N),
     x, num(3), App(Const("succ", Arrow(N, N)), x), Abs(x, x),
     a, Not(a), And(a, b), Or(a, b), Forall(x, a), ForallSt(y, b),
-    parse_formula("(forall f:1)(exists n <= 3) f(n) = 0 "
-                  "-> ~((exists^st g:1) g = f)"),
+    parse_formula("(forall f:1)(exists n:0) monus(n, 3) = 0 /\\ "
+                  "(f(n) = 0 -> ~((exists^st g:1) g = f))"),
     parse_term("\\f:1. \\n:0. rec[0](n, \\p:0. \\i:0. f(p), n)"),
 ]
 
@@ -41,9 +41,9 @@ def node_kinds():
 
 def test_every_node_kind_is_a_slots_class_and_no_dataclass():
     kinds = node_kinds()
-    assert {"Base", "Arrow", "Var", "App", "Abs", "Atom", "BExists"} <= \
+    assert {"Base", "Arrow", "Var", "App", "Abs", "Atom", "Exists"} <= \
         {k.__name__ for k in kinds}
-    assert len(kinds) == 17
+    assert len(kinds) == 16
     for kind in kinds:
         assert not dataclasses.is_dataclass(kind), kind
         assert "__dict__" not in dir(kind), kind

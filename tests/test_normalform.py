@@ -4,8 +4,9 @@ import pytest
 
 import refeval
 import rszoo
-from rszoo.interp import eval_formula, parse_model_config
-from rszoo.lang import Implies, parse_formula, show_formula, show_type
+from rszoo.interp import MiniModel, eval_formula, parse_model_config
+from rszoo.lang import (Implies, parse_formula, pure, show_formula,
+                        show_type)
 from rszoo.normalform import (BZT_BOUND, BZT_TABLE, NormalFormError,
                               normalize_backward, normalize_principle,
                               prenex_to_normal, trans_instance, uniformize)
@@ -44,8 +45,8 @@ def test_uniformize_strong_adds_extensionality():
 
 def test_uniformize_without_existential_degenerates():
     assert show_formula(uniformize(parse_formula(
-        "(forall X:1)(forall n:0) (exists z <= 1) z = X(n)"))) == \
-        "(forall^st X:1, n:0) (exists z <= 1) z = X(n)"
+        "(forall X:1)(forall n:0) monus(X(n), 1) = 0"))) == \
+        "(forall^st X:1, n:0) monus(X(n), 1) = 0"
 
 
 def test_uniformize_rejects_other_shapes():
@@ -110,7 +111,8 @@ def test_prenex_renames_clashes():
 @pytest.mark.parametrize("src, kind", [
     ("(forall n:0)(exists^st y:0) y = n", "ExistsSt"),
     ("(forall n:1) (forall^st u:0) n(u) = n(u)", "ForallSt"),
-    ("(exists n <= 3) (exists^st y:0) y = n", "ExistsSt"),
+    ("(exists n:0) monus(n, 3) = 0 /\\ ((exists^st y:0) y = n)",
+     "ExistsSt"),
 ])
 def test_prenex_reports_trapped_standard_structure(src, kind):
     with pytest.raises(NormalFormError, match=(
@@ -134,7 +136,8 @@ EXPECTED_DNR_NF = (
     "((forall e:0, s:0) run(Z, e, s) = 0 \\/ succ(Psi(Z, e)) != "
     "run(Z, e, s)) /\\ (initseg(X, Xi(X, Y, k)) = initseg(Y, Xi(X, Y, k)) "
     "-> initseg(Psi(X), k) = initseg(Psi(Y), k)) -> "
-    "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0")
+    "((exists x:0) f(x) = 0) -> "
+    "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0")
 
 
 def test_pipeline_output_frozen():
@@ -154,7 +157,8 @@ FROZEN = {
         "(initseg(X, Xi(X, X1, Y, Y1)) = initseg(Y, Xi(X, X1, Y, Y1)) /\\ "
         "initseg(X1, Xi(X, X1, Y, Y1)) = initseg(Y1, Xi(X, X1, Y, Y1)) -> "
         "Psi(X, X1) = Psi(Y, Y1)) -> "
-        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+        "((exists x:0) f(x) = 0) -> "
+        "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     # a 0 -> 0 -> 0 argument is compared along the diagonal
     "two-argument-table": (
         "(forall R:0 -> 0 -> 0)(exists d:1)(forall i:0) R(i, d(i)) = 1",
@@ -164,39 +168,44 @@ FROZEN = {
         "(initseg(\\i1:0. X(nunl(i1), nunr(i1)), Xi(X, Y, k)) = "
         "initseg(\\i2:0. Y(nunl(i2), nunr(i2)), Xi(X, Y, k)) -> "
         "initseg(Psi(X), k) = initseg(Psi(Y), k)) -> "
-        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+        "((exists x:0) f(x) = 0) -> "
+        "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     # numbers throughout: neither Xi nor k
     "type-0-only": (
         "(forall a:0, b:0)(exists c:0) c = b",
         "(forall^st f:1, Psi:0 -> 1) "
         "(exists^st y:0, a:0, b:0, X:0, X1:0, Y:0, Y1:0) Psi(a, b) = b /\\ "
         "(X = Y /\\ X1 = Y1 -> Psi(X, X1) = Psi(Y, Y1)) -> "
-        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+        "((exists x:0) f(x) = 0) -> "
+        "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     # number arguments: k but no Xi
     "type-0-arguments": (
         "(forall a:0)(exists c:1) c(0) = a",
         "(forall^st f:1, Psi:0 -> 1) (exists^st y:0, a:0, X:0, Y:0, k:0) "
         "Psi(a, 0) = a /\\ "
         "(X = Y -> initseg(Psi(X), k) = initseg(Psi(Y), k)) -> "
-        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+        "((exists x:0) f(x) = 0) -> "
+        "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     "type-0-output": (
         "(forall X:1)(exists c:0) c = X(0)",
         "(forall^st f:1, Psi:2, Xi:1 -> 2) (exists^st y:0, X:1, X1:1, Y:1) "
         "Psi(X) = X(0) /\\ "
         "(initseg(X1, Xi(X1, Y)) = initseg(Y, Xi(X1, Y)) -> "
         "Psi(X1) = Psi(Y)) -> "
-        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
-    # the first clause takes k unused, so the second's is k1
+        "((exists x:0) f(x) = 0) -> "
+        "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
+    # the first clause's output is a number, so only the second takes k
     "two-functionals": (
         "(forall X:1)(exists a:0, b:1) a = b(0)",
         "(forall^st f:1, Psi:2, Psi2:1 -> 1, Xi:1 -> 2, Xi1:1 -> 1 -> 1) "
-        "(exists^st y:0, X:1, X1:1, Y:1, X2:1, Y1:1, k1:0) "
+        "(exists^st y:0, X:1, X1:1, Y:1, X2:1, Y1:1, k:0) "
         "Psi(X) = Psi2(X, 0) /\\ "
         "(initseg(X1, Xi(X1, Y)) = initseg(Y, Xi(X1, Y)) -> "
         "Psi(X1) = Psi(Y)) /\\ "
-        "(initseg(X2, Xi1(X2, Y1, k1)) = initseg(Y1, Xi1(X2, Y1, k1)) -> "
-        "initseg(Psi2(X2), k1) = initseg(Psi2(Y1), k1)) -> "
-        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+        "(initseg(X2, Xi1(X2, Y1, k)) = initseg(Y1, Xi1(X2, Y1, k)) -> "
+        "initseg(Psi2(X2), k) = initseg(Psi2(Y1), k)) -> "
+        "((exists x:0) f(x) = 0) -> "
+        "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     # a name that only the existential block binds is free for Xi
     "binds-Xi": (
         "(forall X:1, Y:1)(exists Psi:1, Xi:0) Psi(Xi) = X(Xi)",
@@ -215,23 +224,26 @@ FROZEN = {
         "initseg(X4, Xi1(X3, X4, Y3, Y4)) = "
         "initseg(Y4, Xi1(X3, X4, Y3, Y4)) -> "
         "Psi2(X3, X4) = Psi2(Y3, Y4)) -> "
-        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
-    # a universal k keeps its name, so the clauses' are k1 and k2
+        "((exists x:0) f(x) = 0) -> "
+        "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
+    # a universal k keeps its name, so the clause's is k1; the first
+    # clause's output is a number, so it takes none
     "binds-N-and-k": (
         "(forall N:1, k:1)(exists i:0, Xi:1) Xi(i) = N(i)",
         "(forall^st f:1, Psi:1 -> 2, Psi2:1 -> 1 -> 1, "
         "Xi:1 -> 1 -> 1 -> 2, Xi1:1 -> 1 -> 1 -> 1 -> 1) "
         "(exists^st y:0, N:1, k:1, X:1, X1:1, Y:1, Y1:1, X2:1, X3:1, "
-        "Y2:1, Y3:1, k2:0) Psi2(N, k, Psi(N, k)) = N(Psi(N, k)) /\\ "
+        "Y2:1, Y3:1, k1:0) Psi2(N, k, Psi(N, k)) = N(Psi(N, k)) /\\ "
         "(initseg(X, Xi(X, X1, Y, Y1)) = initseg(Y, Xi(X, X1, Y, Y1)) /\\ "
         "initseg(X1, Xi(X, X1, Y, Y1)) = initseg(Y1, Xi(X, X1, Y, Y1)) -> "
         "Psi(X, X1) = Psi(Y, Y1)) /\\ "
-        "(initseg(X2, Xi1(X2, X3, Y2, Y3, k2)) = "
-        "initseg(Y2, Xi1(X2, X3, Y2, Y3, k2)) /\\ "
-        "initseg(X3, Xi1(X2, X3, Y2, Y3, k2)) = "
-        "initseg(Y3, Xi1(X2, X3, Y2, Y3, k2)) -> "
-        "initseg(Psi2(X2, X3), k2) = initseg(Psi2(Y2, Y3), k2)) -> "
-        "((exists x:0) f(x) = 0) -> (exists z <= y) f(z) = 0"),
+        "(initseg(X2, Xi1(X2, X3, Y2, Y3, k1)) = "
+        "initseg(Y2, Xi1(X2, X3, Y2, Y3, k1)) /\\ "
+        "initseg(X3, Xi1(X2, X3, Y2, Y3, k1)) = "
+        "initseg(Y3, Xi1(X2, X3, Y2, Y3, k1)) -> "
+        "initseg(Psi2(X2, X3), k1) = initseg(Psi2(Y2, Y3), k1)) -> "
+        "((exists x:0) f(x) = 0) -> "
+        "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     # no initial segments above type 1, nor of sequences
     "type-2-argument": (
         "(forall F:2)(exists c:0) c = F(\\x:0. x)",
@@ -342,7 +354,7 @@ def test_backward_rejects_other_shapes():
     with pytest.raises(NormalFormError, match="^the backward normal form "
                        "needs an existential block$"):
         normalize_backward(parse_formula(
-            "(forall X:1)(forall n:0) (exists z <= 1) z = X(n)"))
+            "(forall X:1)(forall n:0) monus(X(n), 1) = 0"))
     with pytest.raises(NormalFormError,
                        match="opening with plain universal quantifiers"):
         normalize_backward(parse_formula("(exists y:0) y = 0"))
@@ -354,10 +366,23 @@ def test_transfer_normal_shape():
     ti = trans_instance()
     assert show_formula(ti.normal) == (
         "(forall^st f:1) (exists^st y:0) ((exists x:0) f(x) = 0) -> "
-        "(exists z <= y) f(z) = 0")
+        "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0")
     assert show_formula(ti.transfer) == (
         "(forall^st f:1) ((forall^st x:0) f(x) != 0) -> "
         "(forall x:0) f(x) != 0")
+
+
+def test_transfer_consequent_means_a_bounded_zero():
+    # monus(z, y) = 0 is z <= y: at cap 3, for every table f and every
+    # y, the consequent holds iff some z <= y has f(z) = 0
+    consequent = nf_blocks(trans_instance().normal)[2].right
+    model = MiniModel(cap=3, omega=2)
+    for f in model.enum_values(pure(1)):
+        for y in range(model.cap + 1):
+            want = any(f.table[z] == 0 for z in range(y + 1))
+            env = {"f": f, "y": y}
+            assert eval_formula(model, consequent, env) is want, (f.table, y)
+            assert refeval.formula(model, consequent, env) is want
 
 
 def both_shapes(ti, model) -> tuple[bool, bool]:

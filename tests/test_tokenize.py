@@ -13,7 +13,7 @@ from rszoo import extract
 from rszoo.lang import ParseError
 from rszoo.lang.parser import tokenize
 
-SYMBOLS = ["->", "/\\", "\\/", "!=", "<=", ":=", "^st",
+SYMBOLS = ["->", "/\\", "\\/", "!=", ":=", "^st",
            "(", ")", "[", "]", ",", ":", ".", "*", "~", "=", "\\",
            "-", ";"]
 # names and numbers are ASCII

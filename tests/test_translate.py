@@ -34,16 +34,17 @@ def test_nf_file_round_trip():
                   "  Psi:1 -> 1)\n"
                   "\n"
                   "Psi(f, 0) = 0 ->\n"
-                  "  (exists z <= 3) f(z) = 0\n")
+                  "  (exists z:0) monus(z, 3) = 0 /\\ f(z) = 0\n")
     universals, existentials, matrix = nf_blocks(nf)
     assert [(v.name, show_type(v.ty)) for v in universals] == [
         ("f", "1"), ("Psi", "1 -> 1")]
     assert existentials == ()
     assert show_formula(matrix) == \
-        "Psi(f, 0) = 0 -> (exists z <= 3) f(z) = 0"
+        "Psi(f, 0) = 0 -> (exists z:0) monus(z, 3) = 0 /\\ f(z) = 0"
     text = show_formula(nf)
     assert text == ("(forall^st f:1, Psi:1 -> 1) "
-                    "Psi(f, 0) = 0 -> (exists z <= 3) f(z) = 0")
+                    "Psi(f, 0) = 0 -> (exists z:0) monus(z, 3) = 0 /\\ "
+                    "f(z) = 0")
     assert parse_nf(text) == nf
     nf = parse_nf("(exists^st y:0, P:1) P(y) = 0")
     assert nf_blocks(nf)[:2] == ((), (Var("y", N), Var("P", pure(1))))
