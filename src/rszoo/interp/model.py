@@ -19,11 +19,15 @@ tables are not listed: the body is evaluated once per prefix of cells
 it reads, each evaluation deciding every table that extends the prefix
 (Berger's fan functional, Escardó's exhaustive search), in the order
 and with the effects of a table-by-table sweep (see ``_table_sweep``).
-The sweep keeps one prefix, a ``dict`` of cells moved in place from
-prefix to prefix, and each prefix's probe is a fresh :class:`FnV`
-whose call is that dict's own lookup: a held cell is read in C, and
-only a miss runs Python, zero-filling up to an in-range cell or
-reading 0 for anything else.
+A cell moves from 0 to one class value that stands for all of
+``1..cap`` and answers only whether it is 0; any other use refines
+it, and the sweep makes the cell 1 and evaluates again (Lazy
+SmallCheck), so the (mu2) body, which reads cells only through
+``= 0``, takes ``cap + 2`` evaluations.  The sweep keeps one prefix,
+a ``dict`` of cells moved in place from prefix to prefix, and each
+prefix's probe is a fresh :class:`FnV` whose call is that dict's own
+lookup: a held cell is read in C, and only a miss runs Python,
+zero-filling up to an in-range cell or reading 0 for anything else.
 
 Evaluation is compile-once: ``eval_formula`` and ``eval_term`` turn a
 formula or term into nested closures ``frame -> value`` the first time
@@ -141,6 +145,8 @@ def _indexed(tab: tuple, fallback):
     def call(i):
         if isinstance(i, int) and 0 <= i < n:
             return tab[i]
+        if isinstance(i, _Nonzero):
+            i.refine()
         return fallback
     return call
 
@@ -647,22 +653,40 @@ def _table_sweep(model: MiniModel, universal: bool, body):
     ``i`` zero-extends the prefix up to ``i``, and a read past ``cap``
     or of a non-int returns 0, as a table does.  One evaluation
     therefore decides every table that extends the cells it read.  The
-    next prefix drops trailing ``cap`` cells and bumps the last one (an
-    odometer), so the prefixes cover ``enum_values``' order in
-    contiguous blocks and the sweep stops in the block holding the first
-    deciding table: same answer, error, ``overflowed`` and flags as
-    evaluating each table.  A full read (``tabulate``, ``=`` at type 1,
-    ``canon_key``, ``run``'s table) reads every cell, so its block is
-    one table.  The budget check is the eager sweep's.
+    next prefix drops trailing cells that are done and moves the last
+    one on (an odometer): from 0 to a class value, which stands for all
+    of ``1..cap`` (at cap 1 it is written as 1), and from an int to the
+    next one.  A class value (``_Nonzero``, one object per cell, since
+    tuple ``==`` and ``in`` match by identity first) answers ``== 0``
+    and ``!= 0`` as each of its members would; any other use raises a
+    ``_Refinement`` that names its prefix and cell.  The sweep catches a
+    refinement of its own prefix, drops the cells after the refined
+    one, sets it to 1 (the odometer then runs ``2..cap``) and evaluates
+    again; a nested sweep re-raises one that is not its own, and as a
+    ``BaseException`` it passes every ``except Exception``.  An
+    evaluation that ends without one took the same path for every table
+    of its block, so it decides them all, with the effects of the
+    block's first table (its class values read as 1).  Every table that
+    comes before a prefix's first table in ``enum_values``' order lies
+    in a block already found not to decide (a refinement after later
+    cells moved on evaluates some of them again, to the same end), so
+    the sweep stops in the block holding the first deciding table: same
+    answer, error, ``overflowed`` and flags as evaluating each table.
+    A full read that keys a memo (``run``'s table, ``psi_theta``)
+    refines every class value, so its blocks are single tables again.
 
-    One ``_Prefix`` serves the whole sweep and the odometer moves it in
+    No class value outlives its sweep: the body's value is a ``bool``,
+    formatting one for an error message or hashing one for a memo key
+    refines it first, and a table passed one refines it too.  One
+    ``_Prefix`` serves the whole sweep and the odometer moves it in
     place, so a probe reads the current prefix, not the one it was made
-    for.  That is sound because no probe is read after its evaluation:
-    the body's value is a ``bool``, and every memo the model keeps
-    (``psi_theta``'s, ``machine.phi``'s) keys on a table's value, as
-    ``canon_key`` fingerprints one: a tuple read while the probe's
-    prefix stood.  Each prefix still gets a fresh probe, so the
-    ``table`` that ``tabulate`` keeps on it is that prefix's.
+    for; each prefix still gets a fresh probe, so the ``table`` that
+    ``tabulate`` keeps on it is that prefix's.
+
+    The budget check is the eager sweep's and counts tables, not
+    evaluations: how many evaluations a body takes is known only as it
+    runs, so a bound on them would refuse partway through a sweep,
+    after effects that the eager sweep never has.
     """
     cap = model.cap
 
@@ -670,16 +694,53 @@ def _table_sweep(model: MiniModel, universal: bool, body):
         model.check_enumerable(_TYPE1)
         cells = _Prefix(cap)
         while True:
-            if body(frame + (_probe(cells),)) is not universal:
-                return not universal
+            try:
+                if body(frame + (_probe(cells),)) is not universal:
+                    return not universal
+            except _Refinement as refinement:
+                owner, i = refinement.args
+                if owner is not cells:
+                    raise
+                while len(cells) > i:
+                    cells.popitem()
+                cells[i] = 1
+                continue
             while cells:
                 i, v = cells.popitem()
-                if v != cap:
-                    cells[i] = v + 1
+                if v.__class__ is int and v < cap:
+                    cells[i] = v + 1 if v or cap == 1 else _Nonzero(cells, i)
                     break
             else:
                 return universal
     return sweep
+
+
+class _Refinement(BaseException):
+    """A class value was used as no single value of ``1..cap`` would
+    be; its args are the prefix and the cell."""
+
+
+class _Nonzero:
+    """The class value of cell ``i`` of a sweep's prefix: every value
+    ``1..cap``.  It answers ``== 0`` (and so ``!= 0``, from either side)
+    and truth, as each member would, and refines on any other use."""
+    __slots__ = ("cells", "i")
+
+    def __init__(self, cells, i: int):
+        self.cells, self.i = cells, i
+
+    def __eq__(self, other):
+        if other.__class__ is int and other == 0:
+            return False
+        self.refine()
+
+    def refine(self, *_):
+        raise _Refinement(self.cells, self.i)
+
+    __hash__ = __lt__ = __le__ = __gt__ = __ge__ = __index__ = __int__ \
+        = __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ \
+        = __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = __neg__ \
+        = __repr__ = __str__ = __format__ = __iter__ = __getattr__ = refine
 
 
 class _Prefix(dict):
