@@ -52,13 +52,10 @@ primitives and the reduced lets, with no rewriting pass afterwards.
 """
 from __future__ import annotations
 
-import itertools
-
 from .interp import ModelError
-from .lang import (Abs, App, Const, Formula, Implies, N, ParseError, Term,
-                   TypeCheckError, Var, app, free_vars, free_vars_f,
-                   fresh_name, infer_type, lam, show_formula, show_type,
-                   spine, stdterms)
+from .lang import (Abs, App, Arrow, Const, Formula, Implies, N, ParseError,
+                   Term, TypeCheckError, Var, app, free_vars, fresh_name,
+                   infer_type, lam, show_formula, show_type, spine, stdterms)
 # Unused here since scripts are read with the Parser, but kept as
 # module attributes: perfbench looks the parser up, to trace it, at
 # every attribute it was reached through.
@@ -422,7 +419,7 @@ def check_candidates(model, final: CheckedRows,
     """Sweep the universals of checked rows and test that some
     candidate row satisfies its matrix at every assignment.
 
-    ``plans`` maps a universal name to ``"all"`` (full enumeration) or
+    ``plans`` maps a universal name to ``"all"`` (every value) or
     ``"st"`` (declared/standard population, the default — the block is
     a forall^st); any other plan, or a key that names no universal, is
     a ScriptError.  The blocks and the rows come from ``check_script``,
@@ -434,24 +431,16 @@ def check_candidates(model, final: CheckedRows,
     When the matrix is an implication, its consequent is evaluated only
     where the antecedent holds.
 
-    One memo serves the call, under one rule: a slot term, or the
-    antecedent, is evaluated once per tuple of values of the names free
-    in it, a function value counting by identity and a sequence (a
-    tuple) by value, which is sound since tuples never change.  So
-    rows that share a term share its value, a closed term is evaluated
-    once per call, and an antecedent that names no existential is
-    evaluated once per assignment of the universals it reads.  Equal
-    slot terms are first made one object, so that a key compares them
-    by identity and lists their values in one order.
-
-    Skipping a re-evaluation loses nothing from the report:
-    ``overflowed`` is tracked for the whole call and ``model.flags`` is
-    a set.  Attributing saturation to a row or subterm would have to
-    store each memo entry's overflow bit with its value.
+    The model's quantifiers (``interp.quantifier``) sweep the
+    universals, outermost first, around a check that always holds, so
+    a ``0 -> 0`` one with plan ``"all"`` is swept by blocks of tables.
+    ``checked`` is the product of the population sizes.  Formatting a
+    class value refines it, so each of the at most five failure labels
+    names its block's first table; past the fifth, blocks stay whole.
     """
     # Read from rszoo.interp per call: the benchmark's tracer counts these
     # calls by wrapping the package's attributes once it is imported.
-    from .interp import eval_formula, eval_term
+    from .interp import eval_formula, eval_term, quantifier
 
     universals, existentials, matrix = (final.universals, final.existentials,
                                         final.matrix)
@@ -460,51 +449,49 @@ def check_candidates(model, final: CheckedRows,
     stray = sorted(plans.keys() - names)
     if stray:
         raise ScriptError(f"sweep plan names no universal: {stray}")
-    pools = []
+    checked = 1
     for v in universals:
         plan = plans.get(v.name, "st")
         if plan not in ("st", "all"):
             raise ScriptError(f"unknown sweep plan {plan!r} for {v.name}")
-        pools.append(model.population(v.ty, standard=(plan == "st")))
-    terms: dict[Term, Term] = {}
-    rows = [tuple(terms.setdefault(t, t) for t in row) for row in final.rows]
+        if plan == "all" and v.ty == Arrow(N, N):
+            model.check_enumerable(v.ty)
+            checked *= (model.cap + 1) ** (model.cap + 1)
+        else:
+            checked *= len(model.population(v.ty, standard=(plan == "st")))
 
     antecedent, consequent = ((matrix.left, matrix.right)
                               if isinstance(matrix, Implies)
                               else (None, matrix))
-    memo: dict = {}
+    genuine, failures = False, []
 
-    def once(evaluate, node, free, env):
-        key = (node, *[env[v.name] for v in free(node)])
-        value = memo.get(key, memo)     # the memo itself marks a miss
-        if value is memo:
-            value = memo[key] = evaluate(model, node, env)
-        return value
-
-    was_overflowed, model.overflowed = model.overflowed, False
-    checked, genuine = 0, 0
-    failures: list[str] = []
-    for combo in itertools.product(*pools):
-        checked += 1
-        env = {v.name: val for v, val in zip(universals, combo)}
-        hit = False
-        for row in rows:
+    def check(frame) -> bool:
+        nonlocal genuine
+        env = {v.name: val for v, val in zip(universals, frame)}
+        for row in final.rows:
             for v, t in zip(existentials, row):
-                env[v.name] = once(eval_term, t, free_vars, env)
-            vacuous = antecedent is not None and not once(
-                eval_formula, antecedent, free_vars_f, env)
+                env[v.name] = eval_term(model, t, env)
+            vacuous = (antecedent is not None
+                       and not eval_formula(model, antecedent, env))
             if vacuous or eval_formula(model, consequent, env):
-                hit = True
-                genuine += not vacuous
-                break
-        if not hit and len(failures) < 5:
+                genuine = genuine or not vacuous
+                return True
+        if len(failures) < 5:
             failures.append(", ".join(
                 f"{v.name}={_value_label(model, v.ty, val)}"
-                for v, val in zip(universals, combo)))
+                for v, val in zip(universals, frame)))
+        return True
+
+    sweep = check
+    for v in reversed(universals):
+        sweep = quantifier(model, v.ty, plans.get(v.name, "st") == "st",
+                           True, sweep)
+    was_overflowed, model.overflowed = model.overflowed, False
+    sweep(())
     overflowed = model.overflowed
     model.overflowed = was_overflowed or overflowed
     return CandidateReport(not failures, checked, tuple(failures),
-                           genuine == 0 and not failures, overflowed)
+                           not genuine and not failures, overflowed)
 
 
 # ---------------------------------------------------------------------------

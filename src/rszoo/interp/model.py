@@ -28,6 +28,8 @@ a ``dict`` of cells moved in place from prefix to prefix, and each
 prefix's probe is a fresh :class:`FnV` whose call is that dict's own
 lookup: a held cell is read in C, and only a miss runs Python,
 zero-filling up to an in-range cell or reading 0 for anything else.
+``quantifier`` gives this sweep to a formula's quantifiers and to the
+candidate check's universals (``extract.check_candidates``) alike.
 
 Evaluation is compile-once: ``eval_formula`` and ``eval_term`` turn a
 formula or term into nested closures ``frame -> value`` the first time
@@ -424,9 +426,9 @@ def _compile_rec(model: MiniModel, args, scope: _Scope):
     stage runs ``body`` on the frame extended by the accumulator and the
     stage number, with no function value per stage.  A body that reads
     neither ``p`` nor ``i`` is compiled in the outer scope and runs once
-    when ``n > 0`` (see the module docstring); ``b`` and ``n`` are
-    evaluated first either way.  A step given any other way goes
-    through ``rec``'s implementation in ``_primitive``."""
+    when ``n != 0``, which a class value answers (see the module
+    docstring); ``b`` and ``n`` are evaluated first either way.  A step
+    given any other way goes through ``rec``'s ``_primitive``."""
     step = args[1]
     binders = (step.var.name, step.body.var.name)
     base = _compile_term(model, args[0], scope)
@@ -436,7 +438,7 @@ def _compile_rec(model: MiniModel, args, scope: _Scope):
 
         def rec_constant(frame):
             acc = base(frame)
-            if stages(frame) > 0:
+            if stages(frame) != 0:
                 return once(frame)
             return acc
         return rec_constant
@@ -555,15 +557,23 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
             return lambda frame: left(frame) or right(frame)
         return lambda frame: (not left(frame)) or right(frame)
     # a quantifier
-    ty = f.var.ty
     standard = isinstance(f, (ForallSt, ExistsSt))
     universal = isinstance(f, (Forall, ForallSt))
     over = _search(model, f, universal, scope)
     if over is None:
         body = _compile_formula(model, f.body, scope.enter(f.var.name))
-        if ty == _TYPE1 and not standard:
-            return _table_sweep(model, universal, body)
-        over = _quantifier(universal, body)
+        return quantifier(model, f.var.ty, standard, universal, body)
+    pop = range(model.omega if standard else model.cap + 1)
+    return lambda frame: over(frame, pop)
+
+
+def quantifier(model: MiniModel, ty: FiniteType, standard: bool,
+               universal: bool, body):
+    """A quantifier over a compiled body: ``_table_sweep`` for a plain
+    ``0 -> 0``, else ``_quantifier`` over the population."""
+    if ty == _TYPE1 and not standard:
+        return _table_sweep(model, universal, body)
+    over = _quantifier(universal, body)
     if ty == N:
         pop = range(model.omega if standard else model.cap + 1)
         return lambda frame: over(frame, pop)
@@ -676,8 +686,9 @@ def _table_sweep(model: MiniModel, universal: bool, body):
     refines every class value, so its blocks are single tables again.
 
     No class value outlives its sweep: the body's value is a ``bool``,
-    formatting one for an error message or hashing one for a memo key
-    refines it first, and a table passed one refines it too.  One
+    formatting one for an error message or for a failure label of the
+    candidate check, which sweeps with it too, or hashing one for a memo
+    key, refines it first, and so does a table passed one.  One
     ``_Prefix`` serves the whole sweep and the odometer moves it in
     place, so a probe reads the current prefix, not the one it was made
     for; each prefix still gets a fresh probe, so the ``table`` that

@@ -148,12 +148,12 @@ def over(model, f, env: dict, pop, universal: bool) -> bool:
 
 def candidates(model, nf, rows, plans=None) -> tuple:
     """The fields of the ``CandidateReport`` that ``check_candidates``
-    gives for the normal form nf, found with no memo: at each assignment
-    of the universals (in
-    the order of ``itertools.product``), each row's slot terms and then
-    the matrix are evaluated afresh, row by row, until one holds.  A row
-    holds vacuously where the matrix is an implication whose antecedent
-    is false."""
+    gives for the normal form nf, found table by table: at each
+    assignment of the universals (in the order of ``itertools.product``,
+    over every table where the plan is ``all``), each row's slot terms
+    and then the matrix are evaluated, row by row, until one holds.  A
+    row holds vacuously where the matrix is an implication whose
+    antecedent is false."""
     universals, existentials, matrix = nf_blocks(nf)
     plans = plans or {}
     pools = [model.population(v.ty, plans.get(v.name, "st") == "st")

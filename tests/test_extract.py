@@ -2,7 +2,6 @@ import itertools
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -388,25 +387,25 @@ def record_formulas(monkeypatch) -> list:
     return seen
 
 
-def record_terms(monkeypatch) -> list:
-    seen, eval_term = [], rszoo.interp.eval_term
+def record_populations(monkeypatch) -> list:
+    seen, population = [], MiniModel.population
 
-    def recorded(model, t, env=None):
-        seen.append((t, env))
-        return eval_term(model, t, env)
+    def recorded(model, ty, standard):
+        seen.append((ty, standard))
+        return population(model, ty, standard)
 
-    monkeypatch.setattr(rszoo.interp, "eval_term", recorded)
+    monkeypatch.setattr(MiniModel, "population", recorded)
     return seen
 
 
 def test_rs_run_evaluates_backward_antecedent_once(monkeypatch):
-    # The backward antecedent "(forall h:1) ..." mentions only mu, so it
-    # is evaluated once across the two (mu0, Z) assignments.  Its sweep
-    # reads table cells instead of listing the tables, and lets a
-    # nonzero cell stand for every value 1..cap: it takes cap + 2 = 5
-    # evaluations, and mu0 is applied in the 4 whose search finds a
-    # zero and 18 times where the consequent's witness reads it, 22 in
-    # all.
+    # The backward antecedent "(forall h:1) ..." mentions only mu, and it
+    # is evaluated once per (mu0, Z) assignment: two sweeps, one per
+    # standard Z.  Each sweep reads table cells instead of listing the
+    # tables, and lets a nonzero cell stand for every value 1..cap: it
+    # takes cap + 2 = 5 evaluations, and mu0 is applied in the 4 whose
+    # search finds a zero.  With the 18 applications where the
+    # consequent's witness reads it, that is 2 * 4 + 18 = 26 in all.
     entry = udnr_entry()
     mu0 = entry.model.object("mu0")
     applied, apply = [], mu0.call
@@ -415,23 +414,52 @@ def test_rs_run_evaluates_backward_antecedent_once(monkeypatch):
         applied.append(h)
         return apply(h)
 
-    populations, population = [], MiniModel.population
-
-    def counted_population(model, ty, standard):
-        populations.append((ty, standard))
-        return population(model, ty, standard)
-
     monkeypatch.setattr(mu0, "call", counted_apply)
-    monkeypatch.setattr(MiniModel, "population", counted_population)
+    populations = record_populations(monkeypatch)
     seen = record_formulas(monkeypatch)
     verdict = rs_run(entry)
     assert dict(verdict.stages)["candidates-backward"].startswith(
         "candidates ok over 2 assignment(s)")
     sweeps = [f for f in seen if isinstance(f, Forall)
               and f.var.ty == pure(1)]
-    assert len(sweeps) == 1 and "mu" in show_formula(sweeps[0])
+    assert len(sweeps) == 2 and sweeps[0] == sweeps[1]
+    assert "mu" in show_formula(sweeps[0])
     assert (pure(1), False) not in populations
-    assert len(applied) == 22
+    assert len(applied) == 26
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5])
+def test_forward_check_over_every_table_takes_a_probe_per_zero_pattern(
+        monkeypatch, cap):
+    # Under f: all the forward rows read the swept table f only through
+    # zero tests, so each evaluation decides every table with one
+    # pattern of zero cells: 2^(cap + 1) evaluations for (cap + 1)^(cap
+    # + 1) tables.  A constant rec step asks whether its stage count is
+    # != 0, which a nonzero cell answers; asking > 0 would refine every
+    # cell (341 evaluations at cap 3).  The backward check's two (mu2)
+    # sweeps take cap + 2 each.  No path lists the 0 -> 0 tables.
+    probes, counts, checks = [], [], extract.check_candidates
+    probe = rszoo.interp.model._probe
+
+    def counted_probe(cells):
+        probes.append(cells)
+        return probe(cells)
+
+    def counted_check(model, final, plans):
+        probes.clear()
+        report = checks(model, final, plans)
+        counts.append(len(probes))
+        return report
+
+    monkeypatch.setattr(rszoo.interp.model, "_probe", counted_probe)
+    monkeypatch.setattr(extract, "check_candidates", counted_check)
+    populations = record_populations(monkeypatch)
+    verdict = rs_run(udnr_entry(resized_model(cap), "all"))
+    assert dict(verdict.stages)["candidates-forward"] == (
+        f"candidates ok over {(cap + 1) ** (cap + 1)} assignment(s) "
+        "[overflow]")
+    assert counts == [2 ** (cap + 1), 2 * (cap + 2)]
+    assert (pure(1), False) not in populations
 
 
 @pytest.mark.parametrize("matrix, vacuous, evaluated", [
@@ -461,21 +489,6 @@ def test_check_candidates_shows_a_failing_number_as_itself():
     assert report.line().endswith("FAIL over 2 assignment(s) x=0; x=1")
 
 
-def test_check_candidates_hoists_antecedent_over_unmentioned_universals(
-        monkeypatch):
-    # the antecedent mentions x but neither z nor an existential: one
-    # evaluation per value of x serves both values of z
-    model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("(forall^st x:0, z:0) (exists^st y:0) x = x -> y = x")
-    seen = record_formulas(monkeypatch)
-    report = check_candidates(model, checked_rows(nf, ((Var("x", N),),)))
-    assert report.ok and report.checked == 4
-    params = {"x": N, "y": N}
-    ante, cons = (parse_formula(src, params=params)
-                  for src in ("x = x", "y = x"))
-    assert seen == [ante, cons, cons, ante, cons, cons]
-
-
 def test_check_candidates_evaluates_existential_antecedent_per_candidate(
         monkeypatch):
     # the antecedent mentions y, which each candidate sets: the first
@@ -495,8 +508,8 @@ def test_check_candidates_evaluates_existential_antecedent_per_candidate(
 
 def test_check_candidates_keys_antecedent_on_universals_read_through_slots(
         monkeypatch):
-    # the antecedent reads x only through the slot term of y: a key
-    # without x would reuse "y = 0" from x = 0 at x = 1 and fail there
+    # the antecedent reads x only through the slot term of y, so it is
+    # evaluated at each value of x: true at x = 0, false at x = 1
     model = MiniModel(cap=3, omega=2)
     nf = parse_nf("(forall^st x:0) (exists^st y:0) y = 0 -> x = 0")
     seen = record_formulas(monkeypatch)
@@ -504,49 +517,6 @@ def test_check_candidates_keys_antecedent_on_universals_read_through_slots(
     assert report.ok and report.checked == 2
     ante = parse_formula("y = 0", params={"y": N})
     assert seen.count(ante) == 2
-
-
-def test_check_candidates_shares_a_slot_term_across_rows(monkeypatch):
-    # succ(x) fills both slots of the first row and y of the second; it
-    # is evaluated once per value of x, as is x
-    model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("(forall^st x:0) (exists^st y:0, z:0) z = x")
-    x = Var("x", N)
-    sx = app(SUCC, x)
-    seen = record_terms(monkeypatch)
-    report = check_candidates(model, checked_rows(nf, ((sx, sx), (sx, x))))
-    assert report.ok and report.checked == 2
-    assert [t for t, _env in seen] == [sx, x, sx, x]
-
-
-def test_check_candidates_evaluates_closed_slot_term_once(monkeypatch):
-    model = MiniModel(cap=3, omega=2)
-    nf = parse_nf("(forall^st x:0) (exists^st y:0) "
-                  "(exists z:0) monus(z, x) = 0 /\\ z = y")
-    seen = record_terms(monkeypatch)
-    report = check_candidates(model, checked_rows(nf, ((num(0),),)))
-    assert report.ok and report.checked == 2
-    assert [t for t, _env in seen] == [num(0)]
-
-
-def test_check_candidates_evaluates_udnr_slot_terms_once_per_table(
-        monkeypatch):
-    # udnr's forward rows over all 256 tables f at cap 3: the two slot
-    # terms that read f are evaluated once per table, and the closed
-    # ones once in all
-    entry = udnr_entry()
-    model = entry.model
-    final = check_script(entry.forward, entry.expect)
-    seen = record_terms(monkeypatch)
-    report = check_candidates(model, final,
-                              {"f": "all", "Psi": "st", "Xi": "st"})
-    assert report.ok and report.checked == 256
-    per_table = Counter((t, model.canon_key(pure(1), env["f"]))
-                        for t, env in seen)
-    assert max(per_table.values()) == 1
-    per_term = Counter(t for t, _env in seen)
-    assert sorted(per_term.values(), reverse=True)[:2] == [256, 256]
-    assert set(per_term.values()) == {1, 256}
 
 
 # ---------------------------------------------------------------------------

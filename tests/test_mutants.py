@@ -1,7 +1,11 @@
 """The mutants of ``mutants.py`` through ``rs_run`` at cap 3: each is
-killed or survives exactly as the list says."""
+killed or survives exactly as the list says.  The forward row mutants
+also fail at cap 5 with the table ``f`` swept over every table."""
+import re
+
 import pytest
 
+import rszoo.interp.model
 from rszoo.extract import ScriptError, parse_script, rs_run
 from rszoo.interp.model import zero_value
 
@@ -85,3 +89,43 @@ def test_the_late_mark_is_no_equivalent_mutant():
     assert str(info.value).startswith(
         "udnr/candidates-forward: candidates FAIL over 256 assignment(s) "
         "[overflow] f=(1, 1, 1, 0), Psi=Psi0, Xi=Xi0;")
+
+
+@pytest.mark.parametrize("name, first", [
+    ("every-y-0", "(1, 0, 0, 0, 0, 0)"),
+    ("dmark-offset-7", "(1, 0, 0, 0, 0, 0)"),
+    ("mark-late-1", "(1, 1, 1, 1, 1, 0)"),
+    ("xi-k-0", "(1, 0, 0, 0, 0, 0)"),
+])
+def test_forward_mutants_fail_at_cap_five_over_every_table(name, first):
+    # killed by a FAIL once f ranges over every table, not only over the
+    # standard ones; mark-late-1 survives the standard tables at cap 5,
+    # and fails first where the first zero is the last cell
+    with pytest.raises(ScriptError) as info:
+        rs_run(mutated(named(name), MODEL_CAP5, "all"))
+    failed = re.fullmatch(r"udnr/candidates-forward: candidates FAIL over "
+                          r"46656 assignment\(s\)(?: \[[^]]*\])? (.*)",
+                          str(info.value))
+    assert failed is not None
+    assert failed[1].split("; ")[0] == f"f={first}, Psi=Psi0, Xi=Xi0"
+
+
+def test_a_failing_sweep_keeps_the_blocks_after_the_fifth_label_whole(
+        monkeypatch):
+    # mark-late-1 under f: all at cap 3 fails at the 27 tables (a, b, c,
+    # 0) with a, b, c nonzero.  A label refines its failing block down
+    # to the block's first table; past the fifth label no label is made,
+    # and the blocks stay whole: 41 evaluations, where a label for every
+    # failing table would take 92
+    probes, probe = [], rszoo.interp.model._probe
+
+    def counted_probe(cells):
+        probes.append(cells)
+        return probe(cells)
+
+    monkeypatch.setattr(rszoo.interp.model, "_probe", counted_probe)
+    with pytest.raises(ScriptError) as info:
+        rs_run(mutated(named("mark-late-1"), f_plan="all"))
+    assert str(info.value).endswith(
+        "f=(1, 1, 3, 0), Psi=Psi0, Xi=Xi0")  # the line shows three labels
+    assert len(probes) == 41

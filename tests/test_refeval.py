@@ -377,13 +377,15 @@ def fields(report) -> tuple:
     ("forward", "st", None, True),
     ("forward", "all", None, True),
     ("backward", None, None, True),
-    # the mark one cell late: a first zero at cell cap is refuted
+    # the mark one cell late: a first zero at cell cap is refuted, at 27
+    # tables, so the blocks after the fifth label stay whole
     ("forward", "all", "mark-late-1", False),
 ])
 def test_check_candidates_agrees_with_a_sweep_without_memo(script, plan,
                                                            mutant, ok):
-    # two fresh entries at cap 3: check_candidates with its memo and the
-    # compiled evaluator, and the reference sweep over the walker
+    # two fresh entries at cap 3: check_candidates, which sweeps a table
+    # by blocks with the compiled evaluator, and the reference sweep over
+    # the walker, table by table
     def entry():
         return udnr_entry() if mutant is None else mutated(named(mutant))
 
@@ -404,11 +406,12 @@ def test_check_candidates_agrees_with_a_sweep_without_memo(script, plan,
 
 
 def test_check_candidates_agrees_with_a_sweep_without_memo_where_keys_matter():
-    # udnr's scripts have one row each, so here each part of a key
-    # decides a row: the slot terms read the swept table, the second
+    # udnr's scripts have one row each, so here two rows read the swept
+    # table apart: the first row's slot terms read its cells, the second
     # row's g is the table itself, and the antecedent reads only the
     # existentials, which the two rows set apart; the second row holds
-    # vacuously unless f(0) saturates succ
+    # vacuously unless f(0) saturates succ.  48 tables fail, more than
+    # the five labelled
     nf = parse_nf("(forall^st f:1) (exists^st y:0, g:1) g(0) = y -> f(y) = 0")
     params = {"f": pure(1)}
     rows = tuple(tuple(parse_term(src, params) for src in row) for row in (
