@@ -487,9 +487,11 @@ def check_candidates(model, final: CheckedRows,
         sweep = quantifier(model, v.ty, plans.get(v.name, "st") == "st",
                            True, sweep)
     was_overflowed, model.overflowed = model.overflowed, False
-    sweep(())
-    overflowed = model.overflowed
-    model.overflowed = was_overflowed or overflowed
+    try:
+        sweep(())
+        overflowed = model.overflowed
+    finally:
+        model.overflowed = was_overflowed or model.overflowed
     return CandidateReport(not failures, checked, tuple(failures),
                            not genuine and not failures, overflowed)
 

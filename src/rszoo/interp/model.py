@@ -52,18 +52,8 @@ when it is reached, not before.  Compile time also resolves what the
 node alone fixes: the comparison an ``=`` makes (``==`` at type 0,
 fingerprints above, which at type 1 are value tables), each constant's
 implementation (a constant applied to all its arguments calls it
-directly), the range of a type-0 quantifier and whether that
-quantifier is a search: one whose body is ``s(x) = n``, with ``s``
-headed by a variable and not reading ``x``, and ``n`` a numeral at
-most ``cap``.  A search runs as one loop
-that passes each value to ``s``'s function, with no frame per value.
-``s`` is evaluated once per search, before the loop, by the argument
-made above for a constant ``rec`` step: each value would run ``s`` on
-a frame that differs only in the slot of ``x``, which ``s`` never
-reads, and give the same function.  A search's range is never empty,
-so it reaches ``s`` whenever the value loop would: a plain range holds
-``cap + 1`` values and a standard one ``omega >= 1``.  Everything
-that depends on the model's state is left to run time, when a node is
+directly) and the range of a type-0 quantifier.  Everything that
+depends on the model's state is left to run time, when a node is
 reached: the population of a quantifier above type 0 (asked for on
 every visit, so later declarations are seen and an empty standard
 population is flagged only where it is reached) and saturation (a
@@ -81,8 +71,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from ..lang.types import Arrow, FiniteType, N, Seq, show_type
-from ..lang.terms import (Abs, App, Const, Term, Var, free_vars, infer_type,
-                          spine)
+from ..lang.terms import Abs, Const, Term, Var, free_vars, infer_type, spine
 from ..lang.formulas import (And, Atom, ExistsSt, Forall, ForallSt, Formula,
                              Implies, Not, Or, free_vars_f)
 from . import machine
@@ -559,12 +548,8 @@ def _compile_formula(model: MiniModel, f: Formula, scope: _Scope):
     # a quantifier
     standard = isinstance(f, (ForallSt, ExistsSt))
     universal = isinstance(f, (Forall, ForallSt))
-    over = _search(model, f, universal, scope)
-    if over is None:
-        body = _compile_formula(model, f.body, scope.enter(f.var.name))
-        return quantifier(model, f.var.ty, standard, universal, body)
-    pop = range(model.omega if standard else model.cap + 1)
-    return lambda frame: over(frame, pop)
+    body = _compile_formula(model, f.body, scope.enter(f.var.name))
+    return quantifier(model, f.var.ty, standard, universal, body)
 
 
 def quantifier(model: MiniModel, ty: FiniteType, standard: bool,
@@ -605,54 +590,6 @@ def _quantifier(universal: bool, body):
                 return not universal
         return universal
     return over
-
-
-def _search(model: MiniModel, f: Formula, universal: bool, scope: _Scope):
-    """``over(frame, pop)``, as ``_quantifier`` gives it, for a search:
-    a quantifier over type 0, binding ``x``, whose body is ``s(x) = n``
-    with ``s`` headed by a variable and not reading ``x``, and ``n`` a
-    numeral at most ``cap``.  None for any other quantifier, and so for
-    a constant or a lambda at the head: the general path already runs
-    those with no function value (``_compile_primitive_app``,
-    ``_compile_rec``, ``_compile_redex``), where a loop over ``s``'s
-    function value would be slower.  ``s`` is evaluated once, before
-    the loop, with ``_apply``'s check and error, and its function is
-    then called on each value in turn (see the module docstring).
-    ``pop`` is never empty."""
-    x, atom = f.var, f.body
-    if not (x.ty == N and isinstance(atom, Atom)):
-        return None
-    left, right = atom.args
-    if not (isinstance(left, App) and left.arg == x
-            and isinstance(spine(left)[0], Var) and infer_type(left) == N
-            and all(v.name != x.name for v in free_vars(left.fn))
-            and isinstance(right, Const) and right.name.isdigit()
-            and int(right.name) <= model.cap):
-        return None
-    fn, n = _compile_term(model, left.fn, scope), int(right.name)
-
-    def callee(frame):
-        g = fn(frame)
-        if not isinstance(g, FnV):
-            raise ModelError(f"applying a non-function value {g!r}")
-        return g.call
-
-    if universal:
-        def forall(frame, pop):
-            call = callee(frame)
-            for v in pop:
-                if call(v) != n:
-                    return False
-            return True
-        return forall
-
-    def exists(frame, pop):
-        call = callee(frame)
-        for v in pop:
-            if call(v) == n:
-                return True
-        return False
-    return exists
 
 
 def _table_sweep(model: MiniModel, universal: bool, body):

@@ -37,8 +37,7 @@ from .lang.formulas import (EXTERNAL, And, Atom, Exists, ExistsSt, Forall,
                             conj, is_internal, strip, subformulas, subst_f)
 from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num, INITSEG,
                          MONUS, NUNL, NUNR)
-from .lang.types import (Arrow, FiniteType, N, Seq, arrows, pure, record,
-                         show_type)
+from .lang.types import Arrow, FiniteType, N, Seq, arrows, pure, show_type
 
 
 class NormalFormError(Exception):
@@ -48,15 +47,6 @@ class NormalFormError(Exception):
 # ---------------------------------------------------------------------------
 # the fixed target: bounded-zero transfer
 
-@record
-class TransferInstance:
-    """The transfer statement for zeros of a standard table, in its raw
-    implication shape and its two-block normal form.  The two are
-    classically equivalent."""
-    transfer: Formula
-    normal: Formula
-
-
 # The target's standard table and the bound on its first zero, a
 # universal and a witness slot of every forward normal form the pipeline
 # builds (see ``normalize_principle``).
@@ -64,17 +54,19 @@ BZT_TABLE = Var("f", Arrow(N, N))
 BZT_BOUND = Var("y", N)
 
 
-def trans_instance() -> TransferInstance:
+def trans_instance() -> Formula:
+    """The transfer statement for zeros of a standard table,
+
+        (forall^st f:1) ((forall^st x:0) f(x) != 0) -> (forall x:0) f(x) != 0,
+
+    in the two-block normal form it is classically equivalent to: a
+    table with a zero has one at or below a standard bound."""
     f, y, x, z = BZT_TABLE, BZT_BOUND, Var("x", N), Var("z", N)
-    fx0 = Atom((App(f, x), num(0)))
-    fz0 = Atom((App(f, z), num(0)))
-    transfer = ForallSt(f, Implies(
-        ForallSt(x, Not(fx0)),
-        Forall(x, Not(fx0))))
     # z <= y is monus(z, y) = 0, as in E-PA^omega
-    bounded = And(Atom((app(MONUS, z, y), num(0))), fz0)
-    matrix = Implies(Exists(x, fx0), Exists(z, bounded))
-    return TransferInstance(transfer, ForallSt(f, ExistsSt(y, matrix)))
+    bounded = And(Atom((app(MONUS, z, y), num(0))),
+                  Atom((App(f, z), num(0))))
+    matrix = Implies(Exists(x, Atom((App(f, x), num(0)))), Exists(z, bounded))
+    return ForallSt(f, ExistsSt(y, matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +272,7 @@ def normalize_principle(base: Formula) -> Formula:
     the consequent first, so a clashing name of the principle is
     renamed, never the target's.  The extraction (``extract.postprocess``
     and the collapse) relies on this."""
-    return prenex_to_normal(Implies(uniformize(base), trans_instance().normal))
+    return prenex_to_normal(Implies(uniformize(base), trans_instance()))
 
 
 def normalize_backward(base: Formula) -> Formula:

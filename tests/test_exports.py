@@ -2,7 +2,8 @@
 public name that ``rszoo.translate``, ``rszoo.normalform`` and
 ``rszoo.extract`` define, is read by the library (``src``) or the
 benchmark (``perfbench``): a name that only tests read is library code
-that nothing reaches, and does not stay.  A constant of the language,
+that nothing reaches, and does not stay.  So is every private name that
+a module of ``src`` defines at its top level.  A constant of the language,
 and a kind of formula node, stays only if a corpus file writes it or
 the pipeline builds it.  And no module imports a name it never
 reads."""
@@ -24,17 +25,26 @@ ROOT = Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "rszoo"
 
 
-def defined(module) -> set[str]:
-    """The public names a module defines at its top level: functions,
-    classes and assigned names, not the names it imports."""
+def top_level(path: Path) -> set[str]:
+    """The names the module at ``path`` defines at its top level:
+    functions, classes and assigned names, not the names it imports."""
     names = set()
-    for stmt in ast.parse(Path(module.__file__).read_text()).body:
+    for stmt in ast.parse(path.read_text()).body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             names.add(stmt.name)
         elif isinstance(stmt, ast.Assign):
             names.update(t.id for t in stmt.targets
                          if isinstance(t, ast.Name))
-    return {name for name in names if not name.startswith("_")}
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target,
+                                                            ast.Name):
+            names.add(stmt.target.id)
+    return names
+
+
+def defined(module) -> set[str]:
+    """The public names a module defines at its top level."""
+    return {name for name in top_level(Path(module.__file__))
+            if not name.startswith("_")}
 
 
 def exported() -> set[str]:
@@ -80,12 +90,29 @@ class Uses(ast.NodeVisitor):
     visit_FunctionDef = visit_ClassDef = visit_definition
 
 
-def test_every_exported_name_is_referenced():
+def library_uses() -> set[str]:
+    """The names that ``src`` and ``perfbench`` read."""
     uses = Uses()
     for tree in ("src", "perfbench"):
         for path in sorted((ROOT / tree).rglob("*.py")):
             uses.visit(ast.parse(path.read_text(), str(path)))
-    assert sorted(exported() - uses.used) == []
+    return uses.used
+
+
+def test_every_exported_name_is_referenced():
+    assert sorted(exported() - library_uses()) == []
+
+
+def test_every_private_name_is_referenced():
+    # a module-level _name that only its own definition reads, such as a
+    # helper whose caller is gone, is code that nothing reaches
+    used = library_uses()
+    unread = sorted(f"{path.relative_to(ROOT)}: {name}"
+                    for path in sorted((ROOT / "src").rglob("*.py"))
+                    for name in top_level(path)
+                    if name.startswith("_") and not name.startswith("__")
+                    and name not in used)
+    assert unread == []
 
 
 def test_every_constant_is_written_by_the_corpus_or_built_in_src():

@@ -12,8 +12,8 @@ from rszoo import extract
 from rszoo.extract import (CheckedRows, ProofScript, ScriptError,
                            check_candidates, check_script, extract_function,
                            parse_script, postprocess, rs_run)
-from rszoo.interp import (FnV, MiniModel, eval_term, parse_model_config,
-                          table_fn)
+from rszoo.interp import (FnV, MiniModel, ModelError, eval_term,
+                          parse_model_config, table_fn)
 from rszoo.lang import (SUCC, App, Forall, N, Var, app, num, parse_formula,
                         pure, show_formula, show_term, stdterms, subterms)
 from rszoo.normalform import normalize_backward
@@ -517,6 +517,18 @@ def test_check_candidates_keys_antecedent_on_universals_read_through_slots(
     assert report.ok and report.checked == 2
     ante = parse_formula("y = 0", params={"y": N})
     assert seen.count(ante) == 2
+
+
+def test_check_candidates_keeps_the_overflow_bit_when_the_sweep_raises():
+    # the slot term reads u, which no universal binds: the check raises
+    # at the first assignment, after the overflow bit was cleared for
+    # the sweep, and the bit the model had before comes back
+    model = MiniModel(cap=3, omega=2)
+    model.overflowed = True
+    nf = parse_nf(ONE_SLOT)
+    with pytest.raises(ModelError, match="unbound variable 'u'"):
+        check_candidates(model, checked_rows(nf, ((Var("u", N),),)))
+    assert model.overflowed is True
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ def test_normalize_principle_frozen(principle, expected):
     lambda: normalize_principle(parse_formula(
         (UDNR / "principle.fml").read_text())),
     lambda: normalize_principle(parse_formula(DNR_BASE)),
-    lambda: trans_instance().normal,
+    trans_instance,
     lambda: normalize_backward(parse_formula(
         (UDNR / "principle.fml").read_text())),
 ], ids=["udnr", "dnr", "transfer", "udnr-backward"])
@@ -297,12 +297,12 @@ def test_forward_normal_form_holds_the_target(principle):
     universals, existentials, matrix = nf_blocks(
         normalize_principle(parse_formula(principle)))
     assert BZT_TABLE in universals and BZT_BOUND in existentials
-    assert matrix.right == nf_blocks(trans_instance().normal)[2]
+    assert matrix.right == nf_blocks(trans_instance())[2]
 
 
 def test_pipeline_truth_equivalent_when_true():
     base = parse_formula(DNR_BASE)
-    imp = Implies(uniformize(base), trans_instance().normal)
+    imp = Implies(uniformize(base), trans_instance())
     nf = normalize_principle(base)
     m = small_model()
     assert eval_formula(m, imp) is True
@@ -315,7 +315,7 @@ def test_pipeline_truth_equivalent_when_false():
     # a standard table whose only zero lies beyond the standard cut
     # falsifies the bounded-zero target, hence both forms
     base = parse_formula(DNR_BASE)
-    imp = Implies(uniformize(base), trans_instance().normal)
+    imp = Implies(uniformize(base), trans_instance())
     nf = normalize_principle(base)
     extra = "table f0: 1 1 1 0 [st]\n"
     m = small_model(extra)
@@ -363,19 +363,15 @@ def test_backward_rejects_other_shapes():
 # -- transfer target ---------------------------------------------------------------
 
 def test_transfer_normal_shape():
-    ti = trans_instance()
-    assert show_formula(ti.normal) == (
+    assert show_formula(trans_instance()) == (
         "(forall^st f:1) (exists^st y:0) ((exists x:0) f(x) = 0) -> "
         "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0")
-    assert show_formula(ti.transfer) == (
-        "(forall^st f:1) ((forall^st x:0) f(x) != 0) -> "
-        "(forall x:0) f(x) != 0")
 
 
 def test_transfer_consequent_means_a_bounded_zero():
     # monus(z, y) = 0 is z <= y: at cap 3, for every table f and every
     # y, the consequent holds iff some z <= y has f(z) = 0
-    consequent = nf_blocks(trans_instance().normal)[2].right
+    consequent = nf_blocks(trans_instance())[2].right
     model = MiniModel(cap=3, omega=2)
     for f in model.enum_values(pure(1)):
         for y in range(model.cap + 1):
@@ -385,26 +381,29 @@ def test_transfer_consequent_means_a_bounded_zero():
             assert refeval.formula(model, consequent, env) is want
 
 
-def both_shapes(ti, model) -> tuple[bool, bool]:
-    return (eval_formula(model, ti.transfer),
-            eval_formula(model, ti.normal))
+# the transfer statement in its raw implication shape
+TRANSFER = ("(forall^st f:1) ((forall^st x:0) f(x) != 0) -> "
+            "(forall x:0) f(x) != 0")
+
+
+def both_shapes(model) -> tuple[bool, bool]:
+    return (eval_formula(model, parse_formula(TRANSFER)),
+            eval_formula(model, trans_instance()))
 
 
 def test_transfer_equivalence_holds_in_models():
-    ti = trans_instance()
-    assert both_shapes(ti, small_model()) == (True, True)
+    assert both_shapes(small_model()) == (True, True)
     # still agree when both shapes go false
-    assert both_shapes(ti, small_model("table f0: 1 1 1 0 [st]\n")) == (
+    assert both_shapes(small_model("table f0: 1 1 1 0 [st]\n")) == (
         False, False)
 
 
 def test_transfer_equivalence_compiles_each_shape_once():
-    ti = trans_instance()
     model = small_model()
-    both_shapes(ti, model)
+    both_shapes(model)
     cached = len(model._compiled)
     for _ in range(3):
-        assert both_shapes(ti, model) == (True, True)
+        assert both_shapes(model) == (True, True)
     assert len(model._compiled) == cached
 
 
