@@ -76,15 +76,15 @@ def extensionality_search(model: MiniModel, psi: FnV, x: FnV, y: FnV,
                           k: int) -> int | None:
     """Least n <= cap such that "x, y agree below n -> psi(x), psi(y)
     agree below k" holds, or None when no such n exists in the model:
-    the modulus that the normal form's clause ``initseg(X, Xi(X, Y, k))
-    = initseg(Y, Xi(X, Y, k)) -> initseg(Psi(X), k) = initseg(Psi(Y),
-    k)`` asks for.
+    the modulus that the normal form's clause ``((forall i:0)
+    monus(Xi(X, Y, k), i) = 0 \\/ X(i) = Y(i)) -> (forall i:0) monus(k,
+    i) = 0 \\/ Psi(X, i) = Psi(Y, i)`` asks for.
 
     n = 0 works whenever the outputs already agree below k; otherwise
     the search looks for the first disagreement of the tables, which
     falsifies the premise.  None means the tables agree below the cap
-    and differ only at cell cap, which no initial segment the model can
-    express reaches.
+    and differ only at cell cap, which no agreement below a number the
+    model can hold reaches.
     """
     tx, ty = tabulate(model, x), tabulate(model, y)
     outs_agree = (tabulate(model, psi.call(x))[:k]

@@ -1,9 +1,8 @@
 """Bounded evaluation of terms and formulas.
 
 A :class:`MiniModel` interprets the language over the finite universe
-{0..cap}.  Values are plain data: a type-0 value is an int and a
-sequence value is the tuple of its items.  Only functions are objects,
-:class:`FnV` (a callable plus its table once known).
+{0..cap}.  A type-0 value is a plain int; every other value is a
+function, :class:`FnV` (a callable plus its table once known).
 Arithmetic saturates at ``cap`` and records the fact in
 ``model.overflowed`` — values are never silently wrapped.
 
@@ -70,7 +69,7 @@ import math
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from ..lang.types import Arrow, FiniteType, N, Seq, show_type
+from ..lang.types import Arrow, FiniteType, N, show_type
 from ..lang.terms import Abs, Const, Term, Var, free_vars, infer_type, spine
 from ..lang.formulas import (And, Atom, ExistsSt, Forall, ForallSt, Formula,
                              Implies, Not, Or, free_vars_f)
@@ -111,12 +110,8 @@ class FnV:
 def zero_value(model: "MiniModel", ty: FiniteType):
     if ty == N:
         return 0
-    if isinstance(ty, Seq):
-        return ()
-    if isinstance(ty, Arrow):
-        z = zero_value(model, ty.cod)
-        return FnV(lambda _v, z=z: z)
-    raise ModelError(f"no zero value at type {show_type(ty)}")
+    z = zero_value(model, ty.cod)
+    return FnV(lambda _v, z=z: z)
 
 
 def table_fn(table: Iterable[int], model: "MiniModel") -> FnV:
@@ -191,18 +186,10 @@ class MiniModel:
     def size_log10(self, ty: FiniteType) -> float:
         if ty == N:
             return math.log10(self.cap + 1)
-        if isinstance(ty, Seq):
-            per = self.size_log10(ty.elem)
-            if per * self.cap > 30:
-                return per * self.cap
-            n = 10 ** per
-            return math.log10(sum(n ** l for l in range(self.cap + 2)))
-        if isinstance(ty, Arrow):
-            dome = self.size_log10(ty.dom)
-            if dome > 9:
-                return float("inf")
-            return (10 ** dome) * self.size_log10(ty.cod)
-        raise ModelError(f"cannot size type {show_type(ty)}")
+        dome = self.size_log10(ty.dom)
+        if dome > 9:
+            return float("inf")
+        return (10 ** dome) * self.size_log10(ty.cod)
 
     def size_estimate(self, ty: FiniteType) -> str:
         lg = self.size_log10(ty)
@@ -213,8 +200,20 @@ class MiniModel:
         return f"10^{lg:.0f}"
 
     def check_enumerable(self, ty: FiniteType) -> None:
-        if self.size_log10(ty) > math.log10(self.budget):
+        """Refuse a type with more values than the budget: by the logs
+        far above it, and by the exact count near it, where a rounded
+        log can fall on either side (5^5 tables against a budget of
+        3125)."""
+        if (self.size_log10(ty) > math.log10(self.budget) + 1
+                or self._count(ty) > self.budget):
             raise ModelRefusal(ty, self.size_estimate(ty))
+
+    def _count(self, ty: FiniteType) -> int:
+        """The number of values of a type, asked for only near the
+        budget."""
+        if ty == N:
+            return self.cap + 1
+        return self._count(ty.cod) ** self._count(ty.dom)
 
     def enum_values(self, ty: FiniteType) -> Iterator:
         """All values of a type, in a fixed canonical order.  Callers
@@ -222,40 +221,28 @@ class MiniModel:
         if ty == N:
             yield from range(self.cap + 1)
             return
-        if isinstance(ty, Seq):
-            elems = list(self.enum_values(ty.elem))
-            for length in range(self.cap + 2):
-                yield from itertools.product(elems, repeat=length)
-            return
-        if isinstance(ty, Arrow):
-            dom = list(self.enum_values(ty.dom))
-            cod = list(self.enum_values(ty.cod))
-            fallback = zero_value(self, ty.cod)
-            if ty.dom == N:
-                for outs in itertools.product(cod, repeat=len(dom)):
-                    yield FnV(_indexed(outs, fallback), table=outs)
-                return
-            keys = [self.canon_key(ty.dom, d) for d in dom]
+        dom = list(self.enum_values(ty.dom))
+        cod = list(self.enum_values(ty.cod))
+        fallback = zero_value(self, ty.cod)
+        if ty.dom == N:
             for outs in itertools.product(cod, repeat=len(dom)):
-                lookup = dict(zip(keys, outs))
-                yield FnV(lambda v, lk=lookup, d=ty.dom:
-                          lk.get(self.canon_key(d, v), fallback))
+                yield FnV(_indexed(outs, fallback), table=outs)
             return
-        raise ModelError(f"cannot enumerate type {show_type(ty)}")
+        keys = [self.canon_key(ty.dom, d) for d in dom]
+        for outs in itertools.product(cod, repeat=len(dom)):
+            lookup = dict(zip(keys, outs))
+            yield FnV(lambda v, lk=lookup, d=ty.dom:
+                      lk.get(self.canon_key(d, v), fallback))
 
     def canon_key(self, ty: FiniteType, v):
         """Hashable extensional fingerprint of a value."""
         if ty == N:
             return v
-        if isinstance(ty, Seq):
-            return tuple(self.canon_key(ty.elem, x) for x in v)
         if ty == _TYPE1:
             return tabulate(self, v)
-        if isinstance(ty, Arrow):
-            self.check_enumerable(ty.dom)
-            return tuple(self.canon_key(ty.cod, v.call(d))
-                         for d in self.enum_values(ty.dom))
-        raise ModelError(f"cannot fingerprint type {show_type(ty)}")
+        self.check_enumerable(ty.dom)
+        return tuple(self.canon_key(ty.cod, v.call(d))
+                     for d in self.enum_values(ty.dom))
 
     def population(self, ty: FiniteType, standard: bool) -> list:
         if standard:
@@ -515,8 +502,6 @@ def _primitive(model: MiniModel, c: Const):
         return 1, lambda n: _cantor_unpair(n)[0]
     if name == "nunr":
         return 1, lambda n: _cantor_unpair(n)[1]
-    if name == "initseg":
-        return 2, lambda f, n: tuple([f.call(i) for i in range(n)])
     if name == "run":
         return 3, lambda a, e, s: sat(machine.theta(tabulate(model, a), s, e))
     if name == "rec":

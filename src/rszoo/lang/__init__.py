@@ -1,6 +1,6 @@
 """Finite-type language: types, terms, formulas, parsing, printing."""
-from .types import Arrow, Base, FiniteType, N, Seq, arrows, pure, show_type
-from .terms import (Abs, App, CONST_NAMES, Const, INITSEG, RUN, SUCC, Term,
+from .types import Arrow, Base, FiniteType, N, arrows, pure, show_type
+from .terms import (Abs, App, CONST_NAMES, Const, RUN, SUCC, Term,
                     TypeCheckError, Var, app, free_vars, fresh_name,
                     infer_type, lam, num, rec_c, spine, subterms)
 from .formulas import (And, Atom, Exists, ExistsSt, Forall, ForallSt,

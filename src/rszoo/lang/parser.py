@@ -15,6 +15,8 @@ Grammar sketch (precedence low to high):
     args     :=  '(' term (',' term)* ')'
     primary  :=  NUMBER | NAME | CONST ('[' type (',' type)* ']')?
               |  '(' term ')'
+    type     :=  tatom ('->' type)?              right-associative
+    tatom    :=  NUMBER | '(' type ')'           the numeral n is pure(n)
 
 Quantifier prefixes are parenthesized: ``(forall x:1)``, ``(exists^st
 y:0)``, ``(forall x, y:0, f:1)``; in a binder list, names before a
@@ -56,7 +58,7 @@ from .formulas import (And, Atom, Exists, ExistsSt, Forall, ForallSt,
                        Formula, Implies, Not, Or)
 from .terms import (Abs, CONST_NAMES, MONOMORPHIC, POLYMORPHIC, Term,
                     TypeCheckError, Var, app, infer_type, num)
-from .types import Arrow, FiniteType, Seq, pure, record, show_type
+from .types import Arrow, FiniteType, pure, record, show_type
 
 
 class ParseError(Exception):
@@ -70,7 +72,7 @@ class ParseError(Exception):
 KEYWORDS = frozenset(["forall", "exists"])
 
 _SYMBOLS = ["->", "/\\", "\\/", "!=", ":=", "^st",
-            "(", ")", "[", "]", ",", ":", ".", "*", "~", "=", "\\",
+            "(", ")", "[", "]", ",", ":", ".", "~", "=", "\\",
             "-", ";"]
 
 # Blanks, then one token, a newline, a comment, a character that starts
@@ -255,16 +257,10 @@ class Parser:
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> FiniteType:
-        left = self._type_post()
+        left = self._type_atom()
         if self.take("->"):
             return Arrow(left, self.parse_type())
         return left
-
-    def _type_post(self) -> FiniteType:
-        t = self._type_atom()
-        while self.take("*"):
-            t = Seq(t)
-        return t
 
     def _type_atom(self) -> FiniteType:
         tok = self.peek()

@@ -4,9 +4,9 @@ Four node kinds only: variables, constants, application, abstraction.
 Numerals are constants whose name is the decimal digits.  The other
 constants are the ones a corpus file writes or the pipeline builds:
 ``succ``, ``monus``, ``max``, the unpairings ``nunl`` and ``nunr``,
-``initseg``, ``run``, and the one polymorphic constant ``rec``, which
-carries its instantiated type; the concrete syntax writes the type
-index in brackets, ``rec[0]``.
+``run``, and the one polymorphic constant ``rec``, which carries its
+instantiated type; the concrete syntax writes the type index in
+brackets, ``rec[0]``.
 
 Nodes are immutable and often shared: expanding a ``let`` puts one
 subterm object at many places, so a term is a DAG that prints as a far
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Mapping, Union
 
-from .types import Arrow, FiniteType, N, Node, Seq, node, pure, show_type
+from .types import Arrow, FiniteType, N, Node, node, pure, show_type
 
 
 class SyntaxNode(Node):
@@ -85,7 +85,6 @@ MONUS = Const("monus", Arrow(N, Arrow(N, N)))
 MAX2 = Const("max", Arrow(N, Arrow(N, N)))
 NUNL = Const("nunl", Arrow(N, N))
 NUNR = Const("nunr", Arrow(N, N))
-INITSEG = Const("initseg", Arrow(pure(1), Arrow(N, Seq(N))))
 RUN = Const("run", Arrow(pure(1), Arrow(N, Arrow(N, N))))
 
 
@@ -94,8 +93,7 @@ def rec_c(ty: FiniteType) -> Const:
 
 
 #: the constants of one type, by name
-MONOMORPHIC = {c.name: c for c in (SUCC, MONUS, MAX2, NUNL, NUNR, INITSEG,
-                                   RUN)}
+MONOMORPHIC = {c.name: c for c in (SUCC, MONUS, MAX2, NUNL, NUNR, RUN)}
 
 #: the polymorphic constants, by name: the constructor, the number of
 #: its type arguments, and those arguments read back from the type of an

@@ -1,8 +1,9 @@
 """Finite simple types over the base type of natural numbers.
 
-The hierarchy is generated by the base type 0 (naturals), function
-arrows, and finite-sequence types written ``sigma*``; a tuple of
-types is taken by currying.
+The hierarchy is generated by the base type 0 (naturals) and function
+arrows alone; a tuple of types is taken by currying.  A finite sequence
+is no type of its own: as in E-PA^omega, two tables agree on an initial
+segment by a bounded universal (see ``normalform._prefix_eq``).
 Pure types are abbreviated by numerals in the concrete syntax:
 ``1 = 0 -> 0``, ``2 = 1 -> 0``, and so on.
 
@@ -146,12 +147,7 @@ class Arrow(Node):
     cod: "FiniteType"
 
 
-@node
-class Seq(Node):
-    elem: "FiniteType"
-
-
-FiniteType = Union[Base, Arrow, Seq]
+FiniteType = Union[Base, Arrow]
 
 N = Base()
 
@@ -195,9 +191,4 @@ def show_type(ty: FiniteType) -> str:
         if isinstance(ty.dom, Arrow) and _pure_degree(ty.dom) is None:
             dom = f"({dom})"
         return f"{dom} -> {show_type(ty.cod)}"
-    if isinstance(ty, Seq):
-        inner = show_type(ty.elem)
-        if isinstance(ty.elem, Arrow) and _pure_degree(ty.elem) is None:
-            inner = f"({inner})"
-        return f"{inner}*"
     raise TypeError(f"not a finite type: {ty!r}")

@@ -9,7 +9,8 @@ and the extractor work with:
                           functional: (exists Psi)(forall X) phi(X, Psi(X));
                           relativize both blocks to standard objects, and
                           conjoin the extensionality of Psi with its
-                          modulus Xi, on initial segments.
+                          modulus Xi: agreement below a length, a
+                          bounded universal over type 0.
 2. ``prenex_to_normal`` - pull every standard quantifier of the
                           implication to the bounded-zero transfer target
                           to the front, flipping those in negative
@@ -35,9 +36,9 @@ from __future__ import annotations
 from .lang.formulas import (EXTERNAL, And, Atom, Exists, ExistsSt, Forall,
                             ForallSt, Formula, Implies, Not, Or, all_names_f,
                             conj, is_internal, strip, subformulas, subst_f)
-from .lang.terms import (Abs, App, Term, Var, app, fresh_name, num, INITSEG,
-                         MONUS, NUNL, NUNR)
-from .lang.types import Arrow, FiniteType, N, Seq, arrows, pure, show_type
+from .lang.terms import (App, Term, Var, app, fresh_name, num, MONUS, NUNL,
+                         NUNR)
+from .lang.types import Arrow, FiniteType, N, arrows, pure, show_type
 
 
 class NormalFormError(Exception):
@@ -94,7 +95,9 @@ def uniformize(base: Formula) -> Formula:
     problem statement: a standard solution functional Psi for each
     existential, and the statement relativized to standard objects with
     Psi(X..) in place of that existential, in conjunction with each
-    functional's extensionality clause (``_extensionality``):
+    functional's extensionality clause (``_extensionality``), whose
+    agreement on initial segments is internal, a plain universal over
+    type 0 that ``prenex_to_normal`` leaves in the matrix:
 
         (exists^st Psi..)((forall^st X..) phi(X.., Psi(X..)) /\\ ext(Psi))
 
@@ -124,10 +127,12 @@ def _extensionality(fn: Var, arg_tys: list[FiniteType], taken: set[str],
     into a modulus Xi:
 
         (exists^st Xi)(forall^st X.., Y.., k)
-            (initseg(X, Xi(X.., Y.., k)) = initseg(Y, Xi(X.., Y.., k)) /\\ ..
-             -> initseg(fn(X..), k) = initseg(fn(Y..), k))
+            ((forall i:0) monus(Xi(X.., Y.., k), i) = 0 \\/ X(i) = Y(i)) /\\ ..
+             -> (forall i:0) monus(k, i) = 0 \\/ fn(X.., i) = fn(Y.., i)
 
-    A side of type 0 or of a sequence type is compared by =, so k is
+    "X and Y agree below n" is the bounded universal that
+    \\overline{X}n = \\overline{Y}n abbreviates in E-PA^omega
+    (``_prefix_eq``).  A side of type 0 is compared by =, so k is
     dropped when the output is, and Xi when every argument is.  A
     k-argument numeric function is compared as one table along the
     diagonal (``_diag``); a side of any other type is refused.
@@ -138,7 +143,7 @@ def _extensionality(fn: Var, arg_tys: list[FiniteType], taken: set[str],
     because the implication gets no harder as the length grows: the
     premise only strengthens.
 
-    X and Y are drawn against taken; k, i and Xi against names."""
+    X and Y are drawn against taken; k, Xi and i against names."""
     cs, ds = [], []
     for ty in arg_tys:
         cs.append(Var(fresh_name("X", taken), ty))
@@ -146,15 +151,17 @@ def _extensionality(fn: Var, arg_tys: list[FiniteType], taken: set[str],
     out_ty = fn.ty
     for _ in arg_tys:
         out_ty = out_ty.cod
-    us, n, k = cs + ds, None, None
+    us, n, k, i = cs + ds, None, None, None
     if isinstance(out_ty, Arrow):
         k = Var(fresh_name("k", names), N)
         us.append(k)
     if any(isinstance(ty, Arrow) for ty in arg_tys):
         xi = Var(fresh_name("Xi", names), arrows([u.ty for u in us], N))
         n = app(xi, *us)
-    prem = conj([_prefix_eq(c.ty, c, d, n, names) for c, d in zip(cs, ds)])
-    ccl = _prefix_eq(out_ty, app(fn, *cs), app(fn, *ds), k, names)
+    if k is not None or n is not None:
+        i = Var(fresh_name("i", names), N)
+    prem = conj([_prefix_eq(c.ty, c, d, n, i) for c, d in zip(cs, ds)])
+    ccl = _prefix_eq(out_ty, app(fn, *cs), app(fn, *ds), k, i)
     body: Formula = Implies(prem, ccl)
     for u in reversed(us):
         body = ForallSt(u, body)
@@ -172,33 +179,38 @@ def _numeric_arity(ty: FiniteType) -> int | None:
     return k if ty == N else None
 
 
-def _diag(t: Term, k: int, taken: set[str]) -> Term:
-    """View a k-argument numeric function as a single table by pairing
-    the arguments along the diagonal."""
-    if k == 1:
-        return t
-    i = Var(fresh_name("i", taken), N)
+def _diag(i: Var, k: int) -> list[Term]:
+    """The arguments that view a k-argument numeric function as a single
+    table, pairing them along the diagonal: i itself for k = 1, else
+    nunl(i), nunl(nunr(i)), .., nunr(..nunr(i))."""
     args: list[Term] = []
     cur: Term = i
-    for pos in range(k - 1):
+    for _ in range(k - 1):
         args.append(App(NUNL, cur))
         cur = App(NUNR, cur)
     args.append(cur)
-    return Abs(i, app(t, *args))
+    return args
 
 
 def _prefix_eq(ty: FiniteType, l: Term, r: Term, n: Term | None,
-               taken: set[str]) -> Formula:
-    """Compare l and r of the given type up to prefix length n, which a
-    side of type 0 or of a sequence type does not read."""
-    if ty == N or isinstance(ty, Seq):
+               i: Var | None) -> Formula:
+    """l and r of the given type agree below n: a side of type 0, which
+    reads neither n nor i, by =, and a numeric function by
+
+        (forall i:0) monus(n, i) = 0 \\/ l(i..) = r(i..),
+
+    i >= n spelled as <= is (see ``trans_instance``).  i < n is not
+    written with succ: succ(cap) saturates, so at n = cap the body would
+    read cell cap and set the model's ``overflowed``."""
+    if ty == N:
         return Atom((l, r))
     k = _numeric_arity(ty)
     if k is None:
         raise NormalFormError(
             f"no prefix encoding at type {show_type(ty)}")
-    dl, dr = _diag(l, k, taken), _diag(r, k, taken)
-    return Atom((app(INITSEG, dl, n), app(INITSEG, dr, n)))
+    args = _diag(i, k)
+    return Forall(i, Or(Atom((app(MONUS, n, i), num(0))),
+                        Atom((app(l, *args), app(r, *args)))))
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,13 @@ from __future__ import annotations
 
 import random
 
-from rszoo.lang import (INITSEG, RUN, Abs, And, Atom, Exists, Forall,
-                        Formula, Implies, Not, Or, Term, Var, app, fresh_name,
-                        free_vars_f, lam, num, rec_c)
-from rszoo.lang import Arrow, FiniteType, N, Seq, pure
+from rszoo.lang import (RUN, Abs, And, Atom, Exists, Forall, Formula,
+                        Implies, Not, Or, Term, Var, app, fresh_name, lam,
+                        num, rec_c)
+from rszoo.lang import Arrow, FiniteType, N, pure
 from rszoo.lang.terms import MAX2, MONUS, SUCC
 
 SEED = 20260815
-
-#: the only sequence type with closed terms: ``initseg(h, n)``
-SEQ0 = Seq(N)
 
 
 def plus(a: Term, b: Term) -> Term:
@@ -31,15 +28,10 @@ BINARY = (plus, lambda a, b: app(MONUS, a, b), lambda a, b: app(MAX2, a, b))
 
 
 def default_term(ty: FiniteType) -> Term:
-    """A closed inhabitant of 0, of an arrow type into one, and of 0*
-    (the empty sequence ``initseg(\\_d:0. 0, 0)``)."""
+    """A closed inhabitant of a type: 0, or a constant function."""
     if ty == N:
         return num(0)
-    if isinstance(ty, Arrow):
-        return Abs(Var("_d", ty.dom), default_term(ty.cod))
-    if ty == SEQ0:
-        return app(INITSEG, default_term(pure(1)), num(0))
-    raise ValueError(f"no default for {ty!r}")
+    return Abs(Var("_d", ty.dom), default_term(ty.cod))
 
 
 class Gen:
@@ -57,12 +49,10 @@ class Gen:
         r = self.rng.random()
         if depth <= 0 or r < 0.55:
             return N
-        if r < 0.85:
-            return Arrow(self.type(depth - 1), self.type(depth - 1))
-        return SEQ0
+        return Arrow(self.type(depth - 1), self.type(depth - 1))
 
     def small_type(self) -> FiniteType:
-        return self.rng.choice([N, N, N, pure(1), SEQ0])
+        return self.rng.choice([N, N, N, pure(1)])
 
     # -- terms ---------------------------------------------------------------
 
@@ -76,14 +66,9 @@ class Gen:
             return default_term(ty)
         if ty == N:
             return self._num_term(env, depth)
-        if isinstance(ty, Arrow):
-            x = Var(fresh_name("x", set(env)), ty.dom)
-            body = self.term(ty.cod, {**env, x.name: x.ty}, depth - 1)
-            return Abs(x, body)
-        if ty == SEQ0:
-            return app(INITSEG, self.term(pure(1), env, depth - 1),
-                       self.term(N, env, depth - 1))
-        return default_term(ty)
+        x = Var(fresh_name("x", set(env)), ty.dom)
+        body = self.term(ty.cod, {**env, x.name: x.ty}, depth - 1)
+        return Abs(x, body)
 
     def _num_term(self, env: dict[str, FiniteType], depth: int) -> Term:
         r = self.rng.random()

@@ -112,7 +112,6 @@ PRIMITIVES = {
     "max": (2, lambda m, a, b: max(a, b)),
     "nunl": (1, lambda m, n: unpair(n)[0]),
     "nunr": (1, lambda m, n: unpair(n)[1]),
-    "initseg": (2, lambda m, f, n: tuple(f.call(i) for i in range(n))),
     "run": (3, run),
     "rec": (3, lambda m, b, step, n: rec(b, step, n)),
 }

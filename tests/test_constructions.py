@@ -136,12 +136,12 @@ def test_xi_search_wraps_and_flags():
 
 # -- Xi0 against the normal form's extensionality clause ------------------------
 
-CLAUSE = ("initseg(X, Xi(X, Y, k)) = initseg(Y, Xi(X, Y, k)) -> "
-          "initseg(Psi(X), k) = initseg(Psi(Y), k)")
+CLAUSE = ("((forall i:0) monus(Xi(X, Y, k), i) = 0 \\/ X(i) = Y(i)) -> "
+          "(forall i:0) monus(k, i) = 0 \\/ Psi(X, i) = Psi(Y, i)")
 # no modulus exists: the tables agree below the cap (2), yet the outputs
 # differ below k
-UNFILLABLE = ("initseg(X, 2) = initseg(Y, 2) /\\ "
-              "initseg(Psi(X), k) != initseg(Psi(Y), k)")
+UNFILLABLE = ("((forall i:0) monus(2, i) = 0 \\/ X(i) = Y(i)) /\\ "
+              "~((forall i:0) monus(k, i) = 0 \\/ Psi(X, i) = Psi(Y, i))")
 
 
 @pytest.mark.parametrize("functional, unfillable", [

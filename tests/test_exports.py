@@ -16,7 +16,7 @@ import rszoo.interp
 import rszoo.lang
 import rszoo.normalform
 import rszoo.translate
-from rszoo.lang import formulas, parse_formula, subformulas, terms
+from rszoo.lang import formulas, parse_formula, parser, subformulas, terms
 from rszoo.lang.parser import tokenize
 from rszoo.normalform import normalize_backward, normalize_principle
 from rszoo.translate import parse_nf
@@ -136,6 +136,23 @@ def test_every_constant_is_written_by_the_corpus_or_built_in_src():
     assert sorted(name for name in terms.CONST_NAMES
                   if name not in written
                   and not builders(name) & uses.used) == []
+
+
+def test_every_symbol_is_read_outside_the_symbol_list():
+    # a symbol that no string of src names, outside the list itself, is
+    # a token that the tokenizer makes and no rule takes
+    read = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        listed = {id(node) for stmt in tree.body
+                  if isinstance(stmt, ast.Assign) and any(
+                      isinstance(t, ast.Name) and t.id == "_SYMBOLS"
+                      for t in stmt.targets)
+                  for node in ast.walk(stmt.value)}
+        read |= {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)
+                 and isinstance(node.value, str) and id(node) not in listed}
+    assert sorted(set(parser._SYMBOLS) - read) == []
 
 
 def corpus_formulas():

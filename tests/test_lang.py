@@ -8,7 +8,7 @@ import rszoo
 from rszoo.extract import parse_script
 from rszoo.interp import MiniModel, eval_formula, eval_term
 from rszoo.lang import (Abs, And, App, Arrow, Atom, CONST_NAMES, Exists,
-                        Forall, N, Not, ParseError, Seq,
+                        Forall, N, Not, ParseError,
                         TypeCheckError, Var, all_names_f, app, free_vars,
                         free_vars_f, infer_type, is_internal, num,
                         parse_formula, parse_term, parse_type, pure, rec_c,
@@ -32,9 +32,8 @@ def test_type_printer_structure():
     # pure types print as their numeral
     assert show_type(parse_type("(0 -> 0) -> 0")) == "2"
     assert show_type(Arrow(pure(1), N)) == "2"
-    assert show_type(parse_type("1*")) == "1*"
-    assert show_type(parse_type("(0 -> 1)*")) == "(0 -> 1)*"
-    assert show_type(parse_type("(0 -> 1) -> 1*")) == "(0 -> 1) -> 1*"
+    assert show_type(parse_type("(0 -> 1) -> 1")) == "(0 -> 1) -> 1"
+    assert show_type(parse_type("0 -> (0 -> 1)")) == "0 -> 0 -> 1"
 
 
 def test_numerals_and_pure_types_are_nonnegative():
@@ -139,7 +138,7 @@ def test_bounded_quantifier_kinds():
             ("(exists i < 4) i = i", 11, "unexpected character '<'"),
             ("(exists v in s) v = 0", 11, "expected ':', found 'in'")]:
         with pytest.raises(ParseError) as e:
-            parse_formula(src, params={"s": Seq(N)})
+            parse_formula(src, params={"s": pure(1)})
         assert (e.value.msg, e.value.col) == (msg, at), src
 
 
@@ -242,23 +241,16 @@ def test_typecheck_rejects_ill_typed_atoms():
              "rec takes 1 type argument(s)"),
             ("x = exists", 5, "keyword 'exists' is not a term"),
             ("x 0", 3, "expected a relation, found '0'"),
-            # types are built from 0 by -> and *, with no product
+            # types are built from 0 by -> alone, with no product and no
+            # sequence type
             ("(forall p:0 x 1) p = p", 13, "expected ')', found 'x'"),
+            ("(forall s:0*) s = s", 12, "unexpected character '*'"),
             # and a name is a constant only if a corpus file or the
             # pipeline uses it
             ("plus(x, 0) = x", 1, "unbound variable 'plus'")]:
         with pytest.raises(ParseError) as e:
             parse_formula(src, params=params)
         assert (e.value.msg, e.value.line, e.value.col) == (msg, 1, at), src
-
-
-def test_typecheck_accepts_equality_at_sequence_type():
-    # the shipped udnr matrix compares initseg(..) = initseg(..) at 0*
-    nf = parse_nf((UDNR / "expect.nf").read_text())
-    assert "initseg(X, Xi(X, Y, k)) = initseg(Y, Xi(X, Y, k))" in \
-        show_formula(nf)
-    s = Var("s", Seq(N))
-    assert parse_formula("s = s", params={"s": s.ty}) == Atom((s, s))
 
 
 def test_parenthesized_terms_and_formulas_parse_in_one_pass(monkeypatch):
@@ -301,7 +293,7 @@ def test_parenthesized_terms_and_formulas_parse_in_one_pass(monkeypatch):
 def test_every_constant_prints_and_reparses_at_nontrivial_indices():
     # the printer writes a polymorphic constant's type index and the
     # parser reads it back, both through the table in terms
-    indices = (pure(1), Seq(N), parse_type("0 -> 0*"))
+    indices = (pure(1), pure(2), parse_type("0 -> 1"))
     for name in sorted(CONST_NAMES):
         if name in MONOMORPHIC:
             consts = [MONOMORPHIC[name]]
@@ -315,7 +307,7 @@ def test_every_constant_prints_and_reparses_at_nontrivial_indices():
         for c in consts:
             text = show_term(c)
             assert parse_term(text) == c, text
-    assert show_term(rec_c(parse_type("0 -> 0*"))) == "rec[0 -> 0*]"
+    assert show_term(rec_c(parse_type("0 -> 1"))) == "rec[0 -> 1]"
 
 
 def test_unbound_variable_is_an_error():

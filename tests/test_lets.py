@@ -50,8 +50,8 @@ def expansions(lets: str, use: str, universals: str = "k:0, x:0, p:0"):
     # a lambda read once lands in head position and is reduced in turn
     ("let at2 := \\g:1. g(2)", "at2(\\m:0. succ(m))", "succ(2)"),
     # a partial application reads every binder under a lambda
-    ("let add := \\a:0. \\b:0. max(a, b)", "initseg(add(succ(k)), 2)",
-     "initseg((\\a:0. \\b:0. max(a, b))(succ(k)), 2)"),
+    ("let add := \\a:0. \\b:0. max(a, b)", "run(add(succ(k)), 1, 2)",
+     "run((\\a:0. \\b:0. max(a, b))(succ(k)), 1, 2)"),
     # a let inside a let was reduced when it was defined
     ("let inc := \\n:0. succ(n)\nlet inc2 := \\n:0. inc(inc(n))",
      "inc2(k)", "succ(succ(k))"),

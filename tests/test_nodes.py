@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from rszoo.lang import (Abs, And, App, Arrow, Atom, Base, Const, Forall,
-                        ForallSt, N, Not, Or, Seq, Var, num, parse_formula,
+                        ForallSt, N, Not, Or, Var, num, parse_formula,
                         parse_term, pure)
 from rszoo.lang.formulas import SyntaxNode
 from rszoo.lang.types import Node
@@ -18,7 +18,7 @@ a = Atom((x, num(0)))
 b = Atom((y, num(1)))
 
 SAMPLES = [
-    N, Arrow(N, N), Seq(N),
+    N, Arrow(N, N),
     x, num(3), App(Const("succ", Arrow(N, N)), x), Abs(x, x),
     a, Not(a), And(a, b), Or(a, b), Forall(x, a), ForallSt(y, b),
     parse_formula("(forall f:1)(exists n:0) monus(n, 3) = 0 /\\ "
@@ -43,7 +43,7 @@ def test_every_node_kind_is_a_slots_class_and_no_dataclass():
     kinds = node_kinds()
     assert {"Base", "Arrow", "Var", "App", "Abs", "Atom", "Exists"} <= \
         {k.__name__ for k in kinds}
-    assert len(kinds) == 16
+    assert len(kinds) == 15
     for kind in kinds:
         assert not dataclasses.is_dataclass(kind), kind
         assert "__dict__" not in dir(kind), kind
@@ -71,7 +71,7 @@ def test_equality_is_by_class_and_fields():
     assert And(a, b) != Or(a, b)
     assert And(a, b) == And(Atom((Var("x", N), num(0))), b)
     assert Var("x", N) != Var("x", pure(1))
-    assert Base() == N and N != Seq(N)
+    assert Base() == N and N != Arrow(N, N)
     assert x != ("x", N) and (x == "x") is False
 
 

@@ -1,12 +1,14 @@
+import itertools
 from pathlib import Path
 
 import pytest
 
 import refeval
 import rszoo
-from rszoo.interp import MiniModel, eval_formula, parse_model_config
-from rszoo.lang import (Implies, parse_formula, pure, show_formula,
-                        show_type)
+from rszoo.interp import (FnV, MiniModel, eval_formula, parse_model_config,
+                          table_fn)
+from rszoo.lang import (ForallSt, Implies, parse_formula, pure, show_formula,
+                        show_type, strip)
 from rszoo.normalform import (BZT_BOUND, BZT_TABLE, NormalFormError,
                               normalize_backward, normalize_principle,
                               prenex_to_normal, trans_instance, uniformize)
@@ -39,8 +41,8 @@ def test_uniformize_strong_adds_extensionality():
     # Psi's extensionality on initial segments, with its modulus Xi
     assert show_formula(uniformize(parse_formula(DNR_BASE))).endswith(
         "/\\ ((exists^st Xi:1 -> 1 -> 1) (forall^st X:1, Y:1, k:0) "
-        "initseg(X, Xi(X, Y, k)) = initseg(Y, Xi(X, Y, k)) -> "
-        "initseg(Psi(X), k) = initseg(Psi(Y), k))")
+        "((forall i:0) monus(Xi(X, Y, k), i) = 0 \\/ X(i) = Y(i)) -> "
+        "(forall i:0) monus(k, i) = 0 \\/ Psi(X, i) = Psi(Y, i))")
 
 
 def test_uniformize_without_existential_degenerates():
@@ -75,16 +77,38 @@ def test_resolve_approx_type_one():
         "(forall X:1)(exists d:1) d(0) = X(0)")))
     assert out.endswith(
         "((exists^st Xi:1 -> 1 -> 1) (forall^st X1:1, Y:1, k:0) "
-        "initseg(X1, Xi(X1, Y, k)) = initseg(Y, Xi(X1, Y, k)) -> "
-        "initseg(Psi(X1), k) = initseg(Psi(Y), k))")
+        "((forall i:0) monus(Xi(X1, Y, k), i) = 0 \\/ X1(i) = Y(i)) -> "
+        "(forall i:0) monus(k, i) = 0 \\/ Psi(X1, i) = Psi(Y, i))")
 
 
 def test_resolve_approx_diagonalizes_two_argument_tables():
     base = parse_formula(
         "(forall R:0 -> 0 -> 0)(exists d:1)(forall i:0)(R(i, d(i)) = 1)")
     out = show_formula(uniformize(base))
-    assert "initseg(\\i1:0. X(nunl(i1), nunr(i1)), Xi(X, Y, k))" in out
-    assert "initseg(\\i2:0. Y(nunl(i2), nunr(i2)), Xi(X, Y, k))" in out
+    # the statement binds i, so the clause's index is i1
+    assert ("(forall i1:0) monus(Xi(X, Y, k), i1) = 0 \\/ "
+            "X(nunl(i1), nunr(i1)) = Y(nunl(i1), nunr(i1))") in out
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_agreement_below_n_reads_only_the_cells_below_n(cap):
+    # the premise of a type-1 argument's clause, with Xi answering n,
+    # holds iff the tables agree on their first n cells; i < n spelled
+    # with succ would read cell cap at n = cap, where succ(cap) saturates
+    clause = uniformize(parse_formula(
+        "(forall X:1)(exists c:0) c = X(0)")).body.right
+    (x, y), body = strip(clause.body, ForallSt)
+    agree = body.left
+    m = MiniModel(cap, 1)
+    for cells in itertools.product(range(cap + 1), repeat=cap + 1):
+        # the same table, and each table that differs from it in one cell
+        others = [cells] + [cells[:j] + ((cells[j] + 1) % (cap + 1),)
+                            + cells[j + 1:] for j in range(cap + 1)]
+        for other, n in itertools.product(others, range(cap + 1)):
+            env = {x.name: table_fn(cells, m), y.name: table_fn(other, m),
+                   clause.var.name: FnV(lambda _x, n=n: FnV(lambda _y: n))}
+            assert eval_formula(m, agree, env) == (cells[:n] == other[:n])
+            assert not m.overflowed
 
 
 # -- prenex ---------------------------------------------------------------------
@@ -134,8 +158,9 @@ EXPECTED_DNR_NF = (
     "(forall^st f:1, Psi:1 -> 1, Xi:1 -> 1 -> 1) "
     "(exists^st y:0, Z:1, X:1, Y:1, k:0) "
     "((forall e:0, s:0) run(Z, e, s) = 0 \\/ succ(Psi(Z, e)) != "
-    "run(Z, e, s)) /\\ (initseg(X, Xi(X, Y, k)) = initseg(Y, Xi(X, Y, k)) "
-    "-> initseg(Psi(X), k) = initseg(Psi(Y), k)) -> "
+    "run(Z, e, s)) /\\ "
+    "(((forall i:0) monus(Xi(X, Y, k), i) = 0 \\/ X(i) = Y(i)) -> "
+    "(forall i:0) monus(k, i) = 0 \\/ Psi(X, i) = Psi(Y, i)) -> "
     "((exists x:0) f(x) = 0) -> "
     "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0")
 
@@ -154,10 +179,9 @@ FROZEN = {
         "(forall^st f:1, Psi:1 -> 2, Xi:1 -> 1 -> 1 -> 2) "
         "(exists^st y:0, f1:1, g:1, X:1, X1:1, Y:1, Y1:1) "
         "f1(Psi(f1, g)) = g(Psi(f1, g)) /\\ "
-        "(initseg(X, Xi(X, X1, Y, Y1)) = initseg(Y, Xi(X, X1, Y, Y1)) /\\ "
-        "initseg(X1, Xi(X, X1, Y, Y1)) = initseg(Y1, Xi(X, X1, Y, Y1)) -> "
-        "Psi(X, X1) = Psi(Y, Y1)) -> "
-        "((exists x:0) f(x) = 0) -> "
+        "(((forall i:0) monus(Xi(X, X1, Y, Y1), i) = 0 \\/ X(i) = Y(i)) /\\ "
+        "((forall i:0) monus(Xi(X, X1, Y, Y1), i) = 0 \\/ X1(i) = Y1(i)) -> "
+        "Psi(X, X1) = Psi(Y, Y1)) -> ((exists x:0) f(x) = 0) -> "
         "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     # a 0 -> 0 -> 0 argument is compared along the diagonal
     "two-argument-table": (
@@ -165,9 +189,9 @@ FROZEN = {
         "(forall^st f:1, Psi:(0 -> 1) -> 1, Xi:(0 -> 1) -> (0 -> 1) -> 1) "
         "(exists^st y:0, R:0 -> 1, X:0 -> 1, Y:0 -> 1, k:0) "
         "((forall i:0) R(i, Psi(R, i)) = 1) /\\ "
-        "(initseg(\\i1:0. X(nunl(i1), nunr(i1)), Xi(X, Y, k)) = "
-        "initseg(\\i2:0. Y(nunl(i2), nunr(i2)), Xi(X, Y, k)) -> "
-        "initseg(Psi(X), k) = initseg(Psi(Y), k)) -> "
+        "(((forall i1:0) monus(Xi(X, Y, k), i1) = 0 \\/ "
+        "X(nunl(i1), nunr(i1)) = Y(nunl(i1), nunr(i1))) -> "
+        "(forall i1:0) monus(k, i1) = 0 \\/ Psi(X, i1) = Psi(Y, i1)) -> "
         "((exists x:0) f(x) = 0) -> "
         "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     # numbers throughout: neither Xi nor k
@@ -181,18 +205,17 @@ FROZEN = {
     # number arguments: k but no Xi
     "type-0-arguments": (
         "(forall a:0)(exists c:1) c(0) = a",
-        "(forall^st f:1, Psi:0 -> 1) (exists^st y:0, a:0, X:0, Y:0, k:0) "
-        "Psi(a, 0) = a /\\ "
-        "(X = Y -> initseg(Psi(X), k) = initseg(Psi(Y), k)) -> "
+        "(forall^st f:1, Psi:0 -> 1) "
+        "(exists^st y:0, a:0, X:0, Y:0, k:0) Psi(a, 0) = a /\\ (X = Y -> "
+        "(forall i:0) monus(k, i) = 0 \\/ Psi(X, i) = Psi(Y, i)) -> "
         "((exists x:0) f(x) = 0) -> "
         "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     "type-0-output": (
         "(forall X:1)(exists c:0) c = X(0)",
-        "(forall^st f:1, Psi:2, Xi:1 -> 2) (exists^st y:0, X:1, X1:1, Y:1) "
-        "Psi(X) = X(0) /\\ "
-        "(initseg(X1, Xi(X1, Y)) = initseg(Y, Xi(X1, Y)) -> "
-        "Psi(X1) = Psi(Y)) -> "
-        "((exists x:0) f(x) = 0) -> "
+        "(forall^st f:1, Psi:2, Xi:1 -> 2) "
+        "(exists^st y:0, X:1, X1:1, Y:1) Psi(X) = X(0) /\\ "
+        "(((forall i:0) monus(Xi(X1, Y), i) = 0 \\/ X1(i) = Y(i)) -> "
+        "Psi(X1) = Psi(Y)) -> ((exists x:0) f(x) = 0) -> "
         "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     # the first clause's output is a number, so only the second takes k
     "two-functionals": (
@@ -200,30 +223,28 @@ FROZEN = {
         "(forall^st f:1, Psi:2, Psi2:1 -> 1, Xi:1 -> 2, Xi1:1 -> 1 -> 1) "
         "(exists^st y:0, X:1, X1:1, Y:1, X2:1, Y1:1, k:0) "
         "Psi(X) = Psi2(X, 0) /\\ "
-        "(initseg(X1, Xi(X1, Y)) = initseg(Y, Xi(X1, Y)) -> "
+        "(((forall i:0) monus(Xi(X1, Y), i) = 0 \\/ X1(i) = Y(i)) -> "
         "Psi(X1) = Psi(Y)) /\\ "
-        "(initseg(X2, Xi1(X2, Y1, k)) = initseg(Y1, Xi1(X2, Y1, k)) -> "
-        "initseg(Psi2(X2), k) = initseg(Psi2(Y1), k)) -> "
-        "((exists x:0) f(x) = 0) -> "
+        "(((forall i1:0) monus(Xi1(X2, Y1, k), i1) = 0 \\/ "
+        "X2(i1) = Y1(i1)) -> (forall i1:0) monus(k, i1) = 0 \\/ "
+        "Psi2(X2, i1) = Psi2(Y1, i1)) -> ((exists x:0) f(x) = 0) -> "
         "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     # a name that only the existential block binds is free for Xi
     "binds-Xi": (
         "(forall X:1, Y:1)(exists Psi:1, Xi:0) Psi(Xi) = X(Xi)",
         "(forall^st f:1, Psi1:1 -> 1 -> 1, Psi2:1 -> 2, "
         "Xi:1 -> 1 -> 1 -> 1 -> 1, Xi1:1 -> 1 -> 1 -> 2) "
-        "(exists^st y:0, X:1, Y:1, X1:1, X2:1, Y1:1, Y2:1, k:0, "
-        "X3:1, X4:1, Y3:1, Y4:1) "
-        "Psi1(X, Y, Psi2(X, Y)) = X(Psi2(X, Y)) /\\ "
-        "(initseg(X1, Xi(X1, X2, Y1, Y2, k)) = "
-        "initseg(Y1, Xi(X1, X2, Y1, Y2, k)) /\\ "
-        "initseg(X2, Xi(X1, X2, Y1, Y2, k)) = "
-        "initseg(Y2, Xi(X1, X2, Y1, Y2, k)) -> "
-        "initseg(Psi1(X1, X2), k) = initseg(Psi1(Y1, Y2), k)) /\\ "
-        "(initseg(X3, Xi1(X3, X4, Y3, Y4)) = "
-        "initseg(Y3, Xi1(X3, X4, Y3, Y4)) /\\ "
-        "initseg(X4, Xi1(X3, X4, Y3, Y4)) = "
-        "initseg(Y4, Xi1(X3, X4, Y3, Y4)) -> "
-        "Psi2(X3, X4) = Psi2(Y3, Y4)) -> "
+        "(exists^st y:0, X:1, Y:1, X1:1, X2:1, Y1:1, Y2:1, k:0, X3:1, X4:1, "
+        "Y3:1, Y4:1) Psi1(X, Y, Psi2(X, Y)) = X(Psi2(X, Y)) /\\ "
+        "(((forall i:0) monus(Xi(X1, X2, Y1, Y2, k), i) = 0 \\/ "
+        "X1(i) = Y1(i)) /\\ "
+        "((forall i:0) monus(Xi(X1, X2, Y1, Y2, k), i) = 0 \\/ "
+        "X2(i) = Y2(i)) -> (forall i:0) monus(k, i) = 0 \\/ "
+        "Psi1(X1, X2, i) = Psi1(Y1, Y2, i)) /\\ "
+        "(((forall i1:0) monus(Xi1(X3, X4, Y3, Y4), i1) = 0 \\/ "
+        "X3(i1) = Y3(i1)) /\\ "
+        "((forall i1:0) monus(Xi1(X3, X4, Y3, Y4), i1) = 0 \\/ "
+        "X4(i1) = Y4(i1)) -> Psi2(X3, X4) = Psi2(Y3, Y4)) -> "
         "((exists x:0) f(x) = 0) -> "
         "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
     # a universal k keeps its name, so the clause's is k1; the first
@@ -232,25 +253,25 @@ FROZEN = {
         "(forall N:1, k:1)(exists i:0, Xi:1) Xi(i) = N(i)",
         "(forall^st f:1, Psi:1 -> 2, Psi2:1 -> 1 -> 1, "
         "Xi:1 -> 1 -> 1 -> 2, Xi1:1 -> 1 -> 1 -> 1 -> 1) "
-        "(exists^st y:0, N:1, k:1, X:1, X1:1, Y:1, Y1:1, X2:1, X3:1, "
-        "Y2:1, Y3:1, k1:0) Psi2(N, k, Psi(N, k)) = N(Psi(N, k)) /\\ "
-        "(initseg(X, Xi(X, X1, Y, Y1)) = initseg(Y, Xi(X, X1, Y, Y1)) /\\ "
-        "initseg(X1, Xi(X, X1, Y, Y1)) = initseg(Y1, Xi(X, X1, Y, Y1)) -> "
+        "(exists^st y:0, N:1, k:1, X:1, X1:1, Y:1, Y1:1, X2:1, X3:1, Y2:1, "
+        "Y3:1, k1:0) Psi2(N, k, Psi(N, k)) = N(Psi(N, k)) /\\ "
+        "(((forall i:0) monus(Xi(X, X1, Y, Y1), i) = 0 \\/ X(i) = Y(i)) /\\ "
+        "((forall i:0) monus(Xi(X, X1, Y, Y1), i) = 0 \\/ X1(i) = Y1(i)) -> "
         "Psi(X, X1) = Psi(Y, Y1)) /\\ "
-        "(initseg(X2, Xi1(X2, X3, Y2, Y3, k1)) = "
-        "initseg(Y2, Xi1(X2, X3, Y2, Y3, k1)) /\\ "
-        "initseg(X3, Xi1(X2, X3, Y2, Y3, k1)) = "
-        "initseg(Y3, Xi1(X2, X3, Y2, Y3, k1)) -> "
-        "initseg(Psi2(X2, X3), k1) = initseg(Psi2(Y2, Y3), k1)) -> "
-        "((exists x:0) f(x) = 0) -> "
+        "(((forall i1:0) monus(Xi1(X2, X3, Y2, Y3, k1), i1) = 0 \\/ "
+        "X2(i1) = Y2(i1)) /\\ "
+        "((forall i1:0) monus(Xi1(X2, X3, Y2, Y3, k1), i1) = 0 \\/ "
+        "X3(i1) = Y3(i1)) -> (forall i1:0) monus(k1, i1) = 0 \\/ "
+        "Psi2(X2, X3, i1) = Psi2(Y2, Y3, i1)) -> ((exists x:0) f(x) = 0) -> "
         "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
-    # no initial segments above type 1, nor of sequences
+    # no initial segments above type 1, nor of a sequence of type-2
+    # functionals
     "type-2-argument": (
         "(forall F:2)(exists c:0) c = F(\\x:0. x)",
         "no prefix encoding at type 2"),
     "sequence-valued-argument": (
-        "(forall P:0 -> 0*)(exists y:0) P(y) = P(0)",
-        "no prefix encoding at type 0 -> 0*"),
+        "(forall P:0 -> 2)(exists y:0) P(y) = P(0)",
+        "no prefix encoding at type 0 -> 2"),
 }
 
 

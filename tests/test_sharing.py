@@ -4,7 +4,7 @@ import time
 
 import gen
 from rszoo.extract import show_term_brief
-from rszoo.lang import (Abs, And, App, Arrow, Atom, Base, Const, N, Seq, Var,
+from rszoo.lang import (Abs, And, App, Arrow, Atom, Base, Const, N, Var,
                         app, free_vars, free_vars_f, pure, subst_f)
 from rszoo.lang.terms import MAX2
 from rszoo.lang.types import Node
@@ -50,7 +50,7 @@ def nodes(x):
         v = getattr(x, name)
         for part in (v if isinstance(v, tuple) else (v,)):
             if isinstance(part, Node) and \
-                    not isinstance(part, (Base, Arrow, Seq)):
+                    not isinstance(part, (Base, Arrow)):
                 yield from nodes(part)
 
 

@@ -14,7 +14,7 @@ from rszoo.lang import ParseError
 from rszoo.lang.parser import tokenize
 
 SYMBOLS = ["->", "/\\", "\\/", "!=", ":=", "^st",
-           "(", ")", "[", "]", ",", ":", ".", "*", "~", "=", "\\",
+           "(", ")", "[", "]", ",", ":", ".", "~", "=", "\\",
            "-", ";"]
 # names and numbers are ASCII
 DIGITS = string.digits
