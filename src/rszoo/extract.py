@@ -14,19 +14,19 @@ in a finite model, which is the claim's one judge.
 A script is read with the language's tokenizer and ``Parser``, so
 blanks, newlines and ``#`` comments only separate tokens:
 
-  script  :=  ('script' NAME | 'let' VAR ':=' term)* prefix group+
+  script  :=  ('let' VAR ':=' term)* prefix group+
   prefix  :=  '(' 'forall' '^st' binders ')'
   group   :=  '(' term (';' term)* ')'
 
-A NAME may join its parts with '-', no blanks around it: ``script
-udnr-backward``.  A VAR, the name a let binds, is one name and not a
-reserved one, as for every binder.  The prefix writes the universals of
-the normal form, so that the rows can be read (and typed) with the text
-alone; ``check_script`` demands that it be the built form's universal
-block, names, types and order.  A group is one row, its slots separated
-by ';' in the order of the existentials; a slot may name the universals,
-which shadow the lets.  An error gives its line:col in the script and
-names the let, or the row and slot, it is in.
+A VAR, the name a let binds, is not a reserved one, as for every
+binder.  The prefix writes the universals of the normal form, so that
+the rows can be read (and typed) with the text alone; ``check_script``
+demands that it be the built form's universal block, names, types and
+order.  So every name in a row is a closed let or a universal.  A group
+is one row, its slots separated by ';' in the order of the existentials;
+a slot may name the universals, which shadow the lets.  An error gives
+its line:col in the script and names the let, or the row and slot, it
+is in.
 
 A ``let`` term may use the lets above it.  Each let is expanded in every
 later term as it is read, in one walk (``_Lets``) that also reduces each
@@ -82,7 +82,6 @@ Row = tuple[Term, ...]
 
 @record
 class ProofScript:
-    name: str
     universals: tuple[Var, ...]     # the prefix
     rows: tuple[Row, ...]
 
@@ -91,25 +90,21 @@ def parse_script(text: str) -> ProofScript:
     """Read a script (grammar in the module docstring).  A ParseError
     becomes a ScriptError that gives its line:col in the text and names
     the let, or the row and slot, it is in."""
-    name = "script"
     lets = _Lets()
     where = ""                    # the let or slot being read, for errors
     try:
         p = Parser(tokenize(text), 0, {})
         while not p.at_sym("("):
-            if p.take("script"):
-                name = _name(p)
-            elif p.take("let"):
-                lname = p.bound_name(p.expecting("a name"))
-                where = f"let {lname}: "
-                p.expect_sym(":=")
-                body, ty = p.typed_term()
-                v = Var(lname, ty)
-                lets.define(v, body)
-                p.env[lname] = v
-                where = ""
-            else:
-                p.expected("'script', 'let' or '(forall^st'")
+            if not p.take("let"):
+                p.expected("'let' or '(forall^st'")
+            lname = p.bound_name(p.expecting("a name"))
+            where = f"let {lname}: "
+            p.expect_sym(":=")
+            body, ty = p.typed_term()
+            v = Var(lname, ty)
+            lets.define(v, body)
+            p.env[lname] = v
+            where = ""
         where = "prefix: "
         p.next()
         if not (p.take("forall") and p.take("^st")):
@@ -132,7 +127,7 @@ def parse_script(text: str) -> ProofScript:
     except ParseError as exc:
         raise ScriptError(f"{where}{exc.msg} (at {exc.line}:{exc.col})") \
             from None
-    return ProofScript(name, tuple(universals), tuple(rows))
+    return ProofScript(tuple(universals), tuple(rows))
 
 
 class _Lets:
@@ -248,25 +243,6 @@ def _reads(t: Term, reads: dict[str, list[bool]], lazy: bool) -> None:
             reads[t.var.name] = shadowed
 
 
-def _name(p: Parser) -> str:
-    """A script's name, whose parts may be joined by '-' with no blanks
-    around it: ``udnr-forward``."""
-    tok = p.peek()
-    if tok.kind != "ident":
-        p.expected("a name")
-    p.next()
-    text, end = tok.text, tok.col + len(tok.text)
-    while p.at_sym("-"):
-        dash, part = p.peek(), p.peek(1)
-        if not (dash.line == part.line == tok.line and dash.col == end
-                and part.col == end + 1 and part.kind in ("ident", "num")):
-            break
-        p.pos += 2
-        text += "-" + part.text
-        end = part.col + len(part.text)
-    return text
-
-
 # ---------------------------------------------------------------------------
 # checking
 
@@ -300,34 +276,20 @@ def check_script(script: ProofScript, nf: Formula) -> CheckedRows:
     if script.universals != universals:
         raise ScriptError(f"script prefix {_block(script.universals)} is "
                           f"not the normal form's {_block(universals)}")
-    _check_rows(script.rows, existentials, universals)
+    _check_rows(script.rows, existentials)
     return CheckedRows(script.rows, universals, existentials, matrix)
 
 
-def _check_rows(rows: tuple[Row, ...], existentials: tuple[Var, ...],
-                universals: tuple[Var, ...]) -> None:
+def _check_rows(rows: tuple[Row, ...], existentials: tuple[Var, ...]) -> None:
     """Each row has one slot per existential, and each slot term is
-    well-typed at its existential's type and closed up to the
-    universals: a variable free in it is one of them, by name and
-    type."""
-    scope = {u.name: u.ty for u in universals}
+    well-typed at its existential's type.  That a slot names only the
+    universals, at their types, ``parse_script`` has made sure."""
     for i, row in enumerate(rows, 1):
         if len(row) != len(existentials):
             raise ScriptError(f"row {i} has {len(row)} slot(s), the normal "
                               f"form {len(existentials)} existential(s)")
         for v, t in zip(existentials, row):
             where = f"row {i}, slot {v.name}: "
-            fvs = free_vars(t)
-            loose = {w.name for w in fvs if w.name not in scope}
-            if loose:
-                raise ScriptError(f"{where}open witness term: unbound "
-                                  f"{sorted(loose)}")
-            for w in sorted(fvs, key=lambda w: w.name):
-                if w.ty != scope[w.name]:
-                    raise ScriptError(
-                        f"{where}variable {w.name} used at type "
-                        f"{show_type(w.ty)} but declared at "
-                        f"{show_type(scope[w.name])}")
             try:
                 ty = infer_type(t)
             except TypeCheckError as exc:
@@ -423,10 +385,11 @@ def check_candidates(model, final: CheckedRows,
     ``"st"`` (declared/standard population, the default — the block is
     a forall^st); any other plan, or a key that names no universal, is
     a ScriptError.  The blocks and the rows come from ``check_script``,
-    which checked them: a slot term is well-typed and names no variable but
-    the universals, and the matrix names only the two blocks'
-    variables, whose names differ.  So an assignment's environment
-    holds the universals and each row sets its existentials there.
+    which checked them: a slot term is well-typed and (as
+    ``parse_script`` read it) names no variable but the universals, and
+    the matrix names only the two blocks' variables, whose names differ.
+    So an assignment's environment holds the universals and each row
+    sets its existentials there.
 
     When the matrix is an implication, its consequent is evaluated only
     where the antecedent holds.

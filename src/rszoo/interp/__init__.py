@@ -2,8 +2,8 @@
 constructions the corpus entries bind against."""
 
 from .machine import (DidNotHalt, HaltsWith, MachineError, Program,
-                      decode_program, enumeration_alphabet, encode_program,
-                      phi, program_count, run_program, theta)
+                      decode_program, enumeration_alphabet, phi, run_program,
+                      theta)
 from .model import (FnV, MiniModel, ModelError, ModelRefusal, eval_formula,
                     eval_term, quantifier, table_fn, tabulate, values_equal,
                     zero_value)

@@ -1,7 +1,7 @@
 """Model configurations, and the named constructions they bind.
 
-A configuration sets ``cap``, ``omega`` and, optionally, ``budget`` (see
-:class:`MiniModel`), and declares the model's objects, one a line::
+A configuration sets ``cap`` and ``omega`` (see :class:`MiniModel`), and
+declares the model's objects, one a line::
 
     cap = 4
     omega = 2
@@ -21,10 +21,10 @@ The dodge functional ``psi_theta`` embeds :func:`machine.theta` into
 a model as a type-1 → type-1 object: for each oracle table it tabulates
 the bounded diagonal run (program number ``e`` on input ``e``, one more
 than the output, 0 when the run does not halt), saturating values at
-the cap; program 0 is the member scan (``machine.PROGRAMS``).  Adding
-one is what makes the result *diagonally non-recursive relative to the
-oracle*: whenever the run halts, the functional's value differs from
-the run's value.  The dodge property holds as long as outputs stay
+the cap; program 0 is the member scan (``machine.SCAN_PROGRAM``).
+Adding one is what makes the result *diagonally non-recursive relative
+to the oracle*: whenever the run halts, the functional's value differs
+from the run's value.  The dodge property holds as long as outputs stay
 below the cap, which is why standard oracle tables in the shipped
 configurations keep their entries small.
 """
@@ -170,7 +170,9 @@ def parse_model_config(text: str) -> MiniModel:
             if word in ("table", "bind") and not p.at_sym("="):
                 name = p.bound_name(p.expecting("a name"))
                 p.expect_sym(":")
-                words = [_name(p)] if word == "bind" else []
+                if word == "bind" and p.peek().kind != "ident":
+                    p.expected("a name")
+                words = []
                 while p.peek().kind != "eof" and not p.at_sym("["):
                     words.append(p.next().text)
                 st = p.take("[")
@@ -178,7 +180,7 @@ def parse_model_config(text: str) -> MiniModel:
                     p.expected("'[st]'")
                 decls.append((p.toks[0].line, word, name, words, st))
             else:
-                if word not in ("cap", "omega", "budget"):
+                if word not in ("cap", "omega"):
                     p.fail(f"unknown setting {word!r}")
                 if word in settings:
                     p.fail(f"repeated setting {word!r}")
@@ -222,9 +224,3 @@ def _lines(text: str):
         toks = list(line)
         toks.append(Token("eof", "", n, toks[-1].col + len(toks[-1].text)))
         yield Parser(toks, 0, {})
-
-
-def _name(p: Parser) -> str:
-    if p.peek().kind != "ident":
-        p.expected("a name")
-    return p.next().text

@@ -20,6 +20,12 @@ length L the branch targets range over 0..L (target L = one past the
 end, i.e. halt), so the per-slot alphabet has 6 + 2*(L+1) symbols and
 its order is: qry, halt, inc R0, inc R1, dec R0, dec R1, brz R0 to
 0..L, brz R1 to 0..L.  Index 0 is the empty program.
+
+``phi`` and ``theta`` number programs for the diagonal: number 0 is
+the member scan (``SCAN_PROGRAM``), so a model's diagonal run reaches it
+below every cap, and every other number ``e`` is ``decode_program(e)``.
+The empty program that the scan displaces computes what ("halt",),
+number 2, computes, so every program still has a number.
 """
 from __future__ import annotations
 
@@ -63,11 +69,6 @@ def alphabet_size(length: int) -> int:
     return 6 + 2 * (length + 1)
 
 
-def program_count(max_length: int) -> int:
-    """Number of programs of length <= max_length."""
-    return sum(alphabet_size(l) ** l for l in range(max_length + 1))
-
-
 def decode_program(e: int) -> Program:
     """The e-th program in length-lexicographic order."""
     if e < 0:
@@ -87,21 +88,6 @@ def decode_program(e: int) -> Program:
         e //= base
     digits.reverse()
     return tuple(alpha[d] for d in digits)
-
-
-def encode_program(prog: Sequence[Instruction]) -> int:
-    """Rank of a program in the enumeration (inverse of decode_program)."""
-    length = len(prog)
-    alpha = enumeration_alphabet(length)
-    pos = {ins: i for i, ins in enumerate(alpha)}
-    base = len(alpha)
-    rank = 0
-    for ins in prog:
-        if tuple(ins) not in pos:
-            raise MachineError(f"instruction {ins!r} is not valid at "
-                               f"length {length}")
-        rank = rank * base + pos[tuple(ins)]
-    return program_count(length - 1) + rank if length else 0
 
 
 # -- execution ---------------------------------------------------------------
@@ -138,12 +124,25 @@ def run_program(prog: Sequence[Instruction], oracle: Callable[[int], int],
     return DidNotHalt(budget)
 
 
+# The member-scan program, number 0: starting from the input, look for
+# the first oracle cell holding a nonzero value v+1 and output v.  Used
+# by the diagonal arguments.
+SCAN_PROGRAM: Program = (
+    ("qry",),            # 0: R1 := A(R0)
+    ("brz", 1, 4),       # 1: nothing here yet -> advance
+    ("dec", 1),          # 2: payload v+1 -> v
+    ("halt",),           # 3: output v
+    ("inc", 0),          # 4: next cell
+    ("brz", 1, 0),       # 5: R1 = 0 on this path, so always jumps
+)
+
 _phi_cache: dict[tuple, HaltsWith | DidNotHalt] = {}
 
 
 def phi(e: int, table: tuple, x: int, budget: int) -> HaltsWith | DidNotHalt:
-    """Bounded oracle computation: program e on input x within the budget,
-    against the oracle with value table ``table``.
+    """Bounded oracle computation: program number e (see the module
+    docstring) on input x within the budget, against the oracle with
+    value table ``table``.
 
     A cell past the end of the table reads 0, as a model's ``table_fn``
     reads it.  The run is a function of ``(e, table, x, budget)``, so it
@@ -159,7 +158,7 @@ def phi(e: int, table: tuple, x: int, budget: int) -> HaltsWith | DidNotHalt:
     elif hit is not None and hit.budget >= budget:
         return DidNotHalt(budget)
     n = len(table)
-    res = run_program(decode_program(e),
+    res = run_program(decode_program(e) if e else SCAN_PROGRAM,
                       lambda i: table[i] if i < n else 0, x, budget)
     if not isinstance(hit, HaltsWith):
         _phi_cache[key] = res
@@ -167,35 +166,14 @@ def phi(e: int, table: tuple, x: int, budget: int) -> HaltsWith | DidNotHalt:
 
 
 def theta(table: tuple, budget: int, e: int) -> int:
-    """The bounded diagonal run: program number ``e`` (machine index
-    ``PROGRAMS.get(e, e)``) on input ``e`` against the oracle ``table``
-    for at most ``budget`` steps; output+1 on halt and 0 otherwise.
+    """The bounded diagonal run: program number ``e`` on input ``e``
+    against the oracle ``table`` for at most ``budget`` steps; output+1
+    on halt and 0 otherwise.
 
     Adding one makes the value differ from the run's output whenever it
     halts.  The value is an unbounded integer; a model saturates it.
     """
-    res = phi(PROGRAMS.get(e, e), table, e, budget)
+    res = phi(e, table, e, budget)
     if isinstance(res, HaltsWith):
         return res.output + 1
     return 0
-
-
-# The member-scan program: starting from the input, look for the first
-# oracle cell holding a nonzero value v+1 and output v.  Used by the
-# diagonal arguments; its enumeration index is SCAN_INDEX.
-SCAN_PROGRAM: Program = (
-    ("qry",),            # 0: R1 := A(R0)
-    ("brz", 1, 4),       # 1: nothing here yet -> advance
-    ("dec", 1),          # 2: payload v+1 -> v
-    ("halt",),           # 3: output v
-    ("inc", 0),          # 4: next cell
-    ("brz", 1, 0),       # 5: R1 = 0 on this path, so always jumps
-)
-
-SCAN_INDEX = encode_program(SCAN_PROGRAM)
-
-# The diagonal numbering: program number 0 is the scan, so a model's
-# diagonal run reaches it below every cap; every other number is its
-# machine index.  The empty program it displaces computes what
-# ("halt",), index 2, computes, so every program is still numbered.
-PROGRAMS = {0: SCAN_INDEX}

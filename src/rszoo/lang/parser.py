@@ -43,10 +43,10 @@ writes its type arguments in brackets (``rec[0]``);
 ``terms.POLYMORPHIC`` says how many it takes.
 
 The same tokens and ``Parser`` read witness-row scripts
-(``extract.parse_script``, which also uses the symbols ``-`` and
-``;``).  A ``.nf`` file is a normal form, which is a formula:
-``translate.parse_nf`` reads it with ``parse_formula`` and checks its
-shape with ``nf_blocks``.  Blanks, newlines and ``#`` comments separate
+(``extract.parse_script``, which also uses the symbol ``;``).  A
+``.nf`` file is a normal form, which is a formula: ``translate.parse_nf``
+reads it with ``parse_formula`` and checks its shape with
+``nf_blocks``.  Blanks, newlines and ``#`` comments separate
 tokens and carry no other meaning, so a formula or term may run over
 lines.
 """
@@ -72,8 +72,7 @@ class ParseError(Exception):
 KEYWORDS = frozenset(["forall", "exists"])
 
 _SYMBOLS = ["->", "/\\", "\\/", "!=", ":=", "^st",
-            "(", ")", "[", "]", ",", ":", ".", "~", "=", "\\",
-            "-", ";"]
+            "(", ")", "[", "]", ",", ":", ".", "~", "=", "\\", ";"]
 
 # Blanks, then one token, a newline, a comment, a character that starts
 # none of them ("bad"), or the end of the input (no group).  Symbols are

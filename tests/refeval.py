@@ -11,8 +11,9 @@ module states the same semantics again, as directly as it can:
 - every constant is a curried function value, and every application
   applies one argument, so ``rec`` calls its step like any function;
 - every quantifier enumerates its whole population up front;
-- a ``run`` decodes its program, numbered by ``machine.PROGRAMS``, and
-  calls ``machine.run_program`` (``phi``, with no memo).
+- a ``run`` takes program number 0 as the member scan and decodes any
+  other number, and calls ``machine.run_program`` (``phi``, with no
+  memo).
 
 Nothing is compiled and nothing is remembered between calls.  The
 walker reuses the model's saturation (``sat``), enumeration,
@@ -31,7 +32,7 @@ import math
 
 from rszoo.extract import _value_label
 from rszoo.interp import FnV, ModelError
-from rszoo.interp.machine import (PROGRAMS, HaltsWith, decode_program,
+from rszoo.interp.machine import (SCAN_PROGRAM, HaltsWith, decode_program,
                                   run_program)
 from rszoo.lang import (Abs, And, App, Atom, Const, Exists, ExistsSt, Forall,
                         ForallSt, Implies, Not, Or, Var, infer_type, pure)
@@ -83,18 +84,18 @@ def unpair(n: int) -> tuple[int, int]:
 
 
 def phi(e: int, table: tuple, x: int, budget: int):
-    """``machine.phi`` with no memo: program ``e`` on input ``x`` against
-    the oracle ``table``, whose cells past its end read 0, for at most
-    ``budget`` steps."""
-    return run_program(decode_program(e),
+    """``machine.phi`` with no memo: program number ``e`` (0 is the
+    scan) on input ``x`` against the oracle ``table``, whose cells past
+    its end read 0, for at most ``budget`` steps."""
+    return run_program(SCAN_PROGRAM if e == 0 else decode_program(e),
                        lambda i: table[i] if i < len(table) else 0, x, budget)
 
 
 def run(model, a, e, s):
-    """``run(a, e, s)``: program number ``e`` (machine index
-    ``PROGRAMS.get(e, e)``) on input ``e`` against the table of ``a`` for
-    ``s`` steps, output + 1 on a halt, else 0, saturated."""
-    res = phi(PROGRAMS.get(e, e), model.canon_key(TYPE1, a), e, s)
+    """``run(a, e, s)``: program number ``e`` on input ``e`` against the
+    table of ``a`` for ``s`` steps, output + 1 on a halt, else 0,
+    saturated."""
+    res = phi(e, model.canon_key(TYPE1, a), e, s)
     return model.sat(res.output + 1 if isinstance(res, HaltsWith) else 0)
 
 

@@ -2,7 +2,6 @@ import pytest
 from rszoo.interp import (FnV, MiniModel, ModelError, build_construction,
                           eval_formula, extensionality_search, psi_theta,
                           table_fn, tabulate, theta, xi_search)
-from rszoo.interp.machine import SCAN_INDEX
 from rszoo.lang import parse_formula, parse_type
 
 
@@ -23,8 +22,8 @@ def test_theta_values_at_small_indices():
     assert theta((0, 1, 0, 0, 0), 4, 1) == 2
     # index 2: halt, output 0, so theta = 1
     assert theta(z, 4, 2) == 1
-    # a non-halting run gives 0
-    assert theta(z, 4, SCAN_INDEX) == 0
+    # a non-halting run gives 0: index 9 is ("brz", 1, 0), a loop
+    assert theta(z, 4, 9) == 0
 
 
 def test_psi_theta_tables_frozen():

@@ -14,7 +14,7 @@ from rszoo.extract import (CheckedRows, ProofScript, ScriptError,
                            parse_script, postprocess, rs_run)
 from rszoo.interp import (FnV, MiniModel, ModelError, eval_term,
                           parse_model_config, table_fn)
-from rszoo.lang import (SUCC, App, Forall, N, Var, app, num, parse_formula,
+from rszoo.lang import (SUCC, Forall, N, Var, app, num, parse_formula,
                         pure, show_formula, show_term, stdterms, subterms)
 from rszoo.normalform import normalize_backward
 from rszoo.translate import TranslateError, nf_blocks, parse_nf
@@ -70,7 +70,7 @@ def udnr_run():
     replays = []
 
     def counted(script, nf):
-        replays.append(script.name)
+        replays.append(script)
         return check_script(script, nf)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -109,8 +109,9 @@ def test_rs_run_udnr_forward_sweep_over_every_cap4_table():
 
 
 def test_rs_run_replays_each_script_once(udnr_run):
-    _entry, _verdict, replays = udnr_run
-    assert replays == ["udnr-forward", "udnr-backward"]
+    entry, _verdict, replays = udnr_run
+    assert len(replays) == 2
+    assert replays[0] is entry.forward and replays[1] is entry.backward
 
 
 def test_rs_run_splits_each_script_step_once(monkeypatch):
@@ -536,7 +537,7 @@ def test_check_candidates_keeps_the_overflow_bit_when_the_sweep_raises():
 
 
 ONE_SLOT = "(forall^st x:0) (exists^st y:0) y = x"
-ROWS = "script rows\n(forall^st x:0)\n(x) (succ(x))"
+ROWS = "(forall^st x:0)\n(x) (succ(x))"
 
 
 def check(text: str = ROWS, nf: str = ONE_SLOT, rows=None) -> CheckedRows:
@@ -544,7 +545,7 @@ def check(text: str = ROWS, nf: str = ONE_SLOT, rows=None) -> CheckedRows:
     ``nf``; ``rows``, when given, replaces the script's rows."""
     script = parse_script(text)
     if rows is not None:
-        script = ProofScript(script.name, script.universals, rows)
+        script = ProofScript(script.universals, rows)
     return check_script(script, parse_nf(nf))
 
 
@@ -573,28 +574,31 @@ def test_exists_witness_introduces_rows():
 
 @pytest.mark.parametrize("text, nf, message", [
     # the prefix is the universal block: names, types and order
-    ("script s\n(forall^st z:0)\n(z)", ONE_SLOT,
+    ("(forall^st z:0)\n(z)", ONE_SLOT,
      "script prefix (forall^st z:0) is not the normal form's "
      "(forall^st x:0)"),
-    ("script s\n(forall^st x:1)\n(x(0))", ONE_SLOT,
+    ("(forall^st x:1)\n(x(0))", ONE_SLOT,
      "script prefix (forall^st x:1) is not the normal form's "
      "(forall^st x:0)"),
-    ("script s\n(forall^st z:0, x:0)\n(x)",
+    ("(forall^st z:0, x:0)\n(x)",
      "(forall^st x:0, z:0) (exists^st y:0) y = x",
      "script prefix (forall^st z:0, x:0) is not the normal form's "
      "(forall^st x:0, z:0)"),
-    ("script s\n(forall^st x:0)\n(x)",
+    ("(forall^st x:0)\n(x)",
      "(forall^st x:0, z:0) (exists^st y:0) y = x",
      "script prefix (forall^st x:0) is not the normal form's "
      "(forall^st x:0, z:0)"),
-    # one slot per existential, each at its type
-    ("script s\n(forall^st x:0)\n(x; x)", ONE_SLOT,
+    # one slot per existential, each well-typed at its type
+    ("(forall^st x:0)\n(x; x)", ONE_SLOT,
      "row 1 has 2 slot(s), the normal form 1 existential(s)"),
-    ("script s\n(forall^st x:0)\n(x) (\\n:0. n)", ONE_SLOT,
+    ("(forall^st x:0)\n(x) (\\n:0. n)", ONE_SLOT,
      "row 2, slot y: witness has type 1, expected 0"),
-    ("script s\n(forall^st x:0)\n(x; x) (x)",
+    ("(forall^st x:0)\n(x; x) (x)",
      "(forall^st x:0) (exists^st y:0, g:1) g(y) = x",
      "row 1, slot g: witness has type 0, expected 1"),
+    # the reader binds x at type 0; applying it is check_script's to refuse
+    ("(forall^st x:0)\n(x) (x(0))", ONE_SLOT,
+     "row 2, slot y: applied non-function of type 0"),
 ])
 def test_check_script_rejects(text, nf, message):
     with pytest.raises(ScriptError, match=f"^{re.escape(message)}$"):
@@ -609,26 +613,6 @@ def test_nf_axiom_starts_with_one_empty_row():
     assert final.existentials == ()
     assert [v.name for v in final.universals] == ["x"]
     assert final.line() == "1 witness row(s) fit the normal form"
-
-
-def test_witness_rules_reject_open_terms():
-    # the parser already refuses unbound names, so the term is put into
-    # the parsed script directly
-    with pytest.raises(ScriptError, match=re.escape(
-            "row 1, slot y: open witness term: unbound ['z']")):
-        check(rows=((Var("z", N),),))
-
-
-@pytest.mark.parametrize("term, message", [
-    # a universal read at another type than its own
-    (Var("x", pure(1)), "variable x used at type 1 but declared at 0"),
-    (App(Var("x", N), num(0)), "applied non-function of type 0"),
-])
-def test_witness_rules_reject_ill_typed_terms(term, message):
-    # built in code, as the parser refuses both terms
-    with pytest.raises(ScriptError, match=re.escape(
-            f"row 2, slot y: {message}")):
-        check(rows=((Var("x", N),), (term,)))
 
 
 def test_nf_blocks_splits_the_blocks():
@@ -656,12 +640,11 @@ def test_nf_blocks_rejects_external_matrices(src):
 def test_parse_script_reads_lets_and_steps():
     # the steps of a script: its lets, its prefix and its rows
     script = parse_script(
-        "script udnr-demo-2  # a comment\n"
+        "# a comment\n"
         "let two := succ(succ(0))\n"
         "(forall^st x:0)\n"
         "(two)\n"
         "  (x)\n")
-    assert script.name == "udnr-demo-2"
     two = app(SUCC, app(SUCC, num(0)))
     x = Var("x", N)
     assert script.universals == (x,)
@@ -670,54 +653,44 @@ def test_parse_script_reads_lets_and_steps():
 
 
 BODY = "(forall^st x:0)\n(x)"
-# the retired step format, which the parser refuses where it starts
-STEP_FORMAT = ("step 1: NF-AXIOM conclude (forall^st x:0) "
-               "x = x \\/ succ(x) = x")
 
 
 @pytest.mark.parametrize("text, message", [
-    ("  x = x\nscript s\n" + BODY,
-     "expected 'script', 'let' or '(forall^st', found 'x' (at 1:3)"),
-    # ``param`` is no directive
-    ("script s\nparam p : 1\n" + BODY,
-     "expected 'script', 'let' or '(forall^st', found 'param' (at 2:1)"),
+    ("  x = x\n" + BODY,
+     "expected 'let' or '(forall^st', found 'x' (at 1:3)"),
+    # ``param`` is no directive, and nor is ``script``: a script has no
+    # name line
+    ("param p : 1\n" + BODY,
+     "expected 'let' or '(forall^st', found 'param' (at 1:1)"),
+    ("# udnr\nscript s\n" + BODY,
+     "expected 'let' or '(forall^st', found 'script' (at 2:1)"),
     # an error before the body is named there, whatever the body is
-    ("script s\nlet q z\n" + STEP_FORMAT,
-     "let q: expected ':=', found 'z' (at 2:7)"),
-    ("script s\n",
-     "expected 'script', 'let' or '(forall^st', found 'end of input' "
-     "(at 2:1)"),
-    ("script 3\n" + STEP_FORMAT, "expected a name, found '3' (at 1:8)"),
-    ("script s\n" + STEP_FORMAT,
-     "expected 'script', 'let' or '(forall^st', found 'step' (at 2:1)"),
-    # blanks around '-' end a name
-    ("script udnr -forward\n" + BODY,
-     "expected 'script', 'let' or '(forall^st', found '-' (at 1:13)"),
+    ("let q z\n" + BODY, "let q: expected ':=', found 'z' (at 1:7)"),
+    ("", "expected 'let' or '(forall^st', found 'end of input' (at 1:1)"),
     # the prefix is a standard universal block
-    ("script s\n(x)", "prefix: expected 'forall^st', found 'x' (at 2:2)"),
-    ("script s\n(forall x:0)\n(x)",
-     "prefix: expected 'forall^st', found 'x' (at 2:9)"),
-    ("script s\n(forall^st x:q)\n(x)",
-     "prefix: expected a type, found 'q' (at 2:14)"),
-    ("script s\n(forall^st succ:0)\n(0)",
-     "prefix: 'succ' is a constant, not a variable name (at 2:12)"),
+    ("(x)", "prefix: expected 'forall^st', found 'x' (at 1:2)"),
+    ("(forall x:0)\n(x)",
+     "prefix: expected 'forall^st', found 'x' (at 1:9)"),
+    ("(forall^st x:q)\n(x)",
+     "prefix: expected a type, found 'q' (at 1:14)"),
+    ("(forall^st succ:0)\n(0)",
+     "prefix: 'succ' is a constant, not a variable name (at 1:12)"),
     # at least one row, and nothing but rows after the prefix
-    ("script s\n(forall^st x:0)\n",
-     "row 1: expected '(', found 'end of input' (at 3:1)"),
-    ("script s\n(forall^st x:0)\n(x)\nlet q := 0",
-     "row 2: expected '(', found 'let' (at 4:1)"),
-    ("script s\n(forall^st x:0)\n(x]",
-     "row 1, slot 1: expected ')', found ']' (at 3:3)"),
-    ("script s\n(forall^st x:0)\n(x) (succ(x)",
-     "row 2, slot 1: expected ')', found 'end of input' (at 3:13)"),
-    # a let binds one name, and no constant's or keyword's: '-' joins
-    # the parts of a script's name only
-    ("script s\nlet succ := 0\n" + STEP_FORMAT,
-     "'succ' is a constant, not a variable name (at 2:5)"),
-    ("script s\nlet forall := 0\n" + BODY,
-     "'forall' is a keyword, not a variable name (at 2:5)"),
-    ("script s\nlet a-b := 0\n" + STEP_FORMAT,
-     "let a: expected ':=', found '-' (at 2:6)"),
+    ("(forall^st x:0)\n",
+     "row 1: expected '(', found 'end of input' (at 2:1)"),
+    ("(forall^st x:0)\n(x)\nlet q := 0",
+     "row 2: expected '(', found 'let' (at 3:1)"),
+    ("(forall^st x:0)\n(x]",
+     "row 1, slot 1: expected ')', found ']' (at 2:3)"),
+    ("(forall^st x:0)\n(x) (succ(x)",
+     "row 2, slot 1: expected ')', found 'end of input' (at 2:13)"),
+    # a let binds one name, and no constant's or keyword's; '-' is no
+    # token, so it stops the script wherever it is
+    ("let succ := 0\n" + BODY,
+     "'succ' is a constant, not a variable name (at 1:5)"),
+    ("let forall := 0\n" + BODY,
+     "'forall' is a keyword, not a variable name (at 1:5)"),
+    ("let a-b := 0\n" + BODY, "unexpected character '-' (at 1:6)"),
 ])
 def test_parse_script_rejects(text, message):
     with pytest.raises(ScriptError, match=re.escape(message)):
@@ -725,16 +698,13 @@ def test_parse_script_rejects(text, message):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("script s\nlet q := succ(z)\n" + BODY,
-     "let q: unbound variable 'z' (at 2:15)"),
-    ("script s\n(forall^st x:0)\n(z)",
-     "row 1, slot 1: unbound variable 'z' (at 3:2)"),
-    ("script s\n(forall^st x:0)\n(x) (succ(x); z)",
-     "row 2, slot 2: unbound variable 'z' (at 3:15)"),
+    ("let q := succ(z)\n" + BODY, "let q: unbound variable 'z' (at 1:15)"),
+    ("(forall^st x:0)\n(z)", "row 1, slot 1: unbound variable 'z' (at 2:2)"),
+    ("(forall^st x:0)\n(x) (succ(x); z)",
+     "row 2, slot 2: unbound variable 'z' (at 2:15)"),
     # rows may run over lines
-    ("script s\n(forall^st x:0)\n"
-     "  (x)  # the first row\n  (succ(x);\n   z)\n",
-     "row 2, slot 2: unbound variable 'z' (at 5:4)"),
+    ("(forall^st x:0)\n  (x)  # the first row\n  (succ(x);\n   z)\n",
+     "row 2, slot 2: unbound variable 'z' (at 4:4)"),
 ])
 def test_parse_errors_name_the_let_row_and_slot(text, message):
     with pytest.raises(ScriptError, match=re.escape(message)):

@@ -6,7 +6,6 @@ from rszoo.interp import (FnV, MiniModel, ModelError, ModelRefusal,
                           eval_formula, eval_term, model as model_mod, mu_op,
                           parse_model_config, table_fn,
                           tabulate, values_equal, zero_value)
-from rszoo.interp.machine import SCAN_INDEX
 from rszoo.lang import (And, Atom, Const, Exists, Forall, N, Var, app, num,
                         parse_formula, parse_term, parse_type, pure,
                         subformulas)
@@ -84,7 +83,7 @@ def test_run_is_machine_call_plus_one():
     # program 2 = ("halt",): halts in one step with output 0
     assert ev(m, "run(Z, 2, 0)") == 0
     assert ev(m, "run(Z, 2, 1)") == 1
-    # program 0 = the member scan (machine.PROGRAMS): from cell 0 it
+    # program 0 = the member scan (machine.SCAN_PROGRAM): from cell 0 it
     # reads M(1) = 3 in its eighth step and outputs 2
     m.declare("M", parse_type("1"), table_fn([0, 3] + [0] * 8, m), st=False)
     assert ev(m, "run(M, 0, 7)") == 0
@@ -108,10 +107,11 @@ def test_run_respects_type_one_equality():
             at = dict(m.env(), e=e, s=s)
             assert (eval_term(m, run, dict(at, A=m.object("T")))
                     == eval_term(m, run, dict(at, A=m.object("L"))))
-    # the scan program started past the cap reads only cells past it
-    past = dict(m.env(), e=SCAN_INDEX, s=200)
-    assert eval_term(m, run, dict(past, A=m.object("L"))) == 0
-    assert eval_term(m, run, dict(past, A=m.object("T"))) == 0
+    # program 11, two oracle reads, started past the cap reads a cell
+    # past it, which is 0 for both: output 0, so the run is 1
+    past = dict(m.env(), e=11, s=200)
+    assert eval_term(m, run, dict(past, A=m.object("L"))) == 1
+    assert eval_term(m, run, dict(past, A=m.object("T"))) == 1
 
 
 # -- values ------------------------------------------------------------------
@@ -627,8 +627,8 @@ def test_table_sweep_zero_fills_reads_out_of_order(monkeypatch, src, first,
     assert len(probes) < len(visited)
 
 
-@pytest.mark.parametrize("value", [(1, 2), FnV(lambda _i: 0), 4, -1],
-                         ids=["sequence", "function", "past-cap", "negative"])
+@pytest.mark.parametrize("value", [FnV(lambda _i: 0), 4, -1],
+                         ids=["function", "past-cap", "negative"])
 def test_table_sweep_reads_zero_off_the_table_and_fills_nothing(
         monkeypatch, value):
     # h(1) fills cells 0 and 1; the read of g(0) is of no cell: it reads
@@ -768,7 +768,6 @@ GOOD_CFG = """
 # comments and blank lines are fine
 cap = 4
 omega = 2
-budget = 150000
 
 table Z0: 0 1 0 2 0 [st]    # a comment may end a declaration
 bind Psi0: psi_theta [st]
@@ -777,7 +776,7 @@ bind Psi0: psi_theta [st]
 
 def test_parse_model_config_reads_settings_and_tables():
     m = parse_model_config(GOOD_CFG)
-    assert (m.cap, m.omega, m.budget) == (4, 2, 150000)
+    assert (m.cap, m.omega, m.budget) == (4, 2, 200_000)
     assert sorted(m.declared) == ["Psi0", "Z0"]
     ty, z0, st = m.declared["Z0"]
     assert st and tabulate(m, z0) == (0, 1, 0, 2, 0)
@@ -836,8 +835,8 @@ def test_config_rejects_duplicates_and_unknowns():
     # an omega past the cap is omega's fault
     ("cap = 3\n# the cut\nomega = 5\n",
      "line 3: omega must satisfy 0 < omega <= cap"),
-    ("budget = 0\ncap = 3\nomega = 2\n",
-     "line 1: budget must be at least 1"),
+    # the enumeration budget is the model's default
+    ("budget = 0\ncap = 3\nomega = 2\n", "line 1: unknown setting 'budget'"),
 ])
 def test_config_errors_name_the_line(text, message):
     with pytest.raises(ModelError) as info:
@@ -853,13 +852,14 @@ def test_omega_must_sit_inside_universe():
 
 
 @pytest.mark.parametrize("budget, message", [
-    pytest.param(0, "line 3: budget must be at least 1", id="0"),
-    # the tokenizer reads "-5" as the symbol "-" and a number
-    pytest.param(-5, "line 3: budget needs a number, got '-'", id="-5"),
+    pytest.param(0, "line 3: unknown setting 'budget'", id="0"),
+    # "-" is no token
+    pytest.param(-5, "line 3: unexpected character '-'", id="-5"),
 ])
 def test_budget_must_be_positive(budget, message):
     with pytest.raises(ModelError, match="budget must be at least 1"):
         MiniModel(cap=2, omega=1, budget=budget)
+    # a configuration sets no budget
     with pytest.raises(ModelError) as info:
         parse_model_config(f"cap = 2\nomega = 1\nbudget = {budget}\n")
     assert str(info.value) == message

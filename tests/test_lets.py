@@ -29,7 +29,7 @@ def expansions(lets: str, use: str, universals: str = "k:0, x:0, p:0"):
     """The term ``use`` read under ``lets`` by the reducing walk and by
     plain substitution, as the slot of a row under the universals
     ``universals``."""
-    text = f"script lets\n{lets}\n(forall^st {universals})\n({use})\n"
+    text = f"{lets}\n(forall^st {universals})\n({use})\n"
     return [parse(text).rows[0][0]
             for parse in (parse_script, plainlets.parse_script)]
 
@@ -90,8 +90,7 @@ def test_a_step_universal_shadows_a_let_in_its_witness_groups():
     # the parser reads the x of a witness group as the universal of the
     # script's step, its prefix, so the expansion must not replace it
     # with the let of that name
-    script = parse_script(
-        "script shadow\nlet x := 0\n(forall^st x:0)\n(x)\n")
+    script = parse_script("let x := 0\n(forall^st x:0)\n(x)\n")
     assert script.rows == ((Var("x", N),),)
 
 
@@ -140,7 +139,7 @@ def test_reduced_lets_agree_with_plain_substitution():
             args, kinds = zip(*(g.let_argument(v.ty, FREE, cap, "F")
                                 for v in binders))
             use = show_term(app(Var("L", infer_type(fn)), *args))
-            text = (f"script lets\nlet L := {show_term(fn)}\n"
+            text = (f"let L := {show_term(fn)}\n"
                     f"(forall^st n:0, p:0, h:1, F:1)\n({use})\n")
             reduced, plain = (parse(text).rows[0][0]
                               for parse in (parse_script,

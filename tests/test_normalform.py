@@ -264,12 +264,12 @@ FROZEN = {
         "X3(i1) = Y3(i1)) -> (forall i1:0) monus(k1, i1) = 0 \\/ "
         "Psi2(X2, X3, i1) = Psi2(Y2, Y3, i1)) -> ((exists x:0) f(x) = 0) -> "
         "(exists z:0) monus(z, y) = 0 /\\ f(z) = 0"),
-    # no initial segments above type 1, nor of a sequence of type-2
-    # functionals
+    # no initial segments above type 1, nor of a function from numbers
+    # to type-2 functionals
     "type-2-argument": (
         "(forall F:2)(exists c:0) c = F(\\x:0. x)",
         "no prefix encoding at type 2"),
-    "sequence-valued-argument": (
+    "type-0-to-2-argument": (
         "(forall P:0 -> 2)(exists y:0) P(y) = P(0)",
         "no prefix encoding at type 0 -> 2"),
 }

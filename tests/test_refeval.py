@@ -16,7 +16,6 @@ from test_mutants import mutated, named
 from rszoo.extract import check_candidates, check_script, rs_run
 from rszoo.interp import (FnV, MiniModel, ModelError, eval_formula,
                           eval_term, machine, parse_model_config, table_fn)
-from rszoo.interp.machine import SCAN_INDEX
 from rszoo.lang import (RUN, SUCC, Abs, And, Arrow, Atom, Exists, ExistsSt,
                         Forall, ForallSt, Implies, N, Or, Var, app,
                         free_vars, num, parse_term, pure, rec_c, spine,
@@ -463,7 +462,7 @@ def test_phi_agrees_with_a_run_without_memo_on_tables_past_the_cap():
     # zeros of 2, 3, 4 and 9 cells, and two nonzero past cell 3
     assert len(set(tables)) == 6
     apart = 0
-    for e in (SCAN_INDEX, *range(0, 200, 5)):
+    for e in range(0, 200, 5):     # 0 is the scan
         for x in range(4):
             for budget in (3, 40, 1, 12, 0, 100):
                 answers = set()

@@ -14,8 +14,7 @@ from rszoo.lang import ParseError
 from rszoo.lang.parser import tokenize
 
 SYMBOLS = ["->", "/\\", "\\/", "!=", ":=", "^st",
-           "(", ")", "[", "]", ",", ":", ".", "~", "=", "\\",
-           "-", ";"]
+           "(", ")", "[", "]", ",", ":", ".", "~", "=", "\\", ";"]
 # names and numbers are ASCII
 DIGITS = string.digits
 LETTERS = string.ascii_letters + "_"
@@ -98,8 +97,8 @@ def test_tokens_of_the_corpus_and_the_test_sources():
 
 def test_every_corpus_file_tokenizes():
     # the script and normal-form readers take a whole file through the
-    # tokenizer, so a character it does not know (a '-' in a name, a ';'
-    # between witness slots) would stop the entry
+    # tokenizer, so a character it does not know (a '-' in a name) would
+    # stop the entry
     corpus = Path(extract.__file__).parent / "corpus_data"
     files = sorted(corpus.rglob("*.*"))
     assert len(files) >= 5
