@@ -653,6 +653,9 @@ def test_parse_script_reads_lets_and_steps():
 
 
 BODY = "(forall^st x:0)\n(x)"
+# the retired step format: its 'NF-AXIOM' holds a '-'
+STEP_FORMAT = ("step 1: NF-AXIOM conclude (forall^st x:0) "
+               "x = x \\/ succ(x) = x")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -662,8 +665,8 @@ BODY = "(forall^st x:0)\n(x)"
     # name line
     ("param p : 1\n" + BODY,
      "expected 'let' or '(forall^st', found 'param' (at 1:1)"),
-    ("# udnr\nscript s\n" + BODY,
-     "expected 'let' or '(forall^st', found 'script' (at 2:1)"),
+    ("script s\nparam p : 1\n" + BODY,
+     "expected 'let' or '(forall^st', found 'script' (at 1:1)"),
     # an error before the body is named there, whatever the body is
     ("let q z\n" + BODY, "let q: expected ':=', found 'z' (at 1:7)"),
     ("", "expected 'let' or '(forall^st', found 'end of input' (at 1:1)"),
@@ -691,6 +694,10 @@ BODY = "(forall^st x:0)\n(x)"
     ("let forall := 0\n" + BODY,
      "'forall' is a keyword, not a variable name (at 1:5)"),
     ("let a-b := 0\n" + BODY, "unexpected character '-' (at 1:6)"),
+    # the retired header and step lines meet the same refusal
+    ("script 3\n" + STEP_FORMAT, "unexpected character '-' (at 2:11)"),
+    ("script s\n" + STEP_FORMAT, "unexpected character '-' (at 2:11)"),
+    ("script udnr -forward\n" + BODY, "unexpected character '-' (at 1:13)"),
 ])
 def test_parse_script_rejects(text, message):
     with pytest.raises(ScriptError, match=re.escape(message)):
